@@ -124,10 +124,15 @@ class SgRomPair:
     """A sparse grid and reduced basis with a coherent node-solve cache.
 
     The cache is invalidated wholesale whenever the basis gains a
-    column; stale reduced coordinates are kept separately as warm
-    starts only (they never feed indicator values).  Warm starts are
-    chosen from a snapshot taken before each sweep, so results do not
-    depend on evaluation order and sweeps may run on multiple threads.
+    column; stale reduced coordinates are kept separately, per parameter
+    point, as warm starts only (they never feed indicator values).  A
+    node solved before at the same ``mu`` starts from the nearest node
+    solved at that ``mu`` (the first one found on ties); at a new ``mu``
+    it starts from its own solution at the nearest ``mu`` where it was
+    solved, and from the projected last primal snapshot when there is
+    none.  Warm starts are chosen from a snapshot taken before each
+    sweep, so results do not depend on evaluation order and sweeps may
+    run on multiple threads.
     """
 
     def __init__(self, problem, grid: MultiIndexSet, basis: ReducedBasis,
@@ -138,14 +143,14 @@ class SgRomPair:
         self.counters = counters
         self.threads = max(1, int(threads))
         self._cache: dict = {}
-        self._warm: dict = {}
+        self._warm: dict = {}  # {mu key: {node key: (coord, q)}}
         self._version = basis.version
 
     def clone(self) -> "SgRomPair":
         out = SgRomPair(self.problem, self.grid, self.basis.clone(),
                         self.counters, self.threads)
         out._cache = dict(self._cache)
-        out._warm = dict(self._warm)
+        out._warm = {mk: dict(nodes) for mk, nodes in self._warm.items()}
         out._version = self._version
         return out
 
@@ -156,17 +161,32 @@ class SgRomPair:
             self._cache.clear()
             self._version = self.basis.version
 
-    def _warm_start(self, key, coord, mk):
-        k = self.basis.k
+    def _mus_by_distance(self, mu) -> list:
+        """Cached parameter keys, nearest to ``mu`` first (stable on ties)."""
+        mks = list(self._warm)
+        if not mks:
+            return []
+        mus = np.array([np.frombuffer(mk) for mk in mks])
+        dist = np.linalg.norm(mus - mu, axis=1)
+        return [mks[i] for i in np.argsort(dist, kind="stable")]
+
+    def _warm_start(self, key, coord, mk, near):
         best = None
-        best_d = np.inf
-        for (wkey, wmk), (wy, wq) in self._warm.items():
-            if wmk != mk:
-                continue
-            d = float(np.linalg.norm(coord - wy))
-            if d < best_d:
-                best_d, best = d, wq
+        nodes = self._warm.get(mk)
+        if nodes:
+            best_d = np.inf
+            for wy, wq in nodes.values():
+                d = float(np.linalg.norm(coord - wy))
+                if d < best_d:
+                    best_d, best = d, wq
+        else:
+            for wmk in near:
+                hit = self._warm[wmk].get(key)
+                if hit is not None:
+                    best = hit[1]
+                    break
         if best is not None:
+            k = self.basis.k
             q0 = np.zeros(k)
             q0[:len(best)] = best[:k]
             return q0
@@ -195,8 +215,10 @@ class SgRomPair:
         if not missing:
             return
         missing.sort(key=lambda kc: kc[0])
-        starts = [self._warm_start(key, coord, mk) for key, coord in missing]
         mu = np.asarray(mu, dtype=float)
+        near = [] if mk in self._warm else self._mus_by_distance(mu)
+        starts = [self._warm_start(key, coord, mk, near)
+                  for key, coord in missing]
 
         def job(args):
             (key, coord), q0 = args
@@ -207,9 +229,10 @@ class SgRomPair:
                 evals = list(pool.map(job, zip(missing, starts)))
         else:
             evals = [job(args) for args in zip(missing, starts)]
+        nodes = self._warm.setdefault(mk, {})
         for (key, coord), ev in zip(missing, evals):
             self._cache[(key, mk)] = ev
-            self._warm[(key, mk)] = (np.asarray(coord, dtype=float), ev.q)
+            nodes[key] = (np.asarray(coord, dtype=float), ev.q)
         self.counters.n_rp += len(missing)
         self.counters.n_ra += len(missing)
         self.counters.gn_iters += sum(ev.gn_iters for ev in evals)

@@ -23,7 +23,7 @@ from .oracle import (cost_metric, fd_gradient, sg_iso_baseline,
                      tensor_reference, validate_bounds)
 from .rom import ReducedBasis, RomSolveError, solve_rom_primal
 from .sparse_grid import MultiIndexSet, assemble, cc_rule, integrate, write_index_set
-from .trust_opt import tr_run
+from .trust_opt import SubproblemError, tr_run
 
 __all__ = ["main", "run_optimize", "run_validate", "run_compare"]
 
@@ -32,6 +32,10 @@ EXIT_SUITE_FAILED = 1
 EXIT_MAX_ITERS = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
+
+#: Exceptions that end a run with EXIT_SOLVER_FAILURE and an error.txt dump.
+SOLVER_FAILURES = (SolverError, RomSolveError, LevelCapError, RefinementError,
+                   SubproblemError)
 
 _TAUS = (1.0, 10.0, 100.0, math.inf)
 
@@ -184,7 +188,7 @@ def run_optimize(cfg: RunConfig, out: Path) -> int:
             return EXIT_OK if state.status == "converged" else EXIT_MAX_ITERS
         _, _, info = _run_sg_iso(cfg, out)
         return EXIT_OK if info["status"] == "converged" else EXIT_MAX_ITERS
-    except (SolverError, RomSolveError, LevelCapError, RefinementError) as exc:
+    except SOLVER_FAILURES as exc:
         _dump_failure(out, exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
@@ -369,7 +373,7 @@ def run_compare(cfg: RunConfig, out: Path) -> int:
         base_gtol = cfg.values["baseline"]["gtol"]
         matched = max(gnorm_tr, cfg.tr.gtol) if math.isnan(base_gtol) else base_gtol
         mu_iso, iso_counters, info = _run_sg_iso(cfg, iso_dir, gtol=matched)
-    except (SolverError, RomSolveError, LevelCapError, RefinementError) as exc:
+    except SOLVER_FAILURES as exc:
         _dump_failure(out, exc)
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

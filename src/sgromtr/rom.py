@@ -8,8 +8,12 @@ equations) buys three properties used throughout the refinement
 machinery: optimality over the subspace, monotonicity under basis
 growth, and interpolation of exactly representable solutions.
 
-The residual weighting is the Euclidean norm; ``theta`` hooks accept a
-symmetric positive-definite weighting but only identity is exercised.
+Both solves measure the residual in the Euclidean norm and factor the
+tall ``n_u x k`` matrix augmented by its right-hand side with one
+Householder QR, which yields the least-squares step and the norm of
+the model's own residual in a single pass.  Gauss-Newton uses that
+predicted residual to stop backtracking, or to skip the line search,
+once the model promises no decrease above round-off.
 """
 
 from __future__ import annotations
@@ -128,64 +132,88 @@ class ReducedBasis:
         return self._cols.T @ u
 
 
-def _weight_factor(theta):
-    """Cholesky factor of an SPD residual weighting; None means identity."""
-    if theta is None:
-        return None
-    return np.linalg.cholesky(np.asarray(theta, dtype=float)).T
+def _augmented_r(a, b):
+    """Triangular factor of ``[a | b]``: the least-squares solve of ``a x ~ b``.
 
-
-def _weighted(chol, r):
-    return r if chol is None else chol @ r
+    With ``k = a.shape[1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
+    and ``|R[k, k]|`` is the residual norm it leaves, ``min ||a x - b||``
+    (zero when ``a`` has no more rows than columns, so ``R`` has no row
+    ``k``).
+    """
+    return np.linalg.qr(np.column_stack([a, b]), mode="r")
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None,
                      counters: QueryCounters | None = None,
-                     max_iters=60, theta=None) -> RomPrimal:
+                     max_iters=60) -> RomPrimal:
     """Gauss-Newton minimization of the residual norm over the subspace.
 
-    ``theta`` accepts a symmetric positive-definite residual weighting;
-    the default (and the only weighting exercised by the drivers) is
-    the identity.  Stationarity is declared when the reduced gradient
-    ``(J Phi)^T Theta r`` falls below ``1e-10`` relative to its natural
-    bound ``||J Phi|| ||r||`` (plus one), which stays meaningful for
-    stiff Jacobians where the bare residual norm under-scales.  For a
+    Each step factors ``[J Phi | r]`` by one Householder QR; the
+    triangular solve gives the Gauss-Newton step ``delta`` and the last
+    diagonal entry gives the predicted residual ``||r + J Phi delta||``.
+    The step is halved (at most 30 times) until the residual norm
+    decreases.  Stationarity is declared when the reduced gradient
+    ``(J Phi)^T r`` falls below ``1e-10`` relative to its natural bound
+    ``||J Phi|| ||r||`` (plus one), which stays meaningful for stiff
+    Jacobians where the bare residual norm under-scales.
+
+    Large-residual Gauss-Newton ends in a slow linear tail, and near the
+    round-off floor no trial step decreases the residual.  Progress has
+    died when the accepted step decreases ``||r||`` by less than
+    ``1e-12`` relatively, or when the model predicts, for the full step
+    or for the current halved one, a relative decrease of ``||r||^2`` of
+    at most ``2e-12``; no further residual is then evaluated.  The solve
+    then stops at the current iterate if the gradient is below ``1e-6``
+    of its bound, and raises :class:`RomSolveError` otherwise.  For a
     residual affine in the state this converges in a single step.
     """
     phi = basis.columns
-    if phi.shape[1] == 0:
+    k = phi.shape[1]
+    if k == 0:
         raise RomSolveError("reduced basis is empty")
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    q = np.zeros(phi.shape[1]) if q0 is None else np.array(q0, dtype=float)
-    chol = _weight_factor(theta)
+    q = np.zeros(k) if q0 is None else np.array(q0, dtype=float)
 
-    r = _weighted(chol, problem.residual(phi @ q, y, mu))
+    r = problem.residual(phi @ q, y, mu)
     rnorm = float(np.linalg.norm(r))
 
     iters = 0
     for _ in range(max_iters):
         u = phi @ q
-        jphi = _weighted(chol, problem.jac_u_mul(u, y, mu, phi))
+        jphi = problem.jac_u_mul(u, y, mu, phi)
         grad_norm = float(np.linalg.norm(jphi.T @ r))
         scale = 1.0 + float(np.linalg.norm(jphi)) * rnorm
         if grad_norm <= 1e-10 * scale:
             break
-        delta = np.linalg.lstsq(jphi, -r, rcond=None)[0]
-        t = 1.0
-        for _ in range(30):
-            q_new = q + t * delta
-            r_new = _weighted(chol, problem.residual(phi @ q_new, y, mu))
-            rnorm_new = float(np.linalg.norm(r_new))
-            if rnorm_new < rnorm:
-                break
-            t *= 0.5
-        else:
-            rnorm_new = rnorm  # backtracking exhausted
-        # large-residual Gauss-Newton ends in a slow linear tail: once
-        # relative progress dies, a gradient well below its natural
+        R = _augmented_r(jphi, r)
+        pred = abs(float(R[k, k])) if R.shape[0] > k else 0.0
+        # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
+        # once it falls below the relative decrease the stagnation test
+        # asks for, an accepted step could only stall
+        drop = rnorm * rnorm - pred * pred
+        floor = 2e-12 * rnorm * rnorm
+        stalled = True
+        if drop > floor:
+            try:
+                delta = -np.linalg.solve(R[:k, :k], R[:k, k])
+            except np.linalg.LinAlgError as exc:
+                raise RomSolveError(
+                    f"reduced Jacobian is singular ({exc})") from exc
+            t = 1.0
+            for _ in range(30):
+                q_new = q + t * delta
+                r_new = problem.residual(phi @ q_new, y, mu)
+                rnorm_new = float(np.linalg.norm(r_new))
+                if rnorm_new < rnorm:
+                    stalled = rnorm_new > rnorm * (1.0 - 1e-12)
+                    break
+                t *= 0.5
+                if (2.0 * t - t * t) * drop <= floor:
+                    break
+        # once relative progress dies, a gradient well below its natural
         # bound ||J Phi|| ||r|| is stationary for every downstream use
-        if rnorm_new > rnorm * (1.0 - 1e-12):
+        if stalled:
             if grad_norm <= 1e-6 * scale:
                 break
             raise RomSolveError(
@@ -202,27 +230,33 @@ def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None,
 
 
 def solve_rom_adjoint(problem, basis: ReducedBasis, q, y, mu,
-                      counters: QueryCounters | None = None,
-                      theta=None) -> RomAdjoint:
+                      counters: QueryCounters | None = None) -> RomAdjoint:
     """Minimum-residual adjoint solve over the shared trial subspace.
 
-    Solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by orthogonal
-    factorization of the tall ``n_u x k`` matrix; ``theta`` accepts an
-    SPD weighting (identity by default).
+    Solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by one Householder
+    QR of the tall ``n_u x k`` matrix augmented by the right-hand side.
+    The matrix counts as rank-deficient, and :class:`RomSolveError` is
+    raised, when a diagonal entry of its triangular factor is at most
+    ``max(n_u, k) eps`` times the largest one.  The reported residual
+    norm is evaluated explicitly from the solution.
     """
     phi = basis.columns
-    if phi.shape[1] == 0:
+    k = phi.shape[1]
+    if k == 0:
         raise RomSolveError("reduced basis is empty")
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    chol = _weight_factor(theta)
     u = phi @ np.asarray(q, dtype=float)
-    a = _weighted(chol, problem.jac_uT_mul(u, y, mu, phi))
-    b = _weighted(chol, problem.qoi_u(u, y, mu))
-    eta, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < phi.shape[1]:
+    a = problem.jac_uT_mul(u, y, mu, phi)
+    b = problem.qoi_u(u, y, mu)
+    R = _augmented_r(a, b)
+    diag = np.abs(np.diag(R[:k, :k]))
+    rank = int(np.count_nonzero(
+        diag > max(a.shape) * np.finfo(float).eps * diag.max()))
+    if rank < k:
         raise RomSolveError(
-            f"adjoint ROM matrix is rank-deficient (rank {rank} < {phi.shape[1]})")
+            f"adjoint ROM matrix is rank-deficient (rank {rank} < {k})")
+    eta = np.linalg.solve(R[:k, :k], R[:k, k])
     res = float(np.linalg.norm(a @ eta - b))
     if counters is not None:
         counters.n_ra += 1

@@ -11,7 +11,7 @@ from sgromtr.adapt import (GradientIndicator, SgRomPair, eval_gradient_indicator
                            LevelCapError)
 from sgromtr.hdm import (LinearDiffusion, QueryCounters, solve_adjoint,
                          solve_primal)
-from sgromtr.rom import ReducedBasis
+from sgromtr.rom import ReducedBasis, solve_rom_primal
 from sgromtr.sparse_grid import MultiIndexSet, cc_rule, is_admissible
 from sgromtr.trust_opt import TrustRegionConfig, tr_init
 
@@ -277,3 +277,96 @@ def test_seed_pair_from_tr_init_reproduces_qoi(lin):
     sol = solve_primal(lin, np.zeros(2), mu0)
     f_true = lin.qoi(sol.u, np.zeros(2), mu0)
     assert state.pair.model_value(mu0) == pytest.approx(f_true, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# warm starts
+# ---------------------------------------------------------------------------
+
+def _mu_key(mu):
+    return np.asarray(mu, dtype=float).tobytes()
+
+
+def test_fresh_mu_near_cached_mu_starts_warm(bur):
+    # a finite-difference Hessian point next to the center: every node
+    # starts from its own center solution.  The seed basis leaves large
+    # residuals, whose minimizers are flat to about 1e-7 in q, so the
+    # minimized residual norm is what matches to 1e-10
+    mu0 = np.zeros(bur.n_mu)
+    pair = tr_init(bur, TrustRegionConfig(), mu0).pair
+    quad = pair.sweep(mu0)
+    mu = mu0 + 1e-7 * np.linspace(-1.0, 1.0, bur.n_mu)
+    pair.ensure(mu, quad.keys, quad.coords)
+    for key, coord in zip(quad.keys, quad.coords):
+        ev = pair.node_eval(key, coord, mu)
+        assert ev.gn_iters <= 2
+        cold = solve_rom_primal(bur, pair.basis, coord, mu)
+        assert cold.gn_iters > 2
+        assert abs(ev.prim_res - cold.residual_norm) <= 1e-10 * (
+            1 + cold.residual_norm)
+        assert np.linalg.norm(ev.q - cold.q) <= 1e-6 * np.linalg.norm(cold.q)
+
+
+def test_cached_mu_warm_start_is_nearest_node(lin):
+    # the choice must equal a scan over every (node, mu) entry in the
+    # order the nodes were first solved, keeping the first nearest one
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1), (1, 2)])
+    order = []
+    solve_node = pair._solve_node
+
+    def logged(key, coord, mu_, q0):
+        order.append((key, _mu_key(mu_)))
+        return solve_node(key, coord, mu_, q0)
+
+    pair._solve_node = logged
+    pair.sweep(mu)
+    pair.sweep(0.5 * mu)
+    pair.grid = pair.grid.with_index((2, 2)).with_index((3, 1))
+    mk = _mu_key(mu)
+    quad = pair.union_quad()
+    flat = {(key, wmk): pair._warm[wmk][key] for key, wmk in order}
+    # the centers of the level-2 cells are equidistant from four nodes
+    centers = [(None, np.array([sx, sy]))
+               for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
+    checked = 0
+    for key, coord in list(zip(quad.keys, quad.coords)) + centers:
+        best, best_d = None, np.inf
+        for (_, wmk), (wy, wq) in flat.items():
+            if wmk != mk:
+                continue
+            d = float(np.linalg.norm(coord - wy))
+            if d < best_d:
+                best_d, best = d, wq
+        np.testing.assert_array_equal(pair._warm_start(key, coord, mk, []), best)
+        checked += key is not None and (key, mk) not in flat
+    assert checked > 0  # some grid nodes were not yet solved at mu
+
+
+def test_fresh_mu_takes_own_node_at_nearest_mu(lin):
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
+    quad = pair.sweep(mu)
+    pair.sweep(-mu)
+    near = pair._mus_by_distance(0.9 * mu)
+    assert near == [_mu_key(mu), _mu_key(-mu)]
+    for key, coord in zip(quad.keys, quad.coords):
+        np.testing.assert_array_equal(
+            pair._warm_start(key, coord, _mu_key(0.9 * mu), near),
+            pair._warm[_mu_key(mu)][key][1])
+
+
+def test_clone_copies_warm_starts_per_mu(lin, lin_pair):
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    lin_pair.sweep(mu)
+    mk = _mu_key(mu)
+    other = lin_pair.clone()
+    assert other._warm[mk] == lin_pair._warm[mk]
+    assert other._warm[mk] is not lin_pair._warm[mk]
+    n_before = len(lin_pair._warm[mk])
+    other.grid = other.grid.with_index((2, 1))
+    other.sweep(mu)
+    other.sweep(0.5 * mu)
+    assert len(other._warm[mk]) > n_before
+    assert len(lin_pair._warm[mk]) == n_before
+    assert _mu_key(0.5 * mu) not in lin_pair._warm

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
-                         EXIT_SUITE_FAILED, main, run_optimize, run_validate,
-                         suite_fd_gradient)
+                         EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED, main,
+                         run_optimize, run_validate, suite_fd_gradient)
 from sgromtr.config import ConfigError, echo_config, load_config
 from sgromtr.hdm import LinearDiffusion
 
@@ -151,6 +151,33 @@ gtol = 1e-10
     assert run_optimize(cfg, out) == 3
     assert (out / "error.txt").exists()
     assert (out / "history.csv").exists()
+
+
+def test_subproblem_failure_exit_code(tmp_path, monkeypatch):
+    # the second trust-region subproblem fails: the run ends with the
+    # solver-failure code, the error dump and the first iteration's row
+    from sgromtr import trust_opt
+
+    real = trust_opt.steihaug_toint
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1:
+            raise trust_opt.SubproblemError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trust_opt, "steihaug_toint", failing)
+    cfg = load_config(write(tmp_path, FAST_LIN))
+    out = tmp_path / "fail"
+    assert run_optimize(cfg, out) == EXIT_SOLVER_FAILURE
+    assert (out / "error.txt").read_text() == "SubproblemError: injected\n"
+    header, *rows = [line.split(",") for line in
+                     (out / "history.csv").read_text().splitlines()]
+    assert header[:2] == ["k", "m_center"]
+    assert len(rows) == 1 and len(rows[0]) == len(header)
+    row = dict(zip(header, rows[0]))
+    assert row["k"] == "0" and row["terminal"] == "0"
 
 
 def test_cli_main_config_error(tmp_path, capsys):

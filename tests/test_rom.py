@@ -5,8 +5,9 @@ import pytest
 
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
-from sgromtr.rom import (ReducedBasis, RomSolveError, rom_gradient, rom_qoi,
-                         solve_rom_adjoint, solve_rom_primal)
+from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
+                         rom_gradient, rom_qoi, solve_rom_adjoint,
+                         solve_rom_primal)
 
 
 def hdm_pair(problem, y, mu):
@@ -143,6 +144,99 @@ def test_monotonicity_under_appends(lin):
         basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], ys, mu)
 
 
+@pytest.mark.parametrize("n, k", [(127, 48), (63, 25), (30, 1), (40, 39)])
+def test_qr_step_matches_lstsq(n, k):
+    rng = np.random.default_rng(n + k)
+    for _ in range(5):
+        a = rng.standard_normal((n, k))
+        b = rng.standard_normal(n)
+        R = _augmented_r(a, b)
+        x = np.linalg.solve(R[:k, :k], R[:k, k])
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        res_ref = np.linalg.norm(a @ x_ref - b)
+        assert abs(abs(R[k, k]) - res_ref) <= 1e-12 * res_ref
+
+
+def _unit_basis(n, k):
+    basis = ReducedBasis(n)
+    basis.append_snapshots(np.eye(n)[:k], ["primal"] * k,
+                           np.zeros(2), np.zeros(3))
+    return basis
+
+
+class _AffineProblem:
+    """``r(u) = u - b`` in n dimensions; counts its residual evaluations."""
+
+    def __init__(self, b):
+        self.b = b
+        self.residual_calls = 0
+
+    def residual(self, u, y, mu):
+        self.residual_calls += 1
+        return u - self.b
+
+    def jac_u_mul(self, u, y, mu, v):
+        return v
+
+
+def test_predicted_stagnation_spends_no_line_search():
+    # the start is 1e-7 off the minimizer and the residual left at the
+    # minimizer has norm 1: the model predicts a relative decrease of
+    # ||r||^2 near 1e-14, below the stagnation threshold
+    n = 20
+    basis = _unit_basis(n, 2)
+    q_star = np.array([0.5, -0.25])
+    far = np.zeros(n)
+    far[5] = 1.0
+    problem = _AffineProblem(basis.columns @ q_star + far)
+    q0 = q_star + np.array([1e-7, 0.0])
+    prim = solve_rom_primal(problem, basis, np.zeros(2), np.zeros(3), q0=q0)
+    assert problem.residual_calls == 1  # the initial residual only
+    assert prim.gn_iters == 0
+    np.testing.assert_array_equal(prim.q, q0)
+
+
+class _NoisyAffineProblem(_AffineProblem):
+    """Every trial residual is inflated: no step ever decreases ``||r||``."""
+
+    def residual(self, u, y, mu):
+        r = super().residual(u, y, mu)
+        return r if self.residual_calls == 1 else 1.01 * r
+
+
+def test_backtracking_stops_where_the_model_predicts_stagnation():
+    # a start 1e-4 off the minimizer of a unit residual: the model
+    # decrease (2t - t^2) * 1e-8 of ||r||^2 meets the 2e-12 threshold
+    # at t = 2^-14, so the trial steps are t = 1, ..., 2^-13 and the
+    # cap of 30 halvings is never reached
+    n = 20
+    basis = _unit_basis(n, 2)
+    far = np.zeros(n)
+    far[5] = 1.0
+    problem = _NoisyAffineProblem(far)
+    with pytest.raises(RomSolveError, match="stagnated"):
+        solve_rom_primal(problem, basis, np.zeros(2), np.zeros(3),
+                         q0=np.array([1e-4, 0.0]))
+    assert problem.residual_calls == 1 + 14
+
+
+def test_interpolation_converges_from_cold_and_exact_starts(bur):
+    rng = np.random.default_rng(27)
+    y = rng.uniform(-1, 1, 2)
+    mu = rng.uniform(-0.3, 0.3, 8)
+    sol, adj = hdm_pair(bur, y, mu)
+    basis = seeded_basis(bur, seed=28, n_snaps=2)
+    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
+    cold = solve_rom_primal(bur, basis, y, mu)
+    warm = solve_rom_primal(bur, basis, y, mu, q0=basis.project(sol.u))
+    for prim in (cold, warm):
+        assert prim.residual_norm <= 1e-8 * (1 + np.linalg.norm(sol.u))
+        rec = basis.columns @ prim.q
+        assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
+    assert warm.gn_iters <= 1
+
+
 # ---------------------------------------------------------------------------
 # adjoint ROM
 # ---------------------------------------------------------------------------
@@ -179,6 +273,22 @@ def test_adjoint_optimality_over_candidates(lin):
         assert adj_rom.residual_norm <= res * (1 + 1e-12)
 
 
+def test_adjoint_rank_deficiency_raises(lin, monkeypatch):
+    basis = seeded_basis(lin, seed=29, n_snaps=2)
+    y, mu = np.array([0.1, 0.3]), np.full(8, -0.1)
+    prim = solve_rom_primal(lin, basis, y, mu)
+    jac_uT_mul = lin.jac_uT_mul
+
+    def zero_column(u, y, mu, v):
+        a = jac_uT_mul(u, y, mu, v).copy()
+        a[:, 1] = 0.0
+        return a
+
+    monkeypatch.setattr(lin, "jac_uT_mul", zero_column)
+    with pytest.raises(RomSolveError, match="rank-deficient"):
+        solve_rom_adjoint(lin, basis, prim.q, y, mu)
+
+
 # ---------------------------------------------------------------------------
 # reduced QoI and gradient
 # ---------------------------------------------------------------------------
@@ -212,30 +322,6 @@ def test_rom_gradient_regularizer_only(lin):
     g = rom_gradient(lin, basis, np.zeros(basis.k), np.zeros(basis.k),
                      np.zeros(2), mu)
     np.testing.assert_allclose(g, lin.alpha * mu, atol=1e-15)
-
-
-def test_identity_weighting_matches_default(lin):
-    basis = seeded_basis(lin, seed=25, n_snaps=2)
-    y, mu = np.array([0.2, -0.4]), np.full(8, 0.2)
-    a = solve_rom_primal(lin, basis, y, mu)
-    b = solve_rom_primal(lin, basis, y, mu, theta=np.eye(lin.n_u))
-    np.testing.assert_allclose(a.q, b.q, rtol=1e-10)
-
-
-def test_diagonal_weighting_changes_the_metric(lin):
-    # a non-uniform SPD weighting steers the least-squares fit; the
-    # weighted residual of its own solution beats the unweighted one's
-    basis = seeded_basis(lin, seed=26)
-    y, mu = np.array([0.5, 0.1]), np.full(8, 0.3)
-    w = np.diag(np.linspace(1.0, 100.0, lin.n_u))
-    plain = solve_rom_primal(lin, basis, y, mu)
-    weighted = solve_rom_primal(lin, basis, y, mu, theta=w)
-
-    def wnorm(q):
-        r = lin.residual(basis.columns @ q, y, mu)
-        return float(np.sqrt(r @ w @ r))
-
-    assert wnorm(weighted.q) <= wnorm(plain.q) * (1 + 1e-10)
 
 
 def test_qoi_error_within_empirical_bound(lin):
