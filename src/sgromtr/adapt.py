@@ -22,7 +22,6 @@ evaluated (asserted before returning).
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +111,7 @@ class NodeEval:
     eta: np.ndarray
     adj_res: float
     ghat: np.ndarray
+    gnorm: float          # ||ghat||
     fval: float
     gn_iters: int
 
@@ -131,24 +131,22 @@ class SgRomPair:
     it starts from its own solution at the nearest ``mu`` where it was
     solved, and from the projected last primal snapshot when there is
     none.  Warm starts are chosen from a snapshot taken before each
-    sweep, so results do not depend on evaluation order and sweeps may
-    run on multiple threads.
+    sweep, so results do not depend on evaluation order.
     """
 
     def __init__(self, problem, grid: MultiIndexSet, basis: ReducedBasis,
-                 counters: QueryCounters, threads: int = 1):
+                 counters: QueryCounters):
         self.problem = problem
         self.grid = grid
         self.basis = basis
         self.counters = counters
-        self.threads = max(1, int(threads))
         self._cache: dict = {}
         self._warm: dict = {}  # {mu key: {node key: (coord, q)}}
         self._version = basis.version
 
     def clone(self) -> "SgRomPair":
         out = SgRomPair(self.problem, self.grid, self.basis.clone(),
-                        self.counters, self.threads)
+                        self.counters)
         out._cache = dict(self._cache)
         out._warm = {mk: dict(nodes) for mk, nodes in self._warm.items()}
         out._version = self._version
@@ -170,32 +168,41 @@ class SgRomPair:
         dist = np.linalg.norm(mus - mu, axis=1)
         return [mks[i] for i in np.argsort(dist, kind="stable")]
 
-    def _warm_start(self, key, coord, mk, near):
-        best = None
-        nodes = self._warm.get(mk)
-        if nodes:
-            best_d = np.inf
-            for wy, wq in nodes.values():
-                d = float(np.linalg.norm(coord - wy))
-                if d < best_d:
-                    best_d, best = d, wq
+    def _warm_starts(self, nodes, mk, near) -> list:
+        """Initial reduced coordinates for the ``(key, coord)`` nodes at ``mk``.
+
+        At a cached ``mk`` each node takes the solution of the nearest
+        node solved there, the first in solve order on ties; ``near``
+        (see :meth:`_mus_by_distance`) is used only at a new ``mk``.
+        """
+        cached = self._warm.get(mk)
+        if cached:
+            ys = np.array([wy for wy, _ in cached.values()])
+            qs = [wq for _, wq in cached.values()]
+            picks = [qs[np.argmin(np.linalg.norm(ys - coord, axis=1))]
+                     for _, coord in nodes]
         else:
-            for wmk in near:
-                hit = self._warm[wmk].get(key)
-                if hit is not None:
-                    best = hit[1]
-                    break
-        if best is not None:
-            k = self.basis.k
-            q0 = np.zeros(k)
-            q0[:len(best)] = best[:k]
-            return q0
-        if self.basis.last_primal is not None:
-            return self.basis.project(self.basis.last_primal)
-        return None
+            picks = [next((self._warm[wmk][key][1] for wmk in near
+                           if key in self._warm[wmk]), None)
+                     for key, _ in nodes]
+        k = self.basis.k
+        starts = []
+        for best in picks:
+            if best is not None:
+                q0 = np.zeros(k)
+                q0[:len(best)] = best[:k]
+            elif self.basis.last_primal is not None:
+                q0 = self.basis.project(self.basis.last_primal)
+            else:
+                q0 = None
+            starts.append(q0)
+        return starts
+
+    def _warm_start(self, key, coord, mk, near):
+        """The start :meth:`_warm_starts` gives a single node."""
+        return self._warm_starts([(key, coord)], mk, near)[0]
 
     def _solve_node(self, key, coord, mu, q0):
-        # no counter updates in here: this runs on worker threads
         prim = solve_rom_primal(self.problem, self.basis, coord, mu, q0=q0)
         adj = solve_rom_adjoint(self.problem, self.basis, prim.q, coord, mu)
         phi = self.basis.columns
@@ -203,8 +210,8 @@ class SgRomPair:
         ghat = adjoint_gradient(self.problem, phi @ adj.eta, u, coord, mu)
         fval = self.problem.qoi(u, coord, mu)
         return NodeEval(prim.q, prim.residual_norm, adj.eta,
-                        adj.residual_norm, ghat, fval,
-                        max(prim.gn_iters, 1))
+                        adj.residual_norm, ghat, float(np.linalg.norm(ghat)),
+                        fval, max(prim.gn_iters, 1))
 
     def ensure(self, mu, keys, coords) -> None:
         """Populate the cache for every listed node at this parameter point."""
@@ -217,18 +224,9 @@ class SgRomPair:
         missing.sort(key=lambda kc: kc[0])
         mu = np.asarray(mu, dtype=float)
         near = [] if mk in self._warm else self._mus_by_distance(mu)
-        starts = [self._warm_start(key, coord, mk, near)
-                  for key, coord in missing]
-
-        def job(args):
-            (key, coord), q0 = args
-            return self._solve_node(key, coord, mu, q0)
-
-        if self.threads > 1 and len(missing) > 1:
-            with ThreadPoolExecutor(max_workers=self.threads) as pool:
-                evals = list(pool.map(job, zip(missing, starts)))
-        else:
-            evals = [job(args) for args in zip(missing, starts)]
+        starts = self._warm_starts(missing, mk, near)
+        evals = [self._solve_node(key, coord, mu, q0)
+                 for (key, coord), q0 in zip(missing, starts)]
         nodes = self._warm.setdefault(mk, {})
         for (key, coord), ev in zip(missing, evals):
             self._cache[(key, mk)] = ev
@@ -282,7 +280,7 @@ class SgRomPair:
         self.sweep(mu)
         mk = _mu_key(mu)
         pick = {
-            "grad_norm": lambda ev: float(np.linalg.norm(ev.ghat)),
+            "grad_norm": lambda ev: ev.gnorm,
             "qoi": lambda ev: ev.fval,
             "abs_qoi": lambda ev: abs(ev.fval),
         }[integrand]

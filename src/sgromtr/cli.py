@@ -411,14 +411,11 @@ def main(argv=None) -> int:
         p.add_argument("--config", default=None, help="path to the INI config")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     overrides = {}
     if args.seed is not None:
         overrides["run.seed"] = args.seed
-    if args.threads is not None:
-        overrides["run.threads"] = args.threads
     try:
         cfg = load_config(args.config, overrides)
     except ConfigError as exc:

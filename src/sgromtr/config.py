@@ -30,7 +30,6 @@ _SCHEMA = {
         "method": ("sg-rom-tr", str),
         "problem": ("burgers-control", str),
         "seed": (2024, int),
-        "threads": (1, int),
     },
     "problem": {
         "n_u": (None, int),        # None: problem-specific default
@@ -96,8 +95,6 @@ class RunConfig:
                               f"got {run['method']!r}")
         if run["seed"] < 0:
             raise ConfigError("run.seed must be nonnegative")
-        if run["threads"] < 1:
-            raise ConfigError("run.threads must be >= 1")
         t = self.values["trust_region"]
         ind = self.values["indicators"]
         try:
@@ -109,8 +106,7 @@ class RunConfig:
                 betas=(ind["beta1"], ind["beta3"], ind["beta4"]),
                 alphas=(ind["alpha1"], ind["alpha2"]),
                 balance_indicators=ind["balance"],
-                level_cap=t["level_cap"], theta_floor=t["theta_floor"],
-                threads=run["threads"])
+                level_cap=t["level_cap"], theta_floor=t["theta_floor"])
         except ValueError as exc:
             raise ConfigError(f"trust_region: {exc}") from exc
         if self.values["baseline"]["level"] < 1:
@@ -125,10 +121,6 @@ class RunConfig:
     @property
     def seed(self) -> int:
         return self.values["run"]["seed"]
-
-    @property
-    def threads(self) -> int:
-        return self.values["run"]["threads"]
 
     def make_problem(self):
         name = self.values["run"]["problem"]

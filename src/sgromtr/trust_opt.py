@@ -24,8 +24,7 @@ from .sparse_grid import MultiIndexSet, cc_rule
 
 __all__ = [
     "TrustRegionConfig", "TrustRegionState", "SubproblemError",
-    "model_value", "model_gradient", "steihaug_toint",
-    "tr_init", "tr_iterate", "tr_run",
+    "steihaug_toint", "tr_init", "tr_iterate", "tr_run",
 ]
 
 
@@ -62,7 +61,6 @@ class TrustRegionConfig:
     balance_indicators: bool = False  # opt-in: beta_i ~ beta / E_i(mu0)
     level_cap: int = 10
     theta_floor: float = 1e-6
-    threads: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.eta1 < self.eta2 < 1.0):
@@ -83,8 +81,8 @@ class TrustRegionConfig:
             raise ValueError("need Delta_max >= Delta0")
         if self.gtol < 0.0 or self.theta_floor < 0.0:
             raise ValueError("need gtol >= 0 and theta_floor >= 0")
-        if self.max_iters < 1 or self.level_cap < 1 or self.threads < 1:
-            raise ValueError("need max_iters, level_cap, threads >= 1")
+        if self.max_iters < 1 or self.level_cap < 1:
+            raise ValueError("need max_iters, level_cap >= 1")
         if len(self.betas) != 3 or any(b <= 0 for b in self.betas):
             raise ValueError("betas must be three positive reals")
         if len(self.alphas) != 2 or any(a <= 0 for a in self.alphas):
@@ -106,16 +104,6 @@ class TrustRegionState:
     history: list = field(default_factory=list)
     events: list = field(default_factory=list)
     status: str = "running"
-
-
-def model_value(pair: SgRomPair, mu) -> float:
-    """Sparse-quadrature expectation of the reduced quantity of interest."""
-    return pair.model_value(mu)
-
-
-def model_gradient(pair: SgRomPair, mu) -> np.ndarray:
-    """Sparse-quadrature expectation of the reduced gradient estimate."""
-    return pair.model_gradient(mu)
 
 
 class SteihaugResult(NamedTuple):
@@ -141,7 +129,10 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
     """Truncated CG on the quadratic model within the trust region.
 
     Terminates at the boundary on negative curvature or radius exit, or
-    interior at relative residual ``rel_tol``.  The returned step is
+    interior at relative residual ``rel_tol``.  ``hessvec`` is called
+    once per CG iteration: the model decrease ``-(g.p + p.Hp / 2)`` takes
+    ``Hp`` from the same recurrence as ``p``, as the sum of the step
+    lengths times the products ``H d`` already computed.  The step is
     checked against the fraction-of-Cauchy-decrease inequality with
     ``beta_k = 1 +`` the largest curvature magnitude observed.
     """
@@ -154,6 +145,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
         raise ValueError("trust-region radius must be positive")
 
     p = np.zeros(n)
+    hp = np.zeros(n)
     r = g.copy()
     d = -g
     rr = gnorm * gnorm
@@ -165,16 +157,15 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
         dhd = float(d @ hd)
         max_curv = max(max_curv, abs(dhd) / float(d @ d))
         iters += 1
-        if dhd <= 0.0:
-            p = p + _boundary_tau(p, d, Delta) * d
-            hit = True
-            break
-        alpha = rr / dhd
-        if np.linalg.norm(p + alpha * d) >= Delta:
-            p = p + _boundary_tau(p, d, Delta) * d
+        alpha = rr / dhd if dhd > 0.0 else math.inf
+        if dhd <= 0.0 or np.linalg.norm(p + alpha * d) >= Delta:
+            tau = _boundary_tau(p, d, Delta)
+            p = p + tau * d
+            hp = hp + tau * hd
             hit = True
             break
         p = p + alpha * d
+        hp = hp + alpha * hd
         r = r + alpha * hd
         rr_new = float(r @ r)
         if math.sqrt(rr_new) <= rel_tol * gnorm:
@@ -182,7 +173,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
         d = -r + (rr_new / rr) * d
         rr = rr_new
 
-    decrease = -(float(g @ p) + 0.5 * float(p @ hessvec(p)))
+    decrease = -(float(g @ p) + 0.5 * float(p @ hp))
     beta_k = 1.0 + max_curv
     required = kappa_s * gnorm * min(Delta, gnorm / beta_k)
     if decrease < required:
@@ -192,8 +183,14 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
     return SteihaugResult(p, decrease, beta_k, iters, hit)
 
 
-def _fd_hessvec(pair: SgRomPair, mu) -> Callable:
-    """Central finite differences of the model gradient on a frozen pair."""
+def _fd_hessvec(pair: SgRomPair, mu, g0) -> Callable:
+    """One-sided finite differences of the model gradient on a frozen pair.
+
+    ``g0`` is the model gradient at ``mu``, which the caller already
+    holds, so each product solves the grid at one point ``mu + h v``.
+    The step ``h = sqrt(eps) (1 + ||mu||) / ||v||`` is the usual choice
+    for a forward difference (Nocedal & Wright 2006, sec. 8.1).
+    """
     mu = np.asarray(mu, dtype=float)
     scale = math.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(mu)))
 
@@ -202,9 +199,7 @@ def _fd_hessvec(pair: SgRomPair, mu) -> Callable:
         if vnorm == 0.0:
             return np.zeros_like(mu)
         h = scale / vnorm
-        gp = pair.model_gradient(mu + h * v)
-        gm = pair.model_gradient(mu - h * v)
-        return (gp - gm) / (2.0 * h)
+        return (pair.model_gradient(mu + h * v) - g0) / h
 
     return hessvec
 
@@ -234,7 +229,7 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
     origin = (cc_rule(1).keys[0],) * problem.n_y
     basis.sampled_points.add((origin, mu0.tobytes()))
 
-    pair = SgRomPair(problem, grid, basis, counters, threads=config.threads)
+    pair = SgRomPair(problem, grid, basis, counters)
 
     betas = tuple(config.betas)
     alphas = tuple(config.alphas)
@@ -284,7 +279,7 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
         state.status = "converged"
         return state
 
-    result = steihaug_toint(g, _fd_hessvec(state.pair, state.mu), state.Delta,
+    result = steihaug_toint(g, _fd_hessvec(state.pair, state.mu, g), state.Delta,
                             kappa_s=config.kappa_s)
     step_norm = float(np.linalg.norm(result.step))
     if step_norm > state.Delta * (1.0 + 1e-12):

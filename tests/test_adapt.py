@@ -16,7 +16,7 @@ from sgromtr.sparse_grid import MultiIndexSet, cc_rule, is_admissible
 from sgromtr.trust_opt import TrustRegionConfig, tr_init
 
 
-def make_pair(problem, mu_seed=None, grid_indices=None, threads=1):
+def make_pair(problem, mu_seed=None, grid_indices=None):
     mu_seed = np.zeros(problem.n_mu) if mu_seed is None else mu_seed
     counters = QueryCounters()
     sol = solve_primal(problem, np.zeros(problem.n_y), mu_seed,
@@ -28,7 +28,7 @@ def make_pair(problem, mu_seed=None, grid_indices=None, threads=1):
                            np.zeros(problem.n_y), mu_seed)
     grid = (MultiIndexSet.unit(problem.n_y) if grid_indices is None
             else MultiIndexSet.from_indices(grid_indices))
-    return SgRomPair(problem, grid, basis, counters, threads=threads)
+    return SgRomPair(problem, grid, basis, counters)
 
 
 def sample_everywhere(pair, mu):
@@ -252,23 +252,6 @@ def test_refine_objective_exit_conditions_hold(lin):
     assert ind.e1_sum <= thr1
     assert ind.e2_sum <= thr2
     assert is_admissible(pair.grid)
-
-
-# ---------------------------------------------------------------------------
-# threaded sweeps are bitwise deterministic
-# ---------------------------------------------------------------------------
-
-def test_threaded_sweep_matches_serial(lin):
-    mu = np.linspace(-0.4, 0.4, lin.n_mu)
-    vals = []
-    for threads in (1, 4):
-        pair = make_pair(lin, mu_seed=mu,
-                         grid_indices=[(1, 1), (2, 1), (1, 2)],
-                         threads=threads)
-        quad = pair.sweep(mu)
-        vals.append([pair.node_eval(k, c, mu).prim_res
-                     for k, c in zip(quad.keys, quad.coords)])
-    assert vals[0] == vals[1]
 
 
 def test_seed_pair_from_tr_init_reproduces_qoi(lin):

@@ -1,4 +1,4 @@
-"""Model value/gradient wrappers over the sparse-grid/ROM pair."""
+"""Model value and gradient of the sparse-grid/ROM pair."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from sgromtr.oracle import tensor_reference
 from sgromtr.rom import ReducedBasis
 from sgromtr.sparse_grid import MultiIndexSet
 from sgromtr.adapt import SgRomPair
-from sgromtr.trust_opt import model_gradient, model_value
 
 
 def exact_pair(problem, mu, level=2):
@@ -31,8 +30,8 @@ def test_model_value_matches_tensor_reference(lin):
     mu = np.full(8, 0.2)
     pair = exact_pair(lin, mu, level=2)
     j_ref, g_ref = tensor_reference(lin, mu, 2)
-    assert model_value(pair, mu) == pytest.approx(j_ref, abs=1e-8)
-    np.testing.assert_allclose(model_gradient(pair, mu), g_ref, atol=1e-8)
+    assert pair.model_value(mu) == pytest.approx(j_ref, abs=1e-8)
+    np.testing.assert_allclose(pair.model_gradient(mu), g_ref, atol=1e-8)
 
 
 def test_model_gradient_fd_consistency(lin):
@@ -40,12 +39,12 @@ def test_model_gradient_fd_consistency(lin):
     # its gradient must match finite differences of its value
     mu = np.full(8, 0.2)
     pair = exact_pair(lin, mu, level=2)
-    g = model_gradient(pair, mu)
+    g = pair.model_gradient(mu)
     h = 1e-6
     for j in (0, 3, 7):
         e = np.zeros(8)
         e[j] = h
-        fd = (model_value(pair, mu + e) - model_value(pair, mu - e)) / (2 * h)
+        fd = (pair.model_value(mu + e) - pair.model_value(mu - e)) / (2 * h)
         assert abs(fd - g[j]) <= 1e-5 * (1 + abs(g[j]))
 
 
@@ -62,7 +61,7 @@ def test_regularizer_only_gradient(lin):
     prob = FlatTracking(n_u=31)
     mu = np.full(8, 0.4)
     pair = exact_pair(prob, mu, level=2)
-    np.testing.assert_allclose(model_gradient(pair, mu), prob.alpha * mu,
+    np.testing.assert_allclose(pair.model_gradient(mu), prob.alpha * mu,
                                atol=1e-10)
 
 
@@ -80,4 +79,4 @@ def test_odd_integrand_cancels_on_symmetric_grid():
     prob = OddQoI(n_u=15)
     mu = np.full(8, 0.2)
     pair = exact_pair(prob, mu, level=3)
-    assert abs(model_value(pair, mu)) <= 1e-12
+    assert abs(pair.model_value(mu)) <= 1e-12

@@ -5,7 +5,11 @@ import pytest
 
 from conftest import quadratic_minimizer
 
-from sgromtr.trust_opt import (TrustRegionConfig, steihaug_toint,
+from sgromtr.adapt import SgRomPair
+from sgromtr.hdm import QueryCounters
+from sgromtr.rom import ReducedBasis
+from sgromtr.sparse_grid import MultiIndexSet
+from sgromtr.trust_opt import (TrustRegionConfig, _fd_hessvec, steihaug_toint,
                                tr_init, tr_iterate, tr_run)
 
 
@@ -89,6 +93,55 @@ def test_cauchy_fraction_satisfied():
         gnorm = np.linalg.norm(g)
         assert res.decrease >= 1e-4 * gnorm * min(delta, gnorm / res.beta_k)
         assert np.linalg.norm(res.step) <= delta * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("shift, delta, boundary", [
+    (0.5, 1e6, False),     # interior Newton step
+    (0.5, 0.05, True),     # radius exit
+    (-30.0, 1e6, True),    # negative curvature
+])
+def test_one_hessvec_per_cg_iteration(shift, delta, boundary):
+    # the decrease reuses the products CG computed; no product at p
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal((6, 6))
+    h = a @ a.T + shift * np.eye(6)
+    g = rng.standard_normal(6)
+    calls = []
+
+    def hessvec(v):
+        calls.append(v)
+        return h @ v
+
+    res = steihaug_toint(g, hessvec, Delta=delta)
+    assert res.hit_boundary == boundary
+    assert len(calls) == res.iters
+    p = res.step
+    exact = -(float(g @ p) + 0.5 * float(p @ (h @ p)))
+    assert res.decrease == pytest.approx(exact, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# finite-difference Hessian-vector products
+# ---------------------------------------------------------------------------
+
+def test_fd_hessvec_matches_exact_model_hessian(lin_deterministic):
+    # the identity basis makes every reduced solve exact, and the
+    # y-independent diffusion problem makes the model quadratic in mu:
+    # a unit-step difference of its gradient is the exact Hessian
+    prob = lin_deterministic
+    basis = ReducedBasis(prob.n_u)
+    basis.append_snapshots(list(np.eye(prob.n_u)), ["primal"] * prob.n_u,
+                           np.zeros(prob.n_y), np.zeros(prob.n_mu))
+    pair = SgRomPair(prob, MultiIndexSet.unit(prob.n_y), basis, QueryCounters())
+    mu = np.linspace(-0.3, 0.3, prob.n_mu)
+    g0 = pair.model_gradient(mu)
+    eye = np.eye(prob.n_mu)
+    hess = np.column_stack([pair.model_gradient(mu + e) - g0 for e in eye])
+    hessvec = _fd_hessvec(pair, mu, g0)
+    rng = np.random.default_rng(3)
+    for v in [eye[0], eye[5], rng.standard_normal(prob.n_mu)]:
+        exact = hess @ v
+        assert np.linalg.norm(hessvec(v) - exact) <= 1e-6 * np.linalg.norm(exact)
 
 
 # ---------------------------------------------------------------------------
