@@ -198,10 +198,6 @@ class SgRomPair:
             starts.append(q0)
         return starts
 
-    def _warm_start(self, key, coord, mk, near):
-        """The start :meth:`_warm_starts` gives a single node."""
-        return self._warm_starts([(key, coord)], mk, near)[0]
-
     def _solve_node(self, key, coord, mu, q0):
         prim = solve_rom_primal(self.problem, self.basis, coord, mu, q0=q0)
         adj = solve_rom_adjoint(self.problem, self.basis, prim.q, coord, mu)

@@ -29,8 +29,7 @@ __all__ = [
     "ModelProblem", "LinearDiffusion", "BurgersControl",
     "PrimalSolution", "AdjointSolution", "QueryCounters",
     "SolverError", "solve_primal", "adjoint_residual", "solve_adjoint",
-    "adjoint_gradient", "primal_sensitivity", "primal_sensitivities",
-    "make_problem", "write_state_csv",
+    "adjoint_gradient", "primal_sensitivities", "make_problem",
 ]
 
 
@@ -109,6 +108,10 @@ class ModelProblem:
     #: half-width of the parameter box used for random validation draws;
     #: solutions exist and Newton is robust throughout this region
     mu_sample_halfwidth = 1.0
+
+    #: largest relative error between the adjoint gradient and a central
+    #: finite difference (step 1e-5) that the gradient checks accept
+    fd_gradient_tol = 1e-6
 
     def __init__(self, n_u, n_y, n_mu, alpha):
         self.n_u = int(n_u)
@@ -239,6 +242,10 @@ class BurgersControl(ModelProblem):
     #: strongly negative forcing at low viscosity approaches a steady-state
     #: fold, so random draws stay inside a smaller box
     mu_sample_halfwidth = 0.5
+
+    #: the objective is not quadratic in mu here, so the central
+    #: difference keeps an O(h^2) truncation error
+    fd_gradient_tol = 1e-5
 
     def __init__(self, n_u=127, n_mu=8, alpha=0.1, ref_level=3):
         super().__init__(n_u, 2, n_mu, alpha)
@@ -405,12 +412,6 @@ def adjoint_gradient(problem, lam, u, y, mu):
     return problem.qoi_mu(u, y, mu) - problem.jac_mu(u, y, mu).T @ lam
 
 
-def primal_sensitivity(problem, u, y, mu, j: int):
-    """State sensitivity to parameter ``j``: solves (dr/du) s = -(dr/dmu) e_j."""
-    rhs = -problem.jac_mu(u, y, mu)[:, j]
-    return np.linalg.solve(problem.jac_u(u, y, mu), rhs)
-
-
 def primal_sensitivities(problem, u, y, mu,
                          counters: QueryCounters | None = None):
     """All parameter sensitivities as columns (one linear solve, many RHS)."""
@@ -420,18 +421,3 @@ def primal_sensitivities(problem, u, y, mu,
         counters.n_ha += problem.n_mu
     return s
 
-
-def write_state_csv(problem, u, path_or_file) -> None:
-    """Export a state vector as (x, u) rows for plotting."""
-    close = False
-    f = path_or_file
-    if not hasattr(f, "write"):
-        f = open(f, "w")
-        close = True
-    try:
-        f.write("x,u\n")
-        for x, v in zip(problem.x, u):
-            f.write(f"{float(x)!r},{float(v)!r}\n")
-    finally:
-        if close:
-            f.close()

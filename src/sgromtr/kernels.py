@@ -1,16 +1,12 @@
-"""Hot numeric kernels for the bundled 1D model problems.
+"""Vectorized numpy kernels for the bundled 1D model problems.
 
 Stencil residuals, tridiagonal Jacobian bands, and banded matrix
-products are the innermost loops of every solver in this package: they
-run once per Newton or Gauss-Newton iteration at every collocation
-node.  Each kernel therefore has two interchangeable implementations:
-
-* a numba ``@njit`` version (default whenever numba imports cleanly),
-* a vectorized pure-numpy fallback.
-
-Set ``SGROMTR_NO_NUMBA=1`` in the environment to force the numpy path.
-``ACTIVE_IMPL`` names the path in use; ``IMPLEMENTATIONS`` exposes both
-so ``benchmarks/kernel_bench.py`` can time them side by side.
+products are the innermost operations of every solver in this package:
+they run once per Newton or Gauss-Newton iteration at every collocation
+node.  Each kernel is a handful of whole-array numpy expressions over
+shifted slices, so no Python loop runs over the grid.  Callers look the
+kernels up as ``kernels.<name>`` at call time, so a wrapper installed on
+this module (as ``perfbench``'s tracer does) sees every call.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -19,141 +15,8 @@ Band convention for a tridiagonal matrix ``A`` of order ``n``:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("SGROMTR_NO_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-njit = None
-if not _FORCE_NUMPY:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (compiled with numba when available)
-# ---------------------------------------------------------------------------
-
-def _diffusion_residual_loops(u, kap_half, h, source):
-    n = u.shape[0]
-    r = np.empty(n)
-    h2 = h * h
-    for i in range(n):
-        um = u[i - 1] if i > 0 else 0.0
-        up_ = u[i + 1] if i < n - 1 else 0.0
-        flux_r = kap_half[i + 1] * (up_ - u[i])
-        flux_l = kap_half[i] * (u[i] - um)
-        r[i] = (flux_l - flux_r) / h2 - source[i]
-    return r
-
-
-def _diffusion_bands_loops(kap_half, h):
-    n = kap_half.shape[0] - 1
-    lo = np.zeros(n)
-    dg = np.empty(n)
-    up = np.zeros(n)
-    h2 = h * h
-    for i in range(n):
-        dg[i] = (kap_half[i] + kap_half[i + 1]) / h2
-        if i > 0:
-            lo[i] = -kap_half[i] / h2
-        if i < n - 1:
-            up[i] = -kap_half[i + 1] / h2
-    return lo, dg, up
-
-
-def _burgers_residual_loops(u, ul, ur, nu, h, source):
-    n = u.shape[0]
-    r = np.empty(n)
-    h2 = h * h
-    for i in range(n):
-        um = u[i - 1] if i > 0 else ul
-        up_ = u[i + 1] if i < n - 1 else ur
-        r[i] = (-nu * (up_ - 2.0 * u[i] + um) / h2
-                + u[i] * (up_ - um) / (2.0 * h)
-                - source[i])
-    return r
-
-
-def _burgers_bands_loops(u, ul, ur, nu, h):
-    n = u.shape[0]
-    lo = np.zeros(n)
-    dg = np.empty(n)
-    up = np.zeros(n)
-    h2 = h * h
-    for i in range(n):
-        um = u[i - 1] if i > 0 else ul
-        up_ = u[i + 1] if i < n - 1 else ur
-        dg[i] = 2.0 * nu / h2 + (up_ - um) / (2.0 * h)
-        if i > 0:
-            lo[i] = -nu / h2 - u[i] / (2.0 * h)
-        if i < n - 1:
-            up[i] = -nu / h2 + u[i] / (2.0 * h)
-    return lo, dg, up
-
-
-def _band_matvec_loops(lo, dg, up, v):
-    n = v.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        acc = dg[i] * v[i]
-        if i > 0:
-            acc += lo[i] * v[i - 1]
-        if i < n - 1:
-            acc += up[i] * v[i + 1]
-        out[i] = acc
-    return out
-
-
-def _band_t_matvec_loops(lo, dg, up, v):
-    n = v.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        acc = dg[i] * v[i]
-        if i > 0:
-            acc += up[i - 1] * v[i - 1]
-        if i < n - 1:
-            acc += lo[i + 1] * v[i + 1]
-        out[i] = acc
-    return out
-
-
-def _band_matmat_loops(lo, dg, up, V):
-    n, k = V.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        for j in range(k):
-            acc = dg[i] * V[i, j]
-            if i > 0:
-                acc += lo[i] * V[i - 1, j]
-            if i < n - 1:
-                acc += up[i] * V[i + 1, j]
-            out[i, j] = acc
-    return out
-
-
-def _band_t_matmat_loops(lo, dg, up, V):
-    n, k = V.shape
-    out = np.empty((n, k))
-    for i in range(n):
-        for j in range(k):
-            acc = dg[i] * V[i, j]
-            if i > 0:
-                acc += up[i - 1] * V[i - 1, j]
-            if i < n - 1:
-                acc += lo[i + 1] * V[i + 1, j]
-            out[i, j] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy implementations
-# ---------------------------------------------------------------------------
 
 def _pad(u, left, right):
     n = u.shape[0]
@@ -164,13 +27,13 @@ def _pad(u, left, right):
     return um
 
 
-def _diffusion_residual_numpy(u, kap_half, h, source):
+def diffusion_residual(u, kap_half, h, source):
     um = _pad(u, 0.0, 0.0)
     flux = kap_half * (um[1:] - um[:-1])
     return (flux[:-1] - flux[1:]) / (h * h) - source
 
 
-def _diffusion_bands_numpy(kap_half, h):
+def diffusion_bands(kap_half, h):
     h2 = h * h
     n = kap_half.shape[0] - 1
     dg = (kap_half[:-1] + kap_half[1:]) / h2
@@ -181,14 +44,14 @@ def _diffusion_bands_numpy(kap_half, h):
     return lo, dg, up
 
 
-def _burgers_residual_numpy(u, ul, ur, nu, h, source):
+def burgers_residual(u, ul, ur, nu, h, source):
     um = _pad(u, ul, ur)
     diff2 = um[2:] - 2.0 * u + um[:-2]
     dcen = um[2:] - um[:-2]
     return -nu * diff2 / (h * h) + u * dcen / (2.0 * h) - source
 
 
-def _burgers_bands_numpy(u, ul, ur, nu, h):
+def burgers_bands(u, ul, ur, nu, h):
     n = u.shape[0]
     h2 = h * h
     um = _pad(u, ul, ur)
@@ -200,28 +63,28 @@ def _burgers_bands_numpy(u, ul, ur, nu, h):
     return lo, dg, up
 
 
-def _band_matvec_numpy(lo, dg, up, v):
+def band_matvec(lo, dg, up, v):
     out = dg * v
     out[1:] += lo[1:] * v[:-1]
     out[:-1] += up[:-1] * v[1:]
     return out
 
 
-def _band_t_matvec_numpy(lo, dg, up, v):
+def band_t_matvec(lo, dg, up, v):
     out = dg * v
     out[1:] += up[:-1] * v[:-1]
     out[:-1] += lo[1:] * v[1:]
     return out
 
 
-def _band_matmat_numpy(lo, dg, up, V):
+def band_matmat(lo, dg, up, V):
     out = dg[:, None] * V
     out[1:] += lo[1:, None] * V[:-1]
     out[:-1] += up[:-1, None] * V[1:]
     return out
 
 
-def _band_t_matmat_numpy(lo, dg, up, V):
+def band_t_matmat(lo, dg, up, V):
     out = dg[:, None] * V
     out[1:] += up[:-1, None] * V[:-1]
     out[:-1] += lo[1:, None] * V[1:]
@@ -237,36 +100,3 @@ def band_to_dense(lo, dg, up):
     a[idx[1:], idx[:-1]] = lo[1:]
     a[idx[:-1], idx[1:]] = up[:-1]
     return a
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-_KERNEL_NAMES = (
-    "diffusion_residual", "diffusion_bands",
-    "burgers_residual", "burgers_bands",
-    "band_matvec", "band_t_matvec", "band_matmat", "band_t_matmat",
-)
-
-IMPLEMENTATIONS = {
-    "numpy": {name: globals()[f"_{name}_numpy"] for name in _KERNEL_NAMES},
-}
-
-if njit is not None:
-    IMPLEMENTATIONS["numba"] = {
-        name: njit(cache=True)(globals()[f"_{name}_loops"])
-        for name in _KERNEL_NAMES
-    }
-    ACTIVE_IMPL = "numba"
-else:
-    ACTIVE_IMPL = "numpy"
-
-diffusion_residual = IMPLEMENTATIONS[ACTIVE_IMPL]["diffusion_residual"]
-diffusion_bands = IMPLEMENTATIONS[ACTIVE_IMPL]["diffusion_bands"]
-burgers_residual = IMPLEMENTATIONS[ACTIVE_IMPL]["burgers_residual"]
-burgers_bands = IMPLEMENTATIONS[ACTIVE_IMPL]["burgers_bands"]
-band_matvec = IMPLEMENTATIONS[ACTIVE_IMPL]["band_matvec"]
-band_t_matvec = IMPLEMENTATIONS[ACTIVE_IMPL]["band_t_matvec"]
-band_matmat = IMPLEMENTATIONS[ACTIVE_IMPL]["band_matmat"]
-band_t_matmat = IMPLEMENTATIONS[ACTIVE_IMPL]["band_t_matmat"]

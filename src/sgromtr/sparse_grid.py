@@ -25,9 +25,8 @@ import numpy as np
 __all__ = [
     "KEY_LEVEL", "Rule1D", "MultiIndexSet", "SparseQuadrature",
     "IntegrandError", "cc_rule", "rule_size", "node_coordinate",
-    "is_admissible", "neighbors", "assemble", "integrate",
-    "difference_apply", "difference_rule", "truncation_terms",
-    "write_index_set", "read_index_set", "write_nodes",
+    "is_admissible", "assemble", "integrate", "difference_rule",
+    "write_index_set",
 ]
 
 #: Reference level used for canonical integer node keys.  Levels above
@@ -205,10 +204,6 @@ def is_admissible(mis: MultiIndexSet) -> bool:
     return True
 
 
-def neighbors(mis: MultiIndexSet) -> tuple:
-    return mis.neighbors()
-
-
 # ---------------------------------------------------------------------------
 # combination-technique assembly
 # ---------------------------------------------------------------------------
@@ -309,7 +304,12 @@ def difference_rule(idx: tuple) -> SparseQuadrature:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _apply(quad: SparseQuadrature, h: Callable):
+def integrate(quad: SparseQuadrature, h: Callable):
+    """Weighted sum of ``h`` over the quadrature nodes (canonical order).
+
+    ``h`` maps a node coordinate array to a scalar or a vector; vectors
+    are reduced componentwise.
+    """
     total = None
     for key, y, w in quad.items():
         try:
@@ -321,71 +321,12 @@ def _apply(quad: SparseQuadrature, h: Callable):
     return total if total.ndim else float(total)
 
 
-def integrate(quad: SparseQuadrature, h: Callable):
-    """Weighted sum of ``h`` over the quadrature nodes (canonical order).
-
-    ``h`` maps a node coordinate array to a scalar or a vector; vectors
-    are reduced componentwise.
-    """
-    return _apply(quad, h)
-
-
-def difference_apply(level: int, h: Callable, rule=cc_rule) -> float:
-    """1D difference-operator value: level-1 value, or level minus level-1."""
-    r = rule(level)
-    val = float(np.dot(r.weights, [h(x) for x in r.nodes]))
-    if level == 1:
-        return val
-    r0 = rule(level - 1)
-    return val - float(np.dot(r0.weights, [h(x) for x in r0.nodes]))
-
-
-def truncation_terms(mis: MultiIndexSet, h: Callable) -> dict:
-    """``|difference_rule(i)[h]|`` for each forward neighbor ``i`` of the set."""
-    if not is_admissible(mis):
-        raise ValueError("index set is not admissible")
-    return {idx: abs(_apply(difference_rule(idx), h)) for idx in mis.neighbors()}
-
-
 # ---------------------------------------------------------------------------
-# line-oriented serialization (checkpointing / plotting)
+# serialization
 # ---------------------------------------------------------------------------
 
-def _open_maybe(path_or_file, mode):
-    if hasattr(path_or_file, "write") or hasattr(path_or_file, "read"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
-
-
-def write_index_set(mis: MultiIndexSet, path_or_file) -> None:
+def write_index_set(mis: MultiIndexSet, path) -> None:
     """One multi-index per line, space-separated levels."""
-    f, close = _open_maybe(path_or_file, "w")
-    try:
+    with open(path, "w") as f:
         for idx in mis.sorted_indices:
             f.write(" ".join(str(v) for v in idx) + "\n")
-    finally:
-        if close:
-            f.close()
-
-
-def read_index_set(path_or_file) -> MultiIndexSet:
-    f, close = _open_maybe(path_or_file, "r")
-    try:
-        rows = [line.split() for line in f if line.strip()]
-    finally:
-        if close:
-            f.close()
-    return MultiIndexSet.from_indices(rows)
-
-
-def write_nodes(quad: SparseQuadrature, path_or_file) -> None:
-    """One node per line: coordinates then signed weight."""
-    f, close = _open_maybe(path_or_file, "w")
-    try:
-        for _, y, w in quad.items():
-            cols = [format(v, ".17g") for v in np.atleast_1d(y)]
-            cols.append(format(w, ".17g"))
-            f.write(" ".join(cols) + "\n")
-    finally:
-        if close:
-            f.close()

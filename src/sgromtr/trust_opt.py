@@ -336,17 +336,23 @@ def tr_run(problem, config: TrustRegionConfig, mu0,
     Returns ``(mu_final, state)``; ``state.status`` is ``"converged"``
     when ``min{||grad m||, Delta} <= gtol`` was reached and
     ``"max_iters"`` otherwise.  ``on_iteration`` is called with each new
-    history row and the live state as the run progresses.
+    history row and the live state as the run progresses.  An exception
+    raised by an iteration leaves with the partial state attached as its
+    ``state`` attribute, events of the failed iteration included.
     """
     state = tr_init(problem, config, mu0)
-    while state.k < config.max_iters:
-        rows_before = len(state.history)
-        tr_iterate(state, config, problem)
-        if on_iteration is not None:
-            for row in state.history[rows_before:]:
-                on_iteration(row, state)
-        if state.status == "converged":
-            break
-    else:
-        state.status = "max_iters"
+    try:
+        while state.k < config.max_iters:
+            rows_before = len(state.history)
+            tr_iterate(state, config, problem)
+            if on_iteration is not None:
+                for row in state.history[rows_before:]:
+                    on_iteration(row, state)
+            if state.status == "converged":
+                break
+        else:
+            state.status = "max_iters"
+    except Exception as exc:
+        exc.state = state
+        raise
     return state.mu, state

@@ -1,25 +1,22 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they complete.  The full Burgers trust-region run and the baseline
-comparison are shared across criteria through session fixtures.
+they complete.  Criteria 1, 2, 3 and 7 run the ``sgromtr validate``
+suites.  The full Burgers trust-region run and the baseline comparison
+are shared across criteria through module fixtures.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from sgromtr.cli import run_optimize
+from sgromtr.cli import (run_optimize, suite_bound_ratios, suite_fd_gradient,
+                         suite_quadrature, suite_rom_properties)
 from sgromtr.config import load_config
-from sgromtr.hdm import (BurgersControl, LinearDiffusion, QueryCounters,
-                         adjoint_gradient, solve_adjoint, solve_primal)
-from sgromtr.oracle import (cost_metric, fd_gradient, sg_iso_baseline,
-                            validate_bounds)
-from sgromtr.rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
-from sgromtr.sparse_grid import MultiIndexSet, assemble, cc_rule, integrate
+from sgromtr.hdm import BurgersControl, LinearDiffusion, QueryCounters
+from sgromtr.oracle import cost_metric, sg_iso_baseline
 from sgromtr.trust_opt import TrustRegionConfig, tr_run
 
 SEED = 2024
@@ -46,111 +43,33 @@ def burgers_run():
 
 def test_criterion_1_quadrature_correctness():
     t0 = time.monotonic()
-    worst_w = 0.0
-    for lx, ly in itertools.product(range(1, 5), range(1, 5)):
-        full = MultiIndexSet.from_indices(
-            [(i, j) for i in range(1, lx + 1) for j in range(1, ly + 1)])
-        quad = assemble(full)
-        rx, ry = cc_rule(lx), cc_rule(ly)
-        tensor = {(kx, ky): wx * wy
-                  for kx, wx in zip(rx.keys, rx.weights)
-                  for ky, wy in zip(ry.keys, ry.weights)}
-        assert set(quad.keys) == set(tensor)
-        for key, w in zip(quad.keys, quad.weights):
-            worst_w = max(worst_w, abs(w - tensor[key]))
-
-    worst_m = 0.0
-    for level in (2, 3, 4):
-        iso = MultiIndexSet.from_indices(
-            [i for i in itertools.product(range(1, level + 1), repeat=2)
-             if sum(i) - 2 <= level - 1])
-        quad = assemble(iso)
-        for px in range(2 * level):
-            for py in range(2 * level - px):
-                exact = ((1.0 / (px + 1) if px % 2 == 0 else 0.0)
-                         * (1.0 / (py + 1) if py % 2 == 0 else 0.0))
-                got = integrate(quad, lambda y: y[0] ** px * y[1] ** py)
-                worst_m = max(worst_m, abs(got - exact))
+    ok, detail = suite_quadrature()
     elapsed = time.monotonic() - t0
-    ok = worst_w <= 1e-12 and worst_m <= 1e-10 and elapsed < 1.0
-    report(1, ok, f"weights dev {worst_w:.2e} (<=1e-12), moments "
-                  f"{worst_m:.2e} (<=1e-10), {elapsed:.2f}s (<1s)")
+    report(1, ok and elapsed < 1.0, f"{detail}, {elapsed:.2f}s (<1s)")
+
+
+def _per_problem(suite):
+    """Run ``suite(problem)`` on both problems; (all passed, joined details)."""
+    results = [(problem.name, *suite(problem))
+               for problem in (LinearDiffusion(), BurgersControl())]
+    return (all(ok for _, ok, _ in results),
+            ", ".join(f"{name} {detail}" for name, _, detail in results))
 
 
 def test_criterion_2_adjoint_gradient():
     t0 = time.monotonic()
-    results = []
-    for problem, tol in ((LinearDiffusion(), 1e-6), (BurgersControl(), 1e-5)):
-        rng = np.random.default_rng(SEED)
-        worst = 0.0
-        box = problem.mu_sample_halfwidth
-        for _ in range(20):
-            y = rng.uniform(-1.0, 1.0, problem.n_y)
-            mu = rng.uniform(-box, box, problem.n_mu)
-            prim = solve_primal(problem, y, mu)
-            adj = solve_adjoint(problem, prim.u, y, mu)
-            g = adjoint_gradient(problem, adj.lam, prim.u, y, mu)
-            gfd = fd_gradient(problem, y, mu, h=1e-5)
-            worst = max(worst, float(np.linalg.norm(g - gfd))
-                        / float(np.linalg.norm(gfd)))
-        results.append((problem.name, worst, tol, worst <= tol))
+    ok, detail = _per_problem(lambda problem: suite_fd_gradient(
+        problem, 20, 1e-5, SEED, problem.fd_gradient_tol))
     elapsed = time.monotonic() - t0
-    ok = all(r[3] for r in results) and elapsed < 30.0
-    detail = ", ".join(f"{n} {w:.2e} (<= {t:g})" for n, w, t, _ in results)
-    report(2, ok, f"{detail}, {elapsed:.1f}s (<30s)")
+    report(2, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s (<30s)")
 
 
 def test_criterion_3_rom_properties():
     t0 = time.monotonic()
-    interp_ok = True
-    for problem in (LinearDiffusion(), BurgersControl()):
-        rng = np.random.default_rng(SEED)
-        y = rng.uniform(-1.0, 1.0, 2)
-        mu = rng.uniform(-0.3, 0.3, 8)
-        prim = solve_primal(problem, y, mu)
-        adj = solve_adjoint(problem, prim.u, y, mu)
-        basis = ReducedBasis(problem.n_u)
-        basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"], y, mu)
-        rp = solve_rom_primal(problem, basis, y, mu)
-        ra = solve_rom_adjoint(problem, basis, rp.q, y, mu)
-        interp_ok &= rp.residual_norm <= 1e-8 * (1 + np.linalg.norm(prim.u))
-        interp_ok &= ra.residual_norm <= 1e-8 * (
-            1 + np.linalg.norm(problem.qoi_u(prim.u, y, mu)))
-
-    # monotonicity: 10 successive appends, residual tracked at 5 fixed
-    # nodes through warm-chained solves
-    worst = -math.inf
-    for problem in (LinearDiffusion(), BurgersControl()):
-        rng = np.random.default_rng(SEED + 1)
-        mu = rng.uniform(-0.3, 0.3, 8)
-        nodes = [rng.uniform(-1.0, 1.0, 2) for _ in range(5)]
-        basis = ReducedBasis(problem.n_u)
-        seed_sol = solve_primal(problem, np.zeros(2),
-                                0.3 * np.linspace(-1, 1, 8))
-        basis.append_snapshots([seed_sol.u], ["primal"], np.zeros(2), mu)
-        prev = {}
-        for _ in range(10):
-            for i, y in enumerate(nodes):
-                q0 = None
-                if i in prev:
-                    q0 = np.zeros(basis.k)
-                    q0[:len(prev[i][1])] = prev[i][1]
-                rp = solve_rom_primal(problem, basis, y, mu, q0=q0)
-                if i in prev:
-                    worst = max(worst, rp.residual_norm - prev[i][0]
-                                * (1 + 1e-12) - 1e-12)
-                prev[i] = (rp.residual_norm, rp.q)
-            ya = rng.uniform(-1.0, 1.0, 2)
-            sa = solve_primal(problem, ya, mu)
-            aa = solve_adjoint(problem, sa.u, ya, mu)
-            basis.append_snapshots([sa.u, aa.lam], ["primal", "adjoint"],
-                                   ya, mu)
+    ok, detail = _per_problem(
+        lambda problem: suite_rom_properties(problem, SEED))
     elapsed = time.monotonic() - t0
-    mono_ok = worst <= 0.0
-    ok = interp_ok and mono_ok and elapsed < 30.0
-    report(3, ok, f"interpolation {'ok' if interp_ok else 'VIOLATED'}, "
-                  f"monotonicity slack-excess {worst:.2e} (<=0), "
-                  f"{elapsed:.1f}s (<30s)")
+    report(3, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s (<30s)")
 
 
 def test_criterion_4_condition_enforcement(burgers_run):
@@ -225,23 +144,8 @@ def test_cross_method_agreement(burgers_run, baseline_run):
 
 
 def test_criterion_7_bound_validation():
-    problem = LinearDiffusion()
-    basis = ReducedBasis(problem.n_u)
-    mu_seed = 0.3 * np.linspace(-1.0, 1.0, 8)
-    prim = solve_primal(problem, np.zeros(2), mu_seed)
-    basis.append_snapshots([prim.u], ["primal"], np.zeros(2), mu_seed)
-    qoi_est, grad_est = validate_bounds(problem, basis, 100, seed=SEED)
-    finite = (np.all(np.isfinite(qoi_est.ratios))
-              and np.all(np.isfinite(grad_est.ratios)))
-    sq = qoi_est.max_ratio / qoi_est.median_ratio
-    sg = grad_est.max_ratio / grad_est.median_ratio
-    ok = bool(finite and sq <= 10.0 and sg <= 10.0)
-    report(7, ok, f"100 samples, all finite: {bool(finite)}, "
-                  f"qoi max/median {sq:.2f} (<=10), "
-                  f"grad max/median {sg:.2f} (<=10); "
-                  f"empirical constants (reported): "
-                  f"kappa'~{qoi_est.max_ratio:.2e}, "
-                  f"mixed~{grad_est.max_ratio:.2e}")
+    ok, detail = suite_bound_ratios(LinearDiffusion(), 100, SEED)
+    report(7, ok, detail)
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -321,7 +321,8 @@ def test_cached_mu_warm_start_is_nearest_node(lin):
             d = float(np.linalg.norm(coord - wy))
             if d < best_d:
                 best_d, best = d, wq
-        np.testing.assert_array_equal(pair._warm_start(key, coord, mk, []), best)
+        np.testing.assert_array_equal(
+            pair._warm_starts([(key, coord)], mk, [])[0], best)
         checked += key is not None and (key, mk) not in flat
     assert checked > 0  # some grid nodes were not yet solved at mu
 
@@ -335,7 +336,7 @@ def test_fresh_mu_takes_own_node_at_nearest_mu(lin):
     assert near == [_mu_key(mu), _mu_key(-mu)]
     for key, coord in zip(quad.keys, quad.coords):
         np.testing.assert_array_equal(
-            pair._warm_start(key, coord, _mu_key(0.9 * mu), near),
+            pair._warm_starts([(key, coord)], _mu_key(0.9 * mu), near)[0],
             pair._warm[_mu_key(mu)][key][1])
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
-                         EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED, main,
-                         run_optimize, run_validate, suite_fd_gradient)
+                         EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED,
+                         SOLVER_FAILURES, main, run_optimize, run_validate,
+                         suite_fd_gradient)
 from sgromtr.config import ConfigError, echo_config, load_config
 from sgromtr.hdm import LinearDiffusion
 
@@ -153,31 +154,44 @@ gtol = 1e-10
     assert (out / "history.csv").exists()
 
 
-def test_subproblem_failure_exit_code(tmp_path, monkeypatch):
-    # the second trust-region subproblem fails: the run ends with the
-    # solver-failure code, the error dump and the first iteration's row
+@pytest.mark.parametrize("failure", SOLVER_FAILURES,
+                         ids=lambda cls: cls.__name__)
+def test_injected_failure_exit_code(tmp_path, monkeypatch, failure):
+    # the second objective refinement fails: the run ends with the
+    # solver-failure code, the error dump, the first iteration's row,
+    # and every refinement event recorded before the failure
     from sgromtr import trust_opt
 
-    real = trust_opt.steihaug_toint
-    calls = []
+    real = trust_opt.refine_for_objective
+    calls, recorded = [], []
 
     def failing(*args, **kwargs):
         calls.append(1)
         if len(calls) > 1:
-            raise trust_opt.SubproblemError("injected")
+            recorded.extend(kwargs["events"])
+            raise failure("injected")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(trust_opt, "steihaug_toint", failing)
+    monkeypatch.setattr(trust_opt, "refine_for_objective", failing)
     cfg = load_config(write(tmp_path, FAST_LIN))
     out = tmp_path / "fail"
     assert run_optimize(cfg, out) == EXIT_SOLVER_FAILURE
-    assert (out / "error.txt").read_text() == "SubproblemError: injected\n"
-    header, *rows = [line.split(",") for line in
-                     (out / "history.csv").read_text().splitlines()]
-    assert header[:2] == ["k", "m_center"]
-    assert len(rows) == 1 and len(rows[0]) == len(header)
-    row = dict(zip(header, rows[0]))
-    assert row["k"] == "0" and row["terminal"] == "0"
+    assert (out / "error.txt").read_text() == f"{failure.__name__}: injected\n"
+
+    def read_csv(name):
+        header, *rows = [line.split(",") for line in
+                         (out / name).read_text().splitlines()]
+        assert all(len(row) == len(header) for row in rows)
+        return [dict(zip(header, row)) for row in rows]
+
+    history = read_csv("history.csv")
+    assert len(history) == 1
+    assert history[0]["k"] == "0" and history[0]["terminal"] == "0"
+    events = read_csv("events.csv")
+    # the failed iteration's gradient refinement is logged too
+    assert recorded[-1].stage == "gradient"
+    assert [(row["seq"], row["stage"], row["kind"]) for row in events] == [
+        (str(i), ev.stage, ev.kind) for i, ev in enumerate(recorded)]
 
 
 def test_cli_main_config_error(tmp_path, capsys):

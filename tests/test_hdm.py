@@ -1,7 +1,5 @@
 """Model-problem surfaces: residuals, Jacobians, solvers, adjoint gradient."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -9,8 +7,7 @@ from sgromtr import kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion,
                          QueryCounters, SolverError, adjoint_gradient,
                          adjoint_residual, make_problem, primal_sensitivities,
-                         primal_sensitivity, solve_adjoint, solve_primal,
-                         write_state_csv)
+                         solve_adjoint, solve_primal)
 
 
 def sample_point(problem, seed=0):
@@ -199,10 +196,10 @@ def test_gradient_zero_without_parameter_coupling():
     np.testing.assert_array_equal(g, np.zeros(8))
 
 
-@pytest.mark.parametrize("prob_name,tol", [("linear-diffusion", 1e-6),
-                                           ("burgers-control", 1e-5)])
-def test_adjoint_gradient_vs_fd(prob_name, tol, lin, bur):
-    problem = lin if prob_name == "linear-diffusion" else bur
+@pytest.mark.parametrize("cls", [LinearDiffusion, BurgersControl],
+                         ids=lambda c: f"{c.name}-{c.fd_gradient_tol:g}")
+def test_adjoint_gradient_vs_fd(cls, lin, bur):
+    problem = lin if cls is LinearDiffusion else bur
     rng = np.random.default_rng(37)
     h = 1e-5
     for _ in range(5):
@@ -216,7 +213,8 @@ def test_adjoint_gradient_vs_fd(prob_name, tol, lin, bur):
             (restricted_qoi(problem, y, mu + h * e)
              - restricted_qoi(problem, y, mu - h * e)) / (2 * h)
             for e in np.eye(8)])
-        assert np.linalg.norm(g - gfd) <= tol * np.linalg.norm(gfd)
+        assert (np.linalg.norm(g - gfd)
+                <= problem.fd_gradient_tol * np.linalg.norm(gfd))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +224,7 @@ def test_adjoint_gradient_vs_fd(prob_name, tol, lin, bur):
 def test_sensitivity_solves_load_system(lin):
     y, mu = sample_point(lin, 41)
     sol = solve_primal(lin, y, mu)
-    s0 = primal_sensitivity(lin, sol.u, y, mu, 0)
+    s0 = primal_sensitivities(lin, sol.u, y, mu)[:, 0]
     a = lin.jac_u(sol.u, y, mu)
     np.testing.assert_allclose(a @ s0, lin.source_basis[:, 0],
                                rtol=1e-10, atol=1e-10)
@@ -264,10 +262,3 @@ def test_make_problem():
     with pytest.raises(ValueError):
         make_problem("heat-3d")
 
-
-def test_write_state_csv(lin):
-    buf = io.StringIO()
-    write_state_csv(lin, np.zeros(lin.n_u), buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "x,u"
-    assert len(lines) == lin.n_u + 1

@@ -1,6 +1,5 @@
 """Quadrature rules, multi-index algebra, and combination-technique assembly."""
 
-import io
 import itertools
 import math
 
@@ -10,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
-                                 difference_apply, difference_rule,
-                                 integrate, is_admissible, neighbors,
-                                 node_coordinate, read_index_set, rule_size,
-                                 truncation_terms, write_index_set,
-                                 write_nodes, IntegrandError)
+                                 difference_rule, integrate, is_admissible,
+                                 node_coordinate, rule_size, write_index_set,
+                                 IntegrandError)
 
 
 def mis(*indices):
@@ -76,9 +73,9 @@ def test_is_admissible_examples():
 
 
 def test_neighbors_examples():
-    assert set(neighbors(mis((1, 1)))) == {(2, 1), (1, 2)}
-    assert set(neighbors(mis((1, 1), (2, 1)))) == {(3, 1), (1, 2)}
-    assert set(neighbors(mis((1,), (2,)))) == {(3,)}
+    assert set(mis((1, 1)).neighbors()) == {(2, 1), (1, 2)}
+    assert set(mis((1, 1), (2, 1)).neighbors()) == {(3, 1), (1, 2)}
+    assert set(mis((1,), (2,)).neighbors()) == {(3,)}
 
 
 def test_neighbors_of_empty_set_rejected():
@@ -100,13 +97,15 @@ def test_with_index_preserves_admissibility():
 # ---------------------------------------------------------------------------
 
 def test_difference_apply_constant():
-    assert difference_apply(1, lambda x: 4.5) == pytest.approx(4.5)
-    assert difference_apply(2, lambda x: 4.5) == pytest.approx(0.0, abs=1e-15)
+    assert integrate(difference_rule((1,)), lambda y: 4.5) == pytest.approx(4.5)
+    assert integrate(difference_rule((2,)), lambda y: 4.5) == pytest.approx(
+        0.0, abs=1e-15)
 
 
 def test_difference_apply_x_squared():
     # level 1 gives 0, level 2 gives the exact moment 1/3
-    assert difference_apply(2, lambda x: x * x) == pytest.approx(1 / 3)
+    assert integrate(difference_rule((2,)), lambda y: y[0] ** 2) == pytest.approx(
+        1 / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +164,12 @@ def test_integrate_reports_failing_node():
 
 
 def test_truncation_terms_examples():
+    # |difference_rule(i)[h]| over the forward neighbors i of the set: the
+    # truncation contributions the refinement drivers rank
+    def truncation_terms(s, h):
+        return {idx: abs(integrate(difference_rule(idx), h))
+                for idx in s.neighbors()}
+
     s = mis((1, 1))
     terms = truncation_terms(s, lambda y: 7.0)
     assert all(v == pytest.approx(0.0, abs=1e-15) for v in terms.values())
@@ -274,19 +279,11 @@ def test_nestedness_property(dim, steps, extra, seed):
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_index_set_roundtrip():
+def test_index_set_roundtrip(tmp_path):
     s = mis((1, 1), (2, 1), (1, 2), (2, 2), (3, 1))
-    buf = io.StringIO()
-    write_index_set(s, buf)
-    buf.seek(0)
-    back = read_index_set(buf)
-    assert back.indices == s.indices and back.dim == s.dim
-
-
-def test_write_nodes_line_format():
-    quad = assemble(mis((1, 1), (2, 1)))
-    buf = io.StringIO()
-    write_nodes(quad, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == len(quad)
-    assert all(len(line.split()) == 3 for line in lines)
+    path = tmp_path / "grid.txt"
+    write_index_set(s, path)
+    lines = path.read_text().splitlines()
+    assert lines == ["1 1", "1 2", "2 1", "2 2", "3 1"]
+    back = MultiIndexSet.from_indices(line.split() for line in lines)
+    assert back == s
