@@ -13,7 +13,8 @@ reference profile:
   uncertain viscosity and inflow value; quadratic in the state and
   linear in the parameters.
 
-All linear solves use dense LU at this scale.
+Every linear solve -- Newton step, adjoint, sensitivities -- is one
+O(n) tridiagonal sweep over the Jacobian's bands.
 """
 
 from __future__ import annotations
@@ -131,10 +132,6 @@ class ModelProblem:
     def jac_bands(self, u, y, mu):
         """Tridiagonal bands (lo, dg, up) of dr/du at (u, y, mu)."""
         raise NotImplementedError
-
-    def jac_u(self, u, y, mu):
-        """Dense dr/du; used for the LU solves."""
-        return kernels.band_to_dense(*self.jac_bands(u, y, mu))
 
     def jac_u_mul(self, u, y, mu, v):
         """(dr/du) @ v without forming the dense Jacobian."""
@@ -309,6 +306,17 @@ def make_problem(name: str, **kwargs) -> ModelProblem:
 # solvers
 # ---------------------------------------------------------------------------
 
+def _band_solve(bands, b):
+    """Tridiagonal solve; a zero pivot or a non-finite result is a SolverError."""
+    try:
+        x = kernels.band_solve(*bands, b)
+    except ZeroDivisionError as exc:
+        raise SolverError("Jacobian is singular (zero pivot)") from exc
+    if not np.all(np.isfinite(x)):
+        raise SolverError("Jacobian is singular (non-finite solve)")
+    return x
+
+
 def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters):
     """Damped Newton iteration; returns (u, rnorm, iters, converged)."""
     r = problem.residual(u, y, mu)
@@ -318,7 +326,10 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters):
     for _ in range(max_iters):
         if rnorm <= tol:
             return u, rnorm, iters, True
-        step = np.linalg.solve(problem.jac_u(u, y, mu), -r)
+        try:
+            step = _band_solve(problem.jac_bands(u, y, mu), -r)
+        except SolverError:
+            return u, rnorm, iters, False  # singular Jacobian
         t = 1.0
         for _ in range(30):
             u_new = u + t * step
@@ -339,14 +350,15 @@ def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
     """Damped Newton solve of ``r(u, y, mu) = 0``.
 
     Backtracking halves the step until the residual norm decreases (up
-    to 30 halvings).  If the iteration stalls, the problem's
-    continuation stages are traversed once, warm-starting each stage
-    from the last.  Raises :class:`SolverError` carrying the last
-    iterate if the tolerance ``tol_abs + tol_rel * ||r(u0)||`` is still
-    not met within ``max_iters`` iterations.  The absolute term is
-    scaled by the residual at the problem's default start so that warm
-    starts with a tiny entry residual cannot push the tolerance beneath
-    the evaluation noise floor of a stiff operator.
+    to 30 halvings).  If the iteration stalls -- backtracking exhausted
+    or a singular Jacobian -- the problem's continuation stages are
+    traversed once, warm-starting each stage from the last.  Raises
+    :class:`SolverError` carrying the last iterate if the tolerance
+    ``tol_abs + tol_rel * ||r(u0)||`` is still not met within
+    ``max_iters`` iterations.  The absolute term is scaled by the
+    residual at the problem's default start so that warm starts with a
+    tiny entry residual cannot push the tolerance beneath the evaluation
+    noise floor of a stiff operator.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -391,13 +403,13 @@ def solve_adjoint(problem, u, y, mu,
     """Direct solve of the linear adjoint system at a converged primal state."""
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    jt = problem.jac_u(u, y, mu).T
+    lo, dg, up = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
-    try:
-        lam = np.linalg.solve(jt, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("adjoint Jacobian is singular") from exc
-    res = float(np.linalg.norm(adjoint_residual(problem, lam, u, y, mu)))
+    # the bands of (dr/du)^T: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
+    bands_t = (np.append(0.0, up[:-1]), dg, np.append(lo[1:], 0.0))
+    lam = _band_solve(bands_t, rhs)
+    # adjoint_residual's expression, from the bands already built
+    res = float(np.linalg.norm(kernels.band_t_matvec(lo, dg, up, lam) - rhs))
     if counters is not None:
         counters.n_ha += 1
     return AdjointSolution(lam, res)
@@ -416,7 +428,7 @@ def primal_sensitivities(problem, u, y, mu,
                          counters: QueryCounters | None = None):
     """All parameter sensitivities as columns (one linear solve, many RHS)."""
     rhs = -problem.jac_mu(u, y, mu)
-    s = np.linalg.solve(problem.jac_u(u, y, mu), rhs)
+    s = _band_solve(problem.jac_bands(u, y, mu), rhs)
     if counters is not None:
         counters.n_ha += problem.n_mu
     return s

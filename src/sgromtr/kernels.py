@@ -1,12 +1,14 @@
-"""Vectorized numpy kernels for the bundled 1D model problems.
+"""Numpy kernels for the bundled 1D model problems.
 
-Stencil residuals, tridiagonal Jacobian bands, and banded matrix
-products are the innermost operations of every solver in this package:
-they run once per Newton or Gauss-Newton iteration at every collocation
-node.  Each kernel is a handful of whole-array numpy expressions over
-shifted slices, so no Python loop runs over the grid.  Callers look the
-kernels up as ``kernels.<name>`` at call time, so a wrapper installed on
-this module (as ``perfbench``'s tracer does) sees every call.
+Stencil residuals, tridiagonal Jacobian bands, banded matrix products
+and the tridiagonal solve are the innermost operations of every solver
+in this package: they run once per Newton or Gauss-Newton iteration at
+every collocation node.  Each kernel but the solve is a handful of
+whole-array numpy expressions over shifted slices.  The solve,
+:func:`band_solve`, is one O(n) Thomas sweep, a recurrence that runs as
+a Python loop over floats.  Callers look the kernels up as
+``kernels.<name>`` at call time, so a wrapper installed on this module
+(as ``perfbench``'s tracer does) sees every call.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -91,12 +93,30 @@ def band_t_matmat(lo, dg, up, V):
     return out
 
 
-def band_to_dense(lo, dg, up):
-    """Assemble the dense matrix from its tridiagonal bands."""
-    n = dg.shape[0]
-    a = np.zeros((n, n))
-    idx = np.arange(n)
-    a[idx, idx] = dg
-    a[idx[1:], idx[:-1]] = lo[1:]
-    a[idx[:-1], idx[1:]] = up[:-1]
-    return a
+def band_solve(lo, dg, up, b):
+    """Solve ``A x = b`` for tridiagonal ``A`` by one Thomas sweep.
+
+    ``b`` is a vector or an ``n x m`` block whose columns are solved in
+    turn.  The sweep runs over Python floats, which at these sizes beats
+    both numpy element access and dense LU.  There is no pivoting: a
+    zero pivot raises ``ZeroDivisionError``, and a singular or badly
+    conditioned ``A`` can return non-finite entries, so callers check.
+    """
+    if b.ndim == 2:
+        x = np.empty_like(b)
+        for j in range(b.shape[1]):
+            x[:, j] = band_solve(lo, dg, up, b[:, j])
+        return x
+    lo, dg, up, x = lo.tolist(), dg.tolist(), up.tolist(), b.tolist()
+    n = len(dg)
+    c = [0.0] * n
+    piv = dg[0]
+    c[0] = up[0] / piv
+    x[0] = x[0] / piv
+    for i in range(1, n):
+        piv = dg[i] - lo[i] * c[i - 1]
+        c[i] = up[i] / piv
+        x[i] = (x[i] - lo[i] * x[i - 1]) / piv
+    for i in range(n - 2, -1, -1):
+        x[i] -= c[i] * x[i + 1]
+    return np.array(x)

@@ -25,6 +25,17 @@ def lin_deterministic():
     return LinearDiffusion(kappa_amp=(0.0, 0.0))
 
 
+def band_to_dense(lo, dg, up):
+    """Dense matrix of tridiagonal bands: the reference for the banded kernels."""
+    n = dg.shape[0]
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    a[idx, idx] = dg
+    a[idx[1:], idx[:-1]] = lo[1:]
+    a[idx[:-1], idx[1:]] = up[:-1]
+    return a
+
+
 def quadratic_minimizer(problem, y=None):
     """Normal-equation minimizer of F(y, .) for an affine-in-state problem."""
     from sgromtr.hdm import primal_sensitivities, solve_primal

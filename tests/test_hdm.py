@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import band_to_dense
 from sgromtr import kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion,
                          QueryCounters, SolverError, adjoint_gradient,
@@ -41,8 +42,8 @@ def test_diffusion_residual_is_affine(lin):
     u = rng.standard_normal(lin.n_u)
     r_u = lin.residual(u, y, mu)
     r_0 = lin.residual(np.zeros(lin.n_u), y, mu)
-    np.testing.assert_allclose(r_u - r_0, lin.jac_u(u, y, mu) @ u,
-                               rtol=1e-11, atol=1e-13)
+    a = band_to_dense(*lin.jac_bands(u, y, mu))
+    np.testing.assert_allclose(r_u - r_0, a @ u, rtol=1e-11, atol=1e-13)
 
 
 @pytest.mark.parametrize("prob_name", ["linear-diffusion", "burgers-control"])
@@ -124,6 +125,48 @@ def test_primal_failure_carries_last_iterate(bur):
     assert err.value.residual_norm > 0
 
 
+class CorruptFirstRow(LinearDiffusion):
+    """Linear diffusion whose Jacobian's first row is ``(pivot, 0, ..., 0)``."""
+
+    def __init__(self, pivot, **kwargs):
+        super().__init__(**kwargs)
+        self.pivot = pivot
+
+    def jac_bands(self, u, y, mu):
+        lo, dg, up = super().jac_bands(u, y, mu)
+        dg[0], up[0] = self.pivot, 0.0
+        return lo, dg, up
+
+
+@pytest.mark.parametrize("pivot", [0.0, np.nan], ids=["zero", "nan"])
+def test_singular_jacobian_is_solver_error(tmp_path, monkeypatch, lin, pivot):
+    # a zero pivot or a non-finite solution ends each linear solve as a
+    # SolverError, which a run reports with exit 3 and error.txt
+    from sgromtr import config
+    from sgromtr.cli import EXIT_SOLVER_FAILURE, run_optimize
+
+    prob = CorruptFirstRow(pivot)
+    y, mu = sample_point(prob, 59)
+    with pytest.raises(SolverError, match="Newton did not converge") as err:
+        solve_primal(prob, y, mu)
+    assert err.value.u is not None
+    u = solve_primal(lin, y, mu).u
+    with pytest.raises(SolverError, match="singular"):
+        solve_adjoint(prob, u, y, mu)
+    with pytest.raises(SolverError, match="singular"):
+        primal_sensitivities(prob, u, y, mu)
+
+    monkeypatch.setattr(config, "make_problem",
+                        lambda name, **kwargs: CorruptFirstRow(pivot, **kwargs))
+    cfg_path = tmp_path / "cfg.ini"
+    cfg_path.write_text("[run]\nproblem = linear-diffusion\n"
+                        "[init]\nmu0 = 0.5 0.5 0.5 0.5 0.5 0.5 0.5 0.5\n")
+    out = tmp_path / "singular"
+    assert run_optimize(config.load_config(cfg_path), out) == EXIT_SOLVER_FAILURE
+    assert (out / "error.txt").read_text().startswith(
+        "SolverError: Newton did not converge after 0 iterations")
+
+
 def test_counters_track_newton_iterations(bur):
     counters = QueryCounters()
     y, mu = sample_point(bur, 17)
@@ -169,7 +212,7 @@ def test_qoi_u_matches_finite_differences(bur):
 def test_diffusion_adjoint_self_adjoint(lin):
     y, mu = sample_point(lin, 31)
     sol = solve_primal(lin, y, mu)
-    a = lin.jac_u(sol.u, y, mu)
+    a = band_to_dense(*lin.jac_bands(sol.u, y, mu))
     np.testing.assert_allclose(a, a.T, atol=1e-12)
     adj = solve_adjoint(lin, sol.u, y, mu)
     lam = np.linalg.solve(a, lin.qoi_u(sol.u, y, mu))
@@ -225,7 +268,7 @@ def test_sensitivity_solves_load_system(lin):
     y, mu = sample_point(lin, 41)
     sol = solve_primal(lin, y, mu)
     s0 = primal_sensitivities(lin, sol.u, y, mu)[:, 0]
-    a = lin.jac_u(sol.u, y, mu)
+    a = band_to_dense(*lin.jac_bands(sol.u, y, mu))
     np.testing.assert_allclose(a @ s0, lin.source_basis[:, 0],
                                rtol=1e-10, atol=1e-10)
 
