@@ -13,10 +13,12 @@ conditions hold:
 * :func:`refine_for_objective` enforces the two-way split of the
   objective-decrease condition at the center and the trial point.
 
-Both drivers sample each (node, parameter) point at most once, append
-primal and adjoint snapshots together, and re-evaluate the guard
-thresholds after every change, so the exit conditions hold exactly as
-evaluated (asserted before returning).
+Both drivers run one loop.  It samples each (node, parameter) point at
+most once and appends primal and adjoint snapshots together.  It
+evaluates the indicator and its thresholds once at entry and once after
+every grid or basis change; that evaluation fills the change's event,
+drives the next decision and, when the loop ends, is the one the exit
+check reuses, so the exit conditions hold exactly as evaluated.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def _mu_tag(mu) -> str:
     return hashlib.md5(_mu_key(mu)).hexdigest()[:8]
 
 
-def _sample(pair: SgRomPair, key, coord, mu, stage, events, before, after_fn):
+def _sample(pair: SgRomPair, key, coord, mu) -> None:
     """Solve the HDM at the winning point and append both snapshots."""
     mk = _mu_key(mu)
     ev = pair._cache.get((key, mk))
@@ -371,10 +373,6 @@ def _sample(pair: SgRomPair, key, coord, mu, stage, events, before, after_fn):
     pair.basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"],
                                 coord, mu)
     pair.basis.sampled_points.add((key, mk))
-    if events is not None:
-        events.append(RefinementEvent(stage, "add_snapshot",
-                                      f"node={key} mu={_mu_tag(mu)}",
-                                      before, after_fn()))
 
 
 def _pick_index(diffs: dict):
@@ -389,96 +387,109 @@ def _pick_index(diffs: dict):
     return best_idx
 
 
-def _grow_grid(pair: SgRomPair, idx, level_cap: int, stage, events, before, after_fn):
-    if max(idx) > level_cap:
-        raise LevelCapError(
-            f"refinement wants index {idx} beyond the level cap {level_cap}")
-    pair.grid = pair.grid.with_index(idx)
-    if events is not None:
-        events.append(RefinementEvent(stage, "add_index",
-                                      " ".join(map(str, idx)), before, after_fn()))
-
-
 # ---------------------------------------------------------------------------
 # refinement drivers
 # ---------------------------------------------------------------------------
 
-def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, kappa_phi, betas,
-                        level_cap: int = 10, events: list | None = None) -> SgRomPair:
-    """Grow the pair until the three gradient-condition inequalities hold.
+def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
+            mus: list, integrand: str, level_cap: int, events) -> SgRomPair:
+    """Grow ``pair`` until every indicator term is within its threshold.
 
-    Each inequality bounds one indicator term by
-    ``kappa_phi / (3 beta_i) * min{||grad m(mu_k)||, Delta_k}``; the
-    right-hand side is re-evaluated after every grid or basis change
-    because the model gradient appears on both sides.
+    ``evaluate()`` returns ``(values, thresholds, exit_values)``: the
+    term values and their bounds keyed by term name, and the
+    ``(before, after)`` pair of the exit-check event.  An open truncation
+    term ``trunc`` adds the forward neighbor with the largest
+    ``|tensor difference|`` of ``integrand`` over ``mus``; each open
+    residual term in ``targets`` (term -> ``"primal"`` or ``"adjoint"``)
+    samples the HDM greedily until it closes or no candidate is left.  A
+    pass that changes nothing while terms stay open grows the grid.
+    ``evaluate`` runs once at entry and once after each change, and that
+    one value logs the change, drives the next decision and, at the end,
+    the exit check.
     """
-    mu_k = np.asarray(mu_k, dtype=float)
-    b1, b3, b4 = betas
+    values, limits, exit_values = evaluate()
 
-    def guard() -> float:
-        return min(float(np.linalg.norm(pair.model_gradient(mu_k))), Delta_k)
+    def ok(term) -> bool:
+        return values[term] <= limits[term]
 
-    def indicator() -> GradientIndicator:
-        return eval_gradient_indicator(pair, mu_k, betas)
+    def changed(kind, detail, term) -> None:
+        nonlocal values, limits, exit_values
+        before = values[term]
+        values, limits, exit_values = evaluate()
+        if events is not None:
+            events.append(RefinementEvent(stage, kind, detail, before,
+                                          values[term]))
 
-    if guard() <= MACHINE_FLOOR:
-        return pair
-
-    def thresholds():
-        t = guard()
-        return (kappa_phi / (3.0 * b1) * t,
-                kappa_phi / (3.0 * b3) * t,
-                kappa_phi / (3.0 * b4) * t)
+    def grow() -> None:
+        diffs = [pair.neighbor_differences(mu, integrand) for mu in mus]
+        idx = _pick_index({i: max(abs(d[i]) for d in diffs) for i in diffs[0]})
+        if max(idx) > level_cap:
+            raise LevelCapError(
+                f"refinement wants index {idx} beyond the level cap {level_cap}")
+        pair.grid = pair.grid.with_index(idx)
+        changed("add_index", " ".join(map(str, idx)), trunc)
 
     while True:
-        progressed = False
-
-        ind = indicator()
-        thr1, thr3, thr4 = thresholds()
-        if ind.e4 > thr4:
-            diffs = pair.neighbor_differences(mu_k, "grad_norm")
-            _grow_grid(pair, _pick_index(diffs), level_cap, "gradient", events,
-                       ind.e4, lambda: indicator().e4)
-            progressed = True
-
-        # greedy enrichment on the primal then adjoint residual terms
-        for which, term in (("primal", "e1"), ("adjoint", "e3")):
-            while True:
-                ind = indicator()
-                thr1, thr3, _ = thresholds()
-                val, thr = (ind.e1, thr1) if which == "primal" else (ind.e3, thr3)
-                if val <= thr:
-                    break
-                cand = _greedy_candidate(pair, [mu_k], which)
+        progressed = not ok(trunc)
+        if progressed:
+            grow()
+        for term, which in targets.items():
+            while not ok(term):
+                cand = _greedy_candidate(pair, mus, which)
                 if cand is None:
                     break  # saturated; grid growth will add candidates
                 key, coord, mu = cand
-                _sample(pair, key, coord, mu, "gradient", events, val,
-                        lambda: getattr(indicator(), term))
+                _sample(pair, key, coord, mu)
+                changed("add_snapshot", f"node={key} mu={_mu_tag(mu)}", term)
                 progressed = True
-
-        ind = indicator()
-        thr1, thr3, thr4 = thresholds()
-        if ind.e1 <= thr1 and ind.e3 <= thr3 and ind.e4 <= thr4:
+        if all(map(ok, values)):
             break
         if not progressed:
             # saturated at the current grid with conditions still open:
             # force a grid refinement so the candidate set grows
-            diffs = pair.neighbor_differences(mu_k, "grad_norm")
-            _grow_grid(pair, _pick_index(diffs), level_cap, "gradient", events,
-                       ind.e4, lambda: indicator().e4)
+            grow()
 
-    ind = indicator()
-    thr1, thr3, thr4 = thresholds()
-    ok = ind.e1 <= thr1 and ind.e3 <= thr3 and ind.e4 <= thr4
+    closed = all(map(ok, values))
     if events is not None:
-        events.append(RefinementEvent(
-            "gradient", "exit_check",
-            f"e1={ind.e1:.6e}<={thr1:.6e} e3={ind.e3:.6e}<={thr3:.6e} "
-            f"e4={ind.e4:.6e}<={thr4:.6e}", ind.phi, guard(), ok))
-    if not ok:
-        raise RefinementError("gradient condition violated at exit")
+        detail = " ".join(f"{t}={values[t]:.6e}<={limits[t]:.6e}" for t in values)
+        events.append(RefinementEvent(stage, "exit_check", detail, *exit_values,
+                                      closed))
+    if not closed:
+        raise RefinementError(f"{stage} condition violated at exit")
     return pair
+
+
+def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, kappa_phi, betas, gtol,
+                        level_cap: int = 10, events: list | None = None) -> SgRomPair:
+    """Grow the pair until the three gradient-condition inequalities hold.
+
+    Each inequality bounds one indicator term by
+    ``kappa_phi / (3 beta_i) * max(min{||grad m(mu_k)||, Delta_k}, gtol)``;
+    the right-hand side is re-evaluated after every grid or basis change
+    because the model gradient appears on both sides.  The floor at
+    ``gtol`` keeps the thresholds above round-off; it binds only when the
+    caller's stopping test ``min{||grad m||, Delta} <= gtol`` is about to
+    fire, and above ``gtol`` the thresholds are the exact ones.
+    """
+    mu_k = np.asarray(mu_k, dtype=float)
+
+    def guard() -> float:
+        return min(float(np.linalg.norm(pair.model_gradient(mu_k))), Delta_k)
+
+    if guard() <= MACHINE_FLOOR:
+        return pair
+
+    def evaluate():
+        ind = eval_gradient_indicator(pair, mu_k, betas)
+        t = guard()
+        values = {"e1": ind.e1, "e3": ind.e3, "e4": ind.e4}
+        limits = {name: kappa_phi / (3.0 * b) * max(t, gtol)
+                  for name, b in zip(values, betas)}
+        return values, limits, (ind.phi, t)
+
+    return _refine(pair, "gradient", evaluate, "e4",
+                   {"e1": "primal", "e3": "adjoint"}, [mu_k], "grad_norm",
+                   level_cap, events)
 
 
 def objective_thresholds(m_decrease, r_k, eta, omega, alphas,
@@ -506,52 +517,11 @@ def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k,
     mu_hat = np.asarray(mu_hat, dtype=float)
     thr1, thr2 = objective_thresholds(m_decrease, r_k, eta, omega, alphas,
                                       threshold_floor)
-    mus = [mu_k, mu_hat]
 
-    def terms():
+    def evaluate():
         ind = eval_objective_indicator(pair, mu_k, mu_hat, alphas)
-        return ind.e1_sum, ind.e2_sum
+        return ({"e1'": ind.e1_sum, "e2'": ind.e2_sum},
+                {"e1'": thr1, "e2'": thr2}, (ind.e1_sum, ind.e2_sum))
 
-    def grow():
-        diffs_c = pair.neighbor_differences(mu_k, "qoi")
-        diffs_t = pair.neighbor_differences(mu_hat, "qoi")
-        diffs = {idx: max(abs(diffs_c[idx]), abs(diffs_t[idx])) for idx in diffs_c}
-        _grow_grid(pair, _pick_index(diffs), level_cap, "objective", events,
-                   terms()[1], lambda: terms()[1])
-
-    while True:
-        progressed = False
-
-        e1_sum, e2_sum = terms()
-        if e2_sum > thr2:
-            grow()
-            progressed = True
-
-        while True:
-            e1_sum, _ = terms()
-            if e1_sum <= thr1:
-                break
-            cand = _greedy_candidate(pair, mus, "primal")
-            if cand is None:
-                break  # saturated; grid growth will add candidates
-            key, coord, mu = cand
-            _sample(pair, key, coord, mu, "objective", events, e1_sum,
-                    lambda: terms()[0])
-            progressed = True
-
-        e1_sum, e2_sum = terms()
-        if e1_sum <= thr1 and e2_sum <= thr2:
-            break
-        if not progressed:
-            grow()
-
-    e1_sum, e2_sum = terms()
-    ok = e1_sum <= thr1 and e2_sum <= thr2
-    if events is not None:
-        events.append(RefinementEvent(
-            "objective", "exit_check",
-            f"e1'={e1_sum:.6e}<={thr1:.6e} e2'={e2_sum:.6e}<={thr2:.6e}",
-            e1_sum, e2_sum, ok))
-    if not ok:
-        raise RefinementError("objective condition violated at exit")
-    return pair
+    return _refine(pair, "objective", evaluate, "e2'", {"e1'": "primal"},
+                   [mu_k, mu_hat], "qoi", level_cap, events)

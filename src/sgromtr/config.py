@@ -61,7 +61,6 @@ _SCHEMA = {
         "beta4": (1.0, float),
         "alpha1": (1e-2, float),
         "alpha2": (1e-2, float),
-        "balance": (False, bool),
     },
     "baseline": {
         "level": (5, int),
@@ -105,7 +104,6 @@ class RunConfig:
                 gtol=t["gtol"], max_iters=t["max_iters"],
                 betas=(ind["beta1"], ind["beta3"], ind["beta4"]),
                 alphas=(ind["alpha1"], ind["alpha2"]),
-                balance_indicators=ind["balance"],
                 level_cap=t["level_cap"], theta_floor=t["theta_floor"])
         except ValueError as exc:
             raise ConfigError(f"trust_region: {exc}") from exc

@@ -58,7 +58,6 @@ class TrustRegionConfig:
     max_iters: int = 30
     betas: tuple = (1.0, 1.0, 1.0)
     alphas: tuple = (1e-2, 1e-2)
-    balance_indicators: bool = False  # opt-in: beta_i ~ beta / E_i(mu0)
     level_cap: int = 10
     theta_floor: float = 1e-6
 
@@ -99,11 +98,13 @@ class TrustRegionState:
     Delta: float
     pair: SgRomPair
     counters: QueryCounters
-    betas: tuple
-    alphas: tuple
     history: list = field(default_factory=list)
     events: list = field(default_factory=list)
     status: str = "running"
+
+
+#: Relative residual at which Steihaug-CG stops inside the trust region.
+CG_REL_TOL = 1e-8
 
 
 class SteihaugResult(NamedTuple):
@@ -124,12 +125,12 @@ def _boundary_tau(p, d, Delta):
 
 
 def steihaug_toint(gradient, hessvec: Callable, Delta: float,
-                   kappa_s: float = 1e-4, rel_tol: float = 1e-8,
-                   max_iter: int | None = None) -> SteihaugResult:
+                   kappa_s: float = 1e-4) -> SteihaugResult:
     """Truncated CG on the quadratic model within the trust region.
 
     Terminates at the boundary on negative curvature or radius exit, or
-    interior at relative residual ``rel_tol``.  ``hessvec`` is called
+    interior at relative residual ``CG_REL_TOL``, after at most
+    ``2 n + 10`` iterations.  ``hessvec`` is called
     once per CG iteration: the model decrease ``-(g.p + p.Hp / 2)`` takes
     ``Hp`` from the same recurrence as ``p``, as the sum of the step
     lengths times the products ``H d`` already computed.  The step is
@@ -152,7 +153,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
     max_curv = 0.0
     hit = False
     iters = 0
-    for _ in range(max_iter if max_iter is not None else 2 * n + 10):
+    for _ in range(2 * n + 10):
         hd = hessvec(d)
         dhd = float(d @ hd)
         max_curv = max(max_curv, abs(dhd) / float(d @ d))
@@ -168,7 +169,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
         hp = hp + alpha * hd
         r = r + alpha * hd
         rr_new = float(r @ r)
-        if math.sqrt(rr_new) <= rel_tol * gnorm:
+        if math.sqrt(rr_new) <= CG_REL_TOL * gnorm:
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new
@@ -230,21 +231,8 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
     basis.sampled_points.add((origin, mu0.tobytes()))
 
     pair = SgRomPair(problem, grid, basis, counters)
-
-    betas = tuple(config.betas)
-    alphas = tuple(config.alphas)
-    if config.balance_indicators:
-        from .adapt import eval_gradient_indicator, eval_objective_indicator
-
-        gi = eval_gradient_indicator(pair, mu0, (1.0, 1.0, 1.0))
-        betas = tuple(1.0 / e if e > 0.0 else 1.0
-                      for e in (gi.e1, gi.e3, gi.e4))
-        oi = eval_objective_indicator(pair, mu0, mu0, (1.0, 1.0))
-        alphas = tuple(1.0 / e if e > 0.0 else 1.0
-                       for e in (oi.e1_sum / 2.0, oi.e2_sum / 2.0))
-
     return TrustRegionState(k=0, mu=mu0, Delta=config.Delta0, pair=pair,
-                            counters=counters, betas=betas, alphas=alphas)
+                            counters=counters)
 
 
 def _history_row(state, config, gnorm, m_c=math.nan, m_t=math.nan,
@@ -270,7 +258,7 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
     gradient-condition refinement.
     """
     refine_for_gradient(state.pair, state.mu, state.Delta, config.kappa_phi,
-                        state.betas, level_cap=config.level_cap,
+                        config.betas, config.gtol, level_cap=config.level_cap,
                         events=state.events)
     g = state.pair.model_gradient(state.mu)
     gnorm = float(np.linalg.norm(g))
@@ -303,7 +291,7 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
     pair_obj = state.pair.clone()
     refine_for_objective(pair_obj, state.mu, mu_hat, m_dec,
                          config.r_k(state.k), config.eta, config.omega,
-                         state.alphas, level_cap=config.level_cap,
+                         config.alphas, level_cap=config.level_cap,
                          threshold_floor=config.theta_floor,
                          events=state.events)
     psi_center = pair_obj.model_value(state.mu)

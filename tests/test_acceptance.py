@@ -164,9 +164,13 @@ max_iters = 10
     outs = []
     for name in ("a", "b"):
         cfg = load_config(path)
-        code = run_optimize(cfg, tmp_path / name)
+        out = tmp_path / name
+        code = run_optimize(cfg, out)
         assert code == 0
-        outs.append((tmp_path / name / "history.csv").read_bytes())
+        outs.append({p.relative_to(out).as_posix(): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()})
+    assert {"history.csv", "events.csv", "grids/iter_0.txt"} <= set(outs[0])
     ok = outs[0] == outs[1]
-    report(8, ok, f"two identical runs, history.csv byte-identical: {ok} "
-                  f"({len(outs[0])} bytes)")
+    report(8, ok, f"two identical runs, all {len(outs[0])} report files "
+                  f"byte-identical: {ok} "
+                  f"({sum(map(len, outs[0].values()))} bytes)")

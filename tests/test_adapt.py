@@ -1,6 +1,7 @@
 """Indicators, the node cache, and the two refinement drivers."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from sgromtr.hdm import (LinearDiffusion, QueryCounters, solve_adjoint,
                          solve_primal)
 from sgromtr.rom import ReducedBasis, solve_rom_primal
 from sgromtr.sparse_grid import MultiIndexSet, cc_rule, is_admissible
-from sgromtr.trust_opt import TrustRegionConfig, tr_init
+from sgromtr.trust_opt import TrustRegionConfig, tr_init, tr_run
 
 
 def make_pair(problem, mu_seed=None, grid_indices=None):
@@ -141,7 +142,7 @@ def test_no_repeated_hdm_sampling(lin):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_gradient(pair, mu, 1.0, 1e-3, (1.0, 1.0, 1.0), events=events)
+    refine_for_gradient(pair, mu, 1.0, 1e-3, (1.0, 1.0, 1.0), 0.0, events=events)
     sampled = [ev.detail for ev in events if ev.kind == "add_snapshot"]
     assert len(sampled) == len(set(sampled))
 
@@ -166,7 +167,7 @@ def test_refine_gradient_noop_when_gradient_flat(lin):
     grid_before, k_before = pair.grid, pair.basis.k
     events = []
     out = refine_for_gradient(pair, np.full(prob.n_mu, 0.2), 1.0, 1.0,
-                              (1.0, 1.0, 1.0), events=events)
+                              (1.0, 1.0, 1.0), 0.0, events=events)
     assert out.grid is grid_before and out.basis.k == k_before
     assert events == []
 
@@ -175,7 +176,7 @@ def test_refine_gradient_cold_start_samples(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_gradient(pair, mu, 1.0, 1e-2, (1.0, 1.0, 1.0), events=events)
+    refine_for_gradient(pair, mu, 1.0, 1e-2, (1.0, 1.0, 1.0), 0.0, events=events)
     kinds = {ev.kind for ev in events}
     assert "add_snapshot" in kinds
     checks = [ev for ev in events if ev.kind == "exit_check"]
@@ -188,7 +189,7 @@ def test_refine_gradient_exit_conditions_hold(lin):
     betas = (1.0, 1.0, 1.0)
     kappa_phi = 0.1
     delta = 0.5
-    refine_for_gradient(pair, mu, delta, kappa_phi, betas)
+    refine_for_gradient(pair, mu, delta, kappa_phi, betas, 0.0)
     ind = eval_gradient_indicator(pair, mu, betas)
     guard = min(np.linalg.norm(pair.model_gradient(mu)), delta)
     assert ind.e1 <= kappa_phi / 3 * guard
@@ -201,8 +202,26 @@ def test_refine_gradient_respects_level_cap(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     with pytest.raises(LevelCapError):
-        refine_for_gradient(pair, mu, 1e-12, 1e-9, (1.0, 1.0, 1.0),
+        refine_for_gradient(pair, mu, 1e-12, 1e-9, (1.0, 1.0, 1.0), 0.0,
                             level_cap=2)
+
+
+def test_refine_gradient_thresholds_floored_at_gtol(lin):
+    # min{||grad m||, Delta} = 1e-12 would demand indicators far below
+    # round-off (the unfloored case above hits the level cap); the floor
+    # bounds each term by kappa_phi / (3 beta_i) * gtol instead
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu)
+    kappa_phi, betas, gtol = 10.0, (1.0, 2.0, 4.0), 1e-6
+    events = []
+    refine_for_gradient(pair, mu, 1e-12, kappa_phi, betas, gtol,
+                        level_cap=2, events=events)
+    check = events[-1]
+    assert check.kind == "exit_check" and check.ok
+    assert check.after == 1e-12
+    limits = [float(t) for t in re.findall(r"<=(\S+)", check.detail)]
+    assert limits == pytest.approx(
+        [kappa_phi / (3.0 * b) * gtol for b in betas], rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +271,60 @@ def test_refine_objective_exit_conditions_hold(lin):
     assert ind.e1_sum <= thr1
     assert ind.e2_sum <= thr2
     assert is_admissible(pair.grid)
+
+
+def test_one_indicator_evaluation_per_change(lin, monkeypatch):
+    # each driver call evaluates its indicator once at entry and once
+    # after each grid or basis change, and that evaluation is the one
+    # the change's event reports and the exit check reads
+    from sgromtr import adapt, trust_opt
+
+    seen = []
+
+    def counted(real, terms):
+        def wrapped(*args):
+            ind = real(*args)
+            seen.append(terms(ind))
+            return ind
+        return wrapped
+
+    monkeypatch.setattr(adapt, "eval_gradient_indicator", counted(
+        adapt.eval_gradient_indicator,
+        lambda i: {"e1": i.e1, "e3": i.e3, "e4": i.e4, "phi": i.phi}))
+    monkeypatch.setattr(adapt, "eval_objective_indicator", counted(
+        adapt.eval_objective_indicator,
+        lambda i: {"e1": i.e1_sum, "e2": i.e2_sum}))
+    calls = []
+
+    def traced(real, trunc, residual, exit_term):
+        def wrapped(*args, events, **kwargs):
+            n_seen, n_events = len(seen), len(events)
+            out = real(*args, events=events, **kwargs)
+            calls.append((trunc, residual, exit_term, seen[n_seen:],
+                          events[n_events:]))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(trust_opt, "refine_for_gradient", traced(
+        trust_opt.refine_for_gradient, "e4", ("e1", "e3"), "phi"))
+    monkeypatch.setattr(trust_opt, "refine_for_objective", traced(
+        trust_opt.refine_for_objective, "e2", ("e1",), "e1"))
+    cfg = TrustRegionConfig(gtol=1e-5, max_iters=10)
+    _, state = tr_run(lin, cfg, np.zeros(lin.n_mu))
+    assert state.status == "converged"
+    assert {c[0] for c in calls} == {"e4", "e2"}
+    n_changes = 0
+    for trunc, residual, exit_term, evals, events in calls:
+        *changes, check = events
+        assert check.kind == "exit_check"
+        assert len(evals) == 1 + len(changes)
+        for prev, ev, nxt in zip(evals, changes, evals[1:]):
+            terms = [trunc] if ev.kind == "add_index" else residual
+            assert any(ev.before == prev[t] and ev.after == nxt[t]
+                       for t in terms), ev
+        assert check.before == evals[-1][exit_term]
+        n_changes += len(changes)
+    assert n_changes > 0
 
 
 def test_seed_pair_from_tr_init_reproduces_qoi(lin):

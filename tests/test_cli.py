@@ -39,9 +39,14 @@ def test_defaults_load_without_file():
     assert cfg.tr.eta1 == 0.1
 
 
-def test_unknown_key_rejected(tmp_path):
-    path = write(tmp_path, "[run]\nmethedo = sg-rom-tr\n")
-    with pytest.raises(ConfigError, match="run.methedo"):
+@pytest.mark.parametrize("key, value", [
+    ("run.methedo", "sg-rom-tr"),
+    ("indicators.balance", "true"),
+], ids=["run.methedo", "indicators.balance"])
+def test_unknown_key_rejected(tmp_path, key, value):
+    section, name = key.split(".")
+    path = write(tmp_path, f"[{section}]\n{name} = {value}\n")
+    with pytest.raises(ConfigError, match=key):
         load_config(path)
 
 

@@ -1,5 +1,7 @@
 """Subproblem solver, configuration validation, and the full driver."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -166,21 +168,6 @@ def test_tr_init_rejects_bad_mu0(lin):
         tr_init(lin, TrustRegionConfig(), np.zeros(3))
 
 
-def test_balanced_indicator_weights(lin):
-    mu0 = np.full(lin.n_mu, 0.3)
-    cfg = TrustRegionConfig(balance_indicators=True)
-    state = tr_init(lin, cfg, mu0)
-    assert all(b > 0 for b in state.betas)
-    assert all(a > 0 for a in state.alphas)
-    # weighted terms are approximately equal at the seed
-    from sgromtr.adapt import eval_gradient_indicator
-
-    ind = eval_gradient_indicator(state.pair, mu0, (1.0, 1.0, 1.0))
-    weighted = [state.betas[0] * ind.e1, state.betas[1] * ind.e3,
-                state.betas[2] * ind.e4]
-    assert max(weighted) <= 1.0 + 1e-6
-
-
 # ---------------------------------------------------------------------------
 # full runs on the deterministic quadratic problem
 # ---------------------------------------------------------------------------
@@ -230,15 +217,40 @@ def test_radius_update_branches(lin):
             assert nxt["Delta"] == pytest.approx(min(2 * delta, cfg.Delta_max))
 
 
-def test_rejected_step_keeps_center_and_shrinks(lin_deterministic):
-    # force a rejection by making the model untrustworthy at a huge radius
-    cfg = TrustRegionConfig(gtol=1e-10, max_iters=2, Delta0=1.0)
+@pytest.mark.parametrize("branch, rho", [
+    ("rho_below_eta1", 0.0),
+    ("no_model_decrease", -math.inf),
+], ids=["rho_below_eta1", "no_model_decrease"])
+def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
+                                                branch, rho):
+    # a flat injected model rejects the step: on the refined pair it gives
+    # psi_center = psi_trial (rho = 0 <= eta1), on the center pair
+    # m_center = m_trial (no predicted decrease)
+    from sgromtr import trust_opt
+
+    def flatten(pair):
+        pair.model_value = lambda mu: 0.0
+
+    cfg = TrustRegionConfig(gtol=1e-10)
     state = tr_init(lin_deterministic, cfg, np.zeros(8))
+    if branch == "no_model_decrease":
+        flatten(state.pair)
+    else:
+        real = trust_opt.refine_for_objective
+
+        def refine_then_flatten(pair, *args, **kwargs):
+            real(pair, *args, **kwargs)
+            flatten(pair)
+            return pair
+
+        monkeypatch.setattr(trust_opt, "refine_for_objective", refine_then_flatten)
     tr_iterate(state, cfg, lin_deterministic)
     row = state.history[0]
-    if not row["accepted"]:
-        assert state.Delta < cfg.Delta0
-        np.testing.assert_array_equal(state.mu, np.zeros(8))
+    assert row["rho"] == rho and not row["accepted"]
+    assert row["step_norm"] > 0.0
+    np.testing.assert_array_equal(state.mu, np.zeros(8))
+    assert state.Delta == cfg.gamma * row["step_norm"]
+    assert state.k == 1
 
 
 def test_history_rows_strictly_increasing_k(lin):
