@@ -1,9 +1,9 @@
 """Error indicators and the sparse-grid / reduced-basis refinement drivers.
 
 A :class:`SgRomPair` couples one sparse grid with one reduced basis and
-caches the reduced primal/adjoint solve at every (node, parameter)
-pair.  Two drivers grow the pair until the trust-region accuracy
-conditions hold:
+stores the reduced primal/adjoint solve at every (node, parameter) pair
+it has evaluated.  Two drivers grow the pair until the trust-region
+accuracy conditions hold:
 
 * :func:`refine_for_gradient` enforces the three-way split of the
   gradient condition at the trust-region center, alternating
@@ -106,8 +106,9 @@ class ObjectiveIndicator:
 
 @dataclass
 class NodeEval:
-    """Cached reduced solve at one (node, parameter) pair."""
+    """Reduced solve at one (node, parameter) pair."""
 
+    coord: np.ndarray
     q: np.ndarray
     prim_res: float
     eta: np.ndarray
@@ -123,17 +124,19 @@ def _mu_key(mu) -> bytes:
 
 
 class SgRomPair:
-    """A sparse grid and reduced basis with a coherent node-solve cache.
+    """A sparse grid and reduced basis with one store of node solves.
 
-    The cache is invalidated wholesale whenever the basis gains a
-    column; stale reduced coordinates are kept separately, per parameter
-    point, as warm starts only (they never feed indicator values).  A
-    node solved before at the same ``mu`` starts from the nearest node
-    solved at that ``mu`` (the first one found on ties); at a new ``mu``
-    it starts from its own solution at the nearest ``mu`` where it was
-    solved, and from the projected last primal snapshot when there is
-    none.  Warm starts are chosen from a snapshot taken before each
-    sweep, so results do not depend on evaluation order.
+    ``_nodes`` maps a parameter key to ``{node key: NodeEval}`` and holds
+    the latest solve of every node at every parameter point the pair has
+    kept.  The basis only grows, so a stored solve is current exactly
+    when its ``q`` has ``basis.k`` entries; :meth:`ensure` re-solves the
+    stale ones, which serve as warm starts only and never feed indicator
+    values.  At a stored ``mu`` a node starts from the nearest node
+    solved there (the first one found on ties); at a new ``mu`` it
+    starts from its own solve at the nearest ``mu`` where it was solved,
+    and from the projected last primal snapshot when there is none.
+    Warm starts are chosen from the store as it was before each sweep,
+    so results do not depend on evaluation order.
     """
 
     def __init__(self, problem, grid: MultiIndexSet, basis: ReducedBasis,
@@ -142,28 +145,22 @@ class SgRomPair:
         self.grid = grid
         self.basis = basis
         self.counters = counters
-        self._cache: dict = {}
-        self._warm: dict = {}  # {mu key: {node key: (coord, q)}}
-        self._version = basis.version
+        self._nodes: dict = {}
 
-    def clone(self) -> "SgRomPair":
+    def clone(self, mus) -> "SgRomPair":
+        """An independent copy that keeps the node solves at ``mus`` only."""
+        keep = {_mu_key(mu) for mu in mus}
         out = SgRomPair(self.problem, self.grid, self.basis.clone(),
                         self.counters)
-        out._cache = dict(self._cache)
-        out._warm = {mk: dict(nodes) for mk, nodes in self._warm.items()}
-        out._version = self._version
+        out._nodes = {mk: dict(nodes) for mk, nodes in self._nodes.items()
+                      if mk in keep}
         return out
 
-    # -- cache machinery -----------------------------------------------------
-
-    def _sync(self) -> None:
-        if self.basis.version != self._version:
-            self._cache.clear()
-            self._version = self.basis.version
+    # -- node solves -----------------------------------------------------------
 
     def _mus_by_distance(self, mu) -> list:
-        """Cached parameter keys, nearest to ``mu`` first (stable on ties)."""
-        mks = list(self._warm)
+        """Stored parameter keys, nearest to ``mu`` first (stable on ties)."""
+        mks = list(self._nodes)
         if not mks:
             return []
         mus = np.array([np.frombuffer(mk) for mk in mks])
@@ -173,19 +170,19 @@ class SgRomPair:
     def _warm_starts(self, nodes, mk, near) -> list:
         """Initial reduced coordinates for the ``(key, coord)`` nodes at ``mk``.
 
-        At a cached ``mk`` each node takes the solution of the nearest
+        At a stored ``mk`` each node takes the solution of the nearest
         node solved there, the first in solve order on ties; ``near``
         (see :meth:`_mus_by_distance`) is used only at a new ``mk``.
         """
-        cached = self._warm.get(mk)
-        if cached:
-            ys = np.array([wy for wy, _ in cached.values()])
-            qs = [wq for _, wq in cached.values()]
+        stored = self._nodes.get(mk)
+        if stored:
+            ys = np.array([ev.coord for ev in stored.values()])
+            qs = [ev.q for ev in stored.values()]
             picks = [qs[np.argmin(np.linalg.norm(ys - coord, axis=1))]
                      for _, coord in nodes]
         else:
-            picks = [next((self._warm[wmk][key][1] for wmk in near
-                           if key in self._warm[wmk]), None)
+            picks = [next((self._nodes[wmk][key].q for wmk in near
+                           if key in self._nodes[wmk]), None)
                      for key, _ in nodes]
         k = self.basis.k
         starts = []
@@ -207,76 +204,62 @@ class SgRomPair:
         u = phi @ prim.q
         ghat = adjoint_gradient(self.problem, phi @ adj.eta, u, coord, mu)
         fval = self.problem.qoi(u, coord, mu)
-        return NodeEval(prim.q, prim.residual_norm, adj.eta,
-                        adj.residual_norm, ghat, float(np.linalg.norm(ghat)),
-                        fval, max(prim.gn_iters, 1))
+        return NodeEval(np.asarray(coord, dtype=float), prim.q,
+                        prim.residual_norm, adj.eta, adj.residual_norm, ghat,
+                        float(np.linalg.norm(ghat)), fval,
+                        max(prim.gn_iters, 1))
 
     def ensure(self, mu, keys, coords) -> None:
-        """Populate the cache for every listed node at this parameter point."""
-        self._sync()
+        """Solve every listed node at ``mu`` that has no current solve."""
         mk = _mu_key(mu)
+        stored = self._nodes.get(mk, {})
+        k = self.basis.k
         missing = [(key, coord) for key, coord in zip(keys, coords)
-                   if (key, mk) not in self._cache]
+                   if key not in stored or len(stored[key].q) != k]
         if not missing:
             return
         missing.sort(key=lambda kc: kc[0])
         mu = np.asarray(mu, dtype=float)
-        near = [] if mk in self._warm else self._mus_by_distance(mu)
+        near = [] if mk in self._nodes else self._mus_by_distance(mu)
         starts = self._warm_starts(missing, mk, near)
         evals = [self._solve_node(key, coord, mu, q0)
                  for (key, coord), q0 in zip(missing, starts)]
-        nodes = self._warm.setdefault(mk, {})
-        for (key, coord), ev in zip(missing, evals):
-            self._cache[(key, mk)] = ev
-            nodes[key] = (np.asarray(coord, dtype=float), ev.q)
+        nodes = self._nodes.setdefault(mk, {})
+        for (key, _), ev in zip(missing, evals):
+            nodes[key] = ev
         self.counters.n_rp += len(missing)
         self.counters.n_ra += len(missing)
         self.counters.gn_iters += sum(ev.gn_iters for ev in evals)
 
-    def node_eval(self, key, coord, mu) -> NodeEval:
-        self.ensure(mu, [key], [coord])
-        return self._cache[(key, _mu_key(mu))]
+    def evals(self, quad, mu) -> list:
+        """Current solves at ``mu`` of the nodes of ``quad``, in its order."""
+        self.ensure(mu, quad.keys, quad.coords)
+        nodes = self._nodes[_mu_key(mu)]
+        return [nodes[key] for key in quad.keys]
 
-    # -- quadrature views ----------------------------------------------------
-
-    def grid_quad(self):
-        return assemble(self.grid)
+    # -- model and indicator values -------------------------------------------
 
     def union_quad(self):
         return assemble(self.grid.union_with_neighbors())
 
-    def sweep(self, mu):
-        """Cache evals at all nodes of grid union neighbors; returns the quad."""
-        quad = self.union_quad()
-        self.ensure(mu, quad.keys, quad.coords)
-        return quad
-
-    def _evals(self, quad, mu):
-        mk = _mu_key(mu)
-        return [self._cache[(key, mk)] for key in quad.keys]
-
-    # -- model and indicator values -------------------------------------------
-
     def model_value(self, mu) -> float:
-        quad = self.grid_quad()
-        self.ensure(mu, quad.keys, quad.coords)
-        evals = self._evals(quad, mu)
-        return float(np.dot(quad.weights, [ev.fval for ev in evals]))
+        quad = assemble(self.grid)
+        return float(np.dot(quad.weights, [ev.fval for ev in self.evals(quad, mu)]))
 
     def model_gradient(self, mu) -> np.ndarray:
-        quad = self.grid_quad()
-        self.ensure(mu, quad.keys, quad.coords)
-        evals = self._evals(quad, mu)
-        return quad.weights @ np.array([ev.ghat for ev in evals])
+        quad = assemble(self.grid)
+        return quad.weights @ np.array([ev.ghat for ev in self.evals(quad, mu)])
 
     def neighbor_differences(self, mu, integrand: str) -> dict:
         """Signed tensor-difference value per forward neighbor.
 
-        ``integrand`` selects the cached node functional: ``grad_norm``
-        (norm of the gradient estimate), ``qoi`` or ``abs_qoi``.
+        ``integrand`` selects the node functional: ``grad_norm`` (norm of
+        the gradient estimate), ``qoi`` or ``abs_qoi``.  Every node of a
+        neighbor's difference rule lies in the union quadrature, which is
+        solved once here.
         """
-        self.sweep(mu)
-        mk = _mu_key(mu)
+        quad = self.union_quad()
+        by_key = dict(zip(quad.keys, self.evals(quad, mu)))
         pick = {
             "grad_norm": lambda ev: ev.gnorm,
             "qoi": lambda ev: ev.fval,
@@ -285,8 +268,7 @@ class SgRomPair:
         out = {}
         for idx in self.grid.neighbors():
             rule = difference_rule(idx)
-            self.ensure(mu, rule.keys, rule.coords)
-            vals = [pick(self._cache[(key, mk)]) for key in rule.keys]
+            vals = [pick(by_key[key]) for key in rule.keys]
             out[idx] = float(np.dot(rule.weights, vals))
         return out
 
@@ -300,8 +282,8 @@ def eval_gradient_indicator(pair: SgRomPair, mu, betas) -> GradientIndicator:
     of a nonnegative integrand can dip below zero at noise level, so
     absolute values are reported.
     """
-    quad = pair.sweep(mu)
-    evals = pair._evals(quad, mu)
+    quad = pair.union_quad()
+    evals = pair.evals(quad, mu)
     e1 = abs(float(np.dot(quad.weights, [ev.prim_res for ev in evals])))
     e3 = abs(float(np.dot(quad.weights, [ev.adj_res for ev in evals])))
     e4 = abs(sum(pair.neighbor_differences(mu, "grad_norm").values()))
@@ -309,8 +291,8 @@ def eval_gradient_indicator(pair: SgRomPair, mu, betas) -> GradientIndicator:
 
 
 def _objective_terms(pair: SgRomPair, mu):
-    quad = pair.sweep(mu)
-    evals = pair._evals(quad, mu)
+    quad = pair.union_quad()
+    evals = pair.evals(quad, mu)
     e1 = abs(float(np.dot(quad.weights, [ev.prim_res for ev in evals])))
     e2 = abs(sum(pair.neighbor_differences(mu, "abs_qoi").values()))
     return e1, e2
@@ -342,17 +324,15 @@ def _greedy_candidate(pair: SgRomPair, mus, which: str):
     best = None
     best_val = -np.inf
     for mu in mus:
-        pair.ensure(mu, quad.keys, quad.coords)
         mk = _mu_key(mu)
-        for key, coord in zip(quad.keys, quad.coords):
+        for key, ev in zip(quad.keys, pair.evals(quad, mu)):
             if (key, mk) in pair.basis.sampled_points:
                 continue
-            ev = pair._cache[(key, mk)]
-            val = pair.problem.density(coord) * (
+            val = pair.problem.density(ev.coord) * (
                 ev.prim_res if which == "primal" else ev.adj_res)
             if val > best_val:
                 best_val = val
-                best = (key, coord, mu)
+                best = (key, mu, ev)
     return best
 
 
@@ -360,19 +340,21 @@ def _mu_tag(mu) -> str:
     return hashlib.md5(_mu_key(mu)).hexdigest()[:8]
 
 
-def _sample(pair: SgRomPair, key, coord, mu) -> None:
-    """Solve the HDM at the winning point and append both snapshots."""
-    mk = _mu_key(mu)
-    ev = pair._cache.get((key, mk))
-    u0 = pair.basis.columns @ ev.q if ev is not None else None
+def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> None:
+    """Solve the HDM at the winning point and append both snapshots.
+
+    The full solve starts from the node's reduced state ``ev``.
+    """
+    coord = ev.coord
     try:
-        prim = solve_primal(pair.problem, coord, mu, u0=u0, counters=pair.counters)
+        prim = solve_primal(pair.problem, coord, mu,
+                            u0=pair.basis.columns @ ev.q, counters=pair.counters)
     except SolverError:
         prim = solve_primal(pair.problem, coord, mu, counters=pair.counters)
     adj = solve_adjoint(pair.problem, prim.u, coord, mu, counters=pair.counters)
     pair.basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"],
                                 coord, mu)
-    pair.basis.sampled_points.add((key, mk))
+    pair.basis.sampled_points.add((key, _mu_key(mu)))
 
 
 def _pick_index(diffs: dict):
@@ -438,8 +420,8 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
                 cand = _greedy_candidate(pair, mus, which)
                 if cand is None:
                     break  # saturated; grid growth will add candidates
-                key, coord, mu = cand
-                _sample(pair, key, coord, mu)
+                key, mu, ev = cand
+                _sample(pair, key, mu, ev)
                 changed("add_snapshot", f"node={key} mu={_mu_tag(mu)}", term)
                 progressed = True
         if all(map(ok, values)):

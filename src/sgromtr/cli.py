@@ -101,11 +101,10 @@ def _write_basis_provenance(out: Path, basis: ReducedBasis):
 
 
 def _write_final_nodes(out: Path, pair, mu):
-    quad = pair.sweep(mu)
+    quad = pair.union_quad()
     with open(out / "final_nodes.csv", "w") as f:
         f.write("node,y,weight,primal_residual,adjoint_residual\n")
-        for key, coord, w in quad.items():
-            ev = pair.node_eval(key, coord, mu)
+        for (key, coord, w), ev in zip(quad.items(), pair.evals(quad, mu)):
             y = ";".join(repr(float(v)) for v in coord)
             f.write(f"{';'.join(map(str, key))},{y},{repr(float(w))},"
                     f"{repr(ev.prim_res)},{repr(ev.adj_res)}\n")

@@ -150,13 +150,6 @@ def _convert(section: str, key: str, raw: str, typ, default=None):
     if raw.strip() == "" and default is None and typ is not str:
         return None
     try:
-        if typ is bool:
-            lowered = raw.strip().lower()
-            if lowered in {"1", "true", "yes", "on"}:
-                return True
-            if lowered in {"0", "false", "no", "off"}:
-                return False
-            raise ValueError("not a boolean")
         if typ is int:
             return int(raw)
         if typ is float:
@@ -207,8 +200,6 @@ def echo_config(cfg: RunConfig) -> str:
             val = cfg.values[section][key]
             if val is None:
                 val = ""
-            elif isinstance(val, bool):
-                val = "true" if val else "false"
             elif isinstance(val, float):
                 val = repr(val)
             out.write(f"{key} = {val}\n")

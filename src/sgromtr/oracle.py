@@ -166,8 +166,7 @@ def sg_iso_baseline(problem, mu0, level: int = 5, gtol: float = 1e-6,
 
 
 def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
-                    seed: int = 2024,
-                    counters: QueryCounters | None = None):
+                    seed: int = 2024):
     """Empirical ratio statistics for the residual-based error bounds.
 
     Draws ``(y, mu)`` uniformly from the problem's working box, solves
@@ -184,13 +183,13 @@ def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
     for _ in range(n_samples):
         y = rng.uniform(-1.0, 1.0, problem.n_y)
         mu = rng.uniform(-box, box, problem.n_mu)
-        prim = solve_rom_primal(problem, basis, y, mu, counters=counters)
-        adj = solve_rom_adjoint(problem, basis, prim.q, y, mu, counters=counters)
+        prim = solve_rom_primal(problem, basis, y, mu)
+        adj = solve_rom_adjoint(problem, basis, prim.q, y, mu)
         if prim.residual_norm < 1e-14:
             excluded += 1
             continue
-        hdm_prim = solve_primal(problem, y, mu, counters=counters)
-        hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu, counters=counters)
+        hdm_prim = solve_primal(problem, y, mu)
+        hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu)
         f_true = problem.qoi(hdm_prim.u, y, mu)
         g_true = adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
         f_rom = rom_qoi(problem, basis, prim.q, y, mu)

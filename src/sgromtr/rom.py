@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hdm import QueryCounters
+from .hdm import adjoint_gradient
 
 __all__ = [
     "ReducedBasis", "Snapshot", "RomPrimal", "RomAdjoint",
@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 DROP_TOL = 1e-10
+#: Gauss-Newton iterations before a primal reduced solve gives up.
+GN_MAX_ITERS = 60
 
 
 class RomSolveError(RuntimeError):
@@ -63,9 +65,9 @@ class RomAdjoint:
 class ReducedBasis:
     """Orthonormal snapshot subspace shared by the primal and adjoint ROMs.
 
-    Columns are only appended, never replaced or truncated.  ``version``
-    increments whenever a column is actually added, which downstream
-    caches use for invalidation.  ``sampled_points`` records the
+    Columns are only appended, never replaced or truncated, so ``k``
+    tells a reduced state solved on the current basis from one solved
+    on an earlier, smaller basis.  ``sampled_points`` records the
     ``(node key, mu)`` pairs already visited by greedy sampling so the
     high-dimensional model is never queried twice at the same point.
     """
@@ -75,7 +77,6 @@ class ReducedBasis:
         self._cols = np.zeros((self.n_u, 0))
         self.provenance: list[Snapshot] = []
         self.sampled_points: set = set()
-        self.version = 0
         self.last_primal: np.ndarray | None = None
 
     @property
@@ -91,7 +92,6 @@ class ReducedBasis:
         out._cols = self._cols.copy()
         out.provenance = list(self.provenance)
         out.sampled_points = set(self.sampled_points)
-        out.version = self.version
         out.last_primal = self.last_primal
         return out
 
@@ -123,8 +123,6 @@ class ReducedBasis:
             self.provenance.append(Snapshot(kind, y.copy(), mu.copy(), keep))
             if kind == "primal":
                 self.last_primal = v.copy()
-        if kept:
-            self.version += 1
         return kept
 
     def project(self, u: np.ndarray) -> np.ndarray:
@@ -143,9 +141,7 @@ def _augmented_r(a, b):
     return np.linalg.qr(np.column_stack([a, b]), mode="r")
 
 
-def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None,
-                     counters: QueryCounters | None = None,
-                     max_iters=60) -> RomPrimal:
+def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None) -> RomPrimal:
     """Gauss-Newton minimization of the residual norm over the subspace.
 
     Each step factors ``[J Phi | r]`` by one Householder QR; the
@@ -179,7 +175,7 @@ def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None,
     rnorm = float(np.linalg.norm(r))
 
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(GN_MAX_ITERS):
         u = phi @ q
         jphi = problem.jac_u_mul(u, y, mu, phi)
         grad_norm = float(np.linalg.norm(jphi.T @ r))
@@ -221,16 +217,12 @@ def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None,
         q, r, rnorm = q_new, r_new, rnorm_new
         iters += 1
     else:
-        raise RomSolveError(f"Gauss-Newton did not converge in {max_iters} iterations")
-
-    if counters is not None:
-        counters.n_rp += 1
-        counters.gn_iters += max(iters, 1)
+        raise RomSolveError(
+            f"Gauss-Newton did not converge in {GN_MAX_ITERS} iterations")
     return RomPrimal(q, rnorm, iters)
 
 
-def solve_rom_adjoint(problem, basis: ReducedBasis, q, y, mu,
-                      counters: QueryCounters | None = None) -> RomAdjoint:
+def solve_rom_adjoint(problem, basis: ReducedBasis, q, y, mu) -> RomAdjoint:
     """Minimum-residual adjoint solve over the shared trial subspace.
 
     Solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by one Householder
@@ -258,8 +250,6 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, y, mu,
             f"adjoint ROM matrix is rank-deficient (rank {rank} < {k})")
     eta = np.linalg.solve(R[:k, :k], R[:k, k])
     res = float(np.linalg.norm(a @ eta - b))
-    if counters is not None:
-        counters.n_ra += 1
     return RomAdjoint(eta, res)
 
 
@@ -275,8 +265,6 @@ def rom_gradient(problem, basis: ReducedBasis, q, eta, y, mu) -> np.ndarray:
     pair; this is not the exact gradient of the reduced quantity of
     interest, but it minimizes the residual-based gradient error bound.
     """
-    from .hdm import adjoint_gradient
-
     phi = basis.columns
     return adjoint_gradient(problem, phi @ np.asarray(eta, dtype=float),
                             phi @ np.asarray(q, dtype=float), y, mu)

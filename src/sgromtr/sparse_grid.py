@@ -151,9 +151,6 @@ class MultiIndexSet:
     def __contains__(self, idx) -> bool:
         return tuple(idx) in self.indices
 
-    def max_level(self) -> int:
-        return max(max(i) for i in self.indices)
-
     def with_index(self, idx) -> "MultiIndexSet":
         """Return the set extended by ``idx``; the result must stay admissible."""
         idx = tuple(int(v) for v in idx)

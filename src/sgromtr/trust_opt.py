@@ -235,7 +235,7 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
                             counters=counters)
 
 
-def _history_row(state, config, gnorm, m_c=math.nan, m_t=math.nan,
+def _history_row(state, gnorm, m_c=math.nan, m_t=math.nan,
                  psi_c=math.nan, psi_t=math.nan, rho=math.nan,
                  accepted=False, step_norm=math.nan, terminal=False):
     row = {
@@ -249,8 +249,7 @@ def _history_row(state, config, gnorm, m_c=math.nan, m_t=math.nan,
     return row
 
 
-def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
-               problem) -> TrustRegionState:
+def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegionState:
     """One full trust-region iteration (Algorithm steps 2 through 6).
 
     Sets ``state.status`` to ``"converged"`` and returns without a step
@@ -263,7 +262,7 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
     g = state.pair.model_gradient(state.mu)
     gnorm = float(np.linalg.norm(g))
     if min(gnorm, state.Delta) <= config.gtol:
-        state.history.append(_history_row(state, config, gnorm, terminal=True))
+        state.history.append(_history_row(state, gnorm, terminal=True))
         state.status = "converged"
         return state
 
@@ -282,13 +281,14 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
         # the frozen quadratic predicted decrease but the model did not
         # follow; treat as a rejected step and shrink the radius
         state.history.append(_history_row(
-            state, config, gnorm, m_c=m_center, m_t=m_trial, rho=-math.inf,
+            state, gnorm, m_c=m_center, m_t=m_trial, rho=-math.inf,
             accepted=False, step_norm=step_norm))
         state.Delta = config.gamma * step_norm
         state.k += 1
         return state
 
-    pair_obj = state.pair.clone()
+    # the objective stage and the next center touch only mu_k and mu_hat
+    pair_obj = state.pair.clone([state.mu, mu_hat])
     refine_for_objective(pair_obj, state.mu, mu_hat, m_dec,
                          config.r_k(state.k), config.eta, config.omega,
                          config.alphas, level_cap=config.level_cap,
@@ -299,8 +299,10 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
     rho = (psi_center - psi_trial) / m_dec
 
     accepted = rho >= config.eta1
+    # the row describes the pair this iteration hands on
+    state.pair = pair_obj
     state.history.append(_history_row(
-        state, config, gnorm, m_c=m_center, m_t=m_trial, psi_c=psi_center,
+        state, gnorm, m_c=m_center, m_t=m_trial, psi_c=psi_center,
         psi_t=psi_trial, rho=rho, accepted=accepted, step_norm=step_norm))
 
     if accepted:
@@ -311,8 +313,6 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig,
         pass  # keep the radius (any value in [gamma*||s||, Delta] is allowed)
     else:
         state.Delta = min(2.0 * state.Delta, config.Delta_max)
-
-    state.pair = pair_obj
     state.k += 1
     return state
 
@@ -332,7 +332,7 @@ def tr_run(problem, config: TrustRegionConfig, mu0,
     try:
         while state.k < config.max_iters:
             rows_before = len(state.history)
-            tr_iterate(state, config, problem)
+            tr_iterate(state, config)
             if on_iteration is not None:
                 for row in state.history[rows_before:]:
                     on_iteration(row, state)

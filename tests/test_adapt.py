@@ -1,4 +1,4 @@
-"""Indicators, the node cache, and the two refinement drivers."""
+"""Indicators, the node-solve store, and the two refinement drivers."""
 
 import itertools
 import re
@@ -15,6 +15,10 @@ from sgromtr.hdm import (LinearDiffusion, QueryCounters, solve_adjoint,
 from sgromtr.rom import ReducedBasis, solve_rom_primal
 from sgromtr.sparse_grid import MultiIndexSet, cc_rule, is_admissible
 from sgromtr.trust_opt import TrustRegionConfig, tr_init, tr_run
+
+
+def _mu_key(mu):
+    return np.asarray(mu, dtype=float).tobytes()
 
 
 def make_pair(problem, mu_seed=None, grid_indices=None):
@@ -34,13 +38,13 @@ def make_pair(problem, mu_seed=None, grid_indices=None):
 
 def sample_everywhere(pair, mu):
     """Append HDM snapshots at every node of grid union neighbors."""
-    quad = pair.sweep(mu)
+    quad = pair.union_quad()
     for key, coord in zip(quad.keys, quad.coords):
         sol = solve_primal(pair.problem, coord, mu)
         adj = solve_adjoint(pair.problem, sol.u, coord, mu)
         pair.basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
                                     coord, mu)
-        pair.basis.sampled_points.add((key, np.asarray(mu, float).tobytes()))
+        pair.basis.sampled_points.add((key, _mu_key(mu)))
 
 
 @pytest.fixture()
@@ -76,9 +80,8 @@ def test_e4_matches_brute_force_expansion(lin, lin_pair):
     # signed tensor rules directly from the 1D rules
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     ind = eval_gradient_indicator(lin_pair, mu, (1.0, 1.0, 1.0))
-    quad = lin_pair.sweep(mu)
-    cache = {key: lin_pair.node_eval(key, coord, mu)
-             for key, coord in zip(quad.keys, quad.coords)}
+    quad = lin_pair.union_quad()
+    cache = dict(zip(quad.keys, lin_pair.evals(quad, mu)))
 
     total = 0.0
     for idx in lin_pair.grid.neighbors():
@@ -122,17 +125,22 @@ def test_exact_subspace_objective_terms(lin, lin_pair):
 
 
 # ---------------------------------------------------------------------------
-# cache behavior
+# node-solve store
 # ---------------------------------------------------------------------------
 
 def test_cache_invalidated_on_append(lin, lin_pair):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
-    quad = lin_pair.sweep(mu)
-    before = {key: lin_pair.node_eval(key, coord, mu).prim_res
-              for key, coord in zip(quad.keys, quad.coords)}
+    quad = lin_pair.union_quad()
+    before = {key: ev.prim_res
+              for key, ev in zip(quad.keys, lin_pair.evals(quad, mu))}
     sample_everywhere(lin_pair, mu)
-    after = {key: lin_pair.node_eval(key, coord, mu).prim_res
-             for key, coord in zip(quad.keys, quad.coords)}
+    # a solve on the smaller basis is stale: its q is shorter than k
+    stored = lin_pair._nodes[_mu_key(mu)]
+    assert all(len(ev.q) < lin_pair.basis.k for ev in stored.values())
+    n_rp = lin_pair.counters.n_rp
+    after = {key: ev.prim_res
+             for key, ev in zip(quad.keys, lin_pair.evals(quad, mu))}
+    assert lin_pair.counters.n_rp == n_rp + len(quad.keys)
     # every stale value was recomputed against the enriched basis
     assert all(after[k] <= before[k] * (1 + 1e-12) + 1e-12 for k in before)
     assert any(after[k] < before[k] * 0.5 for k in before)
@@ -339,10 +347,6 @@ def test_seed_pair_from_tr_init_reproduces_qoi(lin):
 # warm starts
 # ---------------------------------------------------------------------------
 
-def _mu_key(mu):
-    return np.asarray(mu, dtype=float).tobytes()
-
-
 def test_fresh_mu_near_cached_mu_starts_warm(bur):
     # a finite-difference Hessian point next to the center: every node
     # starts from its own center solution.  The seed basis leaves large
@@ -350,13 +354,12 @@ def test_fresh_mu_near_cached_mu_starts_warm(bur):
     # minimized residual norm is what matches to 1e-10
     mu0 = np.zeros(bur.n_mu)
     pair = tr_init(bur, TrustRegionConfig(), mu0).pair
-    quad = pair.sweep(mu0)
+    quad = pair.union_quad()
+    pair.evals(quad, mu0)
     mu = mu0 + 1e-7 * np.linspace(-1.0, 1.0, bur.n_mu)
-    pair.ensure(mu, quad.keys, quad.coords)
-    for key, coord in zip(quad.keys, quad.coords):
-        ev = pair.node_eval(key, coord, mu)
+    for ev in pair.evals(quad, mu):
         assert ev.gn_iters <= 2
-        cold = solve_rom_primal(bur, pair.basis, coord, mu)
+        cold = solve_rom_primal(bur, pair.basis, ev.coord, mu)
         assert cold.gn_iters > 2
         assert abs(ev.prim_res - cold.residual_norm) <= 1e-10 * (
             1 + cold.residual_norm)
@@ -376,12 +379,13 @@ def test_cached_mu_warm_start_is_nearest_node(lin):
         return solve_node(key, coord, mu_, q0)
 
     pair._solve_node = logged
-    pair.sweep(mu)
-    pair.sweep(0.5 * mu)
+    pair.evals(pair.union_quad(), mu)
+    pair.evals(pair.union_quad(), 0.5 * mu)
     pair.grid = pair.grid.with_index((2, 2)).with_index((3, 1))
     mk = _mu_key(mu)
     quad = pair.union_quad()
-    flat = {(key, wmk): pair._warm[wmk][key] for key, wmk in order}
+    flat = {(key, wmk): (pair._nodes[wmk][key].coord, pair._nodes[wmk][key].q)
+            for key, wmk in order}
     # the centers of the level-2 cells are equidistant from four nodes
     centers = [(None, np.array([sx, sy]))
                for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
@@ -403,27 +407,36 @@ def test_cached_mu_warm_start_is_nearest_node(lin):
 def test_fresh_mu_takes_own_node_at_nearest_mu(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
-    quad = pair.sweep(mu)
-    pair.sweep(-mu)
+    quad = pair.union_quad()
+    pair.evals(quad, mu)
+    pair.evals(quad, -mu)
     near = pair._mus_by_distance(0.9 * mu)
     assert near == [_mu_key(mu), _mu_key(-mu)]
     for key, coord in zip(quad.keys, quad.coords):
         np.testing.assert_array_equal(
             pair._warm_starts([(key, coord)], _mu_key(0.9 * mu), near)[0],
-            pair._warm[_mu_key(mu)][key][1])
+            pair._nodes[_mu_key(mu)][key].q)
 
 
 def test_clone_copies_warm_starts_per_mu(lin, lin_pair):
+    # the clone keeps the solves at the listed points only, in copies of
+    # their per-point dicts
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
-    lin_pair.sweep(mu)
+    quad = lin_pair.union_quad()
+    lin_pair.evals(quad, mu)
+    lin_pair.evals(quad, -mu)
     mk = _mu_key(mu)
-    other = lin_pair.clone()
-    assert other._warm[mk] == lin_pair._warm[mk]
-    assert other._warm[mk] is not lin_pair._warm[mk]
-    n_before = len(lin_pair._warm[mk])
+    other = lin_pair.clone([mu])
+    assert list(other._nodes) == [mk]
+    n_rp = lin_pair.counters.n_rp
+    other.evals(quad, mu)
+    assert other.counters.n_rp == n_rp  # the kept solves are current
+    assert other._nodes[mk] == lin_pair._nodes[mk]
+    assert other._nodes[mk] is not lin_pair._nodes[mk]
+    n_before = len(lin_pair._nodes[mk])
     other.grid = other.grid.with_index((2, 1))
-    other.sweep(mu)
-    other.sweep(0.5 * mu)
-    assert len(other._warm[mk]) > n_before
-    assert len(lin_pair._warm[mk]) == n_before
-    assert _mu_key(0.5 * mu) not in lin_pair._warm
+    other.evals(other.union_quad(), mu)
+    other.evals(other.union_quad(), 0.5 * mu)
+    assert len(other._nodes[mk]) > n_before
+    assert len(lin_pair._nodes[mk]) == n_before
+    assert _mu_key(0.5 * mu) not in lin_pair._nodes

@@ -28,6 +28,17 @@ def write(tmp_path, text, name="cfg.ini"):
     return path
 
 
+def read_csv(path):
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert all(len(row) == len(header) for row in rows)
+    return [dict(zip(header, row)) for row in rows]
+
+
+def read_summary(out):
+    return dict(line.split(" = ", 1)
+                for line in (out / "summary.txt").read_text().splitlines())
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -137,8 +148,7 @@ gtol = 1e-5
 """))
     out = tmp_path / "iso"
     assert run_optimize(cfg, out) == EXIT_OK
-    summary = dict(line.split(" = ") for line
-                   in (out / "summary.txt").read_text().strip().splitlines())
+    summary = read_summary(out)
     assert summary["n_rp"] == "0" and summary["n_ra"] == "0"
     assert int(summary["n_hp"]) > 0
 
@@ -183,20 +193,49 @@ def test_injected_failure_exit_code(tmp_path, monkeypatch, failure):
     assert run_optimize(cfg, out) == EXIT_SOLVER_FAILURE
     assert (out / "error.txt").read_text() == f"{failure.__name__}: injected\n"
 
-    def read_csv(name):
-        header, *rows = [line.split(",") for line in
-                         (out / name).read_text().splitlines()]
-        assert all(len(row) == len(header) for row in rows)
-        return [dict(zip(header, row)) for row in rows]
-
-    history = read_csv("history.csv")
+    history = read_csv(out / "history.csv")
     assert len(history) == 1
     assert history[0]["k"] == "0" and history[0]["terminal"] == "0"
-    events = read_csv("events.csv")
+    events = read_csv(out / "events.csv")
     # the failed iteration's gradient refinement is logged too
     assert recorded[-1].stage == "gradient"
     assert [(row["seq"], row["stage"], row["kind"]) for row in events] == [
         (str(i), ev.stage, ev.kind) for i, ev in enumerate(recorded)]
+
+
+@pytest.fixture(scope="module", params=[
+    ("linear-diffusion", 30), ("linear-diffusion", 1),
+    ("burgers-control", 30), ("burgers-control", 1),
+], ids=lambda p: f"{p[0]}-max_iters{p[1]}")
+def finished_run(request, tmp_path_factory):
+    """Report of a default run from mu0 = 0, converged or stopped at max_iters."""
+    problem, max_iters = request.param
+    tmp = tmp_path_factory.mktemp("finished")
+    cfg = load_config(write(tmp, f"[run]\nproblem = {problem}\n"
+                                 f"[trust_region]\nmax_iters = {max_iters}\n"))
+    code = run_optimize(cfg, tmp / "out")
+    assert code == (EXIT_OK if max_iters > 1 else EXIT_MAX_ITERS)
+    return tmp / "out"
+
+
+def test_history_rows_describe_the_pair_handed_on(finished_run):
+    # a row's grid and basis sizes are those of the pair its iteration
+    # ends with: the grid written for it and, last, the summary's
+    rows = read_csv(finished_run / "history.csv")
+    for row in rows:
+        grid = finished_run / "grids" / f"iter_{row['k']}.txt"
+        assert int(row["grid_size"]) == len(grid.read_text().splitlines())
+    summary = read_summary(finished_run)
+    assert rows[-1]["grid_size"] == summary["grid_size"]
+    assert rows[-1]["basis_k"] == summary["basis_k"]
+
+
+def test_writing_reports_solves_nothing(finished_run):
+    # the final-node and gradient reports read the solves the last
+    # iteration kept, so no reduced solve is added after its row
+    last = read_csv(finished_run / "history.csv")[-1]
+    summary = read_summary(finished_run)
+    assert (last["n_rp"], last["n_ra"]) == (summary["n_rp"], summary["n_ra"])
 
 
 def test_cli_main_config_error(tmp_path, capsys):

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgromtr.hdm import LinearDiffusion, QueryCounters, solve_adjoint, solve_primal
+from sgromtr.hdm import (LinearDiffusion, QueryCounters, adjoint_gradient,
+                         solve_adjoint, solve_primal)
 from sgromtr.oracle import tensor_reference
 from sgromtr.rom import ReducedBasis
-from sgromtr.sparse_grid import MultiIndexSet
+from sgromtr.sparse_grid import MultiIndexSet, assemble
 from sgromtr.adapt import SgRomPair
 
 
@@ -80,3 +83,51 @@ def test_odd_integrand_cancels_on_symmetric_grid():
     mu = np.full(8, 0.2)
     pair = exact_pair(prob, mu, level=3)
     assert abs(pair.model_value(mu)) <= 1e-12
+
+
+def interpolating_pair(problem, mu, grid):
+    """Pair on ``grid`` whose basis holds the full-model solutions at its nodes.
+
+    Also returns the grid's quadrature of the full-model objective and
+    gradient.
+    """
+    basis = ReducedBasis(problem.n_u)
+    f_quad, g_quad = 0.0, np.zeros(problem.n_mu)
+    quad = assemble(grid)
+    for coord, w in zip(quad.coords, quad.weights):
+        sol = solve_primal(problem, coord, mu)
+        adj = solve_adjoint(problem, sol.u, coord, mu)
+        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
+                               coord, mu)
+        f_quad += w * problem.qoi(sol.u, coord, mu)
+        g_quad += w * adjoint_gradient(problem, adj.lam, sol.u, coord, mu)
+    return SgRomPair(problem, grid, basis, QueryCounters()), f_quad, g_quad
+
+
+def downward_closure(tops):
+    return MultiIndexSet.from_indices(
+        {(i, j) for a, b in tops for i in range(1, a + 1)
+         for j in range(1, b + 1)})
+
+
+@settings(max_examples=30, deadline=None)
+@given(tops=st.sets(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+       mu=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8))
+def test_interpolating_basis_reproduces_quadrature(lin_small, tops, mu):
+    # any admissible 2D grid with levels <= 3: the model is the grid's
+    # quadrature of the full model, and on {1..L}^2 the tensor reference
+    mu = np.array(mu)
+    grid = downward_closure(tops)
+    pair, f_quad, g_quad = interpolating_pair(lin_small, mu, grid)
+    assert pair.model_value(mu) == pytest.approx(f_quad, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(pair.model_gradient(mu), g_quad,
+                               rtol=1e-9, atol=1e-12)
+
+    level = max(map(max, grid))
+    square, _, _ = interpolating_pair(lin_small, mu,
+                                      downward_closure([(level, level)]))
+    j_ref, g_ref = tensor_reference(lin_small, mu, level)
+    assert square.model_value(mu) == pytest.approx(j_ref, rel=1e-9, abs=1e-12)
+    np.testing.assert_allclose(square.model_gradient(mu), g_ref,
+                               rtol=1e-9, atol=1e-12)

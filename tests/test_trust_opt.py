@@ -244,13 +244,36 @@ def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
             return pair
 
         monkeypatch.setattr(trust_opt, "refine_for_objective", refine_then_flatten)
-    tr_iterate(state, cfg, lin_deterministic)
+    tr_iterate(state, cfg)
     row = state.history[0]
     assert row["rho"] == rho and not row["accepted"]
     assert row["step_norm"] > 0.0
     np.testing.assert_array_equal(state.mu, np.zeros(8))
     assert state.Delta == cfg.gamma * row["step_norm"]
     assert state.k == 1
+
+
+def test_store_keeps_center_and_trial_only(lin):
+    # after an iteration that ran the objective stage, the pair it hands
+    # on holds node solves at that iteration's mu_k and mu_hat only
+    cfg = TrustRegionConfig()
+    state = tr_init(lin, cfg, np.zeros(8))
+    checked = 0
+    while state.status == "running" and state.k < cfg.max_iters:
+        mu_k = state.mu.copy()
+        tr_iterate(state, cfg)
+        row = state.history[-1]
+        if math.isnan(row["psi_center"]):
+            continue
+        stored = set(state.pair._nodes)
+        assert len(stored) == 2 and mu_k.tobytes() in stored
+        (mu_hat,) = stored - {mu_k.tobytes()}
+        assert np.linalg.norm(np.frombuffer(mu_hat) - mu_k) == pytest.approx(
+            row["step_norm"], rel=1e-12)
+        if row["accepted"]:
+            assert mu_hat == state.mu.tobytes()
+        checked += 1
+    assert checked > 0
 
 
 def test_history_rows_strictly_increasing_k(lin):
