@@ -28,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .hdm import (QueryCounters, SolverError, adjoint_gradient, solve_adjoint,
                   solve_primal)
-from .rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
+from .rom import ReducedBasis, RomSolveError, solve_rom_adjoint, solve_rom_primal
 from .sparse_grid import MultiIndexSet, assemble, difference_rule
 
 __all__ = [
@@ -137,6 +138,14 @@ class SgRomPair:
     and from the projected last primal snapshot when there is none.
     Warm starts are chosen from the store as it was before each sweep,
     so results do not depend on evaluation order.
+
+    Each :meth:`ensure` sweep solves its missing nodes as one stack: one
+    stacked primal and one stacked adjoint solve, and the gradient
+    estimates and objective values of all nodes at once.  A node whose
+    Gauss-Newton solve stagnates or hits the iteration cap is stored at
+    its last iterate with that iterate's true residual norm, and counted
+    in ``counters.rom_recoveries``: the residual-based indicators hold at
+    any reduced state, so refinement then samples that node.
     """
 
     def __init__(self, problem, grid: MultiIndexSet, basis: ReducedBasis,
@@ -167,8 +176,8 @@ class SgRomPair:
         dist = np.linalg.norm(mus - mu, axis=1)
         return [mks[i] for i in np.argsort(dist, kind="stable")]
 
-    def _warm_starts(self, nodes, mk, near) -> list:
-        """Initial reduced coordinates for the ``(key, coord)`` nodes at ``mk``.
+    def _warm_starts(self, nodes, mk, near) -> np.ndarray:
+        """Initial reduced coordinates, one row per ``(key, coord)`` node at ``mk``.
 
         At a stored ``mk`` each node takes the solution of the nearest
         node solved there, the first in solve order on ties; ``near``
@@ -185,29 +194,15 @@ class SgRomPair:
                            if key in self._nodes[wmk]), None)
                      for key, _ in nodes]
         k = self.basis.k
-        starts = []
-        for best in picks:
-            if best is not None:
-                q0 = np.zeros(k)
-                q0[:len(best)] = best[:k]
-            elif self.basis.last_primal is not None:
-                q0 = self.basis.project(self.basis.last_primal)
+        fallback = (np.zeros(k) if self.basis.last_primal is None
+                    else self.basis.project(self.basis.last_primal))
+        starts = np.zeros((len(nodes), k))
+        for q0, best in zip(starts, picks):
+            if best is None:
+                q0[:] = fallback
             else:
-                q0 = None
-            starts.append(q0)
+                q0[:len(best)] = best[:k]
         return starts
-
-    def _solve_node(self, key, coord, mu, q0):
-        prim = solve_rom_primal(self.problem, self.basis, coord, mu, q0=q0)
-        adj = solve_rom_adjoint(self.problem, self.basis, prim.q, coord, mu)
-        phi = self.basis.columns
-        u = phi @ prim.q
-        ghat = adjoint_gradient(self.problem, phi @ adj.eta, u, coord, mu)
-        fval = self.problem.qoi(u, coord, mu)
-        return NodeEval(np.asarray(coord, dtype=float), prim.q,
-                        prim.residual_norm, adj.eta, adj.residual_norm, ghat,
-                        float(np.linalg.norm(ghat)), fval,
-                        max(prim.gn_iters, 1))
 
     def ensure(self, mu, keys, coords) -> None:
         """Solve every listed node at ``mu`` that has no current solve."""
@@ -221,15 +216,31 @@ class SgRomPair:
         missing.sort(key=lambda kc: kc[0])
         mu = np.asarray(mu, dtype=float)
         near = [] if mk in self._nodes else self._mus_by_distance(mu)
-        starts = self._warm_starts(missing, mk, near)
-        evals = [self._solve_node(key, coord, mu, q0)
-                 for (key, coord), q0 in zip(missing, starts)]
+        q0 = self._warm_starts(missing, mk, near)
+        ys = np.array([coord for _, coord in missing], dtype=float)
+        try:
+            prim = solve_rom_primal(self.problem, self.basis, ys, mu, q0=q0)
+        except RomSolveError as exc:
+            if exc.result is None:
+                raise
+            prim = exc.result
+            self.counters.rom_recoveries += int(exc.failed.sum())
+        adj = solve_rom_adjoint(self.problem, self.basis, prim.q, ys, mu)
+        u = self.basis.expand(prim.q)
+        ghat = adjoint_gradient(self.problem, self.basis.expand(adj.eta), u,
+                                ys, mu)
+        fval = self.problem.qoi(u, ys, mu)
+        gnorm = np.sqrt(kernels.row_dot(ghat))
+        iters = np.maximum(prim.iters, 1)
         nodes = self._nodes.setdefault(mk, {})
-        for (key, _), ev in zip(missing, evals):
-            nodes[key] = ev
+        for i, (key, _) in enumerate(missing):
+            nodes[key] = NodeEval(ys[i], prim.q[i], float(prim.residual_norm[i]),
+                                  adj.eta[i], float(adj.residual_norm[i]),
+                                  ghat[i], float(gnorm[i]), float(fval[i]),
+                                  int(iters[i]))
         self.counters.n_rp += len(missing)
         self.counters.n_ra += len(missing)
-        self.counters.gn_iters += sum(ev.gn_iters for ev in evals)
+        self.counters.gn_iters += int(iters.sum())
 
     def evals(self, quad, mu) -> list:
         """Current solves at ``mu`` of the nodes of ``quad``, in its order."""

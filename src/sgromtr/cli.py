@@ -293,30 +293,29 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     adj = solve_adjoint(problem, prim.u, y, mu)
     basis = ReducedBasis(problem.n_u)
     basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"], y, mu)
-    rp = solve_rom_primal(problem, basis, y, mu)
-    ra = solve_rom_adjoint(problem, basis, rp.q, y, mu)
+    rp = solve_rom_primal(problem, basis, y[None], mu)
+    ra = solve_rom_adjoint(problem, basis, rp.q, y[None], mu)
     interp = bool(
-        rp.residual_norm <= 1e-8 * (1 + np.linalg.norm(prim.u))
-        and ra.residual_norm <= 1e-8 * (
+        rp.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(prim.u))
+        and ra.residual_norm[0] <= 1e-8 * (
             1 + np.linalg.norm(problem.qoi_u(prim.u, y, mu))))
 
     rng = np.random.default_rng(seed + 1)
     mu = rng.uniform(-0.3, 0.3, problem.n_mu)
-    nodes = [rng.uniform(-1.0, 1.0, problem.n_y) for _ in range(5)]
+    nodes = np.array([rng.uniform(-1.0, 1.0, problem.n_y) for _ in range(5)])
     basis = validation_seed_basis(problem)
-    prev = {}
+    prev = None
     worst = -math.inf
     for _ in range(10):
-        for i, y in enumerate(nodes):
-            q0 = None
-            if i in prev:
-                q0 = np.zeros(basis.k)
-                q0[:len(prev[i][1])] = prev[i][1]
-            rp = solve_rom_primal(problem, basis, y, mu, q0=q0)
-            if i in prev:
-                worst = max(worst, rp.residual_norm - prev[i][0]
-                            * (1 + 1e-12) - 1e-12)
-            prev[i] = (rp.residual_norm, rp.q)
+        q0 = None
+        if prev is not None:
+            q0 = np.zeros((len(nodes), basis.k))
+            q0[:, :prev.q.shape[1]] = prev.q
+        rp = solve_rom_primal(problem, basis, nodes, mu, q0=q0)
+        if prev is not None:
+            worst = max(worst, float(np.max(
+                rp.residual_norm - prev.residual_norm * (1 + 1e-12) - 1e-12)))
+        prev = rp
         ya = rng.uniform(-1.0, 1.0, problem.n_y)
         sa = solve_primal(problem, ya, mu)
         aa = solve_adjoint(problem, sa.u, ya, mu)

@@ -15,6 +15,13 @@ reference profile:
 
 Every linear solve -- Newton step, adjoint, sensitivities -- is one
 O(n) tridiagonal sweep over the Jacobian's bands.
+
+The residual surface (:meth:`ModelProblem.residual`, ``jac_bands``,
+``jac_u_mul``, ``jac_uT_mul``, ``qoi``, ``qoi_u``) and
+:func:`adjoint_gradient` also take a stack of nodes at one ``mu``:
+states ``(m, n_u)`` and nodes ``(m, n_y)``, each row bitwise equal to
+the one-node call.  The reduced-order solves use this; the full-model
+solvers here work on one node.
 """
 
 from __future__ import annotations
@@ -70,6 +77,9 @@ class QueryCounters:
     n_ra: int = 0
     newton_iters: int = 0
     gn_iters: int = 0
+    #: reduced primal solves that stalled or hit the iteration cap and
+    #: were kept at their last iterate (not part of :meth:`snapshot`)
+    rom_recoveries: int = 0
 
     def nbar_h(self) -> float:
         return max(1.0, self.newton_iters / self.n_hp) if self.n_hp else 1.0
@@ -83,6 +93,13 @@ class QueryCounters:
             "n_rp": self.n_rp, "n_ra": self.n_ra,
             "nbar_h": self.nbar_h(), "nbar_r": self.nbar_r(),
         }
+
+
+def _components(y):
+    """``y`` indexed by component: ``y[j]`` is a scalar for one node and an
+    ``(m, 1)`` column for a stack of ``m`` nodes, so the coefficients built
+    from it broadcast against ``(m, n_u)`` states."""
+    return y if y.ndim == 1 else y.T[:, :, None]
 
 
 def _hat_basis(x: np.ndarray, n_mu: int) -> np.ndarray:
@@ -156,7 +173,8 @@ class ModelProblem:
     def qoi(self, u, y, mu):
         d = u - self.ref
         mu = np.asarray(mu, dtype=float)
-        return 0.5 * self.h * float(d @ d) + 0.5 * self.alpha * float(mu @ mu)
+        val = 0.5 * self.h * kernels.row_dot(d) + 0.5 * self.alpha * float(mu @ mu)
+        return val if val.ndim else float(val)
 
     def qoi_u(self, u, y, mu):
         return self.h * (u - self.ref)
@@ -171,10 +189,10 @@ class ModelProblem:
         return 2.0 ** (-self.n_y)
 
     def _check(self, u, y, mu):
-        if len(u) != self.n_u:
-            raise ValueError(f"state has length {len(u)}, expected {self.n_u}")
-        if len(y) != self.n_y:
-            raise ValueError(f"node has length {len(y)}, expected {self.n_y}")
+        if u.shape[-1] != self.n_u:
+            raise ValueError(f"state has length {u.shape[-1]}, expected {self.n_u}")
+        if y.shape[-1] != self.n_y:
+            raise ValueError(f"node has length {y.shape[-1]}, expected {self.n_y}")
         if len(mu) != self.n_mu:
             raise ValueError(f"parameter has length {len(mu)}, expected {self.n_mu}")
 
@@ -216,11 +234,11 @@ class LinearDiffusion(ModelProblem):
 
     def residual(self, u, y, mu):
         self._check(u, y, mu)
-        return kernels.diffusion_residual(u, self.kappa_half(y), self.h,
-                                          self.source(mu))
+        return kernels.diffusion_residual(u, self.kappa_half(_components(y)),
+                                          self.h, self.source(mu))
 
     def jac_bands(self, u, y, mu):
-        return kernels.diffusion_bands(self.kappa_half(y), self.h)
+        return kernels.diffusion_bands(self.kappa_half(_components(y)), self.h)
 
 
 class BurgersControl(ModelProblem):
@@ -257,11 +275,13 @@ class BurgersControl(ModelProblem):
 
     def residual(self, u, y, mu):
         self._check(u, y, mu)
+        y = _components(y)
         return kernels.burgers_residual(u, self.bc_left(y), 0.0,
                                         self.viscosity(y), self.h,
                                         self.source(mu))
 
     def jac_bands(self, u, y, mu):
+        y = _components(y)
         return kernels.burgers_bands(u, self.bc_left(y), 0.0,
                                      self.viscosity(y), self.h)
 
@@ -420,8 +440,11 @@ def adjoint_gradient(problem, lam, u, y, mu):
 
     Equals the exact gradient of the solution-restricted quantity of
     interest when ``(u, lam)`` solve the primal and adjoint systems.
+    For stacks ``lam``, ``u`` of shape ``(m, n_u)`` it returns one
+    gradient per row, each by the same matrix-vector product.
     """
-    return problem.qoi_mu(u, y, mu) - problem.jac_mu(u, y, mu).T @ lam
+    dr_dmu = problem.jac_mu(u, y, mu)
+    return problem.qoi_mu(u, y, mu) - (dr_dmu.T @ lam[..., None])[..., 0]
 
 
 def primal_sensitivities(problem, u, y, mu,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hdm import (QueryCounters, adjoint_gradient, solve_adjoint, solve_primal)
-from .rom import ReducedBasis, rom_gradient, rom_qoi, solve_rom_adjoint, solve_rom_primal
+from .rom import (ReducedBasis, RomSolveError, rom_gradient, rom_qoi,
+                  solve_rom_adjoint, solve_rom_primal)
 from .sparse_grid import cc_rule
 
 __all__ = [
@@ -183,20 +184,26 @@ def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
     for _ in range(n_samples):
         y = rng.uniform(-1.0, 1.0, problem.n_y)
         mu = rng.uniform(-box, box, problem.n_mu)
-        prim = solve_rom_primal(problem, basis, y, mu)
-        adj = solve_rom_adjoint(problem, basis, prim.q, y, mu)
-        if prim.residual_norm < 1e-14:
+        try:
+            prim = solve_rom_primal(problem, basis, y[None], mu)
+        except RomSolveError as exc:
+            if exc.result is None:
+                raise
+            prim = exc.result  # the bounds hold at any reduced state
+        adj = solve_rom_adjoint(problem, basis, prim.q, y[None], mu)
+        q, eta = prim.q[0], adj.eta[0]
+        res, adj_res = float(prim.residual_norm[0]), float(adj.residual_norm[0])
+        if res < 1e-14:
             excluded += 1
             continue
         hdm_prim = solve_primal(problem, y, mu)
         hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu)
         f_true = problem.qoi(hdm_prim.u, y, mu)
         g_true = adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
-        f_rom = rom_qoi(problem, basis, prim.q, y, mu)
-        g_rom = rom_gradient(problem, basis, prim.q, adj.eta, y, mu)
-        qoi_ratios.append(abs(f_true - f_rom) / prim.residual_norm)
-        grad_ratios.append(float(np.linalg.norm(g_true - g_rom))
-                           / (prim.residual_norm + adj.residual_norm))
+        f_rom = rom_qoi(problem, basis, q, y, mu)
+        g_rom = rom_gradient(problem, basis, q, eta, y, mu)
+        qoi_ratios.append(abs(f_true - f_rom) / res)
+        grad_ratios.append(float(np.linalg.norm(g_true - g_rom)) / (res + adj_res))
 
     def estimate(ratios):
         if not ratios:

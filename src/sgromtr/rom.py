@@ -14,6 +14,15 @@ Householder QR, which yields the least-squares step and the norm of
 the model's own residual in a single pass.  Gauss-Newton uses that
 predicted residual to stop backtracking, or to skip the line search,
 once the model promises no decrease above round-off.
+
+Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
+a stack of one).  Each Gauss-Newton step makes one stacked QR, one
+stacked triangular solve and at most two stacked residual calls for the
+whole stack, and per-node masks apply the stopping and backtracking
+rules, so every node's result is bitwise equal to solving it alone.  A
+stack is split into parts of ``max(1, STACK_BYTES // (8 n_u (k + 1)))``
+nodes, which bounds the memory of the stacked ``n_u x (k + 1)``
+matrices.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .hdm import adjoint_gradient
 
 __all__ = [
@@ -33,10 +43,49 @@ __all__ = [
 DROP_TOL = 1e-10
 #: Gauss-Newton iterations before a primal reduced solve gives up.
 GN_MAX_ITERS = 60
+#: Bytes of stacked reduced Jacobians ``[J Phi | r]`` one solve holds.
+STACK_BYTES = 2 ** 18
+
+# how a node of a primal stack ended
+_CONVERGED, _STAGNATED, _CAPPED = 0, 1, 2
+
+
+@dataclass
+class RomPrimal:
+    """Reduced primal solves of a stack of nodes at one parameter point."""
+
+    q: np.ndarray              # (m, k) reduced coordinates
+    residual_norm: np.ndarray  # (m,) true norms ||r(Phi q)||
+    iters: np.ndarray          # (m,) Gauss-Newton steps taken per node
+
+    @property
+    def gn_iters(self) -> int:
+        """Gauss-Newton steps of the whole stack."""
+        return int(self.iters.sum())
+
+
+@dataclass
+class RomAdjoint:
+    eta: np.ndarray            # (m, k)
+    residual_norm: np.ndarray  # (m,)
 
 
 class RomSolveError(RuntimeError):
-    """A reduced-order solve failed to reach its stationarity tolerance."""
+    """A reduced-order solve failed to reach its stationarity tolerance.
+
+    When some nodes of a primal stack stalled or hit the iteration cap,
+    the other nodes are solved first; ``result`` then holds every node's
+    last iterate and its true residual norm, and ``failed`` marks the
+    nodes that did not converge.  Both are None for a failure that
+    leaves no usable iterate (an empty basis, a singular reduced
+    Jacobian, a rank-deficient adjoint).
+    """
+
+    def __init__(self, message, result: RomPrimal | None = None,
+                 failed: np.ndarray | None = None):
+        super().__init__(message)
+        self.result = result
+        self.failed = failed
 
 
 @dataclass
@@ -47,19 +96,6 @@ class Snapshot:
     y: np.ndarray
     mu: np.ndarray
     kept: bool
-
-
-@dataclass
-class RomPrimal:
-    q: np.ndarray
-    residual_norm: float
-    gn_iters: int
-
-
-@dataclass
-class RomAdjoint:
-    eta: np.ndarray
-    residual_norm: float
 
 
 class ReducedBasis:
@@ -129,133 +165,230 @@ class ReducedBasis:
         """Reduced coordinates of the orthogonal projection of ``u``."""
         return self._cols.T @ u
 
+    def expand(self, q: np.ndarray) -> np.ndarray:
+        """Full state ``Phi q``; a stack ``q`` of shape ``(m, k)`` gives ``(m, n_u)``.
+
+        Each row is one matrix-vector product, bitwise equal to ``Phi @ q``
+        for that row (``q @ Phi.T`` is not).
+        """
+        return (self._cols @ q[..., None])[..., 0]
+
 
 def _augmented_r(a, b):
     """Triangular factor of ``[a | b]``: the least-squares solve of ``a x ~ b``.
 
-    With ``k = a.shape[1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
+    With ``k = a.shape[-1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
     and ``|R[k, k]|`` is the residual norm it leaves, ``min ||a x - b||``
     (zero when ``a`` has no more rows than columns, so ``R`` has no row
-    ``k``).
+    ``k``).  ``a`` and ``b`` may be stacks, ``(m, n, k)`` and ``(m, n)``.
     """
-    return np.linalg.qr(np.column_stack([a, b]), mode="r")
+    return np.linalg.qr(np.concatenate([a, b[..., None]], axis=-1), mode="r")
 
 
-def solve_rom_primal(problem, basis: ReducedBasis, y, mu, q0=None) -> RomPrimal:
+def _norms(x):
+    return np.sqrt(kernels.row_dot(x))
+
+
+def _parts(m, n_u, k):
+    """Slices of a stack of ``m`` nodes that fit the ``STACK_BYTES`` budget."""
+    size = max(1, STACK_BYTES // (8 * n_u * (k + 1)))
+    return [slice(s, s + size) for s in range(0, m, size)]
+
+
+def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
     """Gauss-Newton minimization of the residual norm over the subspace.
 
-    Each step factors ``[J Phi | r]`` by one Householder QR; the
-    triangular solve gives the Gauss-Newton step ``delta`` and the last
-    diagonal entry gives the predicted residual ``||r + J Phi delta||``.
-    The step is halved (at most 30 times) until the residual norm
-    decreases.  Stationarity is declared when the reduced gradient
-    ``(J Phi)^T r`` falls below ``1e-10`` relative to its natural bound
-    ``||J Phi|| ||r||`` (plus one), which stays meaningful for stiff
-    Jacobians where the bare residual norm under-scales.
+    ``ys`` is a stack of ``m`` nodes ``(m, n_y)`` and ``q0`` their
+    ``(m, k)`` starts (zero by default).  Each step factors
+    ``[J Phi | r]`` by one Householder QR; the triangular solve gives
+    the Gauss-Newton step ``delta`` and the last diagonal entry gives
+    the predicted residual ``||r + J Phi delta||``.  The step is halved
+    (at most 29 times) until the residual norm decreases.  Stationarity
+    is declared when the reduced gradient ``(J Phi)^T r`` falls below
+    ``1e-10`` relative to its natural bound ``||J Phi|| ||r||`` (plus
+    one), which stays meaningful for stiff Jacobians where the bare
+    residual norm under-scales.
 
     Large-residual Gauss-Newton ends in a slow linear tail, and near the
     round-off floor no trial step decreases the residual.  Progress has
     died when the accepted step decreases ``||r||`` by less than
     ``1e-12`` relatively, or when the model predicts, for the full step
     or for the current halved one, a relative decrease of ``||r||^2`` of
-    at most ``2e-12``; no further residual is then evaluated.  The solve
-    then stops at the current iterate if the gradient is below ``1e-6``
-    of its bound, and raises :class:`RomSolveError` otherwise.  For a
-    residual affine in the state this converges in a single step.
+    at most ``2e-12``; no further residual is then evaluated.  The node
+    then stops at its current iterate if the gradient is below ``1e-6``
+    of its bound, and fails otherwise.  For a residual affine in the
+    state this converges in a single step.
+
+    The stack is solved together: per step, one stacked QR and solve,
+    one residual call for the full steps and one for every halving of
+    the rejected nodes (see :func:`_backtrack`).  Nodes leave the stack
+    as they stop.  If any node stagnated or ran ``GN_MAX_ITERS`` steps,
+    :class:`RomSolveError` is raised after every other node has
+    finished, carrying all nodes' last iterates.
     """
-    phi = basis.columns
-    k = phi.shape[1]
+    k = basis.k
     if k == 0:
         raise RomSolveError("reduced basis is empty")
-    y = np.asarray(y, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    q = np.zeros(k) if q0 is None else np.array(q0, dtype=float)
+    q = np.zeros((len(ys), k)) if q0 is None else np.array(q0, dtype=float)
+    parts = [_gauss_newton(problem, basis, ys[p], mu, q[p])
+             for p in _parts(len(ys), basis.n_u, k)]
+    q, rnorm, iters, status, grad = (np.concatenate(a) for a in zip(*parts))
+    result = RomPrimal(q, rnorm, iters)
+    stagnated, capped = status == _STAGNATED, status == _CAPPED
+    reasons = []
+    if stagnated.any():
+        reasons.append(f"Gauss-Newton stagnated at {stagnated.sum()} of "
+                       f"{len(ys)} nodes (reduced gradient up to "
+                       f"{grad[stagnated].max():.3e})")
+    if capped.any():
+        reasons.append(f"Gauss-Newton did not converge in {GN_MAX_ITERS} "
+                       f"iterations at {capped.sum()} of {len(ys)} nodes")
+    if reasons:
+        raise RomSolveError("; ".join(reasons), result, status != _CONVERGED)
+    return result
 
-    r = problem.residual(phi @ q, y, mu)
-    rnorm = float(np.linalg.norm(r))
 
-    iters = 0
+def _gauss_newton(problem, basis, ys, mu, q):
+    """One part of :func:`solve_rom_primal`; returns per-node arrays
+    ``(q, rnorm, iters, status, grad)``, ``grad`` the last reduced
+    gradient norm."""
+    phi = basis.columns
+    m, k = q.shape
+    r = problem.residual(basis.expand(q), ys, mu)
+    rnorm = _norms(r)
+    iters = np.zeros(m, dtype=int)
+    status = np.full(m, _CONVERGED)
+    grad = np.zeros(m)
+    live = np.arange(m)
     for _ in range(GN_MAX_ITERS):
-        u = phi @ q
-        jphi = problem.jac_u_mul(u, y, mu, phi)
-        grad_norm = float(np.linalg.norm(jphi.T @ r))
-        scale = 1.0 + float(np.linalg.norm(jphi)) * rnorm
-        if grad_norm <= 1e-10 * scale:
+        if not live.size:
             break
-        R = _augmented_r(jphi, r)
-        pred = abs(float(R[k, k])) if R.shape[0] > k else 0.0
+        rn = rnorm[live]
+        jphi = problem.jac_u_mul(basis.expand(q[live]), ys[live], mu, phi)
+        g = _norms((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
+        scale = 1.0 + _norms(jphi.reshape(live.size, -1)) * rn
+        grad[live] = g
+        go = ~(g <= 1e-10 * scale)
+        if not go.all():
+            live, rn, g, scale, jphi = live[go], rn[go], g[go], scale[go], jphi[go]
+        R = _augmented_r(jphi, r[live])
+        pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(live.size)
         # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
         # once it falls below the relative decrease the stagnation test
         # asks for, an accepted step could only stall
-        drop = rnorm * rnorm - pred * pred
-        floor = 2e-12 * rnorm * rnorm
-        stalled = True
-        if drop > floor:
+        drop = rn * rn - pred * pred
+        floor = 2e-12 * rn * rn
+        moved = np.zeros(live.size, dtype=bool)
+        step = np.flatnonzero(drop > floor)
+        if step.size:
             try:
-                delta = -np.linalg.solve(R[:k, :k], R[:k, k])
+                delta = -np.linalg.solve(R[step, :k, :k], R[step, :k, k:])[:, :, 0]
             except np.linalg.LinAlgError as exc:
                 raise RomSolveError(
                     f"reduced Jacobian is singular ({exc})") from exc
-            t = 1.0
-            for _ in range(30):
-                q_new = q + t * delta
-                r_new = problem.residual(phi @ q_new, y, mu)
-                rnorm_new = float(np.linalg.norm(r_new))
-                if rnorm_new < rnorm:
-                    stalled = rnorm_new > rnorm * (1.0 - 1e-12)
-                    break
-                t *= 0.5
-                if (2.0 * t - t * t) * drop <= floor:
-                    break
+            at = live[step]
+            found, q_new, r_new, rn_new = _backtrack(
+                problem, basis, ys[at], mu, q[at], delta, rn[step],
+                drop[step], floor[step])
+            took = found & ~(rn_new > rn[step] * (1.0 - 1e-12))
+            moved[step] = took
+            at = live[step[took]]
+            q[at], r[at], rnorm[at] = q_new[took], r_new[took], rn_new[took]
+            iters[at] += 1
         # once relative progress dies, a gradient well below its natural
         # bound ||J Phi|| ||r|| is stationary for every downstream use
-        if stalled:
-            if grad_norm <= 1e-6 * scale:
-                break
-            raise RomSolveError(
-                f"Gauss-Newton stagnated (reduced gradient {grad_norm:.3e})")
-        q, r, rnorm = q_new, r_new, rnorm_new
-        iters += 1
-    else:
-        raise RomSolveError(
-            f"Gauss-Newton did not converge in {GN_MAX_ITERS} iterations")
-    return RomPrimal(q, rnorm, iters)
+        stuck = ~moved & ~(g <= 1e-6 * scale)
+        status[live[stuck]] = _STAGNATED
+        live = live[moved]
+    status[live] = _CAPPED
+    return q, rnorm, iters, status, grad
 
 
-def solve_rom_adjoint(problem, basis: ReducedBasis, q, y, mu) -> RomAdjoint:
-    """Minimum-residual adjoint solve over the shared trial subspace.
+#: step lengths 2^-1, ..., 2^-29 of the halvings after a rejected full step
+_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
 
-    Solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by one Householder
-    QR of the tall ``n_u x k`` matrix augmented by the right-hand side.
-    The matrix counts as rank-deficient, and :class:`RomSolveError` is
-    raised, when a diagonal entry of its triangular factor is at most
+
+def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
+    """First step length ``t = 2^-j`` whose residual norm is below ``rnorm``.
+
+    One residual call evaluates the full step of every node; a second
+    evaluates, for every node that rejected it, all halvings down to
+    the model cut-off ``(2t - t^2) drop <= floor`` at once.  Taking each
+    node's first decreasing trial is the step a one-halving-at-a-time
+    loop accepts.  Returns ``(found, q, r, rnorm)`` of the accepted
+    trials (the full-step values where ``found`` is False).
+    """
+    q_new = q + delta
+    r_new = problem.residual(basis.expand(q_new), ys, mu)
+    rn_new = _norms(r_new)
+    found = rn_new < rnorm
+    if found.all():
+        return found, q_new, r_new, rn_new
+    back = np.flatnonzero(~found)
+    t = _HALVINGS
+    # (2t - t^2) is exact for these t and decreases with t, so the
+    # halvings above the cut-off are a leading run of each row
+    open_ = (2.0 * t - t * t) * drop[back, None] > floor[back, None]
+    if open_.any():
+        rows = np.broadcast_to(back[:, None], open_.shape)[open_]
+        ts = np.broadcast_to(t, open_.shape)[open_]
+        q_t = q[rows] + ts[:, None] * delta[rows]
+        r_t = problem.residual(basis.expand(q_t), ys[rows], mu)
+        rn_t = _norms(r_t)
+        hit = np.flatnonzero(rn_t < rnorm[rows])
+        nodes, first = np.unique(rows[hit], return_index=True)
+        pick = hit[first]
+        q_new[nodes], r_new[nodes], rn_new[nodes] = q_t[pick], r_t[pick], rn_t[pick]
+        found[nodes] = True
+    return found, q_new, r_new, rn_new
+
+
+def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
+    """Minimum-residual adjoint solves over the shared trial subspace.
+
+    For each node of the stack ``ys`` with reduced state ``q`` (one row
+    per node), solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by one
+    Householder QR of the tall ``n_u x k`` matrix augmented by the
+    right-hand side, stacked over the nodes.  A matrix counts as
+    rank-deficient, and :class:`RomSolveError` is raised, when a
+    diagonal entry of its triangular factor is at most
     ``max(n_u, k) eps`` times the largest one.  The reported residual
     norm is evaluated explicitly from the solution.
     """
-    phi = basis.columns
-    k = phi.shape[1]
+    k = basis.k
     if k == 0:
         raise RomSolveError("reduced basis is empty")
-    y = np.asarray(y, dtype=float)
+    ys = np.asarray(ys, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    u = phi @ np.asarray(q, dtype=float)
-    a = problem.jac_uT_mul(u, y, mu, phi)
-    b = problem.qoi_u(u, y, mu)
-    R = _augmented_r(a, b)
-    diag = np.abs(np.diag(R[:k, :k]))
-    rank = int(np.count_nonzero(
-        diag > max(a.shape) * np.finfo(float).eps * diag.max()))
-    if rank < k:
-        raise RomSolveError(
-            f"adjoint ROM matrix is rank-deficient (rank {rank} < {k})")
-    eta = np.linalg.solve(R[:k, :k], R[:k, k])
-    res = float(np.linalg.norm(a @ eta - b))
+    q = np.asarray(q, dtype=float)
+    parts = [_min_res_adjoint(problem, basis, q[p], ys[p], mu)
+             for p in _parts(len(ys), basis.n_u, k)]
+    eta, res = (np.concatenate(a) for a in zip(*parts))
     return RomAdjoint(eta, res)
+
+
+def _min_res_adjoint(problem, basis, q, ys, mu):
+    k = basis.k
+    u = basis.expand(q)
+    a = problem.jac_uT_mul(u, ys, mu, basis.columns)
+    b = problem.qoi_u(u, ys, mu)
+    R = _augmented_r(a, b)
+    diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
+    tol = max(a.shape[1:]) * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
+    rank = np.count_nonzero(diag > tol, axis=1)
+    if (rank < k).any():
+        raise RomSolveError(
+            f"adjoint ROM matrix is rank-deficient (rank {rank.min()} < {k})")
+    eta = np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0]
+    res = _norms((a @ eta[:, :, None])[:, :, 0] - b)
+    return eta, res
 
 
 def rom_qoi(problem, basis: ReducedBasis, q, y, mu) -> float:
     """Quantity of interest evaluated on the reconstructed reduced state."""
-    return problem.qoi(basis.columns @ np.asarray(q, dtype=float), y, mu)
+    return problem.qoi(basis.expand(np.asarray(q, dtype=float)), y, mu)
 
 
 def rom_gradient(problem, basis: ReducedBasis, q, eta, y, mu) -> np.ndarray:
@@ -265,6 +398,5 @@ def rom_gradient(problem, basis: ReducedBasis, q, eta, y, mu) -> np.ndarray:
     pair; this is not the exact gradient of the reduced quantity of
     interest, but it minimizes the residual-based gradient error bound.
     """
-    phi = basis.columns
-    return adjoint_gradient(problem, phi @ np.asarray(eta, dtype=float),
-                            phi @ np.asarray(q, dtype=float), y, mu)
+    return adjoint_gradient(problem, basis.expand(np.asarray(eta, dtype=float)),
+                            basis.expand(np.asarray(q, dtype=float)), y, mu)

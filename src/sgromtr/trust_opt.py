@@ -103,10 +103,6 @@ class TrustRegionState:
     status: str = "running"
 
 
-#: Relative residual at which Steihaug-CG stops inside the trust region.
-CG_REL_TOL = 1e-8
-
-
 class SteihaugResult(NamedTuple):
     step: np.ndarray
     decrease: float
@@ -129,11 +125,15 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
     """Truncated CG on the quadratic model within the trust region.
 
     Terminates at the boundary on negative curvature or radius exit, or
-    interior at relative residual ``CG_REL_TOL``, after at most
-    ``2 n + 10`` iterations.  ``hessvec`` is called
-    once per CG iteration: the model decrease ``-(g.p + p.Hp / 2)`` takes
-    ``Hp`` from the same recurrence as ``p``, as the sum of the step
-    lengths times the products ``H d`` already computed.  The step is
+    interior once the residual is at most the forcing term
+    ``min(0.5, sqrt(||g||)) ||g||`` (Nocedal & Wright 2006, Alg. 7.1),
+    after at most ``2 n + 10`` iterations.  The forcing term keeps the
+    stopping rule above the round-off of the finite-difference Hessian
+    products and still gives superlinear convergence.  ``hessvec`` is
+    called once per CG iteration: the model decrease
+    ``-(g.p + p.Hp / 2)`` takes ``Hp`` from the same recurrence as
+    ``p``, as the sum of the step lengths times the products ``H d``
+    already computed.  The step is
     checked against the fraction-of-Cauchy-decrease inequality with
     ``beta_k = 1 +`` the largest curvature magnitude observed.
     """
@@ -145,6 +145,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
     if Delta <= 0.0:
         raise ValueError("trust-region radius must be positive")
 
+    forcing = min(0.5, math.sqrt(gnorm)) * gnorm
     p = np.zeros(n)
     hp = np.zeros(n)
     r = g.copy()
@@ -169,7 +170,7 @@ def steihaug_toint(gradient, hessvec: Callable, Delta: float,
         hp = hp + alpha * hd
         r = r + alpha * hd
         rr_new = float(r @ r)
-        if math.sqrt(rr_new) <= CG_REL_TOL * gnorm:
+        if math.sqrt(rr_new) <= forcing:
             break
         d = -r + (rr_new / rr) * d
         rr = rr_new

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from sgromtr import adapt
 from sgromtr.adapt import (GradientIndicator, SgRomPair, eval_gradient_indicator,
                            eval_objective_indicator, objective_thresholds,
                            refine_for_gradient, refine_for_objective,
@@ -162,10 +163,10 @@ def test_no_repeated_hdm_sampling(lin):
 def test_refine_gradient_noop_when_gradient_flat(lin):
     class FlatQoI(LinearDiffusion):
         def qoi(self, u, y, mu):
-            return 1.0
+            return np.ones(u.shape[:-1])
 
         def qoi_u(self, u, y, mu):
-            return np.zeros(self.n_u)
+            return np.zeros_like(u)
 
         def qoi_mu(self, u, y, mu):
             return np.zeros(self.n_mu)
@@ -359,33 +360,34 @@ def test_fresh_mu_near_cached_mu_starts_warm(bur):
     mu = mu0 + 1e-7 * np.linspace(-1.0, 1.0, bur.n_mu)
     for ev in pair.evals(quad, mu):
         assert ev.gn_iters <= 2
-        cold = solve_rom_primal(bur, pair.basis, ev.coord, mu)
+        cold = solve_rom_primal(bur, pair.basis, ev.coord[None], mu)
         assert cold.gn_iters > 2
-        assert abs(ev.prim_res - cold.residual_norm) <= 1e-10 * (
-            1 + cold.residual_norm)
-        assert np.linalg.norm(ev.q - cold.q) <= 1e-6 * np.linalg.norm(cold.q)
+        assert abs(ev.prim_res - cold.residual_norm[0]) <= 1e-10 * (
+            1 + cold.residual_norm[0])
+        assert np.linalg.norm(ev.q - cold.q[0]) <= 1e-6 * np.linalg.norm(cold.q)
 
 
-def test_cached_mu_warm_start_is_nearest_node(lin):
+def test_cached_mu_warm_start_is_nearest_node(lin, monkeypatch):
     # the choice must equal a scan over every (node, mu) entry in the
     # order the nodes were first solved, keeping the first nearest one
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1), (1, 2)])
     order = []
-    solve_node = pair._solve_node
+    solve = adapt.solve_rom_primal
 
-    def logged(key, coord, mu_, q0):
-        order.append((key, _mu_key(mu_)))
-        return solve_node(key, coord, mu_, q0)
+    def logged(problem, basis, ys, mu_, q0=None):
+        order.extend((y.tobytes(), _mu_key(mu_)) for y in ys)
+        return solve(problem, basis, ys, mu_, q0=q0)
 
-    pair._solve_node = logged
+    monkeypatch.setattr(adapt, "solve_rom_primal", logged)
     pair.evals(pair.union_quad(), mu)
     pair.evals(pair.union_quad(), 0.5 * mu)
     pair.grid = pair.grid.with_index((2, 2)).with_index((3, 1))
     mk = _mu_key(mu)
     quad = pair.union_quad()
-    flat = {(key, wmk): (pair._nodes[wmk][key].coord, pair._nodes[wmk][key].q)
-            for key, wmk in order}
+    stored = {(ev.coord.tobytes(), wmk): ev
+              for wmk, nodes in pair._nodes.items() for ev in nodes.values()}
+    flat = {entry: (stored[entry].coord, stored[entry].q) for entry in order}
     # the centers of the level-2 cells are equidistant from four nodes
     centers = [(None, np.array([sx, sy]))
                for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
@@ -440,3 +442,48 @@ def test_clone_copies_warm_starts_per_mu(lin, lin_pair):
     assert len(other._nodes[mk]) > n_before
     assert len(lin_pair._nodes[mk]) == n_before
     assert _mu_key(0.5 * mu) not in lin_pair._nodes
+
+
+class _StallAt(LinearDiffusion):
+    """Every residual of one node after its first is inflated 1000-fold,
+    so each Gauss-Newton step there is rejected and the node stagnates."""
+
+    def __init__(self, node):
+        super().__init__()
+        self.node = node
+        self.seen = False
+
+    def residual(self, u, y, mu):
+        r = super().residual(u, y, mu)
+        at = np.all(y == self.node, axis=-1)
+        if self.seen:
+            r = np.where(at[..., None], 1e3 * r, r)
+        self.seen = self.seen or bool(np.any(at))
+        return r
+
+
+def test_stalled_node_is_recovered_at_its_last_iterate(lin):
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    quad = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)]).union_quad()
+    stall = len(quad.keys) - 1
+    faulty = _StallAt(quad.coords[stall])
+    pair = make_pair(faulty, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
+    evals = pair.evals(quad, 0.5 * mu)    # returns instead of raising
+    assert pair.counters.rom_recoveries == 1
+    assert "rom_recoveries" not in pair.counters.snapshot()
+    # the other nodes are bitwise as solved in a stack without the stalled one
+    clean = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
+    keys = [k for i, k in enumerate(quad.keys) if i != stall]
+    clean.ensure(0.5 * mu, keys, [c for i, c in enumerate(quad.coords) if i != stall])
+    for key, ev in zip(quad.keys, evals):
+        if key == quad.keys[stall]:
+            continue
+        other = clean._nodes[_mu_key(0.5 * mu)][key]
+        for field in ("q", "prim_res", "eta", "adj_res", "ghat", "fval", "gn_iters"):
+            np.testing.assert_array_equal(getattr(ev, field), getattr(other, field))
+    # the stalled node keeps its start, the residual there and an adjoint
+    ev = evals[stall]
+    np.testing.assert_array_equal(ev.q, pair.basis.project(pair.basis.last_primal))
+    res = np.linalg.norm(lin.residual(pair.basis.columns @ ev.q, ev.coord, 0.5 * mu))
+    assert ev.prim_res == pytest.approx(res, rel=1e-12)
+    assert np.isfinite(ev.adj_res) and np.all(np.isfinite(ev.ghat))

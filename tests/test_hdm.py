@@ -46,13 +46,33 @@ def test_diffusion_residual_is_affine(lin):
     np.testing.assert_allclose(r_u - r_0, a @ u, rtol=1e-11, atol=1e-13)
 
 
-@pytest.mark.parametrize("prob_name", ["linear-diffusion", "burgers-control"])
+@pytest.mark.parametrize("prob_name", [
+    "linear-diffusion", "burgers-control",
+    "linear-diffusion-stacked", "burgers-control-stacked"])
 def test_jacobian_taylor_consistency(prob_name, lin, bur):
-    problem = lin if prob_name == "linear-diffusion" else bur
+    problem = lin if prob_name.startswith("linear-diffusion") else bur
     rng = np.random.default_rng(5)
     y, mu = sample_point(problem, 3)
     u = rng.standard_normal(problem.n_u)
     v = rng.standard_normal(problem.n_u)
+    if prob_name.endswith("-stacked"):
+        # three nodes with their own states: every row of the residual, the
+        # bands and the products with a shared basis equals the one-node call
+        ys = np.stack([y, -y, [0.3, -0.9]])
+        us = np.stack([u, 0.5 * u, v])
+        basis = rng.standard_normal((problem.n_u, 4))
+        stacked = (problem.residual(us, ys, mu), *problem.jac_bands(us, ys, mu),
+                   problem.jac_u_mul(us, ys, mu, basis),
+                   problem.jac_uT_mul(us, ys, mu, basis), problem.qoi(us, ys, mu))
+        for i in range(3):
+            single = (problem.residual(us[i], ys[i], mu),
+                      *problem.jac_bands(us[i], ys[i], mu),
+                      problem.jac_u_mul(us[i], ys[i], mu, basis),
+                      problem.jac_uT_mul(us[i], ys[i], mu, basis),
+                      problem.qoi(us[i], ys[i], mu))
+            for rows, one in zip(stacked, single):
+                np.testing.assert_array_equal(rows[i], one)
+        return
     jv = problem.jac_u_mul(u, y, mu, v)
     for h in (1e-3, 1e-4):
         lhs = problem.residual(u + h * v, y, mu) - problem.residual(u, y, mu) \

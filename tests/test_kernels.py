@@ -29,16 +29,28 @@ def transposed(lo, dg, up):
     return np.append(0.0, up[:-1]), dg, np.append(lo[1:], 0.0)
 
 
-@pytest.mark.parametrize("name", ["band_matvec", "band_t_matvec",
-                                  "band_matmat", "band_t_matmat"])
-def test_band_products_match_dense(data, name):
+PRODUCTS = ["band_matvec", "band_t_matvec", "band_matmat", "band_t_matmat"]
+
+
+@pytest.mark.parametrize("name, stacked", [
+    *[pytest.param(name, False, id=name) for name in PRODUCTS],
+    *[pytest.param(name, True, id=f"{name}-stacked") for name in PRODUCTS]])
+def test_band_products_match_dense(data, name, stacked):
     lo, dg, up = data["lo"], data["dg"], data["up"]
     a = band_to_dense(lo, dg, up)
     if "_t_" in name:
         a = a.T
     x = data["V"] if name.endswith("matmat") else data["v"]
-    np.testing.assert_allclose(getattr(kernels, name)(lo, dg, up, x), a @ x,
-                               rtol=1e-13)
+    kernel = getattr(kernels, name)
+    if not stacked:
+        np.testing.assert_allclose(kernel(lo, dg, up, x), a @ x, rtol=1e-13)
+        return
+    # a stack of three band sets, one row per node, against the one-node calls
+    bands = [np.stack([b, 0.5 * b, -b]) for b in (lo, dg, up)]
+    out = kernel(*bands, x)
+    assert out.shape == (3,) + x.shape
+    for i in range(3):
+        np.testing.assert_array_equal(out[i], kernel(*(b[i] for b in bands), x))
 
 
 @pytest.mark.parametrize("case", ["vector", "transposed", "block"])

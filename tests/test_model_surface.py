@@ -56,10 +56,10 @@ def test_regularizer_only_gradient(lin):
     # the model gradient is the regularizer slope alpha * mu
     class FlatTracking(LinearDiffusion):
         def qoi(self, u, y, mu):
-            return 0.5 * self.alpha * float(np.dot(mu, mu))
+            return np.full(u.shape[:-1], 0.5 * self.alpha * float(np.dot(mu, mu)))
 
         def qoi_u(self, u, y, mu):
-            return np.zeros(self.n_u)
+            return np.zeros_like(u)
 
     prob = FlatTracking(n_u=31)
     mu = np.full(8, 0.4)
@@ -71,10 +71,10 @@ def test_regularizer_only_gradient(lin):
 def test_odd_integrand_cancels_on_symmetric_grid():
     class OddQoI(LinearDiffusion):
         def qoi(self, u, y, mu):
-            return y[0] * (1.0 + y[1] ** 2)
+            return y[..., 0] * (1.0 + y[..., 1] ** 2)
 
         def qoi_u(self, u, y, mu):
-            return np.zeros(self.n_u)
+            return np.zeros_like(u)
 
         def qoi_mu(self, u, y, mu):
             return np.zeros(self.n_mu)

@@ -5,6 +5,7 @@ import pytest
 
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
+from sgromtr import rom
 from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
                          rom_gradient, rom_qoi, solve_rom_adjoint,
                          solve_rom_primal)
@@ -80,7 +81,7 @@ def test_clone_is_independent(lin):
 
 def test_empty_basis_rejected(lin):
     with pytest.raises(RomSolveError):
-        solve_rom_primal(lin, ReducedBasis(lin.n_u), np.zeros(2), np.zeros(8))
+        solve_rom_primal(lin, ReducedBasis(lin.n_u), np.zeros((1, 2)), np.zeros(8))
 
 
 def test_interpolation_property(lin, bur):
@@ -91,18 +92,18 @@ def test_interpolation_property(lin, bur):
         sol, adj = hdm_pair(problem, y, mu)
         basis = seeded_basis(problem, seed=9)
         basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
-        prim = solve_rom_primal(problem, basis, y, mu)
-        assert prim.residual_norm <= 1e-8 * (1 + np.linalg.norm(sol.u))
-        rec = basis.columns @ prim.q
+        prim = solve_rom_primal(problem, basis, y[None], mu)
+        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(sol.u))
+        rec = basis.columns @ prim.q[0]
         assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
-        adj_rom = solve_rom_adjoint(problem, basis, prim.q, y, mu)
-        assert adj_rom.residual_norm <= 1e-8 * (
+        adj_rom = solve_rom_adjoint(problem, basis, prim.q, y[None], mu)
+        assert adj_rom.residual_norm[0] <= 1e-8 * (
             1 + np.linalg.norm(problem.qoi_u(sol.u, y, mu)))
 
 
 def test_linear_problem_single_gauss_newton_step(lin):
     basis = seeded_basis(lin, seed=10, n_snaps=3)
-    prim = solve_rom_primal(lin, basis, np.array([0.1, -0.2]), np.full(8, 0.1))
+    prim = solve_rom_primal(lin, basis, np.array([[0.1, -0.2]]), np.full(8, 0.1))
     assert prim.gn_iters == 1
 
 
@@ -115,11 +116,11 @@ def test_optimality_beats_projection(lin, bur):
         mu = rng.uniform(-0.3, 0.3, 8)
         sol, _ = hdm_pair(problem, y, mu)
         basis = seeded_basis(problem, seed=13, n_snaps=2)
-        prim = solve_rom_primal(problem, basis, y, mu)
+        prim = solve_rom_primal(problem, basis, y[None], mu)
         q_proj = basis.project(sol.u)
         res_proj = np.linalg.norm(
             problem.residual(basis.columns @ q_proj, y, mu))
-        assert prim.residual_norm <= res_proj * (1 + 1e-10)
+        assert prim.residual_norm[0] <= res_proj * (1 + 1e-10)
 
 
 def test_monotonicity_under_appends(lin):
@@ -132,12 +133,12 @@ def test_monotonicity_under_appends(lin):
     for i in range(8):
         q0 = None
         if q_prev is not None:
-            q0 = np.zeros(basis.k)
-            q0[:len(q_prev)] = q_prev
-        prim = solve_rom_primal(lin, basis, y, mu, q0=q0)
+            q0 = np.zeros((1, basis.k))
+            q0[0, :len(q_prev)] = q_prev
+        prim = solve_rom_primal(lin, basis, y[None], mu, q0=q0)
         if prev is not None:
-            assert prim.residual_norm <= prev * (1 + 1e-12) + 1e-12
-        prev, q_prev = prim.residual_norm, prim.q
+            assert prim.residual_norm[0] <= prev * (1 + 1e-12) + 1e-12
+        prev, q_prev = prim.residual_norm[0], prim.q[0]
         ys = rng.uniform(-1, 1, 2)
         sol, adj = hdm_pair(lin, ys, mu)
         basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], ys, mu)
@@ -165,18 +166,23 @@ def _unit_basis(n, k):
 
 
 class _AffineProblem:
-    """``r(u) = u - b`` in n dimensions; counts its residual evaluations."""
+    """``r(u) = u - b`` in n dimensions, for a stack of states ``u``.
+
+    Counts its residual calls and the rows (trial states) they evaluate.
+    """
 
     def __init__(self, b):
         self.b = b
         self.residual_calls = 0
+        self.residual_rows = 0
 
     def residual(self, u, y, mu):
         self.residual_calls += 1
+        self.residual_rows += len(u)
         return u - self.b
 
     def jac_u_mul(self, u, y, mu, v):
-        return v
+        return np.broadcast_to(v, u.shape[:-1] + v.shape)
 
 
 def test_predicted_stagnation_spends_no_line_search():
@@ -190,10 +196,11 @@ def test_predicted_stagnation_spends_no_line_search():
     far[5] = 1.0
     problem = _AffineProblem(basis.columns @ q_star + far)
     q0 = q_star + np.array([1e-7, 0.0])
-    prim = solve_rom_primal(problem, basis, np.zeros(2), np.zeros(3), q0=q0)
+    prim = solve_rom_primal(problem, basis, np.zeros((1, 2)), np.zeros(3),
+                            q0=q0[None])
     assert problem.residual_calls == 1  # the initial residual only
     assert prim.gn_iters == 0
-    np.testing.assert_array_equal(prim.q, q0)
+    np.testing.assert_array_equal(prim.q[0], q0)
 
 
 class _NoisyAffineProblem(_AffineProblem):
@@ -208,16 +215,96 @@ def test_backtracking_stops_where_the_model_predicts_stagnation():
     # a start 1e-4 off the minimizer of a unit residual: the model
     # decrease (2t - t^2) * 1e-8 of ||r||^2 meets the 2e-12 threshold
     # at t = 2^-14, so the trial steps are t = 1, ..., 2^-13 and the
-    # cap of 30 halvings is never reached
+    # cap of 29 halvings is never reached
     n = 20
     basis = _unit_basis(n, 2)
     far = np.zeros(n)
     far[5] = 1.0
     problem = _NoisyAffineProblem(far)
     with pytest.raises(RomSolveError, match="stagnated"):
-        solve_rom_primal(problem, basis, np.zeros(2), np.zeros(3),
-                         q0=np.array([1e-4, 0.0]))
-    assert problem.residual_calls == 1 + 14
+        solve_rom_primal(problem, basis, np.zeros((1, 2)), np.zeros(3),
+                         q0=np.array([[1e-4, 0.0]]))
+    # the initial residual, the full step, then the 13 halvings at once
+    assert problem.residual_rows == 1 + 14
+    assert problem.residual_calls == 3
+
+
+class _TrialNoiseProblem(_AffineProblem):
+    """``r(u) = u - b`` at the listed start states, ``1.01 (u - b)`` elsewhere.
+
+    The noise depends on the state alone, so a node sees the same
+    residuals whatever stack it is solved in.
+    """
+
+    def __init__(self, b, starts):
+        super().__init__(b)
+        self.starts = starts
+
+    def residual(self, u, y, mu):
+        r = super().residual(u, y, mu)
+        at_start = (u[:, None, :] == self.starts[None]).all(-1).any(-1)
+        return np.where(at_start[:, None], r, 1.01 * r)
+
+
+def test_mixed_stack_matches_stacks_of_one(monkeypatch):
+    # the minimizer leaves a unit residual.  Node 0 starts far off and
+    # takes one full step; node 1 starts 2e-6 off, so its full step and
+    # its one halving above the model cut-off are rejected and it stops
+    # on the stagnation branch with a gradient below 1e-6 of its bound;
+    # node 2 starts 1e-7 off, where the model predicts stagnation
+    n = 20
+    basis = _unit_basis(n, 2)
+    q_star = np.array([0.5, -0.25])
+    far = np.zeros(n)
+    far[5] = 1.0
+    q0 = q_star + np.array([[0.3, -0.2], [2e-6, 0.0], [1e-7, 0.0]])
+    ys = np.zeros((3, 2))
+
+    def solve(rows):
+        problem = _TrialNoiseProblem(basis.columns @ q_star + far,
+                                     basis.expand(q0))
+        return solve_rom_primal(problem, basis, ys[rows], np.zeros(3),
+                                q0=q0[rows]), problem
+
+    stack, problem = solve([0, 1, 2])
+    # initial residuals, full steps, and node 1's single halving
+    assert problem.residual_rows == 3 + 2 + 1
+    np.testing.assert_array_equal(stack.iters, [1, 0, 0])
+    np.testing.assert_array_equal(stack.q[1:], q0[1:])
+    for i in range(3):
+        alone, _ = solve([i])
+        np.testing.assert_array_equal(stack.q[i], alone.q[0])
+        np.testing.assert_array_equal(stack.residual_norm[i],
+                                      alone.residual_norm[0])
+        assert stack.iters[i] == alone.gn_iters
+    monkeypatch.setattr(rom, "STACK_BYTES", 1)   # one node per part
+    split, _ = solve([0, 1, 2])
+    np.testing.assert_array_equal(split.q, stack.q)
+    np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
+    np.testing.assert_array_equal(split.iters, stack.iters)
+
+
+def test_iteration_cap_carries_every_last_iterate(monkeypatch):
+    # the mixed stack above with a cap of one step: node 0 moves and is
+    # cut off before its stationarity check, the others end as before
+    n = 20
+    basis = _unit_basis(n, 2)
+    q_star = np.array([0.5, -0.25])
+    far = np.zeros(n)
+    far[5] = 1.0
+    q0 = q_star + np.array([[0.3, -0.2], [2e-6, 0.0], [1e-7, 0.0]])
+    problem = _TrialNoiseProblem(basis.columns @ q_star + far, basis.expand(q0))
+    monkeypatch.setattr(rom, "GN_MAX_ITERS", 1)
+    with pytest.raises(RomSolveError, match="did not converge in 1 iterations") as info:
+        solve_rom_primal(problem, basis, np.zeros((3, 2)), np.zeros(3), q0=q0)
+    result, failed = info.value.result, info.value.failed
+    np.testing.assert_array_equal(failed, [True, False, False])
+    np.testing.assert_array_equal(result.iters, [1, 0, 0])
+    np.testing.assert_allclose(result.q[0], q_star, atol=1e-15)
+    np.testing.assert_array_equal(result.q[1:], q0[1:])
+    # the true residual norms at the returned iterates
+    true = np.linalg.norm(problem.residual(basis.expand(result.q), None, None), axis=1)
+    np.testing.assert_allclose(result.residual_norm, true, rtol=1e-15)
 
 
 def test_interpolation_converges_from_cold_and_exact_starts(bur):
@@ -227,11 +314,11 @@ def test_interpolation_converges_from_cold_and_exact_starts(bur):
     sol, adj = hdm_pair(bur, y, mu)
     basis = seeded_basis(bur, seed=28, n_snaps=2)
     basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
-    cold = solve_rom_primal(bur, basis, y, mu)
-    warm = solve_rom_primal(bur, basis, y, mu, q0=basis.project(sol.u))
+    cold = solve_rom_primal(bur, basis, y[None], mu)
+    warm = solve_rom_primal(bur, basis, y[None], mu, q0=basis.project(sol.u)[None])
     for prim in (cold, warm):
-        assert prim.residual_norm <= 1e-8 * (1 + np.linalg.norm(sol.u))
-        rec = basis.columns @ prim.q
+        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(sol.u))
+        rec = basis.columns @ prim.q[0]
         assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
     assert warm.gn_iters <= 1
 
@@ -251,9 +338,9 @@ def test_full_space_reproduces_adjoint(lin_small):
     y = rng.uniform(-1, 1, 2)
     mu = rng.uniform(-0.5, 0.5, 8)
     sol, adj = hdm_pair(lin_small, y, mu)
-    prim = solve_rom_primal(lin_small, basis, y, mu)
-    adj_rom = solve_rom_adjoint(lin_small, basis, prim.q, y, mu)
-    np.testing.assert_allclose(basis.columns @ adj_rom.eta, adj.lam,
+    prim = solve_rom_primal(lin_small, basis, y[None], mu)
+    adj_rom = solve_rom_adjoint(lin_small, basis, prim.q, y[None], mu)
+    np.testing.assert_allclose(basis.columns @ adj_rom.eta[0], adj.lam,
                                rtol=1e-7, atol=1e-10)
 
 
@@ -262,30 +349,30 @@ def test_adjoint_optimality_over_candidates(lin):
     y = rng.uniform(-1, 1, 2)
     mu = rng.uniform(-0.5, 0.5, 8)
     basis = seeded_basis(lin, seed=18, n_snaps=2)
-    prim = solve_rom_primal(lin, basis, y, mu)
-    adj_rom = solve_rom_adjoint(lin, basis, prim.q, y, mu)
-    u = basis.columns @ prim.q
+    prim = solve_rom_primal(lin, basis, y[None], mu)
+    adj_rom = solve_rom_adjoint(lin, basis, prim.q, y[None], mu)
+    u = basis.columns @ prim.q[0]
     for _ in range(10):
-        eta = adj_rom.eta + rng.standard_normal(basis.k)
+        eta = adj_rom.eta[0] + rng.standard_normal(basis.k)
         res = np.linalg.norm(adjoint_residual(
             lin, basis.columns @ eta, u, y, mu))
-        assert adj_rom.residual_norm <= res * (1 + 1e-12)
+        assert adj_rom.residual_norm[0] <= res * (1 + 1e-12)
 
 
 def test_adjoint_rank_deficiency_raises(lin, monkeypatch):
     basis = seeded_basis(lin, seed=29, n_snaps=2)
     y, mu = np.array([0.1, 0.3]), np.full(8, -0.1)
-    prim = solve_rom_primal(lin, basis, y, mu)
+    prim = solve_rom_primal(lin, basis, y[None], mu)
     jac_uT_mul = lin.jac_uT_mul
 
     def zero_column(u, y, mu, v):
         a = jac_uT_mul(u, y, mu, v).copy()
-        a[:, 1] = 0.0
+        a[..., 1] = 0.0
         return a
 
     monkeypatch.setattr(lin, "jac_uT_mul", zero_column)
     with pytest.raises(RomSolveError, match="rank-deficient"):
-        solve_rom_adjoint(lin, basis, prim.q, y, mu)
+        solve_rom_adjoint(lin, basis, prim.q, y[None], mu)
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +393,12 @@ def test_rom_gradient_exact_subspace(bur):
     sol, adj = hdm_pair(bur, y, mu)
     basis = seeded_basis(bur, seed=21)
     basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
-    prim = solve_rom_primal(bur, basis, y, mu)
-    adj_rom = solve_rom_adjoint(bur, basis, prim.q, y, mu)
-    g = rom_gradient(bur, basis, prim.q, adj_rom.eta, y, mu)
+    prim = solve_rom_primal(bur, basis, y[None], mu)
+    adj_rom = solve_rom_adjoint(bur, basis, prim.q, y[None], mu)
+    g = rom_gradient(bur, basis, prim.q[0], adj_rom.eta[0], y, mu)
     g_exact = adjoint_gradient(bur, adj.lam, sol.u, y, mu)
     assert np.linalg.norm(g - g_exact) <= 1e-8 * (1 + np.linalg.norm(g_exact))
-    f_rom = rom_qoi(bur, basis, prim.q, y, mu)
+    f_rom = rom_qoi(bur, basis, prim.q[0], y, mu)
     assert abs(f_rom - bur.qoi(sol.u, y, mu)) <= 1e-8
 
 
@@ -335,7 +422,7 @@ def test_qoi_error_within_empirical_bound(lin):
     for _ in range(20):
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-1, 1, 8)
-        prim = solve_rom_primal(lin, basis, y, mu)
+        prim = solve_rom_primal(lin, basis, y[None], mu)
         sol = solve_primal(lin, y, mu)
-        err = abs(lin.qoi(sol.u, y, mu) - rom_qoi(lin, basis, prim.q, y, mu))
-        assert err <= 10.0 * kappa_hat * prim.residual_norm
+        err = abs(lin.qoi(sol.u, y, mu) - rom_qoi(lin, basis, prim.q[0], y, mu))
+        assert err <= 10.0 * kappa_hat * prim.residual_norm[0]

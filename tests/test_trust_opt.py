@@ -62,12 +62,20 @@ def test_boundary_step_identity_hessian():
 
 
 def test_spd_hessian_matches_newton_decrease():
+    # an interior step solves the Newton system to the forcing term
+    # min(0.5, sqrt(||g||)) ||g||, which tightens as ||g|| falls: at
+    # ||g|| ~ 1e-16 it is a relative 1e-8, and the decrease is Newton's
     rng = np.random.default_rng(0)
     a = rng.standard_normal((5, 5))
     h = a @ a.T + 0.5 * np.eye(5)
-    g = rng.standard_normal(5)
-    res = steihaug_toint(g, lambda v: h @ v, Delta=1e6)
-    exact = 0.5 * float(g @ np.linalg.solve(h, g))
+    for g in (rng.standard_normal(5), 1e-16 * rng.standard_normal(5)):
+        res = steihaug_toint(g, lambda v: h @ v, Delta=1e6)
+        gnorm = np.linalg.norm(g)
+        assert not res.hit_boundary
+        assert np.linalg.norm(h @ res.step + g) <= (
+            min(0.5, np.sqrt(gnorm)) * gnorm * (1 + 1e-8))
+        exact = 0.5 * float(g @ np.linalg.solve(h, g))
+        assert res.decrease <= exact * (1 + 1e-12)
     assert res.decrease == pytest.approx(exact, rel=1e-8)
 
 
