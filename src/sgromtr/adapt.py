@@ -6,19 +6,23 @@ it has evaluated.  Two drivers grow the pair until the trust-region
 accuracy conditions hold:
 
 * :func:`refine_for_gradient` enforces the three-way split of the
-  gradient condition at the trust-region center, alternating
-  dimension-adaptive grid growth (largest truncation contribution among
-  the forward neighbors) with greedy snapshot sampling at the node with
-  the largest density-weighted residual.
+  gradient condition at the trust-region center.
 * :func:`refine_for_objective` enforces the two-way split of the
   objective-decrease condition at the center and the trial point.
 
-Both drivers run one loop.  It samples each (node, parameter) point at
-most once and appends primal and adjoint snapshots together.  It
-evaluates the indicator and its thresholds once at entry and once after
-every grid or basis change; that evaluation fills the change's event,
-drives the next decision and, when the loop ends, is the one the exit
-check reuses, so the exit conditions hold exactly as evaluated.
+Both drivers run one loop.  An open truncation term adds the forward
+neighbor that contributes most to it (dimension-adaptive growth: the
+largest |tensor difference| of the gradient-estimate norm, or of |f| on
+the objective stage); an open residual term samples the full model
+greedily at the node with the largest density-weighted residual.  The
+loop samples each (node, parameter) point at most once and appends
+primal and adjoint snapshots together.  It evaluates the indicator and
+its thresholds once at entry and once after every grid or basis change;
+that one evaluation returns the term values and the neighbor
+differences behind the truncation term, fills the change's event,
+drives the next decision (the grid growth picks from its differences)
+and, when the loop ends, is the one the exit check reuses, so the exit
+conditions hold exactly as evaluated.
 """
 
 from __future__ import annotations
@@ -35,8 +39,7 @@ from .rom import ReducedBasis, RomSolveError, solve_rom_adjoint, solve_rom_prima
 from .sparse_grid import MultiIndexSet, assemble, difference_rule
 
 __all__ = [
-    "NodeEval", "SgRomPair", "GradientIndicator", "ObjectiveIndicator",
-    "RefinementEvent", "LevelCapError", "RefinementError",
+    "NodeEval", "SgRomPair", "RefinementEvent", "LevelCapError", "RefinementError",
     "eval_gradient_indicator", "eval_objective_indicator",
     "objective_thresholds", "refine_for_gradient", "refine_for_objective",
     "MACHINE_FLOOR",
@@ -67,52 +70,12 @@ class RefinementEvent:
 
 
 @dataclass
-class GradientIndicator:
-    """Split error indicator for the model gradient at one parameter point."""
-
-    e1: float
-    e3: float
-    e4: float
-    betas: tuple
-
-    @property
-    def phi(self) -> float:
-        b1, b3, b4 = self.betas
-        return b1 * self.e1 + b3 * self.e3 + b4 * self.e4
-
-
-@dataclass
-class ObjectiveIndicator:
-    """Split error indicator for the objective decrease between two points."""
-
-    e1_at: dict
-    e2_at: dict
-    alphas: tuple
-    center_key: tuple
-    trial_key: tuple
-
-    @property
-    def e1_sum(self) -> float:
-        return self.e1_at[self.center_key] + self.e1_at[self.trial_key]
-
-    @property
-    def e2_sum(self) -> float:
-        return self.e2_at[self.center_key] + self.e2_at[self.trial_key]
-
-    @property
-    def theta(self) -> float:
-        a1, a2 = self.alphas
-        return a1 * self.e1_sum + a2 * self.e2_sum
-
-
-@dataclass
 class NodeEval:
     """Reduced solve at one (node, parameter) pair."""
 
     coord: np.ndarray
     q: np.ndarray
     prim_res: float
-    eta: np.ndarray
     adj_res: float
     ghat: np.ndarray
     gnorm: float          # ||ghat||
@@ -235,7 +198,7 @@ class SgRomPair:
         nodes = self._nodes.setdefault(mk, {})
         for i, (key, _) in enumerate(missing):
             nodes[key] = NodeEval(ys[i], prim.q[i], float(prim.residual_norm[i]),
-                                  adj.eta[i], float(adj.residual_norm[i]),
+                                  float(adj.residual_norm[i]),
                                   ghat[i], float(gnorm[i]), float(fval[i]),
                                   int(iters[i]))
         self.counters.n_rp += len(missing)
@@ -261,64 +224,57 @@ class SgRomPair:
         quad = assemble(self.grid)
         return quad.weights @ np.array([ev.ghat for ev in self.evals(quad, mu)])
 
-    def neighbor_differences(self, mu, integrand: str) -> dict:
-        """Signed tensor-difference value per forward neighbor.
+    def neighbor_differences(self, mu, value) -> dict:
+        """Tensor-difference quadrature of ``value(ev)`` per forward neighbor.
 
-        ``integrand`` selects the node functional: ``grad_norm`` (norm of
-        the gradient estimate), ``qoi`` or ``abs_qoi``.  Every node of a
-        neighbor's difference rule lies in the union quadrature, which is
-        solved once here.
+        ``value`` maps a node's :class:`NodeEval` to a float.  Every node
+        of a neighbor's difference rule lies in the union quadrature,
+        which is solved once here.
         """
         quad = self.union_quad()
         by_key = dict(zip(quad.keys, self.evals(quad, mu)))
-        pick = {
-            "grad_norm": lambda ev: ev.gnorm,
-            "qoi": lambda ev: ev.fval,
-            "abs_qoi": lambda ev: abs(ev.fval),
-        }[integrand]
         out = {}
         for idx in self.grid.neighbors():
             rule = difference_rule(idx)
-            vals = [pick(by_key[key]) for key in rule.keys]
+            vals = [value(by_key[key]) for key in rule.keys]
             out[idx] = float(np.dot(rule.weights, vals))
         return out
 
 
-def eval_gradient_indicator(pair: SgRomPair, mu, betas) -> GradientIndicator:
+def _residual_term(pair: SgRomPair, mu, field: str) -> float:
+    """|Quadrature| of one residual norm over the grid and its neighbors."""
+    quad = pair.union_quad()
+    vals = [getattr(ev, field) for ev in pair.evals(quad, mu)]
+    return abs(float(np.dot(quad.weights, vals)))
+
+
+def eval_gradient_indicator(pair: SgRomPair, mu):
     """Primal-residual, adjoint-residual, and truncation terms at ``mu``.
 
-    The first two are quadratures of residual norms over the grid and
-    its forward neighbors; the third sums the tensor differences of the
-    gradient-estimate norm over the neighbors only.  Signed quadrature
-    of a nonnegative integrand can dip below zero at noise level, so
-    absolute values are reported.
+    Returns ``({"e1", "e3", "e4"}, [diffs])``.  The first two terms are
+    quadratures of residual norms over the grid and its forward
+    neighbors; ``e4`` sums ``diffs``, the tensor differences of the
+    gradient-estimate norm per neighbor.  Signed quadrature of a
+    nonnegative integrand can dip below zero at noise level, so absolute
+    values are reported.
     """
-    quad = pair.union_quad()
-    evals = pair.evals(quad, mu)
-    e1 = abs(float(np.dot(quad.weights, [ev.prim_res for ev in evals])))
-    e3 = abs(float(np.dot(quad.weights, [ev.adj_res for ev in evals])))
-    e4 = abs(sum(pair.neighbor_differences(mu, "grad_norm").values()))
-    return GradientIndicator(e1, e3, e4, tuple(betas))
+    e1 = _residual_term(pair, mu, "prim_res")
+    e3 = _residual_term(pair, mu, "adj_res")
+    diffs = pair.neighbor_differences(mu, lambda ev: ev.gnorm)
+    return {"e1": e1, "e3": e3, "e4": abs(sum(diffs.values()))}, [diffs]
 
 
-def _objective_terms(pair: SgRomPair, mu):
-    quad = pair.union_quad()
-    evals = pair.evals(quad, mu)
-    e1 = abs(float(np.dot(quad.weights, [ev.prim_res for ev in evals])))
-    e2 = abs(sum(pair.neighbor_differences(mu, "abs_qoi").values()))
-    return e1, e2
+def eval_objective_indicator(pair: SgRomPair, mu_center, mu_trial):
+    """Primal-residual and truncation terms summed over center and trial.
 
-
-def eval_objective_indicator(pair: SgRomPair, mu_center, mu_trial,
-                             alphas) -> ObjectiveIndicator:
-    """Primal-residual and truncation terms at the center and trial points."""
-    e1_c, e2_c = _objective_terms(pair, mu_center)
-    e1_t, e2_t = _objective_terms(pair, mu_trial)
-    ck, tk = tuple(mu_center), tuple(mu_trial)
-    return ObjectiveIndicator(
-        e1_at={ck: e1_c, tk: e1_t},
-        e2_at={ck: e2_c, tk: e2_t},
-        alphas=tuple(alphas), center_key=ck, trial_key=tk)
+    Returns ``({"e1'", "e2'"}, [diffs_center, diffs_trial])``, where
+    ``e2'`` sums the per-point |tensor-difference sums| of ``|f|``.
+    """
+    points = (mu_center, mu_trial)
+    e1 = sum(_residual_term(pair, mu, "prim_res") for mu in points)
+    diffs = [pair.neighbor_differences(mu, lambda ev: abs(ev.fval))
+             for mu in points]
+    return {"e1'": e1, "e2'": sum(abs(sum(d.values())) for d in diffs)}, diffs
 
 
 # ---------------------------------------------------------------------------
@@ -385,36 +341,36 @@ def _pick_index(diffs: dict):
 # ---------------------------------------------------------------------------
 
 def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
-            mus: list, integrand: str, level_cap: int, events) -> SgRomPair:
+            mus: list, level_cap: int, events) -> SgRomPair:
     """Grow ``pair`` until every indicator term is within its threshold.
 
-    ``evaluate()`` returns ``(values, thresholds, exit_values)``: the
-    term values and their bounds keyed by term name, and the
-    ``(before, after)`` pair of the exit-check event.  An open truncation
-    term ``trunc`` adds the forward neighbor with the largest
-    ``|tensor difference|`` of ``integrand`` over ``mus``; each open
-    residual term in ``targets`` (term -> ``"primal"`` or ``"adjoint"``)
-    samples the HDM greedily until it closes or no candidate is left.  A
-    pass that changes nothing while terms stay open grows the grid.
-    ``evaluate`` runs once at entry and once after each change, and that
-    one value logs the change, drives the next decision and, at the end,
-    the exit check.
+    ``evaluate()`` returns ``(values, thresholds, exit_values, diffs)``:
+    the term values and their bounds keyed by term name, the
+    ``(before, after)`` pair of the exit-check event, and the neighbor
+    differences behind the truncation term ``trunc``, one dict per point
+    of ``mus``.  An open ``trunc`` adds the forward neighbor with the
+    largest ``|difference|`` over those dicts; each open residual term
+    in ``targets`` (term -> ``"primal"`` or ``"adjoint"``) samples the
+    HDM greedily until it closes or no candidate is left.  A pass that
+    changes nothing while terms stay open grows the grid.  ``evaluate``
+    runs once at entry and once after each change, and that one value
+    logs the change, drives the next decision and, at the end, the exit
+    check.
     """
-    values, limits, exit_values = evaluate()
+    values, limits, exit_values, diffs = evaluate()
 
     def ok(term) -> bool:
         return values[term] <= limits[term]
 
     def changed(kind, detail, term) -> None:
-        nonlocal values, limits, exit_values
+        nonlocal values, limits, exit_values, diffs
         before = values[term]
-        values, limits, exit_values = evaluate()
+        values, limits, exit_values, diffs = evaluate()
         if events is not None:
             events.append(RefinementEvent(stage, kind, detail, before,
                                           values[term]))
 
     def grow() -> None:
-        diffs = [pair.neighbor_differences(mu, integrand) for mu in mus]
         idx = _pick_index({i: max(abs(d[i]) for d in diffs) for i in diffs[0]})
         if max(idx) > level_cap:
             raise LevelCapError(
@@ -473,16 +429,15 @@ def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, kappa_phi, betas, gtol,
         return pair
 
     def evaluate():
-        ind = eval_gradient_indicator(pair, mu_k, betas)
+        values, diffs = eval_gradient_indicator(pair, mu_k)
         t = guard()
-        values = {"e1": ind.e1, "e3": ind.e3, "e4": ind.e4}
         limits = {name: kappa_phi / (3.0 * b) * max(t, gtol)
                   for name, b in zip(values, betas)}
-        return values, limits, (ind.phi, t)
+        phi = sum(b * e for b, e in zip(betas, values.values()))
+        return values, limits, (phi, t), diffs
 
     return _refine(pair, "gradient", evaluate, "e4",
-                   {"e1": "primal", "e3": "adjoint"}, [mu_k], "grad_norm",
-                   level_cap, events)
+                   {"e1": "primal", "e3": "adjoint"}, [mu_k], level_cap, events)
 
 
 def objective_thresholds(m_decrease, r_k, eta, omega, alphas,
@@ -512,9 +467,9 @@ def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k,
                                       threshold_floor)
 
     def evaluate():
-        ind = eval_objective_indicator(pair, mu_k, mu_hat, alphas)
-        return ({"e1'": ind.e1_sum, "e2'": ind.e2_sum},
-                {"e1'": thr1, "e2'": thr2}, (ind.e1_sum, ind.e2_sum))
+        values, diffs = eval_objective_indicator(pair, mu_k, mu_hat)
+        return (values, {"e1'": thr1, "e2'": thr2},
+                (values["e1'"], values["e2'"]), diffs)
 
     return _refine(pair, "objective", evaluate, "e2'", {"e1'": "primal"},
-                   [mu_k, mu_hat], "qoi", level_cap, events)
+                   [mu_k, mu_hat], level_cap, events)

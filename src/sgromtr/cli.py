@@ -417,7 +417,7 @@ def run_compare(cfg: RunConfig, out: Path) -> int:
         return EXIT_SOLVER_FAILURE
 
     problem = cfg.make_problem()
-    level = min(cfg.values["baseline"]["level"], 6)
+    level = cfg.values["baseline"]["level"]
     j_tr, g_tr = tensor_reference(problem, mu_tr, level)
     j_iso, g_iso = tensor_reference(problem, mu_iso, level)
     with open(out / "compare.csv", "w") as f:

@@ -107,10 +107,16 @@ class RunConfig:
                 level_cap=t["level_cap"], theta_floor=t["theta_floor"])
         except ValueError as exc:
             raise ConfigError(f"trust_region: {exc}") from exc
-        if self.values["baseline"]["level"] < 1:
-            raise ConfigError("baseline.level must be >= 1")
+        p = self.values["problem"]
+        if p["n_u"] is not None and p["n_u"] < 1:
+            raise ConfigError("problem.n_u must be >= 1")
+        if not p["alpha"] >= 0.0:
+            raise ConfigError("problem.alpha must be >= 0")
+        if not 1 <= self.values["baseline"]["level"] <= 6:
+            raise ConfigError("baseline.level must be between 1 and 6")
         if self.values["validate"]["n_samples"] < 0:
             raise ConfigError("validate.n_samples must be >= 0")
+        self.mu0(p["n_mu"])  # raises on a malformed init.mu0
 
     @property
     def method(self) -> str:
@@ -139,7 +145,12 @@ class RunConfig:
         text = self.values["init"]["mu0"].strip()
         if not text:
             return np.zeros(n_mu)
-        vals = np.array([float(v) for v in text.split()])
+        try:
+            vals = np.array([float(v) for v in text.split()])
+        except ValueError as exc:
+            raise ConfigError(f"init.mu0: cannot parse {text!r} as numbers") from exc
+        if not np.all(np.isfinite(vals)):
+            raise ConfigError(f"init.mu0 must be finite numbers, got {text!r}")
         if vals.shape != (n_mu,):
             raise ConfigError(f"init.mu0 must have {n_mu} entries, "
                               f"got {vals.shape[0]}")

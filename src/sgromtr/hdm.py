@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .sparse_grid import tensor_nodes
 
 __all__ = [
     "ModelProblem", "LinearDiffusion", "BurgersControl",
@@ -302,15 +303,11 @@ class BurgersControl(ModelProblem):
 
 def _uncontrolled_reference(problem: BurgersControl, level: int) -> np.ndarray:
     """Tensor-quadrature mean of the uncontrolled solution over y."""
-    from .sparse_grid import cc_rule
-
-    rule = cc_rule(level)
+    _, ys, ws = tensor_nodes((level,) * problem.n_y)
     mu0 = np.zeros(problem.n_mu)
     mean = np.zeros(problem.n_u)
-    for y1, w1 in zip(rule.nodes, rule.weights):
-        for y2, w2 in zip(rule.nodes, rule.weights):
-            sol = solve_primal(problem, np.array([y1, y2]), mu0)
-            mean += w1 * w2 * sol.u
+    for y, w in zip(ys, ws):
+        mean += w * solve_primal(problem, y, mu0).u
     return mean
 
 

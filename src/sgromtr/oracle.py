@@ -9,19 +9,17 @@ the second routes against which the fast paths are checked.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hdm import (QueryCounters, adjoint_gradient, solve_adjoint, solve_primal)
-from .rom import (ReducedBasis, RomSolveError, rom_gradient, rom_qoi,
-                  solve_rom_adjoint, solve_rom_primal)
-from .sparse_grid import cc_rule
+from .rom import ReducedBasis, RomSolveError, solve_rom_adjoint, solve_rom_primal
+from .sparse_grid import tensor_nodes
 
 __all__ = [
-    "BoundEstimate", "fd_gradient", "tensor_reference", "tensor_nodes",
+    "BoundEstimate", "fd_gradient", "tensor_reference",
     "sg_iso_baseline", "validate_bounds", "cost_metric",
 ]
 
@@ -64,17 +62,6 @@ def fd_gradient(problem, y, mu, h: float = 1e-5,
     return grad
 
 
-def tensor_nodes(n_y: int, level: int):
-    """Nodes and weights of the full tensor Clenshaw-Curtis rule."""
-    rule = cc_rule(level)
-    nodes = []
-    weights = []
-    for combo in itertools.product(range(len(rule.nodes)), repeat=n_y):
-        nodes.append(np.array([rule.nodes[i] for i in combo]))
-        weights.append(math.prod(rule.weights[i] for i in combo))
-    return nodes, np.array(weights)
-
-
 def tensor_reference(problem, mu, level: int,
                      counters: QueryCounters | None = None,
                      warm: dict | None = None):
@@ -88,7 +75,7 @@ def tensor_reference(problem, mu, level: int,
     if problem.n_y > 3:
         raise ValueError("tensor reference capped at 3 stochastic dimensions")
     mu = np.asarray(mu, dtype=float)
-    nodes, weights = tensor_nodes(problem.n_y, level)
+    _, nodes, weights = tensor_nodes((level,) * problem.n_y)
     j_val = 0.0
     grad = np.zeros(problem.n_mu)
     for i, (y, w) in enumerate(zip(nodes, weights)):
@@ -200,8 +187,9 @@ def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
         hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu)
         f_true = problem.qoi(hdm_prim.u, y, mu)
         g_true = adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
-        f_rom = rom_qoi(problem, basis, q, y, mu)
-        g_rom = rom_gradient(problem, basis, q, eta, y, mu)
+        u_rom = basis.expand(q)
+        f_rom = problem.qoi(u_rom, y, mu)
+        g_rom = adjoint_gradient(problem, basis.expand(eta), u_rom, y, mu)
         qoi_ratios.append(abs(f_true - f_rom) / res)
         grad_ratios.append(float(np.linalg.norm(g_true - g_rom)) / (res + adj_res))
 

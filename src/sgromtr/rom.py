@@ -32,12 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .hdm import adjoint_gradient
 
 __all__ = [
     "ReducedBasis", "Snapshot", "RomPrimal", "RomAdjoint",
     "RomSolveError", "solve_rom_primal", "solve_rom_adjoint",
-    "rom_qoi", "rom_gradient",
 ]
 
 DROP_TOL = 1e-10
@@ -385,18 +383,3 @@ def _min_res_adjoint(problem, basis, q, ys, mu):
     res = _norms((a @ eta[:, :, None])[:, :, 0] - b)
     return eta, res
 
-
-def rom_qoi(problem, basis: ReducedBasis, q, y, mu) -> float:
-    """Quantity of interest evaluated on the reconstructed reduced state."""
-    return problem.qoi(basis.expand(np.asarray(q, dtype=float)), y, mu)
-
-
-def rom_gradient(problem, basis: ReducedBasis, q, eta, y, mu) -> np.ndarray:
-    """Adjoint-based gradient estimate from the reduced primal/adjoint pair.
-
-    Applies the gradient-reconstruction operator to the reconstructed
-    pair; this is not the exact gradient of the reduced quantity of
-    interest, but it minimizes the residual-based gradient error bound.
-    """
-    return adjoint_gradient(problem, basis.expand(np.asarray(eta, dtype=float)),
-                            basis.expand(np.asarray(q, dtype=float)), y, mu)

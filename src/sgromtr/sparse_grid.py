@@ -25,7 +25,7 @@ import numpy as np
 __all__ = [
     "KEY_LEVEL", "Rule1D", "MultiIndexSet", "SparseQuadrature",
     "IntegrandError", "cc_rule", "rule_size", "node_coordinate",
-    "is_admissible", "assemble", "integrate", "difference_rule",
+    "is_admissible", "tensor_nodes", "assemble", "integrate", "difference_rule",
     "write_index_set",
 ]
 
@@ -222,20 +222,29 @@ class SparseQuadrature:
 
 
 @lru_cache(maxsize=None)
-def _tensor_nodes(levels: tuple):
-    """Node keys and product weights of the tensor rule at ``levels``."""
+def tensor_nodes(levels: tuple):
+    """Node keys, coordinates and product weights of the tensor rule at ``levels``.
+
+    Rows run in lexicographic order of the per-dimension node indices,
+    the last dimension fastest.  The cached arrays are shared: callers
+    must not modify them.
+    """
     rules = [cc_rule(l) for l in levels]
-    key_grids = np.meshgrid(*[np.array(r.keys, dtype=np.int64) for r in rules],
-                            indexing="ij")
-    keys = np.stack([g.ravel() for g in key_grids], axis=1)
+
+    def grid(per_dim, dtype):
+        axes = np.meshgrid(*[np.array(v, dtype=dtype) for v in per_dim],
+                           indexing="ij")
+        return np.stack([a.ravel() for a in axes], axis=1)
+
     w = rules[0].weights
     for r in rules[1:]:
         w = np.multiply.outer(w, r.weights)
-    return keys, w.ravel()
+    return (grid([r.keys for r in rules], np.int64),
+            grid([r.nodes for r in rules], float), w.ravel())
 
 
 def _accumulate(nodemap: dict, levels: tuple, coeff: float) -> None:
-    keys, w = _tensor_nodes(levels)
+    keys, _, w = tensor_nodes(levels)
     for row, wj in zip(map(tuple, keys.tolist()), w):
         nodemap[row] = nodemap.get(row, 0.0) + coeff * wj
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sgromtr import adapt
-from sgromtr.adapt import (GradientIndicator, SgRomPair, eval_gradient_indicator,
+from sgromtr.adapt import (SgRomPair, eval_gradient_indicator,
                            eval_objective_indicator, objective_thresholds,
                            refine_for_gradient, refine_for_objective,
                            LevelCapError)
@@ -57,11 +57,27 @@ def lin_pair(lin):
 # indicators
 # ---------------------------------------------------------------------------
 
-def test_phi_combines_terms_with_betas():
-    ind = GradientIndicator(0.5, 0.25, 0.125, (1.0, 1.0, 1.0))
-    assert ind.phi == pytest.approx(0.875)
-    ind2 = GradientIndicator(0.5, 0.25, 0.125, (2.0, 4.0, 8.0))
-    assert ind2.phi == pytest.approx(1.0 + 1.0 + 1.0)
+def test_phi_combines_terms_with_betas(lin, monkeypatch):
+    # the gradient stage's exit row reports phi = sum_i beta_i e_i of the
+    # last indicator evaluation
+    seen = []
+    real = adapt.eval_gradient_indicator
+
+    def logged(*args):
+        out = real(*args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(adapt, "eval_gradient_indicator", logged)
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu)
+    events = []
+    refine_for_gradient(pair, mu, 1.0, 1e-2, (2.0, 4.0, 8.0), 0.0, events=events)
+    check = events[-1]
+    assert check.kind == "exit_check" and len(seen) > 1
+    last = seen[-1]
+    assert check.before == pytest.approx(
+        2.0 * last["e1"] + 4.0 * last["e3"] + 8.0 * last["e4"], rel=1e-15)
 
 
 def test_saturation_on_two_level_grid(lin):
@@ -71,19 +87,20 @@ def test_saturation_on_two_level_grid(lin):
     pair = make_pair(lin, mu_seed=mu,
                      grid_indices=[(1, 1), (2, 1), (1, 2), (2, 2)])
     sample_everywhere(pair, mu)
-    ind = eval_gradient_indicator(pair, mu, (1.0, 1.0, 1.0))
-    assert ind.e1 <= 1e-7
-    assert ind.e3 <= 1e-7
+    terms, _ = eval_gradient_indicator(pair, mu)
+    assert terms["e1"] <= 1e-7
+    assert terms["e3"] <= 1e-7
 
 
 def test_e4_matches_brute_force_expansion(lin, lin_pair):
     # independent summation: expand each neighbor difference into its
     # signed tensor rules directly from the 1D rules
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
-    ind = eval_gradient_indicator(lin_pair, mu, (1.0, 1.0, 1.0))
+    terms, (diffs,) = eval_gradient_indicator(lin_pair, mu)
     quad = lin_pair.union_quad()
     cache = dict(zip(quad.keys, lin_pair.evals(quad, mu)))
 
+    assert sorted(diffs) == sorted(lin_pair.grid.neighbors())
     total = 0.0
     for idx in lin_pair.grid.neighbors():
         active = [d for d, lev in enumerate(idx) if lev > 1]
@@ -98,31 +115,30 @@ def test_e4_matches_brute_force_expansion(lin, lin_pair):
                 key = tuple(rules[d].keys[i] for d, i in enumerate(combo))
                 w = np.prod([rules[d].weights[i] for d, i in enumerate(combo)])
                 acc += sign * w * np.linalg.norm(cache[key].ghat)
+        assert abs(diffs[idx] - acc) <= 1e-12
         total += acc
-    assert abs(ind.e4 - abs(total)) <= 1e-12
+    assert abs(terms["e4"] - abs(total)) <= 1e-12
 
 
 def test_objective_indicator_symmetry(lin, lin_pair):
+    # with the trial point at the center, each term is twice its
+    # one-point value and both difference dicts are the one-point dict
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
-    ind = eval_objective_indicator(lin_pair, mu, mu, (1e-2, 1e-2))
-    ck = tuple(mu)
-    assert ind.theta == pytest.approx(
-        2 * (1e-2 * ind.e1_at[ck] + 1e-2 * ind.e2_at[ck]))
-
-
-def test_objective_indicator_alpha_homogeneity(lin, lin_pair):
-    mu_c = np.linspace(-0.3, 0.3, lin.n_mu)
-    mu_t = mu_c + 0.05
-    a = eval_objective_indicator(lin_pair, mu_c, mu_t, (1e-2, 1e-2))
-    b = eval_objective_indicator(lin_pair, mu_c, mu_t, (3e-2, 3e-2))
-    assert b.theta == pytest.approx(3.0 * a.theta, rel=1e-12)
+    terms, (diffs_c, diffs_t) = eval_objective_indicator(lin_pair, mu, mu)
+    quad = lin_pair.union_quad()
+    e1 = abs(float(np.dot(quad.weights,
+                          [ev.prim_res for ev in lin_pair.evals(quad, mu)])))
+    diffs = lin_pair.neighbor_differences(mu, lambda ev: abs(ev.fval))
+    assert diffs_c == diffs == diffs_t
+    assert terms["e1'"] == 2.0 * e1
+    assert terms["e2'"] == 2.0 * abs(sum(diffs.values()))
 
 
 def test_exact_subspace_objective_terms(lin, lin_pair):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     sample_everywhere(lin_pair, mu)
-    ind = eval_objective_indicator(lin_pair, mu, mu, (1e-2, 1e-2))
-    assert ind.e1_at[tuple(mu)] <= 1e-7
+    terms, _ = eval_objective_indicator(lin_pair, mu, mu)
+    assert terms["e1'"] <= 2e-7   # twice the one-point term
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +215,11 @@ def test_refine_gradient_exit_conditions_hold(lin):
     kappa_phi = 0.1
     delta = 0.5
     refine_for_gradient(pair, mu, delta, kappa_phi, betas, 0.0)
-    ind = eval_gradient_indicator(pair, mu, betas)
+    terms, _ = eval_gradient_indicator(pair, mu)
     guard = min(np.linalg.norm(pair.model_gradient(mu)), delta)
-    assert ind.e1 <= kappa_phi / 3 * guard
-    assert ind.e3 <= kappa_phi / 3 * guard
-    assert ind.e4 <= kappa_phi / 3 * guard
+    assert terms["e1"] <= kappa_phi / 3 * guard
+    assert terms["e3"] <= kappa_phi / 3 * guard
+    assert terms["e4"] <= kappa_phi / 3 * guard
     assert is_admissible(pair.grid)
 
 
@@ -274,66 +290,71 @@ def test_refine_objective_exit_conditions_hold(lin):
     refine_for_objective(pair, mu, mu_hat, m_decrease=1e-3, r_k=1.0,
                          eta=0.1, omega=0.1, alphas=(1e-2, 1e-2),
                          threshold_floor=floor)
-    ind = eval_objective_indicator(pair, mu, mu_hat, (1e-2, 1e-2))
+    terms, _ = eval_objective_indicator(pair, mu, mu_hat)
     thr1, thr2 = objective_thresholds(1e-3, 1.0, 0.1, 0.1, (1e-2, 1e-2),
                                       floor=floor)
-    assert ind.e1_sum <= thr1
-    assert ind.e2_sum <= thr2
+    assert terms["e1'"] <= thr1
+    assert terms["e2'"] <= thr2
     assert is_admissible(pair.grid)
 
 
 def test_one_indicator_evaluation_per_change(lin, monkeypatch):
     # each driver call evaluates its indicator once at entry and once
-    # after each grid or basis change, and that evaluation is the one
-    # the change's event reports and the exit check reads
+    # after each grid or basis change; that evaluation is the one the
+    # change's event reports and the exit check reads, and a grid change
+    # adds the arg-max |neighbor difference| of the evaluation before it
+    # (the lexicographically smallest index on ties)
     from sgromtr import adapt, trust_opt
 
     seen = []
 
-    def counted(real, terms):
+    def counted(real):
         def wrapped(*args):
-            ind = real(*args)
-            seen.append(terms(ind))
-            return ind
+            out = real(*args)
+            seen.append(out)
+            return out
         return wrapped
 
-    monkeypatch.setattr(adapt, "eval_gradient_indicator", counted(
-        adapt.eval_gradient_indicator,
-        lambda i: {"e1": i.e1, "e3": i.e3, "e4": i.e4, "phi": i.phi}))
-    monkeypatch.setattr(adapt, "eval_objective_indicator", counted(
-        adapt.eval_objective_indicator,
-        lambda i: {"e1": i.e1_sum, "e2": i.e2_sum}))
+    monkeypatch.setattr(adapt, "eval_gradient_indicator",
+                        counted(adapt.eval_gradient_indicator))
+    monkeypatch.setattr(adapt, "eval_objective_indicator",
+                        counted(adapt.eval_objective_indicator))
+    cfg = TrustRegionConfig(gtol=1e-5, max_iters=10)
     calls = []
 
-    def traced(real, trunc, residual, exit_term):
+    def traced(real, trunc, residual, exit_value):
         def wrapped(*args, events, **kwargs):
             n_seen, n_events = len(seen), len(events)
             out = real(*args, events=events, **kwargs)
-            calls.append((trunc, residual, exit_term, seen[n_seen:],
+            calls.append((trunc, residual, exit_value, seen[n_seen:],
                           events[n_events:]))
             return out
         return wrapped
 
     monkeypatch.setattr(trust_opt, "refine_for_gradient", traced(
-        trust_opt.refine_for_gradient, "e4", ("e1", "e3"), "phi"))
+        trust_opt.refine_for_gradient, "e4", ("e1", "e3"),
+        lambda t: sum(b * t[e] for b, e in zip(cfg.betas, ("e1", "e3", "e4")))))
     monkeypatch.setattr(trust_opt, "refine_for_objective", traced(
-        trust_opt.refine_for_objective, "e2", ("e1",), "e1"))
-    cfg = TrustRegionConfig(gtol=1e-5, max_iters=10)
+        trust_opt.refine_for_objective, "e2'", ("e1'",), lambda t: t["e1'"]))
     _, state = tr_run(lin, cfg, np.zeros(lin.n_mu))
     assert state.status == "converged"
-    assert {c[0] for c in calls} == {"e4", "e2"}
-    n_changes = 0
-    for trunc, residual, exit_term, evals, events in calls:
+    assert {c[0] for c in calls} == {"e4", "e2'"}
+    grown = set()
+    for trunc, residual, exit_value, evals, events in calls:
         *changes, check = events
         assert check.kind == "exit_check"
         assert len(evals) == 1 + len(changes)
-        for prev, ev, nxt in zip(evals, changes, evals[1:]):
+        for (prev, diffs), ev, (nxt, _) in zip(evals, changes, evals[1:]):
             terms = [trunc] if ev.kind == "add_index" else residual
             assert any(ev.before == prev[t] and ev.after == nxt[t]
                        for t in terms), ev
-        assert check.before == evals[-1][exit_term]
-        n_changes += len(changes)
-    assert n_changes > 0
+            if ev.kind == "add_index":
+                best = max(sorted(diffs[0]),
+                           key=lambda i: max(abs(d[i]) for d in diffs))
+                assert ev.detail == " ".join(map(str, best))
+                grown.add(trunc)
+        assert check.before == exit_value(evals[-1][0])
+    assert grown == {"e4", "e2'"}
 
 
 def test_seed_pair_from_tr_init_reproduces_qoi(lin):
@@ -479,7 +500,7 @@ def test_stalled_node_is_recovered_at_its_last_iterate(lin):
         if key == quad.keys[stall]:
             continue
         other = clean._nodes[_mu_key(0.5 * mu)][key]
-        for field in ("q", "prim_res", "eta", "adj_res", "ghat", "fval", "gn_iters"):
+        for field in ("q", "prim_res", "adj_res", "ghat", "fval", "gn_iters"):
             np.testing.assert_array_equal(getattr(ev, field), getattr(other, field))
     # the stalled node keeps its start, the residual there and an adjoint
     ev = evals[stall]

@@ -67,16 +67,31 @@ def test_unknown_section_rejected(tmp_path):
         load_config(path)
 
 
-def test_bad_value_reports_key_path(tmp_path):
-    path = write(tmp_path, "[trust_region]\neta1 = fast\n")
-    with pytest.raises(ConfigError, match="trust_region.eta1"):
-        load_config(path)
+@pytest.mark.parametrize("text, key", [
+    ("[trust_region]\neta1 = fast\n", "trust_region.eta1"),
+    ("[init]\nmu0 = 0 0 0 abc 0 0 0 0\n", "init.mu0"),
+], ids=["trust_region.eta1", "init.mu0"])
+def test_bad_value_reports_key_path(tmp_path, text, key):
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, text))
 
 
-def test_range_violation_rejected(tmp_path):
-    path = write(tmp_path, "[trust_region]\neta1 = 0.9\n")
-    with pytest.raises(ConfigError, match="trust_region"):
-        load_config(path)
+# each value passed parsing but crashed or misbehaved later in the run
+RANGE_VIOLATIONS = {
+    "trust_region.eta1": ("[trust_region]\neta1 = 0.9\n", "trust_region"),
+    "baseline.level": ("[run]\nmethod = sg-iso\n[baseline]\nlevel = 7\n",
+                       "baseline.level"),
+    "problem.n_u": ("[problem]\nn_u = 0\n", "problem.n_u"),
+    "problem.alpha": ("[problem]\nalpha = -0.1\n", "problem.alpha"),
+    "init.mu0": ("[init]\nmu0 = nan 0 0 0 0 0 0 0\n", "init.mu0"),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGE_VIOLATIONS))
+def test_range_violation_rejected(tmp_path, case):
+    text, key = RANGE_VIOLATIONS[case]
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, text))
 
 
 def test_mu0_parsing(tmp_path):
@@ -243,6 +258,15 @@ def test_cli_main_config_error(tmp_path, capsys):
     code = main(["optimize", "--config", str(bad), "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG_ERROR
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_main_unparsable_mu0_is_config_error(tmp_path, capsys):
+    # an entry float() rejects once escaped main() as a ValueError (exit 1)
+    bad = write(tmp_path, "[init]\nmu0 = 0 0 0 abc 0 0 0 0\n")
+    code = main(["optimize", "--config", str(bad), "--out", str(tmp_path / "x")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG_ERROR
+    assert err.startswith("config error: init.mu0") and "Traceback" not in err
 
 
 def test_cli_seed_override(tmp_path):

@@ -7,8 +7,7 @@ from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
 from sgromtr import rom
 from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
-                         rom_gradient, rom_qoi, solve_rom_adjoint,
-                         solve_rom_primal)
+                         solve_rom_adjoint, solve_rom_primal)
 
 
 def hdm_pair(problem, y, mu):
@@ -382,7 +381,7 @@ def test_adjoint_rank_deficiency_raises(lin, monkeypatch):
 def test_rom_qoi_at_zero_coordinates(lin):
     basis = seeded_basis(lin, seed=19)
     y, mu = np.zeros(2), np.full(8, 0.2)
-    assert rom_qoi(lin, basis, np.zeros(basis.k), y, mu) == pytest.approx(
+    assert lin.qoi(basis.expand(np.zeros(basis.k)), y, mu) == pytest.approx(
         lin.qoi(np.zeros(lin.n_u), y, mu))
 
 
@@ -395,18 +394,19 @@ def test_rom_gradient_exact_subspace(bur):
     basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
     prim = solve_rom_primal(bur, basis, y[None], mu)
     adj_rom = solve_rom_adjoint(bur, basis, prim.q, y[None], mu)
-    g = rom_gradient(bur, basis, prim.q[0], adj_rom.eta[0], y, mu)
+    g = adjoint_gradient(bur, basis.expand(adj_rom.eta[0]),
+                         basis.expand(prim.q[0]), y, mu)
     g_exact = adjoint_gradient(bur, adj.lam, sol.u, y, mu)
     assert np.linalg.norm(g - g_exact) <= 1e-8 * (1 + np.linalg.norm(g_exact))
-    f_rom = rom_qoi(bur, basis, prim.q[0], y, mu)
+    f_rom = bur.qoi(basis.expand(prim.q[0]), y, mu)
     assert abs(f_rom - bur.qoi(sol.u, y, mu)) <= 1e-8
 
 
 def test_rom_gradient_regularizer_only(lin):
     basis = seeded_basis(lin, seed=22)
     mu = np.full(8, 0.5)
-    g = rom_gradient(lin, basis, np.zeros(basis.k), np.zeros(basis.k),
-                     np.zeros(2), mu)
+    g = adjoint_gradient(lin, basis.expand(np.zeros(basis.k)),
+                         basis.expand(np.zeros(basis.k)), np.zeros(2), mu)
     np.testing.assert_allclose(g, lin.alpha * mu, atol=1e-15)
 
 
@@ -424,5 +424,5 @@ def test_qoi_error_within_empirical_bound(lin):
         mu = rng.uniform(-1, 1, 8)
         prim = solve_rom_primal(lin, basis, y[None], mu)
         sol = solve_primal(lin, y, mu)
-        err = abs(lin.qoi(sol.u, y, mu) - rom_qoi(lin, basis, prim.q[0], y, mu))
+        err = abs(lin.qoi(sol.u, y, mu) - lin.qoi(basis.expand(prim.q[0]), y, mu))
         assert err <= 10.0 * kappa_hat * prim.residual_norm[0]

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
                                  difference_rule, integrate, is_admissible,
-                                 node_coordinate, rule_size, write_index_set,
-                                 IntegrandError)
+                                 node_coordinate, rule_size, tensor_nodes,
+                                 write_index_set, IntegrandError)
 
 
 def mis(*indices):
@@ -130,6 +130,21 @@ def test_rectangular_set_matches_tensor(lx, ly):
     assert set(quad.keys) == set(tensor)
     for key, w in zip(quad.keys, quad.weights):
         assert abs(w - tensor[key]) <= 1e-12
+
+
+def test_tensor_nodes_match_product_loop():
+    # the nested loop over the 1D rules is the reference: same row
+    # order, bitwise equal keys, coordinates and weights
+    for n_y in (1, 2, 3):
+        for level in range(1, 6):
+            rule = cc_rule(level)
+            combos = list(itertools.product(range(len(rule.keys)), repeat=n_y))
+            keys, coords, weights = tensor_nodes((level,) * n_y)
+            assert keys.tolist() == [[rule.keys[i] for i in c] for c in combos]
+            np.testing.assert_array_equal(
+                coords, [[rule.nodes[i] for i in c] for c in combos])
+            np.testing.assert_array_equal(
+                weights, [math.prod(rule.weights[i] for i in c) for c in combos])
 
 
 def test_assemble_rejects_inadmissible():
