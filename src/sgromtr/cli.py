@@ -48,71 +48,72 @@ _TR_COLUMNS = ("k", "m_center", "m_trial", "psi_center", "psi_trial", "rho",
 
 
 def _fmt(val) -> str:
-    if isinstance(val, (bool, np.bool_)):
-        return "1" if val else "0"
+    """CSV text of a value: floats round-trip, a sequence joins with ';'."""
     if isinstance(val, (float, np.floating)):
         return repr(float(val))
+    if isinstance(val, (bool, np.bool_)):
+        return "1" if val else "0"
+    if isinstance(val, np.ndarray):
+        val = val.tolist()
+    if isinstance(val, (tuple, list)):
+        return ";".join(map(_fmt, val))
     return str(val)
 
 
 class _CsvWriter:
-    """Append-only CSV writer, flushed after every row."""
+    """CSV writer flushed after every row; a row is a dict or a sequence."""
 
     def __init__(self, path: Path, columns):
         self.columns = columns
         self._f = open(path, "w")
-        self._f.write(",".join(columns) + "\n")
+        self._line(columns)
+
+    def _line(self, values):
+        self._f.write(",".join(map(_fmt, values)) + "\n")
         self._f.flush()
 
-    def write(self, row: dict):
-        self._f.write(",".join(_fmt(row.get(c, "")) for c in self.columns) + "\n")
-        self._f.flush()
+    def write(self, row):
+        self._line([row.get(c, "") for c in self.columns]
+                   if isinstance(row, dict) else row)
 
-    def close(self):
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
         self._f.close()
 
 
-def _write_summary(out: Path, entries: dict):
+def _write_csv(path: Path, columns, rows):
+    with _CsvWriter(path, columns) as w:
+        for row in rows:
+            w.write(row)
+
+
+def _cost_rows(method: str, counters):
+    return [(method, tau, cost_metric(counters, tau)) for tau in _TAUS]
+
+
+def _write_result(out: Path, method: str, counters, mu_final, **entries):
+    """``cost.csv`` and ``summary.txt`` of one finished run."""
+    _write_csv(out / "cost.csv", ("method", "tau", "cost"),
+               _cost_rows(method, counters))
+    summary = {"method": method, **entries, **counters.snapshot(),
+               "final_mu": " ".join(repr(float(v)) for v in mu_final)}
     with open(out / "summary.txt", "w") as f:
-        for key, val in entries.items():
+        for key, val in summary.items():
             f.write(f"{key} = {_fmt(val)}\n")
 
 
-def _write_cost(out: Path, rows):
-    with open(out / "cost.csv", "w") as f:
-        f.write("method,tau,cost\n")
-        for method, tau, cost in rows:
-            tau_s = "inf" if math.isinf(tau) else _fmt(tau)
-            f.write(f"{method},{tau_s},{_fmt(cost)}\n")
+def _solver_failure(out: Path | None, exc: Exception) -> int:
+    """Report a run ended by one of SOLVER_FAILURES; ``error.txt`` if ``out``."""
+    if out is not None:
+        (out / "error.txt").write_text(f"{type(exc).__name__}: {exc}\n")
+    print(f"solver failure: {exc}", file=sys.stderr)
+    return EXIT_SOLVER_FAILURE
 
 
-def _dump_failure(out: Path, exc: Exception):
-    with open(out / "error.txt", "w") as f:
-        f.write(f"{type(exc).__name__}: {exc}\n")
-
-
-def _write_basis_provenance(out: Path, basis: ReducedBasis):
-    with open(out / "basis_provenance.csv", "w") as f:
-        f.write("index,kind,kept,y,mu\n")
-        for i, snap in enumerate(basis.provenance):
-            y = ";".join(repr(float(v)) for v in snap.y)
-            mu = ";".join(repr(float(v)) for v in snap.mu)
-            f.write(f"{i},{snap.kind},{int(snap.kept)},{y},{mu}\n")
-
-
-def _write_final_nodes(out: Path, pair, mu):
-    quad = pair.union_quad()
-    with open(out / "final_nodes.csv", "w") as f:
-        f.write("node,y,weight,primal_residual,adjoint_residual\n")
-        for (key, coord, w), ev in zip(quad.items(), pair.evals(quad, mu)):
-            y = ";".join(repr(float(v)) for v in coord)
-            f.write(f"{';'.join(map(str, key))},{y},{repr(float(w))},"
-                    f"{repr(ev.prim_res)},{repr(ev.adj_res)}\n")
-
-
-def _run_sg_rom_tr(cfg: RunConfig, out: Path):
-    problem = cfg.make_problem()
-    mu0 = cfg.mu0(problem.n_mu)
+def _run_sg_rom_tr(problem, cfg: RunConfig, out: Path):
+    """Adaptive run; returns ``(mu, counters, status, final model-gradient norm)``."""
     grids_dir = out / "grids"
     grids_dir.mkdir(exist_ok=True)
     history = _CsvWriter(out / "history.csv", _TR_COLUMNS)
@@ -123,9 +124,8 @@ def _run_sg_rom_tr(cfg: RunConfig, out: Path):
     def flush_events(state):
         nonlocal flushed
         for ev in state.events[flushed:]:
-            events.write({"seq": flushed, "stage": ev.stage, "kind": ev.kind,
-                          "detail": ev.detail.replace(",", ";"),
-                          "before": ev.before, "after": ev.after, "ok": ev.ok})
+            events.write((flushed, ev.stage, ev.kind, ev.detail.replace(",", ";"),
+                          ev.before, ev.after, ev.ok))
             flushed += 1
 
     def on_iteration(row, state):
@@ -133,59 +133,52 @@ def _run_sg_rom_tr(cfg: RunConfig, out: Path):
         flush_events(state)
         write_index_set(state.pair.grid, grids_dir / f"iter_{row['k']}.txt")
 
-    try:
-        mu_final, state = tr_run(problem, cfg.tr, mu0, on_iteration=on_iteration)
-    except SOLVER_FAILURES as exc:
-        # the failed iteration's events are in the partial state only;
-        # a failure inside tr_init leaves no state and no events
-        if hasattr(exc, "state"):
-            flush_events(exc.state)
-        raise
-    finally:
-        history.close()
-        events.close()
-    _write_basis_provenance(out, state.pair.basis)
-    _write_final_nodes(out, state.pair, state.mu)
-    gnorm = float(np.linalg.norm(state.pair.model_gradient(state.mu)))
-    _write_cost(out, [("sg-rom-tr", tau, cost_metric(state.counters, tau))
-                      for tau in _TAUS])
-    _write_summary(out, {
-        "method": "sg-rom-tr", "status": state.status, "iterations": state.k,
-        "final_gnorm": gnorm, "grid_size": len(state.pair.grid),
-        "basis_k": state.pair.basis.k,
-        **{k: v for k, v in state.counters.snapshot().items()},
-        "final_mu": " ".join(repr(float(v)) for v in mu_final),
-    })
-    return mu_final, state
+    with history, events:
+        try:
+            mu_final, state = tr_run(problem, cfg.tr, cfg.mu0(problem.n_mu),
+                                     on_iteration=on_iteration)
+        except SOLVER_FAILURES as exc:
+            # the failed iteration's events are in the partial state only;
+            # a failure inside tr_init leaves no state and no events
+            if hasattr(exc, "state"):
+                flush_events(exc.state)
+            raise
+    pair = state.pair
+    _write_csv(out / "basis_provenance.csv", ("index", "kind", "kept", "y", "mu"),
+               ((i, s.kind, s.kept, s.y, s.mu)
+                for i, s in enumerate(pair.basis.provenance)))
+    quad = pair.union_quad()
+    _write_csv(out / "final_nodes.csv",
+               ("node", "y", "weight", "primal_residual", "adjoint_residual"),
+               ((key, y, w, ev.prim_res, ev.adj_res)
+                for (key, y, w), ev in zip(quad.items(), pair.evals(quad, state.mu))))
+    gnorm = float(np.linalg.norm(pair.model_gradient(state.mu)))
+    _write_result(out, "sg-rom-tr", state.counters, mu_final,
+                  status=state.status, iterations=state.k, final_gnorm=gnorm,
+                  grid_size=len(pair.grid), basis_k=pair.basis.k)
+    return mu_final, state.counters, state.status, gnorm
 
 
-def _run_sg_iso(cfg: RunConfig, out: Path, gtol=None):
-    problem = cfg.make_problem()
-    mu0 = cfg.mu0(problem.n_mu)
+def _run_sg_iso(problem, cfg: RunConfig, out: Path, reached: float):
+    """Tensor-grid BFGS baseline; returns ``(mu, counters, status, final gnorm)``.
+
+    An unset ``baseline.gtol`` matches the adaptive run: the baseline
+    stops at ``max(reached, trust_region.gtol)``, ``reached`` being the
+    adaptive run's final model-gradient norm (0 when there is none).
+    """
     base = cfg.values["baseline"]
-    if gtol is None:
-        gtol = base["gtol"]
-        if math.isnan(gtol):
-            gtol = cfg.tr.gtol
+    gtol = max(reached, cfg.tr.gtol) if math.isnan(base["gtol"]) else base["gtol"]
     counters = QueryCounters()
-    history = _CsvWriter(out / "history.csv",
-                         ("k", "J", "gnorm", "n_hp", "n_ha"))
-    mu_final, info = sg_iso_baseline(problem, mu0, level=base["level"],
-                                     gtol=gtol, max_iters=base["max_iters"],
+    mu_final, info = sg_iso_baseline(problem, cfg.mu0(problem.n_mu),
+                                     level=base["level"], gtol=gtol,
+                                     max_iters=base["max_iters"],
                                      counters=counters)
-    for row in info["history"]:
-        history.write(row)
-    history.close()
-    _write_cost(out, [("sg-iso", tau, cost_metric(counters, tau))
-                      for tau in _TAUS])
-    _write_summary(out, {
-        "method": "sg-iso", "status": info["status"],
-        "iterations": len(info["history"]),
-        "final_gnorm": info["history"][-1]["gnorm"],
-        **{k: v for k, v in counters.snapshot().items()},
-        "final_mu": " ".join(repr(float(v)) for v in mu_final),
-    })
-    return mu_final, counters, info
+    _write_csv(out / "history.csv", ("k", "J", "gnorm", "n_hp", "n_ha"),
+               info["history"])
+    gnorm = info["history"][-1]["gnorm"]
+    _write_result(out, "sg-iso", counters, mu_final, status=info["status"],
+                  iterations=len(info["history"]), final_gnorm=gnorm)
+    return mu_final, counters, info["status"], gnorm
 
 
 def run_optimize(cfg: RunConfig, out: Path) -> int:
@@ -193,15 +186,14 @@ def run_optimize(cfg: RunConfig, out: Path) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(echo_config(cfg))
     try:
+        problem = cfg.make_problem()
         if cfg.method == "sg-rom-tr":
-            _, state = _run_sg_rom_tr(cfg, out)
-            return EXIT_OK if state.status == "converged" else EXIT_MAX_ITERS
-        _, _, info = _run_sg_iso(cfg, out)
-        return EXIT_OK if info["status"] == "converged" else EXIT_MAX_ITERS
+            _, _, status, _ = _run_sg_rom_tr(problem, cfg, out)
+        else:
+            _, _, status, _ = _run_sg_iso(problem, cfg, out, reached=0.0)
     except SOLVER_FAILURES as exc:
-        _dump_failure(out, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
+        return _solver_failure(out, exc)
+    return EXIT_OK if status == "converged" else EXIT_MAX_ITERS
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +340,10 @@ def suite_bound_ratios(problem, n_samples: int, seed: int,
     basis = validation_seed_basis(problem)
     qoi_est, grad_est = validate_bounds(problem, basis, n_samples, seed=seed)
     if csv_path is not None:
-        with open(csv_path, "w") as f:
-            f.write("sample,family,ratio\n")
-            for i, r in enumerate(qoi_est.ratios):
-                f.write(f"{i},qoi,{repr(float(r))}\n")
-            for i, r in enumerate(grad_est.ratios):
-                f.write(f"{i},grad,{repr(float(r))}\n")
+        _write_csv(csv_path, ("sample", "family", "ratio"),
+                   [(i, family, float(r))
+                    for family, est in (("qoi", qoi_est), ("grad", grad_est))
+                    for i, r in enumerate(est.ratios)])
     finite = (np.all(np.isfinite(qoi_est.ratios))
               and np.all(np.isfinite(grad_est.ratios)))
     spread_q = qoi_est.max_ratio / qoi_est.median_ratio
@@ -370,13 +360,16 @@ def suite_bound_ratios(problem, n_samples: int, seed: int,
 
 def run_validate(cfg: RunConfig, out: Path | None = None) -> int:
     """Run all verification suites; prints one pass/fail line per suite."""
-    problem = cfg.make_problem()
     val = cfg.values["validate"]
     csv_path = None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "config.echo").write_text(echo_config(cfg))
         csv_path = out / "validation.csv"
+    try:
+        problem = cfg.make_problem()
+    except SOLVER_FAILURES as exc:
+        return _solver_failure(out, exc)
     suites = [
         ("quadrature", lambda: suite_quadrature()),
         ("fd-gradient", lambda: suite_fd_gradient(
@@ -398,43 +391,32 @@ def run_validate(cfg: RunConfig, out: Path | None = None) -> int:
 
 
 def run_compare(cfg: RunConfig, out: Path) -> int:
-    """SG-ROM-TR vs SG-ISO on the same problem at matched gradient tolerance."""
+    """SG-ROM-TR vs SG-ISO on one problem at matched gradient tolerance."""
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(echo_config(cfg))
-    tr_dir = out / "sg-rom-tr"
-    iso_dir = out / "sg-iso"
-    tr_dir.mkdir(exist_ok=True)
-    iso_dir.mkdir(exist_ok=True)
-    try:
-        mu_tr, state = _run_sg_rom_tr(cfg, tr_dir)
-        gnorm_tr = float(np.linalg.norm(state.pair.model_gradient(state.mu)))
-        base_gtol = cfg.values["baseline"]["gtol"]
-        matched = max(gnorm_tr, cfg.tr.gtol) if math.isnan(base_gtol) else base_gtol
-        mu_iso, iso_counters, info = _run_sg_iso(cfg, iso_dir, gtol=matched)
-    except SOLVER_FAILURES as exc:
-        _dump_failure(out, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER_FAILURE
-
-    problem = cfg.make_problem()
+    tr_dir, iso_dir = out / "sg-rom-tr", out / "sg-iso"
+    for d in (tr_dir, iso_dir):
+        d.mkdir(exist_ok=True)
     level = cfg.values["baseline"]["level"]
-    j_tr, g_tr = tensor_reference(problem, mu_tr, level)
-    j_iso, g_iso = tensor_reference(problem, mu_iso, level)
-    with open(out / "compare.csv", "w") as f:
-        f.write("method,tau,cost,J_ref,gnorm_ref,n_hp,n_ha,n_rp,n_ra\n")
-        for name, counters, j_val, g_val in (
-                ("sg-rom-tr", state.counters, j_tr, g_tr),
-                ("sg-iso", iso_counters, j_iso, g_iso)):
-            for tau in _TAUS:
-                tau_s = "inf" if math.isinf(tau) else _fmt(tau)
-                f.write(f"{name},{tau_s},{_fmt(cost_metric(counters, tau))},"
-                        f"{_fmt(j_val)},{_fmt(float(np.linalg.norm(g_val)))},"
-                        f"{counters.n_hp},{counters.n_ha},"
-                        f"{counters.n_rp},{counters.n_ra}\n")
-    print(f"sg-rom-tr: n_hp={state.counters.n_hp} "
-          f"cost(tau=inf)={cost_metric(state.counters, math.inf):.1f}")
-    print(f"sg-iso:    n_hp={iso_counters.n_hp} "
-          f"cost(tau=inf)={cost_metric(iso_counters, math.inf):.1f}")
+    try:
+        problem = cfg.make_problem()
+        mu_tr, tr_counters, _, reached = _run_sg_rom_tr(problem, cfg, tr_dir)
+        mu_iso, iso_counters, _, _ = _run_sg_iso(problem, cfg, iso_dir, reached)
+        runs = [(method, counters, *tensor_reference(problem, mu, level))
+                for method, counters, mu in (("sg-rom-tr", tr_counters, mu_tr),
+                                             ("sg-iso", iso_counters, mu_iso))]
+    except SOLVER_FAILURES as exc:
+        return _solver_failure(out, exc)
+    _write_csv(out / "compare.csv",
+               ("method", "tau", "cost", "J_ref", "gnorm_ref",
+                "n_hp", "n_ha", "n_rp", "n_ra"),
+               (row + (j_ref, float(np.linalg.norm(g_ref)), c.n_hp, c.n_ha,
+                       c.n_rp, c.n_ra)
+                for method, c, j_ref, g_ref in runs
+                for row in _cost_rows(method, c)))
+    for method, c, _, _ in runs:
+        print(f"{method + ':':<10} n_hp={c.n_hp} "
+              f"cost(tau=inf)={cost_metric(c, math.inf):.1f}")
     return EXIT_OK
 
 
@@ -451,17 +433,10 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
 
-    overrides = {}
-    if args.seed is not None:
-        overrides["run.seed"] = args.seed
-    try:
-        cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-
+    overrides = {} if args.seed is None else {"run.seed": args.seed}
     out = Path(args.out) if args.out is not None else Path("sgromtr-out")
     try:
+        cfg = load_config(args.config, overrides)
         if args.command == "optimize":
             return run_optimize(cfg, out)
         if args.command == "validate":

@@ -2,8 +2,11 @@
 
 The config file is a key-value file with sections; every key has a
 default, unknown sections or keys are rejected with their full path,
-and the effective (post-default) configuration can be echoed back out
-for provenance.
+values outside their range are rejected at load, and the effective
+(post-default) configuration can be echoed back out for provenance.
+The ``[trust_region]`` keys are the fields of
+:class:`~sgromtr.trust_opt.TrustRegionConfig` in lower case, with its
+defaults; ``betas`` and ``alphas`` come from ``[indicators]``.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,36 +28,28 @@ class ConfigError(ValueError):
     """A configuration value or key is invalid; the message names its path."""
 
 
+#: ``[trust_region]`` key -> TrustRegionConfig field
+_TR_FIELDS = {f.name.lower(): f for f in fields(TrustRegionConfig)
+              if f.name not in ("betas", "alphas")}
+
+#: section -> key -> (default, type[, lo, hi]): a value outside the
+#: inclusive range ``[lo, hi]`` is a config error
 _SCHEMA = {
     "run": {
         "method": ("sg-rom-tr", str),
         "problem": ("burgers-control", str),
-        "seed": (2024, int),
+        "seed": (2024, int, 0, math.inf),
     },
     "problem": {
-        "n_u": (None, int),        # None: problem-specific default
-        "n_mu": (8, int),
-        "alpha": (0.1, float),
-        "kappa_amp1": (0.5, float),
+        "n_u": (None, int, 1, math.inf),      # None: problem-specific default
+        "n_mu": (8, int, 1, math.inf),
+        "alpha": (0.1, float, 0.0, math.inf),
+        "kappa_amp1": (0.5, float),          # with kappa_amp2: |a1| + |a2| < 1
         "kappa_amp2": (0.25, float),
-        "ref_level": (3, int),
+        "ref_level": (3, int, 1, math.inf),
     },
-    "trust_region": {
-        "eta1": (0.1, float),
-        "eta2": (0.75, float),
-        "gamma": (0.5, float),
-        "eta": (0.1, float),
-        "omega": (0.1, float),
-        "kappa_phi": (1.0, float),
-        "kappa_s": (1e-4, float),
-        "r0": (1.0, float),
-        "delta0": (1.0, float),
-        "delta_max": (1000.0, float),
-        "gtol": (1e-6, float),
-        "max_iters": (30, int),
-        "level_cap": (10, int),
-        "theta_floor": (1e-6, float),
-    },
+    "trust_region": {key: (f.default, type(f.default))
+                     for key, f in _TR_FIELDS.items()},
     "indicators": {
         "beta1": (1.0, float),
         "beta3": (1.0, float),
@@ -63,14 +58,14 @@ _SCHEMA = {
         "alpha2": (1e-2, float),
     },
     "baseline": {
-        "level": (5, int),
-        "gtol": (math.nan, float),   # nan: match the adaptive run's result
-        "max_iters": (100, int),
+        "level": (5, int, 1, 6),
+        "gtol": (math.nan, float, 0.0, math.inf),  # nan: match the adaptive run
+        "max_iters": (100, int, 1, math.inf),
     },
     "validate": {
-        "n_samples": (100, int),
-        "fd_samples": (20, int),
-        "fd_step": (1e-5, float),
+        "n_samples": (100, int, 0, math.inf),
+        "fd_samples": (20, int, 1, math.inf),
+        "fd_step": (1e-5, float, 1e-12, math.inf),
     },
     "init": {
         "mu0": ("", str),            # space-separated; empty: zeros
@@ -92,30 +87,31 @@ class RunConfig:
         if run["method"] not in _METHODS:
             raise ConfigError(f"run.method must be one of {_METHODS}, "
                               f"got {run['method']!r}")
-        if run["seed"] < 0:
-            raise ConfigError("run.seed must be nonnegative")
+        for section, keys in _SCHEMA.items():
+            for key, (default, _, *bounds) in keys.items():
+                val = self.values[section][key]
+                # None and a nan default mark a value the run chooses
+                if not bounds or val is None or (val != val and default != default):
+                    continue
+                lo, hi = bounds
+                if not lo <= val <= hi:
+                    raise ConfigError(f"{section}.{key} must be in "
+                                      f"[{lo}, {hi}], got {val!r}")
+        p = self.values["problem"]
+        if not abs(p["kappa_amp1"]) + abs(p["kappa_amp2"]) < 1.0:
+            raise ConfigError("problem.kappa_amp1 and problem.kappa_amp2: "
+                              "|kappa_amp1| + |kappa_amp2| must be < 1 to keep "
+                              f"kappa positive, got {p['kappa_amp1']!r} and "
+                              f"{p['kappa_amp2']!r}")
         t = self.values["trust_region"]
         ind = self.values["indicators"]
         try:
             self.tr = TrustRegionConfig(
-                eta1=t["eta1"], eta2=t["eta2"], gamma=t["gamma"], eta=t["eta"],
-                omega=t["omega"], kappa_phi=t["kappa_phi"], kappa_s=t["kappa_s"],
-                r0=t["r0"], Delta0=t["delta0"], Delta_max=t["delta_max"],
-                gtol=t["gtol"], max_iters=t["max_iters"],
+                **{f.name: t[key] for key, f in _TR_FIELDS.items()},
                 betas=(ind["beta1"], ind["beta3"], ind["beta4"]),
-                alphas=(ind["alpha1"], ind["alpha2"]),
-                level_cap=t["level_cap"], theta_floor=t["theta_floor"])
+                alphas=(ind["alpha1"], ind["alpha2"]))
         except ValueError as exc:
             raise ConfigError(f"trust_region: {exc}") from exc
-        p = self.values["problem"]
-        if p["n_u"] is not None and p["n_u"] < 1:
-            raise ConfigError("problem.n_u must be >= 1")
-        if not p["alpha"] >= 0.0:
-            raise ConfigError("problem.alpha must be >= 0")
-        if not 1 <= self.values["baseline"]["level"] <= 6:
-            raise ConfigError("baseline.level must be between 1 and 6")
-        if self.values["validate"]["n_samples"] < 0:
-            raise ConfigError("validate.n_samples must be >= 0")
         self.mu0(p["n_mu"])  # raises on a malformed init.mu0
 
     @property
@@ -177,7 +173,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     ``overrides`` maps ``section.key`` paths to values (used for the
     command-line flags).
     """
-    values = {sec: {k: default for k, (default, _) in keys.items()}
+    values = {sec: {k: spec[0] for k, spec in keys.items()}
               for sec, keys in _SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -194,7 +190,7 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
             for key, raw in parser.items(section):
                 if key not in _SCHEMA[section]:
                     raise ConfigError(f"unknown config key {section}.{key}")
-                default, typ = _SCHEMA[section][key]
+                default, typ, *_ = _SCHEMA[section][key]
                 values[section][key] = _convert(section, key, raw, typ, default)
     for dotted, val in (overrides or {}).items():
         section, key = dotted.split(".", 1)
@@ -208,11 +204,7 @@ def echo_config(cfg: RunConfig) -> str:
     for section in _SCHEMA:
         out.write(f"[{section}]\n")
         for key in _SCHEMA[section]:
-            val = cfg.values[section][key]
-            if val is None:
-                val = ""
-            elif isinstance(val, float):
-                val = repr(val)
-            out.write(f"{key} = {val}\n")
+            val = cfg.values[section][key]   # str() of a float is its repr()
+            out.write(f"{key} = {'' if val is None else val}\n")
         out.write("\n")
     return out.getvalue()

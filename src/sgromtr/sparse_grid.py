@@ -212,7 +212,6 @@ class SparseQuadrature:
     keys: tuple                  # canonical node keys, sorted
     coords: np.ndarray           # (m, dim) node coordinates
     weights: np.ndarray          # (m,) signed weights
-    source: MultiIndexSet
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -262,11 +261,11 @@ def _combination_coefficients(mis: MultiIndexSet) -> dict:
     return coeffs
 
 
-def _finalize(nodemap: dict, mis: MultiIndexSet) -> SparseQuadrature:
+def _finalize(nodemap: dict, dim: int) -> SparseQuadrature:
     keys = tuple(sorted(nodemap))
     weights = np.array([nodemap[k] for k in keys])
-    coords = node_coordinate(np.array(keys, dtype=float).reshape(len(keys), mis.dim))
-    return SparseQuadrature(keys, coords, weights, mis)
+    coords = node_coordinate(np.array(keys, dtype=float).reshape(len(keys), dim))
+    return SparseQuadrature(keys, coords, weights)
 
 
 @lru_cache(maxsize=None)
@@ -275,7 +274,7 @@ def _assemble_cached(dim: int, indices: tuple) -> SparseQuadrature:
     nodemap: dict = {}
     for levels, c in _combination_coefficients(mis).items():
         _accumulate(nodemap, levels, c)
-    return _finalize(nodemap, mis)
+    return _finalize(nodemap, dim)
 
 
 def assemble(mis: MultiIndexSet) -> SparseQuadrature:
@@ -302,8 +301,7 @@ def difference_rule(idx: tuple) -> SparseQuadrature:
         for j, b in zip(active, bump):
             levels[j] -= b
         _accumulate(nodemap, tuple(levels), -1.0 if sum(bump) % 2 else 1.0)
-    mis = MultiIndexSet(len(idx), frozenset({idx}))
-    return _finalize(nodemap, mis)
+    return _finalize(nodemap, len(idx))
 
 
 # ---------------------------------------------------------------------------

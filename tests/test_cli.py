@@ -7,8 +7,8 @@ from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
                          EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED,
                          SOLVER_FAILURES, main, run_optimize, run_validate,
                          suite_fd_gradient)
-from sgromtr.config import ConfigError, echo_config, load_config
-from sgromtr.hdm import LinearDiffusion
+from sgromtr.config import ConfigError, RunConfig, echo_config, load_config
+from sgromtr.hdm import LinearDiffusion, SolverError
 
 
 FAST_LIN = """
@@ -19,6 +19,25 @@ problem = linear-diffusion
 [trust_region]
 gtol = 1e-4
 max_iters = 10
+"""
+
+FAST_ISO = """
+[run]
+method = sg-iso
+problem = linear-diffusion
+[baseline]
+level = 2
+gtol = 1e-5
+"""
+
+FAST_COMPARE = FAST_LIN + "[baseline]\nlevel = 3\n"
+
+FAST_VALIDATE = """
+[run]
+problem = linear-diffusion
+[validate]
+n_samples = 20
+fd_samples = 2
 """
 
 
@@ -84,6 +103,19 @@ RANGE_VIOLATIONS = {
     "problem.n_u": ("[problem]\nn_u = 0\n", "problem.n_u"),
     "problem.alpha": ("[problem]\nalpha = -0.1\n", "problem.alpha"),
     "init.mu0": ("[init]\nmu0 = nan 0 0 0 0 0 0 0\n", "init.mu0"),
+    "problem.ref_level": ("[problem]\nref_level = 0\n", "problem.ref_level"),
+    "problem.n_mu=0": ("[run]\nmethod = sg-iso\n[problem]\nn_mu = 0\n",
+                       "problem.n_mu"),
+    "problem.n_mu=-2": ("[problem]\nn_mu = -2\n", "problem.n_mu"),
+    "baseline.max_iters": ("[run]\nmethod = sg-iso\n[baseline]\nmax_iters = 0\n",
+                           "baseline.max_iters"),
+    "baseline.gtol": ("[baseline]\ngtol = -1e-6\n", "baseline.gtol"),
+    "validate.fd_samples": ("[validate]\nfd_samples = -3\n",
+                            "validate.fd_samples"),
+    "validate.fd_step": ("[validate]\nfd_step = 0\n", "validate.fd_step"),
+    "problem.kappa_amp1": ("[run]\nproblem = linear-diffusion\n"
+                           "[problem]\nkappa_amp1 = 2\n",
+                           r"problem\.kappa_amp1 and problem\.kappa_amp2"),
 }
 
 
@@ -153,14 +185,7 @@ max_iters = 2
 
 
 def test_sg_iso_report_has_no_rom_queries(tmp_path):
-    cfg = load_config(write(tmp_path, """
-[run]
-method = sg-iso
-problem = linear-diffusion
-[baseline]
-level = 2
-gtol = 1e-5
-"""))
+    cfg = load_config(write(tmp_path, FAST_ISO))
     out = tmp_path / "iso"
     assert run_optimize(cfg, out) == EXIT_OK
     summary = read_summary(out)
@@ -216,6 +241,43 @@ def test_injected_failure_exit_code(tmp_path, monkeypatch, failure):
     assert recorded[-1].stage == "gradient"
     assert [(row["seq"], row["stage"], row["kind"]) for row in events] == [
         (str(i), ev.stage, ev.kind) for i, ev in enumerate(recorded)]
+
+
+def test_compare_report(tmp_path):
+    # both methods' reports, the joint table whose cost columns are each
+    # method's cost.csv, and the baseline run to the matched tolerance
+    out = tmp_path / "cmp"
+    cfg_path = write(tmp_path, FAST_COMPARE)
+    assert main(["compare", "--config", str(cfg_path), "--out", str(out)]) == EXIT_OK
+    rows = read_csv(out / "compare.csv")
+    assert len(rows) == 8
+    for method in ("sg-rom-tr", "sg-iso"):
+        mine = [row for row in rows if row["method"] == method]
+        cost = read_csv(out / method / "cost.csv")
+        assert [{k: row[k] for k in ("method", "tau", "cost")} for row in mine] == cost
+        summary = read_summary(out / method)
+        assert {row["n_hp"] for row in mine} == {summary["n_hp"]}
+    reached = float(read_summary(out / "sg-rom-tr")["final_gnorm"])
+    gtol = load_config(cfg_path).tr.gtol
+    assert float(read_summary(out / "sg-iso")["final_gnorm"]) <= max(reached, gtol)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("optimize", FAST_LIN), ("optimize", FAST_ISO),
+    ("compare", FAST_COMPARE), ("validate", FAST_VALIDATE),
+], ids=["optimize-sg-rom-tr", "optimize-sg-iso", "compare", "validate"])
+def test_one_problem_per_command(tmp_path, monkeypatch, command, text):
+    real, calls = RunConfig.make_problem, []
+
+    def counting(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(RunConfig, "make_problem", counting)
+    argv = [command, "--config", str(write(tmp_path, text)),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
 
 
 @pytest.fixture(scope="module", params=[
@@ -323,3 +385,25 @@ def test_validate_reports_suite_failure(tmp_path, capsys, monkeypatch):
                         lambda: (False, "forced failure"))
     assert run_validate(cfg) == EXIT_SUITE_FAILED
     assert "[FAIL] quadrature" in capsys.readouterr().out
+
+
+def test_validate_problem_failure_exit_code(tmp_path, capsys, monkeypatch):
+    # a solver failure while the problem is built (say, in its tracking
+    # target) ends validate with the solver-failure code, not a traceback;
+    # error.txt is written only into a given output directory
+    cfg = load_config(write(tmp_path, "[run]\nproblem = linear-diffusion\n"))
+
+    def failing():
+        raise SolverError("injected")
+
+    cfg.make_problem = failing
+    out = tmp_path / "val"
+    assert run_validate(cfg, out) == EXIT_SOLVER_FAILURE
+    assert (out / "error.txt").read_text() == "SolverError: injected\n"
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run_validate(cfg) == EXIT_SOLVER_FAILURE
+    assert not list(cwd.iterdir())
+    err = capsys.readouterr().err
+    assert err.count("solver failure: injected") == 2
