@@ -108,7 +108,9 @@ class SgRomPair:
     Gauss-Newton solve stagnates or hits the iteration cap is stored at
     its last iterate with that iterate's true residual norm, and counted
     in ``counters.rom_recoveries``: the residual-based indicators hold at
-    any reduced state, so refinement then samples that node.
+    any reduced state, so refinement then samples that node.  Nodes that
+    stop on the stall branch with an accepted gradient are counted in
+    ``counters.rom_stalls``.
     """
 
     def __init__(self, problem, grid: MultiIndexSet, basis: ReducedBasis,
@@ -188,6 +190,7 @@ class SgRomPair:
                 raise
             prim = exc.result
             self.counters.rom_recoveries += int(exc.failed.sum())
+        self.counters.rom_stalls += int(prim.stalled.sum())
         adj = solve_rom_adjoint(self.problem, self.basis, prim.q, ys, mu)
         u = self.basis.expand(prim.q)
         ghat = adjoint_gradient(self.problem, self.basis.expand(adj.eta), u,

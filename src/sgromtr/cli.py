@@ -390,18 +390,34 @@ def run_validate(cfg: RunConfig, out: Path | None = None) -> int:
     return EXIT_OK if all_ok else EXIT_SUITE_FAILED
 
 
+def _unconverged(method: str, status: str) -> int:
+    print(f"{method} stopped with status {status}: no comparison written",
+          file=sys.stderr)
+    return EXIT_MAX_ITERS
+
+
 def run_compare(cfg: RunConfig, out: Path) -> int:
-    """SG-ROM-TR vs SG-ISO on one problem at matched gradient tolerance."""
+    """SG-ROM-TR vs SG-ISO on one problem at matched gradient tolerance.
+
+    Each method writes its report to its own subdirectory.  A run that
+    does not converge ends the comparison with ``EXIT_MAX_ITERS``, as
+    ``optimize`` does, and no ``compare.csv`` is written: SG-ISO is not
+    run against an unconverged SG-ROM-TR gradient norm.
+    """
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.echo").write_text(echo_config(cfg))
-    tr_dir, iso_dir = out / "sg-rom-tr", out / "sg-iso"
-    for d in (tr_dir, iso_dir):
-        d.mkdir(exist_ok=True)
     level = cfg.values["baseline"]["level"]
+    tr_dir, iso_dir = out / "sg-rom-tr", out / "sg-iso"
+    tr_dir.mkdir(exist_ok=True)
     try:
         problem = cfg.make_problem()
-        mu_tr, tr_counters, _, reached = _run_sg_rom_tr(problem, cfg, tr_dir)
-        mu_iso, iso_counters, _, _ = _run_sg_iso(problem, cfg, iso_dir, reached)
+        mu_tr, tr_counters, status, reached = _run_sg_rom_tr(problem, cfg, tr_dir)
+        if status != "converged":
+            return _unconverged("sg-rom-tr", status)
+        iso_dir.mkdir(exist_ok=True)
+        mu_iso, iso_counters, status, _ = _run_sg_iso(problem, cfg, iso_dir, reached)
+        if status != "converged":
+            return _unconverged("sg-iso", status)
         runs = [(method, counters, *tensor_reference(problem, mu, level))
                 for method, counters, mu in (("sg-rom-tr", tr_counters, mu_tr),
                                              ("sg-iso", iso_counters, mu_iso))]

@@ -17,7 +17,7 @@ Every linear solve -- Newton step, adjoint, sensitivities -- is one
 O(n) tridiagonal sweep over the Jacobian's bands.
 
 The residual surface (:meth:`ModelProblem.residual`, ``jac_bands``,
-``jac_u_mul``, ``jac_uT_mul``, ``qoi``, ``qoi_u``) and
+``jac_uT_mul``, ``qoi``, ``qoi_u``) and
 :func:`adjoint_gradient` also take a stack of nodes at one ``mu``:
 states ``(m, n_u)`` and nodes ``(m, n_y)``, each row bitwise equal to
 the one-node call.  The reduced-order solves use this; the full-model
@@ -81,6 +81,9 @@ class QueryCounters:
     #: reduced primal solves that stalled or hit the iteration cap and
     #: were kept at their last iterate (not part of :meth:`snapshot`)
     rom_recoveries: int = 0
+    #: reduced primal solves that ended on the stall branch with an
+    #: accepted gradient (not part of :meth:`snapshot`)
+    rom_stalls: int = 0
 
     def nbar_h(self) -> float:
         return max(1.0, self.newton_iters / self.n_hp) if self.n_hp else 1.0
@@ -150,13 +153,6 @@ class ModelProblem:
     def jac_bands(self, u, y, mu):
         """Tridiagonal bands (lo, dg, up) of dr/du at (u, y, mu)."""
         raise NotImplementedError
-
-    def jac_u_mul(self, u, y, mu, v):
-        """(dr/du) @ v without forming the dense Jacobian."""
-        bands = self.jac_bands(u, y, mu)
-        if v.ndim == 1:
-            return kernels.band_matvec(*bands, v)
-        return kernels.band_matmat(*bands, v)
 
     def jac_uT_mul(self, u, y, mu, v):
         """(dr/du)^T @ v without forming the dense Jacobian."""

@@ -15,6 +15,18 @@ the model's own residual in a single pass.  Gauss-Newton uses that
 predicted residual to stop backtracking, or to skip the line search,
 once the model promises no decrease above round-off.
 
+A Gauss-Newton node is stationary when its reduced gradient
+``(J Phi)^T r`` is no larger than that gradient's own round-off,
+``eps ||J Phi||_F || |J||u| + |f| ||``.  The residual sums terms whose
+magnitudes ``|J||u| + |f|`` bounds (``f`` the source), so by the
+rounding bound of a sum (Higham, *Accuracy and Stability of Numerical
+Algorithms*, ch. 3) floating point knows each entry of ``r`` only to
+about ``eps`` times that magnitude, and the gradient to ``||J Phi||``
+times it.  No step resolves a smaller gradient, and none is needed: the
+error indicators are residual norms, exact at whatever reduced state a
+solve returns.  The test has no tolerance and no absolute scale; it is
+computed from the same Jacobian bands that build ``J Phi``.
+
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
 a stack of one).  Each Gauss-Newton step makes one stacked QR, one
 stacked triangular solve and at most two stacked residual calls for the
@@ -44,8 +56,11 @@ GN_MAX_ITERS = 60
 #: Bytes of stacked reduced Jacobians ``[J Phi | r]`` one solve holds.
 STACK_BYTES = 2 ** 18
 
-# how a node of a primal stack ended
-_CONVERGED, _STAGNATED, _CAPPED = 0, 1, 2
+_EPS = np.finfo(float).eps
+
+# how a node of a primal stack ended: at the round-off test, on the stall
+# branch with an accepted gradient, on it with a failed one, at the cap
+_CONVERGED, _STALLED, _STAGNATED, _CAPPED = 0, 1, 2, 3
 
 
 @dataclass
@@ -55,6 +70,7 @@ class RomPrimal:
     q: np.ndarray              # (m, k) reduced coordinates
     residual_norm: np.ndarray  # (m,) true norms ||r(Phi q)||
     iters: np.ndarray          # (m,) Gauss-Newton steps taken per node
+    stalled: np.ndarray        # (m,) stopped on the stall branch, gradient accepted
 
     @property
     def gn_iters(self) -> int:
@@ -201,21 +217,25 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     ``[J Phi | r]`` by one Householder QR; the triangular solve gives
     the Gauss-Newton step ``delta`` and the last diagonal entry gives
     the predicted residual ``||r + J Phi delta||``.  The step is halved
-    (at most 29 times) until the residual norm decreases.  Stationarity
-    is declared when the reduced gradient ``(J Phi)^T r`` falls below
-    ``1e-10`` relative to its natural bound ``||J Phi|| ||r||`` (plus
-    one), which stays meaningful for stiff Jacobians where the bare
-    residual norm under-scales.
+    (at most 29 times) until the residual norm decreases.  A node is
+    stationary, before any QR of its step, once its reduced gradient
+    ``(J Phi)^T r`` is at most its own round-off
+    ``eps ||J Phi||_F || |J||u| + |f| ||`` (see the module docstring):
+    a smaller gradient cannot be resolved in floating point, so a
+    further step could only confirm a stall.
 
-    Large-residual Gauss-Newton ends in a slow linear tail, and near the
-    round-off floor no trial step decreases the residual.  Progress has
-    died when the accepted step decreases ``||r||`` by less than
-    ``1e-12`` relatively, or when the model predicts, for the full step
-    or for the current halved one, a relative decrease of ``||r||^2`` of
-    at most ``2e-12``; no further residual is then evaluated.  The node
-    then stops at its current iterate if the gradient is below ``1e-6``
-    of its bound, and fails otherwise.  For a residual affine in the
-    state this converges in a single step.
+    Large-residual Gauss-Newton ends in a slow linear tail, and a
+    residual with round-off that the bound does not see can leave no
+    trial step that decreases it.  Progress has died when the accepted
+    step decreases ``||r||`` by less than ``1e-12`` relatively, or when
+    the model predicts, for the full step or for the current halved
+    one, a relative decrease of ``||r||^2`` of at most ``2e-12``; no
+    further residual is then evaluated.  The node then stops at its
+    current iterate (the stall branch, reported in
+    :attr:`RomPrimal.stalled`) if the gradient is at most ``1e-6`` of
+    its natural bound ``||J Phi||_F ||r||`` (plus one), and fails
+    otherwise.  For a residual affine in the state this converges in a
+    single step.
 
     The stack is solved together: per step, one stacked QR and solve,
     one residual call for the full steps and one for every halving of
@@ -233,7 +253,7 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     parts = [_gauss_newton(problem, basis, ys[p], mu, q[p])
              for p in _parts(len(ys), basis.n_u, k)]
     q, rnorm, iters, status, grad = (np.concatenate(a) for a in zip(*parts))
-    result = RomPrimal(q, rnorm, iters)
+    result = RomPrimal(q, rnorm, iters, status == _STALLED)
     stagnated, capped = status == _STAGNATED, status == _CAPPED
     reasons = []
     if stagnated.any():
@@ -244,7 +264,7 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
         reasons.append(f"Gauss-Newton did not converge in {GN_MAX_ITERS} "
                        f"iterations at {capped.sum()} of {len(ys)} nodes")
     if reasons:
-        raise RomSolveError("; ".join(reasons), result, status != _CONVERGED)
+        raise RomSolveError("; ".join(reasons), result, stagnated | capped)
     return result
 
 
@@ -254,6 +274,7 @@ def _gauss_newton(problem, basis, ys, mu, q):
     gradient norm."""
     phi = basis.columns
     m, k = q.shape
+    f = np.abs(problem.source(mu))
     r = problem.residual(basis.expand(q), ys, mu)
     rnorm = _norms(r)
     iters = np.zeros(m, dtype=int)
@@ -263,14 +284,20 @@ def _gauss_newton(problem, basis, ys, mu, q):
     for _ in range(GN_MAX_ITERS):
         if not live.size:
             break
-        rn = rnorm[live]
-        jphi = problem.jac_u_mul(basis.expand(q[live]), ys[live], mu, phi)
+        u = basis.expand(q[live])
+        lo, dg, up = problem.jac_bands(u, ys[live], mu)
+        jphi = kernels.band_matmat(lo, dg, up, phi)
         g = _norms((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
-        scale = 1.0 + _norms(jphi.reshape(live.size, -1)) * rn
+        jnorm = _norms(jphi.reshape(live.size, -1))
         grad[live] = g
-        go = ~(g <= 1e-10 * scale)
-        if not go.all():
-            live, rn, g, scale, jphi = live[go], rn[go], g[go], scale[go], jphi[go]
+        # stationary at the gradient's own round-off (module docstring)
+        terms = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up),
+                                    np.abs(u)) + f
+        go = ~(g <= _EPS * jnorm * _norms(terms))
+        live, g, jnorm, jphi = live[go], g[go], jnorm[go], jphi[go]
+        if not live.size:
+            break
+        rn = rnorm[live]
         R = _augmented_r(jphi, r[live])
         pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(live.size)
         # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
@@ -297,8 +324,9 @@ def _gauss_newton(problem, basis, ys, mu, q):
             iters[at] += 1
         # once relative progress dies, a gradient well below its natural
         # bound ||J Phi|| ||r|| is stationary for every downstream use
-        stuck = ~moved & ~(g <= 1e-6 * scale)
-        status[live[stuck]] = _STAGNATED
+        stalled = ~moved & (g <= 1e-6 * (1.0 + jnorm * rn))
+        status[live[stalled]] = _STALLED
+        status[live[~moved & ~stalled]] = _STAGNATED
         live = live[moved]
     status[live] = _CAPPED
     return q, rnorm, iters, status, grad

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from sgromtr import adapt
+from sgromtr import adapt, kernels
 from sgromtr.adapt import (SgRomPair, eval_gradient_indicator,
                            eval_objective_indicator, objective_thresholds,
                            refine_for_gradient, refine_for_objective,
@@ -508,3 +508,32 @@ def test_stalled_node_is_recovered_at_its_last_iterate(lin):
     res = np.linalg.norm(lin.residual(pair.basis.columns @ ev.q, ev.coord, 0.5 * mu))
     assert ev.prim_res == pytest.approx(res, rel=1e-12)
     assert np.isfinite(ev.adj_res) and np.all(np.isfinite(ev.ghat))
+
+
+class _UnreachableAt(LinearDiffusion):
+    """One node's residual carries 1e9 times a unit vector orthogonal to
+    the range of its reduced Jacobian on ``columns``.  No step reduces
+    that part, so the model predicts no relative decrease and the node
+    stops on the stall branch with its gradient accepted."""
+
+    def __init__(self, node, columns):
+        super().__init__()
+        self.node = node
+        jphi = kernels.band_matmat(*self.jac_bands(None, node, None), columns)
+        self.offset = 1e9 * np.linalg.qr(jphi, mode="complete")[0][:, -1]
+
+    def residual(self, u, y, mu):
+        r = super().residual(u, y, mu)
+        return r + np.all(y == self.node, axis=-1)[..., None] * self.offset
+
+
+def test_accepted_stall_is_counted(lin):
+    mu = np.linspace(-0.4, 0.4, lin.n_mu)
+    clean = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
+    quad = clean.union_quad()
+    faulty = _UnreachableAt(quad.coords[-1], clean.basis.columns)
+    pair = make_pair(faulty, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
+    pair.evals(quad, 0.5 * mu)
+    assert pair.counters.rom_stalls == 1
+    assert pair.counters.rom_recoveries == 0
+    assert "rom_stalls" not in pair.counters.snapshot()

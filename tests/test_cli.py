@@ -262,6 +262,19 @@ def test_compare_report(tmp_path):
     assert float(read_summary(out / "sg-iso")["final_gnorm"]) <= max(reached, gtol)
 
 
+def test_compare_stops_on_an_unconverged_run(tmp_path):
+    # SG-ROM-TR stops at max_iters: compare exits as optimize does, keeps
+    # that run's report, and neither runs SG-ISO nor writes a table
+    out = tmp_path / "cmp"
+    cfg_path = write(tmp_path, "[run]\nproblem = linear-diffusion\n"
+                               "[trust_region]\nmax_iters = 1\n"
+                               "[baseline]\nlevel = 3\n")
+    code = main(["compare", "--config", str(cfg_path), "--out", str(out)])
+    assert code == EXIT_MAX_ITERS
+    assert read_summary(out / "sg-rom-tr")["status"] == "max_iters"
+    assert sorted(p.name for p in out.iterdir()) == ["config.echo", "sg-rom-tr"]
+
+
 @pytest.mark.parametrize("command, text", [
     ("optimize", FAST_LIN), ("optimize", FAST_ISO),
     ("compare", FAST_COMPARE), ("validate", FAST_VALIDATE),

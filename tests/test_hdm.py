@@ -62,18 +62,18 @@ def test_jacobian_taylor_consistency(prob_name, lin, bur):
         us = np.stack([u, 0.5 * u, v])
         basis = rng.standard_normal((problem.n_u, 4))
         stacked = (problem.residual(us, ys, mu), *problem.jac_bands(us, ys, mu),
-                   problem.jac_u_mul(us, ys, mu, basis),
+                   kernels.band_matmat(*problem.jac_bands(us, ys, mu), basis),
                    problem.jac_uT_mul(us, ys, mu, basis), problem.qoi(us, ys, mu))
         for i in range(3):
             single = (problem.residual(us[i], ys[i], mu),
                       *problem.jac_bands(us[i], ys[i], mu),
-                      problem.jac_u_mul(us[i], ys[i], mu, basis),
+                      kernels.band_matmat(*problem.jac_bands(us[i], ys[i], mu), basis),
                       problem.jac_uT_mul(us[i], ys[i], mu, basis),
                       problem.qoi(us[i], ys[i], mu))
             for rows, one in zip(stacked, single):
                 np.testing.assert_array_equal(rows[i], one)
         return
-    jv = problem.jac_u_mul(u, y, mu, v)
+    jv = kernels.band_matvec(*problem.jac_bands(u, y, mu), v)
     for h in (1e-3, 1e-4):
         lhs = problem.residual(u + h * v, y, mu) - problem.residual(u, y, mu) \
             - h * jv
@@ -92,7 +92,7 @@ def test_jacobian_central_difference(prob_name, lin, bur):
         v = rng.standard_normal(problem.n_u)
         fd = (problem.residual(sol.u + h * v, y, mu)
               - problem.residual(sol.u - h * v, y, mu)) / (2 * h)
-        jv = problem.jac_u_mul(sol.u, y, mu, v)
+        jv = kernels.band_matvec(*problem.jac_bands(sol.u, y, mu), v)
         assert np.linalg.norm(fd - jv) <= 1e-6 * np.linalg.norm(jv)
 
 

@@ -167,7 +167,8 @@ def _unit_basis(n, k):
 class _AffineProblem:
     """``r(u) = u - b`` in n dimensions, for a stack of states ``u``.
 
-    Counts its residual calls and the rows (trial states) they evaluate.
+    The Jacobian is the identity and ``b`` the source.  Counts its
+    residual calls and the rows (trial states) they evaluate.
     """
 
     def __init__(self, b):
@@ -180,8 +181,11 @@ class _AffineProblem:
         self.residual_rows += len(u)
         return u - self.b
 
-    def jac_u_mul(self, u, y, mu, v):
-        return np.broadcast_to(v, u.shape[:-1] + v.shape)
+    def jac_bands(self, u, y, mu):
+        return np.zeros(u.shape), np.ones(u.shape), np.zeros(u.shape)
+
+    def source(self, mu):
+        return self.b
 
 
 def test_predicted_stagnation_spends_no_line_search():
@@ -200,6 +204,21 @@ def test_predicted_stagnation_spends_no_line_search():
     assert problem.residual_calls == 1  # the initial residual only
     assert prim.gn_iters == 0
     np.testing.assert_array_equal(prim.q[0], q0)
+
+
+def test_stall_branch_exit_is_reported():
+    # the start of the test above: the node ends on the stall branch
+    # with its gradient 1e-7 accepted, the one node of the stack to do so
+    n = 20
+    basis = _unit_basis(n, 2)
+    q_star = np.array([0.5, -0.25])
+    far = np.zeros(n)
+    far[5] = 1.0
+    problem = _AffineProblem(basis.columns @ q_star + far)
+    q0 = q_star + np.array([1e-7, 0.0])
+    prim = solve_rom_primal(problem, basis, np.zeros((1, 2)), np.zeros(3),
+                            q0=q0[None])
+    assert prim.stalled.sum() == 1
 
 
 class _NoisyAffineProblem(_AffineProblem):
@@ -320,6 +339,70 @@ def test_interpolation_converges_from_cold_and_exact_starts(bur):
         rec = basis.columns @ prim.q[0]
         assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
     assert warm.gn_iters <= 1
+
+
+def _interpolating_stack(bur):
+    """Four Burgers nodes on a basis holding the solution at the first."""
+    rng = np.random.default_rng(40)
+    ys = rng.uniform(-1, 1, (4, 2))
+    mu = rng.uniform(-0.3, 0.3, 8)
+    basis = seeded_basis(bur, seed=41, n_snaps=2)
+    sol, adj = hdm_pair(bur, ys[0], mu)
+    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], ys[0], mu)
+    return basis, ys, mu
+
+
+def test_converged_node_restarts_without_a_step(bur, monkeypatch):
+    # a node started at its own converged reduced state meets the
+    # round-off test at once: one residual call and no QR
+    basis, ys, mu = _interpolating_stack(bur)
+    cold = solve_rom_primal(bur, basis, ys[:1], mu)
+    assert cold.gn_iters > 0 and not cold.stalled[0]
+    calls = {"residual": 0, "qr": 0}
+    residual, qr = bur.residual, np.linalg.qr
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bur, "residual", counted("residual", residual))
+    monkeypatch.setattr(np.linalg, "qr", counted("qr", qr))
+    warm = solve_rom_primal(bur, basis, ys[:1], mu, q0=cold.q)
+    assert calls == {"residual": 1, "qr": 0}
+    assert warm.gn_iters == 0
+    np.testing.assert_array_equal(warm.q, cold.q)
+    np.testing.assert_array_equal(warm.residual_norm, cold.residual_norm)
+
+
+class _Scaled:
+    """A problem whose residual, Jacobian and source are multiplied by ``c``."""
+
+    def __init__(self, problem, c):
+        self.problem, self.c = problem, c
+
+    def residual(self, u, y, mu):
+        return self.c * self.problem.residual(u, y, mu)
+
+    def jac_bands(self, u, y, mu):
+        return tuple(self.c * b for b in self.problem.jac_bands(u, y, mu))
+
+    def source(self, mu):
+        return self.c * self.problem.source(mu)
+
+
+def test_stop_depends_on_no_absolute_scale(bur):
+    # 2^20 scales every quantity exactly: the same steps and stops follow
+    basis, ys, mu = _interpolating_stack(bur)
+    plain = solve_rom_primal(bur, basis, ys, mu)
+    scaled = solve_rom_primal(_Scaled(bur, 2.0 ** 20), basis, ys, mu)
+    assert not plain.stalled[0] and plain.iters.min() > 1
+    np.testing.assert_array_equal(scaled.q, plain.q)
+    np.testing.assert_array_equal(scaled.iters, plain.iters)
+    np.testing.assert_array_equal(scaled.stalled, plain.stalled)
+    np.testing.assert_array_equal(scaled.residual_norm,
+                                  2.0 ** 20 * plain.residual_norm)
 
 
 # ---------------------------------------------------------------------------
