@@ -16,12 +16,16 @@ reference profile:
 Every linear solve -- Newton step, adjoint, sensitivities -- is one
 O(n) tridiagonal sweep over the Jacobian's bands.
 
-The residual surface (:meth:`ModelProblem.residual`, ``jac_bands``,
-``jac_uT_mul``, ``qoi``, ``qoi_u``) and
-:func:`adjoint_gradient` also take a stack of nodes at one ``mu``:
-states ``(m, n_u)`` and nodes ``(m, n_y)``, each row bitwise equal to
-the one-node call.  The reduced-order solves use this; the full-model
-solvers here work on one node.
+Everything here takes one node or a stack of nodes at one ``mu``: the
+residual surface (:meth:`ModelProblem.residual`, ``jac_bands``,
+``jac_uT_mul``, ``qoi``, ``qoi_u``, ``initial_state``,
+``continuation_stages``), :func:`adjoint_gradient` and the full-model
+solvers :func:`solve_primal` and :func:`solve_adjoint`.  A stack has
+states ``(m, n_u)`` and nodes ``(m, n_y)``, and each row is bitwise
+equal to the one-node call.  A stacked solve runs one damped-Newton
+loop and one adjoint sweep for all of its nodes, with per-node masks
+for the stopping, backtracking and continuation rules, and it cuts its
+stack into parts that fit ``kernels.STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .sparse_grid import tensor_nodes
+from .sparse_grid import node_sum, tensor_nodes
 
 __all__ = [
     "ModelProblem", "LinearDiffusion", "BurgersControl",
@@ -53,15 +57,18 @@ class SolverError(RuntimeError):
 
 @dataclass
 class PrimalSolution:
+    """A node's state or a stack's ``(m, n_u)`` states; ``residual_norm``
+    is a float or ``(m,)``, ``newton_iters`` the steps of the whole stack."""
+
     u: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray
     newton_iters: int
 
 
 @dataclass
 class AdjointSolution:
     lam: np.ndarray
-    residual_norm: float
+    residual_norm: float | np.ndarray
 
 
 @dataclass
@@ -198,10 +205,12 @@ class ModelProblem:
 
     def initial_state(self, y, mu):
         """Default Newton start; subclasses override when zero is a poor start."""
-        return np.zeros(self.n_u)
+        return np.zeros(y.shape[:-1] + (self.n_u,))
 
     def continuation_stages(self, y, mu):
-        """Easier (y, mu) stages to traverse when Newton stalls; may be empty."""
+        """Easier ``(y, mu)`` stages to traverse when Newton stalls; may be
+        empty.  For a stack ``y`` each stage's ``y`` is a stack of the same
+        nodes."""
         return []
 
 
@@ -285,26 +294,23 @@ class BurgersControl(ModelProblem):
     def initial_state(self, y, mu):
         """Linear interpolant of the boundary data; zero is a poor start
         at low viscosity."""
-        return self.bc_left(y) * (1.0 - self.x)
+        return self.bc_left(_components(y)) * (1.0 - self.x)
 
     def continuation_stages(self, y, mu):
         """Retry through higher-viscosity problems (smaller effective y1)."""
+        y = y.T        # y[j]: a component of a node, or its column of a stack
         stages = []
         for factor in (6.0, 3.0, 1.5):
-            inv_nu = max(1.0 / (factor * self.viscosity(y)), 10.0)
+            inv_nu = np.maximum(1.0 / (factor * self.viscosity(y)), 10.0)
             y1 = np.clip((inv_nu - 35.0) / 25.0, -1.0, 1.0)
-            stages.append((np.array([y1, y[1]]), mu))
+            stages.append((np.stack([y1, y[1]], axis=-1), mu))
         return stages
 
 
 def _uncontrolled_reference(problem: BurgersControl, level: int) -> np.ndarray:
     """Tensor-quadrature mean of the uncontrolled solution over y."""
     _, ys, ws = tensor_nodes((level,) * problem.n_y)
-    mu0 = np.zeros(problem.n_mu)
-    mean = np.zeros(problem.n_u)
-    for y, w in zip(ys, ws):
-        mean += w * solve_primal(problem, y, mu0).u
-    return mean
+    return node_sum(ws, solve_primal(problem, ys, np.zeros(problem.n_mu)).u)
 
 
 def make_problem(name: str, **kwargs) -> ModelProblem:
@@ -319,48 +325,168 @@ def make_problem(name: str, **kwargs) -> ModelProblem:
 # solvers
 # ---------------------------------------------------------------------------
 
+def _count(mask):
+    """Nodes set in a per-node mask, a scalar for one node or ``(m,)``."""
+    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
+
+
+def _zeros(rnorm, dtype):
+    """A zero for each node of ``rnorm``'s shape; a scalar for one node."""
+    return np.zeros(rnorm.shape, dtype)[()]
+
+
+def _take(a, at):
+    """The nodes ``at`` of ``a`` (``...``: ``a`` itself)."""
+    return a if at is Ellipsis else a[at]
+
+
+def _sub(at, sel):
+    """The nodes ``sel`` of the nodes ``at``."""
+    return sel if at is Ellipsis else at[sel]
+
+
+def _put(a, at, v):
+    """``a`` with the nodes ``at`` set to ``v``; all nodes (``...``) rebind."""
+    if at is Ellipsis:
+        return v
+    a[at] = v
+    return a
+
+
 def _band_solve(bands, b):
-    """Tridiagonal solve; a zero pivot or a non-finite result is a SolverError."""
+    """Tridiagonal solve of a node or a stack: ``(x, solved)``.
+
+    ``solved`` flags, per node, a finite solution (per row for a block
+    right-hand side); a zero pivot of one system gives ``(None, False)``.
+    """
     try:
         x = kernels.band_solve(*bands, b)
-    except ZeroDivisionError as exc:
-        raise SolverError("Jacobian is singular (zero pivot)") from exc
-    if not np.all(np.isfinite(x)):
+    except ZeroDivisionError:
+        return None, np.False_
+    return x, np.isfinite(x).all(-1)
+
+
+def _solved(bands, b):
+    """Tridiagonal solve; a singular system at any node is a SolverError."""
+    x, solved = _band_solve(bands, b)
+    if x is None:
+        raise SolverError("Jacobian is singular (zero pivot)")
+    if not solved.all():
         raise SolverError("Jacobian is singular (non-finite solve)")
     return x
 
 
-def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters):
-    """Damped Newton iteration; returns (u, rnorm, iters, converged)."""
-    r = problem.residual(u, y, mu)
-    rnorm = float(np.linalg.norm(r))
+def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r=None):
+    """Damped Newton iteration on a node or a stack.
+
+    Returns ``(u, rnorm, iters, ok)``; the last three hold one entry per
+    node (scalars for one node).  A node stops once it meets its tolerance,
+    on a singular Jacobian, or when 30 halvings of its step find no
+    decrease; the others go on.  All nodes of one backtracking round
+    share the step length, so a round is one stacked residual call.
+    While every node is still iterating nothing is indexed, so one node
+    runs on whole arrays and its sweep on floats.  The rows of a stack
+    ``u`` are updated in place; ``r``, if given, is the residual at ``u``.
+    """
+    if r is None:
+        r = problem.residual(u, y, mu)
+    rnorm = kernels.row_norm(r)
     tol = tol_abs + tol_rel * rnorm
-    iters = 0
+    iters = _zeros(rnorm, int)
+    failed = _zeros(rnorm, bool)
     for _ in range(max_iters):
-        if rnorm <= tol:
-            return u, rnorm, iters, True
-        try:
-            step = _band_solve(problem.jac_bands(u, y, mu), -r)
-        except SolverError:
-            return u, rnorm, iters, False  # singular Jacobian
+        go = (rnorm > tol) & ~failed
+        n_go = _count(go)
+        if not n_go:
+            break
+        at = ... if n_go == go.size else np.flatnonzero(go)
+        step, solved = _band_solve(
+            problem.jac_bands(_take(u, at), _take(y, at), mu), -_take(r, at))
+        n_ok = _count(solved)
+        if n_ok < solved.size:                 # singular Jacobians stop
+            if not n_ok:
+                failed = _put(failed, at, True)
+                continue
+            failed[_sub(at, np.flatnonzero(~solved))] = True
+            keep = np.flatnonzero(solved)
+            at, step = _sub(at, keep), step[keep]
         t = 1.0
         for _ in range(30):
-            u_new = u + t * step
-            r_new = problem.residual(u_new, y, mu)
-            rnorm_new = float(np.linalg.norm(r_new))
-            if rnorm_new < rnorm:
-                break
+            u_try = _take(u, at) + t * step
+            r_try = problem.residual(u_try, _take(y, at), mu)
+            n_try = kernels.row_norm(r_try)
+            down = n_try < _take(rnorm, at)
+            n_down = _count(down)
+            if n_down:
+                done = at
+                if n_down < down.size:
+                    done = _sub(at, np.flatnonzero(down))
+                    u_try, r_try, n_try = u_try[down], r_try[down], n_try[down]
+                u, r, rnorm = (_put(u, done, u_try), _put(r, done, r_try),
+                               _put(rnorm, done, n_try))
+                iters = _put(iters, done, _take(iters, done) + 1)
+                if done is at:
+                    break
+                wait = np.flatnonzero(~down)
+                at, step = _sub(at, wait), step[wait]
             t *= 0.5
-        else:
-            return u, rnorm, iters, False  # backtracking exhausted
-        u, r, rnorm = u_new, r_new, rnorm_new
-        iters += 1
+        else:                                  # backtracking exhausted
+            failed = _put(failed, at, True)
     return u, rnorm, iters, rnorm <= tol
+
+
+def _start(problem, y, mu):
+    """The problem's default Newton start, one writable row per node."""
+    u = np.empty(y.shape[:-1] + (problem.n_u,))
+    u[...] = problem.initial_state(y, mu)
+    return u
+
+
+def _primal(problem, y, mu, u0, tol_abs, tol_rel, max_iters):
+    """Newton on a node or a stack from ``u0`` (the default start if
+    None), then continuation for its failed nodes; returns ``(u, rnorm,
+    iters, ok)`` as :func:`_newton` does."""
+    u = _start(problem, y, mu)
+    r = problem.residual(u, y, mu)
+    tol_abs = tol_abs * (1.0 + kernels.row_norm(r))
+    if u0 is not None:
+        u, r = np.array(u0, dtype=float), None
+    if not np.isfinite(u).all():
+        raise ValueError("initial state contains non-finite entries")
+    u, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r)
+    if _count(ok) == ok.size:
+        return u, rnorm, iters, ok
+    at = ... if y.ndim == 1 else np.flatnonzero(~ok)
+    stages = problem.continuation_stages(_take(y, at), mu)
+    if not stages:
+        return u, rnorm, iters, ok
+    u_stage = _start(problem, _take(y, at), mu)
+    iters_at = _take(iters, at)
+    for y_s, mu_s in stages:
+        u_stage, _, it_s, _ = _newton(problem, np.asarray(y_s, float),
+                                      np.asarray(mu_s, float), u_stage,
+                                      _take(tol_abs, at), 1e-10, max_iters)
+        iters_at = iters_at + it_s
+    u_f, rnorm_f, it_f, ok_f = _newton(problem, _take(y, at), mu, u_stage,
+                                       _take(tol_abs, at), tol_rel, max_iters)
+    return (_put(u, at, u_f), _put(rnorm, at, rnorm_f),
+            _put(iters, at, iters_at + it_f), _put(ok, at, ok_f))
+
+
+def _in_parts(solve, problem, y, *stacks):
+    """``solve(y, *stacks)`` on a node, or on parts of a stack whose
+    residual and three Jacobian bands fit ``kernels.STACK_BYTES``, with
+    the parts' outputs joined; a None stack stays None."""
+    if y.ndim == 1:
+        return solve(y, *stacks)
+    parts = [solve(y[p], *(None if a is None else a[p] for a in stacks))
+             for p in kernels.stack_parts(len(y), 32 * problem.n_u)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
                  max_iters=50, counters: QueryCounters | None = None) -> PrimalSolution:
-    """Damped Newton solve of ``r(u, y, mu) = 0``.
+    """Damped Newton solve of ``r(u, y, mu) = 0`` at a node or a stack.
 
     Backtracking halves the step until the residual norm decreases (up
     to 30 halvings).  If the iteration stalls -- backtracking exhausted
@@ -372,38 +498,35 @@ def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
     residual at the problem's default start so that warm starts with a
     tiny entry residual cannot push the tolerance beneath the evaluation
     noise floor of a stiff operator.
+
+    A stack ``y`` of shape ``(m, n_y)`` (with ``u0`` ``(m, n_u)``) is
+    solved by one Newton loop per part of the stack, and every node's
+    state, iteration count and counter increment are bitwise equal to
+    its one-node solve.  If a node fails, the error names the first
+    failed node and carries its iterate, and no counter moves.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    u = problem.initial_state(y, mu) if u0 is None else np.array(u0, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("initial state contains non-finite entries")
-
-    r_nat = float(np.linalg.norm(
-        problem.residual(problem.initial_state(y, mu), y, mu)))
-    tol_abs = tol_abs * (1.0 + r_nat)
-
-    u_out, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters)
-    if not ok:
-        stages = problem.continuation_stages(y, mu)
-        if stages:
-            u_stage = problem.initial_state(y, mu)
-            for y_s, mu_s in stages:
-                u_stage, _, it_s, _ = _newton(problem, np.asarray(y_s, float),
-                                              np.asarray(mu_s, float), u_stage,
-                                              tol_abs, 1e-10, max_iters)
-                iters += it_s
-            u_out, rnorm, it_f, ok = _newton(problem, y, mu, u_stage,
-                                             tol_abs, tol_rel, max_iters)
-            iters += it_f
-    if not ok:
+    if u0 is not None:
+        u0 = np.asarray(u0, dtype=float)
+    u, rnorm, iters, ok = _in_parts(
+        lambda y_p, u0_p: _primal(problem, y_p, mu, u0_p, tol_abs, tol_rel, max_iters),
+        problem, y, u0)
+    if _count(ok) < ok.size:
+        at, where = ..., ""
+        if y.ndim > 1:
+            at = int(np.flatnonzero(~ok)[0])
+            where = f" at node {at} of {len(y)}"
+        rnorm_at = float(_take(rnorm, at))
         raise SolverError(
-            f"Newton did not converge after {iters} iterations "
-            f"(residual {rnorm:.3e})", u=u_out, residual_norm=rnorm)
+            f"Newton did not converge{where} after {_take(iters, at)} iterations "
+            f"(residual {rnorm_at:.3e})", u=_take(u, at), residual_norm=rnorm_at)
     if counters is not None:
-        counters.n_hp += 1
-        counters.newton_iters += max(iters, 1)
-    return PrimalSolution(u_out, rnorm, iters)
+        counters.n_hp += iters.size
+        counters.newton_iters += int(np.maximum(iters, 1).sum())
+    if y.ndim == 1:
+        return PrimalSolution(u, float(rnorm), int(iters))
+    return PrimalSolution(u, rnorm, int(iters.sum()))
 
 
 def adjoint_residual(problem, lam, u, y, mu):
@@ -413,19 +536,31 @@ def adjoint_residual(problem, lam, u, y, mu):
 
 def solve_adjoint(problem, u, y, mu,
                   counters: QueryCounters | None = None) -> AdjointSolution:
-    """Direct solve of the linear adjoint system at a converged primal state."""
+    """Direct solve of the linear adjoint system at a converged primal state.
+
+    ``u`` and ``y`` may be stacks, ``(m, n_u)`` and ``(m, n_y)``: the
+    stack is solved by one sweep per part, each row bitwise equal to its
+    one-node solve.  A singular Jacobian at any node is a SolverError.
+    """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    lam, res = _in_parts(lambda y_p, u_p: _adjoint(problem, u_p, y_p, mu),
+                         problem, y, u)
+    if counters is not None:
+        counters.n_ha += res.size
+    return AdjointSolution(lam, res if y.ndim > 1 else float(res))
+
+
+def _adjoint(problem, u, y, mu):
+    """Adjoint states and residual norms of a node or a stack."""
     lo, dg, up = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
     # the bands of (dr/du)^T: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
-    bands_t = (np.append(0.0, up[:-1]), dg, np.append(lo[1:], 0.0))
-    lam = _band_solve(bands_t, rhs)
+    lo_t, up_t = np.zeros(lo.shape), np.zeros(up.shape)
+    lo_t[..., 1:], up_t[..., :-1] = up[..., :-1], lo[..., 1:]
+    lam = _solved((lo_t, dg, up_t), rhs)
     # adjoint_residual's expression, from the bands already built
-    res = float(np.linalg.norm(kernels.band_t_matvec(lo, dg, up, lam) - rhs))
-    if counters is not None:
-        counters.n_ha += 1
-    return AdjointSolution(lam, res)
+    return lam, kernels.row_norm(kernels.band_t_matvec(lo, dg, up, lam) - rhs)
 
 
 def adjoint_gradient(problem, lam, u, y, mu):
@@ -434,17 +569,22 @@ def adjoint_gradient(problem, lam, u, y, mu):
     Equals the exact gradient of the solution-restricted quantity of
     interest when ``(u, lam)`` solve the primal and adjoint systems.
     For stacks ``lam``, ``u`` of shape ``(m, n_u)`` it returns one
-    gradient per row, each by the same matrix-vector product.
+    gradient per row, each by the same matrix-vector product on a
+    C-contiguous copy of ``lam``: the product's rounding depends on the
+    memory layout of its operand, and this keeps every row bitwise equal
+    to the one-node call whatever the layout of the stack.
     """
     dr_dmu = problem.jac_mu(u, y, mu)
+    lam = np.ascontiguousarray(lam)
     return problem.qoi_mu(u, y, mu) - (dr_dmu.T @ lam[..., None])[..., 0]
 
 
 def primal_sensitivities(problem, u, y, mu,
                          counters: QueryCounters | None = None):
-    """All parameter sensitivities as columns (one linear solve, many RHS)."""
+    """All parameter sensitivities as columns: one sweep for the whole
+    block of right-hand sides, each column bitwise equal to its own solve."""
     rhs = -problem.jac_mu(u, y, mu)
-    s = _band_solve(problem.jac_bands(u, y, mu), rhs)
+    s = _solved(problem.jac_bands(u, y, mu), rhs)
     if counters is not None:
         counters.n_ha += problem.n_mu
     return s

@@ -16,7 +16,7 @@ import numpy as np
 
 from .hdm import (QueryCounters, adjoint_gradient, solve_adjoint, solve_primal)
 from .rom import ReducedBasis, RomSolveError, solve_rom_adjoint, solve_rom_primal
-from .sparse_grid import tensor_nodes
+from .sparse_grid import node_sum, tensor_nodes
 
 __all__ = [
     "BoundEstimate", "fd_gradient", "tensor_reference",
@@ -69,6 +69,9 @@ def tensor_reference(problem, mu, level: int,
 
     Every node gets a full primal and adjoint solve; this is the
     brute-force reference the adaptive machinery is compared against.
+    The nodes are solved as one stack, and the weighted sums add them in
+    node order (:func:`node_sum`).  ``warm``, if given, maps a level to
+    the states of its last solve, which start the next one there.
     """
     if level > 6:
         raise ValueError("tensor reference capped at level 6")
@@ -76,16 +79,13 @@ def tensor_reference(problem, mu, level: int,
         raise ValueError("tensor reference capped at 3 stochastic dimensions")
     mu = np.asarray(mu, dtype=float)
     _, nodes, weights = tensor_nodes((level,) * problem.n_y)
-    j_val = 0.0
-    grad = np.zeros(problem.n_mu)
-    for i, (y, w) in enumerate(zip(nodes, weights)):
-        u0 = warm.get(i) if warm is not None else None
-        prim = solve_primal(problem, y, mu, u0=u0, counters=counters)
-        if warm is not None:
-            warm[i] = prim.u
-        adj = solve_adjoint(problem, prim.u, y, mu, counters=counters)
-        j_val += w * problem.qoi(prim.u, y, mu)
-        grad += w * adjoint_gradient(problem, adj.lam, prim.u, y, mu)
+    u0 = warm.get(level) if warm is not None else None
+    prim = solve_primal(problem, nodes, mu, u0=u0, counters=counters)
+    if warm is not None:
+        warm[level] = prim.u
+    adj = solve_adjoint(problem, prim.u, nodes, mu, counters=counters)
+    j_val = node_sum(weights, problem.qoi(prim.u, nodes, mu))
+    grad = node_sum(weights, adjoint_gradient(problem, adj.lam, prim.u, nodes, mu))
     return j_val, grad
 
 

@@ -32,9 +32,8 @@ a stack of one).  Each Gauss-Newton step makes one stacked QR, one
 stacked triangular solve and at most two stacked residual calls for the
 whole stack, and per-node masks apply the stopping and backtracking
 rules, so every node's result is bitwise equal to solving it alone.  A
-stack is split into parts of ``max(1, STACK_BYTES // (8 n_u (k + 1)))``
-nodes, which bounds the memory of the stacked ``n_u x (k + 1)``
-matrices.
+stack is cut by :func:`kernels.stack_parts` into parts whose stacked
+``n_u x (k + 1)`` matrices fit ``kernels.STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -53,8 +52,6 @@ __all__ = [
 DROP_TOL = 1e-10
 #: Gauss-Newton iterations before a primal reduced solve gives up.
 GN_MAX_ITERS = 60
-#: Bytes of stacked reduced Jacobians ``[J Phi | r]`` one solve holds.
-STACK_BYTES = 2 ** 18
 
 _EPS = np.finfo(float).eps
 
@@ -199,14 +196,9 @@ def _augmented_r(a, b):
     return np.linalg.qr(np.concatenate([a, b[..., None]], axis=-1), mode="r")
 
 
-def _norms(x):
-    return np.sqrt(kernels.row_dot(x))
-
-
 def _parts(m, n_u, k):
-    """Slices of a stack of ``m`` nodes that fit the ``STACK_BYTES`` budget."""
-    size = max(1, STACK_BYTES // (8 * n_u * (k + 1)))
-    return [slice(s, s + size) for s in range(0, m, size)]
+    """Slices of a stack of ``m`` nodes whose ``[J Phi | r]`` fit the budget."""
+    return kernels.stack_parts(m, 8 * n_u * (k + 1))
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -276,7 +268,7 @@ def _gauss_newton(problem, basis, ys, mu, q):
     m, k = q.shape
     f = np.abs(problem.source(mu))
     r = problem.residual(basis.expand(q), ys, mu)
-    rnorm = _norms(r)
+    rnorm = kernels.row_norm(r)
     iters = np.zeros(m, dtype=int)
     status = np.full(m, _CONVERGED)
     grad = np.zeros(m)
@@ -287,13 +279,13 @@ def _gauss_newton(problem, basis, ys, mu, q):
         u = basis.expand(q[live])
         lo, dg, up = problem.jac_bands(u, ys[live], mu)
         jphi = kernels.band_matmat(lo, dg, up, phi)
-        g = _norms((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
-        jnorm = _norms(jphi.reshape(live.size, -1))
+        g = kernels.row_norm((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
+        jnorm = kernels.row_norm(jphi.reshape(live.size, -1))
         grad[live] = g
         # stationary at the gradient's own round-off (module docstring)
         terms = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up),
                                     np.abs(u)) + f
-        go = ~(g <= _EPS * jnorm * _norms(terms))
+        go = ~(g <= _EPS * jnorm * kernels.row_norm(terms))
         live, g, jnorm, jphi = live[go], g[go], jnorm[go], jphi[go]
         if not live.size:
             break
@@ -348,7 +340,7 @@ def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
     """
     q_new = q + delta
     r_new = problem.residual(basis.expand(q_new), ys, mu)
-    rn_new = _norms(r_new)
+    rn_new = kernels.row_norm(r_new)
     found = rn_new < rnorm
     if found.all():
         return found, q_new, r_new, rn_new
@@ -362,7 +354,7 @@ def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
         ts = np.broadcast_to(t, open_.shape)[open_]
         q_t = q[rows] + ts[:, None] * delta[rows]
         r_t = problem.residual(basis.expand(q_t), ys[rows], mu)
-        rn_t = _norms(r_t)
+        rn_t = kernels.row_norm(r_t)
         hit = np.flatnonzero(rn_t < rnorm[rows])
         nodes, first = np.unique(rows[hit], return_index=True)
         pick = hit[first]
@@ -408,6 +400,6 @@ def _min_res_adjoint(problem, basis, q, ys, mu):
         raise RomSolveError(
             f"adjoint ROM matrix is rank-deficient (rank {rank.min()} < {k})")
     eta = np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0]
-    res = _norms((a @ eta[:, :, None])[:, :, 0] - b)
+    res = kernels.row_norm((a @ eta[:, :, None])[:, :, 0] - b)
     return eta, res
 

@@ -25,8 +25,8 @@ import numpy as np
 __all__ = [
     "KEY_LEVEL", "Rule1D", "MultiIndexSet", "SparseQuadrature",
     "IntegrandError", "cc_rule", "rule_size", "node_coordinate",
-    "is_admissible", "tensor_nodes", "assemble", "integrate", "difference_rule",
-    "write_index_set",
+    "is_admissible", "tensor_nodes", "node_sum", "assemble", "integrate",
+    "difference_rule", "write_index_set",
 ]
 
 #: Reference level used for canonical integer node keys.  Levels above
@@ -240,6 +240,19 @@ def tensor_nodes(levels: tuple):
         w = np.multiply.outer(w, r.weights)
     return (grid([r.keys for r in rules], np.int64),
             grid([r.nodes for r in rules], float), w.ravel())
+
+
+def node_sum(weights, values):
+    """``sum_i weights[i] * values[i]`` over the rows of ``values``.
+
+    The terms are added one at a time, in node order, starting from
+    zero (``np.add.accumulate``), so the result is bitwise equal to
+    adding ``w * v`` node by node in a loop; a reduction (``sum``,
+    ``@``) may add in another order.
+    """
+    terms = weights.reshape((-1,) + (1,) * (values.ndim - 1)) * values
+    zero = np.zeros((1,) + terms.shape[1:])
+    return np.add.accumulate(np.concatenate([zero, terms]))[-1]
 
 
 def _accumulate(nodemap: dict, levels: tuple, coeff: float) -> None:

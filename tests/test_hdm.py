@@ -1,5 +1,7 @@
 """Model-problem surfaces: residuals, Jacobians, solvers, adjoint gradient."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,7 +156,23 @@ class CorruptFirstRow(LinearDiffusion):
 
     def jac_bands(self, u, y, mu):
         lo, dg, up = super().jac_bands(u, y, mu)
-        dg[0], up[0] = self.pivot, 0.0
+        dg[..., 0], up[..., 0] = self.pivot, 0.0
+        return lo, dg, up
+
+
+class CorruptOneNode(LinearDiffusion):
+    """Linear diffusion whose Jacobian's first row is ``(pivot, 0, ..., 0)``
+    at the nodes with ``y1 > 0.5`` only."""
+
+    def __init__(self, pivot, **kwargs):
+        super().__init__(**kwargs)
+        self.pivot = pivot
+
+    def jac_bands(self, u, y, mu):
+        lo, dg, up = super().jac_bands(u, y, mu)
+        bad = y[..., 0] > 0.5
+        dg[..., 0] = np.where(bad, self.pivot, dg[..., 0])
+        up[..., 0] = np.where(bad, 0.0, up[..., 0])
         return lo, dg, up
 
 
@@ -185,6 +203,114 @@ def test_singular_jacobian_is_solver_error(tmp_path, monkeypatch, lin, pivot):
     assert run_optimize(config.load_config(cfg_path), out) == EXIT_SOLVER_FAILURE
     assert (out / "error.txt").read_text().startswith(
         "SolverError: Newton did not converge after 0 iterations")
+
+
+@pytest.mark.parametrize("pivot", [0.0, np.nan], ids=["zero", "nan"])
+def test_singular_node_in_a_stack(lin, pivot):
+    # one singular node of three: the stacked sweep leaves its row
+    # non-finite without a warning, and each solver reports it
+    prob = CorruptOneNode(pivot)
+    ys = np.array([[0.1, -0.3], [0.9, 0.2], [-0.6, 0.7]])
+    mu = np.full(8, 0.3)
+    u = solve_primal(lin, ys, mu).u
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverError, match="singular"):
+            solve_adjoint(prob, u, ys, mu)
+        with pytest.raises(SolverError,
+                           match="Newton did not converge at node 1 of 3 after 0 "
+                                 "iterations") as err:
+            solve_primal(prob, ys, mu)
+        # the healthy nodes of the same stack still solve
+        sol = solve_primal(prob, ys[[0, 2]], mu)
+        adj = solve_adjoint(prob, sol.u, ys[[0, 2]], mu)
+    np.testing.assert_array_equal(err.value.u, prob.initial_state(ys[1], mu))
+    np.testing.assert_array_equal(sol.u, u[[0, 2]])
+    for i, row in zip((0, 2), adj.lam):
+        np.testing.assert_array_equal(row, solve_adjoint(lin, u[i], ys[i], mu).lam)
+
+
+def _stack_and_single(problem, ys, mu):
+    """Solve ``ys`` node by node, then as one stack; check that each row,
+    the iteration total and the counter increments agree."""
+    c_single, c_stack = QueryCounters(), QueryCounters()
+    single = [solve_primal(problem, y, mu, counters=c_single) for y in ys]
+    stack = solve_primal(problem, ys, mu, counters=c_stack)
+    assert isinstance(stack.newton_iters, int)
+    assert stack.newton_iters == sum(s.newton_iters for s in single)
+    assert (c_stack.n_hp, c_stack.newton_iters) == (c_single.n_hp, c_single.newton_iters)
+    assert stack.u.flags.c_contiguous
+    for i, one in enumerate(single):
+        np.testing.assert_array_equal(stack.u[i], one.u)
+        assert stack.residual_norm[i] == one.residual_norm
+    return stack
+
+
+@pytest.mark.parametrize("cls", [LinearDiffusion, BurgersControl], ids=lambda c: c.name)
+def test_primal_stack_matches_one_node_solves(cls, lin, bur, monkeypatch):
+    # a stack equals its one-node solves, from default and from warm
+    # starts, and whatever the parts it is cut into
+    problem = lin if cls is LinearDiffusion else bur
+    ys = np.array([[-1.0, 0.0], [0.3, -0.7], [1.0, 1.0], [0.0, 0.5], [-0.4, 0.9]])
+    mu = np.linspace(-0.3, 0.3, 8)
+    stack = _stack_and_single(problem, ys, mu)
+    mu_warm = mu + 0.05
+    warm = solve_primal(problem, ys, mu_warm, u0=stack.u)
+    for i, y in enumerate(ys):
+        np.testing.assert_array_equal(
+            warm.u[i], solve_primal(problem, y, mu_warm, u0=stack.u[i]).u)
+    monkeypatch.setattr(kernels, "STACK_BYTES", 1)     # one node per part
+    split = solve_primal(problem, ys, mu)
+    np.testing.assert_array_equal(split.u, stack.u)
+    np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
+    assert split.newton_iters == stack.newton_iters
+
+
+def _count_continuation(monkeypatch):
+    calls = []
+    stages = BurgersControl.continuation_stages
+
+    def counted(self, y, mu):
+        calls.append(np.array(y))
+        return stages(self, y, mu)
+
+    monkeypatch.setattr(BurgersControl, "continuation_stages", counted)
+    return calls
+
+
+def test_continuation_in_a_stack(bur, monkeypatch):
+    # at mu = -0.38 the low-viscosity nodes 1 and 3 stall and need the
+    # continuation stages; the other three converge directly.  The
+    # one-node solves make one call each, the stack one for both nodes
+    calls = _count_continuation(monkeypatch)
+    ys = np.array([[-1.0, 0.0], [1.0, -1.0], [0.0, 0.5], [0.9, -1.0], [1.0, -0.8]])
+    _stack_and_single(bur, ys, np.full(8, -0.38))
+    assert len(calls) == 3
+    for call, y in zip(calls, (ys[1], ys[3], ys[[1, 3]])):
+        np.testing.assert_array_equal(call, y)
+
+
+def test_stack_failure_after_continuation(bur, monkeypatch):
+    # two Newton steps per stage: node 0 converges through continuation,
+    # nodes 1 and 2 fail after it; the error names node 1 and carries its
+    # last iterate, as the one-node solve does, and no counter moves
+    calls = _count_continuation(monkeypatch)
+    ys = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    mu = np.zeros(8)
+    with pytest.raises(SolverError) as one:
+        solve_primal(bur, ys[1], mu, max_iters=2)
+    assert str(one.value).startswith("Newton did not converge after 10 iterations")
+    assert one.value.u.shape == (bur.n_u,)
+    calls.clear()
+    counters = QueryCounters()
+    with pytest.raises(SolverError) as err:
+        solve_primal(bur, ys, mu, max_iters=2, counters=counters)
+    assert len(calls) == 1 and len(calls[0]) == 3
+    assert str(err.value) == str(one.value).replace(
+        "converge after", "converge at node 1 of 3 after")
+    np.testing.assert_array_equal(err.value.u, one.value.u)
+    assert err.value.residual_norm == one.value.residual_norm
+    assert counters.n_hp == counters.newton_iters == 0
 
 
 def test_counters_track_newton_iterations(bur):
@@ -237,6 +363,28 @@ def test_diffusion_adjoint_self_adjoint(lin):
     adj = solve_adjoint(lin, sol.u, y, mu)
     lam = np.linalg.solve(a, lin.qoi_u(sol.u, y, mu))
     np.testing.assert_allclose(adj.lam, lam, rtol=1e-10)
+
+
+def test_adjoint_stack_matches_one_node_solves(bur):
+    # rows of a stacked adjoint solve and of the gradients built from it
+    # equal the one-node calls, also from a Fortran-ordered adjoint stack
+    from sgromtr.sparse_grid import tensor_nodes
+    _, ys, _ = tensor_nodes((4, 4))
+    mu = np.linspace(-0.3, 0.3, 8)
+    prim = solve_primal(bur, ys, mu)
+    counters = QueryCounters()
+    adj = solve_adjoint(bur, prim.u, ys, mu, counters=counters)
+    assert counters.n_ha == len(ys)
+    assert adj.lam.flags.c_contiguous
+    g = adjoint_gradient(bur, adj.lam, prim.u, ys, mu)
+    g_f = adjoint_gradient(bur, np.asfortranarray(adj.lam), prim.u, ys, mu)
+    for i, y in enumerate(ys):
+        one = solve_adjoint(bur, prim.u[i], y, mu)
+        np.testing.assert_array_equal(adj.lam[i], one.lam)
+        assert adj.residual_norm[i] == one.residual_norm
+        g_one = adjoint_gradient(bur, one.lam, prim.u[i], y, mu)
+        np.testing.assert_array_equal(g[i], g_one)
+        np.testing.assert_array_equal(g_f[i], g_one)
 
 
 # ---------------------------------------------------------------------------

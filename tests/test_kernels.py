@@ -53,15 +53,35 @@ def test_band_products_match_dense(data, name, stacked):
         np.testing.assert_array_equal(out[i], kernel(*(b[i] for b in bands), x))
 
 
-@pytest.mark.parametrize("case", ["vector", "transposed", "block"])
+@pytest.mark.parametrize("case", ["vector", "transposed", "block", "stacked"])
 def test_band_solve_matches_dense(data, case):
     bands = (data["lo"], data["dg"], data["up"])
     if case == "transposed":
         bands = transposed(*bands)
+    if case == "stacked":
+        # three systems, one row per node: each row is bitwise equal to its
+        # own one-system solve, and the stack comes back C-contiguous
+        bands = [np.stack([b, 0.5 * b, -b]) for b in bands]
+        rhs = np.stack([data["v"], data["v"][::-1], 2.0 * data["v"]])
+        x = kernels.band_solve(*bands, rhs)
+        assert x.shape == rhs.shape and x.flags.c_contiguous
+        for i in range(3):
+            one = [b[i] for b in bands]
+            np.testing.assert_array_equal(x[i], kernels.band_solve(*one, rhs[i]))
+            expected = np.linalg.solve(band_to_dense(*one), rhs[i])
+            np.testing.assert_allclose(x[i], expected, rtol=1e-13,
+                                       atol=1e-13 * np.abs(expected).max())
+        return
     b = data["V"] if case == "block" else data["v"]
     expected = np.linalg.solve(band_to_dense(*bands), b)
-    np.testing.assert_allclose(kernels.band_solve(*bands, b), expected,
+    x = kernels.band_solve(*bands, b)
+    np.testing.assert_allclose(x, expected,
                                rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+    if case == "block":
+        # one sweep for the block: each column equals its own vector solve
+        for j in range(b.shape[1]):
+            np.testing.assert_array_equal(x[:, j],
+                                          kernels.band_solve(*bands, b[:, j].copy()))
 
 
 unit = st.floats(-1.0, 1.0, allow_subnormal=False)

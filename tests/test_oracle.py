@@ -11,7 +11,7 @@ from sgromtr.hdm import (LinearDiffusion, QueryCounters, adjoint_gradient,
 from sgromtr.oracle import (cost_metric, fd_gradient, sg_iso_baseline,
                             tensor_reference, validate_bounds)
 from sgromtr.rom import ReducedBasis
-from sgromtr.sparse_grid import MultiIndexSet, assemble, integrate
+from sgromtr.sparse_grid import MultiIndexSet, assemble, integrate, tensor_nodes
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +93,10 @@ def test_tensor_polynomial_exactness():
     # analytic expectation is a product of uniform moments
     class PolyQoI(LinearDiffusion):
         def qoi(self, u, y, mu):
-            return y[0] ** 4 * y[1] ** 2
+            return y[..., 0] ** 4 * y[..., 1] ** 2
 
         def qoi_u(self, u, y, mu):
-            return np.zeros(self.n_u)
+            return np.zeros(u.shape)
 
         def qoi_mu(self, u, y, mu):
             return np.zeros(self.n_mu)
@@ -111,6 +111,28 @@ def test_tensor_self_convergence(lin):
     j4, _ = tensor_reference(lin, mu, 4)
     j5, _ = tensor_reference(lin, mu, 5)
     assert abs(j5 - j4) <= 1e-9 * (1 + abs(j5))
+
+
+def test_tensor_reference_equals_node_loop(bur):
+    # the stacked solves and node_sum give, bit for bit, what one-node
+    # solves summed node by node give: the objective, the gradient, the
+    # counters and the Burgers tracking target
+    mu = np.linspace(-0.3, 0.3, 8)
+    counters = QueryCounters()
+    j_stack, g_stack = tensor_reference(bur, mu, 3, counters=counters)
+    _, nodes, weights = tensor_nodes((3, 3))
+    loop = QueryCounters()
+    j_val, grad, mean = 0.0, np.zeros(8), np.zeros(bur.n_u)
+    for y, w in zip(nodes, weights):
+        prim = solve_primal(bur, y, mu, counters=loop)
+        adj = solve_adjoint(bur, prim.u, y, mu, counters=loop)
+        j_val += w * bur.qoi(prim.u, y, mu)
+        grad += w * adjoint_gradient(bur, adj.lam, prim.u, y, mu)
+        mean += w * solve_primal(bur, y, np.zeros(8)).u
+    assert j_stack == j_val
+    np.testing.assert_array_equal(g_stack, grad)
+    assert counters.snapshot() == loop.snapshot()
+    np.testing.assert_array_equal(bur.ref, mean)     # ref_level 3
 
 
 def test_tensor_reference_caps():

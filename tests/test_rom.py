@@ -5,7 +5,7 @@ import pytest
 
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
-from sgromtr import rom
+from sgromtr import kernels, rom
 from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
                          solve_rom_adjoint, solve_rom_primal)
 
@@ -295,7 +295,7 @@ def test_mixed_stack_matches_stacks_of_one(monkeypatch):
         np.testing.assert_array_equal(stack.residual_norm[i],
                                       alone.residual_norm[0])
         assert stack.iters[i] == alone.gn_iters
-    monkeypatch.setattr(rom, "STACK_BYTES", 1)   # one node per part
+    monkeypatch.setattr(kernels, "STACK_BYTES", 1)   # one node per part
     split, _ = solve([0, 1, 2])
     np.testing.assert_array_equal(split.q, stack.q)
     np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
