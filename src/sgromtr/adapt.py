@@ -28,7 +28,7 @@ conditions hold exactly as evaluated.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,16 +71,21 @@ class RefinementEvent:
 
 @dataclass
 class NodeEval:
-    """Reduced solve at one (node, parameter) pair."""
+    """Reduced solve at one (node, parameter) pair.
+
+    The primal part is always set.  The adjoint part (``adj_res``,
+    ``ghat``, ``gnorm``) is None until :meth:`SgRomPair.ensure_adjoints`
+    solves it at this entry's ``q``.
+    """
 
     coord: np.ndarray
     q: np.ndarray
     prim_res: float
-    adj_res: float
-    ghat: np.ndarray
-    gnorm: float          # ||ghat||
     fval: float
     gn_iters: int
+    adj_res: float | None = None
+    ghat: np.ndarray | None = None
+    gnorm: float | None = None    # ||ghat||
 
 
 def _mu_key(mu) -> bytes:
@@ -103,8 +108,14 @@ class SgRomPair:
     so results do not depend on evaluation order.
 
     Each :meth:`ensure` sweep solves its missing nodes as one stack: one
-    stacked primal and one stacked adjoint solve, and the gradient
-    estimates and objective values of all nodes at once.  A node whose
+    stacked primal solve and the objective values of all nodes at once.
+    The reduced adjoint is solved on demand: :meth:`ensure_adjoints`
+    solves, as one more stack, the adjoints and gradient estimates of the
+    listed nodes that lack one, and only the readers of ``adj_res``,
+    ``ghat`` or ``gnorm`` ask for it (the model gradient, the gradient
+    indicator's ``e3`` and ``e4``, greedy sampling on the adjoint
+    residual and the final report).  An adjoint is stored with the
+    ``q`` it was solved at, so a primal re-solve drops it.  A node whose
     Gauss-Newton solve stagnates or hits the iteration cap is stored at
     its last iterate with that iterate's true residual norm, and counted
     in ``counters.rom_recoveries``: the residual-based indicators hold at
@@ -170,7 +181,7 @@ class SgRomPair:
         return starts
 
     def ensure(self, mu, keys, coords) -> None:
-        """Solve every listed node at ``mu`` that has no current solve."""
+        """Solve the primal of every listed node at ``mu`` without a current one."""
         mk = _mu_key(mu)
         stored = self._nodes.get(mk, {})
         k = self.basis.k
@@ -191,26 +202,45 @@ class SgRomPair:
             prim = exc.result
             self.counters.rom_recoveries += int(exc.failed.sum())
         self.counters.rom_stalls += int(prim.stalled.sum())
-        adj = solve_rom_adjoint(self.problem, self.basis, prim.q, ys, mu)
-        u = self.basis.expand(prim.q)
-        ghat = adjoint_gradient(self.problem, self.basis.expand(adj.eta), u,
-                                ys, mu)
-        fval = self.problem.qoi(u, ys, mu)
-        gnorm = np.sqrt(kernels.row_dot(ghat))
+        fval = self.problem.qoi(self.basis.expand(prim.q), ys, mu)
         iters = np.maximum(prim.iters, 1)
         nodes = self._nodes.setdefault(mk, {})
         for i, (key, _) in enumerate(missing):
             nodes[key] = NodeEval(ys[i], prim.q[i], float(prim.residual_norm[i]),
-                                  float(adj.residual_norm[i]),
-                                  ghat[i], float(gnorm[i]), float(fval[i]),
-                                  int(iters[i]))
+                                  float(fval[i]), int(iters[i]))
         self.counters.n_rp += len(missing)
-        self.counters.n_ra += len(missing)
         self.counters.gn_iters += int(iters.sum())
 
-    def evals(self, quad, mu) -> list:
-        """Current solves at ``mu`` of the nodes of ``quad``, in its order."""
+    def ensure_adjoints(self, mu, keys) -> None:
+        """Solve the adjoint at every listed node at ``mu`` that lacks one.
+
+        The nodes must have a current primal solve (:meth:`ensure`).  A
+        solved entry is replaced, not changed in place, because a clone
+        shares its entries with the pair it was made from.
+        """
+        mu = np.asarray(mu, dtype=float)
+        nodes = self._nodes[_mu_key(mu)]
+        missing = [key for key in keys if nodes[key].adj_res is None]
+        if not missing:
+            return
+        evs = [nodes[key] for key in missing]
+        q = np.array([ev.q for ev in evs])
+        ys = np.array([ev.coord for ev in evs])
+        adj = solve_rom_adjoint(self.problem, self.basis, q, ys, mu)
+        ghat = adjoint_gradient(self.problem, self.basis.expand(adj.eta),
+                                self.basis.expand(q), ys, mu)
+        gnorm = np.sqrt(kernels.row_dot(ghat))
+        for i, (key, ev) in enumerate(zip(missing, evs)):
+            nodes[key] = replace(ev, adj_res=float(adj.residual_norm[i]),
+                                 ghat=ghat[i], gnorm=float(gnorm[i]))
+        self.counters.n_ra += len(missing)
+
+    def evals(self, quad, mu, adjoint: bool = False) -> list:
+        """Current solves at ``mu`` of the nodes of ``quad``, in its order,
+        with their adjoints when ``adjoint`` is set."""
         self.ensure(mu, quad.keys, quad.coords)
+        if adjoint:
+            self.ensure_adjoints(mu, quad.keys)
         nodes = self._nodes[_mu_key(mu)]
         return [nodes[key] for key in quad.keys]
 
@@ -225,17 +255,19 @@ class SgRomPair:
 
     def model_gradient(self, mu) -> np.ndarray:
         quad = assemble(self.grid)
-        return quad.weights @ np.array([ev.ghat for ev in self.evals(quad, mu)])
+        return quad.weights @ np.array(
+            [ev.ghat for ev in self.evals(quad, mu, adjoint=True)])
 
-    def neighbor_differences(self, mu, value) -> dict:
+    def neighbor_differences(self, mu, value, adjoint: bool = False) -> dict:
         """Tensor-difference quadrature of ``value(ev)`` per forward neighbor.
 
-        ``value`` maps a node's :class:`NodeEval` to a float.  Every node
-        of a neighbor's difference rule lies in the union quadrature,
-        which is solved once here.
+        ``value`` maps a node's :class:`NodeEval` to a float; set
+        ``adjoint`` when it reads the adjoint part.  Every node of a
+        neighbor's difference rule lies in the union quadrature, which is
+        solved once here.
         """
         quad = self.union_quad()
-        by_key = dict(zip(quad.keys, self.evals(quad, mu)))
+        by_key = dict(zip(quad.keys, self.evals(quad, mu, adjoint=adjoint)))
         out = {}
         for idx in self.grid.neighbors():
             rule = difference_rule(idx)
@@ -247,7 +279,8 @@ class SgRomPair:
 def _residual_term(pair: SgRomPair, mu, field: str) -> float:
     """|Quadrature| of one residual norm over the grid and its neighbors."""
     quad = pair.union_quad()
-    vals = [getattr(ev, field) for ev in pair.evals(quad, mu)]
+    evs = pair.evals(quad, mu, adjoint=field == "adj_res")
+    vals = [getattr(ev, field) for ev in evs]
     return abs(float(np.dot(quad.weights, vals)))
 
 
@@ -263,7 +296,7 @@ def eval_gradient_indicator(pair: SgRomPair, mu):
     """
     e1 = _residual_term(pair, mu, "prim_res")
     e3 = _residual_term(pair, mu, "adj_res")
-    diffs = pair.neighbor_differences(mu, lambda ev: ev.gnorm)
+    diffs = pair.neighbor_differences(mu, lambda ev: ev.gnorm, adjoint=True)
     return {"e1": e1, "e3": e3, "e4": abs(sum(diffs.values()))}, [diffs]
 
 
@@ -295,7 +328,8 @@ def _greedy_candidate(pair: SgRomPair, mus, which: str):
     best_val = -np.inf
     for mu in mus:
         mk = _mu_key(mu)
-        for key, ev in zip(quad.keys, pair.evals(quad, mu)):
+        evs = pair.evals(quad, mu, adjoint=which == "adjoint")
+        for key, ev in zip(quad.keys, evs):
             if (key, mk) in pair.basis.sampled_points:
                 continue
             val = pair.problem.density(ev.coord) * (
@@ -344,7 +378,8 @@ def _pick_index(diffs: dict):
 # ---------------------------------------------------------------------------
 
 def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
-            mus: list, level_cap: int, events) -> SgRomPair:
+            mus: list, level_cap: int, events, bounds: dict | None = None
+            ) -> SgRomPair:
     """Grow ``pair`` until every indicator term is within its threshold.
 
     ``evaluate()`` returns ``(values, thresholds, exit_values, diffs)``:
@@ -358,7 +393,8 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
     changes nothing while terms stay open grows the grid.  ``evaluate``
     runs once at entry and once after each change, and that one value
     logs the change, drives the next decision and, at the end, the exit
-    check.
+    check.  ``bounds`` (term -> name), when given, names in the exit
+    check's detail the bound that set each threshold.
     """
     values, limits, exit_values, diffs = evaluate()
 
@@ -403,7 +439,8 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
 
     closed = all(map(ok, values))
     if events is not None:
-        detail = " ".join(f"{t}={values[t]:.6e}<={limits[t]:.6e}" for t in values)
+        detail = " ".join(f"{t}={values[t]:.6e}<={limits[t]:.6e}"
+                          + (f"({bounds[t]})" if bounds else "") for t in values)
         events.append(RefinementEvent(stage, "exit_check", detail, *exit_values,
                                       closed))
     if not closed:
@@ -460,14 +497,19 @@ def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k,
     raised to ``threshold_floor`` when the exact value falls below what
     residual-based indicators can attain in double precision (the exact
     thresholds collapse like the tenth power of the predicted decrease
-    for the default ``omega = 0.1``).
+    for the default ``omega = 0.1``).  The exit check names per term the
+    bound that set its threshold: ``exact`` or ``theta_floor`` (the
+    trust-region key that sets ``threshold_floor``).
     """
     if m_decrease <= 0.0:
         raise ValueError("model decrease must be positive (caller bug)")
     mu_k = np.asarray(mu_k, dtype=float)
     mu_hat = np.asarray(mu_hat, dtype=float)
+    exact = objective_thresholds(m_decrease, r_k, eta, omega, alphas)
     thr1, thr2 = objective_thresholds(m_decrease, r_k, eta, omega, alphas,
                                       threshold_floor)
+    bounds = {term: "exact" if thr == ex else "theta_floor"
+              for term, thr, ex in zip(("e1'", "e2'"), (thr1, thr2), exact)}
 
     def evaluate():
         values, diffs = eval_objective_indicator(pair, mu_k, mu_hat)
@@ -475,4 +517,4 @@ def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k,
                 (values["e1'"], values["e2'"]), diffs)
 
     return _refine(pair, "objective", evaluate, "e2'", {"e1'": "primal"},
-                   [mu_k, mu_hat], level_cap, events)
+                   [mu_k, mu_hat], level_cap, events, bounds)

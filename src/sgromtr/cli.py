@@ -148,10 +148,11 @@ def _run_sg_rom_tr(problem, cfg: RunConfig, out: Path):
                ((i, s.kind, s.kept, s.y, s.mu)
                 for i, s in enumerate(pair.basis.provenance)))
     quad = pair.union_quad()
+    evs = pair.evals(quad, state.mu, adjoint=True)
     _write_csv(out / "final_nodes.csv",
                ("node", "y", "weight", "primal_residual", "adjoint_residual"),
                ((key, y, w, ev.prim_res, ev.adj_res)
-                for (key, y, w), ev in zip(quad.items(), pair.evals(quad, state.mu))))
+                for (key, y, w), ev in zip(quad.items(), evs)))
     gnorm = float(np.linalg.norm(pair.model_gradient(state.mu)))
     _write_result(out, "sg-rom-tr", state.counters, mu_final,
                   status=state.status, iterations=state.k, final_gnorm=gnorm,

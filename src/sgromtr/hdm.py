@@ -82,6 +82,8 @@ class QueryCounters:
     n_hp: int = 0
     n_ha: int = 0
     n_rp: int = 0
+    #: reduced adjoints solved; a node's adjoint is solved only when a
+    #: reader asks for it, so ``n_ra`` can be smaller than ``n_rp``
     n_ra: int = 0
     newton_iters: int = 0
     gn_iters: int = 0

@@ -239,6 +239,15 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
 def _history_row(state, gnorm, m_c=math.nan, m_t=math.nan,
                  psi_c=math.nan, psi_t=math.nan, rho=math.nan,
                  accepted=False, step_norm=math.nan, terminal=False):
+    """The history row of an iteration that hands on ``state.pair`` at the
+    center ``state.mu``.
+
+    It first solves the reduced adjoints of the union quadrature at that
+    center: the next gradient stage, or the final report, reads exactly
+    these first, and solving them here counts them in this row, so
+    writing the reports solves nothing.
+    """
+    state.pair.evals(state.pair.union_quad(), state.mu, adjoint=True)
     row = {
         "k": state.k, "m_center": m_c, "m_trial": m_t,
         "psi_center": psi_c, "psi_trial": psi_t, "rho": rho,
@@ -300,14 +309,14 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegio
     rho = (psi_center - psi_trial) / m_dec
 
     accepted = rho >= config.eta1
-    # the row describes the pair this iteration hands on
+    # the row describes the pair and the center this iteration hands on
     state.pair = pair_obj
+    if accepted:
+        state.mu = mu_hat
     state.history.append(_history_row(
         state, gnorm, m_c=m_center, m_t=m_trial, psi_c=psi_center,
         psi_t=psi_trial, rho=rho, accepted=accepted, step_norm=step_norm))
 
-    if accepted:
-        state.mu = mu_hat
     if rho <= config.eta1:
         state.Delta = config.gamma * step_norm
     elif rho < config.eta2:

@@ -13,8 +13,8 @@ from sgromtr.adapt import (SgRomPair, eval_gradient_indicator,
                            LevelCapError)
 from sgromtr.hdm import (LinearDiffusion, QueryCounters, solve_adjoint,
                          solve_primal)
-from sgromtr.rom import ReducedBasis, solve_rom_primal
-from sgromtr.sparse_grid import MultiIndexSet, cc_rule, is_admissible
+from sgromtr.rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
+from sgromtr.sparse_grid import MultiIndexSet, assemble, cc_rule, is_admissible
 from sgromtr.trust_opt import TrustRegionConfig, tr_init, tr_run
 
 
@@ -298,6 +298,26 @@ def test_refine_objective_exit_conditions_hold(lin):
     assert is_admissible(pair.grid)
 
 
+def test_objective_exit_names_binding_bound(lin):
+    # omega = 0.9 makes the exact thresholds attainable: 3.9 for alpha =
+    # 1e-2 and 3.9e-5 for alpha = 1e3, so the floor 1e-3 binds the second
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu)
+    events = []
+    refine_for_objective(pair, mu, mu + 0.02, m_decrease=1.0, r_k=1.0,
+                         eta=0.1, omega=0.9, alphas=(1e-2, 1e3),
+                         threshold_floor=1e-3, events=events)
+    check = events[-1]
+    assert check.kind == "exit_check" and check.ok
+    exact = objective_thresholds(1.0, 1.0, 0.1, 0.9, (1e-2, 1e3))
+    assert exact[0] > 1e-3 > exact[1]
+    bounds = re.findall(r"(\S+)=\S+<=(\S+)\((\w+)\)", check.detail)
+    assert [(t, b) for t, _, b in bounds] == [("e1'", "exact"),
+                                             ("e2'", "theta_floor")]
+    assert [float(v) for _, v, _ in bounds] == pytest.approx([exact[0], 1e-3],
+                                                             rel=1e-6)
+
+
 def test_one_indicator_evaluation_per_change(lin, monkeypatch):
     # each driver call evaluates its indicator once at entry and once
     # after each grid or basis change; that evaluation is the one the
@@ -465,6 +485,95 @@ def test_clone_copies_warm_starts_per_mu(lin, lin_pair):
     assert _mu_key(0.5 * mu) not in lin_pair._nodes
 
 
+# ---------------------------------------------------------------------------
+# reduced adjoints on demand
+# ---------------------------------------------------------------------------
+
+ADJOINT_FIELDS = ("adj_res", "ghat", "gnorm")
+
+
+def test_primal_readers_solve_no_adjoint(lin):
+    # model values and the whole objective stage read primal quantities only
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu)
+    n_rp, n_ra = pair.counters.n_rp, pair.counters.n_ra
+    pair.model_value(mu)
+    assert pair.counters.n_rp > n_rp
+    refine_for_objective(pair, mu, mu + 0.02, m_decrease=1e-3, r_k=1.0,
+                         eta=0.1, omega=0.1, alphas=(1e-2, 1e-2),
+                         threshold_floor=1e-5)
+    assert pair.basis.k > 2      # the stage sampled and re-solved nodes
+    assert pair.counters.n_ra == n_ra
+    assert all(ev.adj_res is None
+               for nodes in pair._nodes.values() for ev in nodes.values())
+    pair.model_gradient(mu)
+    assert pair.counters.n_ra == n_ra + len(assemble(pair.grid).keys)
+
+
+@pytest.mark.parametrize("name", ["lin", "bur"])
+def test_adjoints_in_subsets_match_one_stack(name, request):
+    # every node of a stacked adjoint is bitwise its solve in any other stack
+    problem = request.getfixturevalue(name)
+    mu = 0.1 * np.linspace(-1.0, 1.0, problem.n_mu)
+    pair = make_pair(problem, mu_seed=mu,
+                     grid_indices=[(1, 1), (2, 1), (1, 2), (3, 1)])
+    quad = pair.union_quad()
+    pair.evals(quad, mu)
+    keys = list(quad.keys)
+    first = keys[::3]
+    second = [k for k in keys if k not in first]
+    runs = []
+    for order in ((keys,), (first, second), (second, first)):
+        other = pair.clone([mu])
+        for part in order:
+            other.ensure_adjoints(mu, part)
+        runs.append(other._nodes[_mu_key(mu)])
+    whole, *split = runs
+    for nodes in split:
+        for key in keys:
+            for field in ADJOINT_FIELDS:
+                np.testing.assert_array_equal(getattr(nodes[key], field),
+                                              getattr(whole[key], field))
+    assert all(whole[key].adj_res is not None for key in keys)
+
+
+def test_adjoint_resolved_after_basis_grows(lin, lin_pair):
+    # a stored adjoint belongs to its q: after the basis grows the node
+    # drops it with the stale primal and solves it again at the new k
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    quad = lin_pair.union_quad()
+    old = {key: ev.adj_res
+           for key, ev in zip(quad.keys, lin_pair.evals(quad, mu, adjoint=True))}
+    sample_everywhere(lin_pair, mu)
+    k = lin_pair.basis.k
+    primal = lin_pair.evals(quad, mu)
+    assert all(len(ev.q) == k and ev.adj_res is None for ev in primal)
+    n_ra = lin_pair.counters.n_ra
+    evs = lin_pair.evals(quad, mu, adjoint=True)
+    assert lin_pair.counters.n_ra == n_ra + len(quad.keys)
+    q = np.array([ev.q for ev in evs])
+    fresh = solve_rom_adjoint(lin, lin_pair.basis, q, quad.coords, mu)
+    np.testing.assert_array_equal([ev.adj_res for ev in evs], fresh.residual_norm)
+    assert any(ev.adj_res != old[key] for key, ev in zip(quad.keys, evs))
+
+
+def test_adjoints_filled_in_clone_leave_source(lin, lin_pair):
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    quad = lin_pair.union_quad()
+    lin_pair.evals(quad, mu)
+    source = dict(lin_pair._nodes[_mu_key(mu)])
+    other = lin_pair.clone([mu])
+    filled = other.evals(quad, mu, adjoint=True)
+    assert all(ev.adj_res is not None for ev in filled)
+    stored = lin_pair._nodes[_mu_key(mu)]
+    assert all(stored[key] is ev for key, ev in source.items())
+    assert all(ev.adj_res is None and ev.ghat is None for ev in stored.values())
+    # the source solves the same adjoints on its own
+    for ev, mine in zip(filled, lin_pair.evals(quad, mu, adjoint=True)):
+        for field in ("q",) + ADJOINT_FIELDS:
+            np.testing.assert_array_equal(getattr(mine, field), getattr(ev, field))
+
+
 class _StallAt(LinearDiffusion):
     """Every residual of one node after its first is inflated 1000-fold,
     so each Gauss-Newton step there is rejected and the node stagnates."""
@@ -489,13 +598,14 @@ def test_stalled_node_is_recovered_at_its_last_iterate(lin):
     stall = len(quad.keys) - 1
     faulty = _StallAt(quad.coords[stall])
     pair = make_pair(faulty, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
-    evals = pair.evals(quad, 0.5 * mu)    # returns instead of raising
+    evals = pair.evals(quad, 0.5 * mu, adjoint=True)   # returns instead of raising
     assert pair.counters.rom_recoveries == 1
     assert "rom_recoveries" not in pair.counters.snapshot()
     # the other nodes are bitwise as solved in a stack without the stalled one
     clean = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1)])
     keys = [k for i, k in enumerate(quad.keys) if i != stall]
     clean.ensure(0.5 * mu, keys, [c for i, c in enumerate(quad.coords) if i != stall])
+    clean.ensure_adjoints(0.5 * mu, keys)
     for key, ev in zip(quad.keys, evals):
         if key == quad.keys[stall]:
             continue

@@ -1,5 +1,7 @@
 """Configuration parsing, report files, exit codes, and suite wiring."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,17 @@ def test_writing_reports_solves_nothing(finished_run):
     last = read_csv(finished_run / "history.csv")[-1]
     summary = read_summary(finished_run)
     assert (last["n_rp"], last["n_ra"]) == (summary["n_rp"], summary["n_ra"])
+
+
+def test_objective_exits_name_theta_floor(finished_run):
+    # at the defaults (omega = 0.1) the exact objective thresholds
+    # (eta min{pred, r_k})^(1/omega) / (2 alpha) fall far below
+    # theta_floor, so the floor sets both terms' bounds at every exit
+    checks = [row["detail"] for row in read_csv(finished_run / "events.csv")
+              if (row["stage"], row["kind"]) == ("objective", "exit_check")]
+    assert checks
+    for detail in checks:
+        assert re.findall(r"\((\w+)\)", detail) == ["theta_floor"] * 2
 
 
 def test_cli_main_config_error(tmp_path, capsys):
