@@ -349,15 +349,16 @@ def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> None:
 
     The full solve starts from the node's reduced state ``ev``.
     """
-    coord = ev.coord
+    coord = ev.coord[None]
     try:
         prim = solve_primal(pair.problem, coord, mu,
-                            u0=pair.basis.columns @ ev.q, counters=pair.counters)
+                            u0=(pair.basis.columns @ ev.q)[None],
+                            counters=pair.counters)
     except SolverError:
         prim = solve_primal(pair.problem, coord, mu, counters=pair.counters)
     adj = solve_adjoint(pair.problem, prim.u, coord, mu, counters=pair.counters)
-    pair.basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"],
-                                coord, mu)
+    pair.basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"],
+                                ev.coord, mu)
     pair.basis.sampled_points.add((key, _mu_key(mu)))
 
 

@@ -259,9 +259,9 @@ def suite_fd_gradient(problem, n_samples: int, h: float, seed: int,
     for _ in range(n_samples):
         y = rng.uniform(-1.0, 1.0, problem.n_y)
         mu = rng.uniform(-box, box, problem.n_mu)
-        prim = solve_primal(problem, y, mu)
-        adj = solve_adjoint(problem, prim.u, y, mu)
-        g = adjoint_gradient(problem, adj.lam, prim.u, y, mu)
+        prim = solve_primal(problem, y[None], mu)
+        adj = solve_adjoint(problem, prim.u, y[None], mu)
+        g = adjoint_gradient(problem, adj.lam, prim.u, y[None], mu)[0]
         gfd = fd_gradient(problem, y, mu, h=h)
         worst = max(worst, float(np.linalg.norm(g - gfd))
                     / max(float(np.linalg.norm(gfd)), 1e-30))
@@ -282,16 +282,16 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     y = rng.uniform(-1.0, 1.0, problem.n_y)
     mu = rng.uniform(-0.3, 0.3, problem.n_mu)
-    prim = solve_primal(problem, y, mu)
-    adj = solve_adjoint(problem, prim.u, y, mu)
+    prim = solve_primal(problem, y[None], mu)
+    adj = solve_adjoint(problem, prim.u, y[None], mu)
     basis = ReducedBasis(problem.n_u)
-    basis.append_snapshots([prim.u, adj.lam], ["primal", "adjoint"], y, mu)
+    basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"], y, mu)
     rp = solve_rom_primal(problem, basis, y[None], mu)
     ra = solve_rom_adjoint(problem, basis, rp.q, y[None], mu)
     interp = bool(
         rp.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(prim.u))
         and ra.residual_norm[0] <= 1e-8 * (
-            1 + np.linalg.norm(problem.qoi_u(prim.u, y, mu))))
+            1 + np.linalg.norm(problem.qoi_u(prim.u, y[None], mu))))
 
     rng = np.random.default_rng(seed + 1)
     mu = rng.uniform(-0.3, 0.3, problem.n_mu)
@@ -310,9 +310,9 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
                 rp.residual_norm - prev.residual_norm * (1 + 1e-12) - 1e-12)))
         prev = rp
         ya = rng.uniform(-1.0, 1.0, problem.n_y)
-        sa = solve_primal(problem, ya, mu)
-        aa = solve_adjoint(problem, sa.u, ya, mu)
-        basis.append_snapshots([sa.u, aa.lam], ["primal", "adjoint"], ya, mu)
+        sa = solve_primal(problem, ya[None], mu)
+        aa = solve_adjoint(problem, sa.u, ya[None], mu)
+        basis.append_snapshots([sa.u[0], aa.lam[0]], ["primal", "adjoint"], ya, mu)
     ok = interp and worst <= 0.0
     return ok, (f"interpolation {'ok' if interp else 'VIOLATED'}, "
                 f"monotonicity slack-excess {worst:.2e} (<=0)")
@@ -327,9 +327,9 @@ def validation_seed_basis(problem) -> ReducedBasis:
     """
     mu_seed = 0.3 * np.linspace(-1.0, 1.0, problem.n_mu)
     y0 = np.zeros(problem.n_y)
-    prim = solve_primal(problem, y0, mu_seed)
+    prim = solve_primal(problem, y0[None], mu_seed)
     basis = ReducedBasis(problem.n_u)
-    basis.append_snapshots([prim.u], ["primal"], y0, mu_seed)
+    basis.append_snapshots([prim.u[0]], ["primal"], y0, mu_seed)
     return basis
 
 

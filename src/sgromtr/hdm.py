@@ -16,16 +16,19 @@ reference profile:
 Every linear solve -- Newton step, adjoint, sensitivities -- is one
 O(n) tridiagonal sweep over the Jacobian's bands.
 
-Everything here takes one node or a stack of nodes at one ``mu``: the
-residual surface (:meth:`ModelProblem.residual`, ``jac_bands``,
-``jac_uT_mul``, ``qoi``, ``qoi_u``, ``initial_state``,
-``continuation_stages``), :func:`adjoint_gradient` and the full-model
-solvers :func:`solve_primal` and :func:`solve_adjoint`.  A stack has
-states ``(m, n_u)`` and nodes ``(m, n_y)``, and each row is bitwise
-equal to the one-node call.  A stacked solve runs one damped-Newton
-loop and one adjoint sweep for all of its nodes, with per-node masks
-for the stopping, backtracking and continuation rules, and it cuts its
-stack into parts that fit ``kernels.STACK_BYTES``.
+Everything here takes a stack of nodes at one ``mu``, and one node is
+a stack of one (callers pass ``y[None]`` and read row 0): the residual
+surface (:meth:`ModelProblem.residual`, ``jac_bands``, ``jac_uT_mul``,
+``qoi``, ``qoi_u``, ``initial_state``, ``continuation_stages``),
+:func:`adjoint_gradient`, :func:`adjoint_residual`,
+:func:`primal_sensitivities` and the full-model solvers
+:func:`solve_primal` and :func:`solve_adjoint`.  A stack has states
+``(m, n_u)`` and nodes ``(m, n_y)``, results are arrays with one row or
+entry per node, and each row is bitwise equal to its own stack of one.
+A solve runs one damped-Newton loop and one adjoint sweep for all of
+its nodes, with per-node index sets for the stopping, backtracking and
+continuation rules, and it cuts its stack into parts that fit
+``kernels.STACK_BYTES``.
 """
 
 from __future__ import annotations
@@ -57,18 +60,20 @@ class SolverError(RuntimeError):
 
 @dataclass
 class PrimalSolution:
-    """A node's state or a stack's ``(m, n_u)`` states; ``residual_norm``
-    is a float or ``(m,)``, ``newton_iters`` the steps of the whole stack."""
+    """A stack's ``(m, n_u)`` states and ``(m,)`` residual norms;
+    ``newton_iters`` counts the steps of the whole stack."""
 
     u: np.ndarray
-    residual_norm: float | np.ndarray
+    residual_norm: np.ndarray
     newton_iters: int
 
 
 @dataclass
 class AdjointSolution:
+    """A stack's ``(m, n_u)`` adjoint states and ``(m,)`` residual norms."""
+
     lam: np.ndarray
-    residual_norm: float | np.ndarray
+    residual_norm: np.ndarray
 
 
 @dataclass
@@ -109,10 +114,10 @@ class QueryCounters:
 
 
 def _components(y):
-    """``y`` indexed by component: ``y[j]`` is a scalar for one node and an
-    ``(m, 1)`` column for a stack of ``m`` nodes, so the coefficients built
-    from it broadcast against ``(m, n_u)`` states."""
-    return y if y.ndim == 1 else y.T[:, :, None]
+    """``y`` indexed by component: ``y[j]`` is the ``(m, 1)`` column of a
+    stack of ``m`` nodes, so the coefficients built from it broadcast
+    against ``(m, n_u)`` states."""
+    return y.T[:, :, None]
 
 
 def _hat_basis(x: np.ndarray, n_mu: int) -> np.ndarray:
@@ -163,12 +168,10 @@ class ModelProblem:
         """Tridiagonal bands (lo, dg, up) of dr/du at (u, y, mu)."""
         raise NotImplementedError
 
-    def jac_uT_mul(self, u, y, mu, v):
-        """(dr/du)^T @ v without forming the dense Jacobian."""
-        bands = self.jac_bands(u, y, mu)
-        if v.ndim == 1:
-            return kernels.band_t_matvec(*bands, v)
-        return kernels.band_t_matmat(*bands, v)
+    def jac_uT_mul(self, u, y, mu, V):
+        """(dr/du)^T @ V of a shared ``(n_u, k)`` matrix ``V`` at each node,
+        without forming the dense Jacobian."""
+        return kernels.band_t_matmat(*self.jac_bands(u, y, mu), V)
 
     def jac_mu(self, u, y, mu):
         """dr/dmu: the control enters as a source, so this is -source_basis."""
@@ -179,8 +182,7 @@ class ModelProblem:
     def qoi(self, u, y, mu):
         d = u - self.ref
         mu = np.asarray(mu, dtype=float)
-        val = 0.5 * self.h * kernels.row_dot(d) + 0.5 * self.alpha * float(mu @ mu)
-        return val if val.ndim else float(val)
+        return 0.5 * self.h * kernels.row_dot(d) + 0.5 * self.alpha * float(mu @ mu)
 
     def qoi_u(self, u, y, mu):
         return self.h * (u - self.ref)
@@ -197,8 +199,8 @@ class ModelProblem:
     def _check(self, u, y, mu):
         if u.shape[-1] != self.n_u:
             raise ValueError(f"state has length {u.shape[-1]}, expected {self.n_u}")
-        if y.shape[-1] != self.n_y:
-            raise ValueError(f"node has length {y.shape[-1]}, expected {self.n_y}")
+        if y.ndim != 2 or y.shape[1] != self.n_y:
+            raise ValueError(f"nodes have shape {y.shape}, expected (m, {self.n_y})")
         if len(mu) != self.n_mu:
             raise ValueError(f"parameter has length {len(mu)}, expected {self.n_mu}")
 
@@ -211,8 +213,7 @@ class ModelProblem:
 
     def continuation_stages(self, y, mu):
         """Easier ``(y, mu)`` stages to traverse when Newton stalls; may be
-        empty.  For a stack ``y`` each stage's ``y`` is a stack of the same
-        nodes."""
+        empty.  Each stage's ``y`` is a stack of the same nodes."""
         return []
 
 
@@ -300,7 +301,7 @@ class BurgersControl(ModelProblem):
 
     def continuation_stages(self, y, mu):
         """Retry through higher-viscosity problems (smaller effective y1)."""
-        y = y.T        # y[j]: a component of a node, or its column of a stack
+        y = y.T        # y[j]: the column of component j of the stack
         stages = []
         for factor in (6.0, 3.0, 1.5):
             inv_nu = np.maximum(1.0 / (factor * self.viscosity(y)), 10.0)
@@ -327,113 +328,53 @@ def make_problem(name: str, **kwargs) -> ModelProblem:
 # solvers
 # ---------------------------------------------------------------------------
 
-def _count(mask):
-    """Nodes set in a per-node mask, a scalar for one node or ``(m,)``."""
-    return int(mask) if mask.ndim == 0 else np.count_nonzero(mask)
-
-
-def _zeros(rnorm, dtype):
-    """A zero for each node of ``rnorm``'s shape; a scalar for one node."""
-    return np.zeros(rnorm.shape, dtype)[()]
-
-
-def _take(a, at):
-    """The nodes ``at`` of ``a`` (``...``: ``a`` itself)."""
-    return a if at is Ellipsis else a[at]
-
-
-def _sub(at, sel):
-    """The nodes ``sel`` of the nodes ``at``."""
-    return sel if at is Ellipsis else at[sel]
-
-
-def _put(a, at, v):
-    """``a`` with the nodes ``at`` set to ``v``; all nodes (``...``) rebind."""
-    if at is Ellipsis:
-        return v
-    a[at] = v
-    return a
-
-
-def _band_solve(bands, b):
-    """Tridiagonal solve of a node or a stack: ``(x, solved)``.
-
-    ``solved`` flags, per node, a finite solution (per row for a block
-    right-hand side); a zero pivot of one system gives ``(None, False)``.
-    """
-    try:
-        x = kernels.band_solve(*bands, b)
-    except ZeroDivisionError:
-        return None, np.False_
-    return x, np.isfinite(x).all(-1)
-
-
 def _solved(bands, b):
     """Tridiagonal solve; a singular system at any node is a SolverError."""
-    x, solved = _band_solve(bands, b)
-    if x is None:
-        raise SolverError("Jacobian is singular (zero pivot)")
-    if not solved.all():
+    x = kernels.band_solve(*bands, b)
+    if not np.isfinite(x).all():
         raise SolverError("Jacobian is singular (non-finite solve)")
     return x
 
 
 def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r=None):
-    """Damped Newton iteration on a node or a stack.
+    """Damped Newton iteration on a stack.
 
-    Returns ``(u, rnorm, iters, ok)``; the last three hold one entry per
-    node (scalars for one node).  A node stops once it meets its tolerance,
-    on a singular Jacobian, or when 30 halvings of its step find no
-    decrease; the others go on.  All nodes of one backtracking round
-    share the step length, so a round is one stacked residual call.
-    While every node is still iterating nothing is indexed, so one node
-    runs on whole arrays and its sweep on floats.  The rows of a stack
+    Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
+    node stops once it meets its tolerance, on a singular Jacobian (a
+    non-finite step), or when 30 halvings of its step find no decrease;
+    the others go on.  All nodes of one backtracking round share the
+    step length, so a round is one stacked residual call.  The rows of
     ``u`` are updated in place; ``r``, if given, is the residual at ``u``.
     """
     if r is None:
         r = problem.residual(u, y, mu)
     rnorm = kernels.row_norm(r)
     tol = tol_abs + tol_rel * rnorm
-    iters = _zeros(rnorm, int)
-    failed = _zeros(rnorm, bool)
+    iters = np.zeros(len(rnorm), int)
+    failed = np.zeros(len(rnorm), bool)
     for _ in range(max_iters):
-        go = (rnorm > tol) & ~failed
-        n_go = _count(go)
-        if not n_go:
+        at = np.flatnonzero((rnorm > tol) & ~failed)
+        if not at.size:
             break
-        at = ... if n_go == go.size else np.flatnonzero(go)
-        step, solved = _band_solve(
-            problem.jac_bands(_take(u, at), _take(y, at), mu), -_take(r, at))
-        n_ok = _count(solved)
-        if n_ok < solved.size:                 # singular Jacobians stop
-            if not n_ok:
-                failed = _put(failed, at, True)
-                continue
-            failed[_sub(at, np.flatnonzero(~solved))] = True
-            keep = np.flatnonzero(solved)
-            at, step = _sub(at, keep), step[keep]
+        step = kernels.band_solve(*problem.jac_bands(u[at], y[at], mu), -r[at])
+        solved = np.isfinite(step).all(-1)     # singular Jacobians stop
+        failed[at[~solved]] = True
+        at, step = at[solved], step[solved]
         t = 1.0
         for _ in range(30):
-            u_try = _take(u, at) + t * step
-            r_try = problem.residual(u_try, _take(y, at), mu)
+            if not at.size:
+                break
+            u_try = u[at] + t * step
+            r_try = problem.residual(u_try, y[at], mu)
             n_try = kernels.row_norm(r_try)
-            down = n_try < _take(rnorm, at)
-            n_down = _count(down)
-            if n_down:
-                done = at
-                if n_down < down.size:
-                    done = _sub(at, np.flatnonzero(down))
-                    u_try, r_try, n_try = u_try[down], r_try[down], n_try[down]
-                u, r, rnorm = (_put(u, done, u_try), _put(r, done, r_try),
-                               _put(rnorm, done, n_try))
-                iters = _put(iters, done, _take(iters, done) + 1)
-                if done is at:
-                    break
-                wait = np.flatnonzero(~down)
-                at, step = _sub(at, wait), step[wait]
+            down = n_try < rnorm[at]
+            done = at[down]
+            u[done], r[done], rnorm[done] = u_try[down], r_try[down], n_try[down]
+            iters[done] += 1
+            at, step = at[~down], step[~down]
             t *= 0.5
         else:                                  # backtracking exhausted
-            failed = _put(failed, at, True)
+            failed[at] = True
     return u, rnorm, iters, rnorm <= tol
 
 
@@ -445,9 +386,9 @@ def _start(problem, y, mu):
 
 
 def _primal(problem, y, mu, u0, tol_abs, tol_rel, max_iters):
-    """Newton on a node or a stack from ``u0`` (the default start if
-    None), then continuation for its failed nodes; returns ``(u, rnorm,
-    iters, ok)`` as :func:`_newton` does."""
+    """Newton on a stack from ``u0`` (the default start if None), then
+    continuation for its failed nodes; returns ``(u, rnorm, iters, ok)``
+    as :func:`_newton` does."""
     u = _start(problem, y, mu)
     r = problem.residual(u, y, mu)
     tol_abs = tol_abs * (1.0 + kernels.row_norm(r))
@@ -456,31 +397,27 @@ def _primal(problem, y, mu, u0, tol_abs, tol_rel, max_iters):
     if not np.isfinite(u).all():
         raise ValueError("initial state contains non-finite entries")
     u, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r)
-    if _count(ok) == ok.size:
-        return u, rnorm, iters, ok
-    at = ... if y.ndim == 1 else np.flatnonzero(~ok)
-    stages = problem.continuation_stages(_take(y, at), mu)
+    at = np.flatnonzero(~ok)
+    stages = problem.continuation_stages(y[at], mu) if at.size else []
     if not stages:
         return u, rnorm, iters, ok
-    u_stage = _start(problem, _take(y, at), mu)
-    iters_at = _take(iters, at)
+    u_stage = _start(problem, y[at], mu)
+    iters_at = iters[at]
     for y_s, mu_s in stages:
         u_stage, _, it_s, _ = _newton(problem, np.asarray(y_s, float),
                                       np.asarray(mu_s, float), u_stage,
-                                      _take(tol_abs, at), 1e-10, max_iters)
+                                      tol_abs[at], 1e-10, max_iters)
         iters_at = iters_at + it_s
-    u_f, rnorm_f, it_f, ok_f = _newton(problem, _take(y, at), mu, u_stage,
-                                       _take(tol_abs, at), tol_rel, max_iters)
-    return (_put(u, at, u_f), _put(rnorm, at, rnorm_f),
-            _put(iters, at, iters_at + it_f), _put(ok, at, ok_f))
+    u[at], rnorm[at], it_f, ok[at] = _newton(problem, y[at], mu, u_stage,
+                                             tol_abs[at], tol_rel, max_iters)
+    iters[at] = iters_at + it_f
+    return u, rnorm, iters, ok
 
 
 def _in_parts(solve, problem, y, *stacks):
-    """``solve(y, *stacks)`` on a node, or on parts of a stack whose
-    residual and three Jacobian bands fit ``kernels.STACK_BYTES``, with
-    the parts' outputs joined; a None stack stays None."""
-    if y.ndim == 1:
-        return solve(y, *stacks)
+    """``solve(y, *stacks)`` on parts of a stack whose residual and three
+    Jacobian bands fit ``kernels.STACK_BYTES``, with the parts' outputs
+    joined; a None stack stays None."""
     parts = [solve(y[p], *(None if a is None else a[p] for a in stacks))
              for p in kernels.stack_parts(len(y), 32 * problem.n_u)]
     return tuple(np.concatenate(out) for out in zip(*parts))
@@ -488,7 +425,7 @@ def _in_parts(solve, problem, y, *stacks):
 
 def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
                  max_iters=50, counters: QueryCounters | None = None) -> PrimalSolution:
-    """Damped Newton solve of ``r(u, y, mu) = 0`` at a node or a stack.
+    """Damped Newton solve of ``r(u, y, mu) = 0`` at a stack of nodes.
 
     Backtracking halves the step until the residual norm decreases (up
     to 30 halvings).  If the iteration stalls -- backtracking exhausted
@@ -501,11 +438,12 @@ def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
     tiny entry residual cannot push the tolerance beneath the evaluation
     noise floor of a stiff operator.
 
-    A stack ``y`` of shape ``(m, n_y)`` (with ``u0`` ``(m, n_u)``) is
-    solved by one Newton loop per part of the stack, and every node's
-    state, iteration count and counter increment are bitwise equal to
-    its one-node solve.  If a node fails, the error names the first
-    failed node and carries its iterate, and no counter moves.
+    ``y`` is ``(m, n_y)`` and ``u0``, if given, ``(m, n_u)``.  The stack
+    is solved by one Newton loop per part, and every node's state,
+    iteration count and counter increment are bitwise equal to its own
+    stack of one.  If a node fails, the error names the first failed
+    node (in a stack of more than one) and carries its iterate, and no
+    counter moves.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -514,35 +452,31 @@ def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
     u, rnorm, iters, ok = _in_parts(
         lambda y_p, u0_p: _primal(problem, y_p, mu, u0_p, tol_abs, tol_rel, max_iters),
         problem, y, u0)
-    if _count(ok) < ok.size:
-        at, where = ..., ""
-        if y.ndim > 1:
-            at = int(np.flatnonzero(~ok)[0])
-            where = f" at node {at} of {len(y)}"
-        rnorm_at = float(_take(rnorm, at))
+    if not ok.all():
+        at = int(np.flatnonzero(~ok)[0])
+        where = f" at node {at} of {len(y)}" if len(y) > 1 else ""
         raise SolverError(
-            f"Newton did not converge{where} after {_take(iters, at)} iterations "
-            f"(residual {rnorm_at:.3e})", u=_take(u, at), residual_norm=rnorm_at)
+            f"Newton did not converge{where} after {iters[at]} iterations "
+            f"(residual {rnorm[at]:.3e})", u=u[at], residual_norm=float(rnorm[at]))
     if counters is not None:
         counters.n_hp += iters.size
         counters.newton_iters += int(np.maximum(iters, 1).sum())
-    if y.ndim == 1:
-        return PrimalSolution(u, float(rnorm), int(iters))
     return PrimalSolution(u, rnorm, int(iters.sum()))
 
 
 def adjoint_residual(problem, lam, u, y, mu):
-    """``(dr/du)^T lam - (df/du)^T`` at ``(u, y, mu)``."""
-    return problem.jac_uT_mul(u, y, mu, lam) - problem.qoi_u(u, y, mu)
+    """``(dr/du)^T lam - (df/du)^T`` at ``(u, y, mu)``, one row per node."""
+    return (kernels.band_t_matvec(*problem.jac_bands(u, y, mu), lam)
+            - problem.qoi_u(u, y, mu))
 
 
 def solve_adjoint(problem, u, y, mu,
                   counters: QueryCounters | None = None) -> AdjointSolution:
-    """Direct solve of the linear adjoint system at a converged primal state.
+    """Direct solve of the linear adjoint system at converged primal states.
 
-    ``u`` and ``y`` may be stacks, ``(m, n_u)`` and ``(m, n_y)``: the
-    stack is solved by one sweep per part, each row bitwise equal to its
-    one-node solve.  A singular Jacobian at any node is a SolverError.
+    ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)``: the stack
+    is solved by one sweep per part, each row bitwise equal to its own
+    stack of one.  A singular Jacobian at any node is a SolverError.
     """
     y = np.asarray(y, dtype=float)
     mu = np.asarray(mu, dtype=float)
@@ -550,11 +484,11 @@ def solve_adjoint(problem, u, y, mu,
                          problem, y, u)
     if counters is not None:
         counters.n_ha += res.size
-    return AdjointSolution(lam, res if y.ndim > 1 else float(res))
+    return AdjointSolution(lam, res)
 
 
 def _adjoint(problem, u, y, mu):
-    """Adjoint states and residual norms of a node or a stack."""
+    """Adjoint states and residual norms of a stack."""
     lo, dg, up = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
     # the bands of (dr/du)^T: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
@@ -574,7 +508,7 @@ def adjoint_gradient(problem, lam, u, y, mu):
     gradient per row, each by the same matrix-vector product on a
     C-contiguous copy of ``lam``: the product's rounding depends on the
     memory layout of its operand, and this keeps every row bitwise equal
-    to the one-node call whatever the layout of the stack.
+    to its own stack of one whatever the layout of the stack.
     """
     dr_dmu = problem.jac_mu(u, y, mu)
     lam = np.ascontiguousarray(lam)
@@ -583,11 +517,14 @@ def adjoint_gradient(problem, lam, u, y, mu):
 
 def primal_sensitivities(problem, u, y, mu,
                          counters: QueryCounters | None = None):
-    """All parameter sensitivities as columns: one sweep for the whole
-    block of right-hand sides, each column bitwise equal to its own solve."""
-    rhs = -problem.jac_mu(u, y, mu)
-    s = _solved(problem.jac_bands(u, y, mu), rhs)
+    """All parameter sensitivities of each node, ``(m, n_mu, n_u)``: row
+    ``j`` of node ``i`` solves ``(dr/du) s = -dr/dmu_j`` there.  The
+    ``n_mu`` right-hand sides of a node are one broadcast stack against
+    its bands, so each row is bitwise equal to its own solve."""
+    rhs = -problem.jac_mu(u, y, mu).T
+    shape = (len(y),) + rhs.shape
+    bands = [np.broadcast_to(b[:, None], shape) for b in problem.jac_bands(u, y, mu)]
+    s = _solved(bands, np.broadcast_to(rhs, shape))
     if counters is not None:
-        counters.n_ha += problem.n_mu
+        counters.n_ha += problem.n_mu * len(y)
     return s
-

@@ -10,15 +10,16 @@ the rows of the system.  Callers look the kernels up as
 ``kernels.<name>`` at call time, so a wrapper installed on this module
 (as ``perfbench``'s tracer does) sees every call.
 
-Node axis: every kernel also takes a stack of nodes.  States and bands
-then have shape ``(m, n)``, the per-node scalars (viscosity, inflow)
-are ``(m, 1)`` columns, the diffusion coefficient is ``(m, n + 1)``,
-and a matrix operand ``V`` of shape ``(n, k)`` is shared by all nodes,
-giving an ``(m, n, k)`` product.  Each row is computed by the same
-elementwise operations as the one-node call, so it is bitwise equal to
-it.  A stacked solve holds a few ``(m, n)`` arrays at once; the solvers
-cut their stacks with :func:`stack_parts` so that these fit
-``STACK_BYTES``.
+Node axis: the model problems call every kernel on a stack of nodes,
+and one node is a stack of one.  States and bands have shape
+``(m, n)``, the per-node scalars (viscosity, inflow) are ``(m, 1)``
+columns, the diffusion coefficient is ``(m, n + 1)``, and a matrix
+operand ``V`` of shape ``(n, k)`` is shared by all nodes, giving an
+``(m, n, k)`` product.  Each row is computed by the same elementwise
+operations whatever ``m`` is, so it is bitwise equal to its own
+one-row call.  A stacked solve holds a few ``(m, n)`` arrays at once;
+the solvers cut their stacks with :func:`stack_parts` so that these
+fit ``STACK_BYTES``.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -129,30 +130,31 @@ def row_norm(x):
 def band_solve(lo, dg, up, b):
     """Solve ``A x = b`` for tridiagonal ``A`` by one Thomas recurrence.
 
-    One system: the bands are vectors and ``b`` is a vector or an
-    ``n x k`` block of right-hand sides.  A stack: the bands and ``b``
-    are ``(m, n)``, row ``i`` the system of node ``i``.  The recurrence
-    runs as a Python loop over the ``n`` rows, on row elements that are
-    floats for one system (at these sizes faster than numpy element
-    access or dense LU), ``(k,)`` rows of a block, or ``(m,)`` columns
-    across a stack.  Each is the same elementwise arithmetic, so every
-    column of a block and every row of a stack is bitwise equal to its
-    own one-system solve, and a stacked result is C-contiguous.
+    The bands and ``b`` are stacks of one shape ``(..., n)``, each row
+    one system.  The recurrence is a Python loop over the ``n`` rows of
+    the systems, with two paths chosen by the number of systems.  One
+    system (a stack of one) runs it on floats, which at these sizes is
+    faster than numpy element access or dense LU.  Several run it on
+    arrays of row elements, one entry per system.  Both are the same
+    elementwise arithmetic, so every row of a stack is bitwise equal to
+    its own stack of one, and the result is C-contiguous.
 
-    There is no pivoting.  A zero pivot raises ``ZeroDivisionError`` for
-    one system; in a stack it leaves that node's row non-finite, without
-    a warning.  A singular or badly conditioned ``A`` can also return
-    non-finite entries, so callers check.
+    There is no pivoting.  A zero pivot leaves that system's row
+    non-finite, without an exception or a warning.  A singular or badly
+    conditioned ``A`` can also return non-finite entries, so callers
+    check.
     """
-    if dg.ndim == 1 and b.ndim == 1:
-        return np.array(_thomas(lo.tolist(), dg.tolist(), up.tolist(), b.tolist()))
-    if dg.ndim == 1:
-        rows = (lo.tolist(), dg.tolist(), up.tolist(), list(b))
-    else:
-        rows = (list(lo.T), list(dg.T), list(up.T), list(b.T))
+    n = b.shape[-1]
+    if b.size == n:
+        try:
+            x = _thomas(*(a.reshape(n).tolist() for a in (lo, dg, up, b)))
+        except ZeroDivisionError:
+            return np.full(b.shape, np.nan)
+        return np.array(x).reshape(b.shape)
+    rows = [list(a.reshape(-1, n).T) for a in (lo, dg, up, b)]
     with np.errstate(all="ignore"):
         x = _thomas(*rows)
-    return np.array(x) if dg.ndim == 1 else np.stack(x, axis=-1)
+    return np.stack(x, axis=-1).reshape(b.shape)
 
 
 def _thomas(lo, dg, up, x):

@@ -42,13 +42,14 @@ class BoundEstimate:
 
 def fd_gradient(problem, y, mu, h: float = 1e-5,
                 counters: QueryCounters | None = None) -> np.ndarray:
-    """Central finite differences of the solution-restricted QoI.
+    """Central finite differences of the solution-restricted QoI at one
+    node ``y`` of length ``n_y``.
 
     Costs two full primal solves per parameter component.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float)[None]
     mu = np.asarray(mu, dtype=float)
     grad = np.zeros(problem.n_mu)
     for j in range(problem.n_mu):
@@ -56,8 +57,8 @@ def fd_gradient(problem, y, mu, h: float = 1e-5,
         e[j] = h
         up = solve_primal(problem, y, mu + e, counters=counters)
         dn = solve_primal(problem, y, mu - e, counters=counters)
-        f_up = problem.qoi(up.u, y, mu + e)
-        f_dn = problem.qoi(dn.u, y, mu - e)
+        f_up = problem.qoi(up.u, y, mu + e)[0]
+        f_dn = problem.qoi(dn.u, y, mu - e)[0]
         grad[j] = (f_up - f_dn) / (2.0 * h)
     return grad
 
@@ -169,29 +170,27 @@ def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
     grad_ratios = []
     excluded = 0
     for _ in range(n_samples):
-        y = rng.uniform(-1.0, 1.0, problem.n_y)
+        y = rng.uniform(-1.0, 1.0, (1, problem.n_y))
         mu = rng.uniform(-box, box, problem.n_mu)
         try:
-            prim = solve_rom_primal(problem, basis, y[None], mu)
+            prim = solve_rom_primal(problem, basis, y, mu)
         except RomSolveError as exc:
             if exc.result is None:
                 raise
             prim = exc.result  # the bounds hold at any reduced state
-        adj = solve_rom_adjoint(problem, basis, prim.q, y[None], mu)
-        q, eta = prim.q[0], adj.eta[0]
+        adj = solve_rom_adjoint(problem, basis, prim.q, y, mu)
         res, adj_res = float(prim.residual_norm[0]), float(adj.residual_norm[0])
         if res < 1e-14:
             excluded += 1
             continue
         hdm_prim = solve_primal(problem, y, mu)
         hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu)
-        f_true = problem.qoi(hdm_prim.u, y, mu)
-        g_true = adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
-        u_rom = basis.expand(q)
-        f_rom = problem.qoi(u_rom, y, mu)
-        g_rom = adjoint_gradient(problem, basis.expand(eta), u_rom, y, mu)
-        qoi_ratios.append(abs(f_true - f_rom) / res)
-        grad_ratios.append(float(np.linalg.norm(g_true - g_rom)) / (res + adj_res))
+        u_rom = basis.expand(prim.q)
+        f_err = problem.qoi(hdm_prim.u, y, mu) - problem.qoi(u_rom, y, mu)
+        g_err = (adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
+                 - adjoint_gradient(problem, basis.expand(adj.eta), u_rom, y, mu))
+        qoi_ratios.append(abs(float(f_err[0])) / res)
+        grad_ratios.append(float(np.linalg.norm(g_err[0])) / (res + adj_res))
 
     def estimate(ratios):
         if not ratios:

@@ -218,16 +218,16 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
         raise ValueError(f"mu0 must have length {problem.n_mu}")
     counters = QueryCounters()
     grid = MultiIndexSet.unit(problem.n_y)
-    y0 = np.zeros(problem.n_y)
+    y0 = np.zeros((1, problem.n_y))
 
     prim = solve_primal(problem, y0, mu0, counters=counters)
     sens = primal_sensitivities(problem, prim.u, y0, mu0, counters=counters)
     adj = solve_adjoint(problem, prim.u, y0, mu0, counters=counters)
 
     basis = ReducedBasis(problem.n_u)
-    vectors = [prim.u] + [sens[:, j] for j in range(problem.n_mu)] + [adj.lam]
+    vectors = [prim.u[0], *sens[0], adj.lam[0]]
     kinds = ["primal"] + ["sensitivity"] * problem.n_mu + ["adjoint"]
-    basis.append_snapshots(vectors, kinds, y0, mu0)
+    basis.append_snapshots(vectors, kinds, y0[0], mu0)
     origin = (cc_rule(1).keys[0],) * problem.n_y
     basis.sampled_points.add((origin, mu0.tobytes()))
 

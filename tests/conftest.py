@@ -42,14 +42,15 @@ def band_to_dense(lo, dg, up):
 
 
 def quadratic_minimizer(problem, y=None):
-    """Normal-equation minimizer of F(y, .) for an affine-in-state problem."""
+    """Normal-equation minimizer of F(y, .) for an affine-in-state problem;
+    ``y`` is a node as a stack of one (the origin if None)."""
     from sgromtr.hdm import primal_sensitivities, solve_primal
 
-    y = np.zeros(problem.n_y) if y is None else y
+    y = np.zeros((1, problem.n_y)) if y is None else y
     mu0 = np.zeros(problem.n_mu)
     sol = solve_primal(problem, y, mu0)
-    sens = primal_sensitivities(problem, sol.u, y, mu0)
+    sens = primal_sensitivities(problem, sol.u, y, mu0)[0].T
     m = problem.h * np.eye(problem.n_u)
     a = sens.T @ m @ sens + problem.alpha * np.eye(problem.n_mu)
-    b = -sens.T @ m @ (sol.u - problem.ref)
+    b = -sens.T @ m @ (sol.u[0] - problem.ref)
     return np.linalg.solve(a, b)

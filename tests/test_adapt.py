@@ -25,12 +25,12 @@ def _mu_key(mu):
 def make_pair(problem, mu_seed=None, grid_indices=None):
     mu_seed = np.zeros(problem.n_mu) if mu_seed is None else mu_seed
     counters = QueryCounters()
-    sol = solve_primal(problem, np.zeros(problem.n_y), mu_seed,
+    sol = solve_primal(problem, np.zeros((1, problem.n_y)), mu_seed,
                        counters=counters)
-    adj = solve_adjoint(problem, sol.u, np.zeros(problem.n_y), mu_seed,
+    adj = solve_adjoint(problem, sol.u, np.zeros((1, problem.n_y)), mu_seed,
                         counters=counters)
     basis = ReducedBasis(problem.n_u)
-    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
+    basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
                            np.zeros(problem.n_y), mu_seed)
     grid = (MultiIndexSet.unit(problem.n_y) if grid_indices is None
             else MultiIndexSet.from_indices(grid_indices))
@@ -41,9 +41,9 @@ def sample_everywhere(pair, mu):
     """Append HDM snapshots at every node of grid union neighbors."""
     quad = pair.union_quad()
     for key, coord in zip(quad.keys, quad.coords):
-        sol = solve_primal(pair.problem, coord, mu)
-        adj = solve_adjoint(pair.problem, sol.u, coord, mu)
-        pair.basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
+        sol = solve_primal(pair.problem, coord[None], mu)
+        adj = solve_adjoint(pair.problem, sol.u, coord[None], mu)
+        pair.basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
                                     coord, mu)
         pair.basis.sampled_points.add((key, _mu_key(mu)))
 
@@ -380,8 +380,8 @@ def test_one_indicator_evaluation_per_change(lin, monkeypatch):
 def test_seed_pair_from_tr_init_reproduces_qoi(lin):
     mu0 = np.full(lin.n_mu, 0.25)
     state = tr_init(lin, TrustRegionConfig(), mu0)
-    sol = solve_primal(lin, np.zeros(2), mu0)
-    f_true = lin.qoi(sol.u, np.zeros(2), mu0)
+    sol = solve_primal(lin, np.zeros((1, 2)), mu0)
+    f_true = lin.qoi(sol.u, np.zeros((1, 2)), mu0)[0]
     assert state.pair.model_value(mu0) == pytest.approx(f_true, abs=1e-8)
 
 
@@ -615,7 +615,7 @@ def test_stalled_node_is_recovered_at_its_last_iterate(lin):
     # the stalled node keeps its start, the residual there and an adjoint
     ev = evals[stall]
     np.testing.assert_array_equal(ev.q, pair.basis.project(pair.basis.last_primal))
-    res = np.linalg.norm(lin.residual(pair.basis.columns @ ev.q, ev.coord, 0.5 * mu))
+    res = np.linalg.norm(lin.residual(pair.basis.columns @ ev.q, ev.coord[None], 0.5 * mu))
     assert ev.prim_res == pytest.approx(res, rel=1e-12)
     assert np.isfinite(ev.adj_res) and np.all(np.isfinite(ev.ghat))
 
@@ -629,7 +629,7 @@ class _UnreachableAt(LinearDiffusion):
     def __init__(self, node, columns):
         super().__init__()
         self.node = node
-        jphi = kernels.band_matmat(*self.jac_bands(None, node, None), columns)
+        jphi = kernels.band_matmat(*self.jac_bands(None, node[None], None), columns)[0]
         self.offset = 1e9 * np.linalg.qr(jphi, mode="complete")[0][:, -1]
 
     def residual(self, u, y, mu):

@@ -1,5 +1,7 @@
 """Every banded kernel must agree with the dense matrix it represents."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import band_to_dense
 from sgromtr import kernels
-from sgromtr.hdm import BurgersControl, LinearDiffusion, solve_primal
+from sgromtr.hdm import (BurgersControl, LinearDiffusion, primal_sensitivities,
+                         solve_primal)
 
 
 @pytest.fixture(scope="module")
@@ -53,35 +56,68 @@ def test_band_products_match_dense(data, name, stacked):
         np.testing.assert_array_equal(out[i], kernel(*(b[i] for b in bands), x))
 
 
-@pytest.mark.parametrize("case", ["vector", "transposed", "block", "stacked"])
+def _one_row(bands, b):
+    """The solve of one system given as a stack of one, as its row."""
+    return kernels.band_solve(*(a[None] for a in bands), b[None])[0]
+
+
+@pytest.mark.parametrize("case", ["one-row", "transposed", "stacked"])
 def test_band_solve_matches_dense(data, case):
     bands = (data["lo"], data["dg"], data["up"])
     if case == "transposed":
         bands = transposed(*bands)
-    if case == "stacked":
-        # three systems, one row per node: each row is bitwise equal to its
-        # own one-system solve, and the stack comes back C-contiguous
-        bands = [np.stack([b, 0.5 * b, -b]) for b in bands]
-        rhs = np.stack([data["v"], data["v"][::-1], 2.0 * data["v"]])
-        x = kernels.band_solve(*bands, rhs)
-        assert x.shape == rhs.shape and x.flags.c_contiguous
-        for i in range(3):
-            one = [b[i] for b in bands]
-            np.testing.assert_array_equal(x[i], kernels.band_solve(*one, rhs[i]))
-            expected = np.linalg.solve(band_to_dense(*one), rhs[i])
-            np.testing.assert_allclose(x[i], expected, rtol=1e-13,
-                                       atol=1e-13 * np.abs(expected).max())
+    if case != "stacked":
+        expected = np.linalg.solve(band_to_dense(*bands), data["v"])
+        x = kernels.band_solve(*(b[None] for b in bands), data["v"][None])
+        assert x.shape == (1, len(expected))
+        np.testing.assert_allclose(x[0], expected,
+                                   rtol=1e-13, atol=1e-13 * np.abs(expected).max())
         return
-    b = data["V"] if case == "block" else data["v"]
-    expected = np.linalg.solve(band_to_dense(*bands), b)
-    x = kernels.band_solve(*bands, b)
-    np.testing.assert_allclose(x, expected,
-                               rtol=1e-13, atol=1e-13 * np.abs(expected).max())
-    if case == "block":
-        # one sweep for the block: each column equals its own vector solve
-        for j in range(b.shape[1]):
-            np.testing.assert_array_equal(x[:, j],
-                                          kernels.band_solve(*bands, b[:, j].copy()))
+    # three systems, one row per node: each row is bitwise equal to its
+    # own stack of one, and the stack comes back C-contiguous
+    bands = [np.stack([b, 0.5 * b, -b]) for b in bands]
+    rhs = np.stack([data["v"], data["v"][::-1], 2.0 * data["v"]])
+    x = kernels.band_solve(*bands, rhs)
+    assert x.shape == rhs.shape and x.flags.c_contiguous
+    for i in range(3):
+        one = [b[i] for b in bands]
+        np.testing.assert_array_equal(x[i], _one_row(one, rhs[i]))
+        expected = np.linalg.solve(band_to_dense(*one), rhs[i])
+        np.testing.assert_allclose(x[i], expected, rtol=1e-13,
+                                   atol=1e-13 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_band_solve_zero_pivot_is_a_non_finite_row(data, rows):
+    # no pivoting: a zero first pivot leaves its system's row non-finite,
+    # with no exception and no warning, and the other rows solve
+    bands = [np.stack([b] * rows) for b in (data["lo"], data["dg"], data["up"])]
+    bands[1][0, 0] = 0.0
+    rhs = np.stack([data["v"]] * rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = kernels.band_solve(*bands, rhs)
+    assert x.shape == rhs.shape
+    assert not np.isfinite(x[0]).any()
+    for i in range(1, rows):
+        np.testing.assert_array_equal(x[i], _one_row([b[i] for b in bands], rhs[i]))
+
+
+@pytest.mark.parametrize("cls", [LinearDiffusion, BurgersControl],
+                         ids=lambda c: c.name)
+def test_sensitivities_equal_their_column_solves(cls, lin, bur):
+    # a node's n_mu right-hand sides are one stack against its bands:
+    # each sensitivity is bitwise its own solve, at every node of a stack
+    problem = lin if cls is LinearDiffusion else bur
+    ys = np.array([[0.0, 0.0], [0.4, -0.7]])
+    mu = np.zeros(problem.n_mu)
+    u = solve_primal(problem, ys, mu).u
+    sens = primal_sensitivities(problem, u, ys, mu)
+    assert sens.shape == (2, problem.n_mu, problem.n_u)
+    rhs = -problem.jac_mu(u, ys, mu).T
+    for i, bands in enumerate(zip(*problem.jac_bands(u, ys, mu))):
+        for j in range(problem.n_mu):
+            np.testing.assert_array_equal(sens[i, j], _one_row(bands, rhs[j]))
 
 
 unit = st.floats(-1.0, 1.0, allow_subnormal=False)
@@ -101,7 +137,7 @@ def test_band_solve_diagonally_dominant(draw):
     sign = draw.draw(arrays(bool, n), label="sign")
     lo[0] = up[-1] = 0.0
     dg = np.where(sign, 1.0, -1.0) * (np.abs(lo) + np.abs(up) + margin)
-    x = kernels.band_solve(lo, dg, up, b)
+    x = _one_row((lo, dg, up), b)
     expected = np.linalg.solve(band_to_dense(lo, dg, up), b)
     tol = 1e-12 * (np.abs(expected).max() + np.abs(b).max())
     assert np.abs(x - expected).max() <= tol
@@ -117,11 +153,11 @@ def test_band_solve_on_converged_jacobians(cls, lin, bur):
     rng = np.random.default_rng(53)
     box = problem.mu_sample_halfwidth
     for _ in range(8):
-        y = rng.uniform(-1.0, 1.0, problem.n_y)
+        y = rng.uniform(-1.0, 1.0, (1, problem.n_y))
         mu = rng.uniform(-box, box, problem.n_mu)
-        bands = problem.jac_bands(solve_primal(problem, y, mu).u, y, mu)
+        bands = [a[0] for a in problem.jac_bands(solve_primal(problem, y, mu).u, y, mu)]
         b = rng.standard_normal(problem.n_u)
         for lo, dg, up in (bands, transposed(*bands)):
-            x = kernels.band_solve(lo, dg, up, b)
+            x = _one_row((lo, dg, up), b)
             res = band_to_dense(lo, dg, up) @ x - b
             assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)

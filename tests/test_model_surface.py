@@ -22,9 +22,9 @@ def exact_pair(problem, mu, level=2):
     pair = SgRomPair(problem, grid, basis, counters)
     quad = pair.union_quad()
     for coord in quad.coords:
-        sol = solve_primal(problem, coord, mu)
-        adj = solve_adjoint(problem, sol.u, coord, mu)
-        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
+        sol = solve_primal(problem, coord[None], mu)
+        adj = solve_adjoint(problem, sol.u, coord[None], mu)
+        basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
                                coord, mu)
     return pair
 
@@ -95,12 +95,12 @@ def interpolating_pair(problem, mu, grid):
     f_quad, g_quad = 0.0, np.zeros(problem.n_mu)
     quad = assemble(grid)
     for coord, w in zip(quad.coords, quad.weights):
-        sol = solve_primal(problem, coord, mu)
-        adj = solve_adjoint(problem, sol.u, coord, mu)
-        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"],
+        sol = solve_primal(problem, coord[None], mu)
+        adj = solve_adjoint(problem, sol.u, coord[None], mu)
+        basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
                                coord, mu)
-        f_quad += w * problem.qoi(sol.u, coord, mu)
-        g_quad += w * adjoint_gradient(problem, adj.lam, sol.u, coord, mu)
+        f_quad += w * problem.qoi(sol.u, coord[None], mu)[0]
+        g_quad += w * adjoint_gradient(problem, adj.lam, sol.u, coord[None], mu)[0]
     return SgRomPair(problem, grid, basis, QueryCounters()), f_quad, g_quad
 
 

@@ -23,9 +23,9 @@ def test_fd_matches_adjoint_gradient(lin):
     for _ in range(20):
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-1, 1, 8)
-        sol = solve_primal(lin, y, mu)
-        adj = solve_adjoint(lin, sol.u, y, mu)
-        g = adjoint_gradient(lin, adj.lam, sol.u, y, mu)
+        sol = solve_primal(lin, y[None], mu)
+        adj = solve_adjoint(lin, sol.u, y[None], mu)
+        g = adjoint_gradient(lin, adj.lam, sol.u, y[None], mu)[0]
         gfd = fd_gradient(lin, y, mu)
         assert np.linalg.norm(g - gfd) <= 1e-6 * np.linalg.norm(gfd)
 
@@ -45,9 +45,9 @@ def test_fd_error_v_shape(bur):
     # central differences: truncation shrinks then roundoff takes over
     y = np.array([0.3, -0.2])
     mu = np.full(8, 0.2)
-    sol = solve_primal(bur, y, mu)
-    adj = solve_adjoint(bur, sol.u, y, mu)
-    g = adjoint_gradient(bur, adj.lam, sol.u, y, mu)
+    sol = solve_primal(bur, y[None], mu)
+    adj = solve_adjoint(bur, sol.u, y[None], mu)
+    g = adjoint_gradient(bur, adj.lam, sol.u, y[None], mu)[0]
     errs = {h: np.linalg.norm(fd_gradient(bur, y, mu, h=h) - g)
             for h in (1e-3, 1e-5, 1e-8)}
     assert errs[1e-5] < errs[1e-3]
@@ -66,11 +66,11 @@ def test_fd_rejects_bad_step(lin):
 def test_level_one_is_single_mean_node(lin):
     mu = np.full(8, 0.2)
     j1, g1 = tensor_reference(lin, mu, 1)
-    sol = solve_primal(lin, np.zeros(2), mu)
-    adj = solve_adjoint(lin, sol.u, np.zeros(2), mu)
-    assert j1 == pytest.approx(lin.qoi(sol.u, np.zeros(2), mu))
-    np.testing.assert_allclose(g1, adjoint_gradient(lin, adj.lam, sol.u,
-                                                    np.zeros(2), mu))
+    y = np.zeros((1, 2))
+    sol = solve_primal(lin, y, mu)
+    adj = solve_adjoint(lin, sol.u, y, mu)
+    assert j1 == pytest.approx(lin.qoi(sol.u, y, mu)[0])
+    np.testing.assert_allclose(g1, adjoint_gradient(lin, adj.lam, sol.u, y, mu)[0])
 
 
 def test_tensor_matches_rectangular_sparse_assembly(lin):
@@ -82,8 +82,8 @@ def test_tensor_matches_rectangular_sparse_assembly(lin):
         quad = assemble(rect)
 
         def f_node(y):
-            sol = solve_primal(lin, y, mu)
-            return lin.qoi(sol.u, y, mu)
+            sol = solve_primal(lin, y[None], mu)
+            return lin.qoi(sol.u, y[None], mu)[0]
 
         assert abs(j_t - integrate(quad, f_node)) <= 1e-12
 
@@ -114,8 +114,8 @@ def test_tensor_self_convergence(lin):
 
 
 def test_tensor_reference_equals_node_loop(bur):
-    # the stacked solves and node_sum give, bit for bit, what one-node
-    # solves summed node by node give: the objective, the gradient, the
+    # the stacked solves and node_sum give, bit for bit, what stacks of
+    # one summed node by node give: the objective, the gradient, the
     # counters and the Burgers tracking target
     mu = np.linspace(-0.3, 0.3, 8)
     counters = QueryCounters()
@@ -123,12 +123,12 @@ def test_tensor_reference_equals_node_loop(bur):
     _, nodes, weights = tensor_nodes((3, 3))
     loop = QueryCounters()
     j_val, grad, mean = 0.0, np.zeros(8), np.zeros(bur.n_u)
-    for y, w in zip(nodes, weights):
+    for y, w in zip(nodes[:, None], weights):
         prim = solve_primal(bur, y, mu, counters=loop)
         adj = solve_adjoint(bur, prim.u, y, mu, counters=loop)
-        j_val += w * bur.qoi(prim.u, y, mu)
-        grad += w * adjoint_gradient(bur, adj.lam, prim.u, y, mu)
-        mean += w * solve_primal(bur, y, np.zeros(8)).u
+        j_val += w * bur.qoi(prim.u, y, mu)[0]
+        grad += w * adjoint_gradient(bur, adj.lam, prim.u, y, mu)[0]
+        mean += w * solve_primal(bur, y, np.zeros(8)).u[0]
     assert j_stack == j_val
     np.testing.assert_array_equal(g_stack, grad)
     assert counters.snapshot() == loop.snapshot()
@@ -183,8 +183,8 @@ def test_full_space_basis_excludes_everything():
 def test_seed_basis_ratio_statistics(lin):
     basis = ReducedBasis(lin.n_u)
     mu_seed = 0.3 * np.linspace(-1, 1, 8)
-    sol = solve_primal(lin, np.zeros(2), mu_seed)
-    basis.append_snapshots([sol.u], ["primal"], np.zeros(2), mu_seed)
+    sol = solve_primal(lin, np.zeros((1, 2)), mu_seed)
+    basis.append_snapshots([sol.u[0]], ["primal"], np.zeros(2), mu_seed)
     qe, ge = validate_bounds(lin, basis, 100)
     assert qe.n_samples == 100
     assert np.all(np.isfinite(qe.ratios)) and np.all(np.isfinite(ge.ratios))
@@ -210,8 +210,8 @@ def test_qoi_scaling_covariance():
     def k1(prob):
         b = ReducedBasis(prob.n_u)
         mu_seed = 0.3 * np.linspace(-1, 1, 8)
-        sol = solve_primal(prob, np.zeros(2), mu_seed)
-        b.append_snapshots([sol.u], ["primal"], np.zeros(2), mu_seed)
+        sol = solve_primal(prob, np.zeros((1, 2)), mu_seed)
+        b.append_snapshots([sol.u[0]], ["primal"], np.zeros(2), mu_seed)
         return b
 
     qe1, _ = validate_bounds(base, k1(base), 25, seed=5)

@@ -11,9 +11,10 @@ from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
 
 
 def hdm_pair(problem, y, mu):
-    sol = solve_primal(problem, y, mu)
-    adj = solve_adjoint(problem, sol.u, y, mu)
-    return sol, adj
+    """Full primal and adjoint states at one node ``y`` of length ``n_y``."""
+    sol = solve_primal(problem, y[None], mu)
+    adj = solve_adjoint(problem, sol.u, y[None], mu)
+    return sol.u[0], adj.lam[0]
 
 
 def seeded_basis(problem, seed=0, n_snaps=1):
@@ -22,8 +23,8 @@ def seeded_basis(problem, seed=0, n_snaps=1):
     for _ in range(n_snaps):
         y = rng.uniform(-1, 1, problem.n_y)
         mu = rng.uniform(-0.4, 0.4, problem.n_mu)
-        sol, adj = hdm_pair(problem, y, mu)
-        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
+        u, lam = hdm_pair(problem, y, mu)
+        basis.append_snapshots([u, lam], ["primal", "adjoint"], y, mu)
     return basis
 
 
@@ -88,16 +89,16 @@ def test_interpolation_property(lin, bur):
         rng = np.random.default_rng(8)
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-0.3, 0.3, 8)
-        sol, adj = hdm_pair(problem, y, mu)
+        u, lam = hdm_pair(problem, y, mu)
         basis = seeded_basis(problem, seed=9)
-        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
+        basis.append_snapshots([u, lam], ["primal", "adjoint"], y, mu)
         prim = solve_rom_primal(problem, basis, y[None], mu)
-        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(sol.u))
+        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(u))
         rec = basis.columns @ prim.q[0]
-        assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
+        assert np.linalg.norm(rec - u) <= 1e-6 * (1 + np.linalg.norm(u))
         adj_rom = solve_rom_adjoint(problem, basis, prim.q, y[None], mu)
         assert adj_rom.residual_norm[0] <= 1e-8 * (
-            1 + np.linalg.norm(problem.qoi_u(sol.u, y, mu)))
+            1 + np.linalg.norm(problem.qoi_u(u[None], y[None], mu)))
 
 
 def test_linear_problem_single_gauss_newton_step(lin):
@@ -113,12 +114,12 @@ def test_optimality_beats_projection(lin, bur):
         rng = np.random.default_rng(12)
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-0.3, 0.3, 8)
-        sol, _ = hdm_pair(problem, y, mu)
+        u, _ = hdm_pair(problem, y, mu)
         basis = seeded_basis(problem, seed=13, n_snaps=2)
         prim = solve_rom_primal(problem, basis, y[None], mu)
-        q_proj = basis.project(sol.u)
+        q_proj = basis.project(u)
         res_proj = np.linalg.norm(
-            problem.residual(basis.columns @ q_proj, y, mu))
+            problem.residual((basis.columns @ q_proj)[None], y[None], mu))
         assert prim.residual_norm[0] <= res_proj * (1 + 1e-10)
 
 
@@ -139,8 +140,8 @@ def test_monotonicity_under_appends(lin):
             assert prim.residual_norm[0] <= prev * (1 + 1e-12) + 1e-12
         prev, q_prev = prim.residual_norm[0], prim.q[0]
         ys = rng.uniform(-1, 1, 2)
-        sol, adj = hdm_pair(lin, ys, mu)
-        basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], ys, mu)
+        u, lam = hdm_pair(lin, ys, mu)
+        basis.append_snapshots([u, lam], ["primal", "adjoint"], ys, mu)
 
 
 @pytest.mark.parametrize("n, k", [(127, 48), (63, 25), (30, 1), (40, 39)])
@@ -329,15 +330,15 @@ def test_interpolation_converges_from_cold_and_exact_starts(bur):
     rng = np.random.default_rng(27)
     y = rng.uniform(-1, 1, 2)
     mu = rng.uniform(-0.3, 0.3, 8)
-    sol, adj = hdm_pair(bur, y, mu)
+    u, lam = hdm_pair(bur, y, mu)
     basis = seeded_basis(bur, seed=28, n_snaps=2)
-    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
+    basis.append_snapshots([u, lam], ["primal", "adjoint"], y, mu)
     cold = solve_rom_primal(bur, basis, y[None], mu)
-    warm = solve_rom_primal(bur, basis, y[None], mu, q0=basis.project(sol.u)[None])
+    warm = solve_rom_primal(bur, basis, y[None], mu, q0=basis.project(u)[None])
     for prim in (cold, warm):
-        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(sol.u))
+        assert prim.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(u))
         rec = basis.columns @ prim.q[0]
-        assert np.linalg.norm(rec - sol.u) <= 1e-6 * (1 + np.linalg.norm(sol.u))
+        assert np.linalg.norm(rec - u) <= 1e-6 * (1 + np.linalg.norm(u))
     assert warm.gn_iters <= 1
 
 
@@ -347,8 +348,8 @@ def _interpolating_stack(bur):
     ys = rng.uniform(-1, 1, (4, 2))
     mu = rng.uniform(-0.3, 0.3, 8)
     basis = seeded_basis(bur, seed=41, n_snaps=2)
-    sol, adj = hdm_pair(bur, ys[0], mu)
-    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], ys[0], mu)
+    u, lam = hdm_pair(bur, ys[0], mu)
+    basis.append_snapshots([u, lam], ["primal", "adjoint"], ys[0], mu)
     return basis, ys, mu
 
 
@@ -419,10 +420,10 @@ def test_full_space_reproduces_adjoint(lin_small):
     assert basis.k == lin_small.n_u
     y = rng.uniform(-1, 1, 2)
     mu = rng.uniform(-0.5, 0.5, 8)
-    sol, adj = hdm_pair(lin_small, y, mu)
+    _, lam = hdm_pair(lin_small, y, mu)
     prim = solve_rom_primal(lin_small, basis, y[None], mu)
     adj_rom = solve_rom_adjoint(lin_small, basis, prim.q, y[None], mu)
-    np.testing.assert_allclose(basis.columns @ adj_rom.eta[0], adj.lam,
+    np.testing.assert_allclose(basis.columns @ adj_rom.eta[0], lam,
                                rtol=1e-7, atol=1e-10)
 
 
@@ -433,11 +434,11 @@ def test_adjoint_optimality_over_candidates(lin):
     basis = seeded_basis(lin, seed=18, n_snaps=2)
     prim = solve_rom_primal(lin, basis, y[None], mu)
     adj_rom = solve_rom_adjoint(lin, basis, prim.q, y[None], mu)
-    u = basis.columns @ prim.q[0]
+    u = basis.expand(prim.q)
     for _ in range(10):
-        eta = adj_rom.eta[0] + rng.standard_normal(basis.k)
+        eta = adj_rom.eta + rng.standard_normal(basis.k)
         res = np.linalg.norm(adjoint_residual(
-            lin, basis.columns @ eta, u, y, mu))
+            lin, basis.expand(eta), u, y[None], mu))
         assert adj_rom.residual_norm[0] <= res * (1 + 1e-12)
 
 
@@ -463,34 +464,34 @@ def test_adjoint_rank_deficiency_raises(lin, monkeypatch):
 
 def test_rom_qoi_at_zero_coordinates(lin):
     basis = seeded_basis(lin, seed=19)
-    y, mu = np.zeros(2), np.full(8, 0.2)
-    assert lin.qoi(basis.expand(np.zeros(basis.k)), y, mu) == pytest.approx(
-        lin.qoi(np.zeros(lin.n_u), y, mu))
+    y, mu = np.zeros((1, 2)), np.full(8, 0.2)
+    assert lin.qoi(basis.expand(np.zeros((1, basis.k))), y, mu)[0] == pytest.approx(
+        lin.qoi(np.zeros((1, lin.n_u)), y, mu)[0])
 
 
 def test_rom_gradient_exact_subspace(bur):
     rng = np.random.default_rng(20)
     y = rng.uniform(-1, 1, 2)
     mu = rng.uniform(-0.3, 0.3, 8)
-    sol, adj = hdm_pair(bur, y, mu)
+    u, lam = hdm_pair(bur, y, mu)
     basis = seeded_basis(bur, seed=21)
-    basis.append_snapshots([sol.u, adj.lam], ["primal", "adjoint"], y, mu)
+    basis.append_snapshots([u, lam], ["primal", "adjoint"], y, mu)
     prim = solve_rom_primal(bur, basis, y[None], mu)
     adj_rom = solve_rom_adjoint(bur, basis, prim.q, y[None], mu)
-    g = adjoint_gradient(bur, basis.expand(adj_rom.eta[0]),
-                         basis.expand(prim.q[0]), y, mu)
-    g_exact = adjoint_gradient(bur, adj.lam, sol.u, y, mu)
+    g = adjoint_gradient(bur, basis.expand(adj_rom.eta),
+                         basis.expand(prim.q), y[None], mu)
+    g_exact = adjoint_gradient(bur, lam[None], u[None], y[None], mu)
     assert np.linalg.norm(g - g_exact) <= 1e-8 * (1 + np.linalg.norm(g_exact))
-    f_rom = bur.qoi(basis.expand(prim.q[0]), y, mu)
-    assert abs(f_rom - bur.qoi(sol.u, y, mu)) <= 1e-8
+    f_rom = bur.qoi(basis.expand(prim.q), y[None], mu)[0]
+    assert abs(f_rom - bur.qoi(u[None], y[None], mu)[0]) <= 1e-8
 
 
 def test_rom_gradient_regularizer_only(lin):
     basis = seeded_basis(lin, seed=22)
     mu = np.full(8, 0.5)
-    g = adjoint_gradient(lin, basis.expand(np.zeros(basis.k)),
-                         basis.expand(np.zeros(basis.k)), np.zeros(2), mu)
-    np.testing.assert_allclose(g, lin.alpha * mu, atol=1e-15)
+    q = np.zeros((1, basis.k))
+    g = adjoint_gradient(lin, basis.expand(q), basis.expand(q), np.zeros((1, 2)), mu)
+    np.testing.assert_allclose(g, lin.alpha * mu[None], atol=1e-15)
 
 
 def test_qoi_error_within_empirical_bound(lin):
@@ -506,6 +507,7 @@ def test_qoi_error_within_empirical_bound(lin):
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-1, 1, 8)
         prim = solve_rom_primal(lin, basis, y[None], mu)
-        sol = solve_primal(lin, y, mu)
-        err = abs(lin.qoi(sol.u, y, mu) - lin.qoi(basis.expand(prim.q[0]), y, mu))
+        sol = solve_primal(lin, y[None], mu)
+        err = abs(lin.qoi(sol.u, y[None], mu)[0]
+                  - lin.qoi(basis.expand(prim.q), y[None], mu)[0])
         assert err <= 10.0 * kappa_hat * prim.residual_norm[0]
