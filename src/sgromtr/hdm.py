@@ -18,8 +18,8 @@ O(n) tridiagonal sweep over the Jacobian's bands.
 
 Everything here takes a stack of nodes at one ``mu``, and one node is
 a stack of one (callers pass ``y[None]`` and read row 0): the residual
-surface (:meth:`ModelProblem.residual`, ``jac_bands``, ``jac_uT_mul``,
-``qoi``, ``qoi_u``, ``initial_state``, ``continuation_stages``),
+surface (:meth:`ModelProblem.residual`, ``jac_bands``, ``qoi``,
+``qoi_u``, ``initial_state``, ``continuation_stages``),
 :func:`adjoint_gradient`, :func:`adjoint_residual`,
 :func:`primal_sensitivities` and the full-model solvers
 :func:`solve_primal` and :func:`solve_adjoint`.  A stack has states
@@ -168,11 +168,6 @@ class ModelProblem:
         """Tridiagonal bands (lo, dg, up) of dr/du at (u, y, mu)."""
         raise NotImplementedError
 
-    def jac_uT_mul(self, u, y, mu, V):
-        """(dr/du)^T @ V of a shared ``(n_u, k)`` matrix ``V`` at each node,
-        without forming the dense Jacobian."""
-        return kernels.band_t_matmat(*self.jac_bands(u, y, mu), V)
-
     def jac_mu(self, u, y, mu):
         """dr/dmu: the control enters as a source, so this is -source_basis."""
         return -self.source_basis
@@ -196,11 +191,14 @@ class ModelProblem:
         """Uniform density on [-1, 1]^n_y (constant)."""
         return 2.0 ** (-self.n_y)
 
+    def _check_nodes(self, y):
+        if y.ndim != 2 or y.shape[1] != self.n_y:
+            raise ValueError(f"nodes have shape {y.shape}, expected (m, {self.n_y})")
+
     def _check(self, u, y, mu):
         if u.shape[-1] != self.n_u:
             raise ValueError(f"state has length {u.shape[-1]}, expected {self.n_u}")
-        if y.ndim != 2 or y.shape[1] != self.n_y:
-            raise ValueError(f"nodes have shape {y.shape}, expected (m, {self.n_y})")
+        self._check_nodes(y)
         if len(mu) != self.n_mu:
             raise ValueError(f"parameter has length {len(mu)}, expected {self.n_mu}")
 
@@ -438,14 +436,15 @@ def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
     tiny entry residual cannot push the tolerance beneath the evaluation
     noise floor of a stiff operator.
 
-    ``y`` is ``(m, n_y)`` and ``u0``, if given, ``(m, n_u)``.  The stack
-    is solved by one Newton loop per part, and every node's state,
-    iteration count and counter increment are bitwise equal to its own
-    stack of one.  If a node fails, the error names the first failed
-    node (in a stack of more than one) and carries its iterate, and no
-    counter moves.
+    ``y`` is ``(m, n_y)``, any other shape a ValueError, and ``u0``, if
+    given, ``(m, n_u)``.  The stack is solved by one Newton loop per
+    part, and every node's state, iteration count and counter increment
+    are bitwise equal to its own stack of one.  If a node fails, the
+    error names the first failed node (in a stack of more than one) and
+    carries its iterate, and no counter moves.
     """
     y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
     mu = np.asarray(mu, dtype=float)
     if u0 is not None:
         u0 = np.asarray(u0, dtype=float)
@@ -474,11 +473,13 @@ def solve_adjoint(problem, u, y, mu,
                   counters: QueryCounters | None = None) -> AdjointSolution:
     """Direct solve of the linear adjoint system at converged primal states.
 
-    ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)``: the stack
-    is solved by one sweep per part, each row bitwise equal to its own
-    stack of one.  A singular Jacobian at any node is a SolverError.
+    ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)`` (any other
+    shape of ``y`` is a ValueError): the stack is solved by one sweep
+    per part, each row bitwise equal to its own stack of one.  A
+    singular Jacobian at any node is a SolverError.
     """
     y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
     mu = np.asarray(mu, dtype=float)
     lam, res = _in_parts(lambda y_p, u_p: _adjoint(problem, u_p, y_p, mu),
                          problem, y, u)

@@ -17,9 +17,12 @@ columns, the diffusion coefficient is ``(m, n + 1)``, and a matrix
 operand ``V`` of shape ``(n, k)`` is shared by all nodes, giving an
 ``(m, n, k)`` product.  Each row is computed by the same elementwise
 operations whatever ``m`` is, so it is bitwise equal to its own
-one-row call.  A stacked solve holds a few ``(m, n)`` arrays at once;
-the solvers cut their stacks with :func:`stack_parts` so that these
-fit ``STACK_BYTES``.
+one-row call.  The solvers cut their stacks with :func:`stack_parts`
+into parts that fit ``STACK_BYTES``: a full-model part holds a few
+``(m, n)`` arrays, and a reduced part the ``(m, n, k)`` products of the
+workspace its solve call allocates once.  The matrix products
+:func:`band_matmat` and :func:`band_t_matmat` write into arrays the
+caller passes, so that workspace is reused by every iteration.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -97,17 +100,24 @@ def band_t_matvec(lo, dg, up, v):
     return out
 
 
-def band_matmat(lo, dg, up, V):
-    out = dg[..., None] * V
-    out[..., 1:, :] += lo[..., 1:, None] * V[:-1]
-    out[..., :-1, :] += up[..., :-1, None] * V[1:]
+def band_matmat(lo, dg, up, V, out, tmp):
+    """``A @ V`` into ``out``; ``tmp``, of the same shape and not
+    overlapping ``out``, takes the shifted band products.  Returns ``out``."""
+    np.multiply(dg[..., None], V, out=out)
+    np.multiply(lo[..., 1:, None], V[:-1], out=tmp[..., 1:, :])
+    out[..., 1:, :] += tmp[..., 1:, :]
+    np.multiply(up[..., :-1, None], V[1:], out=tmp[..., :-1, :])
+    out[..., :-1, :] += tmp[..., :-1, :]
     return out
 
 
-def band_t_matmat(lo, dg, up, V):
-    out = dg[..., None] * V
-    out[..., 1:, :] += up[..., :-1, None] * V[:-1]
-    out[..., :-1, :] += lo[..., 1:, None] * V[1:]
+def band_t_matmat(lo, dg, up, V, out, tmp):
+    """``A^T @ V`` into ``out``, as :func:`band_matmat` does."""
+    np.multiply(dg[..., None], V, out=out)
+    np.multiply(up[..., :-1, None], V[:-1], out=tmp[..., 1:, :])
+    out[..., 1:, :] += tmp[..., 1:, :]
+    np.multiply(lo[..., 1:, None], V[1:], out=tmp[..., :-1, :])
+    out[..., :-1, :] += tmp[..., :-1, :]
     return out
 
 

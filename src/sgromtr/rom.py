@@ -33,7 +33,11 @@ stacked triangular solve and at most two stacked residual calls for the
 whole stack, and per-node masks apply the stopping and backtracking
 rules, so every node's result is bitwise equal to solving it alone.  A
 stack is cut by :func:`kernels.stack_parts` into parts whose stacked
-``n_u x (k + 1)`` matrices fit ``kernels.STACK_BYTES``.
+``n_u x (k + 1)`` matrices fit ``kernels.STACK_BYTES``.  A part holds
+``J Phi``, the scratch of its band products and the augmented
+``[J Phi | r]`` in one workspace that the solve call allocates once for
+its largest part and every iteration of every part reuses, so an
+iteration allocates no array of ``n_u x k`` per node.
 """
 
 from __future__ import annotations
@@ -185,20 +189,35 @@ class ReducedBasis:
         return (self._cols @ q[..., None])[..., 0]
 
 
-def _augmented_r(a, b):
+def _augmented_r(a, b, aug):
     """Triangular factor of ``[a | b]``: the least-squares solve of ``a x ~ b``.
 
     With ``k = a.shape[-1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
     and ``|R[k, k]|`` is the residual norm it leaves, ``min ||a x - b||``
     (zero when ``a`` has no more rows than columns, so ``R`` has no row
-    ``k``).  ``a`` and ``b`` may be stacks, ``(m, n, k)`` and ``(m, n)``.
+    ``k``).  ``a`` and ``b`` may be stacks, ``(m, n, k)`` and ``(m, n)``;
+    ``[a | b]`` is assembled in ``aug``, of shape ``(m, n, k + 1)``.
     """
-    return np.linalg.qr(np.concatenate([a, b[..., None]], axis=-1), mode="r")
+    aug[..., :-1] = a
+    aug[..., -1] = b
+    return np.linalg.qr(aug, mode="r")
 
 
 def _parts(m, n_u, k):
-    """Slices of a stack of ``m`` nodes whose ``[J Phi | r]`` fit the budget."""
-    return kernels.stack_parts(m, 8 * n_u * (k + 1))
+    """Slices of a stack of ``m`` nodes whose ``[J Phi | r]`` fit the
+    budget, and the workspace of the solve call: the arrays that every
+    iteration of every part reuses, ``J Phi`` (or ``J^T Phi``), the
+    scratch of its shifted band products and ``[J Phi | r]``, each sized
+    for the largest part (the first).  An iteration on ``n`` nodes uses
+    their first ``n`` rows.  The three are C-contiguous views of one
+    allocation, ``J Phi`` at its start."""
+    slices = kernels.stack_parts(m, 8 * n_u * (k + 1))
+    size = min(m, slices[0].stop)
+    block = np.empty(size * n_u * (3 * k + 1))
+    cut = size * n_u * k
+    return slices, (block[:cut].reshape(size, n_u, k),
+                    block[cut:2 * cut].reshape(size, n_u, k),
+                    block[2 * cut:].reshape(size, n_u, k + 1))
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -242,8 +261,8 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     ys = np.asarray(ys, dtype=float)
     mu = np.asarray(mu, dtype=float)
     q = np.zeros((len(ys), k)) if q0 is None else np.array(q0, dtype=float)
-    parts = [_gauss_newton(problem, basis, ys[p], mu, q[p])
-             for p in _parts(len(ys), basis.n_u, k)]
+    slices, work = _parts(len(ys), basis.n_u, k)
+    parts = [_gauss_newton(problem, basis, ys[p], mu, q[p], work) for p in slices]
     q, rnorm, iters, status, grad = (np.concatenate(a) for a in zip(*parts))
     result = RomPrimal(q, rnorm, iters, status == _STALLED)
     stagnated, capped = status == _STAGNATED, status == _CAPPED
@@ -260,11 +279,13 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     return result
 
 
-def _gauss_newton(problem, basis, ys, mu, q):
-    """One part of :func:`solve_rom_primal`; returns per-node arrays
+def _gauss_newton(problem, basis, ys, mu, q, work):
+    """One part of :func:`solve_rom_primal` in the call's workspace
+    ``work`` (see :func:`_parts`); returns per-node arrays
     ``(q, rnorm, iters, status, grad)``, ``grad`` the last reduced
     gradient norm."""
     phi = basis.columns
+    out, tmp, aug = work
     m, k = q.shape
     f = np.abs(problem.source(mu))
     r = problem.residual(basis.expand(q), ys, mu)
@@ -276,21 +297,27 @@ def _gauss_newton(problem, basis, ys, mu, q):
     for _ in range(GN_MAX_ITERS):
         if not live.size:
             break
+        n = live.size
         u = basis.expand(q[live])
         lo, dg, up = problem.jac_bands(u, ys[live], mu)
-        jphi = kernels.band_matmat(lo, dg, up, phi)
+        jphi = kernels.band_matmat(lo, dg, up, phi, out[:n], tmp[:n])
         g = kernels.row_norm((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
-        jnorm = kernels.row_norm(jphi.reshape(live.size, -1))
+        jnorm = kernels.row_norm(jphi.reshape(n, -1))
         grad[live] = g
         # stationary at the gradient's own round-off (module docstring)
         terms = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up),
                                     np.abs(u)) + f
         go = ~(g <= _EPS * jnorm * kernels.row_norm(terms))
-        live, g, jnorm, jphi = live[go], g[go], jnorm[go], jphi[go]
-        if not live.size:
-            break
+        if not go.all():
+            # move the rows that go on to the front in place (a gather
+            # would allocate a new stack)
+            for i, j in enumerate(np.flatnonzero(go)):
+                jphi[i] = jphi[j]
+            live, g, jnorm = live[go], g[go], jnorm[go]
+            if not live.size:
+                break
         rn = rnorm[live]
-        R = _augmented_r(jphi, r[live])
+        R = _augmented_r(jphi[:live.size], r[live], aug[:live.size])
         pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(live.size)
         # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
         # once it falls below the relative decrease the stagnation test
@@ -381,18 +408,22 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     ys = np.asarray(ys, dtype=float)
     mu = np.asarray(mu, dtype=float)
     q = np.asarray(q, dtype=float)
-    parts = [_min_res_adjoint(problem, basis, q[p], ys[p], mu)
-             for p in _parts(len(ys), basis.n_u, k)]
+    slices, work = _parts(len(ys), basis.n_u, k)
+    parts = [_min_res_adjoint(problem, basis, q[p], ys[p], mu, work) for p in slices]
     eta, res = (np.concatenate(a) for a in zip(*parts))
     return RomAdjoint(eta, res)
 
 
-def _min_res_adjoint(problem, basis, q, ys, mu):
-    k = basis.k
+def _min_res_adjoint(problem, basis, q, ys, mu, work):
+    """One part of :func:`solve_rom_adjoint` in the call's workspace
+    ``work`` (see :func:`_parts`); returns ``(eta, res)``."""
+    k, n = basis.k, len(q)
+    out, tmp, aug = work
     u = basis.expand(q)
-    a = problem.jac_uT_mul(u, ys, mu, basis.columns)
+    a = kernels.band_t_matmat(*problem.jac_bands(u, ys, mu), basis.columns,
+                              out[:n], tmp[:n])
     b = problem.qoi_u(u, ys, mu)
-    R = _augmented_r(a, b)
+    R = _augmented_r(a, b, aug[:n])
     diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
     tol = max(a.shape[1:]) * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
     rank = np.count_nonzero(diag > tol, axis=1)

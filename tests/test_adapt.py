@@ -629,7 +629,9 @@ class _UnreachableAt(LinearDiffusion):
     def __init__(self, node, columns):
         super().__init__()
         self.node = node
-        jphi = kernels.band_matmat(*self.jac_bands(None, node[None], None), columns)[0]
+        out, tmp = np.empty((2, 1) + columns.shape)
+        jphi = kernels.band_matmat(*self.jac_bands(None, node[None], None), columns,
+                                   out, tmp)[0]
         self.offset = 1e9 * np.linalg.qr(jphi, mode="complete")[0][:, -1]
 
     def residual(self, u, y, mu):

@@ -69,15 +69,20 @@ def test_jacobian_taylor_consistency(prob_name, lin, bur):
         ys = np.concatenate([y, -y, [[0.3, -0.9]]])
         us = np.concatenate([u, 0.5 * u, v])
         basis = rng.standard_normal((problem.n_u, 4))
+
+        def products(bands):
+            shape = (len(bands[0]),) + basis.shape
+            return [getattr(kernels, name)(*bands, basis, np.empty(shape),
+                                           np.empty(shape))
+                    for name in ("band_matmat", "band_t_matmat")]
+
         stacked = (problem.residual(us, ys, mu), *problem.jac_bands(us, ys, mu),
-                   kernels.band_matmat(*problem.jac_bands(us, ys, mu), basis),
-                   problem.jac_uT_mul(us, ys, mu, basis), problem.qoi(us, ys, mu))
+                   *products(problem.jac_bands(us, ys, mu)), problem.qoi(us, ys, mu))
         for i in range(3):
             one = [i]
             single = (problem.residual(us[one], ys[one], mu),
                       *problem.jac_bands(us[one], ys[one], mu),
-                      kernels.band_matmat(*problem.jac_bands(us[one], ys[one], mu), basis),
-                      problem.jac_uT_mul(us[one], ys[one], mu, basis),
+                      *products(problem.jac_bands(us[one], ys[one], mu)),
                       problem.qoi(us[one], ys[one], mu))
             for rows, row in zip(stacked, single):
                 np.testing.assert_array_equal(rows[i], row[0])
@@ -112,10 +117,15 @@ def test_dimension_mismatch_rejected(lin, bur):
             problem.residual(np.zeros((1, 10)), np.zeros((1, 2)), mu)
         with pytest.raises(ValueError):
             problem.residual(u, np.zeros((1, 2)), np.zeros(7))
-        # a node is a stack of one: a 1-D node or any other shape is named
+        # a node is a stack of one: a 1-D node or any other shape is named,
+        # by the solvers too, before any band or start is built from it
         for y in (np.zeros(2), np.zeros((1, 3)), np.zeros((1, 1, 2))):
             with pytest.raises(ValueError, match=r"expected \(m, 2\)"):
                 problem.residual(u, y, mu)
+            with pytest.raises(ValueError, match=r"expected \(m, 2\)"):
+                solve_primal(problem, y, mu)
+            with pytest.raises(ValueError, match=r"expected \(m, 2\)"):
+                solve_adjoint(problem, u, y, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def transposed(lo, dg, up):
 PRODUCTS = ["band_matvec", "band_t_matvec", "band_matmat", "band_t_matmat"]
 
 
+def product(name, lo, dg, up, x):
+    """A band product; the matrix products write into fresh arrays."""
+    if name.endswith("matvec"):
+        return getattr(kernels, name)(lo, dg, up, x)
+    out, tmp = np.empty((2,) + dg.shape + x.shape[1:])
+    return getattr(kernels, name)(lo, dg, up, x, out, tmp)
+
+
 @pytest.mark.parametrize("name, stacked", [
     *[pytest.param(name, False, id=name) for name in PRODUCTS],
     *[pytest.param(name, True, id=f"{name}-stacked") for name in PRODUCTS]])
@@ -44,16 +52,41 @@ def test_band_products_match_dense(data, name, stacked):
     if "_t_" in name:
         a = a.T
     x = data["V"] if name.endswith("matmat") else data["v"]
-    kernel = getattr(kernels, name)
     if not stacked:
-        np.testing.assert_allclose(kernel(lo, dg, up, x), a @ x, rtol=1e-13)
+        np.testing.assert_allclose(product(name, lo, dg, up, x), a @ x, rtol=1e-13)
         return
     # a stack of three band sets, one row per node, against the one-node calls
     bands = [np.stack([b, 0.5 * b, -b]) for b in (lo, dg, up)]
-    out = kernel(*bands, x)
+    out = product(name, *bands, x)
     assert out.shape == (3,) + x.shape
     for i in range(3):
-        np.testing.assert_array_equal(out[i], kernel(*(b[i] for b in bands), x))
+        np.testing.assert_array_equal(out[i], product(name, *(b[i] for b in bands), x))
+
+
+def fresh_matmat(name, lo, dg, up, V):
+    """``band_matmat`` or ``band_t_matmat`` computed in a fresh array, by
+    the same products and sums in the same order."""
+    below, above = lo[..., 1:], up[..., :-1]
+    if name == "band_t_matmat":
+        below, above = above, below
+    out = dg[..., None] * V
+    out[..., 1:, :] += below[..., None] * V[:-1]
+    out[..., :-1, :] += above[..., None] * V[1:]
+    return out
+
+
+@pytest.mark.parametrize("name", ["band_matmat", "band_t_matmat"])
+def test_band_matmat_into_used_arrays(data, name):
+    # the leading rows of NaN-filled output and scratch arrays, as a
+    # reused workspace holds them: none of their old contents reaches
+    # the product, and the rows past the stack are left alone
+    bands = [np.stack([b, 0.5 * b, -b]) for b in (data["lo"], data["dg"], data["up"])]
+    V = data["V"]
+    out, tmp = np.full((2, 5) + V.shape, np.nan)
+    got = getattr(kernels, name)(*bands, V, out[:3], tmp[:3])
+    assert np.shares_memory(got, out) and got.shape == (3,) + V.shape
+    np.testing.assert_array_equal(got, fresh_matmat(name, *bands, V))
+    assert np.isnan(out[3:]).all()
 
 
 def _one_row(bands, b):
