@@ -14,9 +14,9 @@ Both drivers run one loop.  An open truncation term adds the forward
 neighbor that contributes most to it (dimension-adaptive growth: the
 largest |tensor difference| of the gradient-estimate norm, or of |f| on
 the objective stage); an open residual term samples the full model
-greedily at the node with the largest density-weighted residual.  The
-loop samples each (node, parameter) point at most once and appends
-primal and adjoint snapshots together.  It evaluates the indicator and
+greedily at the node with the largest residual.  The loop samples each
+(node, parameter) point at most once and appends primal and adjoint
+snapshots together.  It evaluates the indicator and
 its thresholds once at entry and once after every grid or basis change;
 that one evaluation returns the term values and the neighbor
 differences behind the truncation term, fills the change's event,
@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from .hdm import (QueryCounters, SolverError, adjoint_gradient, solve_adjoint,
                   solve_primal)
-from .rom import ReducedBasis, RomSolveError, solve_rom_adjoint, solve_rom_primal
+from .rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
 from .sparse_grid import MultiIndexSet, assemble, difference_rule
 
 __all__ = [
@@ -194,13 +194,8 @@ class SgRomPair:
         near = [] if mk in self._nodes else self._mus_by_distance(mu)
         q0 = self._warm_starts(missing, mk, near)
         ys = np.array([coord for _, coord in missing], dtype=float)
-        try:
-            prim = solve_rom_primal(self.problem, self.basis, ys, mu, q0=q0)
-        except RomSolveError as exc:
-            if exc.result is None:
-                raise
-            prim = exc.result
-            self.counters.rom_recoveries += int(exc.failed.sum())
+        prim = solve_rom_primal(self.problem, self.basis, ys, mu, q0=q0)
+        self.counters.rom_recoveries += int(prim.failed.sum())
         self.counters.rom_stalls += int(prim.stalled.sum())
         fval = self.problem.qoi(self.basis.expand(prim.q), ys, mu)
         iters = np.maximum(prim.iters, 1)
@@ -318,7 +313,7 @@ def eval_objective_indicator(pair: SgRomPair, mu_center, mu_trial):
 # ---------------------------------------------------------------------------
 
 def _greedy_candidate(pair: SgRomPair, mus, which: str):
-    """Largest density-weighted residual over unsampled (node, mu) pairs.
+    """Largest residual over unsampled (node, mu) pairs.
 
     Ties break toward the lowest canonical node key and the earlier
     parameter point.  Returns None when every candidate is sampled.
@@ -332,8 +327,7 @@ def _greedy_candidate(pair: SgRomPair, mus, which: str):
         for key, ev in zip(quad.keys, evs):
             if (key, mk) in pair.basis.sampled_points:
                 continue
-            val = pair.problem.density(ev.coord) * (
-                ev.prim_res if which == "primal" else ev.adj_res)
+            val = ev.prim_res if which == "primal" else ev.adj_res
             if val > best_val:
                 best_val = val
                 best = (key, mu, ev)

@@ -156,7 +156,9 @@ def _run_sg_rom_tr(problem, cfg: RunConfig, out: Path):
     gnorm = float(np.linalg.norm(pair.model_gradient(state.mu)))
     _write_result(out, "sg-rom-tr", state.counters, mu_final,
                   status=state.status, iterations=state.k, final_gnorm=gnorm,
-                  grid_size=len(pair.grid), basis_k=pair.basis.k)
+                  grid_size=len(pair.grid), basis_k=pair.basis.k,
+                  rom_recoveries=state.counters.rom_recoveries,
+                  rom_stalls=state.counters.rom_stalls)
     return mu_final, state.counters, state.status, gnorm
 
 
@@ -278,6 +280,8 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     snapshots never raise the residual at five fixed nodes beyond a
     1e-12 slack (warm-chained solves).  ``mu`` is drawn from
     ``[-0.3, 0.3]``; the two parts use seeds ``seed`` and ``seed + 1``.
+    Every reduced primal solve must converge: a node that stagnates or
+    hits the iteration cap fails the suite and is named in the detail.
     """
     rng = np.random.default_rng(seed)
     y = rng.uniform(-1.0, 1.0, problem.n_y)
@@ -287,6 +291,7 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     basis = ReducedBasis(problem.n_u)
     basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"], y, mu)
     rp = solve_rom_primal(problem, basis, y[None], mu)
+    failed = ["interpolation node"] if rp.failed[0] else []
     ra = solve_rom_adjoint(problem, basis, rp.q, y[None], mu)
     interp = bool(
         rp.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(prim.u))
@@ -299,12 +304,14 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     basis = validation_seed_basis(problem)
     prev = None
     worst = -math.inf
+    stuck = np.zeros(len(nodes), dtype=bool)
     for _ in range(10):
         q0 = None
         if prev is not None:
             q0 = np.zeros((len(nodes), basis.k))
             q0[:, :prev.q.shape[1]] = prev.q
         rp = solve_rom_primal(problem, basis, nodes, mu, q0=q0)
+        stuck |= rp.failed
         if prev is not None:
             worst = max(worst, float(np.max(
                 rp.residual_norm - prev.residual_norm * (1 + 1e-12) - 1e-12)))
@@ -313,9 +320,13 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
         sa = solve_primal(problem, ya[None], mu)
         aa = solve_adjoint(problem, sa.u, ya[None], mu)
         basis.append_snapshots([sa.u[0], aa.lam[0]], ["primal", "adjoint"], ya, mu)
-    ok = interp and worst <= 0.0
-    return ok, (f"interpolation {'ok' if interp else 'VIOLATED'}, "
-                f"monotonicity slack-excess {worst:.2e} (<=0)")
+    failed += [f"monotonicity node {i}" for i in np.flatnonzero(stuck)]
+    ok = interp and worst <= 0.0 and not failed
+    detail = (f"interpolation {'ok' if interp else 'VIOLATED'}, "
+              f"monotonicity slack-excess {worst:.2e} (<=0)")
+    if failed:
+        detail += f", Gauss-Newton failed at {', '.join(failed)}"
+    return ok, detail
 
 
 def validation_seed_basis(problem) -> ReducedBasis:

@@ -92,11 +92,13 @@ class QueryCounters:
     n_ra: int = 0
     newton_iters: int = 0
     gn_iters: int = 0
-    #: reduced primal solves that stalled or hit the iteration cap and
-    #: were kept at their last iterate (not part of :meth:`snapshot`)
+    #: reduced primal solves that stagnated or hit the iteration cap
+    #: (``RomPrimal.failed``) and were kept at their last iterate; these
+    #: two are written to the SG-ROM-TR ``summary.txt``, not part of
+    #: :meth:`snapshot`
     rom_recoveries: int = 0
     #: reduced primal solves that ended on the stall branch with an
-    #: accepted gradient (not part of :meth:`snapshot`)
+    #: accepted gradient (``RomPrimal.stalled``)
     rom_stalls: int = 0
 
     def nbar_h(self) -> float:
@@ -141,8 +143,7 @@ class ModelProblem:
     n_mu: int
     name: str
 
-    #: half-width of the parameter box used for random validation draws;
-    #: solutions exist and Newton is robust throughout this region
+    #: half-width of the parameter box used for random validation draws
     mu_sample_halfwidth = 1.0
 
     #: largest relative error between the adjoint gradient and a central
@@ -184,12 +185,6 @@ class ModelProblem:
 
     def qoi_mu(self, u, y, mu):
         return self.alpha * np.asarray(mu, dtype=float)
-
-    # -- stochastic measure --------------------------------------------------
-
-    def density(self, y) -> float:
-        """Uniform density on [-1, 1]^n_y (constant)."""
-        return 2.0 ** (-self.n_y)
 
     def _check_nodes(self, y):
         if y.ndim != 2 or y.shape[1] != self.n_y:
@@ -261,8 +256,10 @@ class BurgersControl(ModelProblem):
 
     name = "burgers-control"
 
-    #: strongly negative forcing at low viscosity approaches a steady-state
-    #: fold, so random draws stay inside a smaller box
+    #: strongly negative forcing at low viscosity passes a steady-state
+    #: fold inside this box: on the level-6 tensor grid (1089 nodes),
+    #: ``solve_primal`` fails at 21 nodes for mu = -0.5 in every component
+    #: and at 25 for -0.4, at none for -0.3 or +0.5 (ROADMAP item 6)
     mu_sample_halfwidth = 0.5
 
     #: the objective is not quadratic in mu here, so the central

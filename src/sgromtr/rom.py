@@ -27,6 +27,14 @@ error indicators are residual norms, exact at whatever reduced state a
 solve returns.  The test has no tolerance and no absolute scale; it is
 computed from the same Jacobian bands that build ``J Phi``.
 
+For the same reason a primal solve returns every node, with its
+outcome, at its last iterate and that iterate's true residual norm:
+:attr:`RomPrimal.stalled` marks a node that stopped on the stall branch
+with an accepted gradient, :attr:`RomPrimal.failed` one that stagnated
+or hit ``GN_MAX_ITERS``.  A failed node is no failure of the run: its
+residual tells refinement where to sample.  :class:`RomSolveError` is
+left for a solve with no iterate to return.
+
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
 a stack of one).  Each Gauss-Newton step makes one stacked QR, one
 stacked triangular solve and at most two stacked residual calls for the
@@ -59,10 +67,6 @@ GN_MAX_ITERS = 60
 
 _EPS = np.finfo(float).eps
 
-# how a node of a primal stack ended: at the round-off test, on the stall
-# branch with an accepted gradient, on it with a failed one, at the cap
-_CONVERGED, _STALLED, _STAGNATED, _CAPPED = 0, 1, 2, 3
-
 
 @dataclass
 class RomPrimal:
@@ -72,6 +76,7 @@ class RomPrimal:
     residual_norm: np.ndarray  # (m,) true norms ||r(Phi q)||
     iters: np.ndarray          # (m,) Gauss-Newton steps taken per node
     stalled: np.ndarray        # (m,) stopped on the stall branch, gradient accepted
+    failed: np.ndarray         # (m,) stagnated, or ran GN_MAX_ITERS steps
 
     @property
     def gn_iters(self) -> int:
@@ -86,21 +91,8 @@ class RomAdjoint:
 
 
 class RomSolveError(RuntimeError):
-    """A reduced-order solve failed to reach its stationarity tolerance.
-
-    When some nodes of a primal stack stalled or hit the iteration cap,
-    the other nodes are solved first; ``result`` then holds every node's
-    last iterate and its true residual norm, and ``failed`` marks the
-    nodes that did not converge.  Both are None for a failure that
-    leaves no usable iterate (an empty basis, a singular reduced
-    Jacobian, a rank-deficient adjoint).
-    """
-
-    def __init__(self, message, result: RomPrimal | None = None,
-                 failed: np.ndarray | None = None):
-        super().__init__(message)
-        self.result = result
-        self.failed = failed
+    """A reduced-order solve left no iterate to return: an empty basis,
+    a singular reduced Jacobian or a rank-deficient adjoint."""
 
 
 @dataclass
@@ -251,9 +243,10 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     The stack is solved together: per step, one stacked QR and solve,
     one residual call for the full steps and one for every halving of
     the rejected nodes (see :func:`_backtrack`).  Nodes leave the stack
-    as they stop.  If any node stagnated or ran ``GN_MAX_ITERS`` steps,
-    :class:`RomSolveError` is raised after every other node has
-    finished, carrying all nodes' last iterates.
+    as they stop.  A node that stagnated or ran ``GN_MAX_ITERS`` steps
+    is returned at its last iterate and marked in :attr:`RomPrimal.failed`
+    (see the module docstring); :class:`RomSolveError` is raised only for
+    an empty basis or a singular reduced Jacobian.
     """
     k = basis.k
     if k == 0:
@@ -263,27 +256,13 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     q = np.zeros((len(ys), k)) if q0 is None else np.array(q0, dtype=float)
     slices, work = _parts(len(ys), basis.n_u, k)
     parts = [_gauss_newton(problem, basis, ys[p], mu, q[p], work) for p in slices]
-    q, rnorm, iters, status, grad = (np.concatenate(a) for a in zip(*parts))
-    result = RomPrimal(q, rnorm, iters, status == _STALLED)
-    stagnated, capped = status == _STAGNATED, status == _CAPPED
-    reasons = []
-    if stagnated.any():
-        reasons.append(f"Gauss-Newton stagnated at {stagnated.sum()} of "
-                       f"{len(ys)} nodes (reduced gradient up to "
-                       f"{grad[stagnated].max():.3e})")
-    if capped.any():
-        reasons.append(f"Gauss-Newton did not converge in {GN_MAX_ITERS} "
-                       f"iterations at {capped.sum()} of {len(ys)} nodes")
-    if reasons:
-        raise RomSolveError("; ".join(reasons), result, stagnated | capped)
-    return result
+    return RomPrimal(*(np.concatenate(a) for a in zip(*parts)))
 
 
 def _gauss_newton(problem, basis, ys, mu, q, work):
     """One part of :func:`solve_rom_primal` in the call's workspace
-    ``work`` (see :func:`_parts`); returns per-node arrays
-    ``(q, rnorm, iters, status, grad)``, ``grad`` the last reduced
-    gradient norm."""
+    ``work`` (see :func:`_parts`); returns the per-node arrays of
+    :class:`RomPrimal`."""
     phi = basis.columns
     out, tmp, aug = work
     m, k = q.shape
@@ -291,8 +270,8 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
     r = problem.residual(basis.expand(q), ys, mu)
     rnorm = kernels.row_norm(r)
     iters = np.zeros(m, dtype=int)
-    status = np.full(m, _CONVERGED)
-    grad = np.zeros(m)
+    stalled = np.zeros(m, dtype=bool)
+    failed = np.zeros(m, dtype=bool)
     live = np.arange(m)
     for _ in range(GN_MAX_ITERS):
         if not live.size:
@@ -303,7 +282,6 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
         jphi = kernels.band_matmat(lo, dg, up, phi, out[:n], tmp[:n])
         g = kernels.row_norm((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
         jnorm = kernels.row_norm(jphi.reshape(n, -1))
-        grad[live] = g
         # stationary at the gradient's own round-off (module docstring)
         terms = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up),
                                     np.abs(u)) + f
@@ -343,12 +321,12 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
             iters[at] += 1
         # once relative progress dies, a gradient well below its natural
         # bound ||J Phi|| ||r|| is stationary for every downstream use
-        stalled = ~moved & (g <= 1e-6 * (1.0 + jnorm * rn))
-        status[live[stalled]] = _STALLED
-        status[live[~moved & ~stalled]] = _STAGNATED
+        accept = g <= 1e-6 * (1.0 + jnorm * rn)
+        stalled[live[~moved & accept]] = True
+        failed[live[~moved & ~accept]] = True
         live = live[moved]
-    status[live] = _CAPPED
-    return q, rnorm, iters, status, grad
+    failed[live] = True
+    return q, rnorm, iters, stalled, failed
 
 
 #: step lengths 2^-1, ..., 2^-29 of the halvings after a rejected full step

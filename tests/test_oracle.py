@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import quadratic_minimizer
+from sgromtr.cli import validation_seed_basis
 from sgromtr.hdm import (LinearDiffusion, QueryCounters, adjoint_gradient,
                          solve_adjoint, solve_primal)
 from sgromtr.oracle import (cost_metric, fd_gradient, sg_iso_baseline,
@@ -181,11 +182,7 @@ def test_full_space_basis_excludes_everything():
 
 
 def test_seed_basis_ratio_statistics(lin):
-    basis = ReducedBasis(lin.n_u)
-    mu_seed = 0.3 * np.linspace(-1, 1, 8)
-    sol = solve_primal(lin, np.zeros((1, 2)), mu_seed)
-    basis.append_snapshots([sol.u[0]], ["primal"], np.zeros(2), mu_seed)
-    qe, ge = validate_bounds(lin, basis, 100)
+    qe, ge = validate_bounds(lin, validation_seed_basis(lin), 100)
     assert qe.n_samples == 100
     assert np.all(np.isfinite(qe.ratios)) and np.all(np.isfinite(ge.ratios))
     assert qe.max_ratio <= 10 * qe.median_ratio
@@ -207,15 +204,8 @@ def test_qoi_scaling_covariance():
     scaled = ScaledQoI(n_u=31)
     scaled.ref = base.ref.copy()
 
-    def k1(prob):
-        b = ReducedBasis(prob.n_u)
-        mu_seed = 0.3 * np.linspace(-1, 1, 8)
-        sol = solve_primal(prob, np.zeros((1, 2)), mu_seed)
-        b.append_snapshots([sol.u[0]], ["primal"], np.zeros(2), mu_seed)
-        return b
-
-    qe1, _ = validate_bounds(base, k1(base), 25, seed=5)
-    qe10, _ = validate_bounds(scaled, k1(scaled), 25, seed=5)
+    qe1, _ = validate_bounds(base, validation_seed_basis(base), 25, seed=5)
+    qe10, _ = validate_bounds(scaled, validation_seed_basis(scaled), 25, seed=5)
     np.testing.assert_allclose(qe10.ratios, 10.0 * np.asarray(qe1.ratios),
                                rtol=1e-9)
 

@@ -6,6 +6,7 @@ import pytest
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
 from sgromtr import kernels, rom
+from sgromtr.cli import suite_rom_properties
 from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
                          solve_rom_adjoint, solve_rom_primal)
 
@@ -240,12 +241,18 @@ def test_backtracking_stops_where_the_model_predicts_stagnation():
     far = np.zeros(n)
     far[5] = 1.0
     problem = _NoisyAffineProblem(far)
-    with pytest.raises(RomSolveError, match="stagnated"):
-        solve_rom_primal(problem, basis, np.zeros((1, 2)), np.zeros(3),
-                         q0=np.array([[1e-4, 0.0]]))
+    q0 = np.array([[1e-4, 0.0]])
+    prim = solve_rom_primal(problem, basis, np.zeros((1, 2)), np.zeros(3), q0=q0)
     # the initial residual, the full step, then the 13 halvings at once
     assert problem.residual_rows == 1 + 14
     assert problem.residual_calls == 3
+    # the gradient 1e-4 is above 1e-6 of its bound: the node stagnated
+    # and is returned at its start, with the residual there
+    np.testing.assert_array_equal(prim.failed, [True])
+    np.testing.assert_array_equal(prim.stalled, [False])
+    np.testing.assert_array_equal(prim.iters, [0])
+    np.testing.assert_array_equal(prim.q, q0)
+    np.testing.assert_allclose(prim.residual_norm, np.hypot(1.0, 1e-4), rtol=1e-15)
 
 
 class _TrialNoiseProblem(_AffineProblem):
@@ -314,16 +321,27 @@ def test_iteration_cap_carries_every_last_iterate(monkeypatch):
     q0 = q_star + np.array([[0.3, -0.2], [2e-6, 0.0], [1e-7, 0.0]])
     problem = _TrialNoiseProblem(basis.columns @ q_star + far, basis.expand(q0))
     monkeypatch.setattr(rom, "GN_MAX_ITERS", 1)
-    with pytest.raises(RomSolveError, match="did not converge in 1 iterations") as info:
-        solve_rom_primal(problem, basis, np.zeros((3, 2)), np.zeros(3), q0=q0)
-    result, failed = info.value.result, info.value.failed
-    np.testing.assert_array_equal(failed, [True, False, False])
+    result = solve_rom_primal(problem, basis, np.zeros((3, 2)), np.zeros(3), q0=q0)
+    np.testing.assert_array_equal(result.failed, [True, False, False])
+    np.testing.assert_array_equal(result.stalled, [False, True, True])
     np.testing.assert_array_equal(result.iters, [1, 0, 0])
     np.testing.assert_allclose(result.q[0], q_star, atol=1e-15)
     np.testing.assert_array_equal(result.q[1:], q0[1:])
     # the true residual norms at the returned iterates
     true = np.linalg.norm(problem.residual(basis.expand(result.q), None, None), axis=1)
     np.testing.assert_allclose(result.residual_norm, true, rtol=1e-15)
+
+
+def test_rom_properties_suite_fails_on_a_capped_solve(bur, monkeypatch):
+    ok, detail = suite_rom_properties(bur, 2024)
+    assert ok and "Gauss-Newton failed" not in detail
+    # a cap of 9 steps leaves interpolation and monotonicity intact and
+    # cuts off one of the five monotonicity nodes
+    monkeypatch.setattr(rom, "GN_MAX_ITERS", 9)
+    ok, detail = suite_rom_properties(bur, 2024)
+    assert not ok
+    assert detail.startswith("interpolation ok, monotonicity slack-excess -")
+    assert detail.endswith(", Gauss-Newton failed at monotonicity node 3")
 
 
 def test_interpolation_converges_from_cold_and_exact_starts(bur):
