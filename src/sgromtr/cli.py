@@ -290,11 +290,10 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     adj = solve_adjoint(problem, prim.u, y[None], mu)
     basis = ReducedBasis(problem.n_u)
     basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"], y, mu)
-    rp = solve_rom_primal(problem, basis, y[None], mu)
-    failed = ["interpolation node"] if rp.failed[0] else []
-    ra = solve_rom_adjoint(problem, basis, rp.q, y[None], mu)
+    ip = solve_rom_primal(problem, basis, y[None], mu)
+    ra = solve_rom_adjoint(problem, basis, ip.q, y[None], mu)
     interp = bool(
-        rp.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(prim.u))
+        ip.residual_norm[0] <= 1e-8 * (1 + np.linalg.norm(prim.u))
         and ra.residual_norm[0] <= 1e-8 * (
             1 + np.linalg.norm(problem.qoi_u(prim.u, y[None], mu))))
 
@@ -320,7 +319,8 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
         sa = solve_primal(problem, ya[None], mu)
         aa = solve_adjoint(problem, sa.u, ya[None], mu)
         basis.append_snapshots([sa.u[0], aa.lam[0]], ["primal", "adjoint"], ya, mu)
-    failed += [f"monotonicity node {i}" for i in np.flatnonzero(stuck)]
+    failed = (["interpolation node"] * bool(ip.failed[0])
+              + [f"monotonicity node {i}" for i in np.flatnonzero(stuck)])
     ok = interp and worst <= 0.0 and not failed
     detail = (f"interpolation {'ok' if interp else 'VIOLATED'}, "
               f"monotonicity slack-excess {worst:.2e} (<=0)")

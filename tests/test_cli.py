@@ -193,6 +193,7 @@ def test_sg_iso_report_has_no_rom_queries(tmp_path):
     summary = read_summary(out)
     assert summary["n_rp"] == "0" and summary["n_ra"] == "0"
     assert int(summary["n_hp"]) > 0
+    assert "rom_recoveries" not in summary and "rom_stalls" not in summary
 
 
 def test_solver_failure_exit_code(tmp_path):
@@ -320,6 +321,16 @@ def test_history_rows_describe_the_pair_handed_on(finished_run):
     summary = read_summary(finished_run)
     assert rows[-1]["grid_size"] == summary["grid_size"]
     assert rows[-1]["basis_k"] == summary["basis_k"]
+
+
+def test_summary_counts_reduced_solve_outcomes(finished_run):
+    # the nodes that stagnated or hit the cap, and those that stalled
+    summary = read_summary(finished_run)
+    keys = list(summary)
+    at = keys.index("basis_k") + 1
+    assert keys[at:at + 2] == ["rom_recoveries", "rom_stalls"]
+    for key in keys[at:at + 2]:
+        assert re.fullmatch(r"\d+", summary[key])
 
 
 def test_writing_reports_solves_nothing(finished_run):

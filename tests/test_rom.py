@@ -296,6 +296,8 @@ def test_mixed_stack_matches_stacks_of_one(monkeypatch):
     # initial residuals, full steps, and node 1's single halving
     assert problem.residual_rows == 3 + 2 + 1
     np.testing.assert_array_equal(stack.iters, [1, 0, 0])
+    np.testing.assert_array_equal(stack.failed, [False, False, False])
+    np.testing.assert_array_equal(stack.stalled, [False, True, True])
     np.testing.assert_array_equal(stack.q[1:], q0[1:])
     for i in range(3):
         alone, _ = solve([i])
@@ -303,11 +305,15 @@ def test_mixed_stack_matches_stacks_of_one(monkeypatch):
         np.testing.assert_array_equal(stack.residual_norm[i],
                                       alone.residual_norm[0])
         assert stack.iters[i] == alone.gn_iters
+        assert stack.failed[i] == alone.failed[0]
+        assert stack.stalled[i] == alone.stalled[0]
     monkeypatch.setattr(kernels, "STACK_BYTES", 1)   # one node per part
     split, _ = solve([0, 1, 2])
     np.testing.assert_array_equal(split.q, stack.q)
     np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
     np.testing.assert_array_equal(split.iters, stack.iters)
+    np.testing.assert_array_equal(split.failed, stack.failed)
+    np.testing.assert_array_equal(split.stalled, stack.stalled)
 
 
 def test_iteration_cap_carries_every_last_iterate(monkeypatch):
@@ -335,13 +341,13 @@ def test_iteration_cap_carries_every_last_iterate(monkeypatch):
 def test_rom_properties_suite_fails_on_a_capped_solve(bur, monkeypatch):
     ok, detail = suite_rom_properties(bur, 2024)
     assert ok and "Gauss-Newton failed" not in detail
-    # a cap of 9 steps leaves interpolation and monotonicity intact and
-    # cuts off one of the five monotonicity nodes
-    monkeypatch.setattr(rom, "GN_MAX_ITERS", 9)
+    # a cap of one step cuts off every cold solve before its
+    # stationarity check, so every node is named
+    monkeypatch.setattr(rom, "GN_MAX_ITERS", 1)
     ok, detail = suite_rom_properties(bur, 2024)
     assert not ok
-    assert detail.startswith("interpolation ok, monotonicity slack-excess -")
-    assert detail.endswith(", Gauss-Newton failed at monotonicity node 3")
+    assert detail.endswith(", Gauss-Newton failed at interpolation node, "
+                           + ", ".join(f"monotonicity node {i}" for i in range(5)))
 
 
 def test_interpolation_converges_from_cold_and_exact_starts(bur):
@@ -376,7 +382,7 @@ def test_converged_node_restarts_without_a_step(bur, monkeypatch):
     # round-off test at once: one residual call and no QR
     basis, ys, mu = _interpolating_stack(bur)
     cold = solve_rom_primal(bur, basis, ys[:1], mu)
-    assert cold.gn_iters > 0 and not cold.stalled[0]
+    assert cold.gn_iters > 0 and not cold.stalled[0] and not cold.failed[0]
     calls = {"residual": 0, "qr": 0}
     residual, qr = bur.residual, np.linalg.qr
 
@@ -413,11 +419,14 @@ def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
     assert prim.q.shape == adj.eta.shape == (5, basis.k)
     assert prim.iters[0] == 0 and 0 < prim.iters[2] < prim.iters[3]
     assert not prim.stalled[[0, 2]].any() and prim.stalled[[1, 3]].all()
+    assert not prim.failed.any()
     for i in range(5):
         one = solve_rom_primal(bur, basis, ys[[i]], mu, q0=q0[[i]])
         np.testing.assert_array_equal(prim.q[i], one.q[0])
         np.testing.assert_array_equal(prim.residual_norm[i], one.residual_norm[0])
         assert prim.iters[i] == one.iters[0]
+        assert prim.stalled[i] == one.stalled[0]
+        assert prim.failed[i] == one.failed[0]
         one_adj = solve_rom_adjoint(bur, basis, one.q, ys[[i]], mu)
         np.testing.assert_array_equal(adj.eta[i], one_adj.eta[0])
         np.testing.assert_array_equal(adj.residual_norm[i], one_adj.residual_norm[0])
@@ -448,6 +457,8 @@ def test_stop_depends_on_no_absolute_scale(bur):
     np.testing.assert_array_equal(scaled.q, plain.q)
     np.testing.assert_array_equal(scaled.iters, plain.iters)
     np.testing.assert_array_equal(scaled.stalled, plain.stalled)
+    np.testing.assert_array_equal(scaled.failed, plain.failed)
+    assert not plain.failed.any()
     np.testing.assert_array_equal(scaled.residual_norm,
                                   2.0 ** 20 * plain.residual_norm)
 
