@@ -27,8 +27,10 @@ surface (:meth:`ModelProblem.residual`, ``jac_bands``, ``qoi``,
 entry per node, and each row is bitwise equal to its own stack of one.
 A solve runs one damped-Newton loop and one adjoint sweep for all of
 its nodes, with per-node index sets for the stopping, backtracking and
-continuation rules, and it cuts its stack into parts that fit
-``kernels.STACK_BYTES``.
+continuation rules, and it cuts its stack into balanced parts that fit
+``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats per node (see
+:func:`_in_parts`): at ``n_u = 127`` a level-5 tensor grid of 289 nodes
+is two parts, so two Thomas sweeps per Newton step.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ import numpy as np
 
 from . import kernels
 from .sparse_grid import node_sum, tensor_nodes
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "ModelProblem", "LinearDiffusion", "BurgersControl",
@@ -331,46 +335,77 @@ def _solved(bands, b):
     return x
 
 
+def _rows(a, at):
+    """``a[at]`` for a sorted index set ``at``: ``a`` itself, not a copy,
+    when ``at`` holds every row."""
+    return a if len(at) == len(a) else a[at]
+
+
 def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r=None):
     """Damped Newton iteration on a stack.
 
     Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
     node stops once it meets its tolerance, on a singular Jacobian (a
     non-finite step), or when 30 halvings of its step find no decrease;
-    the others go on.  All nodes of one backtracking round share the
-    step length, so a round is one stacked residual call.  The rows of
-    ``u`` are updated in place; ``r``, if given, is the residual at ``u``.
+    the others go on.  A node whose halvings are exhausted is ``ok`` if
+    its ``||r||`` is at most the residual's own round-off
+    ``eps || |J||u| + |f| ||`` (``f`` the source, see
+    :func:`kernels.roundoff_scale`): no step resolves a smaller
+    residual.  The rows of ``u`` are updated in place; ``r``, if given,
+    is the residual at ``u``.
     """
     if r is None:
         r = problem.residual(u, y, mu)
     rnorm = kernels.row_norm(r)
     tol = tol_abs + tol_rel * rnorm
     iters = np.zeros(len(rnorm), int)
-    failed = np.zeros(len(rnorm), bool)
+    stopped = np.zeros(len(rnorm), bool)
     for _ in range(max_iters):
-        at = np.flatnonzero((rnorm > tol) & ~failed)
+        at = np.flatnonzero((rnorm > tol) & ~stopped)
         if not at.size:
             break
-        step = kernels.band_solve(*problem.jac_bands(u[at], y[at], mu), -r[at])
-        solved = np.isfinite(step).all(-1)     # singular Jacobians stop
-        failed[at[~solved]] = True
+        singular, stuck = _damped_step(problem, y, mu, u, r, rnorm, iters, at)
+        stopped[singular] = stopped[stuck] = True
+        if stuck.size:
+            # the bands at the iterate the exhausted step started from
+            scale = kernels.roundoff_scale(*problem.jac_bands(u[stuck], y[stuck], mu),
+                                           u[stuck], problem.source(mu))
+            tol[stuck] = np.maximum(tol[stuck], _EPS * scale)
+    return u, rnorm, iters, rnorm <= tol
+
+
+def _damped_step(problem, y, mu, u, r, rnorm, iters, at):
+    """One Newton step of the nodes ``at``, halved (up to 30 times) until
+    it decreases each node's ``||r||``.  All nodes of one round share the
+    step length, so a round is one stacked residual call.  The accepted
+    rows of ``u``, ``r``, ``rnorm`` and ``iters`` are updated in place,
+    with no gather or scatter while every node of the stack is live.
+    Returns the nodes with a singular Jacobian (a non-finite step) and
+    those no halving decreased."""
+    step = kernels.band_solve(*problem.jac_bands(_rows(u, at), _rows(y, at), mu),
+                              -_rows(r, at))
+    solved = np.isfinite(step).all(-1)
+    singular = at[~solved]
+    if singular.size:
         at, step = at[solved], step[solved]
-        t = 1.0
-        for _ in range(30):
-            if not at.size:
-                break
-            u_try = u[at] + t * step
-            r_try = problem.residual(u_try, y[at], mu)
-            n_try = kernels.row_norm(r_try)
-            down = n_try < rnorm[at]
+    t = 1.0
+    for _ in range(30):
+        if not at.size:
+            break
+        u_try = _rows(u, at) + t * step
+        r_try = problem.residual(u_try, _rows(y, at), mu)
+        n_try = kernels.row_norm(r_try)
+        down = n_try < rnorm[at]
+        if len(at) == len(u) and down.all():
+            u[...], r[...], rnorm[...] = u_try, r_try, n_try
+        else:
             done = at[down]
             u[done], r[done], rnorm[done] = u_try[down], r_try[down], n_try[down]
-            iters[done] += 1
-            at, step = at[~down], step[~down]
-            t *= 0.5
-        else:                                  # backtracking exhausted
-            failed[at] = True
-    return u, rnorm, iters, rnorm <= tol
+        iters[at[down]] += 1
+        at, step = at[~down], step[~down]
+        t *= 0.5
+        del u_try, r_try                   # before the next trial is built
+    return singular, at
 
 
 def _start(problem, y, mu):
@@ -410,11 +445,18 @@ def _primal(problem, y, mu, u0, tol_abs, tol_rel, max_iters):
 
 
 def _in_parts(solve, problem, y, *stacks):
-    """``solve(y, *stacks)`` on parts of a stack whose residual and three
-    Jacobian bands fit ``kernels.STACK_BYTES``, with the parts' outputs
-    joined; a None stack stays None."""
+    """``solve(y, *stacks)`` on parts of a stack that fit
+    ``kernels.STACK_BYTES``, with the parts' outputs joined; a None
+    stack stays None.
+
+    A node counts ten arrays of ``n_u`` floats, its peak in a Newton or
+    adjoint sweep as ``tracemalloc`` measures it (9.3 to 10.2 on Burgers
+    stacks of 289 to 64 nodes): at the line search, the state,
+    residual, step and trial state, and the six or so temporaries of the
+    residual kernel; the adjoint's bands, right-hand side and Thomas
+    rows hold less."""
     parts = [solve(y[p], *(None if a is None else a[p] for a in stacks))
-             for p in kernels.stack_parts(len(y), 32 * problem.n_u)]
+             for p in kernels.stack_parts(len(y), 80 * problem.n_u)]
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
@@ -487,14 +529,15 @@ def solve_adjoint(problem, u, y, mu,
 
 def _adjoint(problem, u, y, mu):
     """Adjoint states and residual norms of a stack."""
-    lo, dg, up = problem.jac_bands(u, y, mu)
+    up_t, dg, lo_t = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
-    # the bands of (dr/du)^T: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
-    lo_t, up_t = np.zeros(lo.shape), np.zeros(up.shape)
-    lo_t[..., 1:], up_t[..., :-1] = up[..., :-1], lo[..., 1:]
+    # the bands of (dr/du)^T, shifted in place: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
+    lo_t[..., 1:], lo_t[..., 0] = lo_t[..., :-1], 0.0
+    up_t[..., :-1], up_t[..., -1] = up_t[..., 1:], 0.0
     lam = _solved((lo_t, dg, up_t), rhs)
-    # adjoint_residual's expression, from the bands already built
-    return lam, kernels.row_norm(kernels.band_t_matvec(lo, dg, up, lam) - rhs)
+    # adjoint_residual's expression: band_matvec of the transposed bands
+    # forms the same products and sums as band_t_matvec of the bands
+    return lam, kernels.row_norm(kernels.band_matvec(lo_t, dg, up_t, lam) - rhs)
 
 
 def adjoint_gradient(problem, lam, u, y, mu):

@@ -18,11 +18,18 @@ operand ``V`` of shape ``(n, k)`` is shared by all nodes, giving an
 ``(m, n, k)`` product.  Each row is computed by the same elementwise
 operations whatever ``m`` is, so it is bitwise equal to its own
 one-row call.  The solvers cut their stacks with :func:`stack_parts`
-into parts that fit ``STACK_BYTES``: a full-model part holds a few
-``(m, n)`` arrays, and a reduced part the ``(m, n, k)`` products of the
-workspace its solve call allocates once.  The matrix products
-:func:`band_matmat` and :func:`band_t_matmat` write into arrays the
-caller passes, so that workspace is reused by every iteration.
+into balanced parts that fit ``STACK_BYTES``, each solver declaring
+what one node holds at the peak of its sweep (measured with
+``tracemalloc``).  A full-model node holds about ten ``(n,)`` arrays:
+state, residual, step and line-search trial, and the temporaries of
+the residual kernel.  A reduced node holds the ``(n, k)`` products of
+the workspace its solve call allocates once and, at its QR, numpy's
+copy of ``[J Phi | r]``: about ``5k + 3`` columns of ``n``.  The
+full model wants few parts: :func:`band_solve` loops over the ``n``
+rows in Python, so one call costs about the same at any node count.
+The matrix products :func:`band_matmat` and :func:`band_t_matmat`
+write into arrays the caller passes, so the reduced workspace is
+reused by every iteration.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -33,15 +40,22 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Bytes of per-node arrays that one stacked solve, reduced or full, holds.
-STACK_BYTES = 2 ** 18
+#: Bytes that one part of a stacked solve, reduced or full, may hold at
+#: its peak.  At n = 127 this puts the 289 nodes of a level-5 tensor
+#: grid in two full-model parts (a Thomas sweep per part, whatever its
+#: size), and six reduced nodes at k = 47 in one part.
+STACK_BYTES = 3 * 2 ** 19
 
 
 def stack_parts(m, node_bytes):
-    """Slices of a stack of ``m`` nodes of ``node_bytes`` each that fit
-    ``STACK_BYTES``, at least one node per part."""
-    size = max(1, STACK_BYTES // node_bytes)
-    return [slice(s, s + size) for s in range(0, m, size)]
+    """Slices of a stack of ``m`` nodes of ``node_bytes`` each into the
+    fewest parts that fit ``STACK_BYTES``, at least one node per part.
+    The parts are balanced, their sizes differing by at most one, and
+    the larger come first, so the first part is as large as any."""
+    count = -(-m // max(1, STACK_BYTES // node_bytes))
+    size, extra = divmod(m, max(count, 1))
+    starts = [i * size + min(i, extra) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(starts, starts[1:])]
 
 
 def _pad(u, left, right):
@@ -119,6 +133,15 @@ def band_t_matmat(lo, dg, up, V, out, tmp):
     np.multiply(lo[..., 1:, None], V[1:], out=tmp[..., :-1, :])
     out[..., :-1, :] += tmp[..., :-1, :]
     return out
+
+
+def roundoff_scale(lo, dg, up, u, f):
+    """``|| |A||u| + |f| ||`` of each row: the size of the terms that a
+    residual ``A u - f`` with the tridiagonal ``A`` of these bands sums.
+    Floating point knows that residual only to about ``eps`` times this
+    (the rounding bound of a sum), so the solvers stop there."""
+    return row_norm(band_matvec(np.abs(lo), np.abs(dg), np.abs(up), np.abs(u))
+                    + np.abs(f))
 
 
 def row_dot(x):

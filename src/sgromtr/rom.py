@@ -40,8 +40,9 @@ a stack of one).  Each Gauss-Newton step makes one stacked QR, one
 stacked triangular solve and at most two stacked residual calls for the
 whole stack, and per-node masks apply the stopping and backtracking
 rules, so every node's result is bitwise equal to solving it alone.  A
-stack is cut by :func:`kernels.stack_parts` into parts whose stacked
-``n_u x (k + 1)`` matrices fit ``kernels.STACK_BYTES``.  A part holds
+stack is cut by :func:`kernels.stack_parts` into balanced parts that
+fit ``kernels.STACK_BYTES`` at about ``5k + 3`` columns of ``n_u`` per
+node (see :func:`_parts`).  A part holds
 ``J Phi``, the scratch of its band products and the augmented
 ``[J Phi | r]`` in one workspace that the solve call allocates once for
 its largest part and every iteration of every part reuses, so an
@@ -196,15 +197,21 @@ def _augmented_r(a, b, aug):
 
 
 def _parts(m, n_u, k):
-    """Slices of a stack of ``m`` nodes whose ``[J Phi | r]`` fit the
-    budget, and the workspace of the solve call: the arrays that every
-    iteration of every part reuses, ``J Phi`` (or ``J^T Phi``), the
-    scratch of its shifted band products and ``[J Phi | r]``, each sized
-    for the largest part (the first).  An iteration on ``n`` nodes uses
-    their first ``n`` rows.  The three are C-contiguous views of one
-    allocation, ``J Phi`` at its start."""
-    slices = kernels.stack_parts(m, 8 * n_u * (k + 1))
-    size = min(m, slices[0].stop)
+    """Slices of a stack of ``m`` nodes that fit the budget, and the
+    workspace of the solve call: the arrays that every iteration of
+    every part reuses, ``J Phi`` (or ``J^T Phi``), the scratch of its
+    shifted band products and ``[J Phi | r]``, each sized for the
+    largest part (the first).  An iteration on ``n`` nodes uses their
+    first ``n`` rows.  The three are C-contiguous views of one
+    allocation, ``J Phi`` at its start.
+
+    A node holds ``3k + 1`` columns of ``n_u`` in the workspace and, at
+    the QR, numpy's copy of ``[J Phi | r]``, its triangular factor and
+    the node's state-sized vectors: ``tracemalloc`` measures 237 to 249
+    columns at ``n_u = 127``, ``k = 47`` (118 to 123 at ``k = 24``), so
+    the budget counts ``5k + 3``."""
+    slices = kernels.stack_parts(m, 8 * n_u * (5 * k + 3))
+    size = slices[0].stop
     block = np.empty(size * n_u * (3 * k + 1))
     cut = size * n_u * k
     return slices, (block[:cut].reshape(size, n_u, k),
@@ -266,7 +273,7 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
     phi = basis.columns
     out, tmp, aug = work
     m, k = q.shape
-    f = np.abs(problem.source(mu))
+    f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
     rnorm = kernels.row_norm(r)
     iters = np.zeros(m, dtype=int)
@@ -283,9 +290,7 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
         g = kernels.row_norm((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
         jnorm = kernels.row_norm(jphi.reshape(n, -1))
         # stationary at the gradient's own round-off (module docstring)
-        terms = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up),
-                                    np.abs(u)) + f
-        go = ~(g <= _EPS * jnorm * kernels.row_norm(terms))
+        go = ~(g <= _EPS * jnorm * kernels.roundoff_scale(lo, dg, up, u, f))
         if not go.all():
             # move the rows that go on to the front in place (a gather
             # would allocate a new stack)

@@ -336,6 +336,79 @@ def test_stack_failure_after_continuation(bur, monkeypatch):
     assert counters.n_hp == counters.newton_iters == 0
 
 
+def test_level5_grid_is_two_full_model_parts(bur, monkeypatch):
+    # a Thomas sweep costs about the same at any node count, so the 289
+    # nodes of a level-5 tensor grid at n_u = 127 are two parts, of 145
+    # and 144, in the Newton and in the adjoint sweep
+    from sgromtr import hdm
+    from sgromtr.sparse_grid import tensor_nodes
+    sizes = {}
+
+    def counted(name, solve):
+        def wrapper(problem, stack, *args):
+            sizes.setdefault(name, []).append(len(stack))
+            return solve(problem, stack, *args)
+        return wrapper
+
+    for name in ("_primal", "_adjoint"):
+        monkeypatch.setattr(hdm, name, counted(name, getattr(hdm, name)))
+    _, ys, _ = tensor_nodes((5, 5))
+    prim = solve_primal(bur, ys, np.zeros(8))
+    solve_adjoint(bur, prim.u, ys, np.zeros(8))
+    assert sizes == {"_primal": [145, 144], "_adjoint": [145, 144]}
+
+
+@pytest.mark.parametrize("n_u", [511, 1023])
+def test_fine_mesh_burgers_builds(n_u):
+    # Newton stalls at the residual's round-off, above its 1e-12
+    # tolerance, at 9 and 23 of the tracking target's 25 nodes; a stall
+    # at round-off is converged
+    assert np.isfinite(BurgersControl(n_u=n_u).ref).all()
+
+
+def test_warm_start_stalls_at_roundoff_are_accepted(monkeypatch):
+    # a warm start sets the tolerance to about 1e-12 (1 + ||r(start)||),
+    # below the round-off eps || |J||u| + |f| || of the residual on 289
+    # nodes at n_u = 255: nodes whose line search is exhausted there are
+    # accepted, each at or below that bound, without continuation
+    from sgromtr.sparse_grid import tensor_nodes
+    calls = _count_continuation(monkeypatch)
+    prob = BurgersControl(n_u=255, ref_level=1)
+    _, ys, _ = tensor_nodes((5, 5))
+    cold = solve_primal(prob, ys, np.zeros(8))
+    mu = np.full(8, 0.01)
+    warm = solve_primal(prob, ys, mu, u0=cold.u)
+    start = prob.residual(prob.initial_state(ys, mu), ys, mu)
+    tol = (1e-12 * (1.0 + kernels.row_norm(start))
+           + 1e-12 * kernels.row_norm(prob.residual(cold.u, ys, mu)))
+    floor = np.finfo(float).eps * kernels.roundoff_scale(
+        *prob.jac_bands(warm.u, ys, mu), warm.u, prob.source(mu))
+    assert (warm.residual_norm <= np.maximum(tol, floor)).all()
+    assert (warm.residual_norm > tol).any()
+    assert not calls
+
+
+class FlippedJacobian(LinearDiffusion):
+    """Linear diffusion whose Jacobian has the wrong sign, so that every
+    Newton step climbs."""
+
+    def jac_bands(self, u, y, mu):
+        return tuple(-b for b in super().jac_bands(u, y, mu))
+
+
+def test_stall_above_roundoff_is_solver_error():
+    # every halving of the step raises ||r||, which stays far above its
+    # round-off, so the exhausted node still fails
+    prob = FlippedJacobian()
+    y, mu = sample_point(prob, 5)
+    with pytest.raises(SolverError, match="after 0 iterations") as err:
+        solve_primal(prob, y, mu)
+    u = err.value.u[None]
+    floor = np.finfo(float).eps * kernels.roundoff_scale(
+        *prob.jac_bands(u, y, mu), u, prob.source(mu))
+    assert err.value.residual_norm > 1e6 * floor[0]
+
+
 def test_counters_track_newton_iterations(bur):
     counters = QueryCounters()
     y, mu = sample_point(bur, 17)

@@ -194,3 +194,30 @@ def test_band_solve_on_converged_jacobians(cls, lin, bur):
             x = _one_row((lo, dg, up), b)
             res = band_to_dense(lo, dg, up) @ x - b
             assert np.linalg.norm(res) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_roundoff_scale_matches_dense(data):
+    # || |A||u| + |f| || of each row, against the dense matrix
+    lo, dg, up, v = data["lo"], data["dg"], data["up"], data["v"]
+    f = data["V"][:, 0]
+    expected = np.linalg.norm(np.abs(band_to_dense(lo, dg, up)) @ np.abs(v) + np.abs(f))
+    got = kernels.roundoff_scale(*(b[None] for b in (lo, dg, up)), v[None], f)
+    assert got.shape == (1,)
+    np.testing.assert_allclose(got[0], expected, rtol=1e-14)
+
+
+def test_stack_parts_are_balanced_and_fit(monkeypatch):
+    # the fewest parts that fit the budget (one node when a node alone
+    # does not), covering the stack in order, with sizes that differ by
+    # at most one and the larger first
+    monkeypatch.setattr(kernels, "STACK_BYTES", 1000)
+    for node_bytes in (1, 7, 99, 100, 101, 333, 999, 1000, 1001, 5000):
+        cap = max(1, 1000 // node_bytes)
+        for m in range(60):
+            parts = kernels.stack_parts(m, node_bytes)
+            sizes = [p.stop - p.start for p in parts]
+            assert [i for p in parts for i in range(p.start, p.stop)] == list(range(m))
+            assert len(parts) == -(-m // cap)
+            assert sizes == sorted(sizes, reverse=True)
+            assert not sizes or sizes[0] - sizes[-1] <= 1
+            assert all(s * node_bytes <= 1000 or s == 1 for s in sizes)

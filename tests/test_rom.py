@@ -412,7 +412,7 @@ def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
     ys = ys[[0, 1, 0, 2, 3]]
     q0 = np.zeros((5, basis.k))
     q0[0] = converged
-    monkeypatch.setattr(kernels, "STACK_BYTES", 2 * 8 * bur.n_u * (basis.k + 1))
+    monkeypatch.setattr(kernels, "STACK_BYTES", 2 * 8 * bur.n_u * (5 * basis.k + 3))
     assert [len(ys[p]) for p in rom._parts(5, bur.n_u, basis.k)[0]] == [2, 2, 1]
     prim = solve_rom_primal(bur, basis, ys, mu, q0=q0)
     adj = solve_rom_adjoint(bur, basis, prim.q, ys, mu)
@@ -430,6 +430,19 @@ def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
         one_adj = solve_rom_adjoint(bur, basis, one.q, ys[[i]], mu)
         np.testing.assert_array_equal(adj.eta[i], one_adj.eta[0])
         np.testing.assert_array_equal(adj.residual_norm[i], one_adj.residual_norm[0])
+
+
+def test_parts_workspace_holds_every_part(monkeypatch):
+    # parts of at most seven nodes at n_u = 127, k = 47: the workspace is
+    # sized from the first part, so that part must be as large as any
+    n_u, k = 127, 47
+    monkeypatch.setattr(kernels, "STACK_BYTES", 7 * 8 * n_u * (5 * k + 3))
+    for m in range(1, 41):
+        slices, work = rom._parts(m, n_u, k)
+        size = len(work[0])
+        assert [w.shape for w in work] == [(size, n_u, k)] * 2 + [(size, n_u, k + 1)]
+        sizes = [len(range(m)[p]) for p in slices]
+        assert sum(sizes) == m and max(sizes) <= size <= 7
 
 
 class _Scaled:
