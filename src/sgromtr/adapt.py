@@ -82,7 +82,7 @@ class NodeEval:
     q: np.ndarray
     prim_res: float
     fval: float
-    gn_iters: int
+    gn_iters: int         # Gauss-Newton steps of this solve
     adj_res: float | None = None
     ghat: np.ndarray | None = None
     gnorm: float | None = None    # ||ghat||
@@ -195,16 +195,12 @@ class SgRomPair:
         q0 = self._warm_starts(missing, mk, near)
         ys = np.array([coord for _, coord in missing], dtype=float)
         prim = solve_rom_primal(self.problem, self.basis, ys, mu, q0=q0)
-        self.counters.rom_recoveries += int(prim.failed.sum())
-        self.counters.rom_stalls += int(prim.stalled.sum())
+        self.counters.count_rom_primals(prim)
         fval = self.problem.qoi(self.basis.expand(prim.q), ys, mu)
-        iters = np.maximum(prim.iters, 1)
         nodes = self._nodes.setdefault(mk, {})
         for i, (key, _) in enumerate(missing):
             nodes[key] = NodeEval(ys[i], prim.q[i], float(prim.residual_norm[i]),
-                                  float(fval[i]), int(iters[i]))
-        self.counters.n_rp += len(missing)
-        self.counters.gn_iters += int(iters.sum())
+                                  float(fval[i]), int(prim.iters[i]))
 
     def ensure_adjoints(self, mu, keys) -> None:
         """Solve the adjoint at every listed node at ``mu`` that lacks one.
@@ -346,11 +342,12 @@ def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> None:
     coord = ev.coord[None]
     try:
         prim = solve_primal(pair.problem, coord, mu,
-                            u0=(pair.basis.columns @ ev.q)[None],
-                            counters=pair.counters)
+                            u0=(pair.basis.columns @ ev.q)[None])
     except SolverError:
-        prim = solve_primal(pair.problem, coord, mu, counters=pair.counters)
-    adj = solve_adjoint(pair.problem, prim.u, coord, mu, counters=pair.counters)
+        prim = solve_primal(pair.problem, coord, mu)
+    pair.counters.count_primals(prim)
+    adj = solve_adjoint(pair.problem, prim.u, coord, mu)
+    pair.counters.n_ha += 1
     pair.basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"],
                                 ev.coord, mu)
     pair.basis.sampled_points.add((key, _mu_key(mu)))

@@ -31,6 +31,9 @@ continuation rules, and it cuts its stack into balanced parts that fit
 ``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats per node (see
 :func:`_in_parts`): at ``n_u = 127`` a level-5 tensor grid of 289 nodes
 is two parts, so two Thomas sweeps per Newton step.
+
+Like the reduced solvers, the solvers here take no tolerance (Newton's
+are the ``NEWTON_*`` constants) and count no query (see :class:`QueryCounters`).
 """
 
 from __future__ import annotations
@@ -53,23 +56,29 @@ __all__ = [
 ]
 
 
-class SolverError(RuntimeError):
-    """A nonlinear or linear solve failed; carries the last iterate."""
+#: Newton's tolerances and iteration cap (see :func:`solve_primal`)
+NEWTON_TOL_ABS = 1e-12
+NEWTON_TOL_REL = 1e-12
+NEWTON_MAX_ITERS = 50
 
-    def __init__(self, message, u=None, residual_norm=None):
-        super().__init__(message)
-        self.u = u
-        self.residual_norm = residual_norm
+
+class SolverError(RuntimeError):
+    """A full-model solve failed: Newton did not converge or a Jacobian is singular."""
 
 
 @dataclass
 class PrimalSolution:
-    """A stack's ``(m, n_u)`` states and ``(m,)`` residual norms;
-    ``newton_iters`` counts the steps of the whole stack."""
+    """A stack's ``(m, n_u)`` states, ``(m,)`` residual norms and
+    ``(m,)`` Newton steps."""
 
     u: np.ndarray
     residual_norm: np.ndarray
-    newton_iters: int
+    iters: np.ndarray
+
+    @property
+    def newton_iters(self) -> int:
+        """Newton steps of the whole stack."""
+        return int(self.iters.sum())
 
 
 @dataclass
@@ -84,8 +93,9 @@ class AdjointSolution:
 class QueryCounters:
     """Cumulative solver-query bookkeeping for the cost model.
 
-    Sensitivity solves are linear solves of the same size as an adjoint
-    solve and are counted in ``n_ha``.
+    A caller tallies each primal stack once its solve returns, so a
+    failed solve moves no counter.  Sensitivity solves are linear solves
+    of the same size as an adjoint solve and are counted in ``n_ha``.
     """
 
     n_hp: int = 0
@@ -104,6 +114,23 @@ class QueryCounters:
     #: reduced primal solves that ended on the stall branch with an
     #: accepted gradient (``RomPrimal.stalled``)
     rom_stalls: int = 0
+
+    @staticmethod
+    def _iterations(iters) -> int:
+        """A stack's iterations as counted: a solve counts at least one."""
+        return int(np.maximum(iters, 1).sum())
+
+    def count_primals(self, prim) -> None:
+        """Tally a full primal stack (a :class:`PrimalSolution`)."""
+        self.n_hp += len(prim.iters)
+        self.newton_iters += self._iterations(prim.iters)
+
+    def count_rom_primals(self, prim) -> None:
+        """Tally a reduced primal stack (a ``rom.RomPrimal``)."""
+        self.n_rp += len(prim.iters)
+        self.gn_iters += self._iterations(prim.iters)
+        self.rom_recoveries += int(prim.failed.sum())
+        self.rom_stalls += int(prim.stalled.sum())
 
     def nbar_h(self) -> float:
         return max(1.0, self.newton_iters / self.n_hp) if self.n_hp else 1.0
@@ -341,13 +368,14 @@ def _rows(a, at):
     return a if len(at) == len(a) else a[at]
 
 
-def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r=None):
+def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
     """Damped Newton iteration on a stack.
 
     Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
-    node stops once it meets its tolerance, on a singular Jacobian (a
-    non-finite step), or when 30 halvings of its step find no decrease;
-    the others go on.  A node whose halvings are exhausted is ``ok`` if
+    node stops once it meets its tolerance ``tol_abs + tol_rel ||r(u)||``
+    (``u`` the start), after ``NEWTON_MAX_ITERS`` steps, on a singular
+    Jacobian (a non-finite step), or when 30 halvings of its step find
+    no decrease; the others go on.  A node whose halvings are exhausted is ``ok`` if
     its ``||r||`` is at most the residual's own round-off
     ``eps || |J||u| + |f| ||`` (``f`` the source, see
     :func:`kernels.roundoff_scale`): no step resolves a smaller
@@ -360,7 +388,7 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r=None):
     tol = tol_abs + tol_rel * rnorm
     iters = np.zeros(len(rnorm), int)
     stopped = np.zeros(len(rnorm), bool)
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX_ITERS):
         at = np.flatnonzero((rnorm > tol) & ~stopped)
         if not at.size:
             break
@@ -415,39 +443,39 @@ def _start(problem, y, mu):
     return u
 
 
-def _primal(problem, y, mu, u0, tol_abs, tol_rel, max_iters):
+def _primal(problem, y, mu, u0):
     """Newton on a stack from ``u0`` (the default start if None), then
     continuation for its failed nodes; returns ``(u, rnorm, iters, ok)``
     as :func:`_newton` does."""
     u = _start(problem, y, mu)
     r = problem.residual(u, y, mu)
-    tol_abs = tol_abs * (1.0 + kernels.row_norm(r))
+    tol_abs = NEWTON_TOL_ABS * (1.0 + kernels.row_norm(r))
     if u0 is not None:
         u, r = np.array(u0, dtype=float), None
     if not np.isfinite(u).all():
         raise ValueError("initial state contains non-finite entries")
-    u, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, tol_rel, max_iters, r)
+    u, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, NEWTON_TOL_REL, r)
     at = np.flatnonzero(~ok)
     stages = problem.continuation_stages(y[at], mu) if at.size else []
     if not stages:
         return u, rnorm, iters, ok
     u_stage = _start(problem, y[at], mu)
-    iters_at = iters[at]
     for y_s, mu_s in stages:
         u_stage, _, it_s, _ = _newton(problem, np.asarray(y_s, float),
                                       np.asarray(mu_s, float), u_stage,
-                                      tol_abs[at], 1e-10, max_iters)
-        iters_at = iters_at + it_s
+                                      tol_abs[at], 1e-10)
+        iters[at] += it_s
     u[at], rnorm[at], it_f, ok[at] = _newton(problem, y[at], mu, u_stage,
-                                             tol_abs[at], tol_rel, max_iters)
-    iters[at] = iters_at + it_f
+                                             tol_abs[at], NEWTON_TOL_REL)
+    iters[at] += it_f
     return u, rnorm, iters, ok
 
 
-def _in_parts(solve, problem, y, *stacks):
-    """``solve(y, *stacks)`` on parts of a stack that fit
-    ``kernels.STACK_BYTES``, with the parts' outputs joined; a None
-    stack stays None.
+def _in_parts(solve, problem, y, mu, *stacks):
+    """``solve(problem, y, mu, *stacks)`` on parts of a node stack ``y``
+    that fit ``kernels.STACK_BYTES``, with the parts' outputs joined; a
+    None stack stays None.  ``y`` of a shape other than ``(m, n_y)`` is
+    a ValueError.
 
     A node counts ten arrays of ``n_u`` floats, its peak in a Newton or
     adjoint sweep as ``tracemalloc`` measures it (9.3 to 10.2 on Burgers
@@ -455,51 +483,43 @@ def _in_parts(solve, problem, y, *stacks):
     residual, step and trial state, and the six or so temporaries of the
     residual kernel; the adjoint's bands, right-hand side and Thomas
     rows hold less."""
-    parts = [solve(y[p], *(None if a is None else a[p] for a in stacks))
+    y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
+    mu = np.asarray(mu, dtype=float)
+    stacks = [None if a is None else np.asarray(a, dtype=float) for a in stacks]
+    parts = [solve(problem, y[p], mu, *(None if a is None else a[p] for a in stacks))
              for p in kernels.stack_parts(len(y), 80 * problem.n_u)]
     return tuple(np.concatenate(out) for out in zip(*parts))
 
 
-def solve_primal(problem, y, mu, u0=None, tol_abs=1e-12, tol_rel=1e-12,
-                 max_iters=50, counters: QueryCounters | None = None) -> PrimalSolution:
+def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     """Damped Newton solve of ``r(u, y, mu) = 0`` at a stack of nodes.
 
     Backtracking halves the step until the residual norm decreases (up
     to 30 halvings).  If the iteration stalls -- backtracking exhausted
     or a singular Jacobian -- the problem's continuation stages are
     traversed once, warm-starting each stage from the last.  Raises
-    :class:`SolverError` carrying the last iterate if the tolerance
-    ``tol_abs + tol_rel * ||r(u0)||`` is still not met within
-    ``max_iters`` iterations.  The absolute term is scaled by the
-    residual at the problem's default start so that warm starts with a
-    tiny entry residual cannot push the tolerance beneath the evaluation
-    noise floor of a stiff operator.
+    :class:`SolverError` if a node's tolerance
+    ``NEWTON_TOL_ABS (1 + ||r(default start)||) + NEWTON_TOL_REL ||r(u0)||``
+    is still not met within ``NEWTON_MAX_ITERS`` iterations.  The
+    absolute term is scaled by the residual at the problem's default
+    start so that warm starts with a tiny entry residual cannot push the
+    tolerance beneath the evaluation noise floor of a stiff operator.
 
     ``y`` is ``(m, n_y)``, any other shape a ValueError, and ``u0``, if
     given, ``(m, n_u)``.  The stack is solved by one Newton loop per
-    part, and every node's state, iteration count and counter increment
-    are bitwise equal to its own stack of one.  If a node fails, the
-    error names the first failed node (in a stack of more than one) and
-    carries its iterate, and no counter moves.
+    part, and every node's state and iteration count are bitwise equal
+    to its own stack of one.  If a node fails, the error names the first
+    failed node (in a stack of more than one), its iteration count and
+    its residual norm.
     """
-    y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
-    mu = np.asarray(mu, dtype=float)
-    if u0 is not None:
-        u0 = np.asarray(u0, dtype=float)
-    u, rnorm, iters, ok = _in_parts(
-        lambda y_p, u0_p: _primal(problem, y_p, mu, u0_p, tol_abs, tol_rel, max_iters),
-        problem, y, u0)
+    u, rnorm, iters, ok = _in_parts(_primal, problem, y, mu, u0)
     if not ok.all():
         at = int(np.flatnonzero(~ok)[0])
         where = f" at node {at} of {len(y)}" if len(y) > 1 else ""
-        raise SolverError(
-            f"Newton did not converge{where} after {iters[at]} iterations "
-            f"(residual {rnorm[at]:.3e})", u=u[at], residual_norm=float(rnorm[at]))
-    if counters is not None:
-        counters.n_hp += iters.size
-        counters.newton_iters += int(np.maximum(iters, 1).sum())
-    return PrimalSolution(u, rnorm, int(iters.sum()))
+        raise SolverError(f"Newton did not converge{where} after {iters[at]} "
+                          f"iterations (residual {rnorm[at]:.3e})")
+    return PrimalSolution(u, rnorm, iters)
 
 
 def adjoint_residual(problem, lam, u, y, mu):
@@ -508,8 +528,7 @@ def adjoint_residual(problem, lam, u, y, mu):
             - problem.qoi_u(u, y, mu))
 
 
-def solve_adjoint(problem, u, y, mu,
-                  counters: QueryCounters | None = None) -> AdjointSolution:
+def solve_adjoint(problem, u, y, mu) -> AdjointSolution:
     """Direct solve of the linear adjoint system at converged primal states.
 
     ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)`` (any other
@@ -517,17 +536,10 @@ def solve_adjoint(problem, u, y, mu,
     per part, each row bitwise equal to its own stack of one.  A
     singular Jacobian at any node is a SolverError.
     """
-    y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
-    mu = np.asarray(mu, dtype=float)
-    lam, res = _in_parts(lambda y_p, u_p: _adjoint(problem, u_p, y_p, mu),
-                         problem, y, u)
-    if counters is not None:
-        counters.n_ha += res.size
-    return AdjointSolution(lam, res)
+    return AdjointSolution(*_in_parts(_adjoint, problem, y, mu, u))
 
 
-def _adjoint(problem, u, y, mu):
+def _adjoint(problem, y, mu, u):
     """Adjoint states and residual norms of a stack."""
     up_t, dg, lo_t = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
@@ -556,8 +568,7 @@ def adjoint_gradient(problem, lam, u, y, mu):
     return problem.qoi_mu(u, y, mu) - (dr_dmu.T @ lam[..., None])[..., 0]
 
 
-def primal_sensitivities(problem, u, y, mu,
-                         counters: QueryCounters | None = None):
+def primal_sensitivities(problem, u, y, mu):
     """All parameter sensitivities of each node, ``(m, n_mu, n_u)``: row
     ``j`` of node ``i`` solves ``(dr/du) s = -dr/dmu_j`` there.  The
     ``n_mu`` right-hand sides of a node are one broadcast stack against
@@ -565,7 +576,4 @@ def primal_sensitivities(problem, u, y, mu,
     rhs = -problem.jac_mu(u, y, mu).T
     shape = (len(y),) + rhs.shape
     bands = [np.broadcast_to(b[:, None], shape) for b in problem.jac_bands(u, y, mu)]
-    s = _solved(bands, np.broadcast_to(rhs, shape))
-    if counters is not None:
-        counters.n_ha += problem.n_mu * len(y)
-    return s
+    return _solved(bands, np.broadcast_to(rhs, shape))

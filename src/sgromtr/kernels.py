@@ -49,11 +49,12 @@ STACK_BYTES = 3 * 2 ** 19
 
 def stack_parts(m, node_bytes):
     """Slices of a stack of ``m`` nodes of ``node_bytes`` each into the
-    fewest parts that fit ``STACK_BYTES``, at least one node per part.
-    The parts are balanced, their sizes differing by at most one, and
-    the larger come first, so the first part is as large as any."""
-    count = -(-m // max(1, STACK_BYTES // node_bytes))
-    size, extra = divmod(m, max(count, 1))
+    fewest parts that fit ``STACK_BYTES``, at least one node per part
+    (an empty stack is one empty part).  The parts are balanced, their
+    sizes differing by at most one, and the larger come first, so the
+    first part is as large as any."""
+    count = max(1, -(-m // max(1, STACK_BYTES // node_bytes)))
+    size, extra = divmod(m, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
 

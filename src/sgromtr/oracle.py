@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -40,8 +41,7 @@ class BoundEstimate:
     n_excluded: int
 
 
-def fd_gradient(problem, y, mu, h: float = 1e-5,
-                counters: QueryCounters | None = None) -> np.ndarray:
+def fd_gradient(problem, y, mu, h: float = 1e-5) -> np.ndarray:
     """Central finite differences of the solution-restricted QoI at one
     node ``y`` of length ``n_y``.
 
@@ -55,8 +55,8 @@ def fd_gradient(problem, y, mu, h: float = 1e-5,
     for j in range(problem.n_mu):
         e = np.zeros(problem.n_mu)
         e[j] = h
-        up = solve_primal(problem, y, mu + e, counters=counters)
-        dn = solve_primal(problem, y, mu - e, counters=counters)
+        up = solve_primal(problem, y, mu + e)
+        dn = solve_primal(problem, y, mu - e)
         f_up = problem.qoi(up.u, y, mu + e)[0]
         f_dn = problem.qoi(dn.u, y, mu - e)[0]
         grad[j] = (f_up - f_dn) / (2.0 * h)
@@ -70,9 +70,10 @@ def tensor_reference(problem, mu, level: int,
 
     Every node gets a full primal and adjoint solve; this is the
     brute-force reference the adaptive machinery is compared against.
-    The nodes are solved as one stack, and the weighted sums add them in
-    node order (:func:`node_sum`).  ``warm``, if given, maps a level to
-    the states of its last solve, which start the next one there.
+    The nodes are solved as one stack, tallied in ``counters`` if given,
+    and the weighted sums add them in node order (:func:`node_sum`).
+    ``warm``, if given, maps a level to the states of its last solve,
+    which start the next one there.
     """
     if level > 6:
         raise ValueError("tensor reference capped at level 6")
@@ -81,37 +82,32 @@ def tensor_reference(problem, mu, level: int,
     mu = np.asarray(mu, dtype=float)
     _, nodes, weights = tensor_nodes((level,) * problem.n_y)
     u0 = warm.get(level) if warm is not None else None
-    prim = solve_primal(problem, nodes, mu, u0=u0, counters=counters)
+    counters = QueryCounters() if counters is None else counters
+    prim = solve_primal(problem, nodes, mu, u0=u0)
+    counters.count_primals(prim)
     if warm is not None:
         warm[level] = prim.u
-    adj = solve_adjoint(problem, prim.u, nodes, mu, counters=counters)
+    adj = solve_adjoint(problem, prim.u, nodes, mu)
+    counters.n_ha += len(nodes)
     j_val = node_sum(weights, problem.qoi(prim.u, nodes, mu))
     grad = node_sum(weights, adjoint_gradient(problem, adj.lam, prim.u, nodes, mu))
     return j_val, grad
 
 
-def sg_iso_baseline(problem, mu0, level: int = 5, gtol: float = 1e-6,
-                    max_iters: int = 100,
-                    counters: QueryCounters | None = None):
+def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
+                    gtol: float = 1e-6, max_iters: int = 100):
     """BFGS with backtracking on the fixed isotropic tensor-grid objective.
 
-    Uses high-dimensional solves only.  A failed line search terminates
-    the iteration at the best known point.  Returns
+    Uses high-dimensional solves only, tallied in ``counters``; each
+    evaluation starts from the states of the last.  A failed line search
+    terminates the iteration at the best known point.  Returns
     ``(mu_final, history)`` where each history row records the
     objective, gradient norm, and cumulative query counts.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
-    warm: dict = {}
-    cache: dict = {}
-
-    def evaluate(mu_pt):
-        key = mu_pt.tobytes()
-        if key not in cache:
-            cache[key] = tensor_reference(problem, mu_pt, level,
-                                          counters=counters, warm=warm)
-        return cache[key]
-
+    evaluate = partial(tensor_reference, problem, level=level, counters=counters,
+                       warm={})
     hinv = np.eye(n)
     history = []
     j_val, grad = evaluate(mu)
@@ -120,8 +116,7 @@ def sg_iso_baseline(problem, mu0, level: int = 5, gtol: float = 1e-6,
         gnorm = float(np.linalg.norm(grad))
         history.append({
             "k": it, "J": j_val, "gnorm": gnorm,
-            "n_hp": counters.n_hp if counters else 0,
-            "n_ha": counters.n_ha if counters else 0,
+            "n_hp": counters.n_hp, "n_ha": counters.n_ha,
         })
         if gnorm <= gtol:
             status = "converged"

@@ -219,6 +219,18 @@ def _parts(m, n_u, k):
                     block[2 * cut:].reshape(size, n_u, k + 1))
 
 
+def _in_parts(solve, problem, basis, ys, mu, q):
+    """``solve(problem, basis, ys, mu, q, work)`` on the parts of a
+    stack, in the workspace of the call (see :func:`_parts`), with the
+    parts' outputs joined.  An empty basis is a :class:`RomSolveError`."""
+    if basis.k == 0:
+        raise RomSolveError("reduced basis is empty")
+    ys, mu, q = (np.asarray(a, dtype=float) for a in (ys, mu, q))
+    slices, work = _parts(len(ys), basis.n_u, basis.k)
+    parts = [solve(problem, basis, ys[p], mu, q[p], work) for p in slices]
+    return (np.concatenate(a) for a in zip(*parts))
+
+
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
     """Gauss-Newton minimization of the residual norm over the subspace.
 
@@ -255,15 +267,8 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     (see the module docstring); :class:`RomSolveError` is raised only for
     an empty basis or a singular reduced Jacobian.
     """
-    k = basis.k
-    if k == 0:
-        raise RomSolveError("reduced basis is empty")
-    ys = np.asarray(ys, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    q = np.zeros((len(ys), k)) if q0 is None else np.array(q0, dtype=float)
-    slices, work = _parts(len(ys), basis.n_u, k)
-    parts = [_gauss_newton(problem, basis, ys[p], mu, q[p], work) for p in slices]
-    return RomPrimal(*(np.concatenate(a) for a in zip(*parts)))
+    q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
+    return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
 
 
 def _gauss_newton(problem, basis, ys, mu, q, work):
@@ -385,19 +390,10 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     ``max(n_u, k) eps`` times the largest one.  The reported residual
     norm is evaluated explicitly from the solution.
     """
-    k = basis.k
-    if k == 0:
-        raise RomSolveError("reduced basis is empty")
-    ys = np.asarray(ys, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    q = np.asarray(q, dtype=float)
-    slices, work = _parts(len(ys), basis.n_u, k)
-    parts = [_min_res_adjoint(problem, basis, q[p], ys[p], mu, work) for p in slices]
-    eta, res = (np.concatenate(a) for a in zip(*parts))
-    return RomAdjoint(eta, res)
+    return RomAdjoint(*_in_parts(_min_res_adjoint, problem, basis, ys, mu, q))
 
 
-def _min_res_adjoint(problem, basis, q, ys, mu, work):
+def _min_res_adjoint(problem, basis, ys, mu, q, work):
     """One part of :func:`solve_rom_adjoint` in the call's workspace
     ``work`` (see :func:`_parts`); returns ``(eta, res)``."""
     k, n = basis.k, len(q)

@@ -220,9 +220,11 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
     grid = MultiIndexSet.unit(problem.n_y)
     y0 = np.zeros((1, problem.n_y))
 
-    prim = solve_primal(problem, y0, mu0, counters=counters)
-    sens = primal_sensitivities(problem, prim.u, y0, mu0, counters=counters)
-    adj = solve_adjoint(problem, prim.u, y0, mu0, counters=counters)
+    prim = solve_primal(problem, y0, mu0)
+    counters.count_primals(prim)
+    sens = primal_sensitivities(problem, prim.u, y0, mu0)
+    adj = solve_adjoint(problem, prim.u, y0, mu0)
+    counters.n_ha += problem.n_mu + 1
 
     basis = ReducedBasis(problem.n_u)
     vectors = [prim.u[0], *sens[0], adj.lam[0]]

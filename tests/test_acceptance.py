@@ -148,10 +148,14 @@ def test_criterion_7_bound_validation():
     report(7, ok, detail)
 
 
-def test_criterion_8_determinism(tmp_path):
-    cfg_text = """
+@pytest.mark.parametrize("method, files", [
+    ("sg-rom-tr", {"history.csv", "events.csv", "grids/iter_0.txt"}),
+    ("sg-iso", {"history.csv", "cost.csv", "summary.txt"}),
+], ids=["sg-rom-tr", "sg-iso"])
+def test_criterion_8_determinism(tmp_path, method, files):
+    cfg_text = f"""
 [run]
-method = sg-rom-tr
+method = {method}
 problem = linear-diffusion
 seed = 2024
 
@@ -169,8 +173,8 @@ max_iters = 10
         assert code == 0
         outs.append({p.relative_to(out).as_posix(): p.read_bytes()
                      for p in sorted(out.rglob("*")) if p.is_file()})
-    assert {"history.csv", "events.csv", "grids/iter_0.txt"} <= set(outs[0])
+    assert files <= set(outs[0])
     ok = outs[0] == outs[1]
-    report(8, ok, f"two identical runs, all {len(outs[0])} report files "
+    report(8, ok, f"{method}: two identical runs, all {len(outs[0])} report files "
                   f"byte-identical: {ok} "
                   f"({sum(map(len, outs[0].values()))} bytes)")

@@ -25,10 +25,10 @@ def _mu_key(mu):
 def make_pair(problem, mu_seed=None, grid_indices=None):
     mu_seed = np.zeros(problem.n_mu) if mu_seed is None else mu_seed
     counters = QueryCounters()
-    sol = solve_primal(problem, np.zeros((1, problem.n_y)), mu_seed,
-                       counters=counters)
-    adj = solve_adjoint(problem, sol.u, np.zeros((1, problem.n_y)), mu_seed,
-                        counters=counters)
+    sol = solve_primal(problem, np.zeros((1, problem.n_y)), mu_seed)
+    counters.count_primals(sol)
+    adj = solve_adjoint(problem, sol.u, np.zeros((1, problem.n_y)), mu_seed)
+    counters.n_ha += 1
     basis = ReducedBasis(problem.n_u)
     basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
                            np.zeros(problem.n_y), mu_seed)

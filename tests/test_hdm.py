@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import band_to_dense
-from sgromtr import kernels
+from sgromtr import hdm, kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion,
                          QueryCounters, SolverError, adjoint_gradient,
                          adjoint_residual, make_problem, primal_sensitivities,
@@ -162,11 +162,18 @@ def test_burgers_mesh_self_convergence():
     assert err_fine <= 0.35 * err_coarse
 
 
-def test_primal_failure_carries_last_iterate(bur):
+def test_primal_failure_names_iterations_and_residual(bur, monkeypatch):
+    # the error is a plain message: the iteration count and residual
+    # norm of the node's last iterate, as the solve left them
+    monkeypatch.setattr(hdm, "NEWTON_MAX_ITERS", 1)
+    y, mu = np.array([[1.0, 0.0]]), np.zeros(8)
     with pytest.raises(SolverError) as err:
-        solve_primal(bur, np.array([[1.0, 0.0]]), np.zeros(8), max_iters=1)
-    assert err.value.u is not None
-    assert err.value.residual_norm > 0
+        solve_primal(bur, y, mu)
+    _, rnorm, iters, ok = hdm._primal(bur, y, mu, None)
+    assert not ok[0] and rnorm[0] > 0
+    assert str(err.value) == (f"Newton did not converge after {iters[0]} iterations "
+                              f"(residual {rnorm[0]:.3e})")
+    assert vars(err.value) == {} and "__init__" not in vars(SolverError)
 
 
 class CorruptFirstRow(LinearDiffusion):
@@ -207,9 +214,8 @@ def test_singular_jacobian_is_solver_error(tmp_path, monkeypatch, lin, pivot):
 
     prob = CorruptFirstRow(pivot)
     y, mu = sample_point(prob, 59)
-    with pytest.raises(SolverError, match="Newton did not converge") as err:
+    with pytest.raises(SolverError, match="Newton did not converge"):
         solve_primal(prob, y, mu)
-    assert err.value.u is not None
     u = solve_primal(lin, y, mu).u
     with pytest.raises(SolverError, match="singular"):
         solve_adjoint(prob, u, y, mu)
@@ -241,12 +247,14 @@ def test_singular_node_in_a_stack(lin, pivot):
             solve_adjoint(prob, u, ys, mu)
         with pytest.raises(SolverError,
                            match="Newton did not converge at node 1 of 3 after 0 "
-                                 "iterations") as err:
+                                 "iterations"):
             solve_primal(prob, ys, mu)
+        u_last, _, _, ok = hdm._primal(prob, ys, mu, None)
         # the healthy nodes of the same stack still solve
         sol = solve_primal(prob, ys[[0, 2]], mu)
         adj = solve_adjoint(prob, sol.u, ys[[0, 2]], mu)
-    np.testing.assert_array_equal(err.value.u, prob.initial_state(ys[[1]], mu)[0])
+    np.testing.assert_array_equal(ok, [True, False, True])
+    np.testing.assert_array_equal(u_last[1], prob.initial_state(ys[[1]], mu)[0])
     np.testing.assert_array_equal(sol.u, u[[0, 2]])
     for i, row in zip((0, 2), adj.lam):
         np.testing.assert_array_equal(row, solve_adjoint(lin, u[[i]], ys[[i]], mu).lam[0])
@@ -254,11 +262,13 @@ def test_singular_node_in_a_stack(lin, pivot):
 
 def _stack_and_single(problem, ys, mu):
     """Solve ``ys`` node by node, each a stack of one, then as one stack;
-    check that each row, the iteration total and the counter increments
-    agree."""
+    check that each row, the iteration total and the tallies agree."""
     c_single, c_stack = QueryCounters(), QueryCounters()
-    single = [solve_primal(problem, y[None], mu, counters=c_single) for y in ys]
-    stack = solve_primal(problem, ys, mu, counters=c_stack)
+    single = [solve_primal(problem, y[None], mu) for y in ys]
+    for one in single:
+        c_single.count_primals(one)
+    stack = solve_primal(problem, ys, mu)
+    c_stack.count_primals(stack)
     assert isinstance(stack.newton_iters, int)
     assert stack.newton_iters == sum(s.newton_iters for s in single)
     assert (c_stack.n_hp, c_stack.newton_iters) == (c_single.n_hp, c_single.newton_iters)
@@ -266,6 +276,7 @@ def _stack_and_single(problem, ys, mu):
     for i, one in enumerate(single):
         np.testing.assert_array_equal(stack.u[i], one.u[0])
         assert stack.residual_norm[i] == one.residual_norm[0]
+        assert stack.iters[i] == one.iters[0]
     return stack
 
 
@@ -315,25 +326,27 @@ def test_continuation_in_a_stack(bur, monkeypatch):
 
 def test_stack_failure_after_continuation(bur, monkeypatch):
     # two Newton steps per stage: node 0 converges through continuation,
-    # nodes 1 and 2 fail after it; the error names node 1 and carries its
-    # last iterate, as the one-node solve does, and no counter moves
+    # nodes 1 and 2 fail after it; the error names node 1, its iterations
+    # and residual, as the one-node solve does, and its last iterate is
+    # the one-node solve's
+    monkeypatch.setattr(hdm, "NEWTON_MAX_ITERS", 2)
     calls = _count_continuation(monkeypatch)
     ys = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
     mu = np.zeros(8)
     with pytest.raises(SolverError) as one:
-        solve_primal(bur, ys[[1]], mu, max_iters=2)
+        solve_primal(bur, ys[[1]], mu)
     assert str(one.value).startswith("Newton did not converge after 10 iterations")
-    assert one.value.u.shape == (bur.n_u,)
     calls.clear()
-    counters = QueryCounters()
     with pytest.raises(SolverError) as err:
-        solve_primal(bur, ys, mu, max_iters=2, counters=counters)
+        solve_primal(bur, ys, mu)
     assert len(calls) == 1 and len(calls[0]) == 3
     assert str(err.value) == str(one.value).replace(
         "converge after", "converge at node 1 of 3 after")
-    np.testing.assert_array_equal(err.value.u, one.value.u)
-    assert err.value.residual_norm == one.value.residual_norm
-    assert counters.n_hp == counters.newton_iters == 0
+    u_one, r_one, _, _ = hdm._primal(bur, ys[[1]], mu, None)
+    u, rnorm, _, ok = hdm._primal(bur, ys, mu, None)
+    np.testing.assert_array_equal(ok, [True, False, False])
+    np.testing.assert_array_equal(u[1], u_one[0])
+    assert rnorm[1] == r_one[0]
 
 
 def test_level5_grid_is_two_full_model_parts(bur, monkeypatch):
@@ -401,20 +414,27 @@ def test_stall_above_roundoff_is_solver_error():
     # round-off, so the exhausted node still fails
     prob = FlippedJacobian()
     y, mu = sample_point(prob, 5)
-    with pytest.raises(SolverError, match="after 0 iterations") as err:
+    with pytest.raises(SolverError, match="after 0 iterations"):
         solve_primal(prob, y, mu)
-    u = err.value.u[None]
+    u, rnorm, _, ok = hdm._primal(prob, y, mu, None)
     floor = np.finfo(float).eps * kernels.roundoff_scale(
         *prob.jac_bands(u, y, mu), u, prob.source(mu))
-    assert err.value.residual_norm > 1e6 * floor[0]
+    assert not ok[0] and rnorm[0] > 1e6 * floor[0]
 
 
 def test_counters_track_newton_iterations(bur):
+    # a tally counts every node of a stack, and every node at least one
+    # Newton step, also one solved at its start
     counters = QueryCounters()
     y, mu = sample_point(bur, 17)
-    sol = solve_primal(bur, y, mu, counters=counters)
+    sol = solve_primal(bur, y, mu)
+    counters.count_primals(sol)
     assert counters.n_hp == 1
-    assert counters.newton_iters == max(sol.newton_iters, 1)
+    assert counters.newton_iters == max(sol.newton_iters, 1) > 1
+    again = solve_primal(bur, np.repeat(y, 2, axis=0), mu, u0=np.repeat(sol.u, 2, axis=0))
+    np.testing.assert_array_equal(again.iters, [0, 0])
+    counters.count_primals(again)
+    assert (counters.n_hp, counters.newton_iters) == (3, sol.newton_iters + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -480,9 +500,7 @@ def test_adjoint_stack_matches_one_node_solves(bur):
     _, ys, _ = tensor_nodes((4, 4))
     mu = np.linspace(-0.3, 0.3, 8)
     prim = solve_primal(bur, ys, mu)
-    counters = QueryCounters()
-    adj = solve_adjoint(bur, prim.u, ys, mu, counters=counters)
-    assert counters.n_ha == len(ys)
+    adj = solve_adjoint(bur, prim.u, ys, mu)
     assert adj.lam.flags.c_contiguous
     g = adjoint_gradient(bur, adj.lam, prim.u, ys, mu)
     g_f = adjoint_gradient(bur, np.asfortranarray(adj.lam), prim.u, ys, mu)

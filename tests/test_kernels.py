@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import band_to_dense
 from sgromtr import kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion, primal_sensitivities,
-                         solve_primal)
+                         solve_adjoint, solve_primal)
+from sgromtr.rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +209,8 @@ def test_roundoff_scale_matches_dense(data):
 
 def test_stack_parts_are_balanced_and_fit(monkeypatch):
     # the fewest parts that fit the budget (one node when a node alone
-    # does not), covering the stack in order, with sizes that differ by
-    # at most one and the larger first
+    # does not, one empty part for an empty stack), covering the stack
+    # in order, with sizes that differ by at most one and the larger first
     monkeypatch.setattr(kernels, "STACK_BYTES", 1000)
     for node_bytes in (1, 7, 99, 100, 101, 333, 999, 1000, 1001, 5000):
         cap = max(1, 1000 // node_bytes)
@@ -217,7 +218,38 @@ def test_stack_parts_are_balanced_and_fit(monkeypatch):
             parts = kernels.stack_parts(m, node_bytes)
             sizes = [p.stop - p.start for p in parts]
             assert [i for p in parts for i in range(p.start, p.stop)] == list(range(m))
-            assert len(parts) == -(-m // cap)
+            assert len(parts) == max(1, -(-m // cap))
             assert sizes == sorted(sizes, reverse=True)
             assert not sizes or sizes[0] - sizes[-1] <= 1
             assert all(s * node_bytes <= 1000 or s == 1 for s in sizes)
+
+
+@pytest.mark.parametrize("solver", ["solve_primal", "solve_adjoint",
+                                    "solve_rom_primal", "solve_rom_adjoint"])
+def test_empty_stack_solves_to_empty_arrays(solver):
+    # a (0, n_y) stack is one empty part: every stacked solver returns
+    # empty arrays of the right shapes, without a warning
+    problem = LinearDiffusion(n_u=15)
+    n_u, mu = problem.n_u, np.full(problem.n_mu, 0.3)
+    basis = ReducedBasis(n_u)
+    basis.append_snapshots([solve_primal(problem, np.zeros((1, 2)), mu).u[0]],
+                           ["primal"], np.zeros(2), mu)
+    ys = np.zeros((0, 2))
+    calls = {
+        "solve_primal": (lambda: solve_primal(problem, ys, mu),
+                         {"u": (0, n_u), "residual_norm": (0,), "iters": (0,)}),
+        "solve_adjoint": (lambda: solve_adjoint(problem, np.zeros((0, n_u)), ys, mu),
+                          {"lam": (0, n_u), "residual_norm": (0,)}),
+        "solve_rom_primal": (lambda: solve_rom_primal(problem, basis, ys, mu),
+                             {"q": (0, 1), "residual_norm": (0,), "iters": (0,),
+                              "stalled": (0,), "failed": (0,)}),
+        "solve_rom_adjoint": (lambda: solve_rom_adjoint(problem, basis, np.zeros((0, 1)),
+                                                        ys, mu),
+                              {"eta": (0, 1), "residual_norm": (0,)}),
+    }
+    call, shapes = calls[solver]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = call()
+    for field, shape in shapes.items():
+        assert getattr(result, field).shape == shape

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import quadratic_minimizer
 from sgromtr.cli import validation_seed_basis
-from sgromtr.hdm import (LinearDiffusion, QueryCounters, adjoint_gradient,
-                         solve_adjoint, solve_primal)
+from sgromtr import hdm
+from sgromtr.hdm import (LinearDiffusion, QueryCounters, SolverError,
+                         adjoint_gradient, solve_adjoint, solve_primal)
 from sgromtr.oracle import (cost_metric, fd_gradient, sg_iso_baseline,
                             tensor_reference, validate_bounds)
 from sgromtr.rom import ReducedBasis
@@ -125,8 +126,10 @@ def test_tensor_reference_equals_node_loop(bur):
     loop = QueryCounters()
     j_val, grad, mean = 0.0, np.zeros(8), np.zeros(bur.n_u)
     for y, w in zip(nodes[:, None], weights):
-        prim = solve_primal(bur, y, mu, counters=loop)
-        adj = solve_adjoint(bur, prim.u, y, mu, counters=loop)
+        prim = solve_primal(bur, y, mu)
+        loop.count_primals(prim)
+        adj = solve_adjoint(bur, prim.u, y, mu)
+        loop.n_ha += 1
         j_val += w * bur.qoi(prim.u, y, mu)[0]
         grad += w * adjoint_gradient(bur, adj.lam, prim.u, y, mu)[0]
         mean += w * solve_primal(bur, y, np.zeros(8)).u[0]
@@ -134,6 +137,30 @@ def test_tensor_reference_equals_node_loop(bur):
     np.testing.assert_array_equal(g_stack, grad)
     assert counters.snapshot() == loop.snapshot()
     np.testing.assert_array_equal(bur.ref, mean)     # ref_level 3
+
+
+def test_tensor_reference_starts_from_its_warm_map(bur):
+    # a second evaluation at a nearby mu starts every node from its solve
+    # at the first: fewer Newton steps than a cold start, the same J
+    mu = np.full(8, 0.1)
+    warm = {}
+    tensor_reference(bur, mu, 3, warm=warm)
+    near = mu + 1e-3
+    c_warm, c_cold = QueryCounters(), QueryCounters()
+    j_warm, _ = tensor_reference(bur, near, 3, counters=c_warm, warm=warm)
+    j_cold, _ = tensor_reference(bur, near, 3, counters=c_cold)
+    assert c_warm.n_hp == c_cold.n_hp == 25
+    assert c_warm.newton_iters < c_cold.newton_iters
+    assert abs(j_warm - j_cold) <= 1e-10
+
+
+def test_failed_tensor_reference_moves_no_counter(bur, monkeypatch):
+    # a solve is tallied only once it returns
+    monkeypatch.setattr(hdm, "NEWTON_MAX_ITERS", 0)
+    counters = QueryCounters()
+    with pytest.raises(SolverError):
+        tensor_reference(bur, np.zeros(8), 2, counters=counters)
+    assert counters == QueryCounters()
 
 
 def test_tensor_reference_caps():
