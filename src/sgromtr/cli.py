@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapt import LevelCapError, RefinementError
+from .adapt import LevelCapError
 from .config import ConfigError, RunConfig, echo_config, load_config
 from .hdm import (QueryCounters, SolverError, adjoint_gradient,
                   solve_adjoint, solve_primal)
@@ -36,8 +36,7 @@ EXIT_SOLVER_FAILURE = 3
 EXIT_CONFIG_ERROR = 4
 
 #: Exceptions that end a run with EXIT_SOLVER_FAILURE and an error.txt dump.
-SOLVER_FAILURES = (SolverError, RomSolveError, LevelCapError, RefinementError,
-                   SubproblemError)
+SOLVER_FAILURES = (SolverError, RomSolveError, LevelCapError, SubproblemError)
 
 _TAUS = (1.0, 10.0, 100.0, math.inf)
 
@@ -73,7 +72,7 @@ class _CsvWriter:
         self._f.flush()
 
     def write(self, row):
-        self._line([row.get(c, "") for c in self.columns]
+        self._line([row[c] for c in self.columns]
                    if isinstance(row, dict) else row)
 
     def __enter__(self):

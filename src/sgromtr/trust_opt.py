@@ -266,7 +266,10 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegio
 
     Sets ``state.status`` to ``"converged"`` and returns without a step
     when ``min{||grad m||, Delta} <= gtol`` holds after the
-    gradient-condition refinement.
+    gradient-condition refinement.  A step with no model decrease is an
+    ordinary rejection with ``rho = -inf``: it runs no objective stage
+    and hands on the pair unchanged.  Every call appends exactly one
+    history row.
     """
     refine_for_gradient(state.pair, state.mu, state.Delta, config.kappa_phi,
                         config.betas, config.gtol, level_cap=config.level_cap,
@@ -289,30 +292,25 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegio
     m_trial = state.pair.model_value(mu_hat)
     m_dec = m_center - m_trial
 
-    if m_dec <= 0.0:
-        # the frozen quadratic predicted decrease but the model did not
-        # follow; treat as a rejected step and shrink the radius
-        state.history.append(_history_row(
-            state, gnorm, m_c=m_center, m_t=m_trial, rho=-math.inf,
-            accepted=False, step_norm=step_norm))
-        state.Delta = config.gamma * step_norm
-        state.k += 1
-        return state
-
-    # the objective stage and the next center touch only mu_k and mu_hat
-    pair_obj = state.pair.clone([state.mu, mu_hat])
-    refine_for_objective(pair_obj, state.mu, mu_hat, m_dec,
-                         config.r_k(state.k), config.eta, config.omega,
-                         config.alphas, level_cap=config.level_cap,
-                         threshold_floor=config.theta_floor,
-                         events=state.events)
-    psi_center = pair_obj.model_value(state.mu)
-    psi_trial = pair_obj.model_value(mu_hat)
-    rho = (psi_center - psi_trial) / m_dec
+    # the frozen quadratic predicted decrease; when the model does not
+    # follow, the step is rejected without an objective stage
+    psi_center = psi_trial = math.nan
+    rho = -math.inf
+    if m_dec > 0.0:
+        # the objective stage and the next center touch only mu_k and mu_hat
+        pair_obj = state.pair.clone([state.mu, mu_hat])
+        refine_for_objective(pair_obj, state.mu, mu_hat, m_dec,
+                             config.r_k(state.k), config.eta, config.omega,
+                             config.alphas, level_cap=config.level_cap,
+                             threshold_floor=config.theta_floor,
+                             events=state.events)
+        psi_center = pair_obj.model_value(state.mu)
+        psi_trial = pair_obj.model_value(mu_hat)
+        rho = (psi_center - psi_trial) / m_dec
+        state.pair = pair_obj
 
     accepted = rho >= config.eta1
     # the row describes the pair and the center this iteration hands on
-    state.pair = pair_obj
     if accepted:
         state.mu = mu_hat
     state.history.append(_history_row(
@@ -335,19 +333,18 @@ def tr_run(problem, config: TrustRegionConfig, mu0,
 
     Returns ``(mu_final, state)``; ``state.status`` is ``"converged"``
     when ``min{||grad m||, Delta} <= gtol`` was reached and
-    ``"max_iters"`` otherwise.  ``on_iteration`` is called with each new
-    history row and the live state as the run progresses.  An exception
-    raised by an iteration leaves with the partial state attached as its
-    ``state`` attribute, events of the failed iteration included.
+    ``"max_iters"`` otherwise.  ``on_iteration`` is called once per
+    iteration with its history row and the live state as the run
+    progresses.  An exception raised by an iteration leaves with the
+    partial state attached as its ``state`` attribute, events of the
+    failed iteration included.
     """
     state = tr_init(problem, config, mu0)
     try:
         while state.k < config.max_iters:
-            rows_before = len(state.history)
             tr_iterate(state, config)
             if on_iteration is not None:
-                for row in state.history[rows_before:]:
-                    on_iteration(row, state)
+                on_iteration(state.history[-1], state)
             if state.status == "converged":
                 break
         else:

@@ -126,12 +126,34 @@ def test_objective_indicator_symmetry(lin, lin_pair):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     terms, (diffs_c, diffs_t) = eval_objective_indicator(lin_pair, mu, mu)
     quad = lin_pair.union_quad()
-    e1 = abs(float(np.dot(quad.weights,
-                          [ev.prim_res for ev in lin_pair.evals(quad, mu)])))
-    diffs = lin_pair.neighbor_differences(mu, lambda ev: abs(ev.fval))
+    evs = lin_pair.evals(quad, mu)
+    e1 = abs(float(np.dot(quad.weights, [ev.prim_res for ev in evs])))
+    diffs = lin_pair.neighbor_differences(quad, evs, lambda ev: abs(ev.fval))
     assert diffs_c == diffs == diffs_t
     assert terms["e1'"] == 2.0 * e1
     assert terms["e2'"] == 2.0 * abs(sum(diffs.values()))
+
+
+@pytest.mark.parametrize("stage, sweeps", [("gradient", 1), ("objective", 2)])
+def test_indicator_reads_one_sweep_per_point(lin, lin_pair, monkeypatch,
+                                             stage, sweeps):
+    # one evaluation assembles the union quadrature once and reads its
+    # node solves once per parameter point: once at the center on the
+    # gradient stage, once at the center and once at the trial point on
+    # the objective stage
+    calls = {"union_quad": 0, "evals": 0}
+    for name in calls:
+        def counted(self, *args, _real=getattr(SgRomPair, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(SgRomPair, name, counted)
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    if stage == "gradient":
+        eval_gradient_indicator(lin_pair, mu)
+    else:
+        eval_objective_indicator(lin_pair, mu, 0.5 * mu)
+    assert calls == {"union_quad": 1, "evals": sweeps}
 
 
 def test_exact_subspace_objective_terms(lin, lin_pair):

@@ -7,8 +7,8 @@ import pytest
 
 from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
                          EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED,
-                         SOLVER_FAILURES, main, run_optimize, run_validate,
-                         suite_fd_gradient)
+                         SOLVER_FAILURES, _CsvWriter, main, run_optimize,
+                         run_validate, suite_fd_gradient)
 from sgromtr.config import ConfigError, RunConfig, echo_config, load_config
 from sgromtr.hdm import LinearDiffusion, SolverError
 
@@ -194,6 +194,16 @@ def test_sg_iso_report_has_no_rom_queries(tmp_path):
     assert summary["n_rp"] == "0" and summary["n_ra"] == "0"
     assert int(summary["n_hp"]) > 0
     assert "rom_recoveries" not in summary and "rom_stalls" not in summary
+
+
+def test_csv_row_missing_a_column_raises(tmp_path):
+    # a dict row must carry every column: a misspelt key is an error,
+    # not a blank cell
+    with _CsvWriter(tmp_path / "rows.csv", ("k", "rho")) as w:
+        w.write({"k": 0, "rho": 0.5})
+        with pytest.raises(KeyError):
+            w.write({"k": 1, "roh": 0.5})
+    assert (tmp_path / "rows.csv").read_text() == "k,rho\n0,0.5\n"
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -241,6 +241,7 @@ def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
 
     cfg = TrustRegionConfig(gtol=1e-10)
     state = tr_init(lin_deterministic, cfg, np.zeros(8))
+    start_pair = state.pair
     if branch == "no_model_decrease":
         flatten(state.pair)
     else:
@@ -259,6 +260,41 @@ def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
     np.testing.assert_array_equal(state.mu, np.zeros(8))
     assert state.Delta == cfg.gamma * row["step_norm"]
     assert state.k == 1
+    if branch == "no_model_decrease":
+        # an ordinary rejection: no objective stage, the pair handed on
+        # is the one the iteration started with
+        assert math.isnan(row["psi_center"]) and math.isnan(row["psi_trial"])
+        assert not [ev for ev in state.events if ev.stage == "objective"]
+        assert state.pair is start_pair
+
+
+@pytest.mark.parametrize("flat", [False, True], ids=["plain", "no_model_decrease"])
+def test_on_iteration_once_per_iteration(lin_deterministic, monkeypatch, flat):
+    # every iteration hands its one history row to on_iteration, the
+    # rejections without model decrease of a flattened model included
+    from sgromtr import trust_opt
+
+    real = trust_opt.tr_init
+
+    def init_flat(*args):
+        state = real(*args)
+        state.pair.model_value = lambda mu: 0.0
+        return state
+
+    if flat:
+        monkeypatch.setattr(trust_opt, "tr_init", init_flat)
+    cfg = TrustRegionConfig(gtol=1e-10 if flat else 1e-5, max_iters=3)
+    seen = []
+    _, state = tr_run(lin_deterministic, cfg, np.zeros(8),
+                      on_iteration=lambda row, st: seen.append(row))
+    assert [row["k"] for row in seen] == list(range(len(seen)))
+    assert len(seen) == len(state.history)
+    assert all(a is b for a, b in zip(seen, state.history))
+    if flat:
+        assert state.status == "max_iters"
+        assert [row["rho"] for row in seen] == [-math.inf] * 3
+    else:
+        assert state.status == "converged" and seen[-1]["terminal"]
 
 
 def test_store_keeps_center_and_trial_only(lin):
