@@ -39,7 +39,8 @@ from . import kernels
 from .hdm import (QueryCounters, SolverError, adjoint_gradient, solve_adjoint,
                   solve_primal)
 from .rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
-from .sparse_grid import MultiIndexSet, assemble, difference_rule
+from .sparse_grid import (MultiIndexSet, assemble, difference_rule,
+                          interpolation_weights)
 
 __all__ = [
     "NodeEval", "SgRomPair", "RefinementEvent", "LevelCapError",
@@ -91,6 +92,15 @@ def _mu_key(mu) -> bytes:
     return np.asarray(mu, dtype=float).tobytes()
 
 
+def _padded(qs, k) -> np.ndarray:
+    """The vectors ``qs`` as the rows of an array, each cut or
+    zero-padded to ``k`` entries."""
+    out = np.zeros((len(qs), k))
+    for row, q in zip(out, qs):
+        row[:len(q)] = q[:k]
+    return out
+
+
 class SgRomPair:
     """A sparse grid and reduced basis with one store of node solves.
 
@@ -99,12 +109,16 @@ class SgRomPair:
     kept.  The basis only grows, so a stored solve is current exactly
     when its ``q`` has ``basis.k`` entries; :meth:`ensure` re-solves the
     stale ones, which serve as warm starts only and never feed indicator
-    values.  At a stored ``mu`` a node starts from the nearest node
-    solved there (the first one found on ties); at a new ``mu`` it
-    starts from its own solve at the nearest ``mu`` where it was solved,
-    and from the projected last primal snapshot when there is none.
-    Warm starts are chosen from the store as it was before each sweep,
-    so results do not depend on evaluation order.
+    values.  At a stored ``mu`` a stale node starts from its own solve,
+    and a node not stored there from the sparse-grid interpolant of the
+    grid's solves there, the approximation stochastic collocation makes
+    of a node's state (the nearest node solved there when a grid node is
+    missing); at a new ``mu`` a node starts from its own solve at the
+    nearest ``mu`` where it was solved, and from the projected last
+    primal snapshot when there is none.  Warm starts are chosen from the
+    store as it was before each sweep, so results do not depend on
+    evaluation order.  The union quadrature of the grid and its forward
+    neighbors is assembled once per grid (:meth:`union_quad`).
 
     Each :meth:`ensure` sweep solves its missing nodes as one stack: one
     stacked primal solve and the objective values of all nodes at once.
@@ -130,6 +144,7 @@ class SgRomPair:
         self.basis = basis
         self.counters = counters
         self._nodes: dict = {}
+        self._union = None   # the last (grid, union quadrature) assembled
 
     def clone(self, mus) -> "SgRomPair":
         """An independent copy that keeps the node solves at ``mus`` only."""
@@ -138,6 +153,7 @@ class SgRomPair:
                         self.counters)
         out._nodes = {mk: dict(nodes) for mk, nodes in self._nodes.items()
                       if mk in keep}
+        out._union = self._union
         return out
 
     # -- node solves -----------------------------------------------------------
@@ -154,30 +170,39 @@ class SgRomPair:
     def _warm_starts(self, nodes, mk, near) -> np.ndarray:
         """Initial reduced coordinates, one row per ``(key, coord)`` node at ``mk``.
 
-        At a stored ``mk`` each node takes the solution of the nearest
-        node solved there, the first in solve order on ties; ``near``
-        (see :meth:`_mus_by_distance`) is used only at a new ``mk``.
+        At a stored ``mk`` a node stored there starts from its own
+        solve; a node not stored there starts from the sparse-grid
+        interpolant (:func:`interpolation_weights`) of the solves of
+        ``self.grid``'s nodes at ``mk``, or, when one of those is not
+        stored, from the nearest node solved there (the first in solve
+        order on ties).  ``near`` (see :meth:`_mus_by_distance`) is used
+        only at a new ``mk``.  Stored solves of a smaller basis are
+        zero-padded to ``basis.k``.
         """
+        k = self.basis.k
         stored = self._nodes.get(mk)
         if stored:
-            ys = np.array([ev.coord for ev in stored.values()])
-            qs = [ev.q for ev in stored.values()]
-            picks = [qs[np.argmin(np.linalg.norm(ys - coord, axis=1))]
-                     for _, coord in nodes]
+            picks = [stored[key].q if key in stored else None for key, _ in nodes]
+            new = [i for i, q in enumerate(picks) if q is None]
+            if new:
+                coords = np.array([nodes[i][1] for i in new])
+                keys, W = interpolation_weights(self.grid, coords)
+                if all(key in stored for key in keys):
+                    fits = W @ _padded([stored[key].q for key in keys], k)
+                else:
+                    ys = np.array([ev.coord for ev in stored.values()])
+                    qs = [ev.q for ev in stored.values()]
+                    fits = [qs[np.argmin(np.linalg.norm(ys - coord, axis=1))]
+                            for coord in coords]
+                for i, q in zip(new, fits):
+                    picks[i] = q
         else:
             picks = [next((self._nodes[wmk][key].q for wmk in near
                            if key in self._nodes[wmk]), None)
                      for key, _ in nodes]
-        k = self.basis.k
         fallback = (np.zeros(k) if self.basis.last_primal is None
                     else self.basis.project(self.basis.last_primal))
-        starts = np.zeros((len(nodes), k))
-        for q0, best in zip(starts, picks):
-            if best is None:
-                q0[:] = fallback
-            else:
-                q0[:len(best)] = best[:k]
-        return starts
+        return _padded([fallback if q is None else q for q in picks], k)
 
     def ensure(self, mu, keys, coords) -> None:
         """Solve the primal of every listed node at ``mu`` without a current one."""
@@ -237,7 +262,11 @@ class SgRomPair:
     # -- model and indicator values -------------------------------------------
 
     def union_quad(self):
-        return assemble(self.grid.union_with_neighbors())
+        """Quadrature of the grid and its forward neighbors, assembled
+        once per grid."""
+        if self._union is None or self._union[0] != self.grid:
+            self._union = (self.grid, assemble(self.grid.union_with_neighbors()))
+        return self._union[1]
 
     def model_value(self, mu) -> float:
         quad = assemble(self.grid)

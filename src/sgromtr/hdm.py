@@ -478,11 +478,11 @@ def _in_parts(solve, problem, y, mu, *stacks):
     a ValueError.
 
     A node counts ten arrays of ``n_u`` floats, its peak in a Newton or
-    adjoint sweep as ``tracemalloc`` measures it (9.3 to 10.2 on Burgers
-    stacks of 289 to 64 nodes): at the line search, the state,
-    residual, step and trial state, and the six or so temporaries of the
-    residual kernel; the adjoint's bands, right-hand side and Thomas
-    rows hold less."""
+    adjoint sweep as ``tracemalloc`` measures it, rounded up (8.3 to 9.3
+    on Burgers stacks of 289 to 64 nodes): at the line search, the
+    state, residual, step and trial state, and the residual kernel's
+    padded state, output and scratch array; the adjoint's bands,
+    right-hand side and Thomas rows hold less (7.5 to 9.0)."""
     y = np.asarray(y, dtype=float)
     problem._check_nodes(y)
     mu = np.asarray(mu, dtype=float)

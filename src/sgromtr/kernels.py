@@ -4,7 +4,11 @@ Stencil residuals, tridiagonal Jacobian bands, banded matrix products
 and the tridiagonal solve are the innermost operations of every solver
 in this package: they run once per Newton or Gauss-Newton iteration at
 every collocation node.  Each kernel but the solve is a handful of
-whole-array numpy expressions over shifted slices.  The solve,
+whole-array numpy operations over shifted slices.  The residual kernels
+make the operations of their plain expression, in its order, mostly in
+place: at most three arrays are live in a call (the padded state, the
+result and one scratch array), where the expression allocates six
+(diffusion) or eleven (Burgers).  The solve,
 :func:`band_solve`, is one O(n) Thomas recurrence, a Python loop over
 the rows of the system.  Callers look the kernels up as
 ``kernels.<name>`` at call time, so a wrapper installed on this module
@@ -20,9 +24,9 @@ operations whatever ``m`` is, so it is bitwise equal to its own
 one-row call.  The solvers cut their stacks with :func:`stack_parts`
 into balanced parts that fit ``STACK_BYTES``, each solver declaring
 what one node holds at the peak of its sweep (measured with
-``tracemalloc``).  A full-model node holds about ten ``(n,)`` arrays:
-state, residual, step and line-search trial, and the temporaries of
-the residual kernel.  A reduced node holds the ``(n, k)`` products of
+``tracemalloc``).  A full-model node holds about nine ``(n,)`` arrays:
+state, residual, step and line-search trial, and the residual kernel's
+three.  A reduced node holds the ``(n, k)`` products of
 the workspace its solve call allocates once and, at its QR, numpy's
 copy of ``[J Phi | r]``: about ``5k + 3`` columns of ``n``.  The
 full model wants few parts: :func:`band_solve` loops over the ``n``
@@ -70,7 +74,10 @@ def _pad(u, left, right):
 def diffusion_residual(u, kap_half, h, source):
     um = _pad(u, 0.0, 0.0)
     flux = kap_half * (um[..., 1:] - um[..., :-1])
-    return (flux[..., :-1] - flux[..., 1:]) / (h * h) - source
+    out = flux[..., :-1] - flux[..., 1:]
+    out /= h * h
+    out -= source
+    return out
 
 
 def diffusion_bands(kap_half, h):
@@ -85,9 +92,17 @@ def diffusion_bands(kap_half, h):
 
 def burgers_residual(u, ul, ur, nu, h, source):
     um = _pad(u, ul, ur)
-    diff2 = um[..., 2:] - 2.0 * u + um[..., :-2]
-    dcen = um[..., 2:] - um[..., :-2]
-    return -nu * diff2 / (h * h) + u * dcen / (2.0 * h) - source
+    out = 2.0 * u
+    np.subtract(um[..., 2:], out, out=out)
+    out += um[..., :-2]                # second difference
+    out = -nu * out                    # the result, of the broadcast shape
+    out /= h * h
+    tmp = um[..., 2:] - um[..., :-2]   # central difference
+    tmp *= u
+    tmp /= 2.0 * h
+    out += tmp
+    out -= source
+    return out
 
 
 def burgers_bands(u, ul, ur, nu, h):

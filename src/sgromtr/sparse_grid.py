@@ -26,7 +26,7 @@ __all__ = [
     "KEY_LEVEL", "Rule1D", "MultiIndexSet", "SparseQuadrature",
     "IntegrandError", "cc_rule", "rule_size", "node_coordinate",
     "is_admissible", "tensor_nodes", "node_sum", "assemble", "integrate",
-    "difference_rule", "write_index_set",
+    "difference_rule", "interpolation_weights", "write_index_set",
 ]
 
 #: Reference level used for canonical integer node keys.  Levels above
@@ -315,6 +315,66 @@ def difference_rule(idx: tuple) -> SparseQuadrature:
             levels[j] -= b
         _accumulate(nodemap, tuple(levels), -1.0 if sum(bump) % 2 else 1.0)
     return _finalize(nodemap, len(idx))
+
+
+# ---------------------------------------------------------------------------
+# interpolation
+# ---------------------------------------------------------------------------
+
+def _lagrange(level: int, x):
+    """Lagrange basis of the level-``level`` rule's nodes at the points
+    ``x``, one row per point, one column per node.
+
+    The barycentric form with the weights of Chebyshev extrema, which the
+    Clenshaw-Curtis nodes are: alternating in sign, halved at both ends
+    (an odd number of nodes from level 2 on, so both ends are +1/2).  A
+    point that is a node gets that node's unit row exactly.
+    """
+    nodes = cc_rule(level).nodes
+    w = np.ones(len(nodes))
+    w[1::2] = -1.0
+    w[0] = w[-1] = 0.5
+    d = x[:, None] - nodes
+    hit = d == 0.0
+    d[hit] = 1.0
+    basis = w / d
+    basis /= basis.sum(axis=1, keepdims=True)
+    at_node = hit.any(axis=1)
+    basis[at_node] = hit[at_node]
+    return basis
+
+
+def interpolation_weights(mis: MultiIndexSet, coords):
+    """Sparse-grid interpolation on the nodes of an admissible set.
+
+    Returns ``(keys, W)``, where ``keys`` are the nodes of
+    ``assemble(mis)`` in its order.  For ``values`` with one row per key,
+    ``W @ values`` is the combination-technique interpolant at each row
+    of ``coords``: the signed sum, with the combination coefficients of
+    :func:`assemble`, of the tensor-product Lagrange interpolants on the
+    nested nodes (Barthelmann, Novak & Ritter 2000).  On nested nodes it
+    reproduces the values at the grid's own nodes, and it is exact for
+    every polynomial of the sum of the tensor spaces of ``mis``; every
+    row of ``W`` sums to one, up to round-off.
+    """
+    quad = assemble(mis)
+    coords = np.asarray(coords, dtype=float).reshape(-1, mis.dim)
+    column = {key: i for i, key in enumerate(quad.keys)}
+    bases = {}   # 1D bases by (dimension, level), shared by the tensor terms
+    W = np.zeros((len(coords), len(quad.keys)))
+    for levels, c in _combination_coefficients(mis).items():
+        keys, _, _ = tensor_nodes(levels)
+        # tensor-product basis, rows in tensor_nodes order (last dimension fastest)
+        basis = np.ones((len(coords), 1))
+        for j, level in enumerate(levels):
+            if level == 1:
+                continue   # one node, whose Lagrange basis is 1
+            if (j, level) not in bases:
+                bases[j, level] = _lagrange(level, coords[:, j])
+            basis = (basis[:, :, None] * bases[j, level][:, None, :]
+                     ).reshape(len(coords), -1)
+        W[:, [column[key] for key in map(tuple, keys.tolist())]] += c * basis
+    return quad.keys, W
 
 
 # ---------------------------------------------------------------------------

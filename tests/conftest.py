@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from sgromtr import kernels
 from sgromtr.hdm import BurgersControl, LinearDiffusion
 
 # the same examples on every run, so a tier-1 result can be reproduced
@@ -39,6 +40,23 @@ def band_to_dense(lo, dg, up):
     a[idx[1:], idx[:-1]] = lo[1:]
     a[idx[:-1], idx[1:]] = up[:-1]
     return a
+
+
+def diffusion_residual(u, kap_half, h, source):
+    """The plain numpy expression that ``kernels.diffusion_residual``
+    evaluates mostly in place: the reference it must equal bitwise."""
+    um = kernels._pad(u, 0.0, 0.0)
+    flux = kap_half * (um[..., 1:] - um[..., :-1])
+    return (flux[..., :-1] - flux[..., 1:]) / (h * h) - source
+
+
+def burgers_residual(u, ul, ur, nu, h, source):
+    """The plain numpy expression that ``kernels.burgers_residual``
+    evaluates mostly in place: the reference it must equal bitwise."""
+    um = kernels._pad(u, ul, ur)
+    diff2 = um[..., 2:] - 2.0 * u + um[..., :-2]
+    dcen = um[..., 2:] - um[..., :-2]
+    return -nu * diff2 / (h * h) + u * dcen / (2.0 * h) - source
 
 
 def quadratic_minimizer(problem, y=None):

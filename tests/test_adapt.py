@@ -156,6 +156,21 @@ def test_indicator_reads_one_sweep_per_point(lin, lin_pair, monkeypatch,
     assert calls == {"union_quad": 1, "evals": sweeps}
 
 
+def test_union_quadrature_assembled_once_per_grid(lin, lin_pair, monkeypatch):
+    assembled = []
+    real = adapt.assemble
+    monkeypatch.setattr(adapt, "assemble",
+                        lambda mis: assembled.append(mis) or real(mis))
+    first = lin_pair.union_quad()
+    assert lin_pair.union_quad() is first
+    assert lin_pair.clone([]).union_quad() is first
+    lin_pair.grid = lin_pair.grid.with_index((2, 1))
+    grown = lin_pair.union_quad()
+    assert grown.keys == real(lin_pair.grid.union_with_neighbors()).keys
+    assert lin_pair.union_quad() is grown
+    assert len(assembled) == 2
+
+
 def test_exact_subspace_objective_terms(lin, lin_pair):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     sample_everywhere(lin_pair, mu)
@@ -430,43 +445,50 @@ def test_fresh_mu_near_cached_mu_starts_warm(bur):
         assert np.linalg.norm(ev.q - cold.q[0]) <= 1e-6 * np.linalg.norm(cold.q)
 
 
-def test_cached_mu_warm_start_is_nearest_node(lin, monkeypatch):
-    # the choice must equal a scan over every (node, mu) entry in the
-    # order the nodes were first solved, keeping the first nearest one
-    mu = np.linspace(-0.4, 0.4, lin.n_mu)
-    pair = make_pair(lin, mu_seed=mu, grid_indices=[(1, 1), (2, 1), (1, 2)])
-    order = []
-    solve = adapt.solve_rom_primal
+def test_cached_mu_warm_start_rule(lin):
+    # at a stored mu: a stale node starts from its own padded q, a new
+    # node from the sparse-grid interpolant of the grid's stored q, and
+    # from the nearest stored node when a grid node is not stored there
+    pair = make_pair(lin, grid_indices=[(1, 1), (2, 1), (1, 2)])
+    k = pair.basis.k
 
-    def logged(problem, basis, ys, mu_, q0=None):
-        order.extend((y.tobytes(), _mu_key(mu_)) for y in ys)
-        return solve(problem, basis, ys, mu_, q0=q0)
+    def field(y):
+        # in span{1, y1, y1^2, y2, y2^2}, which this grid interpolates exactly
+        return np.array([1.0 + y[0] - 2.0 * y[0] ** 2 + 0.5 * y[1],
+                         3.0 - y[1] + 2.0 * y[1] ** 2])[:k]
 
-    monkeypatch.setattr(adapt, "solve_rom_primal", logged)
-    pair.evals(pair.union_quad(), mu)
-    pair.evals(pair.union_quad(), 0.5 * mu)
-    pair.grid = pair.grid.with_index((2, 2)).with_index((3, 1))
-    mk = _mu_key(mu)
-    quad = pair.union_quad()
-    stored = {(ev.coord.tobytes(), wmk): ev
-              for wmk, nodes in pair._nodes.items() for ev in nodes.values()}
-    flat = {entry: (stored[entry].coord, stored[entry].q) for entry in order}
-    # the centers of the level-2 cells are equidistant from four nodes
-    centers = [(None, np.array([sx, sy]))
-               for sx in (-0.5, 0.5) for sy in (-0.5, 0.5)]
-    checked = 0
-    for key, coord in list(zip(quad.keys, quad.coords)) + centers:
-        best, best_d = None, np.inf
-        for (_, wmk), (wy, wq) in flat.items():
-            if wmk != mk:
-                continue
-            d = float(np.linalg.norm(coord - wy))
-            if d < best_d:
-                best_d, best = d, wq
-        np.testing.assert_array_equal(
-            pair._warm_starts([(key, coord)], mk, [])[0], best)
-        checked += key is not None and (key, mk) not in flat
-    assert checked > 0  # some grid nodes were not yet solved at mu
+    def entry(coord, q):
+        return adapt.NodeEval(coord, q, 0.0, 0.0, 1)
+
+    grid = assemble(pair.grid)
+    union = pair.union_quad()
+    new = [(key, coord) for key, coord in zip(union.keys, union.coords)
+           if key not in grid.keys]
+    stale_key, stale_coord = new[0]
+    stale_q = np.array([0.25])
+    full = {key: entry(coord, field(coord))
+            for key, coord in zip(grid.keys, grid.coords)}
+    full[stale_key] = entry(stale_coord, stale_q)
+    mk = _mu_key(np.full(lin.n_mu, 0.1))
+    pair._nodes[mk] = full
+
+    np.testing.assert_array_equal(
+        pair._warm_starts([(stale_key, stale_coord)], mk, [])[0],
+        np.append(stale_q, np.zeros(k - 1)))
+    starts = pair._warm_starts(new[1:], mk, [])
+    np.testing.assert_allclose(starts, [field(coord) for _, coord in new[1:]],
+                               rtol=1e-13, atol=1e-14)
+
+    # one grid node missing: each new node takes the nearest stored q
+    partial = dict(full)
+    del partial[grid.keys[0]]
+    mk2 = _mu_key(np.full(lin.n_mu, 0.2))
+    pair._nodes[mk2] = partial
+    stored = list(partial.values())
+    for (_, coord), start in zip(new[1:], pair._warm_starts(new[1:], mk2, [])):
+        dist = [np.linalg.norm(coord - ev.coord) for ev in stored]
+        nearest = stored[int(np.argmin(dist))].q
+        np.testing.assert_array_equal(start, np.append(nearest, np.zeros(k - len(nearest))))
 
 
 def test_fresh_mu_takes_own_node_at_nearest_mu(lin):

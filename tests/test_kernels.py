@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import conftest
 from conftest import band_to_dense
 from sgromtr import kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion, primal_sensitivities,
@@ -62,6 +63,33 @@ def test_band_products_match_dense(data, name, stacked):
     assert out.shape == (3,) + x.shape
     for i in range(3):
         np.testing.assert_array_equal(out[i], product(name, *(b[i] for b in bands), x))
+
+
+@pytest.mark.parametrize("m", [1, 7, 145])
+@pytest.mark.parametrize("name", ["burgers_residual", "diffusion_residual"])
+def test_residual_kernel_matches_its_expression(name, m):
+    # the in-place kernel makes the expression's operations in its order,
+    # so every row is bitwise equal to it, with per-node coefficient
+    # columns and, for one node, plain scalars and a one-dimensional state
+    rng = np.random.default_rng(m)
+    n = 100   # h not a power of two, so that reordered scalings show
+    h = 1.0 / (n + 1)
+    u = rng.standard_normal((m, n))
+    source = rng.standard_normal(n)
+    if name == "burgers_residual":
+        cases = [(u, 1.0 + 0.25 * rng.uniform(-1, 1, (m, 1)), 0.0,
+                  1.0 / rng.uniform(10.0, 65.0, (m, 1)), h, source)]
+        if m == 1:
+            cases.append((u, 1.1, 0.0, 0.03, h, source))
+            cases.append((u[0],) + cases[0][1:])
+    else:
+        cases = [(u, 1.0 + 0.5 * rng.uniform(-1, 1, (m, n + 1)), h, source)]
+        if m == 1:
+            cases.append((u[0],) + cases[0][1:])
+    for args in cases:
+        out = getattr(kernels, name)(*args)
+        assert out.shape == (m, n)
+        np.testing.assert_array_equal(out, getattr(conftest, name)(*args))
 
 
 def fresh_matmat(name, lo, dg, up, V):

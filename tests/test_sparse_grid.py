@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
-                                 difference_rule, integrate, is_admissible,
+                                 difference_rule, integrate,
+                                 interpolation_weights, is_admissible,
                                  node_coordinate, rule_size, tensor_nodes,
                                  write_index_set, IntegrandError)
 
@@ -288,6 +289,54 @@ def test_nestedness_property(dim, steps, extra, seed):
         nb = big.neighbors()
         big = big.with_index(nb[rng.integers(len(nb))])
     assert set(assemble(small).keys) <= set(assemble(big).keys)
+
+
+# ---------------------------------------------------------------------------
+# interpolation
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 4), steps=st.integers(0, 12),
+       seed=st.integers(0, 10_000))
+def test_interpolation_weight_rows_sum_to_one(dim, steps, seed):
+    s = random_admissible(dim, steps, seed)
+    coords = np.random.default_rng(seed).uniform(-1.0, 1.0, (7, dim))
+    keys, W = interpolation_weights(s, coords)
+    assert keys == assemble(s).keys
+    assert W.shape == (7, len(keys))
+    np.testing.assert_allclose(W.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("indices", [
+    [(1, 1)], [(1, 1), (2, 1), (1, 2)],
+    [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (4, 1)],
+    [(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2), (2, 2, 1), (3, 1, 1)]])
+def test_interpolation_is_identity_at_grid_nodes(indices):
+    quad = assemble(mis(*indices))
+    keys, W = interpolation_weights(mis(*indices), quad.coords)
+    assert keys == quad.keys
+    np.testing.assert_allclose(W, np.eye(len(keys)), rtol=0, atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=st.integers(1, 3), steps=st.integers(0, 10),
+       seed=st.integers(0, 10_000))
+def test_interpolation_exact_on_smolyak_space(dim, steps, seed):
+    # a monomial y^beta with beta_j < rule_size(alpha_j) for one alpha of
+    # the set lies in the span the interpolant reproduces
+    s = random_admissible(dim, steps, seed)
+    rng = np.random.default_rng(seed)
+    alphas = s.sorted_indices
+    alpha = alphas[rng.integers(len(alphas))]
+    beta = [int(rng.integers(rule_size(a))) for a in alpha]
+
+    def monomial(y):
+        return np.prod(y ** np.array(beta, dtype=float), axis=-1)
+
+    coords = rng.uniform(-1.0, 1.0, (9, dim))
+    _, W = interpolation_weights(s, coords)
+    np.testing.assert_allclose(W @ monomial(assemble(s).coords),
+                               monomial(coords), rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
