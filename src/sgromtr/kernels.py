@@ -26,9 +26,10 @@ into balanced parts that fit ``STACK_BYTES``, each solver declaring
 what one node holds at the peak of its sweep (measured with
 ``tracemalloc``).  A full-model node holds about nine ``(n,)`` arrays:
 state, residual, step and line-search trial, and the residual kernel's
-three.  A reduced node holds the ``(n, k)`` products of
-the workspace its solve call allocates once and, at its QR, numpy's
-copy of ``[J Phi | r]``: about ``5k + 3`` columns of ``n``.  The
+three.  A reduced node holds the ``(n, k)`` products of the workspace
+its solve call allocates once and, at the peak of a Gauss-Newton or
+adjoint step, the ``k x k`` normal equations or numpy's copy of
+``[J Phi | r]`` for its QR: about ``5k + 3`` columns of ``n``.  The
 full model wants few parts: :func:`band_solve` loops over the ``n``
 rows in Python, so one call costs about the same at any node count.
 The matrix products :func:`band_matmat` and :func:`band_t_matmat`

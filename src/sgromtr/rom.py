@@ -8,12 +8,21 @@ equations) buys three properties used throughout the refinement
 machinery: optimality over the subspace, monotonicity under basis
 growth, and interpolation of exactly representable solutions.
 
-Both solves measure the residual in the Euclidean norm and factor the
-tall ``n_u x k`` matrix augmented by its right-hand side with one
-Householder QR, which yields the least-squares step and the norm of
-the model's own residual in a single pass.  Gauss-Newton uses that
-predicted residual to stop backtracking, or to skip the line search,
-once the model promises no decrease above round-off.
+Both solves measure the residual in the Euclidean norm.  A
+Gauss-Newton step solves the normal equations ``G delta = -g`` of the
+tall ``n_u x k`` matrix ``J Phi`` (``G = (J Phi)^T J Phi``, ``g =
+(J Phi)^T r``), whose model decrease of ``||r||^2`` is the positive
+quadratic form ``-g^T delta``.  Gauss-Newton uses that decrease to stop
+backtracking, or to skip the line search, once the model promises no
+decrease above round-off.  The normal equations lose about
+``cond(G) eps`` of a step, which Gauss-Newton corrects as it
+re-evaluates the true residual after every step (Björck 1996,
+*Numerical Methods for Least Squares Problems*).  A node whose ``G``
+fails its Cholesky checks, or whose state is nearly representable,
+takes the Householder QR step of ``[J Phi | r]`` instead (see
+:func:`solve_rom_primal`).  The adjoint, a linear least-squares
+problem, factors ``[J^T Phi | b]`` by QR and reads its rank from the
+triangular factor.
 
 A Gauss-Newton node is stationary when its reduced gradient
 ``(J Phi)^T r`` is no larger than that gradient's own round-off,
@@ -36,17 +45,18 @@ residual tells refinement where to sample.  :class:`RomSolveError` is
 left for a solve with no iterate to return.
 
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
-a stack of one).  Each Gauss-Newton step makes one stacked QR, one
-stacked triangular solve and at most two stacked residual calls for the
-whole stack, and per-node masks apply the stopping and backtracking
-rules, so every node's result is bitwise equal to solving it alone.  A
-stack is cut by :func:`kernels.stack_parts` into balanced parts that
-fit ``kernels.STACK_BYTES`` at about ``5k + 3`` columns of ``n_u`` per
-node (see :func:`_parts`).  A part holds
+a stack of one).  Each Gauss-Newton step makes one stacked Gram product,
+Cholesky factorization and solve, a stacked QR and triangular solve
+for the nodes that take the QR step, and at most two stacked residual
+calls for the whole stack; per-node masks apply the routing, stopping
+and backtracking rules, so every node's result is bitwise equal to
+solving it alone.  A stack is cut by :func:`kernels.stack_parts` into
+balanced parts that fit ``kernels.STACK_BYTES`` at about ``5k + 3``
+columns of ``n_u`` per node (see :func:`_parts`).  A part holds
 ``J Phi``, the scratch of its band products and the augmented
-``[J Phi | r]`` in one workspace that the solve call allocates once for
-its largest part and every iteration of every part reuses, so an
-iteration allocates no array of ``n_u x k`` per node.
+``[J Phi | r]`` of the QR steps in one workspace that the solve call
+allocates once for its largest part and every iteration of every part
+reuses, so an iteration allocates no array of ``n_u x k`` per node.
 """
 
 from __future__ import annotations
@@ -196,6 +206,84 @@ def _augmented_r(a, b, aug):
     return np.linalg.qr(aug, mode="r")
 
 
+#: The largest Cholesky pivot ratio ``kappa2`` of ``G = (J Phi)^T J Phi``
+#: (see :func:`_normal_steps`) at which a step is taken from the normal
+#: equations.  Their step carries a relative error of about
+#: ``cond(G) eps`` (Björck 1996, *Numerical Methods for Least Squares
+#: Problems*, §2.2).  Gauss-Newton needs few digits of a step: it
+#: re-evaluates the true residual after every step, and an inexact
+#: Newton step of relative error ``e < 1`` still converges locally, at
+#: a linear rate of about ``e`` (Dembo, Eisenstat & Steihaug 1982).
+#: The bound asks for half the digits, ``cond(G) eps <= sqrt(eps)``,
+#: read on ``kappa2``, which is at most ``cond(G)``.  Over the default
+#: Burgers and diffusion runs ``cond(G)`` is at most 5.2e3 and 283 times
+#: ``kappa2``, and ``kappa2`` at most 1.8e4 and 1.6e5, far below it.
+_COND_G_MAX = _EPS ** -0.5
+
+
+def _normal_steps(a, g):
+    """Least-squares steps ``-G^-1 g``, ``G = a^T a``, of a stack ``a``
+    ``(m, n, k)`` with gradients ``g = a^T r`` ``(m, k)``.
+
+    Returns ``(delta, drop, kappa2)``: the steps, their model decreases
+    ``||r||^2 - ||r + a delta||^2 = -g^T delta``, and ``kappa2``, the
+    squared ratio of the largest to the smallest diagonal entry of the
+    Cholesky factor of ``G``.  ``kappa2`` is at most ``cond(G)``: the
+    squared entries are pivots of ``G``, which lie between its extreme
+    eigenvalues.  A row whose Cholesky fails has ``kappa2`` NaN, and a
+    row with ``kappa2`` above ``_COND_G_MAX`` is not solved: both get a
+    NaN step and drop.
+    """
+    G = a.transpose(0, 2, 1) @ a
+    d = np.diagonal(_cholesky(G), axis1=1, axis2=2)
+    kappa2 = (d.max(axis=1) / d.min(axis=1)) ** 2
+    ok = kappa2 <= _COND_G_MAX
+    delta = np.full(g.shape, np.nan)
+    delta[ok] = -np.linalg.solve(G[ok], g[ok][:, :, None])[:, :, 0]
+    drop = -(g[:, None, :] @ delta[:, :, None])[:, 0, 0]
+    return delta, drop, kappa2
+
+
+def _qr_steps(a, r, rn, floor, aug):
+    """The steps and model decreases of :func:`_normal_steps` from the
+    Householder QR of ``[a | r]`` (assembled in ``aug``), for residuals
+    ``r`` of norms ``rn``.  Only a node whose decrease passes ``floor``
+    is solved; the others get a NaN step.  A singular triangular factor
+    is a :class:`RomSolveError`."""
+    k = a.shape[-1]
+    R = _augmented_r(a, r, aug)
+    pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(len(a))
+    drop = rn * rn - pred * pred
+    solve = drop > floor
+    delta = np.full((len(a), k), np.nan)
+    try:
+        delta[solve] = -np.linalg.solve(R[solve, :k, :k], R[solve, :k, k:])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        raise RomSolveError(f"reduced Jacobian is singular ({exc})") from exc
+    return delta, drop
+
+
+def _cholesky(G):
+    """Cholesky factors of a stack of matrices; a matrix that is not
+    numerically positive definite gets a NaN factor.  numpy fails the
+    whole stack for one such matrix, so a failed stack is factored one
+    matrix at a time."""
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.full(G.shape, np.nan)
+        return np.concatenate([_cholesky(G[i:i + 1]) for i in range(len(G))])
+
+
+def _to_front(a, rows):
+    """Move the rows ``rows`` (increasing) of the stack ``a`` to its front
+    in place; a gather would allocate a new stack."""
+    for i, j in enumerate(rows):
+        if i != j:
+            a[i] = a[j]
+
+
 def _parts(m, n_u, k):
     """Slices of a stack of ``m`` nodes that fit the budget, and the
     workspace of the solve call: the arrays that every iteration of
@@ -206,10 +294,14 @@ def _parts(m, n_u, k):
     allocation, ``J Phi`` at its start.
 
     A node holds ``3k + 1`` columns of ``n_u`` in the workspace and, at
-    the QR, numpy's copy of ``[J Phi | r]``, its triangular factor and
-    the node's state-sized vectors: ``tracemalloc`` measures 237 to 249
-    columns at ``n_u = 127``, ``k = 47`` (118 to 123 at ``k = 24``), so
-    the budget counts ``5k + 3``."""
+    its peak, the node's state-sized vectors and either numpy's copy of
+    ``[J Phi | r]`` and its triangular factor (the adjoint, and the QR
+    steps of the primal) or ``G``, its Cholesky factor and the solve's
+    copy of it (the normal-equations steps).  ``tracemalloc`` measures,
+    on stacks of 1 to 6 nodes on the final basis of the default Burgers
+    run (``n_u = 127``, ``k = 47``), 226 to 233 columns for the primal
+    solve and 214 to 227 for the adjoint, so the budget counts
+    ``5k + 3``."""
     slices = kernels.stack_parts(m, 8 * n_u * (5 * k + 3))
     size = slices[0].stop
     block = np.empty(size * n_u * (3 * k + 1))
@@ -235,12 +327,18 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     """Gauss-Newton minimization of the residual norm over the subspace.
 
     ``ys`` is a stack of ``m`` nodes ``(m, n_y)`` and ``q0`` their
-    ``(m, k)`` starts (zero by default).  Each step factors
-    ``[J Phi | r]`` by one Householder QR; the triangular solve gives
-    the Gauss-Newton step ``delta`` and the last diagonal entry gives
-    the predicted residual ``||r + J Phi delta||``.  The step is halved
-    (at most 29 times) until the residual norm decreases.  A node is
-    stationary, before any QR of its step, once its reduced gradient
+    ``(m, k)`` starts (zero by default).  Each step solves the normal
+    equations ``G delta = -g`` (see the module docstring), whose model
+    decrease is ``drop = -g^T delta``.  A node factors ``[J Phi | r]`` by
+    Householder QR instead, taking ``delta`` from the triangular solve
+    and ``drop`` from the last diagonal entry, when the Cholesky
+    factorization of its ``G`` fails, when the pivot ratio ``kappa2``
+    (see :func:`_normal_steps`) passes ``_COND_G_MAX``, or when its
+    model residual ``||r||^2 - drop`` is at most ``kappa2 eps ||r||^2``:
+    a nearly representable state, whose residual the error of the
+    normal equations would swamp.  The step is halved (at most 29 times)
+    until the residual norm decreases.  A node is stationary, before any
+    factorization of its step, once its reduced gradient
     ``(J Phi)^T r`` is at most its own round-off
     ``eps ||J Phi||_F || |J||u| + |f| ||`` (see the module docstring):
     a smaller gradient cannot be resolved in floating point, so a
@@ -259,13 +357,15 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     otherwise.  For a residual affine in the state this converges in a
     single step.
 
-    The stack is solved together: per step, one stacked QR and solve,
-    one residual call for the full steps and one for every halving of
-    the rejected nodes (see :func:`_backtrack`).  Nodes leave the stack
-    as they stop.  A node that stagnated or ran ``GN_MAX_ITERS`` steps
-    is returned at its last iterate and marked in :attr:`RomPrimal.failed`
-    (see the module docstring); :class:`RomSolveError` is raised only for
-    an empty basis or a singular reduced Jacobian.
+    The stack is solved together: per step, one stacked Gram product,
+    Cholesky factorization and solve, one stacked QR and triangular
+    solve for the nodes routed to it, one residual call for the full
+    steps and one for every halving of the rejected nodes (see
+    :func:`_backtrack`).  Nodes leave the stack as they stop.  A node
+    that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
+    iterate and marked in :attr:`RomPrimal.failed` (see the module
+    docstring); :class:`RomSolveError` is raised only for an empty basis
+    or a reduced Jacobian whose QR factor is singular.
     """
     q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
     return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
@@ -277,7 +377,7 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
     :class:`RomPrimal`."""
     phi = basis.columns
     out, tmp, aug = work
-    m, k = q.shape
+    m = len(q)
     f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
     rnorm = kernels.row_norm(r)
@@ -292,37 +392,38 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
         u = basis.expand(q[live])
         lo, dg, up = problem.jac_bands(u, ys[live], mu)
         jphi = kernels.band_matmat(lo, dg, up, phi, out[:n], tmp[:n])
-        g = kernels.row_norm((jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0])
+        grad = (jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0]
+        g = kernels.row_norm(grad)
         jnorm = kernels.row_norm(jphi.reshape(n, -1))
         # stationary at the gradient's own round-off (module docstring)
         go = ~(g <= _EPS * jnorm * kernels.roundoff_scale(lo, dg, up, u, f))
         if not go.all():
-            # move the rows that go on to the front in place (a gather
-            # would allocate a new stack)
-            for i, j in enumerate(np.flatnonzero(go)):
-                jphi[i] = jphi[j]
-            live, g, jnorm = live[go], g[go], jnorm[go]
+            go = np.flatnonzero(go)
+            _to_front(jphi, go)
+            live, grad, g, jnorm = live[go], grad[go], g[go], jnorm[go]
             if not live.size:
                 break
         rn = rnorm[live]
-        R = _augmented_r(jphi[:live.size], r[live], aug[:live.size])
-        pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(live.size)
         # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
         # once it falls below the relative decrease the stagnation test
         # asks for, an accepted step could only stall
-        drop = rn * rn - pred * pred
         floor = 2e-12 * rn * rn
+        delta, drop, kappa2 = _normal_steps(jphi[:live.size], grad)
+        # the normal equations know the model residual ||r||^2 - drop
+        # only to about cond(G) eps ||r||^2, and cannot take the residual
+        # of a nearly representable state below that; such a state, and
+        # a G that failed its checks (NaN drop), take the QR step
+        qr = np.flatnonzero(~(rn * rn - drop > kappa2 * _EPS * rn * rn))
+        if qr.size:
+            _to_front(jphi, qr)
+            delta[qr], drop[qr] = _qr_steps(jphi[:qr.size], r[live[qr]], rn[qr],
+                                            floor[qr], aug[:qr.size])
         moved = np.zeros(live.size, dtype=bool)
         step = np.flatnonzero(drop > floor)
         if step.size:
-            try:
-                delta = -np.linalg.solve(R[step, :k, :k], R[step, :k, k:])[:, :, 0]
-            except np.linalg.LinAlgError as exc:
-                raise RomSolveError(
-                    f"reduced Jacobian is singular ({exc})") from exc
             at = live[step]
             found, q_new, r_new, rn_new = _backtrack(
-                problem, basis, ys[at], mu, q[at], delta, rn[step],
+                problem, basis, ys[at], mu, q[at], delta[step], rn[step],
                 drop[step], floor[step])
             took = found & ~(rn_new > rn[step] * (1.0 - 1e-12))
             moved[step] = took
@@ -404,7 +505,7 @@ def _min_res_adjoint(problem, basis, ys, mu, q, work):
     b = problem.qoi_u(u, ys, mu)
     R = _augmented_r(a, b, aug[:n])
     diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
-    tol = max(a.shape[1:]) * np.finfo(float).eps * diag.max(axis=1, keepdims=True)
+    tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
     rank = np.count_nonzero(diag > tol, axis=1)
     if (rank < k).any():
         raise RomSolveError(

@@ -143,6 +143,33 @@ def test_cross_method_agreement(burgers_run, baseline_run):
     assert g_tr_n <= 10 * max(g_model, TrustRegionConfig().gtol)
 
 
+def _counts(state):
+    """The deterministic counts of a trust-region run."""
+    c = state.counters
+    return dict(n_hp=c.n_hp, n_ha=c.n_ha, n_rp=c.n_rp, n_ra=c.n_ra,
+                gn_iters=c.gn_iters, rom_stalls=c.rom_stalls,
+                grid=len(state.pair.grid), basis=state.pair.basis.k)
+
+
+def test_pinned_counts_burgers(burgers_run, baseline_run):
+    # the default Burgers run and SG-ISO at level 5 with the default
+    # gtol, which the fixture's matched tolerance equals here.  A change
+    # that moves a count edits it here and says so in CHANGES.md
+    _, state, _ = burgers_run
+    assert _counts(state) == dict(n_hp=20, n_ha=28, n_rp=1395, n_ra=663,
+                                  gn_iters=1847, rom_stalls=41, grid=23, basis=47)
+    _, iso_counters, info, _ = baseline_run
+    assert info["status"] == "converged"
+    assert iso_counters.n_hp == 2312
+
+
+def test_pinned_counts_diffusion():
+    problem = LinearDiffusion()
+    _, state = tr_run(problem, TrustRegionConfig(), np.zeros(problem.n_mu))
+    assert _counts(state) == dict(n_hp=9, n_ha=17, n_rp=392, n_ra=188,
+                                  gn_iters=392, rom_stalls=0, grid=13, basis=24)
+
+
 def test_criterion_7_bound_validation():
     ok, detail = suite_bound_ratios(LinearDiffusion(), 100, SEED)
     report(7, ok, detail)

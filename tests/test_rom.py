@@ -159,6 +159,24 @@ def test_qr_step_matches_lstsq(n, k):
         assert abs(abs(R[k, k]) - res_ref) <= 1e-12 * res_ref
 
 
+@pytest.mark.parametrize("n, k", [(127, 48), (63, 25), (30, 1), (40, 39)])
+def test_normal_step_matches_lstsq(n, k):
+    # the step of a G = a^T a within the bound keeps the digits the bound
+    # is derived from: about cond(G) eps, and at most sqrt(eps), of the
+    # step and of the model decrease ||a x||^2 of the least-squares x
+    rng = np.random.default_rng(n + k)
+    for _ in range(5):
+        a = rng.standard_normal((n, k))
+        b = rng.standard_normal(n)
+        delta, drop, kappa2 = rom._normal_steps(a[None], -(a.T @ b)[None])
+        assert kappa2[0] <= rom._COND_G_MAX
+        x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
+        drop_ref = np.linalg.norm(a @ x_ref) ** 2
+        tol = min(10.0 * np.linalg.cond(a) ** 2 * rom._EPS, rom._COND_G_MAX * rom._EPS)
+        assert np.linalg.norm(delta[0] - x_ref) <= tol * np.linalg.norm(x_ref)
+        assert abs(drop[0] - drop_ref) <= tol * drop_ref
+
+
 def _unit_basis(n, k):
     basis = ReducedBasis(n)
     basis.append_snapshots(np.eye(n)[:k], ["primal"] * k,
@@ -474,6 +492,97 @@ def test_stop_depends_on_no_absolute_scale(bur):
     assert not plain.failed.any()
     np.testing.assert_array_equal(scaled.residual_norm,
                                   2.0 ** 20 * plain.residual_norm)
+
+
+def _counting_qr(monkeypatch):
+    """Count the calls of ``np.linalg.qr`` in a list of one entry."""
+    calls, qr = [0], np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    return calls
+
+
+def test_near_representable_burgers_step_is_a_qr_step(bur, monkeypatch):
+    # a greedy-sampled node: its full solution is in a basis of 42
+    # columns, and it starts 1e-7 off its projection.  The step's model
+    # residual is far below the error of the normal equations, so the
+    # step is a QR step, and it reproduces the node at the round-off of
+    # its residual, as the full solve does
+    rng = np.random.default_rng(40)
+    y, mu = rng.uniform(-1, 1, (1, 2)), rng.uniform(-0.3, 0.3, 8)
+    basis = seeded_basis(bur, seed=41, n_snaps=20)
+    u, lam = hdm_pair(bur, y[0], mu)
+    basis.append_snapshots([u, lam], ["primal", "adjoint"], y[0], mu)
+    q0 = basis.project(u) + 1e-7 * np.random.default_rng(1).standard_normal(basis.k)
+    calls = _counting_qr(monkeypatch)
+    prim = solve_rom_primal(bur, basis, y, mu, q0=q0[None])
+    assert basis.k == 42 and calls[0] == 1
+    assert prim.iters[0] == 1 and not prim.stalled[0] and not prim.failed[0]
+    lo, dg, up = bur.jac_bands(u[None], y, mu)
+    floor = rom._EPS * kernels.roundoff_scale(lo, dg, up, u[None], bur.source(mu))[0]
+    assert prim.residual_norm[0] <= floor
+    assert np.linalg.norm(basis.expand(prim.q)[0] - u) <= 1e-10 * np.linalg.norm(u)
+
+
+def _scaled_column_step(lin, monkeypatch, factor):
+    """A diffusion node whose ``J Phi`` has column 1 scaled by ``factor``
+    (``kernels.band_matmat`` patched), started off its reduced minimizer
+    in the other coordinates only, so that the exact step of the scaled
+    matrix, like the true one, leaves coordinate 1 unchanged.  Returns
+    ``(basis, y, mu, q0, a, r0)``: the start, and the scaled ``J Phi``
+    and the residual there."""
+    basis = seeded_basis(lin, seed=29, n_snaps=2)
+    y, mu = np.array([[0.1, 0.3]]), np.full(8, -0.1)
+    q0 = solve_rom_primal(lin, basis, y, mu).q
+    q0[0, 0] += 3e-3
+    q0[0, 2:] -= 2e-3
+    band_matmat = kernels.band_matmat
+
+    def scaled_column(*args):
+        a = band_matmat(*args)
+        a[..., 1] *= factor
+        return a
+
+    monkeypatch.setattr(kernels, "band_matmat", scaled_column)
+    u0 = basis.expand(q0)
+    work = np.empty((2, 1, lin.n_u, basis.k))
+    a = kernels.band_matmat(*lin.jac_bands(u0, y, mu), basis.columns, *work)[0]
+    return basis, y, mu, q0, a, lin.residual(u0, y, mu)[0]
+
+
+def test_ill_conditioned_gram_takes_the_qr_step(lin, monkeypatch):
+    # cond(G) near 1e14: the Cholesky pivots put it past the bound, while
+    # the model residual alone would keep the normal equations
+    basis, y, mu, q0, a, r0 = _scaled_column_step(lin, monkeypatch, 1e-7)
+    delta, drop, kappa2 = rom._normal_steps(a[None], (a.T @ r0)[None])
+    assert kappa2[0] > rom._COND_G_MAX and np.isnan(drop[0])
+    g = a.T @ r0
+    model = r0 @ r0 - g @ np.linalg.solve(a.T @ a, g)
+    assert model > kappa2[0] * rom._EPS * (r0 @ r0)
+    calls = _counting_qr(monkeypatch)
+    monkeypatch.setattr(rom, "GN_MAX_ITERS", 1)
+    prim = solve_rom_primal(lin, basis, y, mu, q0=q0)
+    assert calls[0] == 1 and prim.iters[0] == 1
+    # Householder QR resolves the step up to the column scaling: compare
+    # it to the least-squares reference in the scaled coordinates
+    ref = np.linalg.lstsq(a, -r0, rcond=None)[0]
+    scale = np.ones(basis.k)
+    scale[1] = 1e-7
+    step = prim.q[0] - q0[0]
+    assert np.linalg.norm(scale * (step - ref)) <= 1e-12 * np.linalg.norm(scale * ref)
+
+
+def test_singular_reduced_jacobian_raises(lin, monkeypatch):
+    # a zero column fails the Cholesky factorization, and the QR step
+    # that replaces it finds the triangular factor singular
+    basis, y, mu, q0, a, r0 = _scaled_column_step(lin, monkeypatch, 0.0)
+    assert np.isnan(rom._normal_steps(a[None], (a.T @ r0)[None])[2][0])
+    with pytest.raises(RomSolveError, match="singular"):
+        solve_rom_primal(lin, basis, y, mu, q0=q0)
 
 
 # ---------------------------------------------------------------------------
