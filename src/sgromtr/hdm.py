@@ -29,7 +29,7 @@ A solve runs one damped-Newton loop and one adjoint sweep for all of
 its nodes, with per-node index sets for the stopping, backtracking and
 continuation rules, and it cuts its stack into balanced parts that fit
 ``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats per node (see
-:func:`_in_parts`): at ``n_u = 127`` a level-5 tensor grid of 289 nodes
+``_NODE_ARRAYS``): at ``n_u = 127`` a level-5 tensor grid of 289 nodes
 is two parts, so two Thomas sweeps per Newton step.
 
 Like the reduced solvers, the solvers here take no tolerance (Newton's
@@ -471,25 +471,14 @@ def _primal(problem, y, mu, u0):
     return u, rnorm, iters, ok
 
 
-def _in_parts(solve, problem, y, mu, *stacks):
-    """``solve(problem, y, mu, *stacks)`` on parts of a node stack ``y``
-    that fit ``kernels.STACK_BYTES``, with the parts' outputs joined; a
-    None stack stays None.  ``y`` of a shape other than ``(m, n_y)`` is
-    a ValueError.
-
-    A node counts ten arrays of ``n_u`` floats, its peak in a Newton or
-    adjoint sweep as ``tracemalloc`` measures it, rounded up (8.3 to 9.3
-    on Burgers stacks of 289 to 64 nodes): at the line search, the
-    state, residual, step and trial state, and the residual kernel's
-    padded state, output and scratch array; the adjoint's bands,
-    right-hand side and Thomas rows hold less (7.5 to 9.0)."""
-    y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
-    mu = np.asarray(mu, dtype=float)
-    stacks = [None if a is None else np.asarray(a, dtype=float) for a in stacks]
-    parts = [solve(problem, y[p], mu, *(None if a is None else a[p] for a in stacks))
-             for p in kernels.stack_parts(len(y), 80 * problem.n_u)]
-    return tuple(np.concatenate(out) for out in zip(*parts))
+#: Arrays of ``n_u`` floats that one node of a full-model solve holds:
+#: its peak in a Newton or adjoint sweep as ``tracemalloc`` measures
+#: it, rounded up (8.3 to 9.3 on Burgers stacks of 289 to 64 nodes).  At
+#: the line search they are the state, residual, step and trial state,
+#: and the residual kernel's padded state, output and scratch array;
+#: the adjoint's bands, right-hand side and Thomas rows hold less (7.5
+#: to 9.0).
+_NODE_ARRAYS = 10
 
 
 def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
@@ -513,7 +502,8 @@ def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     failed node (in a stack of more than one), its iteration count and
     its residual norm.
     """
-    u, rnorm, iters, ok = _in_parts(_primal, problem, y, mu, u0)
+    u, rnorm, iters, ok = kernels.in_parts(
+        _primal, 8 * _NODE_ARRAYS * problem.n_u, problem, y, mu, u0)
     if not ok.all():
         at = int(np.flatnonzero(~ok)[0])
         where = f" at node {at} of {len(y)}" if len(y) > 1 else ""
@@ -536,7 +526,8 @@ def solve_adjoint(problem, u, y, mu) -> AdjointSolution:
     per part, each row bitwise equal to its own stack of one.  A
     singular Jacobian at any node is a SolverError.
     """
-    return AdjointSolution(*_in_parts(_adjoint, problem, y, mu, u))
+    return AdjointSolution(*kernels.in_parts(
+        _adjoint, 8 * _NODE_ARRAYS * problem.n_u, problem, y, mu, u))
 
 
 def _adjoint(problem, y, mu, u):

@@ -24,17 +24,21 @@ operations whatever ``m`` is, so it is bitwise equal to its own
 one-row call.  The solvers cut their stacks with :func:`stack_parts`
 into balanced parts that fit ``STACK_BYTES``, each solver declaring
 what one node holds at the peak of its sweep (measured with
-``tracemalloc``).  A full-model node holds about nine ``(n,)`` arrays:
-state, residual, step and line-search trial, and the residual kernel's
-three.  A reduced node holds the ``(n, k)`` products of the workspace
-its solve call allocates once and, at the peak of a Gauss-Newton or
-adjoint step, the ``k x k`` normal equations or numpy's copy of
-``[J Phi | r]`` for its QR: about ``5k + 3`` columns of ``n``.  The
-full model wants few parts: :func:`band_solve` loops over the ``n``
-rows in Python, so one call costs about the same at any node count.
-The matrix products :func:`band_matmat` and :func:`band_t_matmat`
-write into arrays the caller passes, so the reduced workspace is
-reused by every iteration.
+``tracemalloc``), and :func:`in_parts` solves the parts one by one.
+A full-model node holds about nine ``(n,)`` arrays: state, residual,
+step and line-search trial, and the residual kernel's three.  The
+reduced solves cut at two levels.  A part of a Gauss-Newton or adjoint
+solve holds about ten ``(n,)`` arrays per node: state, residual,
+Jacobian bands and the round-off scale's three.  Inside each iteration
+the ``(n, k)`` algebra runs in chunks of nodes, each node holding
+``2k + 1`` columns of ``n`` of a workspace the solve call allocates once
+and, at its peak, the ``k x k`` normal equations or numpy's copy of
+``[J Phi | r]`` for its QR: about ``3k + 3`` columns of ``n`` and two
+``(k + 1) x (k + 1)`` blocks.  The full model wants few parts:
+:func:`band_solve` loops over the ``n`` rows in Python, so one call
+costs about the same at any node count.  The matrix products
+:func:`band_matmat` and :func:`band_t_matmat` write into arrays the
+caller passes, so the reduced workspace is reused by every chunk.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -45,11 +49,21 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Bytes that one part of a stacked solve, reduced or full, may hold at
-#: its peak.  At n = 127 this puts the 289 nodes of a level-5 tensor
-#: grid in two full-model parts (a Thomas sweep per part, whatever its
-#: size), and six reduced nodes at k = 47 in one part.
+#: Bytes that each cut of a stacked solve may hold at its peak: a part
+#: of a full or reduced solve, a chunk of the ``n x k`` algebra of a
+#: reduced iteration, or a part of its line-search trials.  A reduced
+#: solve holds a part and a chunk, or a part, its workspace and a trial
+#: part, at once.  At n = 127 this puts the 289 nodes of a level-5
+#: tensor grid in two full-model parts (a Thomas sweep per part,
+#: whatever its size), 140 nodes in one part of a reduced solve, and
+#: eight nodes at k = 47 in one chunk.
 STACK_BYTES = 3 * 2 ** 19
+
+
+def part_size(node_bytes):
+    """The most nodes of ``node_bytes`` each that one part holds: as many
+    as fit ``STACK_BYTES``, and at least one."""
+    return max(1, STACK_BYTES // node_bytes)
 
 
 def stack_parts(m, node_bytes):
@@ -57,11 +71,28 @@ def stack_parts(m, node_bytes):
     fewest parts that fit ``STACK_BYTES``, at least one node per part
     (an empty stack is one empty part).  The parts are balanced, their
     sizes differing by at most one, and the larger come first, so the
-    first part is as large as any."""
-    count = max(1, -(-m // max(1, STACK_BYTES // node_bytes)))
+    first part is as large as any, and none is larger than
+    ``min(m, part_size(node_bytes))``."""
+    count = max(1, -(-m // part_size(node_bytes)))
     size, extra = divmod(m, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def in_parts(solve, node_bytes, problem, y, mu, *stacks):
+    """``solve(problem, y[p], mu, *(a[p] for a in stacks))`` on the parts
+    of the node stack ``y`` that :func:`stack_parts` cuts at
+    ``node_bytes`` per node, with the parts' outputs (tuples of per-node
+    arrays) joined.  A None stack stays None.  ``y`` of a shape other
+    than ``(m, n_y)`` is the ValueError of ``problem._check_nodes``,
+    raised before any part is solved."""
+    y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
+    mu = np.asarray(mu, dtype=float)
+    stacks = [None if a is None else np.asarray(a, dtype=float) for a in stacks]
+    parts = [solve(problem, y[p], mu, *(None if a is None else a[p] for a in stacks))
+             for p in stack_parts(len(y), node_bytes)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def _pad(u, left, right):
@@ -156,9 +187,21 @@ def roundoff_scale(lo, dg, up, u, f):
     """``|| |A||u| + |f| ||`` of each row: the size of the terms that a
     residual ``A u - f`` with the tridiagonal ``A`` of these bands sums.
     Floating point knows that residual only to about ``eps`` times this
-    (the rounding bound of a sum), so the solvers stop there."""
-    return row_norm(band_matvec(np.abs(lo), np.abs(dg), np.abs(up), np.abs(u))
-                    + np.abs(f))
+    (the rounding bound of a sum), so the solvers stop there.  The
+    operations are those of :func:`band_matvec` on the absolute values,
+    in its order, made in place: three arrays of the state's shape are
+    live, where the expression holds six."""
+    v = np.abs(u)
+    out = np.abs(dg)
+    out *= v
+    tmp = np.abs(lo[..., 1:])
+    tmp *= v[..., :-1]
+    out[..., 1:] += tmp
+    np.abs(up[..., :-1], out=tmp)
+    tmp *= v[..., 1:]
+    out[..., :-1] += tmp
+    out += np.abs(f)
+    return row_norm(out)
 
 
 def row_dot(x):

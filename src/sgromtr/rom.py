@@ -45,23 +45,30 @@ residual tells refinement where to sample.  :class:`RomSolveError` is
 left for a solve with no iterate to return.
 
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
-a stack of one).  Each Gauss-Newton step makes one stacked Gram product,
-Cholesky factorization and solve, a stacked QR and triangular solve
-for the nodes that take the QR step, and at most two stacked residual
-calls for the whole stack; per-node masks apply the routing, stopping
-and backtracking rules, so every node's result is bitwise equal to
-solving it alone.  A stack is cut by :func:`kernels.stack_parts` into
-balanced parts that fit ``kernels.STACK_BYTES`` at about ``5k + 3``
-columns of ``n_u`` per node (see :func:`_parts`).  A part holds
-``J Phi``, the scratch of its band products and the augmented
-``[J Phi | r]`` of the QR steps in one workspace that the solve call
-allocates once for its largest part and every iteration of every part
-reuses, so an iteration allocates no array of ``n_u x k`` per node.
+a stack of one) and cut it at two levels; however it is cut, every
+node's result is bitwise equal to solving it alone.
+:func:`kernels.in_parts` cuts the stack into balanced parts that fit
+``kernels.STACK_BYTES`` at ``_NODE_ARRAYS`` arrays of ``n_u`` per node
+(about 140 nodes at ``n_u = 127``, so a node sweep is mostly one part),
+and a part runs one Gauss-Newton loop: its states, residuals, Jacobian
+bands, round-off scales, line search and the per-node masks of the
+routing, stopping and backtracking rules are whole-part arrays.  Only
+the ``n_u x k`` algebra of an iteration is cut again, into chunks that
+fit the workspace of :func:`_parts`: each chunk forms ``J Phi`` and its
+gradient, makes the stationarity test, and takes one stacked Gram
+product, Cholesky factorization and solve, and a stacked QR and
+triangular solve for its nodes that take the QR step.  The solve call
+allocates that workspace once, ``J Phi`` and one scratch block shared
+by the band products and the augmented ``[J Phi | r]``, and every chunk
+of every iteration reuses it, so an iteration allocates no array of
+``n_u x k`` per node.  The adjoint forms states, bands and right-hand
+sides once per part, and its least-squares solves chunk by chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -284,43 +291,49 @@ def _to_front(a, rows):
             a[i] = a[j]
 
 
+#: Arrays of ``n_u`` floats that one node of a part of a reduced solve
+#: holds outside the workspace of :func:`_parts`, rounded up from its
+#: peak as ``tracemalloc`` measures it: 10.2 for the primal solve (at the
+#: round-off scale of :func:`_steps`: residual, state, three bands and
+#: the scale's three arrays, with the reduced states) and 6.0 for the
+#: adjoint, on stacks of 128 to 512 nodes on the final basis of the
+#: default Burgers run (``n_u = 127``, ``k = 47``).
+_NODE_ARRAYS = 11
+
+
 def _parts(m, n_u, k):
-    """Slices of a stack of ``m`` nodes that fit the budget, and the
-    workspace of the solve call: the arrays that every iteration of
-    every part reuses, ``J Phi`` (or ``J^T Phi``), the scratch of its
-    shifted band products and ``[J Phi | r]``, each sized for the
-    largest part (the first).  An iteration on ``n`` nodes uses their
-    first ``n`` rows.  The three are C-contiguous views of one
-    allocation, ``J Phi`` at its start.
+    """The bytes of one node of a chunk, and the workspace of a solve call
+    on a stack of ``m`` nodes.
 
-    A node holds ``3k + 1`` columns of ``n_u`` in the workspace and, at
-    its peak, the node's state-sized vectors and either numpy's copy of
-    ``[J Phi | r]`` and its triangular factor (the adjoint, and the QR
-    steps of the primal) or ``G``, its Cholesky factor and the solve's
-    copy of it (the normal-equations steps).  ``tracemalloc`` measures,
-    on stacks of 1 to 6 nodes on the final basis of the default Burgers
-    run (``n_u = 127``, ``k = 47``), 226 to 233 columns for the primal
-    solve and 214 to 227 for the adjoint, so the budget counts
-    ``5k + 3``."""
-    slices = kernels.stack_parts(m, 8 * n_u * (5 * k + 3))
-    size = slices[0].stop
-    block = np.empty(size * n_u * (3 * k + 1))
-    cut = size * n_u * k
-    return slices, (block[:cut].reshape(size, n_u, k),
-                    block[cut:2 * cut].reshape(size, n_u, k),
-                    block[2 * cut:].reshape(size, n_u, k + 1))
+    Every Gauss-Newton iteration and adjoint solve cuts its nodes by
+    :func:`kernels.stack_parts` into chunks at this many bytes per node,
+    and a chunk of ``n`` nodes makes its ``n_u x k`` algebra in the
+    first ``n`` rows of the workspace: ``J Phi`` (or ``J^T Phi``) and
+    one scratch block that first takes the shifted band products of
+    ``J Phi`` and then ``[J Phi | r]`` for the QR.  Both are sized for
+    the largest chunk of at most ``m`` nodes, and are C-contiguous views
+    of one allocation, ``J Phi`` at its start.  An empty basis is a
+    :class:`RomSolveError`.
 
-
-def _in_parts(solve, problem, basis, ys, mu, q):
-    """``solve(problem, basis, ys, mu, q, work)`` on the parts of a
-    stack, in the workspace of the call (see :func:`_parts`), with the
-    parts' outputs joined.  An empty basis is a :class:`RomSolveError`."""
-    if basis.k == 0:
+    A chunk node holds ``2k + 1`` columns of ``n_u`` in the workspace
+    and, at its peak, numpy's copy of ``[J Phi | r]`` and two
+    ``(k + 1) x (k + 1)`` blocks: the triangular factor and the solve's
+    copy of it (the adjoint, and the QR steps of the primal) or ``G``
+    and its Cholesky factor (the normal-equations steps).  The budget
+    counts ``3k + 3`` columns and the two blocks, 180 columns at
+    ``n_u = 127``, ``k = 47``; ``tracemalloc`` measures 163 per node for
+    the primal chunks and 180 for the adjoint ones, on chunks of 4 to
+    12 nodes on the final basis of the default Burgers run."""
+    if k == 0:
         raise RomSolveError("reduced basis is empty")
-    ys, mu, q = (np.asarray(a, dtype=float) for a in (ys, mu, q))
-    slices, work = _parts(len(ys), basis.n_u, basis.k)
-    parts = [solve(problem, basis, ys[p], mu, q[p], work) for p in slices]
-    return (np.concatenate(a) for a in zip(*parts))
+    chunk = 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
+    size = min(m, kernels.part_size(chunk))
+    block = np.empty(size * n_u * (2 * k + 1))
+    cut = size * n_u * k
+    scratch = block[cut:]
+    return chunk, (block[:cut].reshape(size, n_u, k),
+                   scratch[:cut].reshape(size, n_u, k),
+                   scratch.reshape(size, n_u, k + 1))
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -357,26 +370,30 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     otherwise.  For a residual affine in the state this converges in a
     single step.
 
-    The stack is solved together: per step, one stacked Gram product,
-    Cholesky factorization and solve, one stacked QR and triangular
-    solve for the nodes routed to it, one residual call for the full
-    steps and one for every halving of the rejected nodes (see
-    :func:`_backtrack`).  Nodes leave the stack as they stop.  A node
+    Each part of the stack is solved by one loop (see the module
+    docstring): per step, one expansion of the states and one band and
+    round-off scale call for the part, then per chunk one stacked Gram
+    product, Cholesky factorization and solve, and one stacked QR and
+    triangular solve for the nodes routed to it, then one residual call
+    for the full steps of the part and one per trial part of the
+    halvings of its rejected nodes (see :func:`_backtrack`).  Nodes
+    leave the stack as they stop.  A node
     that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
     iterate and marked in :attr:`RomPrimal.failed` (see the module
     docstring); :class:`RomSolveError` is raised only for an empty basis
     or a reduced Jacobian whose QR factor is singular.
     """
     q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
-    return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
+    chunk, work = _parts(len(ys), basis.n_u, basis.k)
+    return RomPrimal(*kernels.in_parts(
+        partial(_gauss_newton, basis=basis, chunk=chunk, work=work),
+        8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
 
 
-def _gauss_newton(problem, basis, ys, mu, q, work):
-    """One part of :func:`solve_rom_primal` in the call's workspace
-    ``work`` (see :func:`_parts`); returns the per-node arrays of
-    :class:`RomPrimal`."""
-    phi = basis.columns
-    out, tmp, aug = work
+def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
+    """One part of :func:`solve_rom_primal`, with the chunk budget
+    ``chunk`` and the workspace ``work`` of the call (see
+    :func:`_parts`); returns the per-node arrays of :class:`RomPrimal`."""
     m = len(q)
     f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
@@ -388,36 +405,16 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
     for _ in range(GN_MAX_ITERS):
         if not live.size:
             break
-        n = live.size
-        u = basis.expand(q[live])
-        lo, dg, up = problem.jac_bands(u, ys[live], mu)
-        jphi = kernels.band_matmat(lo, dg, up, phi, out[:n], tmp[:n])
-        grad = (jphi.transpose(0, 2, 1) @ r[live][:, :, None])[:, :, 0]
-        g = kernels.row_norm(grad)
-        jnorm = kernels.row_norm(jphi.reshape(n, -1))
-        # stationary at the gradient's own round-off (module docstring)
-        go = ~(g <= _EPS * jnorm * kernels.roundoff_scale(lo, dg, up, u, f))
-        if not go.all():
-            go = np.flatnonzero(go)
-            _to_front(jphi, go)
-            live, grad, g, jnorm = live[go], grad[go], g[go], jnorm[go]
-            if not live.size:
-                break
         rn = rnorm[live]
         # the model decrease of ||r||^2 at step length t is (2t - t^2) drop;
         # once it falls below the relative decrease the stagnation test
         # asks for, an accepted step could only stall
         floor = 2e-12 * rn * rn
-        delta, drop, kappa2 = _normal_steps(jphi[:live.size], grad)
-        # the normal equations know the model residual ||r||^2 - drop
-        # only to about cond(G) eps ||r||^2, and cannot take the residual
-        # of a nearly representable state below that; such a state, and
-        # a G that failed its checks (NaN drop), take the QR step
-        qr = np.flatnonzero(~(rn * rn - drop > kappa2 * _EPS * rn * rn))
-        if qr.size:
-            _to_front(jphi, qr)
-            delta[qr], drop[qr] = _qr_steps(jphi[:qr.size], r[live[qr]], rn[qr],
-                                            floor[qr], aug[:qr.size])
+        go, delta, drop, g, jnorm = _steps(problem, basis, ys, mu, q, r, live,
+                                           rn, floor, f, chunk, work)
+        if not go.all():
+            # a stationary node leaves the stack (module docstring)
+            live, rn, floor = live[go], rn[go], floor[go]
         moved = np.zeros(live.size, dtype=bool)
         step = np.flatnonzero(drop > floor)
         if step.size:
@@ -440,6 +437,58 @@ def _gauss_newton(problem, basis, ys, mu, q, work):
     return q, rnorm, iters, stalled, failed
 
 
+def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
+    """The Gauss-Newton steps of one iteration at the nodes ``live`` of a
+    part, whose residuals ``r[live]`` have norms ``rn``.
+
+    The state, its Jacobian bands and the round-off scale of the
+    residual are formed once for all of them; ``J Phi``, the gradient,
+    the stationarity test and the step are formed chunk by chunk in the
+    workspace (see :func:`_parts`).  Returns ``(go, delta, drop, g,
+    jnorm)``: the mask of the nodes of ``live`` that are not
+    stationary, and their steps, model decreases, gradient norms and
+    ``||J Phi||_F``.
+    """
+    out, tmp, aug = work
+    u = basis.expand(q[live])
+    lo, dg, up = problem.jac_bands(u, ys[live], mu)
+    scale = kernels.roundoff_scale(lo, dg, up, u, f)
+    steps = []
+    for c in kernels.stack_parts(live.size, chunk):
+        n = c.stop - c.start
+        at, rn_at, floor_at = live[c], rn[c], floor[c]
+        jphi = kernels.band_matmat(lo[c], dg[c], up[c], basis.columns,
+                                   out[:n], tmp[:n])
+        grad = (jphi.transpose(0, 2, 1) @ r[at][:, :, None])[:, :, 0]
+        g = kernels.row_norm(grad)
+        jnorm = kernels.row_norm(jphi.reshape(n, -1))
+        # stationary at the gradient's own round-off (module docstring)
+        go = ~(g <= _EPS * jnorm * scale[c])
+        if not go.any():
+            # every node of the chunk is stationary: no step to factor
+            steps.append((go, grad[:0], g[:0], g[:0], g[:0]))
+            continue
+        if not go.all():
+            keep = np.flatnonzero(go)
+            _to_front(jphi, keep)
+            at, rn_at, floor_at, grad, g, jnorm = (
+                a[keep] for a in (at, rn_at, floor_at, grad, g, jnorm))
+        delta, drop, kappa2 = _normal_steps(jphi[:at.size], grad)
+        # the normal equations know the model residual ||r||^2 - drop
+        # only to about cond(G) eps ||r||^2, and cannot take the residual
+        # of a nearly representable state below that; such a state, and
+        # a G that failed its checks (NaN drop), take the QR step
+        qr = np.flatnonzero(~(rn_at * rn_at - drop > kappa2 * _EPS * rn_at * rn_at))
+        if qr.size:
+            _to_front(jphi, qr)
+            delta[qr], drop[qr] = _qr_steps(jphi[:qr.size], r[at[qr]], rn_at[qr],
+                                            floor_at[qr], aug[:qr.size])
+        steps.append((go, delta, drop, g, jnorm))
+    if len(steps) == 1:
+        return steps[0]
+    return (np.concatenate(a) for a in zip(*steps))
+
+
 #: step lengths 2^-1, ..., 2^-29 of the halvings after a rejected full step
 _HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
 
@@ -447,12 +496,19 @@ _HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
 def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
     """First step length ``t = 2^-j`` whose residual norm is below ``rnorm``.
 
-    One residual call evaluates the full step of every node; a second
-    evaluates, for every node that rejected it, all halvings down to
-    the model cut-off ``(2t - t^2) drop <= floor`` at once.  Taking each
-    node's first decreasing trial is the step a one-halving-at-a-time
-    loop accepts.  Returns ``(found, q, r, rnorm)`` of the accepted
-    trials (the full-step values where ``found`` is False).
+    One residual call evaluates the full step of every node.  The
+    trials of the nodes that rejected it, every halving down to the
+    model cut-off ``(2t - t^2) drop <= floor``, are rows in node order
+    and, within a node, in halving order; :func:`kernels.stack_parts`
+    cuts them into parts at four arrays of ``n_u`` (the trial state and
+    the residual kernel's three) and two of ``k`` per row, which may
+    split a node's rows.  One residual call evaluates each part, but
+    for the rows of nodes that took a halving in an earlier part.
+    Taking each node's first decreasing trial is the step a
+    one-halving-at-a-time loop accepts, however the rows are cut
+    (``tracemalloc`` measures 4.5 columns of ``n_u`` per row at
+    ``n_u = 127``, ``k = 47``).  Returns ``(found, q, r, rnorm)`` of the
+    accepted trials (the full-step values where ``found`` is False).
     """
     q_new = q + delta
     r_new = problem.residual(basis.expand(q_new), ys, mu)
@@ -465,14 +521,21 @@ def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
     # (2t - t^2) is exact for these t and decreases with t, so the
     # halvings above the cut-off are a leading run of each row
     open_ = (2.0 * t - t * t) * drop[back, None] > floor[back, None]
-    if open_.any():
-        rows = np.broadcast_to(back[:, None], open_.shape)[open_]
-        ts = np.broadcast_to(t, open_.shape)[open_]
-        q_t = q[rows] + ts[:, None] * delta[rows]
-        r_t = problem.residual(basis.expand(q_t), ys[rows], mu)
+    rows = np.broadcast_to(back[:, None], open_.shape)[open_]
+    ts = np.broadcast_to(t, open_.shape)[open_]
+    for p in kernels.stack_parts(rows.size, 8 * (4 * basis.n_u + 2 * basis.k)):
+        at, t_at = rows[p], ts[p]
+        if p.start:
+            # a node that took a halving in an earlier part is done
+            left = ~found[at]
+            at, t_at = at[left], t_at[left]
+        if not at.size:
+            continue
+        q_t = q[at] + t_at[:, None] * delta[at]
+        r_t = problem.residual(basis.expand(q_t), ys[at], mu)
         rn_t = kernels.row_norm(r_t)
-        hit = np.flatnonzero(rn_t < rnorm[rows])
-        nodes, first = np.unique(rows[hit], return_index=True)
+        hit = np.flatnonzero(rn_t < rnorm[at])
+        nodes, first = np.unique(at[hit], return_index=True)
         pick = hit[first]
         q_new[nodes], r_new[nodes], rn_new[nodes] = q_t[pick], r_t[pick], rn_t[pick]
         found[nodes] = True
@@ -491,26 +554,35 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     ``max(n_u, k) eps`` times the largest one.  The reported residual
     norm is evaluated explicitly from the solution.
     """
-    return RomAdjoint(*_in_parts(_min_res_adjoint, problem, basis, ys, mu, q))
+    chunk, work = _parts(len(ys), basis.n_u, basis.k)
+    return RomAdjoint(*kernels.in_parts(
+        partial(_min_res_adjoint, basis=basis, chunk=chunk, work=work),
+        8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
 
 
-def _min_res_adjoint(problem, basis, ys, mu, q, work):
-    """One part of :func:`solve_rom_adjoint` in the call's workspace
-    ``work`` (see :func:`_parts`); returns ``(eta, res)``."""
-    k, n = basis.k, len(q)
+def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
+    """One part of :func:`solve_rom_adjoint`, with the chunk budget
+    ``chunk`` and the workspace ``work`` of the call (see
+    :func:`_parts`); returns ``(eta, res)``.  The state, its Jacobian
+    bands and the right-hand side are formed once for the part, the
+    least-squares solves chunk by chunk."""
+    k = basis.k
     out, tmp, aug = work
     u = basis.expand(q)
-    a = kernels.band_t_matmat(*problem.jac_bands(u, ys, mu), basis.columns,
-                              out[:n], tmp[:n])
+    lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
-    R = _augmented_r(a, b, aug[:n])
-    diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
-    tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
-    rank = np.count_nonzero(diag > tol, axis=1)
-    if (rank < k).any():
-        raise RomSolveError(
-            f"adjoint ROM matrix is rank-deficient (rank {rank.min()} < {k})")
-    eta = np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0]
-    res = kernels.row_norm((a @ eta[:, :, None])[:, :, 0] - b)
-    return eta, res
-
+    eta, res = [], []
+    for c in kernels.stack_parts(len(q), chunk):
+        n = c.stop - c.start
+        a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.columns,
+                                  out[:n], tmp[:n])
+        R = _augmented_r(a, b[c], aug[:n])
+        diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
+        tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
+        rank = np.count_nonzero(diag > tol, axis=1)
+        if (rank < k).any():
+            raise RomSolveError(
+                f"adjoint ROM matrix is rank-deficient (rank {rank.min()} < {k})")
+        eta.append(np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0])
+        res.append(kernels.row_norm((a @ eta[-1][:, :, None])[:, :, 0] - b[c]))
+    return np.concatenate(eta), np.concatenate(res)

@@ -233,6 +233,9 @@ def test_roundoff_scale_matches_dense(data):
     got = kernels.roundoff_scale(*(b[None] for b in (lo, dg, up)), v[None], f)
     assert got.shape == (1,)
     np.testing.assert_allclose(got[0], expected, rtol=1e-14)
+    # made in place, it is bitwise the expression it stands for
+    plain = kernels.band_matvec(np.abs(lo), np.abs(dg), np.abs(up), np.abs(v)) + np.abs(f)
+    assert got[0] == kernels.row_norm(plain[None])[0]
 
 
 def test_stack_parts_are_balanced_and_fit(monkeypatch):

@@ -1,5 +1,7 @@
 """Reduced-basis bookkeeping and minimum-residual solve properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,9 @@ class _AffineProblem:
 
     def source(self, mu):
         return self.b
+
+    def _check_nodes(self, y):
+        assert y.ndim == 2
 
 
 def test_predicted_stagnation_spends_no_line_search():
@@ -419,25 +424,49 @@ def test_converged_node_restarts_without_a_step(bur, monkeypatch):
     np.testing.assert_array_equal(warm.residual_norm, cold.residual_norm)
 
 
+def _chunk_sizes(monkeypatch):
+    """Record the node count of every ``J Phi`` and ``J^T Phi`` product."""
+    sizes = []
+    for name in ("band_matmat", "band_t_matmat"):
+        def record(lo, *args, _product=getattr(kernels, name)):
+            sizes.append(len(lo))
+            return _product(lo, *args)
+        monkeypatch.setattr(kernels, name, record)
+    return sizes
+
+
 def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
-    # five nodes in parts of two that share one workspace: nodes leave the
-    # stack at different iterations, nodes 0 and 2 at the round-off test
-    # while the other node of their part goes on, and the last part is
-    # smaller than the workspace.  Every row, primal and adjoint, is
-    # bitwise equal to its node solved as a stack of one
+    # five nodes that leave the stack at different iterations, nodes 0
+    # and 2 at the round-off test while the others go on, solved whole
+    # and in chunks of two and of one that share one workspace.  Every
+    # row, primal and adjoint, is bitwise equal in the three, and to its
+    # node solved as a stack of one
     basis, ys, mu = _interpolating_stack(bur)
     converged = solve_rom_primal(bur, basis, ys[:1], mu).q[0]
     ys = ys[[0, 1, 0, 2, 3]]
     q0 = np.zeros((5, basis.k))
     q0[0] = converged
-    monkeypatch.setattr(kernels, "STACK_BYTES", 2 * 8 * bur.n_u * (5 * basis.k + 3))
-    assert [len(ys[p]) for p in rom._parts(5, bur.n_u, basis.k)[0]] == [2, 2, 1]
-    prim = solve_rom_primal(bur, basis, ys, mu, q0=q0)
-    adj = solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+    chunk = rom._parts(5, bur.n_u, basis.k)[0]
+    solves = {}
+    for size in (None, 2, 1):
+        with monkeypatch.context() as patch:
+            if size:
+                patch.setattr(kernels, "STACK_BYTES", size * chunk)
+            sizes = _chunk_sizes(patch)
+            prim = solve_rom_primal(bur, basis, ys, mu, q0=q0)
+            adj = solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+        assert max(sizes) == (size or 5)
+        solves[size] = prim, adj
+    prim, adj = solves[None]
     assert prim.q.shape == adj.eta.shape == (5, basis.k)
     assert prim.iters[0] == 0 and 0 < prim.iters[2] < prim.iters[3]
     assert not prim.stalled[[0, 2]].any() and prim.stalled[[1, 3]].all()
     assert not prim.failed.any()
+    for cut, cut_adj in (solves[2], solves[1]):
+        for field in ("q", "residual_norm", "iters", "stalled", "failed"):
+            np.testing.assert_array_equal(getattr(cut, field), getattr(prim, field))
+        np.testing.assert_array_equal(cut_adj.eta, adj.eta)
+        np.testing.assert_array_equal(cut_adj.residual_norm, adj.residual_norm)
     for i in range(5):
         one = solve_rom_primal(bur, basis, ys[[i]], mu, q0=q0[[i]])
         np.testing.assert_array_equal(prim.q[i], one.q[0])
@@ -451,16 +480,106 @@ def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
 
 
 def test_parts_workspace_holds_every_part(monkeypatch):
-    # parts of at most seven nodes at n_u = 127, k = 47: the workspace is
-    # sized from the first part, so that part must be as large as any
+    # chunks of at most seven nodes at n_u = 127, k = 47: the workspace
+    # of a call on m nodes holds the largest chunk of any iteration,
+    # whose live nodes are at most m, and its band-product scratch and
+    # [J Phi | r] block are one memory, apart from J Phi
     n_u, k = 127, 47
-    monkeypatch.setattr(kernels, "STACK_BYTES", 7 * 8 * n_u * (5 * k + 3))
+    chunk = rom._parts(1, n_u, k)[0]
+    monkeypatch.setattr(kernels, "STACK_BYTES", 7 * chunk)
     for m in range(1, 41):
-        slices, work = rom._parts(m, n_u, k)
-        size = len(work[0])
-        assert [w.shape for w in work] == [(size, n_u, k)] * 2 + [(size, n_u, k + 1)]
-        sizes = [len(range(m)[p]) for p in slices]
-        assert sum(sizes) == m and max(sizes) <= size <= 7
+        _, (out, tmp, aug) = rom._parts(m, n_u, k)
+        size = len(out)
+        assert (out.shape, tmp.shape, aug.shape) == (
+            (size, n_u, k), (size, n_u, k), (size, n_u, k + 1))
+        assert all(a.flags.c_contiguous for a in (out, tmp, aug))
+        assert np.shares_memory(tmp, aug)
+        assert not np.shares_memory(out, tmp) and not np.shares_memory(out, aug)
+        for n in range(1, m + 1):
+            sizes = [len(range(n)[p]) for p in kernels.stack_parts(n, chunk)]
+            assert sum(sizes) == n and max(sizes) <= size <= 7
+
+
+class _StepLengthProblem:
+    """A residual that encodes the step length of a :func:`rom._backtrack`
+    trial.  From ``q = 0`` along the first unit column, the trial state
+    is ``t e_0``; node ``i`` (``y = (i, 0)``) sees a residual norm of 2
+    above ``t = 2^-first[i]`` and ``0.5 + t`` at and below it, so its
+    first decreasing halving is not its smallest residual.  A node with
+    ``first`` None never decreases.  Counts the rows it evaluates."""
+
+    def __init__(self, n, first):
+        self.n, self.first, self.rows = n, first, 0
+
+    def residual(self, u, y, mu):
+        self.rows += len(u)
+        t = u[:, 0]
+        cut = np.array([-1.0 if j is None else 2.0 ** -j for j in self.first])
+        r = np.zeros(u.shape)
+        r[:, 0] = np.where(t <= cut[y[:, 0].astype(int)], 0.5 + t, 2.0)
+        return r
+
+
+def test_halvings_cut_mid_node_take_the_first_decrease(monkeypatch):
+    # four nodes reject their full steps; every halving of each is above
+    # the model cut-off, so 4 x 29 trials, cut into parts of at most ten
+    # rows, which split the rows of every node.  Each node takes its first
+    # decreasing halving, bitwise as the uncut evaluation does, and no
+    # trial of a node is evaluated after the part where it found one
+    n, k, m = 20, 2, 4
+    basis = _unit_basis(n, k)
+    first = [3, 12, None, 27]
+    ys = np.column_stack([np.arange(m), np.zeros(m)])
+    q = np.zeros((m, k))
+    delta = np.tile([1.0, 0.0], (m, 1))
+    args = (ys, np.zeros(3), q, delta, np.ones(m), np.ones(m), np.full(m, 1e-300))
+
+    def backtrack():
+        problem = _StepLengthProblem(n, first)
+        return rom._backtrack(problem, basis, *args), problem.rows
+
+    (found, q_new, r_new, rn_new), rows = backtrack()
+    assert rows == m + m * 29
+    row_bytes = 8 * (4 * n + 2 * k)
+    monkeypatch.setattr(kernels, "STACK_BYTES", 10 * row_bytes)
+    assert [len(range(m * 29)[p]) for p in kernels.stack_parts(m * 29, row_bytes)] \
+        == [10] * 8 + [9] * 4
+    (cut_found, cut_q, cut_r, cut_rn), cut_rows = backtrack()
+    np.testing.assert_array_equal(found, [True, True, False, True])
+    np.testing.assert_array_equal(q_new[:, 0], [2.0 ** -3, 2.0 ** -12, 1.0, 2.0 ** -27])
+    np.testing.assert_array_equal(rn_new, [0.5 + 2.0 ** -3, 0.5 + 2.0 ** -12, 2.0,
+                                           0.5 + 2.0 ** -27])
+    for got, want in ((cut_found, found), (cut_q, q_new), (cut_r, r_new), (cut_rn, rn_new)):
+        np.testing.assert_array_equal(got, want)
+    # node 0 finds its halving in the first part (trial rows 0-9), node 1
+    # in the fifth (rows 40-49): the later parts skip node 0's rows 10-28
+    # and node 1's rows 50-57
+    assert cut_rows == m + m * 29 - 19 - 8
+
+
+def test_reduced_solve_peaks_stay_flat_with_the_stack(bur):
+    # a part holds _NODE_ARRAYS arrays of n_u per node and a chunk its
+    # n_u x k algebra, so doubling a stack of two full parts into four
+    # adds only the joined outputs and the start (at most 4k + 8 floats
+    # a node), where one more node of a part would add about 11 n_u
+    basis = seeded_basis(bur, seed=5, n_snaps=10)
+    k, n_u = basis.k, bur.n_u
+    full = kernels.part_size(8 * rom._NODE_ARRAYS * n_u)
+    rng = np.random.default_rng(6)
+    mu = rng.uniform(-0.3, 0.3, bur.n_mu)
+    peaks = []
+    for m in (2 * full, 4 * full):
+        ys = rng.uniform(-1, 1, (m, bur.n_y))
+        tracemalloc.start()
+        prim = solve_rom_primal(bur, basis, ys, mu)
+        primal = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+        peaks.append((primal, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.stop()
+        del prim
+    for small, large in zip(*peaks):
+        assert large - small <= 2 * full * 8 * (4 * k + 8)
 
 
 class _Scaled:
@@ -477,6 +596,9 @@ class _Scaled:
 
     def source(self, mu):
         return self.c * self.problem.source(mu)
+
+    def _check_nodes(self, y):
+        self.problem._check_nodes(y)
 
 
 def test_stop_depends_on_no_absolute_scale(bur):

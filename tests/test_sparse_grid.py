@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgromtr import sparse_grid
 from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
                                  difference_rule, integrate,
                                  interpolation_weights, is_admissible,
@@ -351,3 +352,41 @@ def test_index_set_roundtrip(tmp_path):
     assert lines == ["1 1", "1 2", "2 1", "2 2", "3 1"]
     back = MultiIndexSet.from_indices(line.split() for line in lines)
     assert back == s
+
+
+def test_rule_caches_stay_bounded():
+    # more distinct keys than the bound: every cache keeps at most its
+    # bound, and an evicted entry comes back equal to an uncached assembly
+    caches = (cc_rule, tensor_nodes, difference_rule, sparse_grid._assemble_cached)
+    bound = sparse_grid.CACHE_SIZE
+    assert [c.cache_info().maxsize for c in caches] == [bound] * 4
+    dim = 9
+    # levels 1 to 3 in at most two of nine dimensions: 163 cheap keys
+    levels = [tuple(1 + b for b in bump)
+              for bump in itertools.product((0, 1, 2), repeat=dim)
+              if sum(v > 0 for v in bump) <= 2]
+    # the unit index and its forward neighbors in a subset of dimensions
+    unit = (1,) * dim
+    sets = [(unit,) + tuple(unit[:j] + (2,) + unit[j + 1:] for j in dims)
+            for size in range(dim + 1) for dims in itertools.combinations(range(dim), size)]
+    assert len(levels) > bound and len(sets) > bound
+    for key in levels:
+        tensor_nodes(key)
+        difference_rule(key)
+    for indices in sets[:bound + 10]:
+        assemble(mis(*indices))
+    for cache in caches:
+        assert cache.cache_info().currsize <= bound
+
+    def same(a, b):
+        for x, y in zip(a, b):
+            np.testing.assert_array_equal(x, y)
+
+    for key in (levels[0], levels[-1]):
+        same(tensor_nodes(key), tensor_nodes.__wrapped__(key))
+        rule, fresh = difference_rule(key), difference_rule.__wrapped__(key)
+        same((rule.keys, rule.coords, rule.weights), (fresh.keys, fresh.coords, fresh.weights))
+    for indices in (sets[0], sets[bound + 9]):
+        got = assemble(mis(*indices))
+        fresh = sparse_grid._assemble_cached.__wrapped__(dim, mis(*indices).sorted_indices)
+        same((got.keys, got.coords, got.weights), (fresh.keys, fresh.coords, fresh.weights))
