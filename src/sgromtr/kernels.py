@@ -29,8 +29,11 @@ A full-model node holds about nine ``(n,)`` arrays: state, residual,
 step and line-search trial, and the residual kernel's three.  The
 reduced solves cut at two levels.  A part of a Gauss-Newton or adjoint
 solve holds about ten ``(n,)`` arrays per node: state, residual,
-Jacobian bands and the round-off scale's three.  Inside each iteration
-the ``(n, k)`` algebra runs in chunks of nodes, each node holding
+Jacobian bands and three more, of the round-off scale or of the
+gradient pass, whose ``A^T r`` (:func:`band_t_matvec`) and per-row dots
+(:func:`row_dot`) test every node for stationarity without an
+``(n, k)`` product.  Inside each iteration the ``(n, k)`` algebra of
+the nodes that take a step runs in chunks of nodes, each node holding
 ``2k + 1`` columns of ``n`` of a workspace the solve call allocates once
 and, at its peak, the ``k x k`` normal equations or numpy's copy of
 ``[J Phi | r]`` for its QR: about ``3k + 3`` columns of ``n`` and two
@@ -204,14 +207,17 @@ def roundoff_scale(lo, dg, up, u, f):
     return row_norm(out)
 
 
-def row_dot(x):
-    """``x @ x`` of each row of ``x``, one BLAS dot per row.
+def row_dot(x, y=None):
+    """``x @ y`` of each row of ``x`` and the same row of ``y`` (``x @ x``
+    by default), one BLAS dot per row, so each row is bitwise equal to its
+    one-row call.
 
     ``np.linalg.norm`` of a vector is the square root of this same dot,
     so ``sqrt(row_dot(x))`` is bitwise equal to the norm of each row; an
     axis reduction (``einsum``, ``sum``) is not.
     """
-    return (x[..., None, :] @ x[..., :, None])[..., 0, 0]
+    y = x if y is None else y
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
 def row_norm(x):

@@ -33,8 +33,15 @@ Algorithms*, ch. 3) floating point knows each entry of ``r`` only to
 about ``eps`` times that magnitude, and the gradient to ``||J Phi||``
 times it.  No step resolves a smaller gradient, and none is needed: the
 error indicators are residual norms, exact at whatever reduced state a
-solve returns.  The test has no tolerance and no absolute scale; it is
-computed from the same Jacobian bands that build ``J Phi``.
+solve returns.  The test has no tolerance and no absolute scale, and it
+needs no ``J Phi``: the gradient is ``Phi^T (J^T r)``, and
+``||J Phi||_F^2`` sums, over the rows of the tridiagonal ``J``, the
+row's three band entries against the 3 x 3 Gram matrix of three
+consecutive basis rows, which the basis caches (see
+:func:`_jphi_norms`).  That is one matrix-vector product and
+O(n_u) more per node where ``J Phi`` is an ``n_u x k`` product, so a
+node forms ``J Phi`` only in an iteration where it takes a step, and its
+last, stationary iteration forms none.
 
 For the same reason a primal solve returns every node, with its
 outcome, at its last iterate and that iterate's true residual norm:
@@ -51,11 +58,11 @@ node's result is bitwise equal to solving it alone.
 ``kernels.STACK_BYTES`` at ``_NODE_ARRAYS`` arrays of ``n_u`` per node
 (about 140 nodes at ``n_u = 127``, so a node sweep is mostly one part),
 and a part runs one Gauss-Newton loop: its states, residuals, Jacobian
-bands, round-off scales, line search and the per-node masks of the
-routing, stopping and backtracking rules are whole-part arrays.  Only
-the ``n_u x k`` algebra of an iteration is cut again, into chunks that
-fit the workspace of :func:`_parts`: each chunk forms ``J Phi`` and its
-gradient, makes the stationarity test, and takes one stacked Gram
+bands, round-off scales, reduced gradients, stationarity tests, line
+search and the per-node masks of the routing, stopping and backtracking
+rules are whole-part arrays.  Only the ``n_u x k`` algebra of the nodes
+that take a step is cut again, into chunks that fit the workspace of
+:func:`_parts`: each chunk forms ``J Phi`` and takes one stacked Gram
 product, Cholesky factorization and solve, and a stacked QR and
 triangular solve for its nodes that take the QR step.  The solve call
 allocates that workspace once, ``J Phi`` and one scratch block shared
@@ -139,6 +146,7 @@ class ReducedBasis:
         self.provenance: list[Snapshot] = []
         self.sampled_points: set = set()
         self.last_primal: np.ndarray | None = None
+        self._gram = None
 
     @property
     def columns(self) -> np.ndarray:
@@ -154,6 +162,7 @@ class ReducedBasis:
         out.provenance = list(self.provenance)
         out.sampled_points = set(self.sampled_points)
         out.last_primal = self.last_primal
+        out._gram = self._gram
         return out
 
     def append_snapshots(self, vectors, kinds, y, mu) -> int:
@@ -187,8 +196,10 @@ class ReducedBasis:
         return kept
 
     def project(self, u: np.ndarray) -> np.ndarray:
-        """Reduced coordinates of the orthogonal projection of ``u``."""
-        return self._cols.T @ u
+        """Reduced coordinates ``Phi^T u`` of the orthogonal projection of
+        ``u``; a stack ``u`` of shape ``(m, n_u)`` gives ``(m, k)``, each
+        row one matrix-vector product, as in :meth:`expand`."""
+        return (self._cols.T @ u[..., None])[..., 0]
 
     def expand(self, q: np.ndarray) -> np.ndarray:
         """Full state ``Phi q``; a stack ``q`` of shape ``(m, k)`` gives ``(m, n_u)``.
@@ -197,6 +208,27 @@ class ReducedBasis:
         for that row (``q @ Phi.T`` is not).
         """
         return (self._cols @ q[..., None])[..., 0]
+
+    def row_grams(self):
+        """The Gram matrix ``Q_i`` of basis rows ``i - 1, i, i + 1`` at
+        every row ``i``, as six arrays of ``n_u`` (rows of one array):
+        the entries ``(i-1, i-1)``, ``(i, i)``, ``(i+1, i+1)``, and twice
+        ``(i-1, i)``, ``(i, i+1)`` and ``(i-1, i+1)``, zero where a row
+        is outside the basis.  They are the diagonals 0, 1 and 2 of
+        ``Phi Phi^T``, and give ``||A Phi||_F`` of a tridiagonal ``A`` in
+        O(n_u) (see :func:`_jphi_norms`).  Computed once per ``k``."""
+        if self._gram is None or self._gram[0] != self.k:
+            rows = self._cols
+            d0, d1, d2 = (kernels.row_dot(rows[j:], rows[:self.n_u - j]) for j in range(3))
+            gram = np.zeros((6, self.n_u))
+            gram[0, 1:] = d0[:-1]
+            gram[1] = d0
+            gram[2, :-1] = d0[1:]
+            gram[3, 1:] = 2.0 * d1
+            gram[4, :-1] = 2.0 * d1
+            gram[5, 1:-1] = 2.0 * d2
+            self._gram = self.k, gram
+        return self._gram[1]
 
 
 def _augmented_r(a, b, aug):
@@ -293,11 +325,11 @@ def _to_front(a, rows):
 
 #: Arrays of ``n_u`` floats that one node of a part of a reduced solve
 #: holds outside the workspace of :func:`_parts`, rounded up from its
-#: peak as ``tracemalloc`` measures it: 10.2 for the primal solve (at the
-#: round-off scale of :func:`_steps`: residual, state, three bands and
-#: the scale's three arrays, with the reduced states) and 6.0 for the
-#: adjoint, on stacks of 128 to 512 nodes on the final basis of the
-#: default Burgers run (``n_u = 127``, ``k = 47``).
+#: peak as ``tracemalloc`` measures it: 10.2 for the primal solve (in
+#: :func:`_steps`: residual, state, three bands and three more arrays,
+#: of the round-off scale or of the gradient pass, with the reduced
+#: states) and 6.0 for the adjoint, on stacks of 128 to 512 nodes on the
+#: final basis of the default Burgers run (``n_u = 127``, ``k = 47``).
 _NODE_ARRAYS = 11
 
 
@@ -305,8 +337,9 @@ def _parts(m, n_u, k):
     """The bytes of one node of a chunk, and the workspace of a solve call
     on a stack of ``m`` nodes.
 
-    Every Gauss-Newton iteration and adjoint solve cuts its nodes by
-    :func:`kernels.stack_parts` into chunks at this many bytes per node,
+    Every Gauss-Newton iteration cuts the nodes that take a step, and
+    every adjoint solve its nodes, by :func:`kernels.stack_parts` into
+    chunks at this many bytes per node,
     and a chunk of ``n`` nodes makes its ``n_u x k`` algebra in the
     first ``n`` rows of the workspace: ``J Phi`` (or ``J^T Phi``) and
     one scratch block that first takes the shifted band products of
@@ -350,10 +383,10 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     model residual ``||r||^2 - drop`` is at most ``kappa2 eps ||r||^2``:
     a nearly representable state, whose residual the error of the
     normal equations would swamp.  The step is halved (at most 29 times)
-    until the residual norm decreases.  A node is stationary, before any
-    factorization of its step, once its reduced gradient
-    ``(J Phi)^T r`` is at most its own round-off
-    ``eps ||J Phi||_F || |J||u| + |f| ||`` (see the module docstring):
+    until the residual norm decreases.  A node is stationary, before
+    ``J Phi`` is formed, once its reduced gradient ``(J Phi)^T r`` is
+    at most its own round-off ``eps ||J Phi||_F || |J||u| + |f| ||``,
+    both computed from the Jacobian bands (see the module docstring):
     a smaller gradient cannot be resolved in floating point, so a
     further step could only confirm a stall.
 
@@ -371,10 +404,11 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     single step.
 
     Each part of the stack is solved by one loop (see the module
-    docstring): per step, one expansion of the states and one band and
-    round-off scale call for the part, then per chunk one stacked Gram
-    product, Cholesky factorization and solve, and one stacked QR and
-    triangular solve for the nodes routed to it, then one residual call
+    docstring): per step, one expansion of the states, one band,
+    round-off scale and gradient pass for the part, then per chunk of
+    the nodes that step one ``J Phi``, one stacked Gram product,
+    Cholesky factorization and solve, and one stacked QR and triangular
+    solve for the nodes routed to it, then one residual call
     for the full steps of the part and one per trial part of the
     halvings of its rejected nodes (see :func:`_backtrack`).  Nodes
     leave the stack as they stop.  A node
@@ -441,52 +475,75 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
     """The Gauss-Newton steps of one iteration at the nodes ``live`` of a
     part, whose residuals ``r[live]`` have norms ``rn``.
 
-    The state, its Jacobian bands and the round-off scale of the
-    residual are formed once for all of them; ``J Phi``, the gradient,
-    the stationarity test and the step are formed chunk by chunk in the
-    workspace (see :func:`_parts`).  Returns ``(go, delta, drop, g,
-    jnorm)``: the mask of the nodes of ``live`` that are not
-    stationary, and their steps, model decreases, gradient norms and
-    ``||J Phi||_F``.
+    The state, its Jacobian bands, the round-off scale of the residual,
+    the reduced gradient ``Phi^T (J^T r)`` and ``||J Phi||_F`` are
+    formed once for all of them, without ``J Phi`` (see
+    :func:`_jphi_norms`), and make the stationarity test.  Only the
+    nodes that take a step are cut into chunks, which form ``J Phi`` and
+    the step in the workspace (see :func:`_parts`).  Returns ``(go, delta, drop, g, jnorm)``: the mask
+    of the nodes of ``live`` that are not stationary, and their steps,
+    model decreases, gradient norms and ``||J Phi||_F``.
     """
     out, tmp, aug = work
     u = basis.expand(q[live])
     lo, dg, up = problem.jac_bands(u, ys[live], mu)
     scale = kernels.roundoff_scale(lo, dg, up, u, f)
-    steps = []
-    for c in kernels.stack_parts(live.size, chunk):
-        n = c.stop - c.start
-        at, rn_at, floor_at = live[c], rn[c], floor[c]
-        jphi = kernels.band_matmat(lo[c], dg[c], up[c], basis.columns,
-                                   out[:n], tmp[:n])
-        grad = (jphi.transpose(0, 2, 1) @ r[at][:, :, None])[:, :, 0]
-        g = kernels.row_norm(grad)
-        jnorm = kernels.row_norm(jphi.reshape(n, -1))
-        # stationary at the gradient's own round-off (module docstring)
-        go = ~(g <= _EPS * jnorm * scale[c])
-        if not go.any():
-            # every node of the chunk is stationary: no step to factor
-            steps.append((go, grad[:0], g[:0], g[:0], g[:0]))
-            continue
-        if not go.all():
-            keep = np.flatnonzero(go)
-            _to_front(jphi, keep)
-            at, rn_at, floor_at, grad, g, jnorm = (
-                a[keep] for a in (at, rn_at, floor_at, grad, g, jnorm))
-        delta, drop, kappa2 = _normal_steps(jphi[:at.size], grad)
+    # the reduced gradient (J Phi)^T r = Phi^T (J^T r)
+    grad = basis.project(kernels.band_t_matvec(lo, dg, up, r[live]))
+    g = kernels.row_norm(grad)
+    jnorm = _jphi_norms(basis, lo, dg, up)
+    # stationary at the gradient's own round-off (module docstring)
+    go = ~(g <= _EPS * jnorm * scale)
+    step = np.flatnonzero(go)
+    delta = np.empty((step.size, basis.k))
+    drop = np.empty(step.size)
+    # only the nodes that take a step form J Phi, chunk by chunk
+    for c in kernels.stack_parts(step.size, chunk) if step.size else ():
+        at = step[c]
+        jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.columns,
+                                   out[:at.size], tmp[:at.size])
+        d, p, kappa2 = _normal_steps(jphi, grad[at])
         # the normal equations know the model residual ||r||^2 - drop
         # only to about cond(G) eps ||r||^2, and cannot take the residual
         # of a nearly representable state below that; such a state, and
         # a G that failed its checks (NaN drop), take the QR step
-        qr = np.flatnonzero(~(rn_at * rn_at - drop > kappa2 * _EPS * rn_at * rn_at))
+        rn_at = rn[at]
+        qr = np.flatnonzero(~(rn_at * rn_at - p > kappa2 * _EPS * rn_at * rn_at))
         if qr.size:
             _to_front(jphi, qr)
-            delta[qr], drop[qr] = _qr_steps(jphi[:qr.size], r[at[qr]], rn_at[qr],
-                                            floor_at[qr], aug[:qr.size])
-        steps.append((go, delta, drop, g, jnorm))
-    if len(steps) == 1:
-        return steps[0]
-    return (np.concatenate(a) for a in zip(*steps))
+            d[qr], p[qr] = _qr_steps(jphi[:qr.size], r[live[at[qr]]], rn_at[qr],
+                                     floor[at[qr]], aug[:qr.size])
+        delta[c], drop[c] = d, p
+    return go, delta, drop, g[go], jnorm[go]
+
+
+def _jphi_norms(basis, lo, dg, up):
+    """``||J Phi||_F`` of each node of a stack with Jacobian bands ``lo,
+    dg, up``, without forming ``J Phi``.
+
+    Row ``i`` of ``J Phi`` is ``b_i = (lo_i, dg_i, up_i)`` applied to
+    basis rows ``i - 1, i, i + 1``, so its squared norm is
+    ``b_i^T Q_i b_i``, with ``Q_i`` the Gram matrix of those three rows
+    (:meth:`ReducedBasis.row_grams`).  The sum over ``i`` is three dots
+    per node, ``lo . (lo Q_ll + dg 2Q_ld + up 2Q_lu)``,
+    ``dg . (dg Q_dd + up 2Q_du)`` and ``up . (up Q_uu)``: O(n_u) per
+    node, where ``J Phi`` costs O(n_u k).  Every row is bitwise equal to
+    its stack of one.
+    """
+    ll, dd, uu, ld, du, lu = basis.row_grams()
+    t = lo * ll
+    s = dg * ld
+    t += s
+    np.multiply(up, lu, out=s)
+    t += s
+    sq = kernels.row_dot(lo, t)
+    np.multiply(dg, dd, out=t)
+    np.multiply(up, du, out=s)
+    t += s
+    sq += kernels.row_dot(dg, t)
+    np.multiply(up, uu, out=t)
+    sq += kernels.row_dot(up, t)
+    return np.sqrt(sq)
 
 
 #: step lengths 2^-1, ..., 2^-29 of the halvings after a rejected full step

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import band_to_dense
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
 from sgromtr import kernels, rom
@@ -477,6 +478,77 @@ def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
         one_adj = solve_rom_adjoint(bur, basis, one.q, ys[[i]], mu)
         np.testing.assert_array_equal(adj.eta[i], one_adj.eta[0])
         np.testing.assert_array_equal(adj.residual_norm[i], one_adj.residual_norm[0])
+
+
+def _converged_stack(problem, seed):
+    """A seeded basis and the Jacobian bands and residuals of three nodes
+    solved on it, ``(basis, (lo, dg, up, r))``."""
+    rng = np.random.default_rng(seed)
+    basis = seeded_basis(problem, seed=seed, n_snaps=3)
+    ys = rng.uniform(-1, 1, (3, problem.n_y))
+    mu = rng.uniform(-0.3, 0.3, problem.n_mu)
+    prim = solve_rom_primal(problem, basis, ys, mu)
+    assert not prim.failed.any()
+    u = basis.expand(prim.q)
+    return basis, (*problem.jac_bands(u, ys, mu), problem.residual(u, ys, mu))
+
+
+def test_gradient_and_norm_match_dense_j_phi(lin, bur):
+    # g = Phi^T (J^T r) and ||J Phi||_F from the basis rows' Gram against
+    # the dense J Phi, on random bands (whose unused corners are not
+    # zero) and at converged diffusion and Burgers states.  There the
+    # gradient is round-off, so every gradient is compared at its
+    # natural scale ||J Phi||_F ||r||, and the random one also to itself.
+    # The random basis grows by a column after its Gram matrices were
+    # cached, in a clone that shares them
+    rng = np.random.default_rng(30)
+    n, m, k = 41, 4, 6
+    random = ReducedBasis(n)
+    random.append_snapshots(rng.standard_normal((k - 1, n)), ["primal"] * (k - 1),
+                            np.zeros(2), np.zeros(3))
+    random.row_grams()
+    random = random.clone()
+    random.append_snapshots(rng.standard_normal((1, n)), ["primal"],
+                            np.zeros(2), np.zeros(3))
+    assert random.k == k
+    cases = [(random, tuple(rng.standard_normal((4, m, n)))),
+             _converged_stack(lin, 31), _converged_stack(bur, 32)]
+    for case, (basis, (lo, dg, up, r)) in enumerate(cases):
+        grad = basis.project(kernels.band_t_matvec(lo, dg, up, r))
+        jnorm = rom._jphi_norms(basis, lo, dg, up)
+        jphi = np.stack([band_to_dense(*b) @ basis.columns for b in zip(lo, dg, up)])
+        grad_ref = (jphi.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0]
+        jnorm_ref = np.linalg.norm(jphi, axis=(1, 2))
+        assert np.all(np.abs(jnorm - jnorm_ref) <= 1e-12 * jnorm_ref)
+        err = np.linalg.norm(grad - grad_ref, axis=1)
+        assert np.all(err <= 1e-12 * jnorm_ref * np.linalg.norm(r, axis=1))
+        if case == 0:
+            assert np.all(err <= 1e-12 * np.linalg.norm(grad_ref, axis=1))
+        for i in range(len(r)):
+            one = lo[[i]], dg[[i]], up[[i]]
+            np.testing.assert_array_equal(
+                basis.project(kernels.band_t_matvec(*one, r[[i]]))[0], grad[i])
+            np.testing.assert_array_equal(rom._jphi_norms(basis, *one)[0], jnorm[i])
+
+
+def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
+    # J Phi is formed for a node only in an iteration where it steps.  A
+    # stack whose nodes all start stationary forms none.  A mixed stack
+    # forms one row per accepted step and one per stall-branch node, for
+    # its last, rejected step, and none for a final stationary check
+    basis, ys, mu = _interpolating_stack(bur)
+    cold = solve_rom_primal(bur, basis, ys, mu)
+    clean = ~cold.stalled & ~cold.failed
+    assert 0 < clean.sum() < len(ys) and not cold.failed.any()
+    rows = _chunk_sizes(monkeypatch)
+    warm = solve_rom_primal(bur, basis, ys[clean], mu, q0=cold.q[clean])
+    assert not rows and warm.gn_iters == 0 and not warm.stalled.any()
+    q0 = np.zeros((len(ys), basis.k))
+    q0[clean] = cold.q[clean]
+    mixed = solve_rom_primal(bur, basis, ys, mu, q0=q0)
+    assert not mixed.failed.any() and mixed.stalled.any()
+    np.testing.assert_array_equal(mixed.iters[clean], 0)
+    assert sum(rows) == mixed.gn_iters + mixed.stalled.sum()
 
 
 def test_parts_workspace_holds_every_part(monkeypatch):
