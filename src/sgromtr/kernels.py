@@ -1,51 +1,65 @@
 """Numpy kernels for the bundled 1D model problems.
 
-Stencil residuals, tridiagonal Jacobian bands, banded matrix products
-and the tridiagonal solve are the innermost operations of every solver
-in this package: they run once per Newton or Gauss-Newton iteration at
-every collocation node.  Each kernel but the solve is a handful of
-whole-array numpy operations over shifted slices.  The residual kernels
-make the operations of their plain expression, in its order, mostly in
-place: at most three arrays are live in a call (the padded state, the
-result and one scratch array), where the expression allocates six
-(diffusion) or eleven (Burgers).  The solve,
-:func:`band_solve`, is one O(n) Thomas recurrence, a Python loop over
-the rows of the system.  Callers look the kernels up as
-``kernels.<name>`` at call time, so a wrapper installed on this module
-(as ``perfbench``'s tracer does) sees every call.
+Stencil residuals, tridiagonal Jacobian bands, banded products and the
+tridiagonal solve are the innermost operations of every solver in this
+package: they run once per Newton or Gauss-Newton iteration at every
+collocation node.  The residual, band and matrix-vector kernels are a
+handful of whole-array numpy operations over shifted slices.  The
+residual kernels and the Burgers bands make the operations of their
+plain expression, in its order, mostly in place: a residual call holds
+at most three arrays (the padded state, the result and one scratch
+array), where the expression allocates six (diffusion) or eleven
+(Burgers), and a Burgers band call its three bands and per-node
+columns (``tracemalloc`` peaks of 4.4 arrays of ``n`` per node on 145
+nodes, where the expression's is 6.5).  The
+matrix-matrix products :func:`band_matmat` and :func:`band_t_matmat`
+stack the three band entries of each row and multiply them, one
+``(1 x 3) @ (3 x k)`` BLAS product per row, with the row's window of
+the matrix operand: its rows ``i - 1, i, i + 1``, zero-padded at the
+ends (:func:`row_window`).  The solve, :func:`band_solve`, is one O(n)
+Thomas recurrence, a Python loop over the rows of the system.  Callers
+look the kernels up as ``kernels.<name>`` at call time, so a wrapper
+installed on this module (as ``perfbench``'s tracer does) sees every
+call.
 
 Node axis: the model problems call every kernel on a stack of nodes,
 and one node is a stack of one.  States and bands have shape
 ``(m, n)``, the per-node scalars (viscosity, inflow) are ``(m, 1)``
 columns, the diffusion coefficient is ``(m, n + 1)``, and a matrix
-operand ``V`` of shape ``(n, k)`` is shared by all nodes, giving an
-``(m, n, k)`` product.  Each row is computed by the same elementwise
-operations whatever ``m`` is, so it is bitwise equal to its own
-one-row call.  The solvers cut their stacks with :func:`stack_parts`
-into balanced parts that fit ``STACK_BYTES``, each solver declaring
-what one node holds at the peak of its sweep (measured with
-``tracemalloc``), and :func:`in_parts` solves the parts one by one.
-A full-model node holds about nine ``(n,)`` arrays: state, residual,
-step and line-search trial, and the residual kernel's three.  The
-reduced solves cut at two levels.  A part of a Gauss-Newton or adjoint
-solve holds about ten ``(n,)`` arrays per node: state, residual,
-Jacobian bands and three more, of the round-off scale or of the
-gradient pass, whose ``A^T r`` (:func:`band_t_matvec`) and per-row dots
-(:func:`row_dot`) test every node for stationarity without an
-``(n, k)`` product.  Inside each iteration the ``(n, k)`` algebra of
-the nodes that take a step runs in chunks of nodes, each node holding
-``2k + 1`` columns of ``n`` of a workspace the solve call allocates once
-and, at its peak, the ``k x k`` normal equations or numpy's copy of
-``[J Phi | r]`` for its QR: about ``3k + 3`` columns of ``n`` and two
-``(k + 1) x (k + 1)`` blocks.  The full model wants few parts:
-:func:`band_solve` loops over the ``n`` rows in Python, so one call
-costs about the same at any node count.  The matrix products
-:func:`band_matmat` and :func:`band_t_matmat` write into arrays the
-caller passes, so the reduced workspace is reused by every chunk.
+operand ``V`` of shape ``(n, k)``, given by its ``(n, 3, k)`` window,
+is shared by all nodes, giving an ``(m, n, k)`` product.  Each row is
+computed by the same elementwise operations, or the same BLAS call,
+whatever ``m`` is, so it is bitwise equal to its own one-row call.
+(A row-batched product, one ``(m x 3) @ (3 x k)`` per row ``i``, is
+not: it is a matrix-vector product for one node and a matrix-matrix
+product for several, which round differently.)  The solvers cut their
+stacks with :func:`stack_parts` into balanced parts that fit
+``STACK_BYTES``, each solver declaring what one node holds at the peak
+of its sweep (measured with ``tracemalloc``), and :func:`in_parts`
+solves the parts one by one.  A full-model node holds about nine
+``(n,)`` arrays: state, residual, step and line-search trial, and the
+residual kernel's three.  The reduced solves cut at two levels.  A part
+of a Gauss-Newton or adjoint solve holds about ten ``(n,)`` arrays per
+node: state, residual, Jacobian bands and three more, of the round-off
+scale or of the gradient pass, whose ``A^T r`` (:func:`band_t_matvec`)
+and per-row dots (:func:`row_dot`) test every node for stationarity
+without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
+algebra of the nodes that take a step runs in chunks of nodes, each
+node holding ``2k + 1`` columns of ``n`` (the adjoint ``k + 1``) of a
+workspace the solve call allocates once and, at its peak, the ``k x k``
+normal equations or numpy's copy of ``[J Phi | r]`` for its QR: about
+``3k + 3`` columns of ``n`` and two ``(k + 1) x (k + 1)`` blocks.  The
+full model wants few parts: :func:`band_solve` loops over the ``n``
+rows in Python, so one call costs about the same at any node count.
+The matrix products write into an array the caller passes, which may
+be a strided view, such as the first ``k`` columns of a
+``[J^T Phi | b]`` block, so the reduced workspace is reused by every
+chunk.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
-``up[i] = A[i, i+1]`` (``up[n-1]`` unused, zero).
+``up[i] = A[i, i+1]`` (``up[n-1]`` unused, zero).  The matrix products
+never read the unused entries.
 """
 
 from __future__ import annotations
@@ -142,12 +156,22 @@ def burgers_residual(u, ul, ur, nu, h, source):
 
 def burgers_bands(u, ul, ur, nu, h):
     h2 = h * h
-    um = _pad(u, ul, ur)
-    dg = 2.0 * nu / h2 + (um[..., 2:] - um[..., :-2]) / (2.0 * h)
-    lo = np.zeros(u.shape)
-    up = np.zeros(u.shape)
-    lo[..., 1:] = -nu / h2 - u[..., 1:] / (2.0 * h)
-    up[..., :-1] = -nu / h2 + u[..., :-1] / (2.0 * h)
+    # the central difference of the padded state, without padding it
+    dg = np.empty(u.shape)
+    np.subtract(u[..., 2:], u[..., :-2], out=dg[..., 1:-1])
+    np.subtract(u[..., 1:2], ul, out=dg[..., :1])
+    np.subtract(ur, u[..., -2:-1], out=dg[..., -1:])
+    dg /= 2.0 * h
+    dg += 2.0 * nu / h2
+    c = -nu / h2
+    lo = np.empty(u.shape)
+    lo[..., 0] = 0.0
+    np.divide(u[..., 1:], 2.0 * h, out=lo[..., 1:])
+    np.subtract(c, lo[..., 1:], out=lo[..., 1:])
+    up = np.empty(u.shape)
+    up[..., -1] = 0.0
+    np.divide(u[..., :-1], 2.0 * h, out=up[..., :-1])
+    up[..., :-1] += c
     return lo, dg, up
 
 
@@ -165,24 +189,39 @@ def band_t_matvec(lo, dg, up, v):
     return out
 
 
-def band_matmat(lo, dg, up, V, out, tmp):
-    """``A @ V`` into ``out``; ``tmp``, of the same shape and not
-    overlapping ``out``, takes the shifted band products.  Returns ``out``."""
-    np.multiply(dg[..., None], V, out=out)
-    np.multiply(lo[..., 1:, None], V[:-1], out=tmp[..., 1:, :])
-    out[..., 1:, :] += tmp[..., 1:, :]
-    np.multiply(up[..., :-1, None], V[1:], out=tmp[..., :-1, :])
-    out[..., :-1, :] += tmp[..., :-1, :]
-    return out
+def row_window(V):
+    """The ``(n, 3, k)`` window of an ``(n, k)`` matrix ``V`` that
+    :func:`band_matmat` and :func:`band_t_matmat` read: ``W[i]`` holds
+    rows ``i - 1, i, i + 1`` of ``V``, zero rows outside it.  A read-only
+    view of one zero-padded copy of ``V``."""
+    pad = np.zeros((len(V) + 2,) + V.shape[1:])
+    pad[1:-1] = V
+    return np.lib.stride_tricks.sliding_window_view(pad, 3, axis=0).swapaxes(-1, -2)
 
 
-def band_t_matmat(lo, dg, up, V, out, tmp):
+def band_matmat(lo, dg, up, W, out):
+    """``A @ V`` into ``out``, for the window ``W`` of ``V``
+    (:func:`row_window`).  Returns ``out``."""
+    return _window_rows(lo[..., 1:], dg, up[..., :-1], W, out)
+
+
+def band_t_matmat(lo, dg, up, W, out):
     """``A^T @ V`` into ``out``, as :func:`band_matmat` does."""
-    np.multiply(dg[..., None], V, out=out)
-    np.multiply(up[..., :-1, None], V[:-1], out=tmp[..., 1:, :])
-    out[..., 1:, :] += tmp[..., 1:, :]
-    np.multiply(lo[..., 1:, None], V[1:], out=tmp[..., :-1, :])
-    out[..., :-1, :] += tmp[..., :-1, :]
+    return _window_rows(up[..., :-1], dg, lo[..., 1:], W, out)
+
+
+def _window_rows(below, dg, above, W, out):
+    """Row ``i`` of ``out`` is ``(below_i, dg_i, above_i) @ W[i]``, with
+    ``below`` given from row 1 and ``above`` up to row ``n - 2`` (a zero
+    coefficient elsewhere): one BLAS vector-matrix product per row of
+    every node, the same call at any stack size."""
+    b = np.empty(dg.shape + (3,))
+    b[..., 0, 0] = 0.0
+    b[..., 1:, 0] = below
+    b[..., 1] = dg
+    b[..., :-1, 2] = above
+    b[..., -1, 2] = 0.0
+    np.matmul(b[..., None, :], W, out=out[..., None, :])
     return out
 
 

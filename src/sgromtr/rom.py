@@ -64,12 +64,16 @@ rules are whole-part arrays.  Only the ``n_u x k`` algebra of the nodes
 that take a step is cut again, into chunks that fit the workspace of
 :func:`_parts`: each chunk forms ``J Phi`` and takes one stacked Gram
 product, Cholesky factorization and solve, and a stacked QR and
-triangular solve for its nodes that take the QR step.  The solve call
-allocates that workspace once, ``J Phi`` and one scratch block shared
-by the band products and the augmented ``[J Phi | r]``, and every chunk
-of every iteration reuses it, so an iteration allocates no array of
-``n_u x k`` per node.  The adjoint forms states, bands and right-hand
-sides once per part, and its least-squares solves chunk by chunk.
+triangular solve for its nodes that take the QR step.  ``J Phi`` is one
+``(1 x 3) @ (3 x k)`` product per row of each node: the row's three
+band entries against the window of basis rows ``i - 1, i, i + 1``,
+which the basis caches per ``k`` (:meth:`ReducedBasis.window`).  The
+solve call allocates that workspace once, ``J Phi`` and the augmented
+``[J Phi | r]``, and every chunk of every iteration reuses it, so an
+iteration allocates no array of ``n_u x k`` per node.  The adjoint
+forms states, bands and right-hand sides once per part, and its
+least-squares solves chunk by chunk, writing ``J^T Phi`` straight into
+its ``[J^T Phi | b]`` block.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ class ReducedBasis:
         self.provenance: list[Snapshot] = []
         self.sampled_points: set = set()
         self.last_primal: np.ndarray | None = None
-        self._gram = None
+        # per-basis-size caches, name -> (k, value), shared by clones
+        self._per_k: dict = {}
 
     @property
     def columns(self) -> np.ndarray:
@@ -162,7 +167,7 @@ class ReducedBasis:
         out.provenance = list(self.provenance)
         out.sampled_points = set(self.sampled_points)
         out.last_primal = self.last_primal
-        out._gram = self._gram
+        out._per_k = dict(self._per_k)
         return out
 
     def append_snapshots(self, vectors, kinds, y, mu) -> int:
@@ -209,6 +214,21 @@ class ReducedBasis:
         """
         return (self._cols @ q[..., None])[..., 0]
 
+    def _cached(self, name, build):
+        """``build()``, made once per basis size ``k``."""
+        k, value = self._per_k.get(name, (None, None))
+        if k != self.k:
+            value = build()
+            self._per_k[name] = self.k, value
+        return value
+
+    def window(self):
+        """The ``(n_u, 3, k)`` window of the columns that the band
+        products read (:func:`kernels.row_window`): row ``i`` holds
+        basis rows ``i - 1, i, i + 1``, zero rows outside the basis.
+        Computed once per ``k``."""
+        return self._cached("window", lambda: kernels.row_window(self._cols))
+
     def row_grams(self):
         """The Gram matrix ``Q_i`` of basis rows ``i - 1, i, i + 1`` at
         every row ``i``, as six arrays of ``n_u`` (rows of one array):
@@ -217,30 +237,31 @@ class ReducedBasis:
         is outside the basis.  They are the diagonals 0, 1 and 2 of
         ``Phi Phi^T``, and give ``||A Phi||_F`` of a tridiagonal ``A`` in
         O(n_u) (see :func:`_jphi_norms`).  Computed once per ``k``."""
-        if self._gram is None or self._gram[0] != self.k:
-            rows = self._cols
-            d0, d1, d2 = (kernels.row_dot(rows[j:], rows[:self.n_u - j]) for j in range(3))
-            gram = np.zeros((6, self.n_u))
-            gram[0, 1:] = d0[:-1]
-            gram[1] = d0
-            gram[2, :-1] = d0[1:]
-            gram[3, 1:] = 2.0 * d1
-            gram[4, :-1] = 2.0 * d1
-            gram[5, 1:-1] = 2.0 * d2
-            self._gram = self.k, gram
-        return self._gram[1]
+        return self._cached("row_grams", self._row_grams)
+
+    def _row_grams(self):
+        rows = self._cols
+        d0, d1, d2 = (kernels.row_dot(rows[j:], rows[:self.n_u - j]) for j in range(3))
+        gram = np.zeros((6, self.n_u))
+        gram[0, 1:] = d0[:-1]
+        gram[1] = d0
+        gram[2, :-1] = d0[1:]
+        gram[3, 1:] = 2.0 * d1
+        gram[4, :-1] = 2.0 * d1
+        gram[5, 1:-1] = 2.0 * d2
+        return gram
 
 
-def _augmented_r(a, b, aug):
-    """Triangular factor of ``[a | b]``: the least-squares solve of ``a x ~ b``.
+def _augmented_r(aug, b):
+    """Triangular factor of ``aug = [a | b]``, whose last column is set
+    to ``b`` here: the least-squares solve of ``a x ~ b``.
 
     With ``k = a.shape[-1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
     and ``|R[k, k]|`` is the residual norm it leaves, ``min ||a x - b||``
     (zero when ``a`` has no more rows than columns, so ``R`` has no row
-    ``k``).  ``a`` and ``b`` may be stacks, ``(m, n, k)`` and ``(m, n)``;
-    ``[a | b]`` is assembled in ``aug``, of shape ``(m, n, k + 1)``.
+    ``k``).  ``aug`` and ``b`` may be stacks, ``(m, n, k + 1)`` and
+    ``(m, n)``.
     """
-    aug[..., :-1] = a
     aug[..., -1] = b
     return np.linalg.qr(aug, mode="r")
 
@@ -290,7 +311,8 @@ def _qr_steps(a, r, rn, floor, aug):
     is solved; the others get a NaN step.  A singular triangular factor
     is a :class:`RomSolveError`."""
     k = a.shape[-1]
-    R = _augmented_r(a, r, aug)
+    aug[..., :-1] = a
+    R = _augmented_r(aug, r)
     pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(len(a))
     drop = rn * rn - pred * pred
     solve = drop > floor
@@ -325,48 +347,50 @@ def _to_front(a, rows):
 
 #: Arrays of ``n_u`` floats that one node of a part of a reduced solve
 #: holds outside the workspace of :func:`_parts`, rounded up from its
-#: peak as ``tracemalloc`` measures it: 10.2 for the primal solve (in
-#: :func:`_steps`: residual, state, three bands and three more arrays,
-#: of the round-off scale or of the gradient pass, with the reduced
-#: states) and 6.0 for the adjoint, on stacks of 128 to 512 nodes on the
-#: final basis of the default Burgers run (``n_u = 127``, ``k = 47``).
+#: peak over the part as ``tracemalloc`` measures it: 10.9 for the primal
+#: solve (in :func:`_steps`: residual, state, three bands and three more
+#: arrays, of the round-off scale or of the gradient pass, with the
+#: reduced states) and 6.0 for the adjoint, on stacks of 128 to 512
+#: nodes on the final basis of the default Burgers run (``n_u = 127``,
+#: ``k = 47``).
 _NODE_ARRAYS = 11
 
 
-def _parts(m, n_u, k):
+def _parts(m, n_u, k, jphi=True):
     """The bytes of one node of a chunk, and the workspace of a solve call
     on a stack of ``m`` nodes.
 
     Every Gauss-Newton iteration cuts the nodes that take a step, and
     every adjoint solve its nodes, by :func:`kernels.stack_parts` into
-    chunks at this many bytes per node,
-    and a chunk of ``n`` nodes makes its ``n_u x k`` algebra in the
-    first ``n`` rows of the workspace: ``J Phi`` (or ``J^T Phi``) and
-    one scratch block that first takes the shifted band products of
-    ``J Phi`` and then ``[J Phi | r]`` for the QR.  Both are sized for
-    the largest chunk of at most ``m`` nodes, and are C-contiguous views
-    of one allocation, ``J Phi`` at its start.  An empty basis is a
+    chunks at this many bytes per node, and a chunk of ``n`` nodes makes
+    its ``n_u x k`` algebra in the first ``n`` rows of the workspace:
+    ``J Phi``, which the band product writes and the steps read, and the
+    block ``[J Phi | r]`` that a QR step factors.  The adjoint writes
+    ``J^T Phi`` straight into the first ``k`` columns of its
+    ``[J^T Phi | b]`` block, and asks for no ``J Phi`` block (``jphi``
+    False, an empty one).  Both blocks are sized for the largest chunk
+    of at most ``m`` nodes, and are C-contiguous views of one
+    allocation, ``J Phi`` at its start.  An empty basis is a
     :class:`RomSolveError`.
 
-    A chunk node holds ``2k + 1`` columns of ``n_u`` in the workspace
-    and, at its peak, numpy's copy of ``[J Phi | r]`` and two
-    ``(k + 1) x (k + 1)`` blocks: the triangular factor and the solve's
-    copy of it (the adjoint, and the QR steps of the primal) or ``G``
-    and its Cholesky factor (the normal-equations steps).  The budget
-    counts ``3k + 3`` columns and the two blocks, 180 columns at
-    ``n_u = 127``, ``k = 47``; ``tracemalloc`` measures 163 per node for
-    the primal chunks and 180 for the adjoint ones, on chunks of 4 to
-    12 nodes on the final basis of the default Burgers run."""
+    Besides its workspace rows, a chunk node holds, at its peak, the
+    three stacked bands of the band product or numpy's copy of the QR
+    block, and two ``(k + 1) x (k + 1)`` blocks: the triangular factor
+    and the solve's copy of it (the adjoint, and the QR steps of the
+    primal) or ``G`` and its Cholesky factor (the normal-equations
+    steps).  The budget counts ``3k + 3`` columns of ``n_u`` and the two
+    blocks, 180 columns at ``n_u = 127``, ``k = 47``; ``tracemalloc``
+    measures 152 per node for the primal chunks and 131 for the adjoint
+    ones, on chunks of 4 to 12 nodes on the final basis of the default
+    Burgers run."""
     if k == 0:
         raise RomSolveError("reduced basis is empty")
     chunk = 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
     size = min(m, kernels.part_size(chunk))
-    block = np.empty(size * n_u * (2 * k + 1))
-    cut = size * n_u * k
-    scratch = block[cut:]
-    return chunk, (block[:cut].reshape(size, n_u, k),
-                   scratch[:cut].reshape(size, n_u, k),
-                   scratch.reshape(size, n_u, k + 1))
+    cut = size * n_u * k if jphi else 0
+    block = np.empty(cut + size * n_u * (k + 1))
+    return chunk, (block[:cut].reshape(-1, n_u, k),
+                   block[cut:].reshape(size, n_u, k + 1))
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -484,7 +508,7 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
     of the nodes of ``live`` that are not stationary, and their steps,
     model decreases, gradient norms and ``||J Phi||_F``.
     """
-    out, tmp, aug = work
+    out, aug = work
     u = basis.expand(q[live])
     lo, dg, up = problem.jac_bands(u, ys[live], mu)
     scale = kernels.roundoff_scale(lo, dg, up, u, f)
@@ -500,8 +524,8 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
     # only the nodes that take a step form J Phi, chunk by chunk
     for c in kernels.stack_parts(step.size, chunk) if step.size else ():
         at = step[c]
-        jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.columns,
-                                   out[:at.size], tmp[:at.size])
+        jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.window(),
+                                   out[:at.size])
         d, p, kappa2 = _normal_steps(jphi, grad[at])
         # the normal equations know the model residual ||r||^2 - drop
         # only to about cond(G) eps ||r||^2, and cannot take the residual
@@ -611,7 +635,7 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     ``max(n_u, k) eps`` times the largest one.  The reported residual
     norm is evaluated explicitly from the solution.
     """
-    chunk, work = _parts(len(ys), basis.n_u, basis.k)
+    chunk, work = _parts(len(ys), basis.n_u, basis.k, jphi=False)
     return RomAdjoint(*kernels.in_parts(
         partial(_min_res_adjoint, basis=basis, chunk=chunk, work=work),
         8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
@@ -624,16 +648,17 @@ def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
     bands and the right-hand side are formed once for the part, the
     least-squares solves chunk by chunk."""
     k = basis.k
-    out, tmp, aug = work
+    _, aug = work
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
     eta, res = [], []
     for c in kernels.stack_parts(len(q), chunk):
         n = c.stop - c.start
-        a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.columns,
-                                  out[:n], tmp[:n])
-        R = _augmented_r(a, b[c], aug[:n])
+        # J^T Phi straight into the first k columns of [J^T Phi | b]
+        a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.window(),
+                                  aug[:n, :, :k])
+        R = _augmented_r(aug[:n], b[c])
         diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
         tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
         rank = np.count_nonzero(diag > tol, axis=1)

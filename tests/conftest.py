@@ -59,6 +59,20 @@ def burgers_residual(u, ul, ur, nu, h, source):
     return -nu * diff2 / (h * h) + u * dcen / (2.0 * h) - source
 
 
+def burgers_bands(u, ul, ur, nu, h):
+    """The plain numpy expression of the Burgers Jacobian bands that
+    ``kernels.burgers_bands`` evaluates in place: the reference it must
+    equal bitwise."""
+    h2 = h * h
+    um = kernels._pad(u, ul, ur)
+    dg = 2.0 * nu / h2 + (um[..., 2:] - um[..., :-2]) / (2.0 * h)
+    lo = np.zeros(u.shape)
+    up = np.zeros(u.shape)
+    lo[..., 1:] = -nu / h2 - u[..., 1:] / (2.0 * h)
+    up[..., :-1] = -nu / h2 + u[..., :-1] / (2.0 * h)
+    return lo, dg, up
+
+
 def quadratic_minimizer(problem, y=None):
     """Normal-equation minimizer of F(y, .) for an affine-in-state problem;
     ``y`` is a node as a stack of one (the origin if None)."""

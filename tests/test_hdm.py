@@ -72,7 +72,7 @@ def test_jacobian_taylor_consistency(prob_name, lin, bur):
 
         def products(bands):
             shape = (len(bands[0]),) + basis.shape
-            return [getattr(kernels, name)(*bands, basis, np.empty(shape),
+            return [getattr(kernels, name)(*bands, kernels.row_window(basis),
                                            np.empty(shape))
                     for name in ("band_matmat", "band_t_matmat")]
 

@@ -38,11 +38,12 @@ PRODUCTS = ["band_matvec", "band_t_matvec", "band_matmat", "band_t_matmat"]
 
 
 def product(name, lo, dg, up, x):
-    """A band product; the matrix products write into fresh arrays."""
+    """A band product; the matrix products read the window of ``x`` and
+    write into fresh arrays."""
     if name.endswith("matvec"):
         return getattr(kernels, name)(lo, dg, up, x)
-    out, tmp = np.empty((2,) + dg.shape + x.shape[1:])
-    return getattr(kernels, name)(lo, dg, up, x, out, tmp)
+    return getattr(kernels, name)(lo, dg, up, kernels.row_window(x),
+                                  np.empty(dg.shape + x.shape[1:]))
 
 
 @pytest.mark.parametrize("name, stacked", [
@@ -92,30 +93,65 @@ def test_residual_kernel_matches_its_expression(name, m):
         np.testing.assert_array_equal(out, getattr(conftest, name)(*args))
 
 
-def fresh_matmat(name, lo, dg, up, V):
-    """``band_matmat`` or ``band_t_matmat`` computed in a fresh array, by
-    the same products and sums in the same order."""
-    below, above = lo[..., 1:], up[..., :-1]
-    if name == "band_t_matmat":
-        below, above = above, below
-    out = dg[..., None] * V
-    out[..., 1:, :] += below[..., None] * V[:-1]
-    out[..., :-1, :] += above[..., None] * V[1:]
-    return out
+@pytest.mark.parametrize("m", [1, 7, 145])
+def test_burgers_bands_match_their_expression(m):
+    # made in place, the bands are bitwise the plain expression, with
+    # per-node coefficient columns and, for one node, plain scalars on a
+    # stack of one and on a one-dimensional state
+    rng = np.random.default_rng(m)
+    n = 100
+    h = 1.0 / (n + 1)
+    u = rng.standard_normal((m, n))
+    cases = [(u, 1.0 + 0.25 * rng.uniform(-1, 1, (m, 1)), 0.0,
+              1.0 / rng.uniform(10.0, 65.0, (m, 1)), h)]
+    if m == 1:
+        cases.append((u, 1.1, 0.3, 0.03, h))
+        cases.append((u[0],) + cases[1][1:])
+    for args in cases:
+        bands = kernels.burgers_bands(*args)
+        for got, want in zip(bands, conftest.burgers_bands(*args)):
+            assert got.shape == args[0].shape
+            np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("name", ["band_matmat", "band_t_matmat"])
 def test_band_matmat_into_used_arrays(data, name):
-    # the leading rows of NaN-filled output and scratch arrays, as a
-    # reused workspace holds them: none of their old contents reaches
-    # the product, and the rows past the stack are left alone
+    # the leading rows of a NaN-filled output array, as a reused workspace
+    # holds them: none of their old contents reaches the product, which
+    # is bitwise the same call into a fresh array and the dense product
+    # to round-off, and the rows past the stack are left alone
     bands = [np.stack([b, 0.5 * b, -b]) for b in (data["lo"], data["dg"], data["up"])]
     V = data["V"]
-    out, tmp = np.full((2, 5) + V.shape, np.nan)
-    got = getattr(kernels, name)(*bands, V, out[:3], tmp[:3])
+    W = kernels.row_window(V)
+    product = getattr(kernels, name)
+    out = np.full((5,) + V.shape, np.nan)
+    got = product(*bands, W, out[:3])
     assert np.shares_memory(got, out) and got.shape == (3,) + V.shape
-    np.testing.assert_array_equal(got, fresh_matmat(name, *bands, V))
+    np.testing.assert_array_equal(got, product(*bands, W, np.empty((3,) + V.shape)))
+    for i in range(3):
+        a = band_to_dense(*(b[i] for b in bands))
+        np.testing.assert_allclose(got[i], (a.T if "_t_" in name else a) @ V, rtol=1e-13)
     assert np.isnan(out[3:]).all()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 33])
+@pytest.mark.parametrize("name", ["band_matmat", "band_t_matmat"])
+def test_band_matmat_rows_equal_their_stacks_of_one(name, m):
+    # at the default Burgers sizes, every row of a stack is bitwise its
+    # node's product as a stack of one.  The unused corners lo[0] and
+    # up[n-1] are NaN, and so is every used row of the output: neither
+    # reaches a product
+    rng = np.random.default_rng(60 + m)
+    n, k = 127, 47
+    W = kernels.row_window(rng.standard_normal((n, k)))
+    lo, dg, up = rng.standard_normal((3, m, n))
+    lo[:, 0] = up[:, -1] = np.nan
+    product = getattr(kernels, name)
+    stack = product(lo, dg, up, W, np.full((m, n, k), np.nan))
+    assert np.isfinite(stack).all()
+    for i in range(m):
+        one = product(lo[[i]], dg[[i]], up[[i]], W, np.full((1, n, k), np.nan))
+        np.testing.assert_array_equal(stack[i], one[0])
 
 
 def _one_row(bands, b):

@@ -154,7 +154,9 @@ def test_qr_step_matches_lstsq(n, k):
     for _ in range(5):
         a = rng.standard_normal((n, k))
         b = rng.standard_normal(n)
-        R = _augmented_r(a, b, np.full((n, k + 1), np.nan))
+        aug = np.full((n, k + 1), np.nan)
+        aug[:, :k] = a
+        R = _augmented_r(aug, b)
         x = np.linalg.solve(R[:k, :k], R[:k, k])
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -493,6 +495,32 @@ def _converged_stack(problem, seed):
     return basis, (*problem.jac_bands(u, ys, mu), problem.residual(u, ys, mu))
 
 
+def test_window_is_cached_per_basis_size():
+    # W[i] holds rows i - 1, i, i + 1 of the zero-padded columns.  A
+    # clone shares the window until it grows and builds its own; the
+    # original's window stays equal to a fresh build
+    rng = np.random.default_rng(61)
+    n = 20
+    basis = ReducedBasis(n)
+    basis.append_snapshots(rng.standard_normal((3, n)), ["primal"] * 3,
+                           np.zeros(2), np.zeros(3))
+    W = basis.window()
+    pad = np.zeros((n + 2, 3))
+    pad[1:-1] = basis.columns
+    assert W.shape == (n, 3, 3) and basis.window() is W
+    for i in range(n):
+        np.testing.assert_array_equal(W[i], pad[i:i + 3])
+    clone = basis.clone()
+    assert clone.window() is W
+    clone.append_snapshots(rng.standard_normal((1, n)), ["primal"],
+                           np.zeros(2), np.zeros(3))
+    grown = clone.window()
+    assert grown.shape == (n, 3, 4) and not np.shares_memory(grown, W)
+    np.testing.assert_array_equal(grown, kernels.row_window(clone.columns))
+    assert basis.window() is W
+    np.testing.assert_array_equal(W, kernels.row_window(basis.columns))
+
+
 def test_gradient_and_norm_match_dense_j_phi(lin, bur):
     # g = Phi^T (J^T r) and ||J Phi||_F from the basis rows' Gram against
     # the dense J Phi, on random bands (whose unused corners are not
@@ -554,19 +582,20 @@ def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
 def test_parts_workspace_holds_every_part(monkeypatch):
     # chunks of at most seven nodes at n_u = 127, k = 47: the workspace
     # of a call on m nodes holds the largest chunk of any iteration,
-    # whose live nodes are at most m, and its band-product scratch and
-    # [J Phi | r] block are one memory, apart from J Phi
+    # whose live nodes are at most m, in two blocks of one allocation
+    # that do not overlap, J Phi and [J Phi | r]
     n_u, k = 127, 47
     chunk = rom._parts(1, n_u, k)[0]
     monkeypatch.setattr(kernels, "STACK_BYTES", 7 * chunk)
     for m in range(1, 41):
-        _, (out, tmp, aug) = rom._parts(m, n_u, k)
+        _, (out, aug) = rom._parts(m, n_u, k)
         size = len(out)
-        assert (out.shape, tmp.shape, aug.shape) == (
-            (size, n_u, k), (size, n_u, k), (size, n_u, k + 1))
-        assert all(a.flags.c_contiguous for a in (out, tmp, aug))
-        assert np.shares_memory(tmp, aug)
-        assert not np.shares_memory(out, tmp) and not np.shares_memory(out, aug)
+        assert (out.shape, aug.shape) == ((size, n_u, k), (size, n_u, k + 1))
+        assert all(a.flags.c_contiguous for a in (out, aug))
+        assert out.base is aug.base and not np.shares_memory(out, aug)
+        # the adjoint writes J^T Phi into its [J^T Phi | b] block alone
+        out, aug = rom._parts(m, n_u, k, jphi=False)[1]
+        assert out.size == 0 and aug.shape == (size, n_u, k + 1)
         for n in range(1, m + 1):
             sizes = [len(range(n)[p]) for p in kernels.stack_parts(n, chunk)]
             assert sum(sizes) == n and max(sizes) <= size <= 7
@@ -743,8 +772,8 @@ def _scaled_column_step(lin, monkeypatch, factor):
 
     monkeypatch.setattr(kernels, "band_matmat", scaled_column)
     u0 = basis.expand(q0)
-    work = np.empty((2, 1, lin.n_u, basis.k))
-    a = kernels.band_matmat(*lin.jac_bands(u0, y, mu), basis.columns, *work)[0]
+    a = kernels.band_matmat(*lin.jac_bands(u0, y, mu), basis.window(),
+                            np.empty((1, lin.n_u, basis.k)))[0]
     return basis, y, mu, q0, a, lin.residual(u0, y, mu)[0]
 
 
