@@ -374,13 +374,14 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
     Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
     node stops once it meets its tolerance ``tol_abs + tol_rel ||r(u)||``
     (``u`` the start), after ``NEWTON_MAX_ITERS`` steps, on a singular
-    Jacobian (a non-finite step), or when 30 halvings of its step find
-    no decrease; the others go on.  A node whose halvings are exhausted is ``ok`` if
-    its ``||r||`` is at most the residual's own round-off
-    ``eps || |J||u| + |f| ||`` (``f`` the source, see
-    :func:`kernels.roundoff_scale`): no step resolves a smaller
-    residual.  The rows of ``u`` are updated in place; ``r``, if given,
-    is the residual at ``u``.
+    Jacobian (a non-finite step), or when no step length of
+    :func:`kernels.halve_until_decrease` decreases its ``||r||``; the
+    others go on.  A node whose full step is rejected has its tolerance
+    raised to the residual's own round-off ``eps || |J||u| + |f| ||``
+    (``f`` the source, see :func:`kernels.roundoff_scale`): no step
+    resolves a smaller residual, so a node whose ``||r||`` is at most
+    that is converged at once and takes no halving.  The rows of ``u``
+    are updated in place; ``r``, if given, is the residual at ``u``.
     """
     if r is None:
         r = problem.residual(u, y, mu)
@@ -392,48 +393,41 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
         at = np.flatnonzero((rnorm > tol) & ~stopped)
         if not at.size:
             break
-        singular, stuck = _damped_step(problem, y, mu, u, r, rnorm, iters, at)
-        stopped[singular] = stopped[stuck] = True
-        if stuck.size:
-            # the bands at the iterate the exhausted step started from
-            scale = kernels.roundoff_scale(*problem.jac_bands(u[stuck], y[stuck], mu),
-                                           u[stuck], problem.source(mu))
-            tol[stuck] = np.maximum(tol[stuck], _EPS * scale)
+        step = kernels.band_solve(*problem.jac_bands(_rows(u, at), _rows(y, at), mu),
+                                  -_rows(r, at))
+        solved = np.isfinite(step).all(-1)
+        if not solved.all():
+            stopped[at[~solved]] = True
+            at, step = at[solved], step[solved]
+            if not at.size:
+                break
+        y_at = _rows(y, at)
+
+        def above_roundoff(rows, t):
+            # tested once, before the first halving, at the iterate the
+            # step started from
+            if t < 0.5:
+                return np.ones(rows.size, bool)
+            i = at[rows]
+            u_i = _rows(u, i)
+            floor = _EPS * kernels.roundoff_scale(*problem.jac_bands(u_i, _rows(y, i), mu),
+                                                  u_i, problem.source(mu))
+            tol[i] = np.maximum(tol[i], floor)
+            return rnorm[i] > tol[i]
+
+        # the rows of every node that steps are updated in place: u, r and
+        # rnorm themselves while every node of the stack is live
+        u_at, r_at, rn_at = _rows(u, at), _rows(r, at), _rows(rnorm, at)
+        found = kernels.halve_until_decrease(
+            lambda x, rows: problem.residual(x, y_at[rows], mu),
+            u_at, r_at, rn_at, step, above_roundoff)
+        if len(at) < len(u):
+            done = at[found]
+            u[done], r[done], rnorm[done] = u_at[found], r_at[found], rn_at[found]
+        iters[at[found]] += 1
+        stopped[at[~found]] = True
+        del step, u_at, r_at               # before the next step is built
     return u, rnorm, iters, rnorm <= tol
-
-
-def _damped_step(problem, y, mu, u, r, rnorm, iters, at):
-    """One Newton step of the nodes ``at``, halved (up to 30 times) until
-    it decreases each node's ``||r||``.  All nodes of one round share the
-    step length, so a round is one stacked residual call.  The accepted
-    rows of ``u``, ``r``, ``rnorm`` and ``iters`` are updated in place,
-    with no gather or scatter while every node of the stack is live.
-    Returns the nodes with a singular Jacobian (a non-finite step) and
-    those no halving decreased."""
-    step = kernels.band_solve(*problem.jac_bands(_rows(u, at), _rows(y, at), mu),
-                              -_rows(r, at))
-    solved = np.isfinite(step).all(-1)
-    singular = at[~solved]
-    if singular.size:
-        at, step = at[solved], step[solved]
-    t = 1.0
-    for _ in range(30):
-        if not at.size:
-            break
-        u_try = _rows(u, at) + t * step
-        r_try = problem.residual(u_try, _rows(y, at), mu)
-        n_try = kernels.row_norm(r_try)
-        down = n_try < rnorm[at]
-        if len(at) == len(u) and down.all():
-            u[...], r[...], rnorm[...] = u_try, r_try, n_try
-        else:
-            done = at[down]
-            u[done], r[done], rnorm[done] = u_try[down], r_try[down], n_try[down]
-        iters[at[down]] += 1
-        at, step = at[~down], step[~down]
-        t *= 0.5
-        del u_try, r_try                   # before the next trial is built
-    return singular, at
 
 
 def _start(problem, y, mu):
@@ -477,7 +471,9 @@ def _primal(problem, y, mu, u0):
 #: the line search they are the state, residual, step and trial state,
 #: and the residual kernel's padded state, output and scratch array;
 #: the adjoint's bands, right-hand side and Thomas rows hold less (7.5
-#: to 9.0).
+#: to 9.0).  The round-off test of rejected full steps forms their
+#: bands and scale: 10.3 to 11.2 on a cold start's first step at
+#: ``n_u = 127``, where 137 of 145 nodes reject it.
 _NODE_ARRAYS = 10
 
 
@@ -485,10 +481,12 @@ def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     """Damped Newton solve of ``r(u, y, mu) = 0`` at a stack of nodes.
 
     Backtracking halves the step until the residual norm decreases (up
-    to 30 halvings).  If the iteration stalls -- backtracking exhausted
-    or a singular Jacobian -- the problem's continuation stages are
-    traversed once, warm-starting each stage from the last.  Raises
-    :class:`SolverError` if a node's tolerance
+    to 29 halvings), unless a node's full step is rejected at the
+    residual's round-off, where it is converged (see :func:`_newton`).
+    If the iteration stalls -- backtracking exhausted or a singular
+    Jacobian -- the problem's continuation stages are traversed once,
+    warm-starting each stage from the last.  Raises :class:`SolverError`
+    if a node's tolerance
     ``NEWTON_TOL_ABS (1 + ||r(default start)||) + NEWTON_TOL_REL ||r(u0)||``
     is still not met within ``NEWTON_MAX_ITERS`` iterations.  The
     absolute term is scaled by the residual at the problem's default

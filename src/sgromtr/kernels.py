@@ -36,7 +36,9 @@ product for several, which round differently.)  The solvers cut their
 stacks with :func:`stack_parts` into balanced parts that fit
 ``STACK_BYTES``, each solver declaring what one node holds at the peak
 of its sweep (measured with ``tracemalloc``), and :func:`in_parts`
-solves the parts one by one.  A full-model node holds about nine
+solves the parts one by one.  Both solvers backtrack by
+:func:`halve_until_decrease`, one residual call per step length on the
+rows of a part that still search.  A full-model node holds about nine
 ``(n,)`` arrays: state, residual, step and line-search trial, and the
 residual kernel's three.  The reduced solves cut at two levels.  A part
 of a Gauss-Newton or adjoint solve holds about ten ``(n,)`` arrays per
@@ -67,10 +69,9 @@ from __future__ import annotations
 import numpy as np
 
 #: Bytes that each cut of a stacked solve may hold at its peak: a part
-#: of a full or reduced solve, a chunk of the ``n x k`` algebra of a
-#: reduced iteration, or a part of its line-search trials.  A reduced
-#: solve holds a part and a chunk, or a part, its workspace and a trial
-#: part, at once.  At n = 127 this puts the 289 nodes of a level-5
+#: of a full or reduced solve, or a chunk of the ``n x k`` algebra of a
+#: reduced iteration.  A reduced solve holds a part and a chunk at
+#: once.  At n = 127 this puts the 289 nodes of a level-5
 #: tensor grid in two full-model parts (a Thomas sweep per part,
 #: whatever its size), 140 nodes in one part of a reduced solve, and
 #: eight nodes at k = 47 in one chunk.
@@ -110,6 +111,48 @@ def in_parts(solve, node_bytes, problem, y, mu, *stacks):
     parts = [solve(problem, y[p], mu, *(None if a is None else a[p] for a in stacks))
              for p in stack_parts(len(y), node_bytes)]
     return tuple(np.concatenate(out) for out in zip(*parts))
+
+
+def halve_until_decrease(residual, x, r, rnorm, step, open_):
+    """Backtracking line search on a stack: each row takes its first step
+    length ``t = 1, 2^-1, ..., 2^-29`` whose trial ``x + t step`` has a
+    residual norm below its ``rnorm`` (Dennis & Schnabel 1996, *Numerical
+    Methods for Unconstrained Optimization*, §6.3).
+
+    ``residual(x_t, rows)`` is the residual of the trial states ``x_t``
+    of the rows ``rows`` (indices into the stack), one row each.  The
+    full step is tried at every row.  Each halving is tried, by one
+    residual call, at the rows that have not decreased and that
+    ``open_(rows, t)``, a mask over ``rows``, keeps open; a row it closes
+    stays closed.  A row that decreases takes its trial into its rows of
+    ``x``, ``r`` and ``rnorm``, in place, and is evaluated at no later
+    step length, so no trial outlives its step length.  A row's trial is
+    the same arithmetic in any stack, so it is bitwise equal to its
+    one-row call.  Returns the mask of the rows that decreased."""
+    found = np.zeros(len(x), bool)
+    left = np.arange(len(x))
+    for t in np.ldexp(1.0, -np.arange(30)):          # 1, 2^-1, ..., 2^-29
+        if t < 1.0:
+            left = left[open_(left, t)]
+            if not left.size:
+                break
+            x_t = x[left] + t * step[left]
+        else:
+            x_t = x + step
+        r_t = residual(x_t, left)
+        rn_t = row_norm(r_t)
+        down = rn_t < rnorm[left]
+        hit = left[down]
+        if hit.size == len(x):
+            x[...], r[...], rnorm[...] = x_t, r_t, rn_t
+        else:
+            x[hit], r[hit], rnorm[hit] = x_t[down], r_t[down], rn_t[down]
+        found[hit] = True
+        left = left[~down]
+        del x_t, r_t                       # before open_ and the next trial
+        if not left.size:
+            break
+    return found
 
 
 def _pad(u, left, right):

@@ -59,7 +59,8 @@ node's result is bitwise equal to solving it alone.
 (about 140 nodes at ``n_u = 127``, so a node sweep is mostly one part),
 and a part runs one Gauss-Newton loop: its states, residuals, Jacobian
 bands, round-off scales, reduced gradients, stationarity tests, line
-search and the per-node masks of the routing, stopping and backtracking
+search (:func:`kernels.halve_until_decrease`, shared with the full
+model) and the per-node masks of the routing, stopping and backtracking
 rules are whole-part arrays.  Only the ``n_u x k`` algebra of the nodes
 that take a step is cut again, into chunks that fit the workspace of
 :func:`_parts`: each chunk forms ``J Phi`` and takes one stacked Gram
@@ -432,10 +433,9 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     round-off scale and gradient pass for the part, then per chunk of
     the nodes that step one ``J Phi``, one stacked Gram product,
     Cholesky factorization and solve, and one stacked QR and triangular
-    solve for the nodes routed to it, then one residual call
-    for the full steps of the part and one per trial part of the
-    halvings of its rejected nodes (see :func:`_backtrack`).  Nodes
-    leave the stack as they stop.  A node
+    solve for the nodes routed to it, then one residual call per step
+    length of the line search, on the nodes of the part still
+    searching.  Nodes leave the stack as they stop.  A node
     that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
     iterate and marked in :attr:`RomPrimal.failed` (see the module
     docstring); :class:`RomSolveError` is raised only for an empty basis
@@ -477,13 +477,18 @@ def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
         step = np.flatnonzero(drop > floor)
         if step.size:
             at = live[step]
-            found, q_new, r_new, rn_new = _backtrack(
-                problem, basis, ys[at], mu, q[at], delta[step], rn[step],
-                drop[step], floor[step])
-            took = found & ~(rn_new > rn[step] * (1.0 - 1e-12))
+            ys_at, drop_at, floor_at = ys[at], drop[step], floor[step]
+            q_at, r_at, rn_at = q[at], r[at], rn[step]
+            found = kernels.halve_until_decrease(
+                lambda x, rows: problem.residual(basis.expand(x), ys_at[rows], mu),
+                q_at, r_at, rn_at, delta[step],
+                # (2t - t^2) is exact for these t; below the model
+                # cut-off an accepted step could only stall
+                lambda rows, t: (2.0 * t - t * t) * drop_at[rows] > floor_at[rows])
+            took = found & ~(rn_at > rn[step] * (1.0 - 1e-12))
             moved[step] = took
-            at = live[step[took]]
-            q[at], r[at], rnorm[at] = q_new[took], r_new[took], rn_new[took]
+            at = at[took]
+            q[at], r[at], rnorm[at] = q_at[took], r_at[took], rn_at[took]
             iters[at] += 1
         # once relative progress dies, a gradient well below its natural
         # bound ||J Phi|| ||r|| is stationary for every downstream use
@@ -568,59 +573,6 @@ def _jphi_norms(basis, lo, dg, up):
     np.multiply(up, uu, out=t)
     sq += kernels.row_dot(up, t)
     return np.sqrt(sq)
-
-
-#: step lengths 2^-1, ..., 2^-29 of the halvings after a rejected full step
-_HALVINGS = np.ldexp(1.0, -np.arange(1, 30))
-
-
-def _backtrack(problem, basis, ys, mu, q, delta, rnorm, drop, floor):
-    """First step length ``t = 2^-j`` whose residual norm is below ``rnorm``.
-
-    One residual call evaluates the full step of every node.  The
-    trials of the nodes that rejected it, every halving down to the
-    model cut-off ``(2t - t^2) drop <= floor``, are rows in node order
-    and, within a node, in halving order; :func:`kernels.stack_parts`
-    cuts them into parts at four arrays of ``n_u`` (the trial state and
-    the residual kernel's three) and two of ``k`` per row, which may
-    split a node's rows.  One residual call evaluates each part, but
-    for the rows of nodes that took a halving in an earlier part.
-    Taking each node's first decreasing trial is the step a
-    one-halving-at-a-time loop accepts, however the rows are cut
-    (``tracemalloc`` measures 4.5 columns of ``n_u`` per row at
-    ``n_u = 127``, ``k = 47``).  Returns ``(found, q, r, rnorm)`` of the
-    accepted trials (the full-step values where ``found`` is False).
-    """
-    q_new = q + delta
-    r_new = problem.residual(basis.expand(q_new), ys, mu)
-    rn_new = kernels.row_norm(r_new)
-    found = rn_new < rnorm
-    if found.all():
-        return found, q_new, r_new, rn_new
-    back = np.flatnonzero(~found)
-    t = _HALVINGS
-    # (2t - t^2) is exact for these t and decreases with t, so the
-    # halvings above the cut-off are a leading run of each row
-    open_ = (2.0 * t - t * t) * drop[back, None] > floor[back, None]
-    rows = np.broadcast_to(back[:, None], open_.shape)[open_]
-    ts = np.broadcast_to(t, open_.shape)[open_]
-    for p in kernels.stack_parts(rows.size, 8 * (4 * basis.n_u + 2 * basis.k)):
-        at, t_at = rows[p], ts[p]
-        if p.start:
-            # a node that took a halving in an earlier part is done
-            left = ~found[at]
-            at, t_at = at[left], t_at[left]
-        if not at.size:
-            continue
-        q_t = q[at] + t_at[:, None] * delta[at]
-        r_t = problem.residual(basis.expand(q_t), ys[at], mu)
-        rn_t = kernels.row_norm(r_t)
-        hit = np.flatnonzero(rn_t < rnorm[at])
-        nodes, first = np.unique(at[hit], return_index=True)
-        pick = hit[first]
-        q_new[nodes], r_new[nodes], rn_new[nodes] = q_t[pick], r_t[pick], rn_t[pick]
-        found[nodes] = True
-    return found, q_new, r_new, rn_new
 
 
 def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:

@@ -373,16 +373,61 @@ def test_level5_grid_is_two_full_model_parts(bur, monkeypatch):
 
 @pytest.mark.parametrize("n_u", [511, 1023])
 def test_fine_mesh_burgers_builds(n_u):
-    # Newton stalls at the residual's round-off, above its 1e-12
-    # tolerance, at 9 and 23 of the tracking target's 25 nodes; a stall
-    # at round-off is converged
+    # the round-off of the residual lies above Newton's 1e-12 tolerance at
+    # 9 (n_u = 511) and 24 (n_u = 1023) of the tracking target's 25
+    # nodes: they stop, converged, once a full step is rejected there
     assert np.isfinite(BurgersControl(n_u=n_u).ref).all()
+
+
+def test_rejected_full_step_at_roundoff_is_converged(bur, monkeypatch):
+    # a node started at its converged state, with no tolerance: its full
+    # Newton step is rejected and its ||r|| is below its round-off, so it
+    # stops ok after the one full-step trial, with no halving and no
+    # continuation
+    y, mu = sample_point(bur, 0)
+    u = solve_primal(bur, y, mu).u
+    r = bur.residual(u, y, mu)
+    bands = bur.jac_bands(u, y, mu)
+    step = kernels.band_solve(*bands, -r)
+    assert kernels.row_norm(bur.residual(u + step, y, mu)) >= kernels.row_norm(r)
+    assert kernels.row_norm(r) <= np.finfo(float).eps * kernels.roundoff_scale(
+        *bands, u, bur.source(mu))
+    monkeypatch.setattr(hdm, "NEWTON_TOL_ABS", 0.0)
+    monkeypatch.setattr(hdm, "NEWTON_TOL_REL", 0.0)
+    calls = _count_continuation(monkeypatch)
+    rows = []
+    residual = BurgersControl.residual
+
+    def counted(self, u, y, mu):
+        rows.append(len(u))
+        return residual(self, u, y, mu)
+
+    monkeypatch.setattr(BurgersControl, "residual", counted)
+    sol = solve_primal(bur, y, mu, u0=u)
+    # the default start (its residual scales the absolute tolerance), the
+    # start u0, and the full step
+    assert rows == [1, 1, 1]
+    np.testing.assert_array_equal(sol.u, u)
+    np.testing.assert_array_equal(sol.iters, [0])
+    assert not calls
+
+
+def test_fine_mesh_newton_stops_at_its_roundoff():
+    # the level-5 tensor grid solved cold at n_u = 511: a node whose full
+    # step is rejected at its round-off stops there, so no node creeps
+    # through noise-sized halvings (23 iterations at most, 2315 in all,
+    # when round-off was tested only after an exhausted line search)
+    from sgromtr.sparse_grid import tensor_nodes
+    _, ys, _ = tensor_nodes((5, 5))
+    sol = solve_primal(BurgersControl(n_u=511, ref_level=1), ys, np.zeros(8))
+    assert sol.iters.max() <= 7
+    assert sol.newton_iters == 1782
 
 
 def test_warm_start_stalls_at_roundoff_are_accepted(monkeypatch):
     # a warm start sets the tolerance to about 1e-12 (1 + ||r(start)||),
     # below the round-off eps || |J||u| + |f| || of the residual on 289
-    # nodes at n_u = 255: nodes whose line search is exhausted there are
+    # nodes at n_u = 255: nodes whose full step is rejected there are
     # accepted, each at or below that bound, without continuation
     from sgromtr.sparse_grid import tensor_nodes
     calls = _count_continuation(monkeypatch)

@@ -291,6 +291,81 @@ def test_stack_parts_are_balanced_and_fit(monkeypatch):
             assert all(s * node_bytes <= 1000 or s == 1 for s in sizes)
 
 
+def _step_length_residual(first, trials):
+    """``residual(x, rows)`` of a line search from ``x = 0`` along the
+    first unit vector, whose trial state is ``t e_0``: row ``i`` has a
+    residual norm of 2 above ``t = 2^-first[i]`` and ``0.5 + t`` at and
+    below it, so its first decreasing step length is not its smallest
+    residual (``first[i]`` None never decreases).  Records each call's
+    ``(row, t)`` pairs in ``trials``."""
+    def residual(x, rows):
+        t = x[:, 0]
+        trials.append(list(zip(rows.tolist(), t.tolist())))
+        cut = np.array([-1.0 if first[i] is None else 2.0 ** -first[i] for i in rows])
+        r = np.zeros(x.shape)
+        r[:, 0] = np.where(t <= cut, 0.5 + t, 2.0)
+        return r
+    return residual
+
+
+def _line_search(first, open_, trials):
+    """:func:`kernels.halve_until_decrease` from ``x = 0`` along the first
+    unit vector, at residual norms 1.6, on rows that decrease from step
+    length ``2^-first[i]`` on (see :func:`_step_length_residual`).
+    Returns the mask and the updated ``x``, ``r`` and ``rnorm``."""
+    m = len(first)
+    x, r, rnorm = np.zeros((m, 2)), np.full((m, 2), 7.0), np.full(m, 1.6)
+    found = kernels.halve_until_decrease(_step_length_residual(first, trials), x, r,
+                                         rnorm, np.tile([1.0, 0.0], (m, 1)), open_)
+    return found, x, r, rnorm
+
+
+def _all_open(rows, t):
+    return np.ones(rows.size, bool)
+
+
+def test_line_search_takes_each_rows_first_decrease():
+    # one residual call per step length, on the rows still searching;
+    # each row takes its first decreasing step length in place, bitwise
+    # as its one-row search does, and is evaluated at no step length
+    # after it
+    first = [3, 12, None, 27, 0]
+    trials = []
+    found, x, r, rnorm = _line_search(first, _all_open, trials)
+    np.testing.assert_array_equal(found, [True, True, False, True, True])
+    np.testing.assert_array_equal(x[:, 0], [2.0 ** -3, 2.0 ** -12, 0.0, 2.0 ** -27, 1.0])
+    np.testing.assert_array_equal(rnorm, [0.5 + 2.0 ** -3, 0.5 + 2.0 ** -12, 1.6,
+                                          0.5 + 2.0 ** -27, 1.5])
+    np.testing.assert_array_equal(r[:, 0], [0.5 + 2.0 ** -3, 0.5 + 2.0 ** -12, 7.0,
+                                            0.5 + 2.0 ** -27, 1.5])
+    assert len(trials) == 30                  # t = 1, 2^-1, ..., 2^-29
+    for i, j in enumerate(first):
+        ts = [t for call in trials for row, t in call if row == i]
+        assert ts == [2.0 ** -e for e in range(30 if j is None else j + 1)]
+    for i in range(len(first)):
+        one = _line_search(first[i:i + 1], _all_open, [])
+        for got, want in zip((found, x, r, rnorm), one):
+            np.testing.assert_array_equal(got[i], want[0])
+
+
+def test_line_search_closed_rows_stay_closed():
+    # open_ sees only the rows still searching, and a row it closes is
+    # evaluated at no smaller step length, even where it would decrease
+    asked, trials = [], []
+
+    def open_(rows, t):
+        asked.append((rows.tolist(), t))
+        return ~((rows == 1) & (t < 2.0 ** -4)) & ~((rows == 2) & (t <= 0.5))
+
+    found, x, _, _ = _line_search([3, 9, None], open_, trials)
+    np.testing.assert_array_equal(found, [True, False, False])
+    np.testing.assert_array_equal(x[:, 0], [2.0 ** -3, 0.0, 0.0])
+    assert asked == [([0, 1, 2], 0.5), ([0, 1], 0.25), ([0, 1], 0.125), ([1], 2.0 ** -4),
+                     ([1], 2.0 ** -5)]
+    assert [sorted({row for row, _ in call}) for call in trials] \
+        == [[0, 1, 2], [0, 1], [0, 1], [0, 1], [1]]
+
+
 @pytest.mark.parametrize("solver", ["solve_primal", "solve_adjoint",
                                     "solve_rom_primal", "solve_rom_adjoint"])
 def test_empty_stack_solves_to_empty_arrays(solver):
