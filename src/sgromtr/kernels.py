@@ -47,16 +47,15 @@ scale or of the gradient pass, whose ``A^T r`` (:func:`band_t_matvec`)
 and per-row dots (:func:`row_dot`) test every node for stationarity
 without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
 algebra of the nodes that take a step runs in chunks of nodes, each
-node holding ``2k + 1`` columns of ``n`` (the adjoint ``k + 1``) of a
-workspace the solve call allocates once and, at its peak, the ``k x k``
-normal equations or numpy's copy of ``[J Phi | r]`` for its QR: about
-``3k + 3`` columns of ``n`` and two ``(k + 1) x (k + 1)`` blocks.  The
+node holding ``2k + 1`` columns of ``n`` of a workspace the solve call
+allocates once (``J Phi`` or ``J^T Phi``, and ``[J Phi | r]`` for a QR
+step) and, at its peak, the ``k x k`` normal equations or numpy's copy
+of ``[J Phi | r]`` for its QR: about ``3k + 3`` columns of ``n`` and two
+``(k + 1) x (k + 1)`` blocks.  The
 full model wants few parts: :func:`band_solve` loops over the ``n``
 rows in Python, so one call costs about the same at any node count.
-The matrix products write into an array the caller passes, which may
-be a strided view, such as the first ``k`` columns of a
-``[J^T Phi | b]`` block, so the reduced workspace is reused by every
-chunk.
+The matrix products write into an array the caller passes, the first
+rows of the reduced workspace, so every chunk reuses it.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,

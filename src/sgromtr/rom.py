@@ -20,9 +20,11 @@ re-evaluates the true residual after every step (Björck 1996,
 *Numerical Methods for Least Squares Problems*).  A node whose ``G``
 fails its Cholesky checks, or whose state is nearly representable,
 takes the Householder QR step of ``[J Phi | r]`` instead (see
-:func:`solve_rom_primal`).  The adjoint, a linear least-squares
-problem, factors ``[J^T Phi | b]`` by QR and reads its rank from the
-triangular factor.
+:func:`solve_rom_primal`), and a rank-deficient triangular factor is a
+:class:`RomSolveError`.  The adjoint, a linear least-squares problem in
+``J^T Phi``, takes the same guarded step (:func:`_lstsq_steps`) twice:
+from ``eta = 0``, then from the true residual at its result, which
+corrects the normal equations' error (see :func:`solve_rom_adjoint`).
 
 A Gauss-Newton node is stationary when its reduced gradient
 ``(J Phi)^T r`` is no larger than that gradient's own round-off,
@@ -73,8 +75,8 @@ solve call allocates that workspace once, ``J Phi`` and the augmented
 ``[J Phi | r]``, and every chunk of every iteration reuses it, so an
 iteration allocates no array of ``n_u x k`` per node.  The adjoint
 forms states, bands and right-hand sides once per part, and its
-least-squares solves chunk by chunk, writing ``J^T Phi`` straight into
-its ``[J^T Phi | b]`` block.
+least-squares solves chunk by chunk in the same workspace, ``J^T Phi``
+where the primal writes ``J Phi``.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class RomAdjoint:
 
 class RomSolveError(RuntimeError):
     """A reduced-order solve left no iterate to return: an empty basis,
-    a singular reduced Jacobian or a rank-deficient adjoint."""
+    or a rank-deficient reduced least-squares matrix."""
 
 
 @dataclass
@@ -253,23 +255,9 @@ class ReducedBasis:
         return gram
 
 
-def _augmented_r(aug, b):
-    """Triangular factor of ``aug = [a | b]``, whose last column is set
-    to ``b`` here: the least-squares solve of ``a x ~ b``.
-
-    With ``k = a.shape[-1]``, the minimizer is ``solve(R[:k, :k], R[:k, k])``
-    and ``|R[k, k]|`` is the residual norm it leaves, ``min ||a x - b||``
-    (zero when ``a`` has no more rows than columns, so ``R`` has no row
-    ``k``).  ``aug`` and ``b`` may be stacks, ``(m, n, k + 1)`` and
-    ``(m, n)``.
-    """
-    aug[..., -1] = b
-    return np.linalg.qr(aug, mode="r")
-
-
-#: The largest Cholesky pivot ratio ``kappa2`` of ``G = (J Phi)^T J Phi``
-#: (see :func:`_normal_steps`) at which a step is taken from the normal
-#: equations.  Their step carries a relative error of about
+#: The largest Cholesky pivot ratio ``kappa2`` of ``G = a^T a`` (see
+#: :func:`_gram`) at which :func:`_lstsq_steps` takes a step from the
+#: normal equations.  Their step carries a relative error of about
 #: ``cond(G) eps`` (Björck 1996, *Numerical Methods for Least Squares
 #: Problems*, §2.2).  Gauss-Newton needs few digits of a step: it
 #: re-evaluates the true residual after every step, and an inexact
@@ -277,52 +265,71 @@ def _augmented_r(aug, b):
 #: a linear rate of about ``e`` (Dembo, Eisenstat & Steihaug 1982).
 #: The bound asks for half the digits, ``cond(G) eps <= sqrt(eps)``,
 #: read on ``kappa2``, which is at most ``cond(G)``.  Over the default
-#: Burgers and diffusion runs ``cond(G)`` is at most 5.2e3 and 283 times
-#: ``kappa2``, and ``kappa2`` at most 1.8e4 and 1.6e5, far below it.
+#: Burgers and diffusion runs ``kappa2`` is at most 1.8e4 and 1.6e5 in
+#: the primal steps (``cond(G)`` at most 5.2e3 and 283 times it), and
+#: 1.6e4 and 1.6e5 in the adjoint solves (``cond(G)`` at most 1.9e7 and
+#: 2.9e6), far below it.
 _COND_G_MAX = _EPS ** -0.5
 
 
-def _normal_steps(a, g):
-    """Least-squares steps ``-G^-1 g``, ``G = a^T a``, of a stack ``a``
-    ``(m, n, k)`` with gradients ``g = a^T r`` ``(m, k)``.
-
-    Returns ``(delta, drop, kappa2)``: the steps, their model decreases
-    ``||r||^2 - ||r + a delta||^2 = -g^T delta``, and ``kappa2``, the
-    squared ratio of the largest to the smallest diagonal entry of the
-    Cholesky factor of ``G``.  ``kappa2`` is at most ``cond(G)``: the
-    squared entries are pivots of ``G``, which lie between its extreme
-    eigenvalues.  A row whose Cholesky fails has ``kappa2`` NaN, and a
-    row with ``kappa2`` above ``_COND_G_MAX`` is not solved: both get a
-    NaN step and drop.
-    """
+def _gram(a):
+    """``(G, kappa2)`` of a stack ``a`` ``(m, n, k)``: ``G = a^T a``, and
+    the squared ratio of the largest to the smallest diagonal entry of
+    its Cholesky factor.  ``kappa2`` is at most ``cond(G)``: the squared
+    entries are pivots of ``G``, which lie between its extreme
+    eigenvalues.  A row whose Cholesky fails has ``kappa2`` NaN."""
     G = a.transpose(0, 2, 1) @ a
     d = np.diagonal(_cholesky(G), axis1=1, axis2=2)
-    kappa2 = (d.max(axis=1) / d.min(axis=1)) ** 2
+    return G, (d.max(axis=1) / d.min(axis=1)) ** 2
+
+
+def _lstsq_steps(a, r, rn, g, aug, gram=None, near=False):
+    """Steps ``delta`` minimizing ``||r + a delta||`` on a stack ``a``
+    ``(m, n, k)`` with residuals ``r`` of norms ``rn`` and gradients ``g =
+    a^T r``, and their model decreases ``drop = ||r||^2 - ||r + a
+    delta||^2`` (``-g^T delta`` for a normal-equations step).
+
+    A row whose ``kappa2`` (of ``gram``, :func:`_gram` of ``a``, formed
+    here if not given) is within ``_COND_G_MAX`` solves ``G delta =
+    -g``.  The others, and with ``near`` a nearly representable row,
+    whose model residual ``||r||^2 - drop`` is at most ``kappa2 eps
+    ||r||^2``, take the QR step of ``[a | r]`` in ``aug``
+    (:func:`_qr_steps`)."""
+    G, kappa2 = _gram(a) if gram is None else gram
     ok = kappa2 <= _COND_G_MAX
     delta = np.full(g.shape, np.nan)
     delta[ok] = -np.linalg.solve(G[ok], g[ok][:, :, None])[:, :, 0]
+    del G, gram                        # a G formed here is freed before the QR
     drop = -(g[:, None, :] @ delta[:, :, None])[:, 0, 0]
-    return delta, drop, kappa2
-
-
-def _qr_steps(a, r, rn, floor, aug):
-    """The steps and model decreases of :func:`_normal_steps` from the
-    Householder QR of ``[a | r]`` (assembled in ``aug``), for residuals
-    ``r`` of norms ``rn``.  Only a node whose decrease passes ``floor``
-    is solved; the others get a NaN step.  A singular triangular factor
-    is a :class:`RomSolveError`."""
-    k = a.shape[-1]
-    aug[..., :-1] = a
-    R = _augmented_r(aug, r)
-    pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(len(a))
-    drop = rn * rn - pred * pred
-    solve = drop > floor
-    delta = np.full((len(a), k), np.nan)
-    try:
-        delta[solve] = -np.linalg.solve(R[solve, :k, :k], R[solve, :k, k:])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise RomSolveError(f"reduced Jacobian is singular ({exc})") from exc
+    qr = ~(rn * rn - drop > kappa2 * _EPS * rn * rn) if near else ~ok
+    rows = np.flatnonzero(qr)
+    if rows.size:
+        delta[rows], drop[rows] = _qr_steps(a, r, rn, rows, aug)
     return delta, drop
+
+
+def _qr_steps(a, r, rn, rows, aug):
+    """The steps and decreases of :func:`_lstsq_steps` at the rows
+    ``rows``, from the Householder QR of ``[a | r]``, each row copied into
+    ``aug``: ``delta`` from the triangular solve, ``drop`` from ``|R[k,
+    k]| = min ||r + a delta||`` (zero if ``R`` has no row ``k``).  A
+    diagonal entry of ``R[:k, :k]`` at most ``max(n, k) eps`` times the
+    largest is a rank-deficient ``a``: :class:`RomSolveError`."""
+    k = a.shape[-1]
+    block = aug[:rows.size]
+    for i, j in enumerate(rows):
+        block[i, :, :k] = a[j]
+        block[i, :, k] = r[j]
+    R = np.linalg.qr(block, mode="r")
+    diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
+    tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
+    rank = np.count_nonzero(diag > tol, axis=1)
+    if (rank < k).any():
+        raise RomSolveError(
+            f"reduced least-squares matrix is rank-deficient (rank {rank.min()} < {k})")
+    pred = np.abs(R[:, k, k]) if R.shape[1] > k else np.zeros(rows.size)
+    rn = rn[rows]
+    return -np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0], rn * rn - pred * pred
 
 
 def _cholesky(G):
@@ -338,14 +345,6 @@ def _cholesky(G):
         return np.concatenate([_cholesky(G[i:i + 1]) for i in range(len(G))])
 
 
-def _to_front(a, rows):
-    """Move the rows ``rows`` (increasing) of the stack ``a`` to its front
-    in place; a gather would allocate a new stack."""
-    for i, j in enumerate(rows):
-        if i != j:
-            a[i] = a[j]
-
-
 #: Arrays of ``n_u`` floats that one node of a part of a reduced solve
 #: holds outside the workspace of :func:`_parts`, rounded up from its
 #: peak over the part as ``tracemalloc`` measures it: 10.9 for the primal
@@ -357,7 +356,7 @@ def _to_front(a, rows):
 _NODE_ARRAYS = 11
 
 
-def _parts(m, n_u, k, jphi=True):
+def _parts(m, n_u, k):
     """The bytes of one node of a chunk, and the workspace of a solve call
     on a stack of ``m`` nodes.
 
@@ -365,32 +364,30 @@ def _parts(m, n_u, k, jphi=True):
     every adjoint solve its nodes, by :func:`kernels.stack_parts` into
     chunks at this many bytes per node, and a chunk of ``n`` nodes makes
     its ``n_u x k`` algebra in the first ``n`` rows of the workspace:
-    ``J Phi``, which the band product writes and the steps read, and the
-    block ``[J Phi | r]`` that a QR step factors.  The adjoint writes
-    ``J^T Phi`` straight into the first ``k`` columns of its
-    ``[J^T Phi | b]`` block, and asks for no ``J Phi`` block (``jphi``
-    False, an empty one).  Both blocks are sized for the largest chunk
-    of at most ``m`` nodes, and are C-contiguous views of one
-    allocation, ``J Phi`` at its start.  An empty basis is a
-    :class:`RomSolveError`.
+    ``J Phi`` (the adjoint's ``J^T Phi``), which the band product writes
+    and the steps read, and the block ``[J Phi | r]`` that a QR step
+    factors.  Both blocks are sized for the largest chunk of at most
+    ``m`` nodes, and are C-contiguous views of one allocation, ``J Phi``
+    at its start.  An empty basis is a :class:`RomSolveError`.
 
     Besides its workspace rows, a chunk node holds, at its peak, the
     three stacked bands of the band product or numpy's copy of the QR
-    block, and two ``(k + 1) x (k + 1)`` blocks: the triangular factor
-    and the solve's copy of it (the adjoint, and the QR steps of the
-    primal) or ``G`` and its Cholesky factor (the normal-equations
-    steps).  The budget counts ``3k + 3`` columns of ``n_u`` and the two
-    blocks, 180 columns at ``n_u = 127``, ``k = 47``; ``tracemalloc``
-    measures 152 per node for the primal chunks and 131 for the adjoint
-    ones, on chunks of 4 to 12 nodes on the final basis of the default
+    block, and two ``(k + 1) x (k + 1)`` blocks: ``G`` and its Cholesky
+    factor, or the triangular factor and the solve's copy of it (and
+    the adjoint's ``G``, which its second step reuses).  The budget
+    counts ``3k + 3`` columns of ``n_u`` and the two blocks, 180 columns
+    at ``n_u = 127``, ``k = 47``; ``tracemalloc`` measures 133 per node
+    for the primal chunks (166 to 177 for those that take QR steps) and
+    133 for the adjoint ones, on chunks of 4 to 12 nodes of cold solves
+    at 256 random nodes on the final basis and parameter of the default
     Burgers run."""
     if k == 0:
         raise RomSolveError("reduced basis is empty")
     chunk = 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
     size = min(m, kernels.part_size(chunk))
-    cut = size * n_u * k if jphi else 0
+    cut = size * n_u * k
     block = np.empty(cut + size * n_u * (k + 1))
-    return chunk, (block[:cut].reshape(-1, n_u, k),
+    return chunk, (block[:cut].reshape(size, n_u, k),
                    block[cut:].reshape(size, n_u, k + 1))
 
 
@@ -404,7 +401,7 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     Householder QR instead, taking ``delta`` from the triangular solve
     and ``drop`` from the last diagonal entry, when the Cholesky
     factorization of its ``G`` fails, when the pivot ratio ``kappa2``
-    (see :func:`_normal_steps`) passes ``_COND_G_MAX``, or when its
+    (see :func:`_gram`) passes ``_COND_G_MAX``, or when its
     model residual ``||r||^2 - drop`` is at most ``kappa2 eps ||r||^2``:
     a nearly representable state, whose residual the error of the
     normal equations would swamp.  The step is halved (at most 29 times)
@@ -439,7 +436,8 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
     iterate and marked in :attr:`RomPrimal.failed` (see the module
     docstring); :class:`RomSolveError` is raised only for an empty basis
-    or a reduced Jacobian whose QR factor is singular.
+    or a reduced Jacobian whose QR factor is rank-deficient (see
+    :func:`_qr_steps`).
     """
     q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
     chunk, work = _parts(len(ys), basis.n_u, basis.k)
@@ -469,7 +467,7 @@ def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
         # asks for, an accepted step could only stall
         floor = 2e-12 * rn * rn
         go, delta, drop, g, jnorm = _steps(problem, basis, ys, mu, q, r, live,
-                                           rn, floor, f, chunk, work)
+                                           rn, f, chunk, work)
         if not go.all():
             # a stationary node leaves the stack (module docstring)
             live, rn, floor = live[go], rn[go], floor[go]
@@ -500,7 +498,7 @@ def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
     return q, rnorm, iters, stalled, failed
 
 
-def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
+def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
     """The Gauss-Newton steps of one iteration at the nodes ``live`` of a
     part, whose residuals ``r[live]`` have norms ``rn``.
 
@@ -531,18 +529,11 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, floor, f, chunk, work):
         at = step[c]
         jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.window(),
                                    out[:at.size])
-        d, p, kappa2 = _normal_steps(jphi, grad[at])
         # the normal equations know the model residual ||r||^2 - drop
         # only to about cond(G) eps ||r||^2, and cannot take the residual
-        # of a nearly representable state below that; such a state, and
-        # a G that failed its checks (NaN drop), take the QR step
-        rn_at = rn[at]
-        qr = np.flatnonzero(~(rn_at * rn_at - p > kappa2 * _EPS * rn_at * rn_at))
-        if qr.size:
-            _to_front(jphi, qr)
-            d[qr], p[qr] = _qr_steps(jphi[:qr.size], r[live[at[qr]]], rn_at[qr],
-                                     floor[at[qr]], aug[:qr.size])
-        delta[c], drop[c] = d, p
+        # of a nearly representable state below that: it takes the QR step
+        delta[c], drop[c] = _lstsq_steps(jphi, r[live[at]], rn[at], grad[at],
+                                         aug, near=True)
     return go, delta, drop, g[go], jnorm[go]
 
 
@@ -579,15 +570,16 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     """Minimum-residual adjoint solves over the shared trial subspace.
 
     For each node of the stack ``ys`` with reduced state ``q`` (one row
-    per node), solves ``min || (dr/du)^T Phi eta - (df/du)^T ||`` by one
-    Householder QR of the tall ``n_u x k`` matrix augmented by the
-    right-hand side, stacked over the nodes.  A matrix counts as
-    rank-deficient, and :class:`RomSolveError` is raised, when a
-    diagonal entry of its triangular factor is at most
-    ``max(n_u, k) eps`` times the largest one.  The reported residual
-    norm is evaluated explicitly from the solution.
+    per node), solves ``min ||a eta - b||``, ``a = (dr/du)^T Phi``, ``b =
+    (df/du)^T``, by two steps of :func:`_lstsq_steps` on one ``G``: from
+    ``eta = 0``, then from the true residual ``a eta - b`` there.  The
+    second Gauss-Newton step of this affine residual corrects the
+    ``cond(G) eps`` error of a normal-equations step (iterative
+    refinement, Björck 1996), which would leave some residuals near
+    round-off several times above the least-squares minimum.  The
+    reported residual norm is evaluated explicitly from the solution.
     """
-    chunk, work = _parts(len(ys), basis.n_u, basis.k, jphi=False)
+    chunk, work = _parts(len(ys), basis.n_u, basis.k)
     return RomAdjoint(*kernels.in_parts(
         partial(_min_res_adjoint, basis=basis, chunk=chunk, work=work),
         8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
@@ -599,24 +591,22 @@ def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
     :func:`_parts`); returns ``(eta, res)``.  The state, its Jacobian
     bands and the right-hand side are formed once for the part, the
     least-squares solves chunk by chunk."""
-    k = basis.k
-    _, aug = work
+    out, aug = work
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
     eta, res = [], []
     for c in kernels.stack_parts(len(q), chunk):
-        n = c.stop - c.start
-        # J^T Phi straight into the first k columns of [J^T Phi | b]
         a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.window(),
-                                  aug[:n, :, :k])
-        R = _augmented_r(aug[:n], b[c])
-        diag = np.abs(np.diagonal(R[:, :k, :k], axis1=1, axis2=2))
-        tol = max(a.shape[1:]) * _EPS * diag.max(axis=1, keepdims=True)
-        rank = np.count_nonzero(diag > tol, axis=1)
-        if (rank < k).any():
-            raise RomSolveError(
-                f"adjoint ROM matrix is rank-deficient (rank {rank.min()} < {k})")
-        eta.append(np.linalg.solve(R[:, :k, :k], R[:, :k, k:])[:, :, 0])
-        res.append(kernels.row_norm((a @ eta[-1][:, :, None])[:, :, 0] - b[c]))
+                                  out[:c.stop - c.start])
+        gram = _gram(a)
+        x = np.zeros((len(a), basis.k))
+        r = -b[c]
+        # the step from eta = 0, then one from the true residual there
+        for _ in range(2):
+            g = (r[:, None, :] @ a)[:, 0, :]
+            x += _lstsq_steps(a, r, kernels.row_norm(r), g, aug, gram)[0]
+            r = (a @ x[:, :, None])[:, :, 0] - b[c]
+        eta.append(x)
+        res.append(kernels.row_norm(r))
     return np.concatenate(eta), np.concatenate(res)

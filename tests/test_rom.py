@@ -10,8 +10,8 @@ from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
 from sgromtr import kernels, rom
 from sgromtr.cli import suite_rom_properties
-from sgromtr.rom import (ReducedBasis, RomSolveError, _augmented_r,
-                         solve_rom_adjoint, solve_rom_primal)
+from sgromtr.rom import (ReducedBasis, RomSolveError, solve_rom_adjoint,
+                         solve_rom_primal)
 
 
 def hdm_pair(problem, y, mu):
@@ -150,18 +150,19 @@ def test_monotonicity_under_appends(lin):
 
 @pytest.mark.parametrize("n, k", [(127, 48), (63, 25), (30, 1), (40, 39)])
 def test_qr_step_matches_lstsq(n, k):
+    # the step of the residual -b is the least-squares x of a x ~ b, and
+    # its decrease ||b||^2 minus the squared residual norm left
     rng = np.random.default_rng(n + k)
     for _ in range(5):
         a = rng.standard_normal((n, k))
         b = rng.standard_normal(n)
-        aug = np.full((n, k + 1), np.nan)
-        aug[:, :k] = a
-        R = _augmented_r(aug, b)
-        x = np.linalg.solve(R[:k, :k], R[:k, k])
+        aug = np.full((1, n, k + 1), np.nan)
+        x, drop = rom._qr_steps(a[None], -b[None], np.linalg.norm(b)[None],
+                                np.array([0]), aug)
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
-        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
-        res_ref = np.linalg.norm(a @ x_ref - b)
-        assert abs(abs(R[k, k]) - res_ref) <= 1e-12 * res_ref
+        assert np.linalg.norm(x[0] - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+        drop_ref = b @ b - np.linalg.norm(a @ x_ref - b) ** 2
+        assert abs(drop[0] - drop_ref) <= 1e-12 * (b @ b)
 
 
 @pytest.mark.parametrize("n, k", [(127, 48), (63, 25), (30, 1), (40, 39)])
@@ -173,8 +174,11 @@ def test_normal_step_matches_lstsq(n, k):
     for _ in range(5):
         a = rng.standard_normal((n, k))
         b = rng.standard_normal(n)
-        delta, drop, kappa2 = rom._normal_steps(a[None], -(a.T @ b)[None])
-        assert kappa2[0] <= rom._COND_G_MAX
+        gram = rom._gram(a[None])
+        assert gram[1][0] <= rom._COND_G_MAX
+        # within the bound no row takes the QR step, which needs no workspace
+        delta, drop = rom._lstsq_steps(a[None], -b[None], np.linalg.norm(b)[None],
+                                       -(a.T @ b)[None], None)
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
         drop_ref = np.linalg.norm(a @ x_ref) ** 2
         tol = min(10.0 * np.linalg.cond(a) ** 2 * rom._EPS, rom._COND_G_MAX * rom._EPS)
@@ -584,7 +588,7 @@ def test_parts_workspace_holds_every_part(monkeypatch):
     # chunks of at most seven nodes at n_u = 127, k = 47: the workspace
     # of a call on m nodes holds the largest chunk of any iteration,
     # whose live nodes are at most m, in two blocks of one allocation
-    # that do not overlap, J Phi and [J Phi | r]
+    # that do not overlap, J Phi (or J^T Phi) and [J Phi | r]
     n_u, k = 127, 47
     chunk = rom._parts(1, n_u, k)[0]
     monkeypatch.setattr(kernels, "STACK_BYTES", 7 * chunk)
@@ -594,9 +598,6 @@ def test_parts_workspace_holds_every_part(monkeypatch):
         assert (out.shape, aug.shape) == ((size, n_u, k), (size, n_u, k + 1))
         assert all(a.flags.c_contiguous for a in (out, aug))
         assert out.base is aug.base and not np.shares_memory(out, aug)
-        # the adjoint writes J^T Phi into its [J^T Phi | b] block alone
-        out, aug = rom._parts(m, n_u, k, jphi=False)[1]
-        assert out.size == 0 and aug.shape == (size, n_u, k + 1)
         for n in range(1, m + 1):
             sizes = [len(range(n)[p]) for p in kernels.stack_parts(n, chunk)]
             assert sum(sizes) == n and max(sizes) <= size <= 7
@@ -695,29 +696,30 @@ def test_near_representable_burgers_step_is_a_qr_step(bur, monkeypatch):
     assert np.linalg.norm(basis.expand(prim.q)[0] - u) <= 1e-10 * np.linalg.norm(u)
 
 
-def _scaled_column_step(lin, monkeypatch, factor):
-    """A diffusion node whose ``J Phi`` has column 1 scaled by ``factor``
-    (``kernels.band_matmat`` patched), started off its reduced minimizer
-    in the other coordinates only, so that the exact step of the scaled
-    matrix, like the true one, leaves coordinate 1 unchanged.  Returns
-    ``(basis, y, mu, q0, a, r0)``: the start, and the scaled ``J Phi``
-    and the residual there."""
+def _scaled_column_step(lin, monkeypatch, factor, kernel="band_matmat"):
+    """A diffusion node whose ``J Phi`` (``kernel`` ``band_matmat``), or
+    ``J^T Phi`` (``band_t_matmat``), has column 1 scaled by ``factor``
+    (``kernels.<kernel>`` patched), started off its reduced minimizer in
+    the other coordinates only, so that the exact step of the scaled
+    ``J Phi``, like the true one, leaves coordinate 1 unchanged.  Returns
+    ``(basis, y, mu, q0, a, r0)``: the start, and the scaled matrix and
+    the residual there."""
     basis = seeded_basis(lin, seed=29, n_snaps=2)
     y, mu = np.array([[0.1, 0.3]]), np.full(8, -0.1)
     q0 = solve_rom_primal(lin, basis, y, mu).q
     q0[0, 0] += 3e-3
     q0[0, 2:] -= 2e-3
-    band_matmat = kernels.band_matmat
+    product = getattr(kernels, kernel)
 
     def scaled_column(*args):
-        a = band_matmat(*args)
+        a = product(*args)
         a[..., 1] *= factor
         return a
 
-    monkeypatch.setattr(kernels, "band_matmat", scaled_column)
+    monkeypatch.setattr(kernels, kernel, scaled_column)
     u0 = basis.expand(q0)
-    a = kernels.band_matmat(*lin.jac_bands(u0, y, mu), basis.window(),
-                            np.empty((1, lin.n_u, basis.k)))[0]
+    a = getattr(kernels, kernel)(*lin.jac_bands(u0, y, mu), basis.window(),
+                                 np.empty((1, lin.n_u, basis.k)))[0]
     return basis, y, mu, q0, a, lin.residual(u0, y, mu)[0]
 
 
@@ -725,8 +727,8 @@ def test_ill_conditioned_gram_takes_the_qr_step(lin, monkeypatch):
     # cond(G) near 1e14: the Cholesky pivots put it past the bound, while
     # the model residual alone would keep the normal equations
     basis, y, mu, q0, a, r0 = _scaled_column_step(lin, monkeypatch, 1e-7)
-    delta, drop, kappa2 = rom._normal_steps(a[None], (a.T @ r0)[None])
-    assert kappa2[0] > rom._COND_G_MAX and np.isnan(drop[0])
+    kappa2 = rom._gram(a[None])[1]
+    assert kappa2[0] > rom._COND_G_MAX
     g = a.T @ r0
     model = r0 @ r0 - g @ np.linalg.solve(a.T @ a, g)
     assert model > kappa2[0] * rom._EPS * (r0 @ r0)
@@ -745,10 +747,10 @@ def test_ill_conditioned_gram_takes_the_qr_step(lin, monkeypatch):
 
 def test_singular_reduced_jacobian_raises(lin, monkeypatch):
     # a zero column fails the Cholesky factorization, and the QR step
-    # that replaces it finds the triangular factor singular
+    # that replaces it finds the triangular factor rank-deficient
     basis, y, mu, q0, a, r0 = _scaled_column_step(lin, monkeypatch, 0.0)
-    assert np.isnan(rom._normal_steps(a[None], (a.T @ r0)[None])[2][0])
-    with pytest.raises(RomSolveError, match="singular"):
+    assert np.isnan(rom._gram(a[None])[1][0])
+    with pytest.raises(RomSolveError, match="rank-deficient"):
         solve_rom_primal(lin, basis, y, mu, q0=q0)
 
 
@@ -786,6 +788,49 @@ def test_adjoint_optimality_over_candidates(lin):
         res = np.linalg.norm(adjoint_residual(
             lin, basis.expand(eta), u, y[None], mu))
         assert adj_rom.residual_norm[0] <= res * (1 + 1e-12)
+
+
+def test_adjoint_reaches_the_least_squares_minimum(bur):
+    # a node whose primal and adjoint solutions are in a basis of 42
+    # columns: its adjoint residual is at round-off, which the error
+    # cond(G) eps of one normal-equations step (cond(G) near 4e6) would
+    # leave several times above the least-squares minimum.  The second
+    # step, from the true residual, reaches the minimum
+    rng = np.random.default_rng(44)
+    y, mu = rng.uniform(-1, 1, (1, 2)), rng.uniform(-0.3, 0.3, 8)
+    basis = seeded_basis(bur, seed=45, n_snaps=20)
+    u, lam = hdm_pair(bur, y[0], mu)
+    basis.append_snapshots([u, lam], ["primal", "adjoint"], y[0], mu)
+    prim = solve_rom_primal(bur, basis, y, mu)
+    adj = solve_rom_adjoint(bur, basis, prim.q, y, mu)
+    uq = basis.expand(prim.q)
+    a = kernels.band_t_matmat(*bur.jac_bands(uq, y, mu), basis.window(),
+                              np.empty((1, bur.n_u, basis.k)))[0]
+    b = bur.qoi_u(uq, y, mu)[0]
+    ref = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert basis.k == 42
+    assert adj.residual_norm[0] <= 1.01 * np.linalg.norm(a @ ref - b)
+    assert np.linalg.norm(adj.eta[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_ill_conditioned_adjoint_takes_the_qr_step(lin, monkeypatch):
+    # J^T Phi of full rank with column 1 scaled by 1e-7: its G is past
+    # the pivot-ratio bound, so both adjoint steps are QR steps, and the
+    # adjoint is solved, not raised
+    basis, y, mu, q0, a, _ = _scaled_column_step(lin, monkeypatch, 1e-7,
+                                                 "band_t_matmat")
+    assert rom._gram(a[None])[1][0] > rom._COND_G_MAX
+    calls = _counting_qr(monkeypatch)
+    adj = solve_rom_adjoint(lin, basis, q0, y, mu)
+    assert calls[0] == 2
+    # Householder QR resolves eta up to the column scaling: compare
+    # scale * eta to the least-squares reference of the unscaled matrix
+    b = lin.qoi_u(basis.expand(q0), y, mu)[0]
+    scale = np.ones(basis.k)
+    scale[1] = 1e-7
+    ref = np.linalg.lstsq(a / scale, b, rcond=None)[0]
+    assert np.linalg.norm(scale * adj.eta[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert adj.residual_norm[0] <= (1 + 1e-12) * np.linalg.norm(a / scale @ ref - b)
 
 
 def test_adjoint_rank_deficiency_raises(lin, monkeypatch):
