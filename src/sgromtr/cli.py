@@ -251,9 +251,9 @@ def suite_quadrature() -> tuple[bool, str]:
                 f"(<=1e-10)")
 
 
-def suite_fd_gradient(problem, n_samples: int, h: float, seed: int,
-                      tol: float) -> tuple[bool, str]:
-    """Adjoint gradient against central finite differences."""
+def suite_fd_gradient(problem, n_samples: int, seed: int) -> tuple[bool, str]:
+    """Adjoint gradient against central finite differences at the
+    problem's ``fd_step``, within its ``fd_gradient_tol``."""
     rng = np.random.default_rng(seed)
     box = problem.mu_sample_halfwidth
     worst = 0.0
@@ -263,9 +263,10 @@ def suite_fd_gradient(problem, n_samples: int, h: float, seed: int,
         prim = solve_primal(problem, y[None], mu)
         adj = solve_adjoint(problem, prim.u, y[None], mu)
         g = adjoint_gradient(problem, adj.lam, prim.u, y[None], mu)[0]
-        gfd = fd_gradient(problem, y, mu, h=h)
+        gfd = fd_gradient(problem, y, mu, h=problem.fd_step)
         worst = max(worst, float(np.linalg.norm(g - gfd))
                     / max(float(np.linalg.norm(gfd)), 1e-30))
+    tol = problem.fd_gradient_tol
     ok = worst <= tol
     return ok, f"worst rel err {worst:.2e} (tol {tol:g}, {n_samples} samples)"
 
@@ -384,8 +385,7 @@ def run_validate(cfg: RunConfig, out: Path | None = None) -> int:
     suites = [
         ("quadrature", lambda: suite_quadrature()),
         ("fd-gradient", lambda: suite_fd_gradient(
-            problem, val["fd_samples"], val["fd_step"], cfg.seed,
-            problem.fd_gradient_tol)),
+            problem, val["fd_samples"], cfg.seed)),
         ("rom-properties", lambda: suite_rom_properties(problem, cfg.seed)),
         ("bound-ratios", lambda: suite_bound_ratios(
             problem, val["n_samples"], cfg.seed, csv_path)),

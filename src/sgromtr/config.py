@@ -65,7 +65,6 @@ _SCHEMA = {
     "validate": {
         "n_samples": (100, int, 0, math.inf),
         "fd_samples": (20, int, 1, math.inf),
-        "fd_step": (1e-5, float, 1e-12, math.inf),
     },
     "init": {
         "mu0": ("", str),            # space-separated; empty: zeros

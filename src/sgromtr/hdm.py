@@ -177,8 +177,13 @@ class ModelProblem:
     #: half-width of the parameter box used for random validation draws
     mu_sample_halfwidth = 1.0
 
-    #: largest relative error between the adjoint gradient and a central
-    #: finite difference (step 1e-5) that the gradient checks accept
+    #: step of the central finite difference that the gradient checks
+    #: compare the adjoint gradient against
+    fd_step = 1e-5
+
+    #: largest relative error between the adjoint gradient and the
+    #: central finite difference at ``fd_step`` that the gradient checks
+    #: accept; calibrated for that step only
     fd_gradient_tol = 1e-6
 
     def __init__(self, n_u, n_y, n_mu, alpha):

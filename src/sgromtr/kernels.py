@@ -47,11 +47,11 @@ scale or of the gradient pass, whose ``A^T r`` (:func:`band_t_matvec`)
 and per-row dots (:func:`row_dot`) test every node for stationarity
 without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
 algebra of the nodes that take a step runs in chunks of nodes, each
-node holding ``2k + 1`` columns of ``n`` of a workspace the solve call
-allocates once (``J Phi`` or ``J^T Phi``, and ``[J Phi | r]`` for a QR
-step) and, at its peak, the ``k x k`` normal equations or numpy's copy
-of ``[J Phi | r]`` for its QR: about ``3k + 3`` columns of ``n`` and two
-``(k + 1) x (k + 1)`` blocks.  The
+node holding ``k`` columns of ``n`` of a workspace the solve call
+allocates once (``J Phi`` or ``J^T Phi``) and, at its peak, the three
+bands of its product, or the ``[J Phi | r]`` that a QR step builds and
+numpy's copy of it, and the ``k x k`` normal equations: about ``3k +
+3`` columns of ``n`` and two ``(k + 1) x (k + 1)`` blocks.  The
 full model wants few parts: :func:`band_solve` loops over the ``n``
 rows in Python, so one call costs about the same at any node count.
 The matrix products write into an array the caller passes, the first

@@ -102,7 +102,9 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     evaluation starts from the states of the last.  A failed line search
     terminates the iteration at the best known point.  Returns
     ``(mu_final, history)`` where each history row records the
-    objective, gradient norm, and cumulative query counts.
+    objective, gradient norm, and cumulative query counts of one
+    iterate, the last row those of ``mu_final``: after ``max_iters``
+    steps, the point they reached.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
@@ -112,13 +114,14 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     history = []
     j_val, grad = evaluate(mu)
     status = "max_iters"
+
+    def row(it):
+        return {"k": it, "J": j_val, "gnorm": float(np.linalg.norm(grad)),
+                "n_hp": counters.n_hp, "n_ha": counters.n_ha}
+
     for it in range(max_iters):
-        gnorm = float(np.linalg.norm(grad))
-        history.append({
-            "k": it, "J": j_val, "gnorm": gnorm,
-            "n_hp": counters.n_hp, "n_ha": counters.n_ha,
-        })
-        if gnorm <= gtol:
+        history.append(row(it))
+        if history[-1]["gnorm"] <= gtol:
             status = "converged"
             break
         d = -hinv @ grad
@@ -146,6 +149,9 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
             v = np.eye(n) - rho * np.outer(s, yv)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         mu, j_val, grad = mu_new, j_new, g_new
+    else:
+        # the point reached by the last step is the one returned
+        history.append(row(max_iters))
     return mu, {"history": history, "status": status}
 
 

@@ -71,9 +71,10 @@ triangular solve for its nodes that take the QR step.  ``J Phi`` is one
 ``(1 x 3) @ (3 x k)`` product per row of each node: the row's three
 band entries against the window of basis rows ``i - 1, i, i + 1``,
 which the basis caches per ``k`` (:meth:`ReducedBasis.window`).  The
-solve call allocates that workspace once, ``J Phi`` and the augmented
-``[J Phi | r]``, and every chunk of every iteration reuses it, so an
-iteration allocates no array of ``n_u x k`` per node.  The adjoint
+solve call allocates that workspace once, one ``J Phi`` block per chunk
+node, and every chunk of every iteration reuses it, so an iteration
+allocates no array of ``n_u x k`` per node but the ``[J Phi | r]`` that
+a QR step builds for its own nodes (:func:`_qr_steps`).  The adjoint
 forms states, bands and right-hand sides once per part, and its
 least-squares solves chunk by chunk in the same workspace, ``J^T Phi``
 where the primal writes ``J Phi``.
@@ -283,7 +284,7 @@ def _gram(a):
     return G, (d.max(axis=1) / d.min(axis=1)) ** 2
 
 
-def _lstsq_steps(a, r, rn, g, aug, gram=None, near=False):
+def _lstsq_steps(a, r, rn, g, gram=None, near=False):
     """Steps ``delta`` minimizing ``||r + a delta||`` on a stack ``a``
     ``(m, n, k)`` with residuals ``r`` of norms ``rn`` and gradients ``g =
     a^T r``, and their model decreases ``drop = ||r||^2 - ||r + a
@@ -293,8 +294,7 @@ def _lstsq_steps(a, r, rn, g, aug, gram=None, near=False):
     here if not given) is within ``_COND_G_MAX`` solves ``G delta =
     -g``.  The others, and with ``near`` a nearly representable row,
     whose model residual ``||r||^2 - drop`` is at most ``kappa2 eps
-    ||r||^2``, take the QR step of ``[a | r]`` in ``aug``
-    (:func:`_qr_steps`)."""
+    ||r||^2``, take the QR step of ``[a | r]`` (:func:`_qr_steps`)."""
     G, kappa2 = _gram(a) if gram is None else gram
     ok = kappa2 <= _COND_G_MAX
     delta = np.full(g.shape, np.nan)
@@ -304,19 +304,19 @@ def _lstsq_steps(a, r, rn, g, aug, gram=None, near=False):
     qr = ~(rn * rn - drop > kappa2 * _EPS * rn * rn) if near else ~ok
     rows = np.flatnonzero(qr)
     if rows.size:
-        delta[rows], drop[rows] = _qr_steps(a, r, rn, rows, aug)
+        delta[rows], drop[rows] = _qr_steps(a, r, rn, rows)
     return delta, drop
 
 
-def _qr_steps(a, r, rn, rows, aug):
+def _qr_steps(a, r, rn, rows):
     """The steps and decreases of :func:`_lstsq_steps` at the rows
     ``rows``, from the Householder QR of ``[a | r]``, each row copied into
-    ``aug``: ``delta`` from the triangular solve, ``drop`` from ``|R[k,
-    k]| = min ||r + a delta||`` (zero if ``R`` has no row ``k``).  A
-    diagonal entry of ``R[:k, :k]`` at most ``max(n, k) eps`` times the
+    a block of its own: ``delta`` from the triangular solve, ``drop`` from
+    ``|R[k, k]| = min ||r + a delta||`` (zero if ``R`` has no row ``k``).
+    A diagonal entry of ``R[:k, :k]`` at most ``max(n, k) eps`` times the
     largest is a rank-deficient ``a``: :class:`RomSolveError`."""
     k = a.shape[-1]
-    block = aug[:rows.size]
+    block = np.empty((rows.size, a.shape[1], k + 1))
     for i, j in enumerate(rows):
         block[i, :, :k] = a[j]
         block[i, :, k] = r[j]
@@ -362,33 +362,38 @@ def _parts(m, n_u, k):
 
     Every Gauss-Newton iteration cuts the nodes that take a step, and
     every adjoint solve its nodes, by :func:`kernels.stack_parts` into
-    chunks at this many bytes per node, and a chunk of ``n`` nodes makes
-    its ``n_u x k`` algebra in the first ``n`` rows of the workspace:
-    ``J Phi`` (the adjoint's ``J^T Phi``), which the band product writes
-    and the steps read, and the block ``[J Phi | r]`` that a QR step
-    factors.  Both blocks are sized for the largest chunk of at most
-    ``m`` nodes, and are C-contiguous views of one allocation, ``J Phi``
-    at its start.  An empty basis is a :class:`RomSolveError`.
+    chunks at this many bytes per node, and a chunk of ``n`` nodes writes
+    ``J Phi`` (the adjoint's ``J^T Phi``) into the first ``n`` rows of
+    the workspace, one ``(n_u, k)`` block per node sized for the largest
+    chunk of at most ``m`` nodes, which the band product writes and the
+    steps read.  An empty basis is a :class:`RomSolveError`.
 
     Besides its workspace rows, a chunk node holds, at its peak, the
-    three stacked bands of the band product or numpy's copy of the QR
-    block, and two ``(k + 1) x (k + 1)`` blocks: ``G`` and its Cholesky
-    factor, or the triangular factor and the solve's copy of it (and
-    the adjoint's ``G``, which its second step reuses).  The budget
-    counts ``3k + 3`` columns of ``n_u`` and the two blocks, 180 columns
-    at ``n_u = 127``, ``k = 47``; ``tracemalloc`` measures 133 per node
-    for the primal chunks (166 to 177 for those that take QR steps) and
-    133 for the adjoint ones, on chunks of 4 to 12 nodes of cold solves
-    at 256 random nodes on the final basis and parameter of the default
-    Burgers run."""
+    three stacked bands of the band product, or the ``[J Phi | r]``
+    block of a QR step (:func:`_qr_steps`) and numpy's copy of it, and
+    two ``(k + 1) x (k + 1)`` blocks: ``G`` and its Cholesky factor, or
+    the triangular factor and the solve's copy of it (and the adjoint's
+    ``G``, which its second step reuses).  The budget counts ``3k + 3``
+    columns of ``n_u`` and the two blocks, 180 columns at ``n_u = 127``,
+    ``k = 47``; ``tracemalloc`` measures 133 per node for the primal
+    chunks (166 to 177 for those that take QR steps) and 133 for the
+    adjoint ones, on chunks of 4 to 12 nodes of cold solves at 256
+    random nodes on the final basis and parameter of the default Burgers
+    run."""
     if k == 0:
         raise RomSolveError("reduced basis is empty")
     chunk = 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
-    size = min(m, kernels.part_size(chunk))
-    cut = size * n_u * k
-    block = np.empty(cut + size * n_u * (k + 1))
-    return chunk, (block[:cut].reshape(size, n_u, k),
-                   block[cut:].reshape(size, n_u, k + 1))
+    return chunk, np.empty((min(m, kernels.part_size(chunk)), n_u, k))
+
+
+def _in_parts(solve, problem, basis, ys, mu, q):
+    """``solve`` on the parts of the stack ``ys`` (:func:`kernels.in_parts`
+    at ``_NODE_ARRAYS`` arrays of ``n_u`` per node), each part given the
+    chunk budget ``chunk`` and the workspace ``work`` of :func:`_parts`,
+    allocated once for the call."""
+    chunk, work = _parts(len(ys), basis.n_u, basis.k)
+    return kernels.in_parts(partial(solve, basis=basis, chunk=chunk, work=work),
+                            8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q)
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -440,10 +445,7 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     :func:`_qr_steps`).
     """
     q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
-    chunk, work = _parts(len(ys), basis.n_u, basis.k)
-    return RomPrimal(*kernels.in_parts(
-        partial(_gauss_newton, basis=basis, chunk=chunk, work=work),
-        8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
+    return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
 
 
 def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
@@ -511,7 +513,6 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
     of the nodes of ``live`` that are not stationary, and their steps,
     model decreases, gradient norms and ``||J Phi||_F``.
     """
-    out, aug = work
     u = basis.expand(q[live])
     lo, dg, up = problem.jac_bands(u, ys[live], mu)
     scale = kernels.roundoff_scale(lo, dg, up, u, f)
@@ -528,12 +529,12 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
     for c in kernels.stack_parts(step.size, chunk) if step.size else ():
         at = step[c]
         jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.window(),
-                                   out[:at.size])
+                                   work[:at.size])
         # the normal equations know the model residual ||r||^2 - drop
         # only to about cond(G) eps ||r||^2, and cannot take the residual
         # of a nearly representable state below that: it takes the QR step
         delta[c], drop[c] = _lstsq_steps(jphi, r[live[at]], rn[at], grad[at],
-                                         aug, near=True)
+                                         near=True)
     return go, delta, drop, g[go], jnorm[go]
 
 
@@ -579,10 +580,7 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     round-off several times above the least-squares minimum.  The
     reported residual norm is evaluated explicitly from the solution.
     """
-    chunk, work = _parts(len(ys), basis.n_u, basis.k)
-    return RomAdjoint(*kernels.in_parts(
-        partial(_min_res_adjoint, basis=basis, chunk=chunk, work=work),
-        8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q))
+    return RomAdjoint(*_in_parts(_min_res_adjoint, problem, basis, ys, mu, q))
 
 
 def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
@@ -591,21 +589,20 @@ def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
     :func:`_parts`); returns ``(eta, res)``.  The state, its Jacobian
     bands and the right-hand side are formed once for the part, the
     least-squares solves chunk by chunk."""
-    out, aug = work
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
     eta, res = [], []
     for c in kernels.stack_parts(len(q), chunk):
         a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.window(),
-                                  out[:c.stop - c.start])
+                                  work[:c.stop - c.start])
         gram = _gram(a)
         x = np.zeros((len(a), basis.k))
         r = -b[c]
         # the step from eta = 0, then one from the true residual there
         for _ in range(2):
             g = (r[:, None, :] @ a)[:, 0, :]
-            x += _lstsq_steps(a, r, kernels.row_norm(r), g, aug, gram)[0]
+            x += _lstsq_steps(a, r, kernels.row_norm(r), g, gram)[0]
             r = (a @ x[:, :, None])[:, :, 0] - b[c]
         eta.append(x)
         res.append(kernels.row_norm(r))

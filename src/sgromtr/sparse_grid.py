@@ -180,18 +180,12 @@ class MultiIndexSet:
                 cand = k[:j] + (k[j] + 1,) + k[j + 1:]
                 if cand not in self.indices:
                     cands.add(cand)
-        out = []
-        for cand in sorted(cands):
-            ok = True
-            for j in range(self.dim):
-                if cand[j] > 1:
-                    back = cand[:j] + (cand[j] - 1,) + cand[j + 1:]
-                    if back not in self.indices:
-                        ok = False
-                        break
-            if ok:
-                out.append(cand)
-        return tuple(out)
+        return tuple(cand for cand in sorted(cands) if self._backward_closed(cand))
+
+    def _backward_closed(self, idx) -> bool:
+        """True iff every backward neighbor of ``idx`` is a member."""
+        return all(idx[:j] + (idx[j] - 1,) + idx[j + 1:] in self.indices
+                   for j in range(self.dim) if idx[j] > 1)
 
     def union_with_neighbors(self) -> "MultiIndexSet":
         return MultiIndexSet(self.dim, self.indices | set(self.neighbors()))
@@ -199,13 +193,7 @@ class MultiIndexSet:
 
 def is_admissible(mis: MultiIndexSet) -> bool:
     """True iff every backward neighbor of every member is a member."""
-    for k in mis.indices:
-        for j in range(mis.dim):
-            if k[j] > 1:
-                back = k[:j] + (k[j] - 1,) + k[j + 1:]
-                if back not in mis.indices:
-                    return False
-    return True
+    return all(mis._backward_closed(k) for k in mis.indices)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ def _per_problem(suite):
 def test_criterion_2_adjoint_gradient():
     t0 = time.monotonic()
     ok, detail = _per_problem(lambda problem: suite_fd_gradient(
-        problem, 20, 1e-5, SEED, problem.fd_gradient_tol))
+        problem, 20, SEED))
     elapsed = time.monotonic() - t0
     report(2, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f}s (<30s)")
 

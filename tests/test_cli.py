@@ -11,6 +11,7 @@ from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
                          run_validate, suite_fd_gradient)
 from sgromtr.config import ConfigError, RunConfig, echo_config, load_config
 from sgromtr.hdm import LinearDiffusion, SolverError
+from sgromtr.oracle import tensor_reference
 
 
 FAST_LIN = """
@@ -114,7 +115,6 @@ RANGE_VIOLATIONS = {
     "baseline.gtol": ("[baseline]\ngtol = -1e-6\n", "baseline.gtol"),
     "validate.fd_samples": ("[validate]\nfd_samples = -3\n",
                             "validate.fd_samples"),
-    "validate.fd_step": ("[validate]\nfd_step = 0\n", "validate.fd_step"),
     "problem.kappa_amp1": ("[run]\nproblem = linear-diffusion\n"
                            "[problem]\nkappa_amp1 = 2\n",
                            r"problem\.kappa_amp1 and problem\.kappa_amp2"),
@@ -194,6 +194,24 @@ def test_sg_iso_report_has_no_rom_queries(tmp_path):
     assert summary["n_rp"] == "0" and summary["n_ra"] == "0"
     assert int(summary["n_hp"]) > 0
     assert "rom_recoveries" not in summary and "rom_stalls" not in summary
+
+
+def test_sg_iso_max_iters_report_describes_final_mu(tmp_path):
+    # stopped after two BFGS steps, the report's last history row and
+    # final_gnorm describe the returned final_mu, not the iterate before
+    cfg = load_config(write(tmp_path, "[run]\nmethod = sg-iso\n"
+                                      "problem = linear-diffusion\n"
+                                      "[baseline]\nmax_iters = 2\nlevel = 3\n"))
+    out = tmp_path / "iso"
+    assert run_optimize(cfg, out) == EXIT_MAX_ITERS
+    summary = read_summary(out)
+    last = read_csv(out / "history.csv")[-1]
+    mu = np.array(summary["final_mu"].split(), dtype=float)
+    _, grad = tensor_reference(cfg.make_problem(), mu, 3)
+    assert float(summary["final_gnorm"]) == pytest.approx(np.linalg.norm(grad),
+                                                          rel=1e-6)
+    assert last["gnorm"] == summary["final_gnorm"]
+    assert last["n_hp"] == summary["n_hp"]
 
 
 def test_csv_row_missing_a_column_raises(tmp_path):
@@ -419,8 +437,7 @@ def test_corrupted_jacobian_fails_fd_suite():
         def jac_mu(self, u, y, mu):
             return 1.01 * super().jac_mu(u, y, mu)
 
-    ok, detail = suite_fd_gradient(CorruptJacobian(), 5, 1e-5, seed=0,
-                                   tol=1e-6)
+    ok, detail = suite_fd_gradient(CorruptJacobian(), 5, seed=0)
     assert not ok
 
 

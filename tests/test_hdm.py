@@ -583,7 +583,7 @@ def test_gradient_zero_without_parameter_coupling():
 def test_adjoint_gradient_vs_fd(cls, lin, bur):
     problem = lin if cls is LinearDiffusion else bur
     rng = np.random.default_rng(37)
-    h = 1e-5
+    h = problem.fd_step
     for _ in range(5):
         y = rng.uniform(-1, 1, (1, 2))
         mu = rng.uniform(-problem.mu_sample_halfwidth,

@@ -156,9 +156,8 @@ def test_qr_step_matches_lstsq(n, k):
     for _ in range(5):
         a = rng.standard_normal((n, k))
         b = rng.standard_normal(n)
-        aug = np.full((1, n, k + 1), np.nan)
         x, drop = rom._qr_steps(a[None], -b[None], np.linalg.norm(b)[None],
-                                np.array([0]), aug)
+                                np.array([0]))
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
         assert np.linalg.norm(x[0] - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
         drop_ref = b @ b - np.linalg.norm(a @ x_ref - b) ** 2
@@ -176,9 +175,9 @@ def test_normal_step_matches_lstsq(n, k):
         b = rng.standard_normal(n)
         gram = rom._gram(a[None])
         assert gram[1][0] <= rom._COND_G_MAX
-        # within the bound no row takes the QR step, which needs no workspace
+        # within the bound no row takes the QR step
         delta, drop = rom._lstsq_steps(a[None], -b[None], np.linalg.norm(b)[None],
-                                       -(a.T @ b)[None], None)
+                                       -(a.T @ b)[None])
         x_ref = np.linalg.lstsq(a, b, rcond=None)[0]
         drop_ref = np.linalg.norm(a @ x_ref) ** 2
         tol = min(10.0 * np.linalg.cond(a) ** 2 * rom._EPS, rom._COND_G_MAX * rom._EPS)
@@ -586,18 +585,15 @@ def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
 
 def test_parts_workspace_holds_every_part(monkeypatch):
     # chunks of at most seven nodes at n_u = 127, k = 47: the workspace
-    # of a call on m nodes holds the largest chunk of any iteration,
-    # whose live nodes are at most m, in two blocks of one allocation
-    # that do not overlap, J Phi (or J^T Phi) and [J Phi | r]
+    # of a call on m nodes holds the J Phi (or J^T Phi) of the largest
+    # chunk of any iteration, whose live nodes are at most m, in one block
     n_u, k = 127, 47
     chunk = rom._parts(1, n_u, k)[0]
     monkeypatch.setattr(kernels, "STACK_BYTES", 7 * chunk)
     for m in range(1, 41):
-        _, (out, aug) = rom._parts(m, n_u, k)
+        _, out = rom._parts(m, n_u, k)
         size = len(out)
-        assert (out.shape, aug.shape) == ((size, n_u, k), (size, n_u, k + 1))
-        assert all(a.flags.c_contiguous for a in (out, aug))
-        assert out.base is aug.base and not np.shares_memory(out, aug)
+        assert out.shape == (size, n_u, k) and out.flags.c_contiguous
         for n in range(1, m + 1):
             sizes = [len(range(n)[p]) for p in kernels.stack_parts(n, chunk)]
             assert sum(sizes) == n and max(sizes) <= size <= 7
