@@ -16,8 +16,12 @@ largest |tensor difference| of the gradient-estimate norm, or of |f| on
 the objective stage); an open residual term samples the full model
 greedily at the node with the largest residual.  The loop samples each
 (node, parameter) point at most once and appends primal and adjoint
-snapshots together.  It evaluates the indicator and
-its thresholds once at entry and once after every grid or basis change.
+snapshots together.  A sample whose snapshots keep no basis column
+changes no term, so it ends its term's sampling for the pass, and a
+pass that changes nothing else grows the grid: a pass buys at most one
+such full primal and adjoint solve per term.  It evaluates the
+indicator and its thresholds once at entry and once after every grid or
+basis change.
 An evaluation assembles the union quadrature of the grid and its forward
 neighbors once and reads one sweep of node solves per parameter point;
 the residual terms and the neighbor differences both come from that
@@ -365,8 +369,9 @@ def _mu_tag(mu) -> str:
     return hashlib.md5(_mu_key(mu)).hexdigest()[:8]
 
 
-def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> None:
-    """Solve the HDM at the winning point and append both snapshots.
+def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> int:
+    """Solve the HDM at the winning point and append both snapshots;
+    returns how many basis columns they added.
 
     The full solve starts from the node's reduced state ``ev``.
     """
@@ -379,9 +384,9 @@ def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> None:
     pair.counters.count_primals(prim)
     adj = solve_adjoint(pair.problem, prim.u, coord, mu)
     pair.counters.n_ha += 1
-    pair.basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"],
-                                ev.coord, mu)
     pair.basis.sampled_points.add((key, _mu_key(mu)))
+    return pair.basis.append_snapshots([prim.u[0], adj.lam[0]],
+                                       ["primal", "adjoint"], ev.coord, mu)
 
 
 def _pick_index(diffs: dict):
@@ -412,8 +417,11 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
     of ``mus``.  An open ``trunc`` adds the forward neighbor with the
     largest ``|difference|`` over those dicts; each open residual term
     in ``targets`` (term -> ``"primal"`` or ``"adjoint"``) samples the
-    HDM greedily until it closes or no candidate is left.  A pass that
-    changes nothing while terms stay open grows the grid, so the loop
+    HDM greedily until it closes, no candidate is left, or a sample
+    keeps no basis column, which leaves the basis and the term as they
+    were and makes no progress.  The ``add_snapshot`` event's detail
+    records the columns kept.  A pass that changes nothing while terms
+    stay open grows the grid, so the loop
     ends only once every term is within its threshold; any other way
     out is an exception, such as :class:`LevelCapError`.  ``evaluate``
     runs once at entry and once after each change, and that one value
@@ -452,8 +460,11 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
                 if cand is None:
                     break  # saturated; grid growth will add candidates
                 key, mu, ev = cand
-                _sample(pair, key, mu, ev)
-                changed("add_snapshot", f"node={key} mu={_mu_tag(mu)}", term)
+                kept = _sample(pair, key, mu, ev)
+                changed("add_snapshot",
+                        f"node={key} mu={_mu_tag(mu)} kept={kept}", term)
+                if not kept:
+                    break  # nothing changed; the grid grows instead
                 progressed = True
         if all(map(ok, values)):
             break

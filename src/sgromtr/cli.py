@@ -179,7 +179,7 @@ def _run_sg_iso(problem, cfg: RunConfig, out: Path, reached: float):
                info["history"])
     gnorm = info["history"][-1]["gnorm"]
     _write_result(out, "sg-iso", counters, mu_final, status=info["status"],
-                  iterations=len(info["history"]), final_gnorm=gnorm)
+                  iterations=len(info["history"]) - 1, final_gnorm=gnorm)
     return mu_final, counters, info["status"], gnorm
 
 

@@ -373,6 +373,12 @@ def _rows(a, at):
     return a if len(at) == len(a) else a[at]
 
 
+def _roundoff(problem, u, y, mu):
+    """``eps || |J||u| + |f| ||`` of each row, the round-off of its residual."""
+    return _EPS * kernels.roundoff_scale(*problem.jac_bands(u, y, mu), u,
+                                         problem.source(mu))
+
+
 def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
     """Damped Newton iteration on a stack.
 
@@ -410,13 +416,14 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
 
         def above_roundoff(rows, t):
             # tested once, before the first halving, at the iterate the
-            # step started from
+            # step started from, on half the rows at a time (see
+            # _NODE_ARRAYS), which gives each row the floor of its own
+            # stack of one
             if t < 0.5:
                 return np.ones(rows.size, bool)
             i = at[rows]
-            u_i = _rows(u, i)
-            floor = _EPS * kernels.roundoff_scale(*problem.jac_bands(u_i, _rows(y, i), mu),
-                                                  u_i, problem.source(mu))
+            floor = np.concatenate([_roundoff(problem, _rows(u, h), _rows(y, h), mu)
+                                    for h in np.array_split(i, 2) if h.size])
             tol[i] = np.maximum(tol[i], floor)
             return rnorm[i] > tol[i]
 
@@ -472,13 +479,16 @@ def _primal(problem, y, mu, u0):
 
 #: Arrays of ``n_u`` floats that one node of a full-model solve holds:
 #: its peak in a Newton or adjoint sweep as ``tracemalloc`` measures
-#: it, rounded up (8.3 to 9.3 on Burgers stacks of 289 to 64 nodes).  At
-#: the line search they are the state, residual, step and trial state,
-#: and the residual kernel's padded state, output and scratch array;
-#: the adjoint's bands, right-hand side and Thomas rows hold less (7.5
-#: to 9.0).  The round-off test of rejected full steps forms their
-#: bands and scale: 10.3 to 11.2 on a cold start's first step at
-#: ``n_u = 127``, where 137 of 145 nodes reject it.
+#: it, rounded up (8.6 to 9.4 on Burgers stacks of 145 to 64 nodes, cold
+#: or warm, in the Thomas sweep of a Newton step).  At the line search
+#: they are the state, residual, step and trial state, and the residual
+#: kernel's padded state, output and scratch array; the adjoint's bands,
+#: right-hand side and Thomas rows hold less (7.9 to 9.0).  The
+#: round-off test of rejected full steps forms seven arrays per node it
+#: tests, a state row, its bands and the scale's scratch, once the trial
+#: state and residual are freed.  It tests half the rejected nodes at a
+#: time: on a cold start's first step at ``n_u = 127``, where 137 of 145
+#: nodes reject it, testing them all at once would peak at 10.6.
 _NODE_ARRAYS = 10
 
 

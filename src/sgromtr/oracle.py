@@ -101,10 +101,12 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     Uses high-dimensional solves only, tallied in ``counters``; each
     evaluation starts from the states of the last.  A failed line search
     terminates the iteration at the best known point.  Returns
-    ``(mu_final, history)`` where each history row records the
-    objective, gradient norm, and cumulative query counts of one
-    iterate, the last row those of ``mu_final``: after ``max_iters``
-    steps, the point they reached.
+    ``(mu_final, info)``: ``info["history"]`` holds one row per iterate,
+    its objective, gradient norm and cumulative query counts, the last
+    row those of ``mu_final``, so a run of ``K`` steps has ``K + 1``
+    rows; ``info["status"]`` is ``"converged"`` when that last point
+    meets ``gtol``, also the point reached by the last of ``max_iters``
+    steps.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
@@ -119,10 +121,12 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
         return {"k": it, "J": j_val, "gnorm": float(np.linalg.norm(grad)),
                 "n_hp": counters.n_hp, "n_ha": counters.n_ha}
 
-    for it in range(max_iters):
+    for it in range(max_iters + 1):
         history.append(row(it))
         if history[-1]["gnorm"] <= gtol:
             status = "converged"
+            break
+        if it == max_iters:
             break
         d = -hinv @ grad
         if float(d @ grad) >= 0.0:
@@ -149,9 +153,6 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
             v = np.eye(n) - rho * np.outer(s, yv)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)
         mu, j_val, grad = mu_new, j_new, g_new
-    else:
-        # the point reached by the last step is the one returned
-        history.append(row(max_iters))
     return mu, {"history": history, "status": status}
 
 

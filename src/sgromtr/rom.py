@@ -78,6 +78,16 @@ a QR step builds for its own nodes (:func:`_qr_steps`).  The adjoint
 forms states, bands and right-hand sides once per part, and its
 least-squares solves chunk by chunk in the same workspace, ``J^T Phi``
 where the primal writes ``J Phi``.
+
+The basis keeps a snapshot when its remainder after two Gram-Schmidt
+passes is larger than the rounding error those passes can leave in a
+vector of the span, ``eps k^(3/2)`` times the snapshot's norm for ``k``
+columns (:func:`gram_schmidt_floor`, derived there): a remainder below
+that may be round-off, one above it is not.  The second pass removes
+what the first pass's rounding left in the span ("twice is enough":
+Giraud, Langou, Rozložník & van den Eshof 2005), so even a column kept
+at twice the floor leaves the basis orthonormal to about 1e-15, and the
+rule needs no larger floor for conditioning.
 """
 
 from __future__ import annotations
@@ -94,11 +104,31 @@ __all__ = [
     "RomSolveError", "solve_rom_primal", "solve_rom_adjoint",
 ]
 
-DROP_TOL = 1e-10
 #: Gauss-Newton iterations before a primal reduced solve gives up.
 GN_MAX_ITERS = 60
 
 _EPS = np.finfo(float).eps
+
+
+def gram_schmidt_floor(k: int) -> float:
+    """Remainder, relative to a snapshot's norm, that two Gram-Schmidt
+    passes against ``k`` orthonormal columns can leave in a vector of
+    their span: ``eps k^(3/2)``.
+
+    A pass computes ``s = Phi^T v`` and ``w = v - Phi s``.  For ``v`` in
+    the span, the error of ``s`` lies in the span, and the second pass
+    removes it; the error of ``Phi s`` does not.  Each of its entries
+    sums ``k`` terms, so it errs by at most ``gamma_k (|Phi||s|)_i``
+    with ``gamma_k = k u / (1 - k u)`` and ``u = eps / 2`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3), in norm
+    by ``gamma_k || |Phi| || ||s|| <= gamma_k sqrt(k) ||v||``
+    (``|| |Phi| ||_2 <= ||Phi||_F = sqrt(k)``).  What the second pass
+    adds is of order ``u^2``.  So a vector of the span keeps a remainder
+    of at most about ``u k^(3/2)`` of its norm, half this floor; the
+    other half covers the second-order terms.  With no column there is
+    no pass and no error: the floor is 0.
+    """
+    return _EPS * k ** 1.5
 
 
 @dataclass
@@ -178,9 +208,11 @@ class ReducedBasis:
         """Orthogonalize and append snapshots; returns how many were kept.
 
         Each vector is Gram-Schmidt-orthogonalized against the current
-        columns twice; the remainder is appended only if its norm
-        exceeds ``DROP_TOL`` times the original norm (dependent
-        snapshots are dropped but still recorded in the provenance).
+        ``k`` columns twice; the remainder is appended only if its norm
+        exceeds :func:`gram_schmidt_floor` ``(k)`` times the vector's
+        norm, the most round-off the two passes leave in a vector of the
+        span.  A zero vector is never kept.  A dropped snapshot is still
+        recorded in the provenance, with ``kept`` false.
         """
         y = np.asarray(y, dtype=float)
         mu = np.asarray(mu, dtype=float)
@@ -189,15 +221,13 @@ class ReducedBasis:
             v = np.asarray(vec, dtype=float)
             if v.shape != (self.n_u,) or not np.all(np.isfinite(v)):
                 raise ValueError("snapshot must be a finite vector of length n_u")
-            norm0 = np.linalg.norm(v)
             w = v.copy()
-            if norm0 > 0.0:
-                for _ in range(2):
-                    if self.k:
-                        w -= self._cols @ (self._cols.T @ w)
-            keep = norm0 > 0.0 and np.linalg.norm(w) > DROP_TOL * norm0
+            for _ in range(2):
+                w -= self._cols @ (self._cols.T @ w)
+            rest = np.linalg.norm(w)
+            keep = rest > gram_schmidt_floor(self.k) * np.linalg.norm(v)
             if keep:
-                self._cols = np.hstack([self._cols, (w / np.linalg.norm(w))[:, None]])
+                self._cols = np.hstack([self._cols, (w / rest)[:, None]])
                 kept += 1
             self.provenance.append(Snapshot(kind, y.copy(), mu.copy(), keep))
             if kind == "primal":

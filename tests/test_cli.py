@@ -197,14 +197,15 @@ def test_sg_iso_report_has_no_rom_queries(tmp_path):
 
 
 def test_sg_iso_max_iters_report_describes_final_mu(tmp_path):
-    # stopped after two BFGS steps, the report's last history row and
+    # stopped after one BFGS step, the report's last history row and
     # final_gnorm describe the returned final_mu, not the iterate before
     cfg = load_config(write(tmp_path, "[run]\nmethod = sg-iso\n"
                                       "problem = linear-diffusion\n"
-                                      "[baseline]\nmax_iters = 2\nlevel = 3\n"))
+                                      "[baseline]\nmax_iters = 1\nlevel = 3\n"))
     out = tmp_path / "iso"
     assert run_optimize(cfg, out) == EXIT_MAX_ITERS
     summary = read_summary(out)
+    assert summary["status"] == "max_iters" and summary["iterations"] == "1"
     last = read_csv(out / "history.csv")[-1]
     mu = np.array(summary["final_mu"].split(), dtype=float)
     _, grad = tensor_reference(cfg.make_problem(), mu, 3)
@@ -212,6 +213,23 @@ def test_sg_iso_max_iters_report_describes_final_mu(tmp_path):
                                                           rel=1e-6)
     assert last["gnorm"] == summary["final_gnorm"]
     assert last["n_hp"] == summary["n_hp"]
+
+
+def test_sg_iso_point_after_the_last_step_meets_gtol(tmp_path):
+    # the second and last BFGS step reaches a point within gtol: the run
+    # is converged, and its iterations are the two steps, not the three
+    # iterates of its history
+    cfg = load_config(write(tmp_path, "[run]\nmethod = sg-iso\n"
+                                      "problem = linear-diffusion\n"
+                                      "[baseline]\nmax_iters = 2\nlevel = 3\n"))
+    out = tmp_path / "iso"
+    assert run_optimize(cfg, out) == EXIT_OK
+    summary = read_summary(out)
+    assert summary["status"] == "converged" and summary["iterations"] == "2"
+    history = read_csv(out / "history.csv")
+    assert [row["k"] for row in history] == ["0", "1", "2"]
+    assert float(history[-1]["gnorm"]) <= cfg.tr.gtol < float(history[-2]["gnorm"])
+    assert history[-1]["gnorm"] == summary["final_gnorm"]
 
 
 def test_csv_row_missing_a_column_raises(tmp_path):
@@ -272,6 +290,71 @@ def test_injected_failure_exit_code(tmp_path, monkeypatch, failure):
     assert recorded[-1].stage == "gradient"
     assert [(row["seq"], row["stage"], row["kind"]) for row in events] == [
         (str(i), ev.stage, ev.kind) for i, ev in enumerate(recorded)]
+
+
+def test_samples_that_keep_no_column_spend_bounded_full_solves(tmp_path, monkeypatch):
+    # from the end of the first objective stage on, every snapshot is
+    # dropped, so no greedy sample changes a term: each refinement pass
+    # buys at most one full primal and adjoint pair per open residual
+    # term and then grows the grid, until the level cap ends the run
+    from sgromtr import cli, rom, trust_opt
+
+    cfg_path = write(tmp_path, "[run]\nproblem = linear-diffusion\n"
+                               "[trust_region]\nlevel_cap = 5\n")
+    clean = tmp_path / "clean"
+    assert run_optimize(load_config(cfg_path), clean) == EXIT_OK
+
+    floor, objective = rom.gram_schmidt_floor, trust_opt.refine_for_objective
+    report = cli._solver_failure
+    start, failures = [], []
+
+    def first_objective_then_inject(pair, *args, **kwargs):
+        out = objective(pair, *args, **kwargs)
+        if not start:
+            start.append((pair.counters.n_hp, pair.counters.n_ha,
+                          len(kwargs["events"])))
+        return out
+
+    def failure(out, exc):
+        failures.append(exc)
+        return report(out, exc)
+
+    monkeypatch.setattr(rom, "gram_schmidt_floor",
+                        lambda k: np.inf if start else floor(k))
+    monkeypatch.setattr(trust_opt, "refine_for_objective",
+                        first_objective_then_inject)
+    monkeypatch.setattr(cli, "_solver_failure", failure)
+    out = tmp_path / "fail"
+    assert run_optimize(load_config(cfg_path), out) == EXIT_SOLVER_FAILURE
+    assert (out / "error.txt").read_text().startswith("LevelCapError: ")
+    assert not (out / "summary.txt").exists()
+
+    # the rows written before the failure are those of the clean run
+    rows = (out / "history.csv").read_text().splitlines()
+    assert len(rows) > 1
+    assert rows == (clean / "history.csv").read_text().splitlines()[:len(rows)]
+
+    n_hp, n_ha, seq = start[0]
+    events = read_csv(out / "events.csv")
+    kept = [(int(row["seq"]), int(re.search(r"kept=(\d+)", row["detail"])[1]))
+            for row in events if row["kind"] == "add_snapshot"]
+    before = [n for i, n in kept if i < seq]
+    after = [n for i, n in kept if i >= seq]
+    assert before and min(before) > 0
+    assert after and set(after) == {0}
+
+    # one pair per residual term (two on the gradient stage, one on the
+    # objective stage) per pass; a stage's passes are its grid growths
+    # plus the one that ends it
+    terms = {"gradient": 2, "objective": 1}
+    bound, passes = 0, 1
+    for row in events[seq:]:
+        passes += row["kind"] == "add_index"
+        if row["kind"] == "exit_check":
+            bound, passes = bound + terms[row["stage"]] * passes, 1
+    bound += terms[events[-1]["stage"]] * passes
+    counters = failures[0].state.counters
+    assert 0 < counters.n_hp - n_hp == counters.n_ha - n_ha <= bound
 
 
 def test_compare_report(tmp_path):

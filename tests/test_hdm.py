@@ -1,5 +1,6 @@
 """Model-problem surfaces: residuals, Jacobians, solvers, adjoint gradient."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -422,6 +423,23 @@ def test_fine_mesh_newton_stops_at_its_roundoff():
     sol = solve_primal(BurgersControl(n_u=511, ref_level=1), ys, np.zeros(8))
     assert sol.iters.max() <= 7
     assert sol.newton_iters == 1782
+
+
+def test_cold_start_part_peak_fits_its_declared_arrays(bur):
+    # a cold start rejects the first full step at 137 of these 145 nodes,
+    # the first part of the level-5 tensor grid, so every one of them
+    # takes the round-off test: the part's per-node peak, as tracemalloc
+    # measures it, is at most the _NODE_ARRAYS its parts are cut by
+    from sgromtr.sparse_grid import tensor_nodes
+    _, ys, _ = tensor_nodes((5, 5))
+    node_bytes = 8 * hdm._NODE_ARRAYS * bur.n_u
+    part = ys[kernels.stack_parts(len(ys), node_bytes)[0]]
+    assert len(part) == 145
+    tracemalloc.start()
+    solve_primal(bur, part, np.zeros(bur.n_mu))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak <= len(part) * node_bytes
 
 
 def test_warm_start_stalls_at_roundoff_are_accepted(monkeypatch):

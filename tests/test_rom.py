@@ -53,6 +53,76 @@ def test_append_duplicate_is_dropped():
     assert [s.kept for s in basis.provenance] == [True, False]
 
 
+def _span_and_normal(n=127, k=40, seed=3):
+    """A basis of ``k`` random orthonormal columns, a unit vector of
+    their span and a unit vector orthogonal to it."""
+    rng = np.random.default_rng(seed)
+    basis = ReducedBasis(n)
+    basis.append_snapshots(rng.standard_normal((k, n)), ["primal"] * k,
+                           np.zeros(2), np.zeros(3))
+    assert basis.k == k
+    phi = basis.columns
+    inside = phi @ rng.standard_normal(k)
+    normal = rng.standard_normal(n)
+    for _ in range(2):
+        normal -= phi @ (phi.T @ normal)
+    return basis, inside / np.linalg.norm(inside), normal / np.linalg.norm(normal)
+
+
+def test_keep_rule_floor():
+    # eps k^(3/2): no pass, no error, at k = 0
+    assert rom.gram_schmidt_floor(0) == 0.0
+    assert rom.gram_schmidt_floor(4) == 8.0 * np.finfo(float).eps
+
+
+def test_keep_rule_keeps_a_small_remainder():
+    # a remainder of 1e-11 of the vector's norm is far above round-off,
+    # and the second pass keeps the basis orthonormal
+    basis, inside, normal = _span_and_normal()
+    k = basis.k
+    assert basis.append_snapshots([inside + 1e-11 * normal], ["adjoint"],
+                                  np.ones(2), np.zeros(3)) == 1
+    assert basis.k == k + 1
+    gram = basis.columns.T @ basis.columns
+    assert np.abs(gram - np.eye(basis.k)).max() <= 1e-14
+    assert abs(basis.columns[:, -1] @ normal) == pytest.approx(1.0, abs=1e-4)
+
+
+@pytest.mark.parametrize("factor, kept", [(0.0, False), (0.5, False), (2.0, True)])
+def test_keep_rule_at_the_floor(factor, kept):
+    # the two passes leave at most half the floor in a vector of the
+    # span: with a remainder of half the floor added it is dropped, with
+    # twice the floor it is kept, and the basis stays orthonormal
+    basis, inside, normal = _span_and_normal()
+    k = basis.k
+    v = inside + factor * rom.gram_schmidt_floor(k) * normal
+    assert basis.append_snapshots([v], ["primal"], np.ones(2), np.zeros(3)) == kept
+    assert basis.k == k + kept
+    gram = basis.columns.T @ basis.columns
+    assert np.abs(gram - np.eye(basis.k)).max() <= 1e-14
+
+
+def test_keep_rule_provenance():
+    # the kept flag of each snapshot follows the rule: a vector of the
+    # span perturbed below the floor, a 1e-11 remainder, and the zero vector
+    basis, inside, normal = _span_and_normal()
+    k = basis.k
+    below = inside + 0.5 * rom.gram_schmidt_floor(k) * normal
+    kept = basis.append_snapshots(
+        [below, inside + 1e-11 * normal, np.zeros(basis.n_u)],
+        ["adjoint", "primal", "sensitivity"], np.ones(2), np.zeros(3))
+    assert kept == 1 and basis.k == k + 1
+    assert [(s.kind, s.kept) for s in basis.provenance[k:]] == [
+        ("adjoint", False), ("primal", True), ("sensitivity", False)]
+
+
+def test_zero_vector_is_dropped():
+    basis = ReducedBasis(20)
+    assert basis.append_snapshots([np.zeros(20)], ["primal"], np.zeros(2),
+                                  np.zeros(3)) == 0
+    assert basis.k == 0 and [s.kept for s in basis.provenance] == [False]
+
+
 def test_three_random_vectors_orthonormal():
     rng = np.random.default_rng(4)
     basis = ReducedBasis(30)
