@@ -116,13 +116,13 @@ class SgRomPair:
     values.  At a stored ``mu`` a stale node starts from its own solve,
     and a node not stored there from the sparse-grid interpolant of the
     grid's solves there, the approximation stochastic collocation makes
-    of a node's state (the nearest node solved there when a grid node is
-    missing); at a new ``mu`` a node starts from its own solve at the
-    nearest ``mu`` where it was solved, and from the projected last
-    primal snapshot when there is none.  Warm starts are chosen from the
-    store as it was before each sweep, so results do not depend on
-    evaluation order.  The union quadrature of the grid and its forward
-    neighbors is assembled once per grid (:meth:`union_quad`).
+    of a node's state, when all of those are stored; at a new ``mu`` a
+    node starts from its own solve at the nearest ``mu`` where it was
+    solved.  A node with none of these starts from the projected last
+    primal snapshot.  Warm starts are chosen from the store as it was
+    before each sweep, so results do not depend on evaluation order.  The
+    union quadrature of the grid and its forward neighbors is assembled
+    once per grid (:meth:`union_quad`).
 
     Each :meth:`ensure` sweep solves its missing nodes as one stack: one
     stacked primal solve and the objective values of all nodes at once.
@@ -177,10 +177,10 @@ class SgRomPair:
         At a stored ``mk`` a node stored there starts from its own
         solve; a node not stored there starts from the sparse-grid
         interpolant (:func:`interpolation_weights`) of the solves of
-        ``self.grid``'s nodes at ``mk``, or, when one of those is not
-        stored, from the nearest node solved there (the first in solve
-        order on ties).  ``near`` (see :meth:`_mus_by_distance`) is used
-        only at a new ``mk``.  Stored solves of a smaller basis are
+        ``self.grid``'s nodes at ``mk`` when all of those are stored.
+        ``near`` (see :meth:`_mus_by_distance`) is used only at a new
+        ``mk``.  A node left without a start takes the projected last
+        primal snapshot.  Stored solves of a smaller basis are
         zero-padded to ``basis.k``.
         """
         k = self.basis.k
@@ -193,13 +193,8 @@ class SgRomPair:
                 keys, W = interpolation_weights(self.grid, coords)
                 if all(key in stored for key in keys):
                     fits = W @ _padded([stored[key].q for key in keys], k)
-                else:
-                    ys = np.array([ev.coord for ev in stored.values()])
-                    qs = [ev.q for ev in stored.values()]
-                    fits = [qs[np.argmin(np.linalg.norm(ys - coord, axis=1))]
-                            for coord in coords]
-                for i, q in zip(new, fits):
-                    picks[i] = q
+                    for i, q in zip(new, fits):
+                        picks[i] = q
         else:
             picks = [next((self._nodes[wmk][key].q for wmk in near
                            if key in self._nodes[wmk]), None)

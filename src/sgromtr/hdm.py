@@ -486,9 +486,11 @@ def _primal(problem, y, mu, u0):
 #: right-hand side and Thomas rows hold less (7.9 to 9.0).  The
 #: round-off test of rejected full steps forms seven arrays per node it
 #: tests, a state row, its bands and the scale's scratch, once the trial
-#: state and residual are freed.  It tests half the rejected nodes at a
-#: time: on a cold start's first step at ``n_u = 127``, where 137 of 145
-#: nodes reject it, testing them all at once would peak at 10.6.
+#: state and residual are freed, and the scale's two numpy buffers (see
+#: :func:`kernels.roundoff_scale`), 1.9 arrays more per node at 69
+#: nodes.  It tests half the rejected nodes at a time: on a cold start's
+#: first step at ``n_u = 127``, where 137 of 145 nodes reject it, the
+#: test peaks at 7.3, where testing them all at once would peak at 10.6.
 _NODE_ARRAYS = 10
 
 

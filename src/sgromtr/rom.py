@@ -64,20 +64,17 @@ bands, round-off scales, reduced gradients, stationarity tests, line
 search (:func:`kernels.halve_until_decrease`, shared with the full
 model) and the per-node masks of the routing, stopping and backtracking
 rules are whole-part arrays.  Only the ``n_u x k`` algebra of the nodes
-that take a step is cut again, into chunks that fit the workspace of
-:func:`_parts`: each chunk forms ``J Phi`` and takes one stacked Gram
-product, Cholesky factorization and solve, and a stacked QR and
-triangular solve for its nodes that take the QR step.  ``J Phi`` is one
-``(1 x 3) @ (3 x k)`` product per row of each node: the row's three
-band entries against the window of basis rows ``i - 1, i, i + 1``,
-which the basis caches per ``k`` (:meth:`ReducedBasis.window`).  The
-solve call allocates that workspace once, one ``J Phi`` block per chunk
-node, and every chunk of every iteration reuses it, so an iteration
-allocates no array of ``n_u x k`` per node but the ``[J Phi | r]`` that
-a QR step builds for its own nodes (:func:`_qr_steps`).  The adjoint
-forms states, bands and right-hand sides once per part, and its
-least-squares solves chunk by chunk in the same workspace, ``J^T Phi``
-where the primal writes ``J Phi``.
+that take a step is cut again, into chunks that fit the budget of
+:func:`_chunk_bytes`: each chunk forms its own ``J Phi`` and takes one
+stacked Gram product, Cholesky factorization and solve, and a stacked
+QR and triangular solve for its nodes that take the QR step
+(:func:`_qr_steps`), and drops its ``J Phi`` before the next chunk forms
+one.  ``J Phi`` is one ``(1 x 3) @ (3 x k)`` product per row of each
+node: the row's three band entries against the window of basis rows
+``i - 1, i, i + 1``, which the basis caches per ``k``
+(:meth:`ReducedBasis.window`).  The adjoint forms states, bands and
+right-hand sides once per part, and its least-squares solves chunk by
+chunk in the same way, on ``J^T Phi`` where the primal forms ``J Phi``.
 
 The basis keeps a snapshot when its remainder after two Gram-Schmidt
 passes is larger than the rounding error those passes can leave in a
@@ -376,7 +373,7 @@ def _cholesky(G):
 
 
 #: Arrays of ``n_u`` floats that one node of a part of a reduced solve
-#: holds outside the workspace of :func:`_parts`, rounded up from its
+#: holds outside its chunks (see :func:`_chunk_bytes`), rounded up from its
 #: peak over the part as ``tracemalloc`` measures it: 10.9 for the primal
 #: solve (in :func:`_steps`: residual, state, three bands and three more
 #: arrays, of the round-off scale or of the gradient pass, with the
@@ -386,43 +383,36 @@ def _cholesky(G):
 _NODE_ARRAYS = 11
 
 
-def _parts(m, n_u, k):
-    """The bytes of one node of a chunk, and the workspace of a solve call
-    on a stack of ``m`` nodes.
+def _chunk_bytes(basis):
+    """The bytes of one node of a chunk on ``basis``.
 
     Every Gauss-Newton iteration cuts the nodes that take a step, and
-    every adjoint solve its nodes, by :func:`kernels.stack_parts` into
-    chunks at this many bytes per node, and a chunk of ``n`` nodes writes
-    ``J Phi`` (the adjoint's ``J^T Phi``) into the first ``n`` rows of
-    the workspace, one ``(n_u, k)`` block per node sized for the largest
-    chunk of at most ``m`` nodes, which the band product writes and the
-    steps read.  An empty basis is a :class:`RomSolveError`.
-
-    Besides its workspace rows, a chunk node holds, at its peak, the
-    three stacked bands of the band product, or the ``[J Phi | r]``
+    every adjoint part its nodes, by :func:`kernels.stack_parts` into
+    chunks at this many bytes per node.  A chunk node holds its ``(n_u,
+    k)`` block of ``J Phi`` (the adjoint's ``J^T Phi``), which the band
+    product returns and the steps read, and, at its peak, the three
+    stacked bands of the band product, or the ``[J Phi | r]``
     block of a QR step (:func:`_qr_steps`) and numpy's copy of it, and
     two ``(k + 1) x (k + 1)`` blocks: ``G`` and its Cholesky factor, or
     the triangular factor and the solve's copy of it (and the adjoint's
     ``G``, which its second step reuses).  The budget counts ``3k + 3``
-    columns of ``n_u`` and the two blocks, 180 columns at ``n_u = 127``,
-    ``k = 47``; ``tracemalloc`` measures 133 per node for the primal
-    chunks (166 to 177 for those that take QR steps) and 133 for the
-    adjoint ones, on chunks of 4 to 12 nodes of cold solves at 256
-    random nodes on the final basis and parameter of the default Burgers
-    run."""
-    if k == 0:
-        raise RomSolveError("reduced basis is empty")
-    chunk = 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
-    return chunk, np.empty((min(m, kernels.part_size(chunk)), n_u, k))
+    columns of ``n_u`` and the two blocks, 185 columns at ``n_u = 127``,
+    ``k = 48``; ``tracemalloc`` measures 84 to 88 per node for the primal
+    chunks (up to 182 for those that take QR steps) and 86 to 88 for the
+    adjoint ones, on chunks of up to 4, 8 and 12 nodes of cold solves at
+    256 random nodes on the final basis and parameter of the default
+    Burgers run."""
+    n_u, k = basis.n_u, basis.k
+    return 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
 
 
 def _in_parts(solve, problem, basis, ys, mu, q):
     """``solve`` on the parts of the stack ``ys`` (:func:`kernels.in_parts`
-    at ``_NODE_ARRAYS`` arrays of ``n_u`` per node), each part given the
-    chunk budget ``chunk`` and the workspace ``work`` of :func:`_parts`,
-    allocated once for the call."""
-    chunk, work = _parts(len(ys), basis.n_u, basis.k)
-    return kernels.in_parts(partial(solve, basis=basis, chunk=chunk, work=work),
+    at ``_NODE_ARRAYS`` arrays of ``n_u`` per node).  An empty basis is a
+    :class:`RomSolveError`."""
+    if basis.k == 0:
+        raise RomSolveError("reduced basis is empty")
+    return kernels.in_parts(partial(solve, basis=basis),
                             8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q)
 
 
@@ -478,10 +468,9 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
 
 
-def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
-    """One part of :func:`solve_rom_primal`, with the chunk budget
-    ``chunk`` and the workspace ``work`` of the call (see
-    :func:`_parts`); returns the per-node arrays of :class:`RomPrimal`."""
+def _gauss_newton(problem, ys, mu, q, basis):
+    """One part of :func:`solve_rom_primal`; returns the per-node arrays
+    of :class:`RomPrimal`."""
     m = len(q)
     f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
@@ -498,8 +487,7 @@ def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
         # once it falls below the relative decrease the stagnation test
         # asks for, an accepted step could only stall
         floor = 2e-12 * rn * rn
-        go, delta, drop, g, jnorm = _steps(problem, basis, ys, mu, q, r, live,
-                                           rn, f, chunk, work)
+        go, delta, drop, g, jnorm = _steps(problem, basis, ys, mu, q, r, live, rn, f)
         if not go.all():
             # a stationary node leaves the stack (module docstring)
             live, rn, floor = live[go], rn[go], floor[go]
@@ -530,7 +518,7 @@ def _gauss_newton(problem, ys, mu, q, basis, chunk, work):
     return q, rnorm, iters, stalled, failed
 
 
-def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
+def _steps(problem, basis, ys, mu, q, r, live, rn, f):
     """The Gauss-Newton steps of one iteration at the nodes ``live`` of a
     part, whose residuals ``r[live]`` have norms ``rn``.
 
@@ -538,10 +526,11 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
     the reduced gradient ``Phi^T (J^T r)`` and ``||J Phi||_F`` are
     formed once for all of them, without ``J Phi`` (see
     :func:`_jphi_norms`), and make the stationarity test.  Only the
-    nodes that take a step are cut into chunks, which form ``J Phi`` and
-    the step in the workspace (see :func:`_parts`).  Returns ``(go, delta, drop, g, jnorm)``: the mask
-    of the nodes of ``live`` that are not stationary, and their steps,
-    model decreases, gradient norms and ``||J Phi||_F``.
+    nodes that take a step are cut into chunks (see :func:`_chunk_bytes`),
+    each forming its own ``J Phi`` for its steps.  Returns ``(go, delta,
+    drop, g, jnorm)``: the mask of the nodes of ``live`` that are not
+    stationary, and their steps, model decreases, gradient norms and
+    ``||J Phi||_F``.
     """
     u = basis.expand(q[live])
     lo, dg, up = problem.jac_bands(u, ys[live], mu)
@@ -555,16 +544,16 @@ def _steps(problem, basis, ys, mu, q, r, live, rn, f, chunk, work):
     step = np.flatnonzero(go)
     delta = np.empty((step.size, basis.k))
     drop = np.empty(step.size)
-    # only the nodes that take a step form J Phi, chunk by chunk
-    for c in kernels.stack_parts(step.size, chunk) if step.size else ():
+    # only the nodes that take a step form J Phi, chunk by chunk, each
+    # chunk's J Phi unnamed here so that it is freed before the next one
+    for c in kernels.stack_parts(step.size, _chunk_bytes(basis)) if step.size else ():
         at = step[c]
-        jphi = kernels.band_matmat(lo[at], dg[at], up[at], basis.window(),
-                                   work[:at.size])
         # the normal equations know the model residual ||r||^2 - drop
         # only to about cond(G) eps ||r||^2, and cannot take the residual
         # of a nearly representable state below that: it takes the QR step
-        delta[c], drop[c] = _lstsq_steps(jphi, r[live[at]], rn[at], grad[at],
-                                         near=True)
+        delta[c], drop[c] = _lstsq_steps(
+            kernels.band_matmat(lo[at], dg[at], up[at], basis.window()),
+            r[live[at]], rn[at], grad[at], near=True)
     return go, delta, drop, g[go], jnorm[go]
 
 
@@ -613,19 +602,17 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     return RomAdjoint(*_in_parts(_min_res_adjoint, problem, basis, ys, mu, q))
 
 
-def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
-    """One part of :func:`solve_rom_adjoint`, with the chunk budget
-    ``chunk`` and the workspace ``work`` of the call (see
-    :func:`_parts`); returns ``(eta, res)``.  The state, its Jacobian
-    bands and the right-hand side are formed once for the part, the
-    least-squares solves chunk by chunk."""
+def _min_res_adjoint(problem, ys, mu, q, basis):
+    """One part of :func:`solve_rom_adjoint`; returns ``(eta, res)``.
+    The state, its Jacobian bands and the right-hand side are formed once
+    for the part, the least-squares solves chunk by chunk (see
+    :func:`_chunk_bytes`)."""
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
     eta, res = [], []
-    for c in kernels.stack_parts(len(q), chunk):
-        a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.window(),
-                                  work[:c.stop - c.start])
+    for c in kernels.stack_parts(len(q), _chunk_bytes(basis)):
+        a = kernels.band_t_matmat(lo[c], dg[c], up[c], basis.window())
         gram = _gram(a)
         x = np.zeros((len(a), basis.k))
         r = -b[c]
@@ -636,4 +623,5 @@ def _min_res_adjoint(problem, ys, mu, q, basis, chunk, work):
             r = (a @ x[:, :, None])[:, :, 0] - b[c]
         eta.append(x)
         res.append(kernels.row_norm(r))
+        del a, gram                    # before the next chunk forms its J^T Phi
     return np.concatenate(eta), np.concatenate(res)

@@ -72,9 +72,7 @@ def test_jacobian_taylor_consistency(prob_name, lin, bur):
         basis = rng.standard_normal((problem.n_u, 4))
 
         def products(bands):
-            shape = (len(bands[0]),) + basis.shape
-            return [getattr(kernels, name)(*bands, kernels.row_window(basis),
-                                           np.empty(shape))
+            return [getattr(kernels, name)(*bands, kernels.row_window(basis))
                     for name in ("band_matmat", "band_t_matmat")]
 
         stacked = (problem.residual(us, ys, mu), *problem.jac_bands(us, ys, mu),

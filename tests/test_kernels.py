@@ -38,12 +38,10 @@ PRODUCTS = ["band_matvec", "band_t_matvec", "band_matmat", "band_t_matmat"]
 
 
 def product(name, lo, dg, up, x):
-    """A band product; the matrix products read the window of ``x`` and
-    write into fresh arrays."""
+    """A band product; the matrix products read the window of ``x``."""
     if name.endswith("matvec"):
         return getattr(kernels, name)(lo, dg, up, x)
-    return getattr(kernels, name)(lo, dg, up, kernels.row_window(x),
-                                  np.empty(dg.shape + x.shape[1:]))
+    return getattr(kernels, name)(lo, dg, up, kernels.row_window(x))
 
 
 @pytest.mark.parametrize("name, stacked", [
@@ -114,43 +112,22 @@ def test_burgers_bands_match_their_expression(m):
             np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("name", ["band_matmat", "band_t_matmat"])
-def test_band_matmat_into_used_arrays(data, name):
-    # the leading rows of a NaN-filled output array, as a reused workspace
-    # holds them: none of their old contents reaches the product, which
-    # is bitwise the same call into a fresh array and the dense product
-    # to round-off, and the rows past the stack are left alone
-    bands = [np.stack([b, 0.5 * b, -b]) for b in (data["lo"], data["dg"], data["up"])]
-    V = data["V"]
-    W = kernels.row_window(V)
-    product = getattr(kernels, name)
-    out = np.full((5,) + V.shape, np.nan)
-    got = product(*bands, W, out[:3])
-    assert np.shares_memory(got, out) and got.shape == (3,) + V.shape
-    np.testing.assert_array_equal(got, product(*bands, W, np.empty((3,) + V.shape)))
-    for i in range(3):
-        a = band_to_dense(*(b[i] for b in bands))
-        np.testing.assert_allclose(got[i], (a.T if "_t_" in name else a) @ V, rtol=1e-13)
-    assert np.isnan(out[3:]).all()
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 8, 33])
 @pytest.mark.parametrize("name", ["band_matmat", "band_t_matmat"])
 def test_band_matmat_rows_equal_their_stacks_of_one(name, m):
     # at the default Burgers sizes, every row of a stack is bitwise its
     # node's product as a stack of one.  The unused corners lo[0] and
-    # up[n-1] are NaN, and so is every used row of the output: neither
-    # reaches a product
+    # up[n-1] are NaN: they reach no product
     rng = np.random.default_rng(60 + m)
     n, k = 127, 47
     W = kernels.row_window(rng.standard_normal((n, k)))
     lo, dg, up = rng.standard_normal((3, m, n))
     lo[:, 0] = up[:, -1] = np.nan
     product = getattr(kernels, name)
-    stack = product(lo, dg, up, W, np.full((m, n, k), np.nan))
-    assert np.isfinite(stack).all()
+    stack = product(lo, dg, up, W)
+    assert stack.shape == (m, n, k) and np.isfinite(stack).all()
     for i in range(m):
-        one = product(lo[[i]], dg[[i]], up[[i]], W, np.full((1, n, k), np.nan))
+        one = product(lo[[i]], dg[[i]], up[[i]], W)
         np.testing.assert_array_equal(stack[i], one[0])
 
 

@@ -512,18 +512,17 @@ def _chunk_sizes(monkeypatch):
     return sizes
 
 
-def test_parts_reuse_one_workspace_invisibly(bur, monkeypatch):
+def test_cuts_into_chunks_leave_every_row_unchanged(bur, monkeypatch):
     # five nodes that leave the stack at different iterations, nodes 0
     # and 2 at the round-off test while the others go on, solved whole
-    # and in chunks of two and of one that share one workspace.  Every
-    # row, primal and adjoint, is bitwise equal in the three, and to its
-    # node solved as a stack of one
+    # and in chunks of two and of one.  Every row, primal and adjoint, is
+    # bitwise equal in the three, and to its node solved as a stack of one
     basis, ys, mu = _interpolating_stack(bur)
     converged = solve_rom_primal(bur, basis, ys[:1], mu).q[0]
     ys = ys[[0, 1, 0, 2, 3]]
     q0 = np.zeros((5, basis.k))
     q0[0] = converged
-    chunk = rom._parts(5, bur.n_u, basis.k)[0]
+    chunk = rom._chunk_bytes(basis)
     solves = {}
     for size in (None, 2, 1):
         with monkeypatch.context() as patch:
@@ -653,22 +652,6 @@ def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
     assert sum(rows) == mixed.gn_iters + mixed.stalled.sum()
 
 
-def test_parts_workspace_holds_every_part(monkeypatch):
-    # chunks of at most seven nodes at n_u = 127, k = 47: the workspace
-    # of a call on m nodes holds the J Phi (or J^T Phi) of the largest
-    # chunk of any iteration, whose live nodes are at most m, in one block
-    n_u, k = 127, 47
-    chunk = rom._parts(1, n_u, k)[0]
-    monkeypatch.setattr(kernels, "STACK_BYTES", 7 * chunk)
-    for m in range(1, 41):
-        _, out = rom._parts(m, n_u, k)
-        size = len(out)
-        assert out.shape == (size, n_u, k) and out.flags.c_contiguous
-        for n in range(1, m + 1):
-            sizes = [len(range(n)[p]) for p in kernels.stack_parts(n, chunk)]
-            assert sum(sizes) == n and max(sizes) <= size <= 7
-
-
 def test_reduced_solve_peaks_stay_flat_with_the_stack(bur):
     # a part holds _NODE_ARRAYS arrays of n_u per node and a chunk its
     # n_u x k algebra, so doubling a stack of two full parts into four
@@ -676,7 +659,7 @@ def test_reduced_solve_peaks_stay_flat_with_the_stack(bur):
     # a node), where one more node of a part would add about 11 n_u
     basis = seeded_basis(bur, seed=5, n_snaps=10)
     k, n_u = basis.k, bur.n_u
-    full = kernels.part_size(8 * rom._NODE_ARRAYS * n_u)
+    full = kernels.STACK_BYTES // (8 * rom._NODE_ARRAYS * n_u)
     rng = np.random.default_rng(6)
     mu = rng.uniform(-0.3, 0.3, bur.n_mu)
     peaks = []
@@ -692,6 +675,36 @@ def test_reduced_solve_peaks_stay_flat_with_the_stack(bur):
         del prim
     for small, large in zip(*peaks):
         assert large - small <= 2 * full * 8 * (4 * k + 8)
+
+
+def test_chunks_hold_one_block_at_a_time(bur, monkeypatch):
+    # a cold stack of 2c nodes in one part, solved in two chunks of c
+    # and in one chunk of 2c.  A chunk drops its J Phi (J^T Phi) before
+    # the next forms one, so the one-chunk peak is higher by at least the
+    # c nodes' block, c n_u k floats.  Were two chunks' blocks alive at
+    # once, both peaks would hold 2c nodes' blocks and differ only by
+    # the chunk's other arrays, about half a block at this k
+    basis = seeded_basis(bur, seed=5, n_snaps=10)
+    basis.window(), basis.row_grams()      # cached before tracing
+    k, n_u, c = basis.k, bur.n_u, 8
+    rng = np.random.default_rng(6)
+    mu = rng.uniform(-0.3, 0.3, bur.n_mu)
+    ys = rng.uniform(-1, 1, (2 * c, bur.n_y))
+    peaks = []
+    for size in (c, 2 * c):
+        monkeypatch.setattr(kernels, "STACK_BYTES", size * rom._chunk_bytes(basis))
+        assert len(kernels.stack_parts(2 * c, 8 * rom._NODE_ARRAYS * n_u)) == 1
+        tracemalloc.start()
+        prim = solve_rom_primal(bur, basis, ys, mu)
+        primal = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+        peaks.append((primal, tracemalloc.get_traced_memory()[1]))
+        tracemalloc.stop()
+        del prim
+    assert k == 20
+    for small, large in zip(*peaks):
+        assert large - small >= c * n_u * k * 8
 
 
 class _Scaled:
@@ -784,8 +797,7 @@ def _scaled_column_step(lin, monkeypatch, factor, kernel="band_matmat"):
 
     monkeypatch.setattr(kernels, kernel, scaled_column)
     u0 = basis.expand(q0)
-    a = getattr(kernels, kernel)(*lin.jac_bands(u0, y, mu), basis.window(),
-                                 np.empty((1, lin.n_u, basis.k)))[0]
+    a = getattr(kernels, kernel)(*lin.jac_bands(u0, y, mu), basis.window())[0]
     return basis, y, mu, q0, a, lin.residual(u0, y, mu)[0]
 
 
@@ -870,8 +882,7 @@ def test_adjoint_reaches_the_least_squares_minimum(bur):
     prim = solve_rom_primal(bur, basis, y, mu)
     adj = solve_rom_adjoint(bur, basis, prim.q, y, mu)
     uq = basis.expand(prim.q)
-    a = kernels.band_t_matmat(*bur.jac_bands(uq, y, mu), basis.window(),
-                              np.empty((1, bur.n_u, basis.k)))[0]
+    a = kernels.band_t_matmat(*bur.jac_bands(uq, y, mu), basis.window())[0]
     b = bur.qoi_u(uq, y, mu)[0]
     ref = np.linalg.lstsq(a, b, rcond=None)[0]
     assert basis.k == 42
