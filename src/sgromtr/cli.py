@@ -3,7 +3,8 @@
 Reports are written as CSV plus a config echo; history and event files
 are flushed per iteration so an interrupted run leaves a valid prefix.
 Exit codes: 0 success/converged, 1 validation-suite failure,
-2 maximum iterations reached, 3 solver failure, 4 config error.
+2 not converged (maximum iterations, or SG-ISO's failed line search),
+3 solver failure, 4 config error.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-from .hdm import (QueryCounters, adjoint_gradient, solve_adjoint, solve_primal)
+from .hdm import (QueryCounters, SolverError, adjoint_gradient, solve_adjoint,
+                  solve_primal)
 from .rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
 from .sparse_grid import node_sum, tensor_nodes
 
@@ -73,7 +74,8 @@ def tensor_reference(problem, mu, level: int,
     The nodes are solved as one stack, tallied in ``counters`` if given,
     and the weighted sums add them in node order (:func:`node_sum`).
     ``warm``, if given, maps a level to the states of its last solve,
-    which start the next one there.
+    which start the next one there.  An evaluation that raises
+    :class:`SolverError` moves no counter and leaves ``warm`` as it was.
     """
     if level > 6:
         raise ValueError("tensor reference capped at level 6")
@@ -84,11 +86,11 @@ def tensor_reference(problem, mu, level: int,
     u0 = warm.get(level) if warm is not None else None
     counters = QueryCounters() if counters is None else counters
     prim = solve_primal(problem, nodes, mu, u0=u0)
+    adj = solve_adjoint(problem, prim.u, nodes, mu)
     counters.count_primals(prim)
+    counters.n_ha += len(nodes)
     if warm is not None:
         warm[level] = prim.u
-    adj = solve_adjoint(problem, prim.u, nodes, mu)
-    counters.n_ha += len(nodes)
     j_val = node_sum(weights, problem.qoi(prim.u, nodes, mu))
     grad = node_sum(weights, adjoint_gradient(problem, adj.lam, prim.u, nodes, mu))
     return j_val, grad
@@ -99,20 +101,27 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     """BFGS with backtracking on the fixed isotropic tensor-grid objective.
 
     Uses high-dimensional solves only, tallied in ``counters``; each
-    evaluation starts from the states of the last.  A failed line search
+    evaluation starts from the states of the last.  The first step is
+    ``-g0``.  The inverse Hessian starts at ``(s'y / y'y) I`` from the
+    first curvature pair that passes the guard, the scaled start of
+    Nocedal & Wright (2006, *Numerical Optimization*, eq. 6.20), and is
+    then updated by BFGS.  A trial point whose full solve fails
+    (:class:`SolverError`) is rejected like one that fails the Armijo
+    test; at ``mu0`` the failure propagates.  A failed line search
     terminates the iteration at the best known point.  Returns
     ``(mu_final, info)``: ``info["history"]`` holds one row per iterate,
     its objective, gradient norm and cumulative query counts, the last
     row those of ``mu_final``, so a run of ``K`` steps has ``K + 1``
     rows; ``info["status"]`` is ``"converged"`` when that last point
     meets ``gtol``, also the point reached by the last of ``max_iters``
-    steps.
+    steps, and ``"line_search_failed"`` when 40 halvings found no
+    acceptable trial point.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
     evaluate = partial(tensor_reference, problem, level=level, counters=counters,
                        warm={})
-    hinv = np.eye(n)
+    hinv = None  # the identity until the first curvature pair scales it
     history = []
     j_val, grad = evaluate(mu)
     status = "max_iters"
@@ -128,7 +137,7 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
             break
         if it == max_iters:
             break
-        d = -hinv @ grad
+        d = -grad if hinv is None else -hinv @ grad
         if float(d @ grad) >= 0.0:
             hinv = np.eye(n)
             d = -grad
@@ -137,10 +146,14 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
         ok = False
         for _ in range(40):
             mu_new = mu + t * d
-            j_new, g_new = evaluate(mu_new)
-            if j_new <= j_val + 1e-4 * t * slope:
-                ok = True
-                break
+            try:
+                j_new, g_new = evaluate(mu_new)
+            except SolverError:
+                pass  # no steady state at the trial point: reject it
+            else:
+                if j_new <= j_val + 1e-4 * t * slope:
+                    ok = True
+                    break
             t *= 0.5
         if not ok:
             status = "line_search_failed"
@@ -149,6 +162,8 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
         yv = g_new - grad
         sy = float(s @ yv)
         if sy > 1e-12 * float(np.linalg.norm(s)) * float(np.linalg.norm(yv)):
+            if hinv is None:
+                hinv = sy / float(yv @ yv) * np.eye(n)
             rho = 1.0 / sy
             v = np.eye(n) - rho * np.outer(s, yv)
             hinv = v @ hinv @ v.T + rho * np.outer(s, s)

@@ -86,3 +86,28 @@ def quadratic_minimizer(problem, y=None):
     a = sens.T @ m @ sens + problem.alpha * np.eye(problem.n_mu)
     b = -sens.T @ m @ (sol.u[0] - problem.ref)
     return np.linalg.solve(a, b)
+
+
+def stub_tensor_reference(monkeypatch, objective, fails=lambda mu: False):
+    """Replace ``oracle.tensor_reference``, which SG-ISO evaluates, by
+    ``objective(mu) -> (J, grad)``.
+
+    Returns the list of the points evaluated, in order.  A point where
+    ``fails(mu)`` raises ``SolverError`` and tallies nothing; every other
+    one tallies one primal and one adjoint solve, as one node would.
+    """
+    from sgromtr import oracle
+    from sgromtr.hdm import SolverError
+
+    points = []
+
+    def reference(problem, mu, level, counters=None, warm=None):
+        points.append(np.array(mu, dtype=float))
+        if fails(mu):
+            raise SolverError("injected")
+        counters.n_hp += 1
+        counters.n_ha += 1
+        return objective(mu)
+
+    monkeypatch.setattr(oracle, "tensor_reference", reference)
+    return points

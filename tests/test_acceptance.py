@@ -167,7 +167,7 @@ def test_pinned_counts_burgers(burgers_run, baseline_run):
                                   gn_iters=1855, rom_stalls=39, grid=23, basis=48)
     _, iso_counters, info, _ = baseline_run
     assert info["status"] == "converged"
-    assert iso_counters.n_hp == 2312
+    assert iso_counters.n_hp == 1445
 
 
 def test_pinned_counts_diffusion():

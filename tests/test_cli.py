@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import stub_tensor_reference
 from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
                          EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED,
                          SOLVER_FAILURES, _CsvWriter, main, run_optimize,
@@ -230,6 +231,28 @@ def test_sg_iso_point_after_the_last_step_meets_gtol(tmp_path):
     assert [row["k"] for row in history] == ["0", "1", "2"]
     assert float(history[-1]["gnorm"]) <= cfg.tr.gtol < float(history[-2]["gnorm"])
     assert history[-1]["gnorm"] == summary["final_gnorm"]
+
+
+def test_sg_iso_failed_line_search_exit_code(tmp_path, monkeypatch):
+    # no trial point meets the Armijo test: the run is not converged
+    stub_tensor_reference(monkeypatch,
+                          lambda mu: (float(np.linalg.norm(mu)), np.ones(8)))
+    out = tmp_path / "iso"
+    assert run_optimize(load_config(write(tmp_path, FAST_ISO)), out) == EXIT_MAX_ITERS
+    summary = read_summary(out)
+    assert summary["status"] == "line_search_failed"
+    assert summary["iterations"] == "0" and summary["n_hp"] == "41"
+
+
+def test_sg_iso_failed_solve_at_mu0_exit_code(tmp_path, monkeypatch):
+    # a failed trial point only rejects the step, but without a solve at
+    # mu0 there is no objective to start from
+    stub_tensor_reference(monkeypatch, lambda mu: (0.0, np.zeros(8)),
+                          fails=lambda mu: True)
+    out = tmp_path / "iso"
+    assert run_optimize(load_config(write(tmp_path, FAST_ISO)), out) == EXIT_SOLVER_FAILURE
+    assert (out / "error.txt").read_text() == "SolverError: injected\n"
+    assert not (out / "summary.txt").exists()
 
 
 def test_csv_row_missing_a_column_raises(tmp_path):

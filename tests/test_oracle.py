@@ -1,13 +1,14 @@
 """Finite-difference, tensor-quadrature, and baseline-optimizer oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from conftest import quadratic_minimizer
+from conftest import quadratic_minimizer, stub_tensor_reference
 from sgromtr.cli import validation_seed_basis
-from sgromtr import hdm
+from sgromtr import hdm, oracle
 from sgromtr.hdm import (LinearDiffusion, QueryCounters, SolverError,
                          adjoint_gradient, solve_adjoint, solve_primal)
 from sgromtr.oracle import (cost_metric, fd_gradient, sg_iso_baseline,
@@ -163,6 +164,24 @@ def test_failed_tensor_reference_moves_no_counter(bur, monkeypatch):
     assert counters == QueryCounters()
 
 
+def test_failed_adjoint_moves_no_counter_and_keeps_warm_states(bur, monkeypatch):
+    # a primal stack whose adjoint fails is not tallied either, and the
+    # next evaluation starts from the states of the last that returned
+    warm = {}
+    tensor_reference(bur, np.zeros(8), 2, warm=warm)
+    kept = warm[2]
+
+    def failing(*args):
+        raise SolverError("injected")
+
+    monkeypatch.setattr(oracle, "solve_adjoint", failing)
+    counters = QueryCounters()
+    with pytest.raises(SolverError):
+        tensor_reference(bur, np.full(8, 0.1), 2, counters=counters, warm=warm)
+    assert counters == QueryCounters()
+    assert warm[2] is kept
+
+
 def test_tensor_reference_caps():
     lin = LinearDiffusion(n_u=15)
     with pytest.raises(ValueError):
@@ -190,6 +209,78 @@ def test_baseline_zero_initial_gradient(lin_deterministic):
                                  gtol=1e-5, counters=counters)
     assert len(info["history"]) == 1
     np.testing.assert_array_equal(mu_f, mu_star)
+
+
+def _quadratic(diag, b):
+    """``J = mu'A mu / 2 - b'mu`` with ``A = diag(diag)``, and its gradient."""
+    def objective(mu):
+        g = diag * mu - b
+        return float(0.5 * mu @ (diag * mu) - b @ mu), g
+    return objective
+
+
+def _bfgs_update(hinv, s, y):
+    rho = 1.0 / (s @ y)
+    v = np.eye(len(s)) - rho * np.outer(s, y)
+    return v @ hinv @ v.T + rho * np.outer(s, s)
+
+
+def test_baseline_scales_its_first_inverse_hessian(monkeypatch):
+    # the first step is -g0; the second trial point is mu1 - H1 g1, where
+    # H1 is the BFGS update of (s0'y0 / y0'y0) I, not of I
+    diag = np.array([0.1, 0.15, 0.2, 0.25, 0.3, 0.12, 0.18, 0.22])
+    b = np.linspace(-1.0, 1.0, 8)
+    objective = _quadratic(diag, b)
+    points = stub_tensor_reference(monkeypatch, objective)
+    sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), QueryCounters(),
+                    gtol=0.0, max_iters=2)
+    mu0 = np.zeros(8)
+    g0 = objective(mu0)[1]
+    mu1 = mu0 - g0
+    np.testing.assert_array_equal(points[1], mu1)
+    g1 = objective(mu1)[1]
+    s0, y0 = mu1 - mu0, g1 - g0
+    h1 = _bfgs_update((s0 @ y0) / (y0 @ y0) * np.eye(8), s0, y0)
+    np.testing.assert_allclose(points[2], mu1 - h1 @ g1, rtol=1e-12, atol=1e-14)
+    # the unscaled start would have tried another point
+    unscaled = mu1 - _bfgs_update(np.eye(8), s0, y0) @ g1
+    assert np.linalg.norm(unscaled - points[2]) > 0.1 * np.linalg.norm(points[2] - mu1)
+
+
+def test_baseline_backtracks_from_a_failed_trial_solve(monkeypatch):
+    # the full solve fails beyond a radius the first trial point lies
+    # past: the line search halves the step and the run converges, the
+    # failed solves tallying nothing
+    diag = np.array([1.6, 1.7, 1.8, 1.9, 1.65, 1.75, 1.85, 1.95])
+    b = np.full(8, 0.5)
+    mu_star = b / diag
+    radius = 1.2 * np.linalg.norm(mu_star)
+    points = stub_tensor_reference(monkeypatch, _quadratic(diag, b),
+                                   fails=lambda mu: np.linalg.norm(mu) > radius)
+    counters = QueryCounters()
+    mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), counters,
+                                 gtol=1e-8)
+    assert info["status"] == "converged"
+    np.testing.assert_allclose(mu_f, mu_star, atol=1e-8)
+    failed = sum(np.linalg.norm(p) > radius for p in points)
+    assert failed >= 1
+    np.testing.assert_array_equal(points[2], points[1] / 2)
+    assert counters.n_hp == counters.n_ha == len(points) - failed
+    assert info["history"][-1]["n_hp"] == counters.n_hp
+
+
+def test_baseline_line_search_failure(monkeypatch):
+    # J = ||mu|| has its minimum at mu0 = 0, but the stub's gradient says
+    # it descends along -1: no trial point meets the Armijo test, and
+    # after mu0 and 40 trials the run stops at mu0
+    stub_tensor_reference(monkeypatch,
+                          lambda mu: (float(np.linalg.norm(mu)), np.ones(8)))
+    counters = QueryCounters()
+    mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), counters)
+    assert info["status"] == "line_search_failed"
+    np.testing.assert_array_equal(mu_f, np.zeros(8))
+    assert len(info["history"]) == 1
+    assert counters.n_hp == counters.n_ha == 41
 
 
 # ---------------------------------------------------------------------------
