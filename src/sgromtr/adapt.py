@@ -360,22 +360,22 @@ def _greedy_candidate(pair: SgRomPair, mus, which: str):
     return best
 
 
+def _vector(v) -> str:
+    """A vector's entries, each written so that it reads back exactly."""
+    return " ".join(repr(float(x)) for x in v)
+
+
 def _mu_tag(mu) -> str:
     return hashlib.md5(_mu_key(mu)).hexdigest()[:8]
 
 
 def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> int:
-    """Solve the HDM at the winning point and append both snapshots;
-    returns how many basis columns they added.
-
-    The full solve starts from the node's reduced state ``ev``.
-    """
+    """Solve the HDM at the winning point, from the node's reduced state
+    ``ev``, and append both snapshots; returns how many basis columns
+    they added.  A failed full solve is a :class:`SolverError`."""
     coord = ev.coord[None]
-    try:
-        prim = solve_primal(pair.problem, coord, mu,
-                            u0=(pair.basis.columns @ ev.q)[None])
-    except SolverError:
-        prim = solve_primal(pair.problem, coord, mu)
+    prim = solve_primal(pair.problem, coord, mu,
+                        u0=(pair.basis.columns @ ev.q)[None])
     pair.counters.count_primals(prim)
     adj = solve_adjoint(pair.problem, prim.u, coord, mu)
     pair.counters.n_ha += 1
@@ -416,13 +416,14 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
     keeps no basis column, which leaves the basis and the term as they
     were and makes no progress.  The ``add_snapshot`` event's detail
     records the columns kept.  A pass that changes nothing while terms
-    stay open grows the grid, so the loop
-    ends only once every term is within its threshold; any other way
-    out is an exception, such as :class:`LevelCapError`.  ``evaluate``
-    runs once at entry and once after each change, and that one value
-    logs the change, drives the next decision and, at the end, the exit
-    check.  ``bounds`` (term -> name), when given, names in the exit
-    check's detail the bound that set each threshold.
+    stay open grows the grid, so the loop ends only once every term is
+    within its threshold; any other way out is an exception, such as
+    :class:`LevelCapError`, or a :class:`SolverError` that names the
+    stage, node and parameter point of a greedy sample whose full solve
+    failed.  ``evaluate`` runs once at entry and once after each change,
+    and that one value logs the change, drives the next decision and, at
+    the end, the exit check.  ``bounds`` (term -> name), when given,
+    names in the exit check's detail the bound that set each threshold.
     """
     values, limits, exit_values, diffs = evaluate()
 
@@ -455,7 +456,12 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
                 if cand is None:
                     break  # saturated; grid growth will add candidates
                 key, mu, ev = cand
-                kept = _sample(pair, key, mu, ev)
+                try:
+                    kept = _sample(pair, key, mu, ev)
+                except SolverError as err:
+                    raise SolverError(
+                        f"{stage} stage: greedy sample at node {key}, y = "
+                        f"{_vector(ev.coord)}, mu = {_vector(mu)}: {err}") from err
                 changed("add_snapshot",
                         f"node={key} mu={_mu_tag(mu)} kept={kept}", term)
                 if not kept:

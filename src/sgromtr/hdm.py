@@ -16,21 +16,20 @@ reference profile:
 Every linear solve -- Newton step, adjoint, sensitivities -- is one
 O(n) tridiagonal sweep over the Jacobian's bands.
 
-Everything here takes a stack of nodes at one ``mu``, and one node is
-a stack of one (callers pass ``y[None]`` and read row 0): the residual
+Everything here takes a stack of nodes at one ``mu``, and one node is a
+stack of one (callers pass ``y[None]`` and read row 0): the residual
 surface (:meth:`ModelProblem.residual`, ``jac_bands``, ``qoi``,
-``qoi_u``, ``initial_state``, ``continuation_stages``),
-:func:`adjoint_gradient`, :func:`adjoint_residual`,
-:func:`primal_sensitivities` and the full-model solvers
-:func:`solve_primal` and :func:`solve_adjoint`.  A stack has states
-``(m, n_u)`` and nodes ``(m, n_y)``, results are arrays with one row or
-entry per node, and each row is bitwise equal to its own stack of one.
-A solve runs one damped-Newton loop and one adjoint sweep for all of
-its nodes, with per-node index sets for the stopping, backtracking and
-continuation rules, and it cuts its stack into balanced parts that fit
-``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats per node (see
-``_NODE_ARRAYS``): at ``n_u = 127`` a level-5 tensor grid of 289 nodes
-is two parts, so two Thomas sweeps per Newton step.
+``qoi_u``, ``initial_state``), :func:`adjoint_gradient`,
+:func:`adjoint_residual`, :func:`primal_sensitivities` and the
+full-model solvers :func:`solve_primal` and :func:`solve_adjoint`.  A
+stack has states ``(m, n_u)`` and nodes ``(m, n_y)``, results are
+arrays with one row or entry per node, and each row is bitwise equal to
+its own stack of one.  A solve runs one damped-Newton loop and one
+adjoint sweep for all of its nodes, with per-node index sets for the
+stopping and backtracking rules, and it cuts its stack into balanced
+parts that fit ``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats
+per node (see ``_NODE_ARRAYS``): at ``n_u = 127`` a level-5 tensor grid
+of 289 nodes is two parts, so two Thomas sweeps per Newton step.
 
 Like the reduced solvers, the solvers here take no tolerance (Newton's
 are the ``NEWTON_*`` constants) and count no query (see :class:`QueryCounters`).
@@ -240,11 +239,6 @@ class ModelProblem:
         """Default Newton start; subclasses override when zero is a poor start."""
         return np.zeros(y.shape[:-1] + (self.n_u,))
 
-    def continuation_stages(self, y, mu):
-        """Easier ``(y, mu)`` stages to traverse when Newton stalls; may be
-        empty.  Each stage's ``y`` is a stack of the same nodes."""
-        return []
-
 
 class LinearDiffusion(ModelProblem):
     """Dirichlet diffusion ``-(kappa(x, y) p')' = sum_j mu_j b_j(x)``.
@@ -294,8 +288,10 @@ class BurgersControl(ModelProblem):
 
     #: strongly negative forcing at low viscosity passes a steady-state
     #: fold inside this box: on the level-6 tensor grid (1089 nodes),
-    #: ``solve_primal`` fails at 21 nodes for mu = -0.5 in every component
-    #: and at 25 for -0.4, at none for -0.3 or +0.5 (ROADMAP item 6)
+    #: ``solve_primal`` at mu = c in every component fails at 169 nodes
+    #: for c = -0.5, 104 for -0.4, 65 for -0.37, 39 for -0.36 and 4 for
+    #: -0.35, and at none for -0.34, -0.33, -0.3 or +0.5: the fold crosses
+    #: the diagonal between c = -0.35 and -0.34 (ROADMAP item 6)
     mu_sample_halfwidth = 0.5
 
     #: the objective is not quadratic in mu here, so the central
@@ -329,16 +325,6 @@ class BurgersControl(ModelProblem):
         """Linear interpolant of the boundary data; zero is a poor start
         at low viscosity."""
         return self.bc_left(_components(y)) * (1.0 - self.x)
-
-    def continuation_stages(self, y, mu):
-        """Retry through higher-viscosity problems (smaller effective y1)."""
-        y = y.T        # y[j]: the column of component j of the stack
-        stages = []
-        for factor in (6.0, 3.0, 1.5):
-            inv_nu = np.maximum(1.0 / (factor * self.viscosity(y)), 10.0)
-            y1 = np.clip((inv_nu - 35.0) / 25.0, -1.0, 1.0)
-            stages.append((np.stack([y1, y[1]], axis=-1), mu))
-        return stages
 
 
 def _uncontrolled_reference(problem: BurgersControl, level: int) -> np.ndarray:
@@ -379,25 +365,26 @@ def _roundoff(problem, u, y, mu):
                                          problem.source(mu))
 
 
-def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
+def _newton(problem, y, mu, u, tol_abs, r):
     """Damped Newton iteration on a stack.
 
     Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
-    node stops once it meets its tolerance ``tol_abs + tol_rel ||r(u)||``
-    (``u`` the start), after ``NEWTON_MAX_ITERS`` steps, on a singular
-    Jacobian (a non-finite step), or when no step length of
-    :func:`kernels.halve_until_decrease` decreases its ``||r||``; the
-    others go on.  A node whose full step is rejected has its tolerance
-    raised to the residual's own round-off ``eps || |J||u| + |f| ||``
-    (``f`` the source, see :func:`kernels.roundoff_scale`): no step
-    resolves a smaller residual, so a node whose ``||r||`` is at most
-    that is converged at once and takes no halving.  The rows of ``u``
-    are updated in place; ``r``, if given, is the residual at ``u``.
+    node stops once it meets its tolerance
+    ``tol_abs + NEWTON_TOL_REL ||r(u)||`` (``u`` the start), after
+    ``NEWTON_MAX_ITERS`` steps, on a singular Jacobian (a non-finite
+    step), or when no step length of :func:`kernels.halve_until_decrease`
+    decreases its ``||r||``; the others go on.  A node whose full step is
+    rejected has its tolerance raised to the residual's own round-off
+    ``eps || |J||u| + |f| ||`` (``f`` the source, see
+    :func:`kernels.roundoff_scale`): no step resolves a smaller residual,
+    so a node whose ``||r||`` is at most that is converged at once and
+    takes no halving.  The rows of ``u``
+    are updated in place; ``r`` is the residual at ``u``, or None.
     """
     if r is None:
         r = problem.residual(u, y, mu)
     rnorm = kernels.row_norm(r)
-    tol = tol_abs + tol_rel * rnorm
+    tol = tol_abs + NEWTON_TOL_REL * rnorm
     iters = np.zeros(len(rnorm), int)
     stopped = np.zeros(len(rnorm), bool)
     for _ in range(NEWTON_MAX_ITERS):
@@ -442,39 +429,18 @@ def _newton(problem, y, mu, u, tol_abs, tol_rel, r=None):
     return u, rnorm, iters, rnorm <= tol
 
 
-def _start(problem, y, mu):
-    """The problem's default Newton start, one writable row per node."""
+def _primal(problem, y, mu, u0):
+    """Damped Newton on a stack from ``u0`` (the default start if None);
+    returns ``(u, rnorm, iters, ok)`` as :func:`_newton` does."""
     u = np.empty(y.shape[:-1] + (problem.n_u,))
     u[...] = problem.initial_state(y, mu)
-    return u
-
-
-def _primal(problem, y, mu, u0):
-    """Newton on a stack from ``u0`` (the default start if None), then
-    continuation for its failed nodes; returns ``(u, rnorm, iters, ok)``
-    as :func:`_newton` does."""
-    u = _start(problem, y, mu)
     r = problem.residual(u, y, mu)
     tol_abs = NEWTON_TOL_ABS * (1.0 + kernels.row_norm(r))
     if u0 is not None:
         u, r = np.array(u0, dtype=float), None
     if not np.isfinite(u).all():
         raise ValueError("initial state contains non-finite entries")
-    u, rnorm, iters, ok = _newton(problem, y, mu, u, tol_abs, NEWTON_TOL_REL, r)
-    at = np.flatnonzero(~ok)
-    stages = problem.continuation_stages(y[at], mu) if at.size else []
-    if not stages:
-        return u, rnorm, iters, ok
-    u_stage = _start(problem, y[at], mu)
-    for y_s, mu_s in stages:
-        u_stage, _, it_s, _ = _newton(problem, np.asarray(y_s, float),
-                                      np.asarray(mu_s, float), u_stage,
-                                      tol_abs[at], 1e-10)
-        iters[at] += it_s
-    u[at], rnorm[at], it_f, ok[at] = _newton(problem, y[at], mu, u_stage,
-                                             tol_abs[at], NEWTON_TOL_REL)
-    iters[at] += it_f
-    return u, rnorm, iters, ok
+    return _newton(problem, y, mu, u, tol_abs, r)
 
 
 #: Arrays of ``n_u`` floats that one node of a full-model solve holds:
@@ -500,15 +466,12 @@ def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     Backtracking halves the step until the residual norm decreases (up
     to 29 halvings), unless a node's full step is rejected at the
     residual's round-off, where it is converged (see :func:`_newton`).
-    If the iteration stalls -- backtracking exhausted or a singular
-    Jacobian -- the problem's continuation stages are traversed once,
-    warm-starting each stage from the last.  Raises :class:`SolverError`
-    if a node's tolerance
+    Raises :class:`SolverError` if a node's tolerance
     ``NEWTON_TOL_ABS (1 + ||r(default start)||) + NEWTON_TOL_REL ||r(u0)||``
-    is still not met within ``NEWTON_MAX_ITERS`` iterations.  The
-    absolute term is scaled by the residual at the problem's default
-    start so that warm starts with a tiny entry residual cannot push the
-    tolerance beneath the evaluation noise floor of a stiff operator.
+    is not met within ``NEWTON_MAX_ITERS`` iterations.  The absolute term
+    is scaled by the residual at the problem's default start so that
+    warm starts with a tiny entry residual cannot push the tolerance
+    beneath the evaluation noise floor of a stiff operator.
 
     ``y`` is ``(m, n_y)``, any other shape a ValueError, and ``u0``, if
     given, ``(m, n_u)``.  The stack is solved by one Newton loop per

@@ -38,11 +38,12 @@ stacks with :func:`stack_parts` into balanced parts that fit
 of its sweep (measured with ``tracemalloc``), and :func:`in_parts`
 solves the parts one by one.  Both solvers backtrack by
 :func:`halve_until_decrease`, one residual call per step length on the
-rows of a part that still search.  A full-model node holds about nine
-``(n,)`` arrays: state, residual, step and line-search trial, and the
-residual kernel's three.  The reduced solves cut at two levels.  A part
-of a Gauss-Newton or adjoint solve holds about ten ``(n,)`` arrays per
-node: state, residual, Jacobian bands and three more, of the round-off
+rows of a part that still search.  A full-model node holds the
+``(n,)`` arrays that ``hdm._NODE_ARRAYS`` counts: state, residual, step
+and line-search trial, and the residual kernel's three.  The reduced
+solves cut at two levels.  A part of a Gauss-Newton or adjoint solve
+holds the ``(n,)`` arrays per node that ``rom._NODE_ARRAYS`` counts:
+state, residual, Jacobian bands and three more, of the round-off
 scale or of the gradient pass, whose ``A^T r`` (:func:`band_t_matvec`)
 and per-row dots (:func:`row_dot`) test every node for stationarity
 without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``

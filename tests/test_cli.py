@@ -315,6 +315,44 @@ def test_injected_failure_exit_code(tmp_path, monkeypatch, failure):
         (str(i), ev.stage, ev.kind) for i, ev in enumerate(recorded)]
 
 
+def test_failed_greedy_sample_names_it_and_ends_the_run(tmp_path, monkeypatch):
+    # the first greedy sample's full solve fails: it is not solved again
+    # from the default start, the run exits 3, error.txt names the
+    # stage, node, y and mu of the sample the clean run took first (mu
+    # written so that it reads back to the sample's tag), and events.csv
+    # keeps the events written before it, those of the clean run
+    from sgromtr import adapt
+
+    cfg_path = write(tmp_path, FAST_LIN)
+    clean = tmp_path / "clean"
+    assert run_optimize(load_config(cfg_path), clean) == EXIT_OK
+    clean_events = read_csv(clean / "events.csv")
+    first = next(i for i, row in enumerate(clean_events)
+                 if row["kind"] == "add_snapshot")
+    node, tag = re.match(r"node=(\(.*\)) mu=(\w+) ",
+                         clean_events[first]["detail"]).groups()
+
+    calls = []
+
+    def failing(problem, y, mu, u0=None):
+        calls.append(u0)
+        raise SolverError("injected")
+
+    monkeypatch.setattr(adapt, "solve_primal", failing)
+    out = tmp_path / "fail"
+    assert run_optimize(load_config(cfg_path), out) == EXIT_SOLVER_FAILURE
+    assert len(calls) == 1 and calls[0] is not None
+    error = (out / "error.txt").read_text()
+    named = re.fullmatch(
+        f"SolverError: {clean_events[first]['stage']} stage: greedy sample at "
+        f"node {re.escape(node.replace(';', ','))}, y = (\\S+ \\S+), "
+        f"mu = (.*): injected\n", error)
+    assert named, error
+    assert len(named[1].split()) == 2
+    assert adapt._mu_tag(np.array(named[2].split(), dtype=float)) == tag
+    assert read_csv(out / "events.csv") == clean_events[:first]
+
+
 def test_samples_that_keep_no_column_spend_bounded_full_solves(tmp_path, monkeypatch):
     # from the end of the first objective stage on, every snapshot is
     # dropped, so no greedy sample changes a term: each refinement pass
