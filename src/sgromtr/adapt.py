@@ -377,10 +377,10 @@ def _sample(pair: SgRomPair, key, mu, ev: NodeEval) -> int:
     prim = solve_primal(pair.problem, coord, mu,
                         u0=(pair.basis.columns @ ev.q)[None])
     pair.counters.count_primals(prim)
-    adj = solve_adjoint(pair.problem, prim.u, coord, mu)
+    lam = solve_adjoint(pair.problem, prim.u, coord, mu)
     pair.counters.n_ha += 1
     pair.basis.sampled_points.add((key, _mu_key(mu)))
-    return pair.basis.append_snapshots([prim.u[0], adj.lam[0]],
+    return pair.basis.append_snapshots([prim.u[0], lam[0]],
                                        ["primal", "adjoint"], ev.coord, mu)
 
 
@@ -481,17 +481,20 @@ def _refine(pair: SgRomPair, stage: str, evaluate, trunc: str, targets: dict,
     return pair
 
 
-def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, kappa_phi, betas, gtol,
-                        level_cap: int = 10, events: list | None = None) -> SgRomPair:
+def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, config,
+                        events: list | None = None) -> SgRomPair:
     """Grow the pair until the three gradient-condition inequalities hold.
 
+    ``config`` is the run's :class:`~sgromtr.trust_opt.TrustRegionConfig`.
     Each inequality bounds one indicator term by
-    ``kappa_phi / (3 beta_i) * max(min{||grad m(mu_k)||, Delta_k}, gtol)``;
+    ``kappa_phi / (3 beta_i) * max(min{||grad m(mu_k)||, Delta_k}, gtol)``,
+    with ``kappa_phi``, ``beta_i`` (``betas``) and ``gtol`` its fields;
     the right-hand side is re-evaluated after every grid or basis change
     because the model gradient appears on both sides.  The floor at
     ``gtol`` keeps the thresholds above round-off; it binds only when the
     caller's stopping test ``min{||grad m||, Delta} <= gtol`` is about to
-    fire, and above ``gtol`` the thresholds are the exact ones.
+    fire, and above ``gtol`` the thresholds are the exact ones.  No index
+    may exceed ``config.level_cap``.
     """
     mu_k = np.asarray(mu_k, dtype=float)
 
@@ -504,50 +507,56 @@ def refine_for_gradient(pair: SgRomPair, mu_k, Delta_k, kappa_phi, betas, gtol,
     def evaluate():
         values, diffs = eval_gradient_indicator(pair, mu_k)
         t = guard()
-        limits = {name: kappa_phi / (3.0 * b) * max(t, gtol)
-                  for name, b in zip(values, betas)}
-        phi = sum(b * e for b, e in zip(betas, values.values()))
+        limits = {name: config.kappa_phi / (3.0 * b) * max(t, config.gtol)
+                  for name, b in zip(values, config.betas)}
+        phi = sum(b * e for b, e in zip(config.betas, values.values()))
         return values, limits, (phi, t), diffs
 
     return _refine(pair, "gradient", evaluate, "e4",
-                   {"e1": "primal", "e3": "adjoint"}, [mu_k], level_cap, events)
+                   {"e1": "primal", "e3": "adjoint"}, [mu_k], config.level_cap,
+                   events)
 
 
-def objective_thresholds(m_decrease, r_k, eta, omega, alphas,
-                         floor: float = 0.0) -> tuple:
-    """Per-term bounds of the objective condition, raised to ``floor``."""
-    base = (eta * min(m_decrease, r_k)) ** (1.0 / omega)
-    return tuple(max(base / (2.0 * a), floor) for a in alphas)
+def objective_thresholds(m_decrease, r_k, config) -> tuple:
+    """Per-term thresholds of the objective condition and the bound that set each.
+
+    Term ``i``'s threshold is the larger of the exact bound
+    ``(eta min{m_decrease, r_k})^(1/omega) / (2 alpha_i)`` and
+    ``theta_floor``, all fields of ``config``, the run's
+    :class:`~sgromtr.trust_opt.TrustRegionConfig` (``alpha_i`` from
+    ``alphas``).  Returns ``(thresholds, names)``, each name ``"exact"``
+    or ``"theta_floor"``.
+    """
+    base = (config.eta * min(m_decrease, r_k)) ** (1.0 / config.omega)
+    exact = [base / (2.0 * a) for a in config.alphas]
+    floor = config.theta_floor
+    return (tuple(max(ex, floor) for ex in exact),
+            tuple("exact" if ex >= floor else "theta_floor" for ex in exact))
 
 
-def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k,
-                         eta, omega, alphas, level_cap: int = 10,
-                         threshold_floor: float = 0.0,
+def refine_for_objective(pair: SgRomPair, mu_k, mu_hat, m_decrease, r_k, config,
                          events: list | None = None) -> SgRomPair:
     """Grow the pair until the two objective-condition inequalities hold.
 
-    The thresholds are ``(1 / (2 alpha_i)) (eta min{m_decrease, r_k})^(1/omega)``,
-    raised to ``threshold_floor`` when the exact value falls below what
-    residual-based indicators can attain in double precision (the exact
-    thresholds collapse like the tenth power of the predicted decrease
-    for the default ``omega = 0.1``).  The exit check names per term the
-    bound that set its threshold: ``exact`` or ``theta_floor`` (the
-    trust-region key that sets ``threshold_floor``).
+    The thresholds are those of :func:`objective_thresholds` for
+    ``config``: the exact ones, raised to ``config.theta_floor``, since
+    they collapse beneath what residual-based indicators can attain in
+    double precision (like the tenth power of the predicted decrease for
+    the default ``omega = 0.1``).  The exit check names per term the
+    bound that set its threshold.  No index may exceed ``config.level_cap``.
     """
     if m_decrease <= 0.0:
         raise ValueError("model decrease must be positive (caller bug)")
     mu_k = np.asarray(mu_k, dtype=float)
     mu_hat = np.asarray(mu_hat, dtype=float)
-    exact = objective_thresholds(m_decrease, r_k, eta, omega, alphas)
-    thr1, thr2 = objective_thresholds(m_decrease, r_k, eta, omega, alphas,
-                                      threshold_floor)
-    bounds = {term: "exact" if thr == ex else "theta_floor"
-              for term, thr, ex in zip(("e1'", "e2'"), (thr1, thr2), exact)}
+    terms = ("e1'", "e2'")
+    thresholds, names = objective_thresholds(m_decrease, r_k, config)
+    limits = dict(zip(terms, thresholds))
 
     def evaluate():
         values, diffs = eval_objective_indicator(pair, mu_k, mu_hat)
-        return (values, {"e1'": thr1, "e2'": thr2},
-                (values["e1'"], values["e2'"]), diffs)
+        return values, limits, (values["e1'"], values["e2'"]), diffs
 
     return _refine(pair, "objective", evaluate, "e2'", {"e1'": "primal"},
-                   [mu_k, mu_hat], level_cap, events, bounds)
+                   [mu_k, mu_hat], config.level_cap, events,
+                   dict(zip(terms, names)))

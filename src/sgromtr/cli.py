@@ -262,8 +262,8 @@ def suite_fd_gradient(problem, n_samples: int, seed: int) -> tuple[bool, str]:
         y = rng.uniform(-1.0, 1.0, problem.n_y)
         mu = rng.uniform(-box, box, problem.n_mu)
         prim = solve_primal(problem, y[None], mu)
-        adj = solve_adjoint(problem, prim.u, y[None], mu)
-        g = adjoint_gradient(problem, adj.lam, prim.u, y[None], mu)[0]
+        lam = solve_adjoint(problem, prim.u, y[None], mu)
+        g = adjoint_gradient(problem, lam, prim.u, y[None], mu)[0]
         gfd = fd_gradient(problem, y, mu, h=problem.fd_step)
         worst = max(worst, float(np.linalg.norm(g - gfd))
                     / max(float(np.linalg.norm(gfd)), 1e-30))
@@ -288,9 +288,9 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
     y = rng.uniform(-1.0, 1.0, problem.n_y)
     mu = rng.uniform(-0.3, 0.3, problem.n_mu)
     prim = solve_primal(problem, y[None], mu)
-    adj = solve_adjoint(problem, prim.u, y[None], mu)
+    lam = solve_adjoint(problem, prim.u, y[None], mu)
     basis = ReducedBasis(problem.n_u)
-    basis.append_snapshots([prim.u[0], adj.lam[0]], ["primal", "adjoint"], y, mu)
+    basis.append_snapshots([prim.u[0], lam[0]], ["primal", "adjoint"], y, mu)
     ip = solve_rom_primal(problem, basis, y[None], mu)
     ra = solve_rom_adjoint(problem, basis, ip.q, y[None], mu)
     interp = bool(
@@ -318,8 +318,8 @@ def suite_rom_properties(problem, seed: int) -> tuple[bool, str]:
         prev = rp
         ya = rng.uniform(-1.0, 1.0, problem.n_y)
         sa = solve_primal(problem, ya[None], mu)
-        aa = solve_adjoint(problem, sa.u, ya[None], mu)
-        basis.append_snapshots([sa.u[0], aa.lam[0]], ["primal", "adjoint"], ya, mu)
+        la = solve_adjoint(problem, sa.u, ya[None], mu)
+        basis.append_snapshots([sa.u[0], la[0]], ["primal", "adjoint"], ya, mu)
     failed = (["interpolation node"] * bool(ip.failed[0])
               + [f"monotonicity node {i}" for i in np.flatnonzero(stuck)])
     ok = interp and worst <= 0.0 and not failed

@@ -5,8 +5,10 @@ default, unknown sections or keys are rejected with their full path,
 values outside their range are rejected at load, and the effective
 (post-default) configuration can be echoed back out for provenance.
 The ``[trust_region]`` keys are the fields of
-:class:`~sgromtr.trust_opt.TrustRegionConfig` in lower case, with its
-defaults; ``betas`` and ``alphas`` come from ``[indicators]``.
+:class:`~sgromtr.trust_opt.TrustRegionConfig` in lower case, and the
+``[indicators]`` keys the entries of its ``betas`` and ``alphas``, all
+with its defaults.  Every float value must be finite, except the nan of
+``baseline.gtol`` that stands for "match the adaptive run".
 """
 
 from __future__ import annotations
@@ -28,9 +30,13 @@ class ConfigError(ValueError):
     """A configuration value or key is invalid; the message names its path."""
 
 
+#: TrustRegionConfig tuple field -> its ``[indicators]`` keys, in order
+_INDICATOR_KEYS = {"betas": ("beta1", "beta3", "beta4"),
+                   "alphas": ("alpha1", "alpha2")}
+
 #: ``[trust_region]`` key -> TrustRegionConfig field
 _TR_FIELDS = {f.name.lower(): f for f in fields(TrustRegionConfig)
-              if f.name not in ("betas", "alphas")}
+              if f.name not in _INDICATOR_KEYS}
 
 #: section -> key -> (default, type[, lo, hi]): a value outside the
 #: inclusive range ``[lo, hi]`` is a config error
@@ -50,13 +56,8 @@ _SCHEMA = {
     },
     "trust_region": {key: (f.default, type(f.default))
                      for key, f in _TR_FIELDS.items()},
-    "indicators": {
-        "beta1": (1.0, float),
-        "beta3": (1.0, float),
-        "beta4": (1.0, float),
-        "alpha1": (1e-2, float),
-        "alpha2": (1e-2, float),
-    },
+    "indicators": {key: (val, float) for name, keys in _INDICATOR_KEYS.items()
+                   for key, val in zip(keys, getattr(TrustRegionConfig(), name))},
     "baseline": {
         "level": (5, int, 1, 6),
         "gtol": (math.nan, float, 0.0, math.inf),  # nan: match the adaptive run
@@ -87,10 +88,15 @@ class RunConfig:
             raise ConfigError(f"run.method must be one of {_METHODS}, "
                               f"got {run['method']!r}")
         for section, keys in _SCHEMA.items():
-            for key, (default, _, *bounds) in keys.items():
+            for key, (default, typ, *bounds) in keys.items():
                 val = self.values[section][key]
                 # None and a nan default mark a value the run chooses
-                if not bounds or val is None or (val != val and default != default):
+                if val is None or (val != val and default != default):
+                    continue
+                if typ is float and not math.isfinite(val):
+                    raise ConfigError(f"{section}.{key} must be finite, "
+                                      f"got {val!r}")
+                if not bounds:
                     continue
                 lo, hi = bounds
                 if not lo <= val <= hi:
@@ -107,8 +113,8 @@ class RunConfig:
         try:
             self.tr = TrustRegionConfig(
                 **{f.name: t[key] for key, f in _TR_FIELDS.items()},
-                betas=(ind["beta1"], ind["beta3"], ind["beta4"]),
-                alphas=(ind["alpha1"], ind["alpha2"]))
+                **{name: tuple(ind[key] for key in keys)
+                   for name, keys in _INDICATOR_KEYS.items()})
         except ValueError as exc:
             raise ConfigError(f"trust_region: {exc}") from exc
         self.mu0(p["n_mu"])  # raises on a malformed init.mu0

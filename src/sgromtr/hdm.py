@@ -49,7 +49,7 @@ _EPS = np.finfo(float).eps
 
 __all__ = [
     "ModelProblem", "LinearDiffusion", "BurgersControl",
-    "PrimalSolution", "AdjointSolution", "QueryCounters",
+    "PrimalSolution", "QueryCounters",
     "SolverError", "solve_primal", "adjoint_residual", "solve_adjoint",
     "adjoint_gradient", "primal_sensitivities", "make_problem",
 ]
@@ -78,14 +78,6 @@ class PrimalSolution:
     def newton_iters(self) -> int:
         """Newton steps of the whole stack."""
         return int(self.iters.sum())
-
-
-@dataclass
-class AdjointSolution:
-    """A stack's ``(m, n_u)`` adjoint states and ``(m,)`` residual norms."""
-
-    lam: np.ndarray
-    residual_norm: np.ndarray
 
 
 @dataclass
@@ -496,29 +488,29 @@ def adjoint_residual(problem, lam, u, y, mu):
             - problem.qoi_u(u, y, mu))
 
 
-def solve_adjoint(problem, u, y, mu) -> AdjointSolution:
+def solve_adjoint(problem, u, y, mu) -> np.ndarray:
     """Direct solve of the linear adjoint system at converged primal states.
 
     ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)`` (any other
-    shape of ``y`` is a ValueError): the stack is solved by one sweep
-    per part, each row bitwise equal to its own stack of one.  A
-    singular Jacobian at any node is a SolverError.
+    shape of ``y`` is a ValueError); returns the ``(m, n_u)`` adjoint
+    states.  The stack is solved by one sweep per part, each row bitwise
+    equal to its own stack of one.  A singular Jacobian at any node is a
+    SolverError.  :func:`adjoint_residual` evaluates the residual of a
+    solve.
     """
-    return AdjointSolution(*kernels.in_parts(
-        _adjoint, 8 * _NODE_ARRAYS * problem.n_u, problem, y, mu, u))
+    lam, = kernels.in_parts(_adjoint, 8 * _NODE_ARRAYS * problem.n_u,
+                            problem, y, mu, u)
+    return lam
 
 
 def _adjoint(problem, y, mu, u):
-    """Adjoint states and residual norms of a stack."""
+    """Adjoint states of a stack, as a tuple of one."""
     up_t, dg, lo_t = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
     # the bands of (dr/du)^T, shifted in place: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
     lo_t[..., 1:], lo_t[..., 0] = lo_t[..., :-1], 0.0
     up_t[..., :-1], up_t[..., -1] = up_t[..., 1:], 0.0
-    lam = _solved((lo_t, dg, up_t), rhs)
-    # adjoint_residual's expression: band_matvec of the transposed bands
-    # forms the same products and sums as band_t_matvec of the bands
-    return lam, kernels.row_norm(kernels.band_matvec(lo_t, dg, up_t, lam) - rhs)
+    return (_solved((lo_t, dg, up_t), rhs),)
 
 
 def adjoint_gradient(problem, lam, u, y, mu):

@@ -42,9 +42,10 @@ class BoundEstimate:
     n_excluded: int
 
 
-def fd_gradient(problem, y, mu, h: float = 1e-5) -> np.ndarray:
-    """Central finite differences of the solution-restricted QoI at one
-    node ``y`` of length ``n_y``.
+def fd_gradient(problem, y, mu, h: float) -> np.ndarray:
+    """Central finite differences of step ``h`` of the solution-restricted
+    QoI at one node ``y`` of length ``n_y``; the validation suite passes
+    the problem's ``fd_step``.
 
     Costs two full primal solves per parameter component.
     """
@@ -86,18 +87,18 @@ def tensor_reference(problem, mu, level: int,
     u0 = warm.get(level) if warm is not None else None
     counters = QueryCounters() if counters is None else counters
     prim = solve_primal(problem, nodes, mu, u0=u0)
-    adj = solve_adjoint(problem, prim.u, nodes, mu)
+    lam = solve_adjoint(problem, prim.u, nodes, mu)
     counters.count_primals(prim)
     counters.n_ha += len(nodes)
     if warm is not None:
         warm[level] = prim.u
     j_val = node_sum(weights, problem.qoi(prim.u, nodes, mu))
-    grad = node_sum(weights, adjoint_gradient(problem, adj.lam, prim.u, nodes, mu))
+    grad = node_sum(weights, adjoint_gradient(problem, lam, prim.u, nodes, mu))
     return j_val, grad
 
 
-def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
-                    gtol: float = 1e-6, max_iters: int = 100):
+def sg_iso_baseline(problem, mu0, counters: QueryCounters, *, level: int,
+                    gtol: float, max_iters: int):
     """BFGS with backtracking on the fixed isotropic tensor-grid objective.
 
     Uses high-dimensional solves only, tallied in ``counters``; each
@@ -115,7 +116,10 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     rows; ``info["status"]`` is ``"converged"`` when that last point
     meets ``gtol``, also the point reached by the last of ``max_iters``
     steps, and ``"line_search_failed"`` when 40 halvings found no
-    acceptable trial point.
+    acceptable trial point.  ``level``, ``gtol`` and ``max_iters`` are
+    the config's ``baseline.level``, ``baseline.gtol`` and
+    ``baseline.max_iters``; the caller resolves an unset ``baseline.gtol``
+    to a number first.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
@@ -171,11 +175,11 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, level: int = 5,
     return mu, {"history": history, "status": status}
 
 
-def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
-                    seed: int = 2024):
+def validate_bounds(problem, basis: ReducedBasis, n_samples: int, seed: int):
     """Empirical ratio statistics for the residual-based error bounds.
 
-    Draws ``(y, mu)`` uniformly from the problem's working box, solves
+    Draws ``(y, mu)`` uniformly from the problem's working box with
+    ``default_rng(seed)`` (the run's ``[run] seed``), solves
     both the reduced and the full model, and reports the ratios
     ``|F - F_r| / ||r||`` and ``||grad F - g_hat|| / (||r|| + ||r_adj||)``.
     Samples whose primal residual is below ``1e-14`` carry no
@@ -196,10 +200,10 @@ def validate_bounds(problem, basis: ReducedBasis, n_samples: int,
             excluded += 1
             continue
         hdm_prim = solve_primal(problem, y, mu)
-        hdm_adj = solve_adjoint(problem, hdm_prim.u, y, mu)
+        hdm_lam = solve_adjoint(problem, hdm_prim.u, y, mu)
         u_rom = basis.expand(prim.q)
         f_err = problem.qoi(hdm_prim.u, y, mu) - problem.qoi(u_rom, y, mu)
-        g_err = (adjoint_gradient(problem, hdm_adj.lam, hdm_prim.u, y, mu)
+        g_err = (adjoint_gradient(problem, hdm_lam, hdm_prim.u, y, mu)
                  - adjoint_gradient(problem, basis.expand(adj.eta), u_rom, y, mu))
         qoi_ratios.append(abs(float(f_err[0])) / res)
         grad_ratios.append(float(np.linalg.norm(g_err[0])) / (res + adj_res))

@@ -257,13 +257,25 @@ def _accumulate(nodemap: dict, levels: tuple, coeff: float) -> None:
 
 
 def _combination_coefficients(mis: MultiIndexSet) -> dict:
+    """Nonzero coefficients ``sum (-1)^|z|`` over the bumps ``z`` in
+    ``{0, 1}^d`` with ``idx + z`` in the set, by sorted index.
+
+    A bump grows one direction at a time, in increasing order, and stops
+    once ``idx + z`` leaves the set, which, downward closed, then holds
+    no larger bump: the set lookups scale with the bumps in the set, not
+    with ``2^d``.
+    """
     coeffs = {}
     for idx in mis.sorted_indices:
         c = 0
-        for bump in itertools.product((0, 1), repeat=mis.dim):
-            shifted = tuple(i + b for i, b in zip(idx, bump))
-            if shifted in mis.indices:
-                c += -1 if sum(bump) % 2 else 1
+        grow = [(idx, 1, 0)]   # (idx + z, (-1)^|z|, first direction z may add)
+        while grow:
+            shifted, sign, first = grow.pop()
+            c += sign
+            for j in range(first, mis.dim):
+                bumped = shifted[:j] + (shifted[j] + 1,) + shifted[j + 1:]
+                if bumped in mis.indices:
+                    grow.append((bumped, -sign, j + 1))
         if c != 0:
             coeffs[idx] = float(c)
     return coeffs

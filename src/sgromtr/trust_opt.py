@@ -12,7 +12,7 @@ solely by the greedy snapshot sampling inside the refinement drivers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -62,6 +62,10 @@ class TrustRegionConfig:
     theta_floor: float = 1e-6
 
     def __post_init__(self):
+        # every value finite; the range checks accept, so a NaN fails them too
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise ValueError(f"{f.name} must be finite")
         if not (0.0 < self.eta1 < self.eta2 < 1.0):
             raise ValueError("need 0 < eta1 < eta2 < 1")
         if not (0.0 < self.gamma < 1.0):
@@ -70,21 +74,21 @@ class TrustRegionConfig:
             raise ValueError("need 0 < eta <= min(eta1, 1 - eta2)")
         if not (0.0 < self.omega < 1.0):
             raise ValueError("need 0 < omega < 1")
-        if self.kappa_phi <= 0.0:
+        if not (self.kappa_phi > 0.0):
             raise ValueError("need kappa_phi > 0")
         if not (0.0 < self.kappa_s < 1.0):
             raise ValueError("need 0 < kappa_s < 1")
-        if self.r0 <= 0.0 or self.Delta0 <= 0.0:
+        if not (self.r0 > 0.0 and self.Delta0 > 0.0):
             raise ValueError("need r0 > 0 and Delta0 > 0")
-        if self.Delta_max < self.Delta0:
+        if not (self.Delta_max >= self.Delta0):
             raise ValueError("need Delta_max >= Delta0")
-        if self.gtol < 0.0 or self.theta_floor < 0.0:
+        if not (self.gtol >= 0.0 and self.theta_floor >= 0.0):
             raise ValueError("need gtol >= 0 and theta_floor >= 0")
-        if self.max_iters < 1 or self.level_cap < 1:
+        if not (self.max_iters >= 1 and self.level_cap >= 1):
             raise ValueError("need max_iters, level_cap >= 1")
-        if len(self.betas) != 3 or any(b <= 0 for b in self.betas):
+        if not (len(self.betas) == 3 and all(b > 0.0 for b in self.betas)):
             raise ValueError("betas must be three positive reals")
-        if len(self.alphas) != 2 or any(a <= 0 for a in self.alphas):
+        if not (len(self.alphas) == 2 and all(a > 0.0 for a in self.alphas)):
             raise ValueError("alphas must be two positive reals")
 
     def r_k(self, k: int) -> float:
@@ -121,7 +125,7 @@ def _boundary_tau(p, d, Delta):
 
 
 def steihaug_toint(gradient, hessvec: Callable, Delta: float,
-                   kappa_s: float = 1e-4) -> SteihaugResult:
+                   kappa_s: float) -> SteihaugResult:
     """Truncated CG on the quadratic model within the trust region.
 
     Terminates at the boundary on negative curvature or radius exit, or
@@ -223,11 +227,11 @@ def tr_init(problem, config: TrustRegionConfig, mu0) -> TrustRegionState:
     prim = solve_primal(problem, y0, mu0)
     counters.count_primals(prim)
     sens = primal_sensitivities(problem, prim.u, y0, mu0)
-    adj = solve_adjoint(problem, prim.u, y0, mu0)
+    lam = solve_adjoint(problem, prim.u, y0, mu0)
     counters.n_ha += problem.n_mu + 1
 
     basis = ReducedBasis(problem.n_u)
-    vectors = [prim.u[0], *sens[0], adj.lam[0]]
+    vectors = [prim.u[0], *sens[0], lam[0]]
     kinds = ["primal"] + ["sensitivity"] * problem.n_mu + ["adjoint"]
     basis.append_snapshots(vectors, kinds, y0[0], mu0)
     origin = (cc_rule(1).keys[0],) * problem.n_y
@@ -271,9 +275,7 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegio
     and hands on the pair unchanged.  Every call appends exactly one
     history row.
     """
-    refine_for_gradient(state.pair, state.mu, state.Delta, config.kappa_phi,
-                        config.betas, config.gtol, level_cap=config.level_cap,
-                        events=state.events)
+    refine_for_gradient(state.pair, state.mu, state.Delta, config, events=state.events)
     g = state.pair.model_gradient(state.mu)
     gnorm = float(np.linalg.norm(g))
     if min(gnorm, state.Delta) <= config.gtol:
@@ -299,11 +301,8 @@ def tr_iterate(state: TrustRegionState, config: TrustRegionConfig) -> TrustRegio
     if m_dec > 0.0:
         # the objective stage and the next center touch only mu_k and mu_hat
         pair_obj = state.pair.clone([state.mu, mu_hat])
-        refine_for_objective(pair_obj, state.mu, mu_hat, m_dec,
-                             config.r_k(state.k), config.eta, config.omega,
-                             config.alphas, level_cap=config.level_cap,
-                             threshold_floor=config.theta_floor,
-                             events=state.events)
+        refine_for_objective(pair_obj, state.mu, mu_hat, m_dec, config.r_k(state.k),
+                             config, events=state.events)
         psi_center = pair_obj.model_value(state.mu)
         psi_trial = pair_obj.model_value(mu_hat)
         rho = (psi_center - psi_trial) / m_dec

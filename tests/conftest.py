@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -71,6 +73,24 @@ def burgers_bands(u, ul, ur, nu, h):
     lo[..., 1:] = -nu / h2 - u[..., 1:] / (2.0 * h)
     up[..., :-1] = -nu / h2 + u[..., :-1] / (2.0 * h)
     return lo, dg, up
+
+
+def combination_coefficients(mis):
+    """Coefficient ``sum_z (-1)^|z|`` over every bump ``z`` in ``{0, 1}^d``
+    with ``idx + z`` in the set, for each index in sorted order, the zeros
+    left out: the brute-force reference for
+    ``sparse_grid._combination_coefficients``, at ``2^d`` set lookups per
+    index."""
+    coeffs = {}
+    for idx in mis.sorted_indices:
+        c = 0
+        for bump in itertools.product((0, 1), repeat=mis.dim):
+            shifted = tuple(i + b for i, b in zip(idx, bump))
+            if shifted in mis.indices:
+                c += -1 if sum(bump) % 2 else 1
+        if c != 0:
+            coeffs[idx] = float(c)
+    return coeffs
 
 
 def quadratic_minimizer(problem, y=None):

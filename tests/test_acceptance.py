@@ -114,7 +114,7 @@ def baseline_run(burgers_run):
     counters = QueryCounters()
     t0 = time.monotonic()
     mu_iso, info = sg_iso_baseline(problem, np.zeros(8), level=5,
-                                   gtol=matched_gtol, counters=counters)
+                                   gtol=matched_gtol, max_iters=100, counters=counters)
     return mu_iso, counters, info, time.monotonic() - t0
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,10 +28,10 @@ def make_pair(problem, mu_seed=None, grid_indices=None):
     counters = QueryCounters()
     sol = solve_primal(problem, np.zeros((1, problem.n_y)), mu_seed)
     counters.count_primals(sol)
-    adj = solve_adjoint(problem, sol.u, np.zeros((1, problem.n_y)), mu_seed)
+    lam = solve_adjoint(problem, sol.u, np.zeros((1, problem.n_y)), mu_seed)
     counters.n_ha += 1
     basis = ReducedBasis(problem.n_u)
-    basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
+    basis.append_snapshots([sol.u[0], lam[0]], ["primal", "adjoint"],
                            np.zeros(problem.n_y), mu_seed)
     grid = (MultiIndexSet.unit(problem.n_y) if grid_indices is None
             else MultiIndexSet.from_indices(grid_indices))
@@ -42,8 +43,8 @@ def sample_everywhere(pair, mu):
     quad = pair.union_quad()
     for key, coord in zip(quad.keys, quad.coords):
         sol = solve_primal(pair.problem, coord[None], mu)
-        adj = solve_adjoint(pair.problem, sol.u, coord[None], mu)
-        pair.basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
+        lam = solve_adjoint(pair.problem, sol.u, coord[None], mu)
+        pair.basis.append_snapshots([sol.u[0], lam[0]], ["primal", "adjoint"],
                                     coord, mu)
         pair.basis.sampled_points.add((key, _mu_key(mu)))
 
@@ -72,7 +73,8 @@ def test_phi_combines_terms_with_betas(lin, monkeypatch):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_gradient(pair, mu, 1.0, 1e-2, (2.0, 4.0, 8.0), 0.0, events=events)
+    cfg = TrustRegionConfig(kappa_phi=1e-2, betas=(2.0, 4.0, 8.0), gtol=0.0)
+    refine_for_gradient(pair, mu, 1.0, cfg, events=events)
     check = events[-1]
     assert check.kind == "exit_check" and len(seen) > 1
     last = seen[-1]
@@ -204,7 +206,8 @@ def test_no_repeated_hdm_sampling(lin):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_gradient(pair, mu, 1.0, 1e-3, (1.0, 1.0, 1.0), 0.0, events=events)
+    refine_for_gradient(pair, mu, 1.0, TrustRegionConfig(kappa_phi=1e-3, gtol=0.0),
+                        events=events)
     sampled = [ev.detail for ev in events if ev.kind == "add_snapshot"]
     assert len(sampled) == len(set(sampled))
 
@@ -228,8 +231,8 @@ def test_refine_gradient_noop_when_gradient_flat(lin):
     pair = make_pair(prob, mu_seed=np.full(prob.n_mu, 0.2))
     grid_before, k_before = pair.grid, pair.basis.k
     events = []
-    out = refine_for_gradient(pair, np.full(prob.n_mu, 0.2), 1.0, 1.0,
-                              (1.0, 1.0, 1.0), 0.0, events=events)
+    out = refine_for_gradient(pair, np.full(prob.n_mu, 0.2), 1.0,
+                              TrustRegionConfig(gtol=0.0), events=events)
     assert out.grid is grid_before and out.basis.k == k_before
     assert events == []
 
@@ -238,7 +241,8 @@ def test_refine_gradient_cold_start_samples(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_gradient(pair, mu, 1.0, 1e-2, (1.0, 1.0, 1.0), 0.0, events=events)
+    refine_for_gradient(pair, mu, 1.0, TrustRegionConfig(kappa_phi=1e-2, gtol=0.0),
+                        events=events)
     kinds = {ev.kind for ev in events}
     assert "add_snapshot" in kinds
     checks = [ev for ev in events if ev.kind == "exit_check"]
@@ -248,10 +252,9 @@ def test_refine_gradient_cold_start_samples(lin):
 def test_refine_gradient_exit_conditions_hold(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
-    betas = (1.0, 1.0, 1.0)
     kappa_phi = 0.1
     delta = 0.5
-    refine_for_gradient(pair, mu, delta, kappa_phi, betas, 0.0)
+    refine_for_gradient(pair, mu, delta, TrustRegionConfig(kappa_phi=kappa_phi, gtol=0.0))
     terms, _ = eval_gradient_indicator(pair, mu)
     guard = min(np.linalg.norm(pair.model_gradient(mu)), delta)
     assert terms["e1"] <= kappa_phi / 3 * guard
@@ -264,8 +267,8 @@ def test_refine_gradient_respects_level_cap(lin):
     mu = np.linspace(-0.4, 0.4, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     with pytest.raises(LevelCapError):
-        refine_for_gradient(pair, mu, 1e-12, 1e-9, (1.0, 1.0, 1.0), 0.0,
-                            level_cap=2)
+        refine_for_gradient(pair, mu, 1e-12, TrustRegionConfig(
+            kappa_phi=1e-9, gtol=0.0, level_cap=2))
 
 
 def test_refine_gradient_thresholds_floored_at_gtol(lin):
@@ -276,8 +279,8 @@ def test_refine_gradient_thresholds_floored_at_gtol(lin):
     pair = make_pair(lin, mu_seed=mu)
     kappa_phi, betas, gtol = 10.0, (1.0, 2.0, 4.0), 1e-6
     events = []
-    refine_for_gradient(pair, mu, 1e-12, kappa_phi, betas, gtol,
-                        level_cap=2, events=events)
+    cfg = TrustRegionConfig(kappa_phi=kappa_phi, betas=betas, gtol=gtol, level_cap=2)
+    refine_for_gradient(pair, mu, 1e-12, cfg, events=events)
     check = events[-1]
     assert check.kind == "exit_check" and check.ok
     assert check.after == 1e-12
@@ -291,13 +294,14 @@ def test_refine_gradient_thresholds_floored_at_gtol(lin):
 # ---------------------------------------------------------------------------
 
 def test_objective_threshold_arithmetic():
-    thr1, thr2 = objective_thresholds(0.5, 1.0, eta=0.1, omega=0.1,
-                                      alphas=(1e-2, 1e-2))
+    # the exact thresholds, about 4.9e-12 here, lie below the default
+    # theta_floor, which then sets both and is named as their bound
     expected = (0.1 * 0.5) ** 10 / (2 * 1e-2)
-    assert thr1 == pytest.approx(expected) and thr2 == pytest.approx(expected)
-    thr1f, _ = objective_thresholds(0.5, 1.0, 0.1, 0.1, (1e-2, 1e-2),
-                                    floor=1e-6)
-    assert thr1f == 1e-6
+    thresholds, names = objective_thresholds(0.5, 1.0, TrustRegionConfig(theta_floor=0.0))
+    assert thresholds == pytest.approx((expected, expected))
+    assert names == ("exact", "exact")
+    assert objective_thresholds(0.5, 1.0, TrustRegionConfig()) == (
+        (1e-6, 1e-6), ("theta_floor", "theta_floor"))
 
 
 def test_refine_objective_noop_when_satisfied(lin):
@@ -307,8 +311,7 @@ def test_refine_objective_noop_when_satisfied(lin):
     # enormous floor: both inequalities hold at entry, so psi == m and
     # the actual-to-predicted ratio of the enclosing step would be one
     out = refine_for_objective(pair, mu, mu + 0.01, m_decrease=1e-3, r_k=1.0,
-                               eta=0.1, omega=0.1, alphas=(1e-2, 1e-2),
-                               threshold_floor=1e6)
+                               config=TrustRegionConfig(theta_floor=1e6))
     assert out.grid is grid_before and out.basis.k == k_before
 
 
@@ -316,20 +319,18 @@ def test_refine_objective_rejects_nonpositive_decrease(lin_pair, lin):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     with pytest.raises(ValueError):
         refine_for_objective(lin_pair, mu, mu, m_decrease=0.0, r_k=1.0,
-                             eta=0.1, omega=0.1, alphas=(1e-2, 1e-2))
+                             config=TrustRegionConfig())
 
 
 def test_refine_objective_exit_conditions_hold(lin):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     mu_hat = mu + 0.02
     pair = make_pair(lin, mu_seed=mu)
-    floor = 1e-5
-    refine_for_objective(pair, mu, mu_hat, m_decrease=1e-3, r_k=1.0,
-                         eta=0.1, omega=0.1, alphas=(1e-2, 1e-2),
-                         threshold_floor=floor)
+    cfg = TrustRegionConfig(theta_floor=1e-5)
+    refine_for_objective(pair, mu, mu_hat, m_decrease=1e-3, r_k=1.0, config=cfg)
     terms, _ = eval_objective_indicator(pair, mu, mu_hat)
-    thr1, thr2 = objective_thresholds(1e-3, 1.0, 0.1, 0.1, (1e-2, 1e-2),
-                                      floor=floor)
+    (thr1, thr2), _ = objective_thresholds(1e-3, 1.0, cfg)
+    assert thr1 == thr2 == 1e-5
     assert terms["e1'"] <= thr1
     assert terms["e2'"] <= thr2
     assert is_admissible(pair.grid)
@@ -341,18 +342,31 @@ def test_objective_exit_names_binding_bound(lin):
     mu = np.linspace(-0.3, 0.3, lin.n_mu)
     pair = make_pair(lin, mu_seed=mu)
     events = []
-    refine_for_objective(pair, mu, mu + 0.02, m_decrease=1.0, r_k=1.0,
-                         eta=0.1, omega=0.9, alphas=(1e-2, 1e3),
-                         threshold_floor=1e-3, events=events)
+    cfg = TrustRegionConfig(omega=0.9, alphas=(1e-2, 1e3), theta_floor=1e-3)
+    refine_for_objective(pair, mu, mu + 0.02, m_decrease=1.0, r_k=1.0, config=cfg,
+                         events=events)
     check = events[-1]
     assert check.kind == "exit_check" and check.ok
-    exact = objective_thresholds(1.0, 1.0, 0.1, 0.9, (1e-2, 1e3))
+    exact, _ = objective_thresholds(1.0, 1.0, replace(cfg, theta_floor=0.0))
     assert exact[0] > 1e-3 > exact[1]
     bounds = re.findall(r"(\S+)=\S+<=(\S+)\((\w+)\)", check.detail)
     assert [(t, b) for t, _, b in bounds] == [("e1'", "exact"),
                                              ("e2'", "theta_floor")]
     assert [float(v) for _, v, _ in bounds] == pytest.approx([exact[0], 1e-3],
                                                              rel=1e-6)
+
+
+def test_objective_stage_stops_at_the_config_floor(lin):
+    # the driver keeps no floor of its own: under the default config the
+    # exact thresholds, about 4.9e-12 here, give way to theta_floor = 1e-6
+    mu = np.linspace(-0.3, 0.3, lin.n_mu)
+    pair = make_pair(lin, mu_seed=mu)
+    events = []
+    refine_for_objective(pair, mu, mu + 0.02, 0.5, 1.0, TrustRegionConfig(),
+                         events=events)
+    bounds = re.findall(r"(\S+)=\S+<=(\S+)\((\w+)\)", events[-1].detail)
+    assert bounds == [("e1'", "1.000000e-06", "theta_floor"),
+                      ("e2'", "1.000000e-06", "theta_floor")]
 
 
 def test_one_indicator_evaluation_per_change(lin, monkeypatch):
@@ -542,8 +556,7 @@ def test_primal_readers_solve_no_adjoint(lin):
     pair.model_value(mu)
     assert pair.counters.n_rp > n_rp
     refine_for_objective(pair, mu, mu + 0.02, m_decrease=1e-3, r_k=1.0,
-                         eta=0.1, omega=0.1, alphas=(1e-2, 1e-2),
-                         threshold_floor=1e-5)
+                         config=TrustRegionConfig(theta_floor=1e-5))
     assert pair.basis.k > 2      # the stage sampled and re-solved nodes
     assert pair.counters.n_ra == n_ra
     assert all(ev.adj_res is None

@@ -10,7 +10,8 @@ from sgromtr.cli import (EXIT_CONFIG_ERROR, EXIT_MAX_ITERS, EXIT_OK,
                          EXIT_SOLVER_FAILURE, EXIT_SUITE_FAILED,
                          SOLVER_FAILURES, _CsvWriter, main, run_optimize,
                          run_validate, suite_fd_gradient)
-from sgromtr.config import ConfigError, RunConfig, echo_config, load_config
+from sgromtr.config import (_SCHEMA, ConfigError, RunConfig, echo_config,
+                            load_config)
 from sgromtr.hdm import LinearDiffusion, SolverError
 from sgromtr.oracle import tensor_reference
 
@@ -127,6 +128,23 @@ def test_range_violation_rejected(tmp_path, case):
     text, key = RANGE_VIOLATIONS[case]
     with pytest.raises(ConfigError, match=key):
         load_config(write(tmp_path, text))
+
+
+#: each key that sets a trust-region constant, at nan, and two keys whose
+#: inclusive range [lo, inf] would take inf
+NON_FINITE = ([f"{section}.{key}=nan" for section in ("trust_region", "indicators")
+               for key in _SCHEMA[section]]
+              + ["problem.alpha=inf", "baseline.gtol=inf"])
+
+
+@pytest.mark.parametrize("case", NON_FINITE)
+def test_non_finite_value_rejected(tmp_path, case):
+    # a nan gtol ran to max_iters at a gradient norm of 4.6e-12: no
+    # comparison with nan is true, so the stopping test never fired
+    key, value = case.split("=")
+    section, name = key.split(".")
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(write(tmp_path, f"[{section}]\n{name} = {value}\n"))
 
 
 def test_mu0_parsing(tmp_path):

@@ -1,6 +1,7 @@
 """Every banded kernel must agree with the dense matrix it represents."""
 
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -357,8 +358,9 @@ def test_empty_stack_solves_to_empty_arrays(solver):
     calls = {
         "solve_primal": (lambda: solve_primal(problem, ys, mu),
                          {"u": (0, n_u), "residual_norm": (0,), "iters": (0,)}),
-        "solve_adjoint": (lambda: solve_adjoint(problem, np.zeros((0, n_u)), ys, mu),
-                          {"lam": (0, n_u), "residual_norm": (0,)}),
+        "solve_adjoint": (lambda: SimpleNamespace(
+                              lam=solve_adjoint(problem, np.zeros((0, n_u)), ys, mu)),
+                          {"lam": (0, n_u)}),
         "solve_rom_primal": (lambda: solve_rom_primal(problem, basis, ys, mu),
                              {"q": (0, 1), "residual_norm": (0,), "iters": (0,),
                               "stalled": (0,), "failed": (0,)}),

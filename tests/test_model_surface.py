@@ -23,8 +23,8 @@ def exact_pair(problem, mu, level=2):
     quad = pair.union_quad()
     for coord in quad.coords:
         sol = solve_primal(problem, coord[None], mu)
-        adj = solve_adjoint(problem, sol.u, coord[None], mu)
-        basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
+        lam = solve_adjoint(problem, sol.u, coord[None], mu)
+        basis.append_snapshots([sol.u[0], lam[0]], ["primal", "adjoint"],
                                coord, mu)
     return pair
 
@@ -96,11 +96,11 @@ def interpolating_pair(problem, mu, grid):
     quad = assemble(grid)
     for coord, w in zip(quad.coords, quad.weights):
         sol = solve_primal(problem, coord[None], mu)
-        adj = solve_adjoint(problem, sol.u, coord[None], mu)
-        basis.append_snapshots([sol.u[0], adj.lam[0]], ["primal", "adjoint"],
+        lam = solve_adjoint(problem, sol.u, coord[None], mu)
+        basis.append_snapshots([sol.u[0], lam[0]], ["primal", "adjoint"],
                                coord, mu)
         f_quad += w * problem.qoi(sol.u, coord[None], mu)[0]
-        g_quad += w * adjoint_gradient(problem, adj.lam, sol.u, coord[None], mu)[0]
+        g_quad += w * adjoint_gradient(problem, lam, sol.u, coord[None], mu)[0]
     return SgRomPair(problem, grid, basis, QueryCounters()), f_quad, g_quad
 
 

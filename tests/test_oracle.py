@@ -27,9 +27,9 @@ def test_fd_matches_adjoint_gradient(lin):
         y = rng.uniform(-1, 1, 2)
         mu = rng.uniform(-1, 1, 8)
         sol = solve_primal(lin, y[None], mu)
-        adj = solve_adjoint(lin, sol.u, y[None], mu)
-        g = adjoint_gradient(lin, adj.lam, sol.u, y[None], mu)[0]
-        gfd = fd_gradient(lin, y, mu)
+        lam = solve_adjoint(lin, sol.u, y[None], mu)
+        g = adjoint_gradient(lin, lam, sol.u, y[None], mu)[0]
+        gfd = fd_gradient(lin, y, mu, h=1e-5)
         assert np.linalg.norm(g - gfd) <= 1e-6 * np.linalg.norm(gfd)
 
 
@@ -49,8 +49,8 @@ def test_fd_error_v_shape(bur):
     y = np.array([0.3, -0.2])
     mu = np.full(8, 0.2)
     sol = solve_primal(bur, y[None], mu)
-    adj = solve_adjoint(bur, sol.u, y[None], mu)
-    g = adjoint_gradient(bur, adj.lam, sol.u, y[None], mu)[0]
+    lam = solve_adjoint(bur, sol.u, y[None], mu)
+    g = adjoint_gradient(bur, lam, sol.u, y[None], mu)[0]
     errs = {h: np.linalg.norm(fd_gradient(bur, y, mu, h=h) - g)
             for h in (1e-3, 1e-5, 1e-8)}
     assert errs[1e-5] < errs[1e-3]
@@ -71,9 +71,9 @@ def test_level_one_is_single_mean_node(lin):
     j1, g1 = tensor_reference(lin, mu, 1)
     y = np.zeros((1, 2))
     sol = solve_primal(lin, y, mu)
-    adj = solve_adjoint(lin, sol.u, y, mu)
+    lam = solve_adjoint(lin, sol.u, y, mu)
     assert j1 == pytest.approx(lin.qoi(sol.u, y, mu)[0])
-    np.testing.assert_allclose(g1, adjoint_gradient(lin, adj.lam, sol.u, y, mu)[0])
+    np.testing.assert_allclose(g1, adjoint_gradient(lin, lam, sol.u, y, mu)[0])
 
 
 def test_tensor_matches_rectangular_sparse_assembly(lin):
@@ -129,10 +129,10 @@ def test_tensor_reference_equals_node_loop(bur):
     for y, w in zip(nodes[:, None], weights):
         prim = solve_primal(bur, y, mu)
         loop.count_primals(prim)
-        adj = solve_adjoint(bur, prim.u, y, mu)
+        lam = solve_adjoint(bur, prim.u, y, mu)
         loop.n_ha += 1
         j_val += w * bur.qoi(prim.u, y, mu)[0]
-        grad += w * adjoint_gradient(bur, adj.lam, prim.u, y, mu)[0]
+        grad += w * adjoint_gradient(bur, lam, prim.u, y, mu)[0]
         mean += w * solve_primal(bur, y, np.zeros(8)).u[0]
     assert j_stack == j_val
     np.testing.assert_array_equal(g_stack, grad)
@@ -196,7 +196,7 @@ def test_baseline_solves_deterministic_quadratic(lin_deterministic):
     mu_star = quadratic_minimizer(lin_deterministic)
     counters = QueryCounters()
     mu_f, info = sg_iso_baseline(lin_deterministic, np.zeros(8), level=2,
-                                 gtol=1e-9, counters=counters)
+                                 gtol=1e-9, max_iters=100, counters=counters)
     assert info["status"] == "converged"
     assert np.linalg.norm(mu_f - mu_star) <= 1e-6
     assert counters.n_hp > 0 and counters.n_rp == 0
@@ -206,7 +206,7 @@ def test_baseline_zero_initial_gradient(lin_deterministic):
     mu_star = quadratic_minimizer(lin_deterministic)
     counters = QueryCounters()
     mu_f, info = sg_iso_baseline(lin_deterministic, mu_star, level=2,
-                                 gtol=1e-5, counters=counters)
+                                 gtol=1e-5, max_iters=100, counters=counters)
     assert len(info["history"]) == 1
     np.testing.assert_array_equal(mu_f, mu_star)
 
@@ -233,7 +233,7 @@ def test_baseline_scales_its_first_inverse_hessian(monkeypatch):
     objective = _quadratic(diag, b)
     points = stub_tensor_reference(monkeypatch, objective)
     sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), QueryCounters(),
-                    gtol=0.0, max_iters=2)
+                    level=5, gtol=0.0, max_iters=2)
     mu0 = np.zeros(8)
     g0 = objective(mu0)[1]
     mu1 = mu0 - g0
@@ -259,7 +259,7 @@ def test_baseline_backtracks_from_a_failed_trial_solve(monkeypatch):
                                    fails=lambda mu: np.linalg.norm(mu) > radius)
     counters = QueryCounters()
     mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), counters,
-                                 gtol=1e-8)
+                                 level=5, gtol=1e-8, max_iters=100)
     assert info["status"] == "converged"
     np.testing.assert_allclose(mu_f, mu_star, atol=1e-8)
     failed = sum(np.linalg.norm(p) > radius for p in points)
@@ -276,7 +276,8 @@ def test_baseline_line_search_failure(monkeypatch):
     stub_tensor_reference(monkeypatch,
                           lambda mu: (float(np.linalg.norm(mu)), np.ones(8)))
     counters = QueryCounters()
-    mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), counters)
+    mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), counters,
+                                 level=5, gtol=1e-6, max_iters=100)
     assert info["status"] == "line_search_failed"
     np.testing.assert_array_equal(mu_f, np.zeros(8))
     assert len(info["history"]) == 1
@@ -294,13 +295,13 @@ def test_full_space_basis_excludes_everything():
     basis.append_snapshots(rng.standard_normal((prob.n_u, prob.n_u)),
                            ["primal"] * prob.n_u, np.zeros(2), np.zeros(8))
     assert basis.k == prob.n_u
-    qe, ge = validate_bounds(prob, basis, 10)
+    qe, ge = validate_bounds(prob, basis, 10, seed=2024)
     assert qe.n_samples == 0 and qe.n_excluded == 10
     assert math.isnan(qe.max_ratio)
 
 
 def test_seed_basis_ratio_statistics(lin):
-    qe, ge = validate_bounds(lin, validation_seed_basis(lin), 100)
+    qe, ge = validate_bounds(lin, validation_seed_basis(lin), 100, seed=2024)
     assert qe.n_samples == 100
     assert np.all(np.isfinite(qe.ratios)) and np.all(np.isfinite(ge.ratios))
     assert qe.max_ratio <= 10 * qe.median_ratio

@@ -17,8 +17,8 @@ from sgromtr.rom import (ReducedBasis, RomSolveError, solve_rom_adjoint,
 def hdm_pair(problem, y, mu):
     """Full primal and adjoint states at one node ``y`` of length ``n_y``."""
     sol = solve_primal(problem, y[None], mu)
-    adj = solve_adjoint(problem, sol.u, y[None], mu)
-    return sol.u[0], adj.lam[0]
+    lam = solve_adjoint(problem, sol.u, y[None], mu)
+    return sol.u[0], lam[0]
 
 
 def seeded_basis(problem, seed=0, n_snaps=1):

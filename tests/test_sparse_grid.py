@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import combination_coefficients
 from sgromtr import sparse_grid
 from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
                                  difference_rule, integrate,
@@ -269,6 +270,44 @@ def test_weights_sum_to_one_property(dim, steps, seed):
     assert is_admissible(s)
     quad = assemble(s)
     assert abs(quad.weights.sum() - 1.0) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), steps=st.integers(0, 30),
+       seed=st.integers(0, 10_000))
+def test_combination_coefficients_match_brute_force(dim, steps, seed):
+    # grown bumps give the brute force's integers, in its order
+    s = random_admissible(dim, steps, seed)
+    got = sparse_grid._combination_coefficients(s)
+    assert list(got.items()) == list(combination_coefficients(s).items())
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its membership tests."""
+
+    lookups = 0
+
+    def __contains__(self, item):
+        type(self).lookups += 1
+        return super().__contains__(item)
+
+
+def test_d16_union_assembles_within_a_lookup_budget(monkeypatch):
+    # the union of a 5-index grid in 16 dimensions and its neighbors has
+    # 22 indices: every bump of every index would be 22 * 2^16 = 1.4
+    # million lookups; grown bumps take 602
+    grid = MultiIndexSet.unit(16)
+    for idx in [(2,) + (1,) * 15, (1, 2) + (1,) * 14, (2, 2) + (1,) * 14,
+                (3,) + (1,) * 15]:
+        grid = grid.with_index(idx)
+    union = grid.union_with_neighbors()
+    assert len(union) == 22
+    monkeypatch.setattr(_CountingSet, "lookups", 0)
+    coeffs = sparse_grid._combination_coefficients(
+        MultiIndexSet(16, _CountingSet(union.indices)))
+    assert _CountingSet.lookups <= 1000
+    assert sum(coeffs.values()) == 1.0
+    assert abs(assemble(union).weights.sum() - 1.0) <= 1e-13
 
 
 def test_weight_normalization_at_scale():

@@ -1,5 +1,6 @@
 """Subproblem solver, configuration validation, and the full driver."""
 
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import quadratic_minimizer
 
+from sgromtr import adapt, oracle, trust_opt
 from sgromtr.adapt import SgRomPair
 from sgromtr.hdm import QueryCounters
 from sgromtr.rom import ReducedBasis
@@ -36,10 +38,43 @@ def test_standard_defaults_accepted():
     {"Delta0": -1.0},
     {"betas": (1.0, 1.0)},
     {"alphas": (1e-2, -1e-2)},
+    # NaN passes a check written as "reject if x <= 0", and inf passes
+    # a lower bound: every real constant must be finite
+    {"kappa_phi": math.nan},
+    {"r0": math.nan},
+    {"Delta0": math.nan},
+    {"Delta_max": math.nan},
+    {"Delta_max": math.inf},
+    {"gtol": math.nan},
+    {"gtol": math.inf},
+    {"theta_floor": math.nan},
+    {"theta_floor": math.inf},
+    {"betas": (1.0, math.nan, 1.0)},
+    {"alphas": (math.nan, 1e-2)},
+    {"alphas": (1e-2, math.inf)},
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         TrustRegionConfig(**kwargs)
+
+
+#: parameter names of the run's constants: the config owns their values
+RUN_CONSTANTS = {"level_cap", "theta_floor", "threshold_floor", "floor",
+                 "kappa_s", "level", "gtol", "max_iters", "seed", "h"}
+
+
+@pytest.mark.parametrize("module", [adapt, trust_opt, oracle],
+                         ids=lambda m: m.__name__)
+def test_no_function_defaults_a_run_constant(module):
+    # a default would be a second value beside the config's, free to
+    # disagree with it (the objective stage once defaulted its floor to 0)
+    defaults = [
+        (name, p.name)
+        for name, fn in vars(module).items()
+        if inspect.isfunction(fn) and fn.__module__ == module.__name__
+        for p in inspect.signature(fn).parameters.values()
+        if p.name in RUN_CONSTANTS and p.default is not p.empty]
+    assert defaults == []
 
 
 # ---------------------------------------------------------------------------
@@ -48,7 +83,7 @@ def test_invalid_configs_rejected(kwargs):
 
 def test_interior_newton_step_identity_hessian():
     g = np.array([3.0, 4.0])
-    res = steihaug_toint(g, lambda v: v, Delta=10.0)
+    res = steihaug_toint(g, lambda v: v, Delta=10.0, kappa_s=1e-4)
     np.testing.assert_allclose(res.step, -g, atol=1e-12)
     assert res.decrease == pytest.approx(0.5 * 25.0)
     assert not res.hit_boundary
@@ -56,7 +91,7 @@ def test_interior_newton_step_identity_hessian():
 
 def test_boundary_step_identity_hessian():
     g = np.array([3.0, 4.0])
-    res = steihaug_toint(g, lambda v: v, Delta=1.0)
+    res = steihaug_toint(g, lambda v: v, Delta=1.0, kappa_s=1e-4)
     np.testing.assert_allclose(res.step, -g / 5.0, atol=1e-12)
     assert res.hit_boundary
 
@@ -69,7 +104,7 @@ def test_spd_hessian_matches_newton_decrease():
     a = rng.standard_normal((5, 5))
     h = a @ a.T + 0.5 * np.eye(5)
     for g in (rng.standard_normal(5), 1e-16 * rng.standard_normal(5)):
-        res = steihaug_toint(g, lambda v: h @ v, Delta=1e6)
+        res = steihaug_toint(g, lambda v: h @ v, Delta=1e6, kappa_s=1e-4)
         gnorm = np.linalg.norm(g)
         assert not res.hit_boundary
         assert np.linalg.norm(h @ res.step + g) <= (
@@ -81,13 +116,13 @@ def test_spd_hessian_matches_newton_decrease():
 
 def test_negative_curvature_hits_boundary():
     g = np.array([1.0, 0.0])
-    res = steihaug_toint(g, lambda v: -v, Delta=2.0)
+    res = steihaug_toint(g, lambda v: -v, Delta=2.0, kappa_s=1e-4)
     assert np.linalg.norm(res.step) == pytest.approx(2.0)
     assert res.hit_boundary
 
 
 def test_zero_gradient_zero_step():
-    res = steihaug_toint(np.zeros(3), lambda v: v, Delta=1.0)
+    res = steihaug_toint(np.zeros(3), lambda v: v, Delta=1.0, kappa_s=1e-4)
     assert res.decrease == 0.0
     np.testing.assert_array_equal(res.step, np.zeros(3))
 
@@ -122,7 +157,7 @@ def test_one_hessvec_per_cg_iteration(shift, delta, boundary):
         calls.append(v)
         return h @ v
 
-    res = steihaug_toint(g, hessvec, Delta=delta)
+    res = steihaug_toint(g, hessvec, Delta=delta, kappa_s=1e-4)
     assert res.hit_boundary == boundary
     assert len(calls) == res.iters
     p = res.step
@@ -234,7 +269,6 @@ def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
     # a flat injected model rejects the step: on the refined pair it gives
     # psi_center = psi_trial (rho = 0 <= eta1), on the center pair
     # m_center = m_trial (no predicted decrease)
-    from sgromtr import trust_opt
 
     def flatten(pair):
         pair.model_value = lambda mu: 0.0
@@ -272,7 +306,6 @@ def test_rejected_step_keeps_center_and_shrinks(lin_deterministic, monkeypatch,
 def test_on_iteration_once_per_iteration(lin_deterministic, monkeypatch, flat):
     # every iteration hands its one history row to on_iteration, the
     # rejections without model decrease of a flattened model included
-    from sgromtr import trust_opt
 
     real = trust_opt.tr_init
 
