@@ -25,11 +25,14 @@ full-model solvers :func:`solve_primal` and :func:`solve_adjoint`.  A
 stack has states ``(m, n_u)`` and nodes ``(m, n_y)``, results are
 arrays with one row or entry per node, and each row is bitwise equal to
 its own stack of one.  A solve runs one damped-Newton loop and one
-adjoint sweep for all of its nodes, with per-node index sets for the
-stopping and backtracking rules, and it cuts its stack into balanced
-parts that fit ``kernels.STACK_BYTES`` at ten arrays of ``n_u`` floats
-per node (see ``_NODE_ARRAYS``): at ``n_u = 127`` a level-5 tensor grid
-of 289 nodes is two parts, so two Thomas sweeps per Newton step.
+adjoint sweep over its whole stack, with per-node index sets for the
+stopping and backtracking rules: a Thomas sweep loops over the ``n_u``
+rows in Python and costs about the same at any node count, so the stack
+is never cut.  Its memory grows with the stack instead: a full-model
+solve holds about 8.3 arrays of ``n_u`` floats per node of its stack
+at its peak (``tracemalloc``, cold Burgers start on the 289 nodes of a
+level-5 tensor grid: 8.3 for the primal, 7.3 for the adjoint with the
+states it reads).
 
 Like the reduced solvers, the solvers here take no tolerance (Newton's
 are the ``NEWTON_*`` constants) and count no query (see :class:`QueryCounters`).
@@ -395,9 +398,13 @@ def _newton(problem, y, mu, u, tol_abs, r):
 
         def above_roundoff(rows, t):
             # tested once, before the first halving, at the iterate the
-            # step started from, on half the rows at a time (see
-            # _NODE_ARRAYS), which gives each row the floor of its own
-            # stack of one
+            # step started from, which gives each row the floor of its
+            # own stack of one.  The test forms seven arrays of n_u per
+            # row it tests (a state row, its bands and the scale's
+            # scratch), so it takes half the rows at a time: on a cold
+            # 289-node start, where most nodes reject the first full
+            # step, that holds the primal peak at 8.3 arrays per node,
+            # where testing every row at once peaks at 10.4
             if t < 0.5:
                 return np.ones(rows.size, bool)
             i = at[rows]
@@ -429,27 +436,10 @@ def _primal(problem, y, mu, u0):
     r = problem.residual(u, y, mu)
     tol_abs = NEWTON_TOL_ABS * (1.0 + kernels.row_norm(r))
     if u0 is not None:
-        u, r = np.array(u0, dtype=float), None
+        u, r = np.array(u0, dtype=float, order="C"), None
     if not np.isfinite(u).all():
         raise ValueError("initial state contains non-finite entries")
     return _newton(problem, y, mu, u, tol_abs, r)
-
-
-#: Arrays of ``n_u`` floats that one node of a full-model solve holds:
-#: its peak in a Newton or adjoint sweep as ``tracemalloc`` measures
-#: it, rounded up (8.6 to 9.4 on Burgers stacks of 145 to 64 nodes, cold
-#: or warm, in the Thomas sweep of a Newton step).  At the line search
-#: they are the state, residual, step and trial state, and the residual
-#: kernel's padded state, output and scratch array; the adjoint's bands,
-#: right-hand side and Thomas rows hold less (7.9 to 9.0).  The
-#: round-off test of rejected full steps forms seven arrays per node it
-#: tests, a state row, its bands and the scale's scratch, once the trial
-#: state and residual are freed, and the scale's two numpy buffers (see
-#: :func:`kernels.roundoff_scale`), 1.9 arrays more per node at 69
-#: nodes.  It tests half the rejected nodes at a time: on a cold start's
-#: first step at ``n_u = 127``, where 137 of 145 nodes reject it, the
-#: test peaks at 7.3, where testing them all at once would peak at 10.6.
-_NODE_ARRAYS = 10
 
 
 def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
@@ -466,14 +456,15 @@ def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     beneath the evaluation noise floor of a stiff operator.
 
     ``y`` is ``(m, n_y)``, any other shape a ValueError, and ``u0``, if
-    given, ``(m, n_u)``.  The stack is solved by one Newton loop per
-    part, and every node's state and iteration count are bitwise equal
-    to its own stack of one.  If a node fails, the error names the first
-    failed node (in a stack of more than one), its iteration count and
-    its residual norm.
+    given, ``(m, n_u)``.  The whole stack is solved by one Newton loop,
+    and every node's state and iteration count are bitwise equal to its
+    own stack of one.  If a node fails, the error names the first failed
+    node (in a stack of more than one), its iteration count and its
+    residual norm.
     """
-    u, rnorm, iters, ok = kernels.in_parts(
-        _primal, 8 * _NODE_ARRAYS * problem.n_u, problem, y, mu, u0)
+    y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
+    u, rnorm, iters, ok = _primal(problem, y, np.asarray(mu, dtype=float), u0)
     if not ok.all():
         at = int(np.flatnonzero(~ok)[0])
         where = f" at node {at} of {len(y)}" if len(y) > 1 else ""
@@ -493,24 +484,25 @@ def solve_adjoint(problem, u, y, mu) -> np.ndarray:
 
     ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)`` (any other
     shape of ``y`` is a ValueError); returns the ``(m, n_u)`` adjoint
-    states.  The stack is solved by one sweep per part, each row bitwise
+    states.  The whole stack is solved by one sweep, each row bitwise
     equal to its own stack of one.  A singular Jacobian at any node is a
     SolverError.  :func:`adjoint_residual` evaluates the residual of a
     solve.
     """
-    lam, = kernels.in_parts(_adjoint, 8 * _NODE_ARRAYS * problem.n_u,
-                            problem, y, mu, u)
-    return lam
+    y = np.asarray(y, dtype=float)
+    problem._check_nodes(y)
+    return _adjoint(problem, y, np.asarray(mu, dtype=float),
+                    np.asarray(u, dtype=float))
 
 
 def _adjoint(problem, y, mu, u):
-    """Adjoint states of a stack, as a tuple of one."""
+    """Adjoint states of a stack."""
     up_t, dg, lo_t = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
     # the bands of (dr/du)^T, shifted in place: lo_t[i] = up[i-1], up_t[i] = lo[i+1]
     lo_t[..., 1:], lo_t[..., 0] = lo_t[..., :-1], 0.0
     up_t[..., :-1], up_t[..., -1] = up_t[..., 1:], 0.0
-    return (_solved((lo_t, dg, up_t), rhs),)
+    return _solved((lo_t, dg, up_t), rhs)
 
 
 def adjoint_gradient(problem, lam, u, y, mu):

@@ -32,30 +32,25 @@ computed by the same elementwise operations, or the same BLAS call,
 whatever ``m`` is, so it is bitwise equal to its own one-row call.
 (A row-batched product, one ``(m x 3) @ (3 x k)`` per row ``i``, is
 not: it is a matrix-vector product for one node and a matrix-matrix
-product for several, which round differently.)  The solvers cut their
-stacks with :func:`stack_parts` into balanced parts that fit
-``STACK_BYTES``, each solver declaring what one node holds at the peak
-of its sweep (measured with ``tracemalloc``), and :func:`in_parts`
-solves the parts one by one.  Both solvers backtrack by
-:func:`halve_until_decrease`, one residual call per step length on the
-rows of a part that still search.  A full-model node holds the
-``(n,)`` arrays that ``hdm._NODE_ARRAYS`` counts: state, residual, step
-and line-search trial, and the residual kernel's three.  The reduced
-solves cut at two levels.  A part of a Gauss-Newton or adjoint solve
-holds the ``(n,)`` arrays per node that ``rom._NODE_ARRAYS`` counts:
-state, residual, Jacobian bands and three more, of the round-off
-scale or of the gradient pass, whose ``A^T r`` (:func:`band_t_matvec`)
-and per-row dots (:func:`row_dot`) test every node for stationarity
-without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
+product for several, which round differently.)  Both solvers
+backtrack by :func:`halve_until_decrease`, one residual call per step
+length on the rows of a stack that still search.  The full-model
+solvers sweep their whole stack at once (see ``hdm``).  The reduced
+solves cut theirs with :func:`stack_parts` at two levels, into
+balanced parts and chunks that fit ``STACK_BYTES``, declaring what one
+node holds at the peak of its sweep (measured with ``tracemalloc``).
+A part of a Gauss-Newton or adjoint solve holds the ``(n,)`` arrays per
+node that ``rom._NODE_ARRAYS`` counts: state, residual, Jacobian bands
+and three more, of the round-off scale or of the gradient pass, whose
+``A^T r`` (:func:`band_t_matvec`) and per-row dots (:func:`row_dot`)
+test every node for stationarity without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
 algebra of the nodes that take a step runs in chunks of nodes, each
 node holding ``k`` columns of ``n`` of the chunk's own ``J Phi`` or
 ``J^T Phi``, which a matrix product returns and the chunk drops, and,
 at its peak, the three bands of its product, or the ``[J Phi | r]``
 that a QR step builds and numpy's copy of it, and the ``k x k`` normal
 equations: about ``3k + 3`` columns of ``n`` and two ``(k + 1) x (k +
-1)`` blocks.  The full model wants few parts: :func:`band_solve` loops
-over the ``n`` rows in Python, so one call costs about the same at any
-node count.
+1)`` blocks.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -67,13 +62,10 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Bytes that each cut of a stacked solve may hold at its peak: a part
-#: of a full or reduced solve, or a chunk of the ``n x k`` algebra of a
-#: reduced iteration.  A reduced solve holds a part and a chunk at
-#: once.  At n = 127 this puts the 289 nodes of a level-5
-#: tensor grid in two full-model parts (a Thomas sweep per part,
-#: whatever its size), 140 nodes in one part of a reduced solve, and
-#: eight nodes at k = 47 in one chunk.
+#: Bytes that each cut of a reduced solve may hold at its peak: a part
+#: of its stack, or a chunk of the ``n x k`` algebra of an iteration.
+#: A reduced solve holds a part and a chunk at once.  At n = 127 this
+#: puts 140 nodes in one part and eight nodes at k = 47 in one chunk.
 STACK_BYTES = 3 * 2 ** 19
 
 
@@ -87,22 +79,6 @@ def stack_parts(m, node_bytes):
     size, extra = divmod(m, count)
     starts = [i * size + min(i, extra) for i in range(count + 1)]
     return [slice(a, b) for a, b in zip(starts, starts[1:])]
-
-
-def in_parts(solve, node_bytes, problem, y, mu, *stacks):
-    """``solve(problem, y[p], mu, *(a[p] for a in stacks))`` on the parts
-    of the node stack ``y`` that :func:`stack_parts` cuts at
-    ``node_bytes`` per node, with the parts' outputs (tuples of per-node
-    arrays) joined.  A None stack stays None.  ``y`` of a shape other
-    than ``(m, n_y)`` is the ValueError of ``problem._check_nodes``,
-    raised before any part is solved."""
-    y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
-    mu = np.asarray(mu, dtype=float)
-    stacks = [None if a is None else np.asarray(a, dtype=float) for a in stacks]
-    parts = [solve(problem, y[p], mu, *(None if a is None else a[p] for a in stacks))
-             for p in stack_parts(len(y), node_bytes)]
-    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def halve_until_decrease(residual, x, r, rnorm, step, open_):

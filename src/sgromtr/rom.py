@@ -56,7 +56,7 @@ left for a solve with no iterate to return.
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
 a stack of one) and cut it at two levels; however it is cut, every
 node's result is bitwise equal to solving it alone.
-:func:`kernels.in_parts` cuts the stack into balanced parts that fit
+:func:`_in_parts` cuts the stack into balanced parts that fit
 ``kernels.STACK_BYTES`` at ``_NODE_ARRAYS`` arrays of ``n_u`` per node
 (about 140 nodes at ``n_u = 127``, so a node sweep is mostly one part),
 and a part runs one Gauss-Newton loop: its states, residuals, Jacobian
@@ -90,7 +90,6 @@ rule needs no larger floor for conditioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -407,13 +406,21 @@ def _chunk_bytes(basis):
 
 
 def _in_parts(solve, problem, basis, ys, mu, q):
-    """``solve`` on the parts of the stack ``ys`` (:func:`kernels.in_parts`
-    at ``_NODE_ARRAYS`` arrays of ``n_u`` per node).  An empty basis is a
-    :class:`RomSolveError`."""
+    """``solve(problem, ys[p], mu, q[p], basis)`` on the parts ``p``
+    of the node stack ``ys`` that :func:`kernels.stack_parts` cuts at
+    ``_NODE_ARRAYS`` arrays of ``n_u`` per node, with the parts' outputs
+    (tuples of per-node arrays) joined.  An empty basis is a
+    :class:`RomSolveError`, and ``ys`` of a shape other than ``(m, n_y)``
+    the ValueError of ``problem._check_nodes``, both raised before any
+    part is solved."""
     if basis.k == 0:
         raise RomSolveError("reduced basis is empty")
-    return kernels.in_parts(partial(solve, basis=basis),
-                            8 * _NODE_ARRAYS * basis.n_u, problem, ys, mu, q)
+    ys = np.asarray(ys, dtype=float)
+    problem._check_nodes(ys)
+    mu, q = np.asarray(mu, dtype=float), np.asarray(q, dtype=float)
+    parts = [solve(problem, ys[p], mu, q[p], basis)
+             for p in kernels.stack_parts(len(ys), 8 * _NODE_ARRAYS * basis.n_u)]
+    return tuple(np.concatenate(out) for out in zip(*parts))
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:

@@ -280,9 +280,8 @@ def _stack_and_single(problem, ys, mu):
 
 
 @pytest.mark.parametrize("cls", [LinearDiffusion, BurgersControl], ids=lambda c: c.name)
-def test_primal_stack_matches_one_node_solves(cls, lin, bur, monkeypatch):
-    # a stack equals its one-node solves, from default and from warm
-    # starts, and whatever the parts it is cut into
+def test_primal_stack_matches_one_node_solves(cls, lin, bur):
+    # a stack equals its one-node solves, from default and from warm starts
     problem = lin if cls is LinearDiffusion else bur
     ys = np.array([[-1.0, 0.0], [0.3, -0.7], [1.0, 1.0], [0.0, 0.5], [-0.4, 0.9]])
     mu = np.linspace(-0.3, 0.3, 8)
@@ -292,11 +291,6 @@ def test_primal_stack_matches_one_node_solves(cls, lin, bur, monkeypatch):
     for i, y in enumerate(ys):
         np.testing.assert_array_equal(
             warm.u[i], solve_primal(problem, y[None], mu_warm, u0=stack.u[[i]]).u[0])
-    monkeypatch.setattr(kernels, "STACK_BYTES", 1)     # one node per part
-    split = solve_primal(problem, ys, mu)
-    np.testing.assert_array_equal(split.u, stack.u)
-    np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
-    assert split.newton_iters == stack.newton_iters
 
 
 def test_stack_failure_names_its_first_failed_node(bur, monkeypatch):
@@ -332,11 +326,12 @@ def test_fold_crosses_the_diagonal_between_035_and_033(bur):
         solve_primal(bur, ys, np.full(8, -0.35))
 
 
-def test_level5_grid_is_two_full_model_parts(bur, monkeypatch):
+@pytest.mark.parametrize("n_u", [127, 1023])
+def test_level5_grid_is_one_full_model_sweep(n_u, monkeypatch):
     # a Thomas sweep costs about the same at any node count, so the 289
-    # nodes of a level-5 tensor grid at n_u = 127 are two parts, of 145
-    # and 144, in the Newton and in the adjoint sweep
-    from sgromtr import hdm
+    # nodes of a level-5 tensor grid are one stack in the Newton and in
+    # the adjoint sweep, whatever n_u (a cut at ten arrays of n_u per node
+    # into STACK_BYTES made 2 parts at n_u = 127 and 16 at 1023)
     from sgromtr.sparse_grid import tensor_nodes
     sizes = {}
 
@@ -346,12 +341,13 @@ def test_level5_grid_is_two_full_model_parts(bur, monkeypatch):
             return solve(problem, stack, *args)
         return wrapper
 
+    prob = BurgersControl(n_u=n_u, ref_level=1)     # its target solves a stack
+    _, ys, _ = tensor_nodes((5, 5))
     for name in ("_primal", "_adjoint"):
         monkeypatch.setattr(hdm, name, counted(name, getattr(hdm, name)))
-    _, ys, _ = tensor_nodes((5, 5))
-    prim = solve_primal(bur, ys, np.zeros(8))
-    solve_adjoint(bur, prim.u, ys, np.zeros(8))
-    assert sizes == {"_primal": [145, 144], "_adjoint": [145, 144]}
+    prim = solve_primal(prob, ys, np.zeros(8))
+    solve_adjoint(prob, prim.u, ys, np.zeros(8))
+    assert sizes == {"_primal": [289], "_adjoint": [289]}
 
 
 @pytest.mark.parametrize("n_u", [511, 1023])
@@ -404,21 +400,28 @@ def test_fine_mesh_newton_stops_at_its_roundoff():
     assert sol.newton_iters == 1782
 
 
-def test_cold_start_part_peak_fits_its_declared_arrays(bur):
-    # a cold start rejects the first full step at 137 of these 145 nodes,
-    # the first part of the level-5 tensor grid, so every one of them
-    # takes the round-off test: the part's per-node peak, as tracemalloc
-    # measures it, is at most the _NODE_ARRAYS its parts are cut by
+def test_cold_start_peak_fits_ten_arrays_per_node(bur):
+    # a cold start rejects the first full step at most of the 289 nodes
+    # of the level-5 tensor grid, and each of those takes the round-off
+    # test: the per-node peak of the primal solve, and of the adjoint
+    # sweep with the states it reads, as tracemalloc measures them, is at
+    # most ten arrays of n_u (about 8.3 and 7.3; testing every row's
+    # round-off at once, not half the rows at a time, peaks at 10.4)
     from sgromtr.sparse_grid import tensor_nodes
     _, ys, _ = tensor_nodes((5, 5))
-    node_bytes = 8 * hdm._NODE_ARRAYS * bur.n_u
-    part = ys[kernels.stack_parts(len(ys), node_bytes)[0]]
-    assert len(part) == 145
+    mu = np.zeros(bur.n_mu)
+    budget = len(ys) * 10 * 8 * bur.n_u
     tracemalloc.start()
-    solve_primal(bur, part, np.zeros(bur.n_mu))
-    peak = tracemalloc.get_traced_memory()[1]
+    u = solve_primal(bur, ys, mu).u
+    primal_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    assert peak <= len(part) * node_bytes
+    tracemalloc.start()
+    u = u.copy()                          # the states the adjoint reads
+    solve_adjoint(bur, u, ys, mu)
+    adjoint_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert primal_peak <= budget
+    assert adjoint_peak <= budget
 
 
 def test_warm_start_stalls_at_roundoff_are_accepted():
