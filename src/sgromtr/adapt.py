@@ -181,19 +181,22 @@ class SgRomPair:
         ``near`` (see :meth:`_mus_by_distance`) is used only at a new
         ``mk``.  A node left without a start takes the projected last
         primal snapshot.  Stored solves of a smaller basis are
-        zero-padded to ``basis.k``.
+        zero-padded to ``basis.k``.  The interpolant runs in blocks of
+        new nodes whose weights and one tensor term's basis, at most a
+        float per grid node each, fit ``kernels.STACK_BYTES``.
         """
         k = self.basis.k
         stored = self._nodes.get(mk)
         if stored:
             picks = [stored[key].q if key in stored else None for key, _ in nodes]
-            new = [i for i, q in enumerate(picks) if q is None]
-            if new:
+            new = np.array([i for i, q in enumerate(picks) if q is None], dtype=int)
+            keys = assemble(self.grid).keys if new.size else ()
+            if keys and all(key in stored for key in keys):
                 coords = np.array([nodes[i][1] for i in new])
-                keys, W = interpolation_weights(self.grid, coords)
-                if all(key in stored for key in keys):
-                    fits = W @ _padded([stored[key].q for key in keys], k)
-                    for i, q in zip(new, fits):
+                values = _padded([stored[key].q for key in keys], k)
+                for block in kernels.stack_parts(new.size, 16 * len(keys)):
+                    fits = interpolation_weights(self.grid, coords[block])[1] @ values
+                    for i, q in zip(new[block], fits):
                         picks[i] = q
         else:
             picks = [next((self._nodes[wmk][key].q for wmk in near

@@ -28,11 +28,12 @@ its own stack of one.  A solve runs one damped-Newton loop and one
 adjoint sweep over its whole stack, with per-node index sets for the
 stopping and backtracking rules: a Thomas sweep loops over the ``n_u``
 rows in Python and costs about the same at any node count, so the stack
-is never cut.  Its memory grows with the stack instead: a full-model
-solve holds about 8.3 arrays of ``n_u`` floats per node of its stack
-at its peak (``tracemalloc``, cold Burgers start on the 289 nodes of a
-level-5 tensor grid: 8.3 for the primal, 7.3 for the adjoint with the
-states it reads).
+is never cut.  Its memory grows with the stack instead, the rule of the
+reduced solves too (which chunk only their ``n_u x k`` blocks, see
+``rom``): a full-model solve holds about 8.3 arrays of ``n_u`` floats
+per node of its stack at its peak (``tracemalloc``, cold Burgers start
+on the 289 nodes of a level-5 tensor grid: 8.3 for the primal, 7.3 for
+the adjoint with the states it reads).
 
 Like the reduced solvers, the solvers here take no tolerance (Newton's
 are the ``NEWTON_*`` constants) and count no query (see :class:`QueryCounters`).

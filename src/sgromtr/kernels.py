@@ -34,23 +34,21 @@ whatever ``m`` is, so it is bitwise equal to its own one-row call.
 not: it is a matrix-vector product for one node and a matrix-matrix
 product for several, which round differently.)  Both solvers
 backtrack by :func:`halve_until_decrease`, one residual call per step
-length on the rows of a stack that still search.  The full-model
-solvers sweep their whole stack at once (see ``hdm``).  The reduced
-solves cut theirs with :func:`stack_parts` at two levels, into
-balanced parts and chunks that fit ``STACK_BYTES``, declaring what one
-node holds at the peak of its sweep (measured with ``tracemalloc``).
-A part of a Gauss-Newton or adjoint solve holds the ``(n,)`` arrays per
-node that ``rom._NODE_ARRAYS`` counts: state, residual, Jacobian bands
-and three more, of the round-off scale or of the gradient pass, whose
-``A^T r`` (:func:`band_t_matvec`) and per-row dots (:func:`row_dot`)
-test every node for stationarity without an ``(n, k)`` product.  Inside each iteration the ``(n, k)``
-algebra of the nodes that take a step runs in chunks of nodes, each
-node holding ``k`` columns of ``n`` of the chunk's own ``J Phi`` or
-``J^T Phi``, which a matrix product returns and the chunk drops, and,
-at its peak, the three bands of its product, or the ``[J Phi | r]``
-that a QR step builds and numpy's copy of it, and the ``k x k`` normal
-equations: about ``3k + 3`` columns of ``n`` and two ``(k + 1) x (k +
-1)`` blocks.
+length on the rows of a stack that still search.  They sweep their
+whole stack at once, so its arrays of ``n`` grow with it (see
+``hdm`` and ``rom``).  The one cut is :func:`stack_parts`: the reduced
+solves run their ``(n, k)`` algebra, on the nodes that take a step, in
+chunks that fit ``STACK_BYTES``, each node of a chunk holding ``k``
+columns of ``n`` of the chunk's own ``J Phi`` or ``J^T Phi``, which a
+matrix product returns and the chunk drops, and, at its peak, the three
+bands of its product, or the ``[J Phi | r]`` that a QR step builds and
+numpy's copy of it, and the ``k x k`` normal equations: about ``3k +
+3`` columns of ``n`` and two ``(k + 1) x (k + 1)`` blocks
+(``rom._chunk_bytes``).  The sparse-grid warm starts of new nodes are
+cut into blocks in the same way (``adapt``).  The stationarity tests of
+a reduced solve need no ``(n, k)`` product: ``A^T r``
+(:func:`band_t_matvec`) and per-row dots (:func:`row_dot`) test every
+node.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,
@@ -62,10 +60,9 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Bytes that each cut of a reduced solve may hold at its peak: a part
-#: of its stack, or a chunk of the ``n x k`` algebra of an iteration.
-#: A reduced solve holds a part and a chunk at once.  At n = 127 this
-#: puts 140 nodes in one part and eight nodes at k = 47 in one chunk.
+#: Bytes that one chunk of the ``n x k`` algebra of a reduced solve, or
+#: one block of sparse-grid warm starts, may hold at its peak.  At n = 127
+#: this puts eight nodes at k = 47 in one chunk.
 STACK_BYTES = 3 * 2 ** 19
 
 

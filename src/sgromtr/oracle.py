@@ -108,18 +108,18 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, *, level: int,
     Nocedal & Wright (2006, *Numerical Optimization*, eq. 6.20), and is
     then updated by BFGS.  A trial point whose full solve fails
     (:class:`SolverError`) is rejected like one that fails the Armijo
-    test; at ``mu0`` the failure propagates.  A failed line search
-    terminates the iteration at the best known point.  Returns
-    ``(mu_final, info)``: ``info["history"]`` holds one row per iterate,
-    its objective, gradient norm and cumulative query counts, the last
-    row those of ``mu_final``, so a run of ``K`` steps has ``K + 1``
-    rows; ``info["status"]`` is ``"converged"`` when that last point
-    meets ``gtol``, also the point reached by the last of ``max_iters``
-    steps, and ``"line_search_failed"`` when 40 halvings found no
-    acceptable trial point.  ``level``, ``gtol`` and ``max_iters`` are
-    the config's ``baseline.level``, ``baseline.gtol`` and
-    ``baseline.max_iters``; the caller resolves an unset ``baseline.gtol``
-    to a number first.
+    test or the strict decrease; at ``mu0`` the failure propagates.  A
+    failed line search terminates the iteration at the best known point.
+    Returns ``(mu_final, info)``: ``info["history"]`` holds one row per
+    iterate, its objective, gradient norm and cumulative query counts,
+    the last row those of ``mu_final``, so a run of ``K`` steps has
+    ``K + 1`` rows; ``info["status"]`` is ``"converged"`` when that last
+    point meets ``gtol``, also the point reached by the last of
+    ``max_iters`` steps, and ``"line_search_failed"`` when 40 halvings
+    found no acceptable trial point.  ``level``, ``gtol`` and
+    ``max_iters`` are the config's ``baseline.level``, ``baseline.gtol``
+    and ``baseline.max_iters``; the caller resolves an unset
+    ``baseline.gtol`` to a number first.
     """
     mu = np.asarray(mu0, dtype=float).copy()
     n = problem.n_mu
@@ -155,7 +155,9 @@ def sg_iso_baseline(problem, mu0, counters: QueryCounters, *, level: int,
             except SolverError:
                 pass  # no steady state at the trial point: reject it
             else:
-                if j_new <= j_val + 1e-4 * t * slope:
+                # strictly lower too: once 1e-4 t slope is below J's last
+                # bit, the Armijo test alone accepts an equal J
+                if j_new < j_val and j_new <= j_val + 1e-4 * t * slope:
                     ok = True
                     break
             t *= 0.5

@@ -54,27 +54,32 @@ residual tells refinement where to sample.  :class:`RomSolveError` is
 left for a solve with no iterate to return.
 
 Both solves take a stack of ``m`` nodes at one ``mu`` (a single node is
-a stack of one) and cut it at two levels; however it is cut, every
-node's result is bitwise equal to solving it alone.
-:func:`_in_parts` cuts the stack into balanced parts that fit
-``kernels.STACK_BYTES`` at ``_NODE_ARRAYS`` arrays of ``n_u`` per node
-(about 140 nodes at ``n_u = 127``, so a node sweep is mostly one part),
-and a part runs one Gauss-Newton loop: its states, residuals, Jacobian
-bands, round-off scales, reduced gradients, stationarity tests, line
-search (:func:`kernels.halve_until_decrease`, shared with the full
-model) and the per-node masks of the routing, stopping and backtracking
-rules are whole-part arrays.  Only the ``n_u x k`` algebra of the nodes
-that take a step is cut again, into chunks that fit the budget of
-:func:`_chunk_bytes`: each chunk forms its own ``J Phi`` and takes one
-stacked Gram product, Cholesky factorization and solve, and a stacked
-QR and triangular solve for its nodes that take the QR step
-(:func:`_qr_steps`), and drops its ``J Phi`` before the next chunk forms
-one.  ``J Phi`` is one ``(1 x 3) @ (3 x k)`` product per row of each
-node: the row's three band entries against the window of basis rows
-``i - 1, i, i + 1``, which the basis caches per ``k``
-(:meth:`ReducedBasis.window`).  The adjoint forms states, bands and
-right-hand sides once per part, and its least-squares solves chunk by
-chunk in the same way, on ``J^T Phi`` where the primal forms ``J Phi``.
+a stack of one) and run one loop over the whole stack; every node's
+result is bitwise equal to solving it alone.  A primal solve's states,
+residuals, Jacobian bands, round-off scales, reduced gradients,
+stationarity tests, line search (:func:`kernels.halve_until_decrease`,
+shared with the full model) and the per-node masks of the routing,
+stopping and backtracking rules are whole-stack arrays.  Only the ``n_u
+x k`` algebra of the nodes that take a step is cut, into chunks that fit
+``kernels.STACK_BYTES`` at the bytes per node of :func:`_chunk_bytes`:
+each chunk forms its own ``J Phi`` and takes one stacked Gram product,
+Cholesky factorization and solve, and a stacked QR and triangular solve
+for its nodes that take the QR step (:func:`_qr_steps`), and drops its
+``J Phi`` before the next chunk forms one.  ``J Phi`` is one ``(1 x 3)
+@ (3 x k)`` product per row of each node: the row's three band entries
+against the window of basis rows ``i - 1, i, i + 1``, which the basis
+caches per ``k`` (:meth:`ReducedBasis.window`).  The adjoint forms
+states, bands and right-hand sides once for the stack, and its
+least-squares solves chunk by chunk in the same way, on ``J^T Phi``
+where the primal forms ``J Phi``.
+
+Memory follows the rule of the full-model solves (see ``hdm``): a
+solve's arrays of ``n_u`` grow with its stack, and only its ``n_u x k``
+blocks are chunked.  At its peak a cold primal solve holds about 10.3
+arrays of ``n_u`` per node (in the line search of its first step), an
+adjoint solve 5.9 (states, three Jacobian bands, right-hand sides), each
+plus one chunk (``tracemalloc``, growth of the peak from 1024 to 2048
+cold nodes on the final basis of the default Burgers run, ``k = 48``).
 
 The basis keeps a snapshot when its remainder after two Gram-Schmidt
 passes is larger than the rounding error those passes can leave in a
@@ -371,30 +376,20 @@ def _cholesky(G):
         return np.concatenate([_cholesky(G[i:i + 1]) for i in range(len(G))])
 
 
-#: Arrays of ``n_u`` floats that one node of a part of a reduced solve
-#: holds outside its chunks (see :func:`_chunk_bytes`), rounded up from its
-#: peak over the part as ``tracemalloc`` measures it: 10.9 for the primal
-#: solve (in :func:`_steps`: residual, state, three bands and three more
-#: arrays, of the round-off scale or of the gradient pass, with the
-#: reduced states) and 6.0 for the adjoint, on stacks of 128 to 512
-#: nodes on the final basis of the default Burgers run (``n_u = 127``,
-#: ``k = 47``).
-_NODE_ARRAYS = 11
-
-
 def _chunk_bytes(basis):
     """The bytes of one node of a chunk on ``basis``.
 
     Every Gauss-Newton iteration cuts the nodes that take a step, and
-    every adjoint part its nodes, by :func:`kernels.stack_parts` into
-    chunks at this many bytes per node.  A chunk node holds its ``(n_u,
-    k)`` block of ``J Phi`` (the adjoint's ``J^T Phi``), which the band
-    product returns and the steps read, and, at its peak, the three
-    stacked bands of the band product, or the ``[J Phi | r]``
-    block of a QR step (:func:`_qr_steps`) and numpy's copy of it, and
-    two ``(k + 1) x (k + 1)`` blocks: ``G`` and its Cholesky factor, or
-    the triangular factor and the solve's copy of it (and the adjoint's
-    ``G``, which its second step reuses).  The budget counts ``3k + 3``
+    every adjoint solve its whole stack, by :func:`kernels.stack_parts`
+    into chunks at this many bytes per node: the one cut of a reduced
+    solve.  A chunk node holds its ``(n_u, k)`` block of ``J Phi`` (the
+    adjoint's ``J^T Phi``), which the band product returns and the steps
+    read, and, at its peak, the three stacked bands of the band product,
+    or the ``[J Phi | r]`` block of a QR step (:func:`_qr_steps`) and
+    numpy's copy of it, and two ``(k + 1) x (k + 1)`` blocks: ``G`` and
+    its Cholesky factor, or the triangular factor and the solve's copy of
+    it (and the adjoint's ``G``, which its second step reuses).  The
+    budget counts ``3k + 3``
     columns of ``n_u`` and the two blocks, 185 columns at ``n_u = 127``,
     ``k = 48``; ``tracemalloc`` measures 84 to 88 per node for the primal
     chunks (up to 182 for those that take QR steps) and 86 to 88 for the
@@ -405,22 +400,16 @@ def _chunk_bytes(basis):
     return 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
 
 
-def _in_parts(solve, problem, basis, ys, mu, q):
-    """``solve(problem, ys[p], mu, q[p], basis)`` on the parts ``p``
-    of the node stack ``ys`` that :func:`kernels.stack_parts` cuts at
-    ``_NODE_ARRAYS`` arrays of ``n_u`` per node, with the parts' outputs
-    (tuples of per-node arrays) joined.  An empty basis is a
-    :class:`RomSolveError`, and ``ys`` of a shape other than ``(m, n_y)``
-    the ValueError of ``problem._check_nodes``, both raised before any
-    part is solved."""
+def _checked(problem, basis, ys, mu):
+    """``ys`` and ``mu`` as float arrays, checked before any node is
+    solved: an empty basis is a :class:`RomSolveError`, and ``ys`` of a
+    shape other than ``(m, n_y)`` the ValueError of
+    ``problem._check_nodes``."""
     if basis.k == 0:
         raise RomSolveError("reduced basis is empty")
     ys = np.asarray(ys, dtype=float)
     problem._check_nodes(ys)
-    mu, q = np.asarray(mu, dtype=float), np.asarray(q, dtype=float)
-    parts = [solve(problem, ys[p], mu, q[p], basis)
-             for p in kernels.stack_parts(len(ys), 8 * _NODE_ARRAYS * basis.n_u)]
-    return tuple(np.concatenate(out) for out in zip(*parts))
+    return ys, np.asarray(mu, dtype=float)
 
 
 def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal:
@@ -457,27 +446,27 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     otherwise.  For a residual affine in the state this converges in a
     single step.
 
-    Each part of the stack is solved by one loop (see the module
-    docstring): per step, one expansion of the states, one band,
-    round-off scale and gradient pass for the part, then per chunk of
-    the nodes that step one ``J Phi``, one stacked Gram product,
-    Cholesky factorization and solve, and one stacked QR and triangular
-    solve for the nodes routed to it, then one residual call per step
-    length of the line search, on the nodes of the part still
-    searching.  Nodes leave the stack as they stop.  A node
-    that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
+    The whole stack is solved by one loop (see the module docstring):
+    per step, one expansion of the states, one band, round-off scale and
+    gradient pass for the stack, then per chunk of the nodes that step
+    one ``J Phi``, one stacked Gram product, Cholesky factorization and
+    solve, and one stacked QR and triangular solve for the nodes routed
+    to it, then one residual call per step length of the line search, on
+    the nodes still searching.  Nodes leave the stack as they stop.  A
+    node that stagnated or ran ``GN_MAX_ITERS`` steps is returned at its last
     iterate and marked in :attr:`RomPrimal.failed` (see the module
     docstring); :class:`RomSolveError` is raised only for an empty basis
     or a reduced Jacobian whose QR factor is rank-deficient (see
     :func:`_qr_steps`).
     """
+    ys, mu = _checked(problem, basis, ys, mu)
     q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
-    return RomPrimal(*_in_parts(_gauss_newton, problem, basis, ys, mu, q))
+    return RomPrimal(*_gauss_newton(problem, ys, mu, q, basis))
 
 
 def _gauss_newton(problem, ys, mu, q, basis):
-    """One part of :func:`solve_rom_primal`; returns the per-node arrays
-    of :class:`RomPrimal`."""
+    """The loop of :func:`solve_rom_primal` on a checked stack; returns
+    the per-node arrays of :class:`RomPrimal`."""
     m = len(q)
     f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
@@ -526,8 +515,8 @@ def _gauss_newton(problem, ys, mu, q, basis):
 
 
 def _steps(problem, basis, ys, mu, q, r, live, rn, f):
-    """The Gauss-Newton steps of one iteration at the nodes ``live`` of a
-    part, whose residuals ``r[live]`` have norms ``rn``.
+    """The Gauss-Newton steps of one iteration at the nodes ``live`` of
+    the stack, whose residuals ``r[live]`` have norms ``rn``.
 
     The state, its Jacobian bands, the round-off scale of the residual,
     the reduced gradient ``Phi^T (J^T r)`` and ``||J Phi||_F`` are
@@ -606,14 +595,16 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     round-off several times above the least-squares minimum.  The
     reported residual norm is evaluated explicitly from the solution.
     """
-    return RomAdjoint(*_in_parts(_min_res_adjoint, problem, basis, ys, mu, q))
+    ys, mu = _checked(problem, basis, ys, mu)
+    q = np.asarray(q, dtype=float)
+    return RomAdjoint(*_min_res_adjoint(problem, ys, mu, q, basis))
 
 
 def _min_res_adjoint(problem, ys, mu, q, basis):
-    """One part of :func:`solve_rom_adjoint`; returns ``(eta, res)``.
-    The state, its Jacobian bands and the right-hand side are formed once
-    for the part, the least-squares solves chunk by chunk (see
-    :func:`_chunk_bytes`)."""
+    """The solves of :func:`solve_rom_adjoint` on a checked stack;
+    returns ``(eta, res)``.  The state, its Jacobian bands and the
+    right-hand side are formed once for the stack, the least-squares
+    solves chunk by chunk (see :func:`_chunk_bytes`)."""
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,8 @@ from sgromtr.adapt import (SgRomPair, eval_gradient_indicator,
 from sgromtr.hdm import (LinearDiffusion, QueryCounters, solve_adjoint,
                          solve_primal)
 from sgromtr.rom import ReducedBasis, solve_rom_adjoint, solve_rom_primal
-from sgromtr.sparse_grid import MultiIndexSet, assemble, cc_rule, is_admissible
+from sgromtr.sparse_grid import (MultiIndexSet, assemble, cc_rule,
+                                 interpolation_weights, is_admissible)
 from sgromtr.trust_opt import TrustRegionConfig, tr_init, tr_run
 
 
@@ -501,6 +503,50 @@ def test_cached_mu_warm_start_rule(lin):
     fallback = pair.basis.project(pair.basis.last_primal)
     for start in pair._warm_starts(new[1:], mk2, []):
         np.testing.assert_array_equal(start, fallback)
+
+
+def _interpolated_warm_starts(lin, m):
+    """A pair on a grid of level 9 in the first direction and 3 in the
+    second (1285 nodes), with a stored solve at each of its nodes, and
+    ``m`` new nodes at random coordinates: ``(pair, mk, new)``."""
+    pair = make_pair(lin, grid_indices=[(i, j) for i in range(1, 10)
+                                        for j in range(1, 4)])
+    rng = np.random.default_rng(71)
+    grid = assemble(pair.grid)
+    mk = _mu_key(np.full(lin.n_mu, 0.1))
+    pair._nodes[mk] = {key: adapt.NodeEval(coord, rng.standard_normal(pair.basis.k),
+                                           0.0, 0.0, 1)
+                       for key, coord in zip(grid.keys, grid.coords)}
+    new = [(("new", i), coord) for i, coord in enumerate(rng.uniform(-1, 1, (m, 2)))]
+    return pair, mk, new
+
+
+def test_warm_start_interpolation_peak_is_bounded(lin):
+    # 4096 new nodes against 1285 grid nodes: one block of weights would
+    # be 42 MB, and the largest tensor term's basis as much again.  In
+    # blocks of new nodes each block's weights and one term's basis fit
+    # STACK_BYTES, so the traced peak is a few budgets at most
+    pair, mk, new = _interpolated_warm_starts(lin, 4096)
+    assert len(assemble(pair.grid).keys) == 1285
+    pair._warm_starts(new[:1], mk, [])                  # rules cached before tracing
+    tracemalloc.start()
+    starts = pair._warm_starts(new, mk, [])
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert starts.shape == (4096, pair.basis.k)
+    assert peak <= 3 * kernels.STACK_BYTES
+
+
+def test_blocked_warm_starts_equal_one_block(lin):
+    # the interpolant evaluated in blocks of new nodes equals its
+    # evaluation on all of them at once
+    pair, mk, new = _interpolated_warm_starts(lin, 600)
+    keys, W = interpolation_weights(pair.grid, [coord for _, coord in new])
+    stored = pair._nodes[mk]
+    reference = W @ np.array([stored[key].q for key in keys])
+    assert len(kernels.stack_parts(len(new), 16 * len(keys))) > 1
+    np.testing.assert_allclose(pair._warm_starts(new, mk, []), reference,
+                               rtol=1e-14, atol=0)
 
 
 def test_fresh_mu_takes_own_node_at_nearest_mu(lin):

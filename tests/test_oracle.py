@@ -269,6 +269,26 @@ def test_baseline_backtracks_from_a_failed_trial_solve(monkeypatch):
     assert info["history"][-1]["n_hp"] == counters.n_hp
 
 
+def test_baseline_stops_where_the_objective_cannot_decrease(monkeypatch):
+    # gtol 1e-10 lies below what the quadratic's round-off resolves:
+    # after 8 steps (gradient 1.2e-8) no trial point lowers J.  A trial
+    # of equal J once passed the Armijo test, whose 1e-4 t slope is then
+    # below J's last bit, and the run took all 100 steps (2213
+    # evaluations, the gradient stalled at 4e-10); now it ends in a
+    # failed line search, every accepted step a strict decrease
+    diag = np.array([1.6, 1.7, 1.8, 1.9, 1.65, 1.75, 1.85, 1.95])
+    objective = _quadratic(diag, np.full(8, 0.5))
+    points = stub_tensor_reference(monkeypatch, objective)
+    mu_f, info = sg_iso_baseline(SimpleNamespace(n_mu=8), np.zeros(8), QueryCounters(),
+                                 level=5, gtol=1e-10, max_iters=100)
+    assert info["status"] == "line_search_failed"
+    history = info["history"]
+    assert len(history) == 9 and len(points) == 55
+    assert all(b["J"] < a["J"] for a, b in zip(history, history[1:]))
+    assert 1e-10 < history[-1]["gnorm"] < 1e-7
+    assert objective(mu_f)[0] == history[-1]["J"]
+
+
 def test_baseline_line_search_failure(monkeypatch):
     # J = ||mu|| has its minimum at mu0 = 0, but the stub's gradient says
     # it descends along -1: no trial point meets the Armijo test, and

@@ -407,7 +407,7 @@ def test_mixed_stack_matches_stacks_of_one(monkeypatch):
         assert stack.iters[i] == alone.gn_iters
         assert stack.failed[i] == alone.failed[0]
         assert stack.stalled[i] == alone.stalled[0]
-    monkeypatch.setattr(kernels, "STACK_BYTES", 1)   # one node per part
+    monkeypatch.setattr(kernels, "STACK_BYTES", 1)   # one node per chunk
     split, _ = solve([0, 1, 2])
     np.testing.assert_array_equal(split.q, stack.q)
     np.testing.assert_array_equal(split.residual_norm, stack.residual_norm)
@@ -652,33 +652,61 @@ def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
     assert sum(rows) == mixed.gn_iters + mixed.stalled.sum()
 
 
-def test_reduced_solve_peaks_stay_flat_with_the_stack(bur):
-    # a part holds _NODE_ARRAYS arrays of n_u per node and a chunk its
-    # n_u x k algebra, so doubling a stack of two full parts into four
-    # adds only the joined outputs and the start (at most 4k + 8 floats
-    # a node), where one more node of a part would add about 11 n_u
+def test_reduced_solves_sweep_their_whole_stack(bur, monkeypatch):
+    # the 150 nodes at n_u = 127 are one stack in the Gauss-Newton loop
+    # and in the adjoint solve (a cut at eleven arrays of n_u per node
+    # into STACK_BYTES made two parts of 75)
     basis = seeded_basis(bur, seed=5, n_snaps=10)
-    k, n_u = basis.k, bur.n_u
-    full = kernels.STACK_BYTES // (8 * rom._NODE_ARRAYS * n_u)
+    rng = np.random.default_rng(6)
+    ys = rng.uniform(-1, 1, (150, bur.n_y))
+    mu = rng.uniform(-0.3, 0.3, bur.n_mu)
+    sizes = {}
+
+    def counted(name, solve):
+        def wrapper(problem, stack, *args):
+            sizes.setdefault(name, []).append(len(stack))
+            return solve(problem, stack, *args)
+        return wrapper
+
+    for name in ("_gauss_newton", "_min_res_adjoint"):
+        monkeypatch.setattr(rom, name, counted(name, getattr(rom, name)))
+    prim = solve_rom_primal(bur, basis, ys, mu)
+    solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+    assert bur.n_u == 127
+    assert sizes == {"_gauss_newton": [150], "_min_res_adjoint": [150]}
+
+
+def test_whole_stack_peaks_fit_their_arrays_per_node(bur):
+    # a cold solve holds its arrays of n_u for the whole stack and one
+    # chunk of the n_u x k algebra: the traced peak of the primal solve
+    # is at most 11 arrays of n_u per node and one chunk, of the adjoint
+    # solve with the states it reads at most 6.5 and one chunk (the peaks
+    # grow by about 9.6 and 5.3 arrays per node here, 10.3 and 5.9 at
+    # k = 48).  Holding J Phi (k = 20 columns of n_u) for the whole stack
+    # would break both
+    basis = seeded_basis(bur, seed=5, n_snaps=10)
+    basis.window(), basis.row_grams()      # cached before tracing
+    n_u = bur.n_u
     rng = np.random.default_rng(6)
     mu = rng.uniform(-0.3, 0.3, bur.n_mu)
-    peaks = []
-    for m in (2 * full, 4 * full):
-        ys = rng.uniform(-1, 1, (m, bur.n_y))
-        tracemalloc.start()
-        prim = solve_rom_primal(bur, basis, ys, mu)
-        primal = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        solve_rom_adjoint(bur, basis, prim.q, ys, mu)
-        peaks.append((primal, tracemalloc.get_traced_memory()[1]))
-        tracemalloc.stop()
-        del prim
-    for small, large in zip(*peaks):
-        assert large - small <= 2 * full * 8 * (4 * k + 8)
+    m = 400
+    ys = rng.uniform(-1, 1, (m, bur.n_y))
+    tracemalloc.start()
+    q = solve_rom_primal(bur, basis, ys, mu).q
+    primal_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    tracemalloc.start()
+    q = q.copy()                          # the states the adjoint reads
+    solve_rom_adjoint(bur, basis, q, ys, mu)
+    adjoint_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert basis.k == 20
+    assert primal_peak <= m * 11 * 8 * n_u + kernels.STACK_BYTES
+    assert adjoint_peak <= m * 6.5 * 8 * n_u + kernels.STACK_BYTES
 
 
 def test_chunks_hold_one_block_at_a_time(bur, monkeypatch):
-    # a cold stack of 2c nodes in one part, solved in two chunks of c
+    # a cold stack of 2c nodes, solved in two chunks of c
     # and in one chunk of 2c.  A chunk drops its J Phi (J^T Phi) before
     # the next forms one, so the one-chunk peak is higher by at least the
     # c nodes' block, c n_u k floats.  Were two chunks' blocks alive at
@@ -693,7 +721,6 @@ def test_chunks_hold_one_block_at_a_time(bur, monkeypatch):
     peaks = []
     for size in (c, 2 * c):
         monkeypatch.setattr(kernels, "STACK_BYTES", size * rom._chunk_bytes(basis))
-        assert len(kernels.stack_parts(2 * c, 8 * rom._NODE_ARRAYS * n_u)) == 1
         tracemalloc.start()
         prim = solve_rom_primal(bur, basis, ys, mu)
         primal = tracemalloc.get_traced_memory()[1]
