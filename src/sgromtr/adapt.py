@@ -86,7 +86,6 @@ class NodeEval:
     q: np.ndarray
     prim_res: float
     fval: float
-    gn_iters: int         # Gauss-Newton steps of this solve
     adj_res: float | None = None
     ghat: np.ndarray | None = None
     gnorm: float | None = None    # ||ghat||
@@ -226,7 +225,7 @@ class SgRomPair:
         nodes = self._nodes.setdefault(mk, {})
         for i, (key, _) in enumerate(missing):
             nodes[key] = NodeEval(ys[i], prim.q[i], float(prim.residual_norm[i]),
-                                  float(fval[i]), int(prim.iters[i]))
+                                  float(fval[i]))
 
     def ensure_adjoints(self, mu, keys) -> None:
         """Solve the adjoint at every listed node at ``mu`` that lacks one.

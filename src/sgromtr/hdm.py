@@ -26,14 +26,11 @@ stack has states ``(m, n_u)`` and nodes ``(m, n_y)``, results are
 arrays with one row or entry per node, and each row is bitwise equal to
 its own stack of one.  A solve runs one damped-Newton loop and one
 adjoint sweep over its whole stack, with per-node index sets for the
-stopping and backtracking rules: a Thomas sweep loops over the ``n_u``
-rows in Python and costs about the same at any node count, so the stack
-is never cut.  Its memory grows with the stack instead, the rule of the
-reduced solves too (which chunk only their ``n_u x k`` blocks, see
-``rom``): a full-model solve holds about 8.3 arrays of ``n_u`` floats
-per node of its stack at its peak (``tracemalloc``, cold Burgers start
-on the 289 nodes of a level-5 tensor grid: 8.3 for the primal, 7.3 for
-the adjoint with the states it reads).
+stopping and backtracking rules, and follows the memory rule of
+``kernels``: it holds about 8.3 arrays of ``n_u`` floats per node of
+its stack at its peak (``tracemalloc``, cold Burgers start on the 289
+nodes of a level-5 tensor grid: 8.3 for the primal, 7.3 for the adjoint
+with the states it reads).
 
 Like the reduced solvers, the solvers here take no tolerance (Newton's
 are the ``NEWTON_*`` constants) and count no query (see :class:`QueryCounters`).
@@ -221,6 +218,14 @@ class ModelProblem:
         if y.ndim != 2 or y.shape[1] != self.n_y:
             raise ValueError(f"nodes have shape {y.shape}, expected (m, {self.n_y})")
 
+    def _check_stack(self, y, name, x, width):
+        """Nodes ``y`` of shape ``(m, n_y)`` and, unless None, the start or
+        state stack ``x`` passed as ``name`` of shape ``(m, width)``: ``n_u``
+        wide for a full-model state, ``k`` for a reduced one."""
+        self._check_nodes(y)
+        if x is not None and np.shape(x) != (len(y), width):
+            raise ValueError(f"{name} has shape {np.shape(x)}, expected {(len(y), width)}")
+
     def _check(self, u, y, mu):
         if u.shape[-1] != self.n_u:
             raise ValueError(f"state has length {u.shape[-1]}, expected {self.n_u}")
@@ -355,32 +360,35 @@ def _rows(a, at):
     return a if len(at) == len(a) else a[at]
 
 
-def _roundoff(problem, u, y, mu):
-    """``eps || |J||u| + |f| ||`` of each row, the round-off of its residual."""
-    return _EPS * kernels.roundoff_scale(*problem.jac_bands(u, y, mu), u,
-                                         problem.source(mu))
-
-
-def _newton(problem, y, mu, u, tol_abs, r):
-    """Damped Newton iteration on a stack.
+def _primal(problem, y, mu, u0):
+    """Damped Newton iteration on a stack from ``u0`` (the default start
+    if None), the loop of :func:`solve_primal` without its SolverError.
 
     Returns ``(u, rnorm, iters, ok)``, each with one entry per node.  A
-    node stops once it meets its tolerance
-    ``tol_abs + NEWTON_TOL_REL ||r(u)||`` (``u`` the start), after
-    ``NEWTON_MAX_ITERS`` steps, on a singular Jacobian (a non-finite
+    node stops once it meets its tolerance (see :func:`solve_primal`),
+    after ``NEWTON_MAX_ITERS`` steps, on a singular Jacobian (a non-finite
     step), or when no step length of :func:`kernels.halve_until_decrease`
     decreases its ``||r||``; the others go on.  A node whose full step is
     rejected has its tolerance raised to the residual's own round-off
     ``eps || |J||u| + |f| ||`` (``f`` the source, see
     :func:`kernels.roundoff_scale`): no step resolves a smaller residual,
     so a node whose ``||r||`` is at most that is converged at once and
-    takes no halving.  The rows of ``u``
-    are updated in place; ``r`` is the residual at ``u``, or None.
+    takes no halving.
     """
-    if r is None:
-        r = problem.residual(u, y, mu)
+    u = np.empty(y.shape[:-1] + (problem.n_u,))
+    u[...] = problem.initial_state(y, mu)
+    r = problem.residual(u, y, mu)
     rnorm = kernels.row_norm(r)
+    tol_abs = NEWTON_TOL_ABS * (1.0 + rnorm)
+    if u0 is not None:
+        u = np.array(u0, dtype=float, order="C")
+    if not np.isfinite(u).all():
+        raise ValueError("initial state contains non-finite entries")
+    if u0 is not None:
+        r = problem.residual(u, y, mu)
+        rnorm = kernels.row_norm(r)
     tol = tol_abs + NEWTON_TOL_REL * rnorm
+    f = problem.source(mu)
     iters = np.zeros(len(rnorm), int)
     stopped = np.zeros(len(rnorm), bool)
     for _ in range(NEWTON_MAX_ITERS):
@@ -409,9 +417,13 @@ def _newton(problem, y, mu, u, tol_abs, r):
             if t < 0.5:
                 return np.ones(rows.size, bool)
             i = at[rows]
-            floor = np.concatenate([_roundoff(problem, _rows(u, h), _rows(y, h), mu)
-                                    for h in np.array_split(i, 2) if h.size])
-            tol[i] = np.maximum(tol[i], floor)
+            scale = []
+            for h in np.array_split(i, 2):
+                if h.size:
+                    u_h = _rows(u, h)
+                    scale.append(kernels.roundoff_scale(
+                        *problem.jac_bands(u_h, _rows(y, h), mu), u_h, f))
+            tol[i] = np.maximum(tol[i], _EPS * np.concatenate(scale))
             return rnorm[i] > tol[i]
 
         # the rows of every node that steps are updated in place: u, r and
@@ -429,26 +441,12 @@ def _newton(problem, y, mu, u, tol_abs, r):
     return u, rnorm, iters, rnorm <= tol
 
 
-def _primal(problem, y, mu, u0):
-    """Damped Newton on a stack from ``u0`` (the default start if None);
-    returns ``(u, rnorm, iters, ok)`` as :func:`_newton` does."""
-    u = np.empty(y.shape[:-1] + (problem.n_u,))
-    u[...] = problem.initial_state(y, mu)
-    r = problem.residual(u, y, mu)
-    tol_abs = NEWTON_TOL_ABS * (1.0 + kernels.row_norm(r))
-    if u0 is not None:
-        u, r = np.array(u0, dtype=float, order="C"), None
-    if not np.isfinite(u).all():
-        raise ValueError("initial state contains non-finite entries")
-    return _newton(problem, y, mu, u, tol_abs, r)
-
-
 def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     """Damped Newton solve of ``r(u, y, mu) = 0`` at a stack of nodes.
 
     Backtracking halves the step until the residual norm decreases (up
     to 29 halvings), unless a node's full step is rejected at the
-    residual's round-off, where it is converged (see :func:`_newton`).
+    residual's round-off, where it is converged (see :func:`_primal`).
     Raises :class:`SolverError` if a node's tolerance
     ``NEWTON_TOL_ABS (1 + ||r(default start)||) + NEWTON_TOL_REL ||r(u0)||``
     is not met within ``NEWTON_MAX_ITERS`` iterations.  The absolute term
@@ -456,15 +454,15 @@ def solve_primal(problem, y, mu, u0=None) -> PrimalSolution:
     warm starts with a tiny entry residual cannot push the tolerance
     beneath the evaluation noise floor of a stiff operator.
 
-    ``y`` is ``(m, n_y)``, any other shape a ValueError, and ``u0``, if
-    given, ``(m, n_u)``.  The whole stack is solved by one Newton loop,
-    and every node's state and iteration count are bitwise equal to its
-    own stack of one.  If a node fails, the error names the first failed
-    node (in a stack of more than one), its iteration count and its
-    residual norm.
+    ``y`` is ``(m, n_y)`` and ``u0``, if given, ``(m, n_u)``, any other
+    shape a ValueError (:meth:`ModelProblem._check_stack`).  The whole
+    stack is solved by one Newton loop, and every node's state and
+    iteration count are bitwise equal to its own stack of one.  If a node
+    fails, the error names the first failed node (in a stack of more than
+    one), its iteration count and its residual norm.
     """
     y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
+    problem._check_stack(y, "u0", u0, problem.n_u)
     u, rnorm, iters, ok = _primal(problem, y, np.asarray(mu, dtype=float), u0)
     if not ok.all():
         at = int(np.flatnonzero(~ok)[0])
@@ -484,20 +482,14 @@ def solve_adjoint(problem, u, y, mu) -> np.ndarray:
     """Direct solve of the linear adjoint system at converged primal states.
 
     ``u`` and ``y`` are stacks, ``(m, n_u)`` and ``(m, n_y)`` (any other
-    shape of ``y`` is a ValueError); returns the ``(m, n_u)`` adjoint
-    states.  The whole stack is solved by one sweep, each row bitwise
-    equal to its own stack of one.  A singular Jacobian at any node is a
-    SolverError.  :func:`adjoint_residual` evaluates the residual of a
-    solve.
+    shape is a ValueError, see :meth:`ModelProblem._check_stack`); returns
+    the ``(m, n_u)`` adjoint states.  The whole stack is solved by one
+    sweep, each row bitwise equal to its own stack of one.  A singular
+    Jacobian at any node is a SolverError.  :func:`adjoint_residual`
+    evaluates the residual of a solve.
     """
-    y = np.asarray(y, dtype=float)
-    problem._check_nodes(y)
-    return _adjoint(problem, y, np.asarray(mu, dtype=float),
-                    np.asarray(u, dtype=float))
-
-
-def _adjoint(problem, y, mu, u):
-    """Adjoint states of a stack."""
+    y, u, mu = (np.asarray(a, dtype=float) for a in (y, u, mu))
+    problem._check_stack(y, "u", u, problem.n_u)
     up_t, dg, lo_t = problem.jac_bands(u, y, mu)
     rhs = problem.qoi_u(u, y, mu)
     # the bands of (dr/du)^T, shifted in place: lo_t[i] = up[i-1], up_t[i] = lo[i+1]

@@ -34,21 +34,26 @@ whatever ``m`` is, so it is bitwise equal to its own one-row call.
 not: it is a matrix-vector product for one node and a matrix-matrix
 product for several, which round differently.)  Both solvers
 backtrack by :func:`halve_until_decrease`, one residual call per step
-length on the rows of a stack that still search.  They sweep their
-whole stack at once, so its arrays of ``n`` grow with it (see
-``hdm`` and ``rom``).  The one cut is :func:`stack_parts`: the reduced
-solves run their ``(n, k)`` algebra, on the nodes that take a step, in
-chunks that fit ``STACK_BYTES``, each node of a chunk holding ``k``
-columns of ``n`` of the chunk's own ``J Phi`` or ``J^T Phi``, which a
-matrix product returns and the chunk drops, and, at its peak, the three
-bands of its product, or the ``[J Phi | r]`` that a QR step builds and
-numpy's copy of it, and the ``k x k`` normal equations: about ``3k +
-3`` columns of ``n`` and two ``(k + 1) x (k + 1)`` blocks
-(``rom._chunk_bytes``).  The sparse-grid warm starts of new nodes are
-cut into blocks in the same way (``adapt``).  The stationarity tests of
-a reduced solve need no ``(n, k)`` product: ``A^T r``
-(:func:`band_t_matvec`) and per-row dots (:func:`row_dot`) test every
-node.
+length on the rows of a stack that still search.
+
+Memory rule of every solve, full-model and reduced: it sweeps its whole
+stack at once, and only the ``n x k`` chunks of a reduced solve are
+cut.  A Thomas sweep loops over the ``n`` rows in Python and costs
+about the same at any node count, so no stack is cut into parts, and a
+solve's arrays of ``n`` grow with its stack (the ``hdm`` and ``rom``
+docstrings give their counts per node).  The one cut is
+:func:`stack_parts`: the reduced solves run their ``(n, k)`` algebra,
+on the nodes that take a step, in chunks that fit ``STACK_BYTES``, each
+node of a chunk holding ``k`` columns of ``n`` of the chunk's own ``J
+Phi`` or ``J^T Phi``, which a matrix product returns and the chunk
+drops, and, at its peak, the three bands of its product, or the ``[J
+Phi | r]`` that a QR step builds and numpy's copy of it, and the ``k x
+k`` normal equations: about ``3k + 3`` columns of ``n`` and two ``(k +
+1) x (k + 1)`` blocks (``rom._chunk_bytes``).  The sparse-grid warm
+starts of new nodes are cut into blocks in the same way (``adapt``).
+The stationarity tests of a reduced solve need no ``(n, k)`` product:
+``A^T r`` (:func:`band_t_matvec`) and per-row dots (:func:`row_dot`)
+test every node.
 
 Band convention for a tridiagonal matrix ``A`` of order ``n``:
 ``lo[i] = A[i, i-1]`` (``lo[0]`` unused, zero), ``dg[i] = A[i, i]``,

@@ -60,8 +60,8 @@ residuals, Jacobian bands, round-off scales, reduced gradients,
 stationarity tests, line search (:func:`kernels.halve_until_decrease`,
 shared with the full model) and the per-node masks of the routing,
 stopping and backtracking rules are whole-stack arrays.  Only the ``n_u
-x k`` algebra of the nodes that take a step is cut, into chunks that fit
-``kernels.STACK_BYTES`` at the bytes per node of :func:`_chunk_bytes`:
+x k`` algebra of the nodes that take a step is cut, by the memory rule
+of ``kernels``, into chunks at the bytes per node of :func:`_chunk_bytes`:
 each chunk forms its own ``J Phi`` and takes one stacked Gram product,
 Cholesky factorization and solve, and a stacked QR and triangular solve
 for its nodes that take the QR step (:func:`_qr_steps`), and drops its
@@ -73,13 +73,11 @@ states, bands and right-hand sides once for the stack, and its
 least-squares solves chunk by chunk in the same way, on ``J^T Phi``
 where the primal forms ``J Phi``.
 
-Memory follows the rule of the full-model solves (see ``hdm``): a
-solve's arrays of ``n_u`` grow with its stack, and only its ``n_u x k``
-blocks are chunked.  At its peak a cold primal solve holds about 10.3
-arrays of ``n_u`` per node (in the line search of its first step), an
-adjoint solve 5.9 (states, three Jacobian bands, right-hand sides), each
-plus one chunk (``tracemalloc``, growth of the peak from 1024 to 2048
-cold nodes on the final basis of the default Burgers run, ``k = 48``).
+At its peak a cold primal solve holds about 10.3 arrays of ``n_u`` per
+node (in the line search of its first step), an adjoint solve 5.9
+(states, three Jacobian bands, right-hand sides), each plus one chunk
+(``tracemalloc``, growth of the peak from 1024 to 2048 cold nodes on the
+final basis of the default Burgers run, ``k = 48``).
 
 The basis keeps a snapshot when its remainder after two Gram-Schmidt
 passes is larger than the rounding error those passes can leave in a
@@ -400,15 +398,16 @@ def _chunk_bytes(basis):
     return 8 * (n_u * (3 * k + 3) + 2 * (k + 1) ** 2)
 
 
-def _checked(problem, basis, ys, mu):
-    """``ys`` and ``mu`` as float arrays, checked before any node is
-    solved: an empty basis is a :class:`RomSolveError`, and ``ys`` of a
-    shape other than ``(m, n_y)`` the ValueError of
-    ``problem._check_nodes``."""
+def _checked(problem, basis, ys, mu, name, q):
+    """``ys`` and ``mu`` as float arrays, checked with the reduced states
+    or starts ``q`` (passed as ``name``) before any node is solved: an
+    empty basis is a :class:`RomSolveError`, and ``ys`` of a shape other
+    than ``(m, n_y)`` or ``q`` other than ``(m, k)`` the ValueError of
+    ``problem._check_stack``."""
     if basis.k == 0:
         raise RomSolveError("reduced basis is empty")
     ys = np.asarray(ys, dtype=float)
-    problem._check_nodes(ys)
+    problem._check_stack(ys, name, q, basis.k)
     return ys, np.asarray(mu, dtype=float)
 
 
@@ -416,9 +415,10 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     """Gauss-Newton minimization of the residual norm over the subspace.
 
     ``ys`` is a stack of ``m`` nodes ``(m, n_y)`` and ``q0`` their
-    ``(m, k)`` starts (zero by default).  Each step solves the normal
-    equations ``G delta = -g`` (see the module docstring), whose model
-    decrease is ``drop = -g^T delta``.  A node factors ``[J Phi | r]`` by
+    ``(m, k)`` starts (zero by default), any other shape a ValueError
+    (see :func:`_checked`).  Each step solves the normal equations ``G
+    delta = -g`` (see the module docstring), whose model decrease is
+    ``drop = -g^T delta``.  A node factors ``[J Phi | r]`` by
     Householder QR instead, taking ``delta`` from the triangular solve
     and ``drop`` from the last diagonal entry, when the Cholesky
     factorization of its ``G`` fails, when the pivot ratio ``kappa2``
@@ -459,15 +459,9 @@ def solve_rom_primal(problem, basis: ReducedBasis, ys, mu, q0=None) -> RomPrimal
     or a reduced Jacobian whose QR factor is rank-deficient (see
     :func:`_qr_steps`).
     """
-    ys, mu = _checked(problem, basis, ys, mu)
-    q = np.zeros((len(ys), basis.k)) if q0 is None else np.array(q0, dtype=float)
-    return RomPrimal(*_gauss_newton(problem, ys, mu, q, basis))
-
-
-def _gauss_newton(problem, ys, mu, q, basis):
-    """The loop of :func:`solve_rom_primal` on a checked stack; returns
-    the per-node arrays of :class:`RomPrimal`."""
-    m = len(q)
+    ys, mu = _checked(problem, basis, ys, mu, "q0", q0)
+    m = len(ys)
+    q = np.zeros((m, basis.k)) if q0 is None else np.array(q0, dtype=float)
     f = problem.source(mu)
     r = problem.residual(basis.expand(q), ys, mu)
     rnorm = kernels.row_norm(r)
@@ -511,7 +505,7 @@ def _gauss_newton(problem, ys, mu, q, basis):
         failed[live[~moved & ~accept]] = True
         live = live[moved]
     failed[live] = True
-    return q, rnorm, iters, stalled, failed
+    return RomPrimal(q, rnorm, iters, stalled, failed)
 
 
 def _steps(problem, basis, ys, mu, q, r, live, rn, f):
@@ -585,8 +579,9 @@ def _jphi_norms(basis, lo, dg, up):
 def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     """Minimum-residual adjoint solves over the shared trial subspace.
 
-    For each node of the stack ``ys`` with reduced state ``q`` (one row
-    per node), solves ``min ||a eta - b||``, ``a = (dr/du)^T Phi``, ``b =
+    For each node of the stack ``ys`` ``(m, n_y)`` with reduced state
+    ``q`` ``(m, k)`` (any other shape a ValueError, see :func:`_checked`),
+    solves ``min ||a eta - b||``, ``a = (dr/du)^T Phi``, ``b =
     (df/du)^T``, by two steps of :func:`_lstsq_steps` on one ``G``: from
     ``eta = 0``, then from the true residual ``a eta - b`` there.  The
     second Gauss-Newton step of this affine residual corrects the
@@ -594,17 +589,12 @@ def solve_rom_adjoint(problem, basis: ReducedBasis, q, ys, mu) -> RomAdjoint:
     refinement, Björck 1996), which would leave some residuals near
     round-off several times above the least-squares minimum.  The
     reported residual norm is evaluated explicitly from the solution.
+    The state, its Jacobian bands and the right-hand side are formed once
+    for the stack, the least-squares solves chunk by chunk (see
+    :func:`_chunk_bytes`).
     """
-    ys, mu = _checked(problem, basis, ys, mu)
+    ys, mu = _checked(problem, basis, ys, mu, "q", q)
     q = np.asarray(q, dtype=float)
-    return RomAdjoint(*_min_res_adjoint(problem, ys, mu, q, basis))
-
-
-def _min_res_adjoint(problem, ys, mu, q, basis):
-    """The solves of :func:`solve_rom_adjoint` on a checked stack;
-    returns ``(eta, res)``.  The state, its Jacobian bands and the
-    right-hand side are formed once for the stack, the least-squares
-    solves chunk by chunk (see :func:`_chunk_bytes`)."""
     u = basis.expand(q)
     lo, dg, up = problem.jac_bands(u, ys, mu)
     b = problem.qoi_u(u, ys, mu)
@@ -622,4 +612,4 @@ def _min_res_adjoint(problem, ys, mu, q, basis):
         eta.append(x)
         res.append(kernels.row_norm(r))
         del a, gram                    # before the next chunk forms its J^T Phi
-    return np.concatenate(eta), np.concatenate(res)
+    return RomAdjoint(np.concatenate(eta), np.concatenate(res))

@@ -131,3 +131,21 @@ def stub_tensor_reference(monkeypatch, objective, fails=lambda mu: False):
 
     monkeypatch.setattr(oracle, "tensor_reference", reference)
     return points
+
+
+def recorded_stack_sizes(problem, monkeypatch):
+    """The node counts of every ``residual`` and ``jac_bands`` call that
+    ``problem`` takes from here on, by method name."""
+    sizes = {}
+
+    def recorded(name):
+        method = getattr(problem, name)
+
+        def wrapper(u, y, mu):
+            sizes.setdefault(name, []).append(len(y))
+            return method(u, y, mu)
+        return wrapper
+
+    for name in ("residual", "jac_bands"):
+        monkeypatch.setitem(vars(problem), name, recorded(name))
+    return sizes

@@ -442,18 +442,28 @@ def test_seed_pair_from_tr_init_reproduces_qoi(lin):
 # warm starts
 # ---------------------------------------------------------------------------
 
-def test_fresh_mu_near_cached_mu_starts_warm(bur):
+def test_fresh_mu_near_cached_mu_starts_warm(bur, monkeypatch):
     # a finite-difference Hessian point next to the center: every node
-    # starts from its own center solution.  The seed basis leaves large
-    # residuals, whose minimizers are flat to about 1e-7 in q, so the
-    # minimized residual norm is what matches to 1e-10
+    # starts from its own center solution, and its stacked solve takes at
+    # most two steps.  The seed basis leaves large residuals, whose
+    # minimizers are flat to about 1e-7 in q, so the minimized residual
+    # norm is what matches to 1e-10
     mu0 = np.zeros(bur.n_mu)
     pair = tr_init(bur, TrustRegionConfig(), mu0).pair
     quad = pair.union_quad()
     pair.evals(quad, mu0)
     mu = mu0 + 1e-7 * np.linspace(-1.0, 1.0, bur.n_mu)
-    for ev in pair.evals(quad, mu):
-        assert ev.gn_iters <= 2
+    solves = []
+
+    def recorded(problem, basis, ys, mu, q0=None):
+        solves.append((ys, solve_rom_primal(problem, basis, ys, mu, q0=q0)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(adapt, "solve_rom_primal", recorded)
+    evs = pair.evals(quad, mu)
+    (ys, warm), = solves
+    for ev in evs:
+        assert warm.iters[(ys == ev.coord).all(axis=1)] <= 2
         cold = solve_rom_primal(bur, pair.basis, ev.coord[None], mu)
         assert cold.gn_iters > 2
         assert abs(ev.prim_res - cold.residual_norm[0]) <= 1e-10 * (
@@ -473,7 +483,7 @@ def test_cached_mu_warm_start_rule(lin):
                          3.0 - y[1] + 2.0 * y[1] ** 2])[:k]
 
     def entry(coord, q):
-        return adapt.NodeEval(coord, q, 0.0, 0.0, 1)
+        return adapt.NodeEval(coord, q, 0.0, 0.0)
 
     grid = assemble(pair.grid)
     union = pair.union_quad()
@@ -515,7 +525,7 @@ def _interpolated_warm_starts(lin, m):
     grid = assemble(pair.grid)
     mk = _mu_key(np.full(lin.n_mu, 0.1))
     pair._nodes[mk] = {key: adapt.NodeEval(coord, rng.standard_normal(pair.basis.k),
-                                           0.0, 0.0, 1)
+                                           0.0, 0.0)
                        for key, coord in zip(grid.keys, grid.coords)}
     new = [(("new", i), coord) for i, coord in enumerate(rng.uniform(-1, 1, (m, 2)))]
     return pair, mk, new
@@ -711,7 +721,7 @@ def test_stalled_node_is_recovered_at_its_last_iterate(lin):
         if key == quad.keys[stall]:
             continue
         other = clean._nodes[_mu_key(0.5 * mu)][key]
-        for field in ("q", "prim_res", "adj_res", "ghat", "fval", "gn_iters"):
+        for field in ("q", "prim_res", "adj_res", "ghat", "fval"):
             np.testing.assert_array_equal(getattr(ev, field), getattr(other, field))
     # the stalled node keeps its start, the residual there and an adjoint
     ev = evals[stall]

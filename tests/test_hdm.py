@@ -1,12 +1,13 @@
 """Model-problem surfaces: residuals, Jacobians, solvers, adjoint gradient."""
 
+import re
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import band_to_dense
+from conftest import band_to_dense, recorded_stack_sizes
 from sgromtr import hdm, kernels
 from sgromtr.hdm import (BurgersControl, LinearDiffusion,
                          QueryCounters, SolverError, adjoint_gradient,
@@ -125,6 +126,27 @@ def test_dimension_mismatch_rejected(lin, bur):
                 solve_primal(problem, y, mu)
             with pytest.raises(ValueError, match=r"expected \(m, 2\)"):
                 solve_adjoint(problem, u, y, mu)
+
+
+@pytest.mark.parametrize("solver, rows, cols", [
+    ("solve_primal", None, 127),     # a 1-D start once solved to a 1-D u
+    ("solve_primal", 2, 127),        # two starts for one node, an IndexError
+    ("solve_adjoint", 2, 127),       # two states for one node, solved to two rows
+    ("solve_adjoint", 1, 63),        # a numpy broadcast error
+], ids=["primal-1d", "primal-2-rows", "adjoint-2-rows", "adjoint-short"])
+def test_state_stack_of_another_shape_is_named(bur, solver, rows, cols):
+    # a start or state stack is (m, n_u) for m nodes: any other shape is a
+    # ValueError that names the argument and both shapes
+    y, mu = np.array([[0.2, -0.3]]), np.zeros(8)
+    u = solve_primal(bur, y, mu).u[0, :cols]
+    x = u if rows is None else np.tile(u, (rows, 1))
+    name = "u0" if solver == "solve_primal" else "u"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} has shape {x.shape}, expected (1, 127)")):
+        if solver == "solve_primal":
+            solve_primal(bur, y, mu, u0=x)
+        else:
+            solve_adjoint(bur, x, y, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -331,23 +353,19 @@ def test_level5_grid_is_one_full_model_sweep(n_u, monkeypatch):
     # a Thomas sweep costs about the same at any node count, so the 289
     # nodes of a level-5 tensor grid are one stack in the Newton and in
     # the adjoint sweep, whatever n_u (a cut at ten arrays of n_u per node
-    # into STACK_BYTES made 2 parts at n_u = 127 and 16 at 1023)
+    # into STACK_BYTES made 2 parts at n_u = 127 and 16 at 1023): the
+    # cold start's residual and first Newton step see every node, and the
+    # adjoint forms the bands of all of them at once
     from sgromtr.sparse_grid import tensor_nodes
-    sizes = {}
-
-    def counted(name, solve):
-        def wrapper(problem, stack, *args):
-            sizes.setdefault(name, []).append(len(stack))
-            return solve(problem, stack, *args)
-        return wrapper
-
     prob = BurgersControl(n_u=n_u, ref_level=1)     # its target solves a stack
     _, ys, _ = tensor_nodes((5, 5))
-    for name in ("_primal", "_adjoint"):
-        monkeypatch.setattr(hdm, name, counted(name, getattr(hdm, name)))
+    sizes = recorded_stack_sizes(prob, monkeypatch)
     prim = solve_primal(prob, ys, np.zeros(8))
+    assert sizes["residual"][0] == sizes["jac_bands"][0] == 289
+    assert max(sizes["residual"] + sizes["jac_bands"]) == 289
+    sizes.clear()
     solve_adjoint(prob, prim.u, ys, np.zeros(8))
-    assert sizes == {"_primal": [289], "_adjoint": [289]}
+    assert sizes == {"jac_bands": [289]}
 
 
 @pytest.mark.parametrize("n_u", [511, 1023])

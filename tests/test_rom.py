@@ -1,11 +1,12 @@
 """Reduced-basis bookkeeping and minimum-residual solve properties."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import band_to_dense
+from conftest import band_to_dense, recorded_stack_sizes
 from sgromtr.hdm import (adjoint_gradient, adjoint_residual,
                          solve_adjoint, solve_primal)
 from sgromtr import kernels, rom
@@ -158,6 +159,27 @@ def test_empty_basis_rejected(lin):
         solve_rom_primal(lin, ReducedBasis(lin.n_u), np.zeros((1, 2)), np.zeros(8))
 
 
+@pytest.mark.parametrize("solver, shape", [
+    ("solve_rom_primal", (1, 1)), ("solve_rom_primal", (2, 2)),
+    ("solve_rom_adjoint", (1, 3)), ("solve_rom_adjoint", (2,)),
+], ids=["primal-short", "primal-2-rows", "adjoint-long", "adjoint-1d"])
+def test_reduced_stack_of_another_shape_is_named(bur, solver, shape):
+    # a reduced start or state stack is (m, k) for m nodes: any other
+    # shape is a ValueError that names the argument and both shapes, where
+    # a matrix product failed or broadcast without naming either
+    basis = seeded_basis(bur)
+    ys, mu = np.array([[0.2, -0.3]]), np.zeros(8)
+    assert basis.k == 2
+    q = np.full(shape, 0.1)
+    name = "q0" if solver == "solve_rom_primal" else "q"
+    with pytest.raises(ValueError, match=re.escape(
+            f"{name} has shape {shape}, expected (1, 2)")):
+        if solver == "solve_rom_primal":
+            solve_rom_primal(bur, basis, ys, mu, q0=q)
+        else:
+            solve_rom_adjoint(bur, basis, q, ys, mu)
+
+
 def test_interpolation_property(lin, bur):
     for problem in (lin, bur):
         rng = np.random.default_rng(8)
@@ -285,7 +307,7 @@ class _AffineProblem:
     def source(self, mu):
         return self.b
 
-    def _check_nodes(self, y):
+    def _check_stack(self, y, name, x, width):
         assert y.ndim == 2
 
 
@@ -655,25 +677,21 @@ def test_only_stepping_nodes_form_j_phi(bur, monkeypatch):
 def test_reduced_solves_sweep_their_whole_stack(bur, monkeypatch):
     # the 150 nodes at n_u = 127 are one stack in the Gauss-Newton loop
     # and in the adjoint solve (a cut at eleven arrays of n_u per node
-    # into STACK_BYTES made two parts of 75)
+    # into STACK_BYTES made two parts of 75): the start's residual and the
+    # first iteration's bands see every node, and the adjoint forms the
+    # bands of all of them at once
     basis = seeded_basis(bur, seed=5, n_snaps=10)
     rng = np.random.default_rng(6)
     ys = rng.uniform(-1, 1, (150, bur.n_y))
     mu = rng.uniform(-0.3, 0.3, bur.n_mu)
-    sizes = {}
-
-    def counted(name, solve):
-        def wrapper(problem, stack, *args):
-            sizes.setdefault(name, []).append(len(stack))
-            return solve(problem, stack, *args)
-        return wrapper
-
-    for name in ("_gauss_newton", "_min_res_adjoint"):
-        monkeypatch.setattr(rom, name, counted(name, getattr(rom, name)))
+    sizes = recorded_stack_sizes(bur, monkeypatch)
     prim = solve_rom_primal(bur, basis, ys, mu)
-    solve_rom_adjoint(bur, basis, prim.q, ys, mu)
     assert bur.n_u == 127
-    assert sizes == {"_gauss_newton": [150], "_min_res_adjoint": [150]}
+    assert sizes["residual"][0] == sizes["jac_bands"][0] == 150
+    assert max(sizes["residual"] + sizes["jac_bands"]) == 150
+    sizes.clear()
+    solve_rom_adjoint(bur, basis, prim.q, ys, mu)
+    assert sizes == {"jac_bands": [150]}
 
 
 def test_whole_stack_peaks_fit_their_arrays_per_node(bur):
@@ -749,8 +767,8 @@ class _Scaled:
     def source(self, mu):
         return self.c * self.problem.source(mu)
 
-    def _check_nodes(self, y):
-        self.problem._check_nodes(y)
+    def _check_stack(self, *args):
+        self.problem._check_stack(*args)
 
 
 def test_stop_depends_on_no_absolute_scale(bur):
